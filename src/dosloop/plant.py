@@ -8,6 +8,7 @@ an augmented matrix exponential rather than an ODE stepper.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,11 @@ from .linalg import (
     mat_exp,
 )
 
+# Propagators kept per plant. Runs step mostly by a few fixed lengths (the
+# record step, the crossing-grid cell), so a small table holds every key
+# that recurs; one-off lengths are evicted least recently used first.
+PROPAGATOR_CACHE_SIZE = 16
+
 
 class InputMode(Enum):
     """What the actuator applies while the channel is jammed."""
@@ -39,7 +45,8 @@ class LtiPlant:
     Construction validates dimensions and builds the decay envelope of the
     closed-loop matrix (which doubles as the Hurwitz check) and the growth
     envelope of the open-loop matrix. Exact propagators for the held-input
-    dynamics are cached per step length.
+    dynamics live in a least-recently-used table of PROPAGATOR_CACHE_SIZE
+    entries keyed by step length, so memory stays bounded over any horizon.
     """
 
     A: FloatArray
@@ -68,7 +75,7 @@ class LtiPlant:
         object.__setattr__(self, "_bk", B @ K)
         object.__setattr__(self, "_decay", decay_envelope(self._phi))
         object.__setattr__(self, "_growth", growth_envelope(A))
-        object.__setattr__(self, "_prop_cache", {})
+        object.__setattr__(self, "_prop_cache", OrderedDict())
 
     @property
     def n(self) -> int:
@@ -98,8 +105,10 @@ class LtiPlant:
     def propagator(self, dt: float, zero_input: bool = False) -> tuple[FloatArray, FloatArray | None]:
         """Blocks (T, H) with x(t+dt) = T x(t) + H x_held; H is None when the input is zeroed."""
         key = (float(dt), bool(zero_input))
-        cached = self._prop_cache.get(key)
+        cache = self._prop_cache
+        cached = cache.get(key)
         if cached is not None:
+            cache.move_to_end(key)
             return cached
         n = self.n
         if zero_input:
@@ -110,13 +119,10 @@ class LtiPlant:
             M[:n, n:] = self._bk
             E = mat_exp(M, dt)
             blocks = (E[:n, :n], E[:n, n:])
-        self._prop_cache[key] = blocks
+        cache[key] = blocks
+        if len(cache) > PROPAGATOR_CACHE_SIZE:
+            cache.popitem(last=False)
         return blocks
-
-
-def closed_loop_matrix(plant: LtiPlant) -> FloatArray:
-    """A + B K."""
-    return plant.A + plant.B @ plant.K
 
 
 def exact_hold_step(
@@ -130,7 +136,9 @@ def exact_hold_step(
     """Advance x' = A x + B K x_held by dt > 0 with x_held frozen.
 
     Exact (matrix-exponential) integration; with zero_input=True the input
-    term is dropped entirely, i.e. x' = A x.
+    term is dropped entirely, i.e. x' = A x. Validates its arguments on every
+    call; the simulator, whose vectors SimConfig has already checked, applies
+    the propagator blocks directly instead.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")

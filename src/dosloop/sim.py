@@ -7,6 +7,13 @@ logic; a successful attempt swaps the held sample and resets the transmission
 error. Traces carry regular samples plus dedicated rows at attempts (pre- and
 post-jump at the same timestamp) and jam breakpoints.
 
+Every segment, grid cell and root-search trial is stepped as T x + H x_held
+with blocks from LtiPlant.propagator; vectors are validated once, by
+SimConfig, not per step. Full record ticks step by exactly record_step and
+full crossing-grid cells by exactly the cell width, so the plant's bounded
+propagator cache keeps hitting on those few lengths. Event crossings are
+bracketed on a grid and then located by Illinois regula falsi.
+
 Runs are bit-reproducible: no randomness, no wall-clock dependence.
 """
 
@@ -16,13 +23,15 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .dos import DosBudget, DosSequence, check_slow_average, is_jammed
 from .guarantees import SamplingRobustness, _per_interval_gaps
 from .linalg import FloatArray, as_vector
-from .plant import InputMode, LoopState, LtiPlant, exact_hold_step
+from .plant import InputMode, LoopState, LtiPlant
+from .plant import exact_hold_step  # noqa: F401  (bench/test_bench.py rebinds dosloop.sim.exact_hold_step)
 from .triggers import (
     LogicKind,
     TriggerConfig,
@@ -139,6 +148,51 @@ class Trace:
                 writer.writerow(row)
 
 
+def _norm(v: FloatArray) -> float:
+    """Euclidean norm of a 1-D vector; bit-identical to np.linalg.norm, without its overhead."""
+    return math.sqrt(v.dot(v))
+
+
+def _advance(plant: LtiPlant, x: FloatArray, x_held: FloatArray, dt: float, zero_input: bool) -> FloatArray:
+    """State after dt of held-input flow, unvalidated (callers pass checked vectors)."""
+    T, H = plant.propagator(dt, zero_input)
+    return T @ x if H is None else T @ x + H @ x_held
+
+
+def _bracketed_root(
+    g: Callable[[float], float], lo: float, g_lo: float, hi: float, g_hi: float, tol: float
+) -> float:
+    """Shrink [lo, hi] with g(lo) < 0 <= g(hi) to width <= tol; return its upper end.
+
+    Illinois regula falsi (Dowell & Jarratt 1971): each trial is the secant
+    point of the bracket, and the value kept at an end that survives twice in
+    a row is halved so that end moves too. Trials stay tol/2 inside the
+    bracket so one step can close it once the secant is that accurate, and a
+    bisection replaces the secant whenever two trials in a row failed to
+    halve the bracket (or the secant is not finite).
+    """
+    side = 0
+    stale = 0
+    while hi - lo > tol:
+        width = hi - lo
+        c = min(max(hi - g_hi * (width / (g_hi - g_lo)), lo + 0.5 * tol), hi - 0.5 * tol)
+        if stale >= 2 or not lo < c < hi:
+            c = lo + 0.5 * width
+        g_c = g(c)
+        if g_c < 0.0:
+            lo, g_lo = c, g_c
+            if side < 0:
+                g_hi *= 0.5
+            side = -1
+        else:
+            hi, g_hi = c, g_c
+            if side > 0:
+                g_lo *= 0.5
+            side = 1
+        stale = stale + 1 if hi - lo > 0.5 * width else 0
+    return hi
+
+
 def find_event_crossing(
     plant: LtiPlant,
     state: LoopState,
@@ -154,8 +208,10 @@ def find_event_crossing(
 
     state must hold the loop values at t_from with ||e|| < sigma ||x|| (or
     e = 0). Scans a fixed grid of step min(grid_step, window/64) for a sign
-    change of g = ||e|| - sigma ||x||, then bisects the bracketing cell down
-    to crossing_tol; returns None when no crossing occurs in the window.
+    change of g = ||e|| - sigma ||x||, then narrows the bracketing cell by
+    regula falsi (see _bracketed_root) to a bracket no wider than
+    crossing_tol and returns its upper end, where g >= 0; returns None when
+    no crossing occurs in the window.
     """
     window = t_max - t_from
     if window <= 0.0:
@@ -163,34 +219,38 @@ def find_event_crossing(
     step = window / 64.0 if grid_step is None else min(grid_step, window / 64.0)
     xh = state.x_held
     x_prev = state.x
-    e0 = float(np.linalg.norm(xh - x_prev))
-    x0n = float(np.linalg.norm(x_prev))
+    e0 = _norm(xh - x_prev)
+    x0n = _norm(x_prev)
     if e0 == 0.0 and x0n == 0.0:
         return None
-    if e0 - sigma * x0n >= 0.0 and e0 > 0.0:
+    g_prev = e0 - sigma * x0n
+    if g_prev >= 0.0 and e0 > 0.0:
         raise ValueError("state already violates the update-rule threshold at t_from")
 
+    def g(x: FloatArray) -> float:
+        return _norm(xh - x) - sigma * _norm(x)
+
+    T, H = plant.propagator(step, zero_input)
+    drift = None if H is None else H @ xh
     n_cells = max(1, math.ceil(window / step - 1e-9))
     t_off = 0.0
     for i in range(1, n_cells + 1):
-        dt_i = min(i * step, window)
-        seg = dt_i - t_off
-        if seg <= 0.0:
-            break
-        x_cur = exact_hold_step(plant, x_prev, xh, seg, zero_input=zero_input)
-        g_cur = float(np.linalg.norm(xh - x_cur)) - sigma * float(np.linalg.norm(x_cur))
+        t_end = i * step
+        if t_end <= window:
+            x_cur = T @ x_prev if drift is None else T @ x_prev + drift
+        else:
+            t_end = window
+            if t_end <= t_off:
+                break
+            x_cur = _advance(plant, x_prev, xh, t_end - t_off, zero_input)
+        g_cur = g(x_cur)
         if g_cur >= 0.0:
-            lo, hi = 0.0, seg
-            while hi - lo > crossing_tol:
-                mid = 0.5 * (lo + hi)
-                xm = exact_hold_step(plant, x_prev, xh, mid, zero_input=zero_input)
-                if float(np.linalg.norm(xh - xm)) - sigma * float(np.linalg.norm(xm)) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
+            hi = _bracketed_root(
+                lambda s: g(_advance(plant, x_prev, xh, s, zero_input)),
+                0.0, g_prev, t_end - t_off, g_cur, crossing_tol,
+            )
             return t_from + t_off + hi
-        x_prev = x_cur
-        t_off = dt_i
+        x_prev, g_prev, t_off = x_cur, g_cur, t_end
     return None
 
 
@@ -225,11 +285,14 @@ def _piecewise_crossing(
             return hit
         if seg_end >= t_max:
             return None
-        x = exact_hold_step(plant, x, xh, seg_end - t, zero_input=zi)
+        x = _advance(plant, x, xh, seg_end - t, zi)
         t = seg_end
     return None
 
 
+# A state that overflows turns into inf/NaN entries; the divergence guard
+# reports that as divergence, so the floating-point warnings are redundant.
+@np.errstate(over="ignore", invalid="ignore")
 def run(config: SimConfig) -> Trace:
     """Simulate one run and record its trace.
 
@@ -237,8 +300,8 @@ def run(config: SimConfig) -> Trace:
     breakpoint; at every attempt a row flagged attempt=1 with success=0/1
     (values just before the update), followed on success by an unflagged row
     at the same t with the new held sample (transmission error zero). The
-    final row sits at the horizon unless the divergence guard
-    (||x|| > 1e12) stopped the run early.
+    final row sits at the horizon unless the divergence guard (||x|| > 1e12
+    or not finite) stopped the run early.
     """
     plant = config.plant
     trig = config.trigger
@@ -248,7 +311,6 @@ def run(config: SimConfig) -> Trace:
     n, m = plant.n, plant.m
     K = plant.K
     zero_mode = plant.input_mode is InputMode.ZERO_DURING_DOS
-    norm = np.linalg.norm
 
     bp_times: list[float] = []
     bp_onset: list[bool] = []
@@ -279,9 +341,8 @@ def run(config: SimConfig) -> Trace:
         rows_t.append(t)
         rows_x.append(x.copy())
         rows_u.append(u_zero.copy() if (zero_mode and jam) else K @ xh)
-        e = xh - x
-        rows_en.append(float(norm(e)))
-        rows_xn.append(float(norm(x)))
+        rows_en.append(_norm(xh - x))
+        rows_xn.append(_norm(x))
         rows_jam.append(jam)
         rows_att.append(att)
         rows_suc.append(suc)
@@ -308,6 +369,7 @@ def run(config: SimConfig) -> Trace:
 
     state = LoopState(0.0, config.x0.copy(), np.zeros(n), False, 0.0)
     next_attempt = 0.0
+    on_tick = True  # state.t sits on a record tick
     diverged = False
     div_time: float | None = None
 
@@ -324,15 +386,19 @@ def run(config: SimConfig) -> Trace:
 
         if stop > t:
             zi = zero_mode and is_jammed(dos, 0.5 * (t + stop))
-            x_new = exact_hold_step(plant, state.x, state.x_held, stop - t, zero_input=zi)
+            # a full tick steps by exactly rs, so its propagator stays cached
+            dt = rs if on_tick and stop == t_rec else stop - t
+            x_new = _advance(plant, state.x, state.x_held, dt, zi)
             state = LoopState(stop, x_new, state.x_held, state.last_attempt_failed, state.t_held)
-            if float(norm(x_new)) > DIVERGENCE_NORM:
+            # written so that a NaN state (inf - inf after overflow) also trips the guard
+            if not _norm(x_new) <= DIVERGENCE_NORM:
                 emit(stop, state.x, state.x_held, is_jammed(dos, stop))
                 diverged = True
                 div_time = stop
                 break
         else:
             state = LoopState(stop, state.x, state.x_held, state.last_attempt_failed, state.t_held)
+        on_tick = stop == t_rec
 
         handled = False
         if stop == t_bp:
@@ -388,13 +454,16 @@ class GesVerdict:
 
 
 def verify_ges(trace: Trace, alpha: float, beta: float) -> GesVerdict:
-    """Check ||x(t)|| <= alpha exp(-beta t) ||x(0)|| (slack 1 + 1e-6) on every row."""
+    """Check ||x(t)|| <= alpha exp(-beta t) ||x(0)|| (slack 1 + 1e-6) on every row.
+
+    A row whose norm is not finite (a diverged run) counts as a violation.
+    """
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     x0n = float(trace.x_norm[0])
     bound = alpha * np.exp(-beta * trace.t) * x0n
     ratio = trace.x_norm / np.maximum(bound, 1e-300)
-    bad = np.nonzero(ratio > 1.0 + _GES_SLACK)[0]
+    bad = np.nonzero(~(ratio <= 1.0 + _GES_SLACK))[0]
     return GesVerdict(
         holds=bad.size == 0,
         first_violation=float(trace.t[bad[0]]) if bad.size else None,

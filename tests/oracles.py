@@ -144,3 +144,45 @@ def scalar_lyapunov_constants(sigma: float) -> dict[str, float]:
 def componentwise_exp_diag(diag: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
     """exp(At) x0 for diagonal A, computed scalar by scalar."""
     return np.exp(np.asarray(diag) * t) * np.asarray(x0)
+
+
+def rk4_first_crossing(
+    A: np.ndarray,
+    B: np.ndarray,
+    K: np.ndarray,
+    x0: np.ndarray,
+    x_held: np.ndarray,
+    sigma: float,
+    t_max: float,
+    cells: int = 2000,
+    steps: int = 8,
+    tol: float = 1e-13,
+    zero_input: bool = False,
+) -> float | None:
+    """First t in (0, t_max] where ||x_held - x(t)|| reaches sigma ||x(t)||, or None.
+
+    Marches rk4_hold_trajectory across a uniform grid of `cells` cells, stops
+    at the first cell whose end has g = ||x_held - x|| - sigma ||x|| >= 0,
+    and bisects inside it, re-integrating from the cell start for every
+    midpoint. No matrix exponential is involved.
+    """
+
+    def g(x: np.ndarray) -> float:
+        return float(np.linalg.norm(x_held - x)) - sigma * float(np.linalg.norm(x))
+
+    h = t_max / cells
+    x = np.array(x0, dtype=float)
+    for k in range(cells):
+        x_next = rk4_hold_trajectory(A, B, K, x, x_held, h, steps=steps, zero_input=zero_input)
+        if g(x_next) >= 0.0:
+            lo, hi = 0.0, h
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                xm = rk4_hold_trajectory(A, B, K, x, x_held, mid, steps=steps, zero_input=zero_input)
+                if g(xm) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return k * h + hi
+        x = x_next
+    return None

@@ -5,10 +5,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dosloop
 from dosloop import cli as cli_mod
 from dosloop import riccati_delta2
 from dosloop.cli import (
@@ -322,3 +327,13 @@ def test_worst_case_robustness_by_logic():
     doc["trigger"]["kind"] = "ideal_event"
     rob3 = cli_mod.worst_case_robustness(scenario_from_dict(doc))
     assert rob3.delta_star == 0.0 and math.isinf(rob3.tau_star)
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # scipy.optimize alone adds about 19 MB and 0.2 s to every command's start-up
+    src = Path(dosloop.__file__).resolve().parent.parent
+    code = "import sys, dosloop.cli; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

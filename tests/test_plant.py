@@ -10,7 +10,6 @@ from dosloop import (
     InputMode,
     LoopState,
     LtiPlant,
-    closed_loop_matrix,
     error_vector,
     exact_hold_step,
     mat_exp,
@@ -94,7 +93,7 @@ def test_plant_validation():
     K = np.array([[-1.0, -1.0]])
     plant = LtiPlant(A=A, B=B, K=K)
     assert plant.n == 2 and plant.m == 1
-    assert np.array_equal(closed_loop_matrix(plant), A + B @ K)
+    assert np.array_equal(plant.phi, A + B @ K)
     with pytest.raises(ValueError):
         LtiPlant(A=A, B=B, K=np.array([[-1.0, -1.0, 0.0]]))  # K shape mismatch
     with pytest.raises(ValueError):

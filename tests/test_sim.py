@@ -22,12 +22,17 @@ from dosloop import (
     check_update_rule,
     dos_free_segments,
     find_event_crossing,
+    gen_periodic,
     ges_certificate_lyapunov,
     measure_robustness,
+    periodic_budget,
     run,
     verify_ges,
 )
+from dosloop.plant import PROPAGATOR_CACHE_SIZE
+from dosloop.sim import _bracketed_root
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
+from oracles import rk4_first_crossing
 
 # A = 0, B = 1, K = -1: between updates x is a straight line x(t) = x1 (1 - dt)
 # and the error ratio crosses sigma at exactly dt = sigma / (1 + sigma)
@@ -58,6 +63,58 @@ def test_find_event_crossing_scalar_hand_value():
     state = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([1.0]))
     hit = find_event_crossing(LINE, state, sigma, 0.0, 1.0)
     assert hit == pytest.approx(sigma / (1.0 + sigma), abs=2e-9)
+
+
+@pytest.mark.parametrize("mode", ["hold_last", "zero_during_dos"])
+def test_find_event_crossing_matches_rk4_oracle(mode):
+    # the oracle finds the first root by dense RK4 marching and bisection;
+    # the search must return a time at most crossing_tol after it
+    rng = np.random.default_rng(41)
+    zero_input = mode == "zero_during_dos"
+    hits = 0
+    for k in range(6):
+        plant = random_stabilized_plant(rng)
+        sigma = feasible_sigma(plant)
+        x = rng.normal(size=plant.n)
+        e = rng.normal(size=plant.n)
+        e *= (0.5 * sigma * np.linalg.norm(x) / np.linalg.norm(e)) if k % 2 else 0.0
+        state = LoopState(t=0.3, x=x, x_held=x + e)
+        want = rk4_first_crossing(plant.A, plant.B, plant.K, x, x + e, sigma, 4.0, zero_input=zero_input)
+        for tol in (1e-9, 1e-6):
+            got = find_event_crossing(plant, state, sigma, 0.3, 4.3, tol, zero_input=zero_input)
+            if want is None:
+                assert got is None
+                continue
+            assert got is not None
+            assert -1e-11 <= (got - 0.3) - want <= tol + 1e-11, (k, tol, got - 0.3, want)
+        hits += want is not None
+    assert hits >= 4
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        lambda s: np.expm1(40.0 * (s - 0.3)),  # smooth, simple root
+        lambda s: (s - 0.3) ** 3,  # triple root: the secant alone converges linearly
+        lambda s: -1.0 if s < 0.3 else 1e-300,  # jump: only the bisection fallback helps
+    ],
+    ids=["simple", "triple", "jump"],
+)
+def test_bracketed_root_keeps_the_bisection_contract(g):
+    # upper end of a bracket no wider than tol, g(hi) >= 0, and never more
+    # than three trials per bisection step
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return g(s)
+
+    for tol in (1e-12, 1e-9, 1e-4):
+        calls.clear()
+        hi = _bracketed_root(counted, 0.0, g(0.0), 1.0, g(1.0), tol)
+        assert g(hi) >= 0.0
+        assert 0.3 - 1e-15 <= hi <= 0.3 + tol
+        assert len(calls) <= 3 * np.ceil(np.log2(1.0 / tol)) + 2
 
 
 def test_find_event_crossing_none_when_out_of_window():
@@ -197,6 +254,50 @@ def test_zero_input_mode_and_divergence_flag():
         t = trace.t[i]
         want = np.exp(np.diag(A) * t)
         assert np.allclose(trace.x[i], want, rtol=1e-6), t
+
+
+def test_divergence_guard_catches_nan_state():
+    # the jammed unstable plant overflows within one record step; inf - inf in
+    # the held-input term turns the state into NaN, which must still trip the guard
+    plant = LtiPlant(A=np.array([[50.0]]), B=np.array([[1.0]]), K=np.array([[-60.0]]))
+    trig = TriggerConfig(sigma=0.1, delta1=100.0, delta2=100.0)
+    cfg = SimConfig(
+        plant=plant, logic=LogicKind.IDEAL_EVENT, trigger=trig, dos=DosSequence(((1.0, 30.0),)),
+        budget=DosBudget(kappa=40.0, tau_avg=2.0), x0=np.array([1.0]), horizon=200.0, record_step=25.0,
+    )
+    trace = run(cfg)
+    assert trace.diverged
+    assert trace.divergence_time is not None and trace.divergence_time < 200.0
+    assert not np.isfinite(trace.x_norm[-1])
+    # a diverged trace can never pass a stability claim
+    assert not verify_ges(trace, alpha=1e6, beta=0.0).holds
+
+
+def test_propagator_cache_is_bounded_independent_of_horizon(monkeypatch):
+    rng = np.random.default_rng(12)
+    base = random_stabilized_plant(rng)
+    sigma = feasible_sigma(base)
+    trig = standard_trigger(base, sigma)
+    period, duty = 40.0 * trig.delta1, 0.2
+    x0 = rng.normal(size=base.n)
+    peak = [0]
+    original = LtiPlant.propagator
+
+    def watched(self, dt, zero_input=False):
+        blocks = original(self, dt, zero_input)
+        peak[0] = max(peak[0], len(self._prop_cache))
+        return blocks
+
+    monkeypatch.setattr(LtiPlant, "propagator", watched)
+    final = []
+    for horizon in (2.0, 8.0):
+        plant = LtiPlant(A=base.A, B=base.B, K=base.K, input_mode=InputMode.ZERO_DURING_DOS)
+        seq = gen_periodic(0.5 * period, period, duty, horizon)
+        run(_config(plant, LogicKind.EVENT_TIME, trig, dos=seq, budget=periodic_budget(period, duty),
+                    x0=x0, horizon=horizon))
+        final.append(len(plant._prop_cache))
+    assert peak[0] <= PROPAGATOR_CACHE_SIZE
+    assert final[0] == final[1]
 
 
 def test_sim_config_validation():
