@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -490,9 +489,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    values = np.linspace(args.lo, args.hi, args.steps)
-    with ThreadPoolExecutor(max_workers=min(8, args.steps)) as pool:
-        rows = list(pool.map(lambda v: _sweep_point(doc, path.parent, args.param, float(v)), values))
+    # one point after another: the work is GIL-bound Python, which threads do not speed up
+    rows = [_sweep_point(doc, path.parent, args.param, float(v)) for v in np.linspace(args.lo, args.hi, args.steps)]
     rows.sort(key=lambda r: r[0])
     with open(args.out, "w") as fh:
         fh.write("value,tau_min,alpha,beta,ges_observed\n")

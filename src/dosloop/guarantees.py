@@ -11,7 +11,8 @@ budget (kappa, tau):
   Phi^T P + P Phi + Q = 0.
 
 Both produce global exponential bounds ||x(t)|| <= alpha exp(-beta t) ||x(0)||
-with an explicit feasibility verdict. A product-form Gronwall bound with
+with an explicit feasibility verdict; a family whose alpha overflows a float
+reports alpha = inf and is infeasible. A product-form Gronwall bound with
 impulsive amplification factors supports the trajectory family.
 """
 
@@ -117,7 +118,6 @@ class TrajectoryConstants:
     sigma: float
     bk_norm: float
     omega2: float
-    omega3: float
     theta1: float
     rho_star: float
     inflation: float
@@ -130,18 +130,23 @@ class TrajectoryConstants:
     sigma_feasible: bool
     feasible: bool
 
-    def theta2_at(self, zeta: float) -> float:
-        if self.theta1 == 0.0:
-            return self.theta
-        if not zeta > 0.0:
-            raise ValueError(f"zeta must be positive, got {zeta}")
-        return self.theta + self.theta1 / zeta
-
-    def omega4_at(self, zeta: float) -> float:
-        return self.omega2 * (1.0 + self.sigma) + self.omega2 * self.theta2_at(zeta)
-
     def omega_star_at(self, zeta: float) -> float:
-        return self.omega4_at(zeta) / (self.lam + zeta)
+        """omega2 [(1+sigma) + theta + theta1/zeta] / (lam + zeta); rho_star makes it <= 1."""
+        if self.theta1 == 0.0:
+            theta2 = self.theta
+        elif zeta > 0.0:
+            theta2 = self.theta + self.theta1 / zeta
+        else:
+            raise ValueError(f"zeta must be positive, got {zeta}")
+        return (self.omega2 * (1.0 + self.sigma) + self.omega2 * theta2) / (self.lam + zeta)
+
+
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or +inf where the result overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _trajectory_certificate(
@@ -161,16 +166,16 @@ def _trajectory_certificate(
     gro = plant.growth
     bk_norm = spectral_norm(plant.bk)
     omega2 = env.mu * bk_norm
-    omega3 = sigma * omega2
     theta1 = gro.theta * (1.0 + sigma) * bk_norm
     rs = rho_star(env.lam, omega2, sigma, gro.theta, bk_norm, gro.rho)
     margin = env.lam - sigma * env.mu * bk_norm
     sigma_feasible = margin > 0.0
     rate = (env.lam + rs) * inflation
     tau_min = rate / margin if sigma_feasible else math.inf
-    alpha = env.mu * math.exp(kappa * rate)
+    alpha = env.mu * _exp_or_inf(kappa * rate)
     beta = margin - rate / tau
-    feasible = sigma_feasible and tau > tau_min
+    # an overflowing alpha certifies nothing, whatever tau is
+    feasible = sigma_feasible and tau > tau_min and alpha < math.inf
     return TrajectoryConstants(
         mu=env.mu,
         lam=env.lam,
@@ -179,7 +184,6 @@ def _trajectory_certificate(
         sigma=sigma,
         bk_norm=bk_norm,
         omega2=omega2,
-        omega3=omega3,
         theta1=theta1,
         rho_star=rs,
         inflation=inflation,
@@ -267,9 +271,9 @@ def ges_certificate_lyapunov(
     omega1 = (gamma1 - gamma2 * sigma) / alpha2
     omega2 = gamma2 * (2.0 + sigma) / alpha1
     tau_min = (omega1 + omega2) / omega1 if sigma_feasible else math.inf
-    alpha = math.sqrt(math.exp(kappa * (omega1 + omega2)) * alpha2 / alpha1)
+    alpha = math.sqrt(_exp_or_inf(kappa * (omega1 + omega2)) * alpha2 / alpha1)
     beta = 0.5 * (omega1 - (omega1 + omega2) / tau)
-    feasible = sigma_feasible and tau > tau_min
+    feasible = sigma_feasible and tau > tau_min and alpha < math.inf
     return LyapunovConstants(
         P=P,
         alpha1=alpha1,

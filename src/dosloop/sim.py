@@ -14,12 +14,17 @@ full crossing-grid cells by exactly the cell width, so the plant's bounded
 propagator cache keeps hitting on those few lengths. Event crossings are
 bracketed on a grid and then located by Illinois regula falsi.
 
+The run loop takes its jam state from its cursor over the sorted jam
+breakpoints, not from a search per stop, and computes the input K x_held
+only when the held sample changes. Trace.to_csv formats rows with one
+format string in fixed-size blocks, one write per block, lines ending in
+CRLF.
+
 Runs are bit-reproducible: no randomness, no wall-clock dependence.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +49,8 @@ from .triggers import (
 DIVERGENCE_NORM = 1e12
 _GES_SLACK = 1e-6
 _RULE_SLACK = 1e-6
+# Trace rows formatted per write in Trace.to_csv.
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +131,12 @@ class Trace:
     def to_csv(self, path: str | Path) -> None:
         """Write rows as CSV: t,x1..xn,u1..um,e_norm,x_norm,jammed,attempt,success.
 
-        Floats carry 17 significant digits so values round-trip exactly.
+        Floats carry 17 significant digits (%.17g) so values round-trip
+        exactly; flags are 0/1. Lines end in CRLF, as csv.writer's do.
         Attempt rows come in pre/post pairs at the same timestamp on success;
-        the pre row carries the attempt and success flags.
+        the pre row carries the attempt and success flags. Rows are
+        formatted and written in blocks of _CSV_BLOCK_ROWS, so memory stays
+        flat however long the trace is.
         """
         n = self.x.shape[1]
         m = self.u.shape[1]
@@ -136,16 +146,14 @@ class Trace:
             + [f"u{j + 1}" for j in range(m)]
             + ["e_norm", "x_norm", "jammed", "attempt", "success"]
         )
+        line = "%.17g," * (n + m + 3) + "%d,%d,%d\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(len(self)):
-                row = [f"{self.t[i]:.17g}"]
-                row += [f"{v:.17g}" for v in self.x[i]]
-                row += [f"{v:.17g}" for v in self.u[i]]
-                row += [f"{self.e_norm[i]:.17g}", f"{self.x_norm[i]:.17g}"]
-                row += [str(int(self.jammed[i])), str(int(self.attempt[i])), str(int(self.success[i]))]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            for lo in range(0, len(self), _CSV_BLOCK_ROWS):
+                b = slice(lo, lo + _CSV_BLOCK_ROWS)
+                floats = np.column_stack((self.t[b], self.x[b], self.u[b], self.e_norm[b], self.x_norm[b])).tolist()
+                flags = np.column_stack((self.jammed[b], self.attempt[b], self.success[b])).tolist()
+                fh.write("".join([line % (*f, *g) for f, g in zip(floats, flags)]))
 
 
 def _norm(v: FloatArray) -> float:
@@ -323,6 +331,10 @@ def run(config: SimConfig) -> Trace:
     bp_times = [bp_times[i] for i in order]
     bp_onset = [bp_onset[i] for i in order]
     bp_i = 0
+    # jam state on [t, next breakpoint): whether the last breakpoint consumed
+    # was an onset. The sort is stable and intervals cannot overlap, so where
+    # one interval ends as the next starts, the onset is consumed last.
+    jammed = False
 
     rows_t: list[float] = []
     rows_x: list[FloatArray] = []
@@ -336,11 +348,14 @@ def run(config: SimConfig) -> Trace:
     onsets: list[OnsetSnapshot] = []
 
     u_zero = np.zeros(m)
+    # K x_held, recomputed only when the held sample changes; no state vector
+    # is mutated in place, so rows may share them
+    u_held = K @ np.zeros(n)
 
     def emit(t: float, x: FloatArray, xh: FloatArray, jam: bool, att: int = 0, suc: int = 0) -> None:
         rows_t.append(t)
-        rows_x.append(x.copy())
-        rows_u.append(u_zero.copy() if (zero_mode and jam) else K @ xh)
+        rows_x.append(x)
+        rows_u.append(u_zero if (zero_mode and jam) else u_held)
         rows_en.append(_norm(xh - x))
         rows_xn.append(_norm(x))
         rows_jam.append(jam)
@@ -385,7 +400,7 @@ def run(config: SimConfig) -> Trace:
         stop = min(horizon, next_attempt, t_rec, t_bp)
 
         if stop > t:
-            zi = zero_mode and is_jammed(dos, 0.5 * (t + stop))
+            zi = zero_mode and jammed
             # a full tick steps by exactly rs, so its propagator stays cached
             dt = rs if on_tick and stop == t_rec else stop - t
             x_new = _advance(plant, state.x, state.x_held, dt, zi)
@@ -404,27 +419,28 @@ def run(config: SimConfig) -> Trace:
         if stop == t_bp:
             saw_onset = False
             while bp_i < len(bp_times) and bp_times[bp_i] == stop:
-                saw_onset = saw_onset or bp_onset[bp_i]
+                jammed = bp_onset[bp_i]
+                saw_onset = saw_onset or jammed
                 bp_i += 1
             if saw_onset:
                 onsets.append(OnsetSnapshot(stop, state.x.copy(), state.x_held.copy()))
-            emit(stop, state.x, state.x_held, is_jammed(dos, stop))
+            emit(stop, state.x, state.x_held, jammed)
             handled = True
 
         if stop == next_attempt and stop < horizon:
-            jam = is_jammed(dos, stop)
-            emit(stop, state.x, state.x_held, jam, att=1, suc=0 if jam else 1)
-            if jam:
+            emit(stop, state.x, state.x_held, jammed, att=1, suc=0 if jammed else 1)
+            if jammed:
                 state = LoopState(stop, state.x, state.x_held, True, state.t_held)
             else:
                 state = LoopState(stop, state.x, state.x.copy(), False, stop)
-                emit(stop, state.x, state.x_held, jam)
-            attempts.append((stop, not jam))
+                u_held = K @ state.x_held
+                emit(stop, state.x, state.x_held, jammed)
+            attempts.append((stop, not jammed))
             next_attempt = schedule(state)
             handled = True
 
         if not handled:
-            emit(stop, state.x, state.x_held, is_jammed(dos, stop))
+            emit(stop, state.x, state.x_held, jammed)
 
     return Trace(
         t=np.array(rows_t),

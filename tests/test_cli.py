@@ -162,6 +162,38 @@ def test_simulate_divergence_reported(tmp_path, capsys):
     assert code == 0  # nothing was certified, so nothing was violated
 
 
+def test_overflowing_certificate_is_infeasible_not_a_crash(tmp_path, capsys):
+    # kappa * rate is far past the largest float exponent: alpha overflows
+    doc = {
+        "plant": {"A": [[50.0]], "B": [[1.0]], "K": [[-60.0]]},
+        "trigger": {"kind": "ideal_event", "sigma": 0.1, "delta1": 100.0, "delta2": 100.0},
+        "dos": {"intervals": [[1.0, 30.0]]},
+        "budget": {"kappa": 40.0, "tau": 2.0},
+        "sim": {"x0": [1.0], "horizon": 200.0, "record_step": 25.0},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    rep = _read_report(capsys.readouterr().out)
+    assert code == 0
+    assert rep["certificate"] == "uncertified"
+    assert rep["diverged"] == "true"
+
+    # as written, delta2 is an input error for analyze ...
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert "exceeds" in capsys.readouterr().err
+    # ... and with delta2 computed, every family is infeasible with alpha = inf
+    doc["trigger"] = {"kind": "ideal_event", "sigma": 0.1, "delta1": 1e-4}
+    path.write_text(json.dumps(doc))
+    code = main(["analyze", "--config", str(path)])
+    rep = _read_report(capsys.readouterr().out)
+    assert code == 2
+    for family in ("ideal", "sampled", "lyapunov"):
+        assert rep[f"alpha_{family}"] == "inf"
+        assert rep[f"feasible_{family}"] == "false"
+    assert rep["feasible_all"] == "false"
+
+
 def test_simulate_certified_violation_exits_3(scalar_config, tmp_path, monkeypatch):
     # exercise the exit path by forcing the envelope check to report a failure
     monkeypatch.setattr(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -24,13 +25,14 @@ from dosloop import (
     find_event_crossing,
     gen_periodic,
     ges_certificate_lyapunov,
+    is_jammed,
     measure_robustness,
     periodic_budget,
     run,
     verify_ges,
 )
 from dosloop.plant import PROPAGATOR_CACHE_SIZE
-from dosloop.sim import _bracketed_root
+from dosloop.sim import _CSV_BLOCK_ROWS, _bracketed_root
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
 from oracles import rk4_first_crossing
 
@@ -399,6 +401,81 @@ def test_to_csv_round_trip(tmp_path):
     # breakpoint rows exist at the jam onset and end
     assert 0.3 in trace.t
     assert 0.5 in trace.t
+
+
+def _reference_csv(trace) -> bytes:
+    """The trace written cell by cell through csv.writer, as Trace.to_csv once did."""
+    n, m = trace.x.shape[1], trace.u.shape[1]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{j + 1}" for j in range(m)]
+        + ["e_norm", "x_norm", "jammed", "attempt", "success"]
+    )
+    for i in range(len(trace)):
+        row = [f"{trace.t[i]:.17g}"]
+        row += [f"{v:.17g}" for v in trace.x[i]]
+        row += [f"{v:.17g}" for v in trace.u[i]]
+        row += [f"{trace.e_norm[i]:.17g}", f"{trace.x_norm[i]:.17g}"]
+        row += [str(int(trace.jammed[i])), str(int(trace.attempt[i])), str(int(trace.success[i]))]
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+def test_to_csv_bytes_match_a_csv_writer_reference(tmp_path):
+    trig = TriggerConfig(sigma=0.25, delta1=0.05, delta2=0.19)
+    # successful attempts, so pre/post row pairs at one timestamp
+    paired = run(_config(LINE, LogicKind.PURE_TIME, trig, horizon=1.0))
+    assert np.any((paired.success == 1) & (np.diff(paired.t, append=np.inf) == 0.0))
+    # two touching jam intervals, two state columns (one of them -0 at t = 0),
+    # and enough rows to span several write blocks
+    plant = LtiPlant(A=np.array([[0.0, 1.0], [-1.0, -1.0]]), B=np.eye(2), K=-np.eye(2),
+                     input_mode=InputMode.ZERO_DURING_DOS)
+    slow = TriggerConfig(sigma=0.25, delta1=0.05, delta2=0.09)
+    touching = run(_config(plant, LogicKind.EVENT_TIME, slow, dos=DosSequence(((0.3, 0.2), (0.5, 0.1))),
+                           budget=DosBudget(kappa=0.35, tau_avg=4.0), x0=[1.0, -0.0], horizon=30.0))
+    assert len(touching) > 2 * _CSV_BLOCK_ROWS
+    # a diverged run whose last row is NaN
+    diverged = run(SimConfig(
+        plant=LtiPlant(A=np.array([[50.0]]), B=np.array([[1.0]]), K=np.array([[-60.0]])),
+        logic=LogicKind.IDEAL_EVENT, trigger=TriggerConfig(sigma=0.1, delta1=100.0, delta2=100.0),
+        dos=DosSequence(((1.0, 30.0),)), budget=DosBudget(kappa=40.0, tau_avg=2.0),
+        x0=np.array([1.0]), horizon=200.0, record_step=25.0,
+    ))
+    assert diverged.diverged and np.isnan(diverged.x_norm[-1])
+    for name, trace in (("paired", paired), ("touching", touching), ("diverged", diverged)):
+        path = tmp_path / f"{name}.csv"
+        trace.to_csv(path)
+        assert path.read_bytes() == _reference_csv(trace), name
+    # the traces do exercise the spellings the byte check pins
+    assert b",-0," in (tmp_path / "touching.csv").read_bytes()
+    assert b",nan," in (tmp_path / "diverged.csv").read_bytes()
+    assert (tmp_path / "paired.csv").read_bytes().endswith(b"\r\n")
+
+
+@pytest.mark.parametrize("mode", list(InputMode))
+@pytest.mark.parametrize("logic", list(LogicKind))
+def test_jam_column_and_attempts_match_is_jammed(logic, mode):
+    # one interval from t = 0, then two that touch at t = 0.5
+    seq = DosSequence(((0.0, 0.1), (0.3, 0.2), (0.5, 0.1)))
+    plant = LtiPlant(A=LINE.A, B=LINE.B, K=LINE.K, input_mode=mode)
+    trig = TriggerConfig(sigma=0.25, delta1=0.05, delta2=0.19)
+    trace = run(_config(plant, logic, trig, dos=seq, budget=DosBudget(kappa=0.45, tau_avg=4.0), horizon=1.2))
+    assert 0.5 in trace.t and trace.attempts[0] == (0.0, False)
+    for i in range(len(trace)):
+        assert trace.jammed[i] == is_jammed(seq, float(trace.t[i])), trace.t[i]
+    for t, ok in trace.attempts:
+        assert ok == (not is_jammed(seq, t)), t
+    # u is K x_held, or zero while jammed under zero_during_dos, where (A = 0)
+    # the state then stays put until the next row
+    held = np.zeros(plant.n)
+    for i in range(len(trace)):
+        zeroed = mode is InputMode.ZERO_DURING_DOS and trace.jammed[i]
+        assert np.array_equal(trace.u[i], np.zeros(plant.m) if zeroed else plant.K @ held), trace.t[i]
+        if zeroed and i + 1 < len(trace):
+            assert np.array_equal(trace.x[i + 1], trace.x[i]), trace.t[i]
+        if trace.attempt[i] and trace.success[i]:
+            held = trace.x[i]
 
 
 def test_onset_snapshots_capture_held_state():
