@@ -8,16 +8,15 @@ are small (n <= 8), so everything is dense and direct.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 FloatArray = NDArray[np.float64]
 
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 200_000
 _LYAP_RESIDUAL_REL = 1e-8
 _ENVELOPE_SLACK = 1.0 + 1e-9
 _ENVELOPE_GRID = 200
@@ -68,29 +67,8 @@ def mat_exp(M: ArrayLike, t: float) -> FloatArray:
 
 
 def spectral_norm(M: ArrayLike) -> float:
-    """Largest singular value of M.
-
-    Power iteration on M^T M with a deterministic (graded, non-axis-aligned)
-    start vector; iterates the Rayleigh quotient to relative tolerance 1e-12.
-    """
-    A = as_matrix(M)
-    G = A.T @ A
-    n = G.shape[0]
-    v = 1.0 + np.arange(n, dtype=float) / (8.0 * n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = G @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (G @ v))
-        done = abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new))
-        lam = lam_new
-        if done:
-            break
-    return math.sqrt(max(lam, 0.0))
+    """Largest singular value of M, from LAPACK's SVD."""
+    return float(np.linalg.norm(as_matrix(M), 2))
 
 
 def log_norm(M: ArrayLike) -> float:
@@ -102,10 +80,9 @@ def log_norm(M: ArrayLike) -> float:
 def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:
     """Solve Phi^T P + P Phi + Q = 0 for symmetric positive-definite P.
 
-    Direct dense solve of the vectorized n^2 x n^2 system. Raises ValueError
-    for a non-symmetric or non-positive-definite Q, LyapunovError when the
-    system is singular, the residual is out of tolerance, or P fails to be
-    positive definite (i.e. Phi is not Hurwitz).
+    Bartels-Stewart (scipy). Raises ValueError for a non-symmetric or non-
+    positive-definite Q, LyapunovError when the solve fails or leaves a large
+    residual (singular system) or P is not positive definite (not Hurwitz).
     """
     F = require_square(as_matrix(Phi, "Phi"), "Phi")
     Qm = require_square(as_matrix(Q, "Q"), "Q")
@@ -117,18 +94,17 @@ def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:
     if float(np.linalg.eigvalsh(Qm)[0]) <= 0.0:
         raise ValueError("Q must be positive definite")
 
-    n = F.shape[0]
-    eye = np.eye(n)
-    # Row-major vec: vec(Phi^T P) = kron(Phi^T, I) vec(P), vec(P Phi) = kron(I, Phi^T) vec(P).
-    L = np.kron(F.T, eye) + np.kron(eye, F.T)
-    try:
-        p = np.linalg.solve(L, -Qm.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise LyapunovError("singular Lyapunov system (mirrored eigenvalue pair?)") from exc
-    P = p.reshape(n, n)
-    P = 0.5 * (P + P.T)
-    residual = float(np.linalg.norm(F.T @ P + P @ F + Qm, 2))
-    if residual > _LYAP_RESIDUAL_REL * q_norm:
+    # A singular system only makes scipy warn; the two checks below reject its result.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            P = solve_continuous_lyapunov(F.T, -Qm)
+        except np.linalg.LinAlgError as exc:
+            raise LyapunovError(f"no Schur form for Phi: {exc}") from exc
+        P = 0.5 * (P + P.T)
+        R = F.T @ P + P @ F + Qm
+    residual = float(np.linalg.norm(R, 2)) if np.isfinite(R).all() else math.inf
+    if not residual <= _LYAP_RESIDUAL_REL * q_norm:
         raise LyapunovError(f"Lyapunov residual {residual:.3e} exceeds {_LYAP_RESIDUAL_REL:.1e} * ||Q||")
     if float(np.linalg.eigvalsh(P)[0]) <= 0.0:
         raise LyapunovError("Lyapunov solution is not positive definite (matrix not Hurwitz)")

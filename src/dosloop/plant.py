@@ -38,6 +38,15 @@ class InputMode(Enum):
     ZERO_DURING_DOS = "zero_during_dos"
 
 
+def _held_input_blocks(F: FloatArray, G: FloatArray, dt: float) -> tuple[FloatArray, FloatArray]:
+    """Blocks of exp([[F, G], [0, 0]] dt): z' = F z + G w, w frozen, gives z(dt) = E11 z + E12 w."""
+    n = F.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n], M[:n, n:] = F, G
+    E = mat_exp(M, dt)
+    return E[:n, :n], E[:n, n:]
+
+
 @dataclass(frozen=True, eq=False)
 class LtiPlant:
     """Plant matrices plus feedback gain; A + B K must be Hurwitz.
@@ -110,15 +119,9 @@ class LtiPlant:
         if cached is not None:
             cache.move_to_end(key)
             return cached
-        n = self.n
-        if zero_input:
-            blocks: tuple[FloatArray, FloatArray | None] = (mat_exp(self.A, dt), None)
-        else:
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, :n] = self.A
-            M[:n, n:] = self._bk
-            E = mat_exp(M, dt)
-            blocks = (E[:n, :n], E[:n, n:])
+        blocks: tuple[FloatArray, FloatArray | None] = (
+            (mat_exp(self.A, dt), None) if zero_input else _held_input_blocks(self.A, self._bk, dt)
+        )
         cache[key] = blocks
         if len(cache) > PROPAGATOR_CACHE_SIZE:
             cache.popitem(last=False)

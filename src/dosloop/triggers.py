@@ -14,7 +14,8 @@ Four interchangeable rules decide when the sensor attempts to transmit:
 delta2 admissibility comes from a scalar Riccati comparison: the ratio
 ||e|| / ||x|| after a successful update is bounded by the solution of
 phi' = c + (c + a) phi + a phi^2 with c = ||A + BK|| and a = ||BK||, so the
-first time phi reaches sigma lower-bounds the inter-event time.
+first time phi reaches sigma lower-bounds the inter-event time. The
+quadratic factors, so that time has a closed form (riccati_delta2).
 """
 
 from __future__ import annotations
@@ -27,12 +28,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import FloatArray, as_vector, spectral_norm
-from .plant import LoopState, LtiPlant, exact_hold_step, mat_exp
+from .plant import LoopState, LtiPlant, _held_input_blocks
 
 ZERO_STATE_TOL = 1e-12
 _EVENT_CAP_FACTOR = 1e6
-_RICCATI_LOCAL_TOL = 1e-13
-_RICCATI_REL_TOL = 1e-11
 
 
 class LogicKind(Enum):
@@ -93,73 +92,32 @@ def validate_trigger_for_plant(config: TriggerConfig, plant: LtiPlant) -> float:
     return bound
 
 
-def _rk4_step(p: float, h: float, c: float, b: float, a: float) -> float:
-    def f(v: float) -> float:
-        return c + b * v + a * v * v
-
-    k1 = f(p)
-    k2 = f(p + 0.5 * h * k1)
-    k3 = f(p + 0.5 * h * k2)
-    k4 = f(p + h * k3)
-    return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_span(p: float, span: float, c: float, b: float, a: float, substeps: int = 32) -> float:
-    h = span / substeps
-    for _ in range(substeps):
-        p = _rk4_step(p, h, c, b, a)
-    return p
-
-
 def riccati_delta2(phi_norm: float, bk_norm: float, sigma: float) -> float:
-    """First time the error-ratio bound reaches sigma.
+    """First time the error-ratio bound reaches sigma, in closed form.
 
-    Integrates phi' = c + (c + a) phi + a phi^2, phi(0) = 0 with adaptive RK4
-    (step doubling), then bisects inside the bracketing step. phi' >= c > 0,
-    so the crossing always exists.
+    phi' = c + (c + a) phi + a phi^2 = (1 + phi)(c + a phi), phi(0) = 0,
+    separates to t = ln[c (1 + sigma) / (c + a sigma)] / (c - a), evaluated
+    as w log1p(u) / u with w = sigma / (c + a sigma), u = (c - a) w: no
+    cancellation, and the limit w covers c == a.
     """
-    c = float(phi_norm)
-    a = float(bk_norm)
-    sigma = float(sigma)
+    c, a, sigma = float(phi_norm), float(bk_norm), float(sigma)
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"phi_norm must be positive, got {phi_norm}")
     if not (a >= 0.0 and math.isfinite(a)):
         raise ValueError(f"bk_norm must be >= 0, got {bk_norm}")
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive, got {sigma}")
-    b = c + a
-
-    t = 0.0
-    p = 0.0
-    h = min(0.05 * sigma / c, 0.1 / b)
-    while p < sigma:
-        full = _rk4_step(p, h, c, b, a)
-        half = _rk4_step(_rk4_step(p, 0.5 * h, c, b, a), 0.5 * h, c, b, a)
-        err = abs(half - full) / 15.0
-        tol = _RICCATI_LOCAL_TOL * max(1.0, abs(half))
-        if err <= tol:
-            if half >= sigma:
-                lo, hi = 0.0, h
-                while hi - lo > max(1e-15, _RICCATI_REL_TOL * (t + hi)):
-                    mid = 0.5 * (lo + hi)
-                    if _rk4_span(p, mid, c, b, a) < sigma:
-                        lo = mid
-                    else:
-                        hi = mid
-                return t + hi
-            t += h
-            p = half
-        shrink = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 4.0
-        h *= min(4.0, max(0.2, shrink))
-    return t
+    w = sigma / (c + a * sigma)
+    u = (c - a) * w
+    return w if u == 0.0 else w * math.log1p(u) / u
 
 
 def predict_state(plant: LtiPlant, x_at_t1: FloatArray, t1: float, t2: float) -> FloatArray:
     """Forward prediction of the state at t2 from a successful sample at t1.
 
     Applies the closed-loop flow operator driven by that same sample:
-    chi = [exp(Phi dt) + int_0^dt exp(Phi (dt - s)) B K ds] x(t1). Computed
-    exactly through an augmented matrix exponential.
+    chi = [exp(Phi dt) + int_0^dt exp(Phi (dt - s)) B K ds] x(t1): the plant
+    propagator's Van Loan blocks with Phi for A, uncached so as to evict none.
     """
     if t2 < t1:
         raise ValueError(f"need t2 >= t1, got t1={t1}, t2={t2}")
@@ -167,33 +125,8 @@ def predict_state(plant: LtiPlant, x_at_t1: FloatArray, t1: float, t2: float) ->
     dt = float(t2 - t1)
     if dt == 0.0:
         return x.copy()
-    n = plant.n
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = plant.phi
-    M[:n, n:] = plant.bk
-    E = mat_exp(M, dt)
-    return (E[:n, :n] + E[:n, n:]) @ x
-
-
-def predict_state_open_loop_hold(
-    plant: LtiPlant,
-    x_at_t1: FloatArray,
-    x_held: FloatArray,
-    t1: float,
-    t2: float,
-) -> FloatArray:
-    """Alternative predictor: open-loop dynamics with the input held constant.
-
-    Propagates x' = A x + B K x_held from t1 to t2. This is NOT the predictor
-    the scheduling rule is stated with (see predict_state); it is exposed for
-    comparison because it models what the plant actually does between updates.
-    """
-    if t2 < t1:
-        raise ValueError(f"need t2 >= t1, got t1={t1}, t2={t2}")
-    x = as_vector(x_at_t1, plant.n, "x_at_t1")
-    if t2 == t1:
-        return x.copy()
-    return exact_hold_step(plant, x, x_held, float(t2 - t1))
+    T, H = _held_input_blocks(plant.phi, plant.bk, dt)
+    return (T + H) @ x
 
 
 EventTimeFinder = Callable[[LoopState, float], Optional[float]]

@@ -1,10 +1,11 @@
 """Independent reference computations the tests compare the package against.
 
 Everything here is deliberately written by a different route than the library
-code: closed forms where the library integrates, dense fixed-step integration
-where the library uses matrix exponentials, grid counting where the library
-uses interval arithmetic. Keep it that way; the value of these oracles is
-that they share no code path with what they check.
+code: closed forms where the library integrates, integration where the library
+uses a closed form or matrix exponentials, an eigenvalue or Kronecker solve
+where the library calls an SVD or Bartels-Stewart, grid counting where the
+library uses interval arithmetic. Keep it that way; the value of these oracles
+is that they share no code path with what they check.
 """
 
 from __future__ import annotations
@@ -41,18 +42,66 @@ def rk4_hold_trajectory(
     return x
 
 
-def analytic_riccati_crossing(c: float, a: float, sigma: float) -> float:
-    """Closed-form first time phi reaches sigma for phi' = c + (c+a) phi + a phi^2.
+def _riccati_rk4(p: float, h: float, c: float, a: float, steps: int = 1) -> float:
+    """`steps` classical RK4 steps of length h for phi' = c + (c+a) phi + a phi^2."""
 
-    The quadratic factors as (1 + phi)(c + a phi), so separation of variables
-    gives t = ln[c (sigma + 1) / (a sigma + c)] / (c - a) for c != a,
-    t = sigma / (a (1 + sigma)) for c == a, and t = ln(1 + sigma) / c when a = 0.
+    def f(v: float) -> float:
+        return c + (c + a) * v + a * v * v
+
+    for _ in range(steps):
+        k1 = f(p)
+        k2 = f(p + 0.5 * h * k1)
+        k3 = f(p + 0.5 * h * k2)
+        k4 = f(p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p
+
+
+def rk4_riccati_crossing(c: float, a: float, sigma: float, local_tol: float = 1e-13) -> float:
+    """First time phi reaches sigma for phi' = c + (c+a) phi + a phi^2, phi(0) = 0, by integration.
+
+    Adaptive RK4 with step doubling (local error estimate |half - full| / 15
+    held under local_tol), then bisection inside the step that crosses sigma,
+    re-integrating from that step's start with 32 substeps per trial. The
+    library uses the closed form; this never takes a logarithm.
     """
-    if a == 0.0:
-        return math.log(1.0 + sigma) / c
-    if c == a:
-        return sigma / (a * (1.0 + sigma))
-    return math.log(c * (sigma + 1.0) / (a * sigma + c)) / (c - a)
+    t, p = 0.0, 0.0
+    h = min(0.05 * sigma / c, 0.1 / (c + a))
+    while True:
+        full = _riccati_rk4(p, h, c, a)
+        half = _riccati_rk4(p, 0.5 * h, c, a, steps=2)
+        err = abs(half - full) / 15.0
+        tol = local_tol * max(1.0, abs(half))
+        if err <= tol:
+            if half >= sigma:
+                lo, hi = 0.0, h
+                while hi - lo > max(1e-15, 1e-11 * (t + hi)):
+                    mid = 0.5 * (lo + hi)
+                    if _riccati_rk4(p, mid / 32, c, a, steps=32) < sigma:
+                        lo = mid
+                    else:
+                        hi = mid
+                return t + hi
+            t += h
+            p = half
+        h *= min(4.0, max(0.2, 0.9 * (tol / err) ** 0.2 if err > 0.0 else 4.0))
+
+
+def gram_spectral_norm(M: np.ndarray) -> float:
+    """Largest singular value as the square root of the top eigenvalue of M^T M (no SVD)."""
+    M = np.asarray(M, dtype=float)
+    return math.sqrt(max(float(np.linalg.eigvalsh(M.T @ M)[-1]), 0.0))
+
+
+def kronecker_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve F^T P + P F + Q = 0 as one dense n^2 x n^2 linear system (no Schur form).
+
+    Row-major vec: vec(F^T P) = kron(F^T, I) vec(P), vec(P F) = kron(I, F^T) vec(P).
+    """
+    n = F.shape[0]
+    eye = np.eye(n)
+    L = np.kron(F.T, eye) + np.kron(eye, F.T)
+    return np.linalg.solve(L, -np.asarray(Q, dtype=float).reshape(-1)).reshape(n, n)
 
 
 def quadratic_rate_threshold(

@@ -48,11 +48,11 @@ from dosloop import dos as dos_io
 from dosloop.cli import main as cli_main, scenario_from_dict, scenario_to_dict
 from conftest import feasible_sigma, random_stabilized_plant, standard_trigger
 from oracles import (
-    analytic_riccati_crossing,
     componentwise_exp_diag,
     picard_gronwall,
     quadratic_rate_threshold,
     rk4_hold_trajectory,
+    rk4_riccati_crossing,
     scalar_lyapunov_constants,
 )
 
@@ -184,7 +184,7 @@ def test_c03_inter_event_lower_bound():
             c = spectral_norm(plant.phi)
             a = spectral_norm(plant.bk)
             bound = riccati_delta2(c, a, sigma)
-            oracle = analytic_riccati_crossing(c, a, sigma)
+            oracle = rk4_riccati_crossing(c, a, sigma)
             assert abs(bound - oracle) <= 1e-9 * max(oracle, 1e-9)
             trig = TriggerConfig(sigma=sigma, delta1=bound / 5.0, delta2=0.9 * bound)
             horizon = 14.0 * bound

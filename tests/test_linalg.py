@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,6 +22,7 @@ from dosloop import (
     spectral_norm,
 )
 from conftest import assert_close, random_stabilized_plant
+from oracles import gram_spectral_norm, kronecker_lyapunov
 
 
 def test_spectral_norm_known_values():
@@ -27,13 +31,28 @@ def test_spectral_norm_known_values():
     assert spectral_norm(np.array([[-4.0]])) == pytest.approx(4.0, rel=1e-14)
 
 
-def test_spectral_norm_matches_svd_oracle():
+def test_spectral_norm_matches_gram_oracle():
     rng = np.random.default_rng(11)
     for _ in range(60):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
         M = rng.normal(size=(n, m)) * rng.choice([0.01, 1.0, 100.0])
-        assert_close(spectral_norm(M), float(np.linalg.norm(M, 2)), 1e-10, "spectral norm")
+        assert_close(spectral_norm(M), gram_spectral_norm(M), 1e-10, "spectral norm")
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-6, 1e-7])
+def test_spectral_norm_close_top_singular_values(gap):
+    # nearly tied top singular values stall an iterative method: it stops
+    # early below the true norm, the unsafe side for certificate constants
+    rng = np.random.default_rng(31)
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    M = U @ np.diag([1.0, 1.0 - gap, 0.3]) @ V.T
+    start = time.perf_counter()
+    got = spectral_norm(M)
+    elapsed = time.perf_counter() - start
+    assert got >= gram_spectral_norm(M) * (1.0 - 8.0 * np.finfo(float).eps)
+    assert elapsed < 0.05, f"spectral_norm took {elapsed:.3f} s on a 3x3 matrix"
 
 
 def test_log_norm_triangular_hand_value():
@@ -79,7 +98,7 @@ def test_solve_lyapunov_residual_and_oracle():
         P = solve_lyapunov(F, Q)
         residual = F.T @ P + P @ F + Q
         assert np.linalg.norm(residual, 2) <= 1e-8 * np.linalg.norm(Q, 2)
-        P_ref = scipy.linalg.solve_continuous_lyapunov(F.T, -Q)
+        P_ref = kronecker_lyapunov(F, Q)
         assert np.allclose(P, P_ref, rtol=1e-8, atol=1e-10)
         assert np.allclose(P, P.T)
         assert np.linalg.eigvalsh(P)[0] > 0.0
@@ -99,6 +118,30 @@ def test_solve_lyapunov_rejects_bad_inputs():
         solve_lyapunov(np.eye(2) * -1.0, np.array([[1.0, 0.5], [0.0, 1.0]]))  # Q not symmetric
     with pytest.raises(LyapunovError):
         solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))  # F not Hurwitz
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        np.zeros((2, 2)),
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        np.diag([1.0, -1.0]),
+        # extreme scales: scipy finds no Schur form / returns a non-finite P
+        np.array([[0.0, 0.0, -1e-213], [1e-113, 0.0, 0.0], [-1e110, -1e-218, 0.0]]),
+        np.array([[0.0, 0.0, 1e-219], [0.0, 0.0, 0.0], [-1e-272, 1e171, 0.0]]),
+    ],
+    ids=["zero", "rotation", "saddle", "no_schur_form", "overflow"],
+)
+def test_solve_lyapunov_singular_system_raises(F):
+    # the first three have an eigenvalue pair summing to zero, so the Lyapunov
+    # operator is singular; for every F the error must be LyapunovError
+    # (EnvelopeError from decay_envelope), with no stray warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LyapunovError):
+            solve_lyapunov(F, np.eye(F.shape[0]))
+        with pytest.raises(EnvelopeError):
+            decay_envelope(F)
 
 
 def test_decay_envelope_scalar_exact():

@@ -18,13 +18,12 @@ from dosloop import (
     next_update_pure_time,
     next_update_self_trigger,
     predict_state,
-    predict_state_open_loop_hold,
     riccati_delta2,
     spectral_norm,
     validate_trigger_for_plant,
 )
 from conftest import assert_close, random_stabilized_plant
-from oracles import analytic_riccati_crossing, rk4_hold_trajectory
+from oracles import rk4_hold_trajectory, rk4_riccati_crossing
 
 
 def test_riccati_delta2_known_closed_forms():
@@ -34,13 +33,13 @@ def test_riccati_delta2_known_closed_forms():
     assert_close(riccati_delta2(1.0, 1.0, 0.5), 1.0 / 3.0, 1e-9, "c=a case")
 
 
-def test_riccati_delta2_matches_analytic_oracle():
+def test_riccati_delta2_matches_integrated_oracle():
     rng = np.random.default_rng(23)
     for _ in range(60):
         c = float(rng.uniform(0.05, 8.0))
         a = float(rng.choice([0.0, rng.uniform(0.05, 8.0)]))
         sigma = float(rng.uniform(0.01, 2.0))
-        want = analytic_riccati_crossing(c, a, sigma)
+        want = rk4_riccati_crossing(c, a, sigma)
         got = riccati_delta2(c, a, sigma)
         assert abs(got - want) <= 1e-9 * max(abs(want), 1e-6), (c, a, sigma)
 
@@ -121,15 +120,6 @@ def test_predict_state_edges():
     assert same is not x  # a copy, not an alias
     with pytest.raises(ValueError):
         predict_state(plant, x, 1.0, 0.5)
-
-
-def test_predict_state_open_loop_hold_variant(rng):
-    plant = random_stabilized_plant(rng, n=2, m=1)
-    x = rng.normal(size=2)
-    xh = rng.normal(size=2)
-    got = predict_state_open_loop_hold(plant, x, xh, 0.0, 0.3)
-    want = exact_hold_step(plant, x, xh, 0.3)
-    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def _state(t=1.0, x=(1.0,), xh=(1.0,), failed=False, t_held=0.5):
