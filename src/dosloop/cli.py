@@ -15,6 +15,7 @@ the analysis certified was violated by the trajectory it certifies.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -523,6 +524,9 @@ def cmd_gen_dos(args: argparse.Namespace) -> int:
     return 0
 
 
+# Cached: building the argparse tree is most of main's own per-call cost.
+# parse_args returns a fresh Namespace each time, so calls share no state.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dosloop",

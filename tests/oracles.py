@@ -4,8 +4,9 @@ Everything here is deliberately written by a different route than the library
 code: closed forms where the library integrates, integration where the library
 uses a closed form or matrix exponentials, an eigenvalue or Kronecker solve
 where the library calls an SVD or Bartels-Stewart, grid counting where the
-library uses interval arithmetic. Keep it that way; the value of these oracles
-is that they share no code path with what they check.
+library uses interval arithmetic, one matrix at a time where the library
+stacks them. Keep it that way; the value of these oracles is that they share
+no code path with what they check.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def rk4_hold_trajectory(
@@ -102,6 +104,23 @@ def kronecker_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
     eye = np.eye(n)
     L = np.kron(F.T, eye) + np.kron(eye, F.T)
     return np.linalg.solve(L, -np.asarray(Q, dtype=float).reshape(-1)).reshape(n, n)
+
+
+def exp_norm(M: np.ndarray, t: float) -> float:
+    """||exp(M t)||_2 from one scipy expm call on the single matrix M t."""
+    return float(np.linalg.norm(scipy.linalg.expm(np.asarray(M, dtype=float) * t), 2))
+
+
+def first_envelope_violation(M: np.ndarray, coeff: float, rate: float, grid: np.ndarray) -> int | None:
+    """Index of the first grid point with ||exp(M t)|| > coeff exp(rate t) (1 + 1e-9), or None.
+
+    A plain loop, one expm and one 2-norm per point, stopping at the first
+    failure; the library checks the whole grid with one stacked expm.
+    """
+    for i, t in enumerate(grid):
+        if exp_norm(M, t) > coeff * math.exp(rate * t) * (1.0 + 1e-9):
+            return i
+    return None
 
 
 def quadratic_rate_threshold(

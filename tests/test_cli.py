@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import dosloop
+from dosloop import EnvelopeError, growth_envelope, riccati_delta2
 from dosloop import cli as cli_mod
-from dosloop import riccati_delta2
 from dosloop.cli import (
     ScenarioError,
+    build_parser,
     load_scenario,
     main,
     scenario_from_dict,
@@ -106,6 +107,47 @@ def test_analyze_missing_section_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["analyze", "--config", str(path)]) == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_envelope_failure_text_is_pinned(tmp_path, capsys):
+    # a fast rotation: expm rounding pushes ||exp(Mt)|| just past the 1e-9 slack
+    A = [[0.0, 1e5], [-1e5, 0.0]]
+    with pytest.raises(EnvelopeError) as info:
+        growth_envelope(np.array(A))
+    assert str(info.value) == (
+        "growth envelope failed grid validation at t=1.32194: ||exp(Mt)||=1.00000000173 > bound=1"
+    )
+    doc = scalar_doc(
+        plant={"A": A, "B": [[1.0, 0.0], [0.0, 1.0]], "K": [[-1.0, 0.0], [0.0, -1.0]]},
+        sim={"x0": [1.0, 0.0], "horizon": 6.0, "record_step": 0.005},
+        analysis={"Q": [[1.0, 0.0], [0.0, 1.0]]},
+    )
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert (
+        "plant: decay envelope failed grid validation at t=1.32804: "
+        "||exp(Mt)||=0.26499511433 > bound=0.264995113849"
+    ) in capsys.readouterr().err
+
+
+def test_shared_parser_keeps_no_state_between_calls(scalar_config, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    report = tmp_path / "report.txt"
+    assert main(["analyze", "--config", str(scalar_config), "--report", str(report)]) == 0
+    first = capsys.readouterr().out
+    report.unlink()
+    assert main(["analyze", "--config", str(scalar_config)]) == 0
+    capsys.readouterr()
+    assert not report.exists()
+    code = main([
+        "sweep", "--config", str(scalar_config), "--param", "gamma",
+        "--from", "1", "--to", "2", "--steps", "3", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 1
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(scalar_config)]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_simulate_writes_trace_and_exits_0(scalar_config, tmp_path, capsys):

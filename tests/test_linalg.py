@@ -21,8 +21,9 @@ from dosloop import (
     solve_lyapunov,
     spectral_norm,
 )
+from dosloop.linalg import _validate_envelope, _validation_grid
 from conftest import assert_close, random_stabilized_plant
-from oracles import gram_spectral_norm, kronecker_lyapunov
+from oracles import exp_norm, first_envelope_violation, gram_spectral_norm, kronecker_lyapunov
 
 
 def test_spectral_norm_known_values():
@@ -179,6 +180,74 @@ def test_growth_envelope_basics(rng):
         for t in rng.uniform(0.0, 3.0, size=25):
             actual = float(np.linalg.norm(scipy.linalg.expm(A * t), 2))
             assert actual <= env3.theta * np.exp(env3.rho * t) * (1.0 + 1e-6)
+
+
+def _check_against_oracle(M, coeff, rate, t_hi, kind):
+    """_validate_envelope must reject exactly where the per-point oracle does."""
+    grid = _validation_grid(t_hi)
+    first = first_envelope_violation(M, coeff, rate, grid)
+    if first is None:
+        _validate_envelope(M, coeff, rate, t_hi, kind)
+    else:
+        with pytest.raises(EnvelopeError, match=rf"^{kind} envelope failed grid validation at t={grid[first]:.6g}: "):
+            _validate_envelope(M, coeff, rate, t_hi, kind)
+    return first
+
+
+def _near_tie(M, coeff, rate, t_hi):
+    """Some grid point t > 0 lies within 1e-6 relative of the slack-widened bound.
+
+    t = 0 is left out: exp(0 M) = I exactly on both sides.
+    """
+    for t in _validation_grid(t_hi)[1:]:
+        threshold = coeff * np.exp(rate * t) * (1.0 + 1e-9)
+        if abs(exp_norm(M, t) - threshold) <= 1e-6 * threshold:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_validate_envelope_matches_per_point_oracle(n):
+    # n = 1 takes expm's scalar path. With the true constants both sides must
+    # accept; no tie guard there: the growth bound is tight to second order
+    # near t = 0, and a true bound keeps the 1e-9 slack between every point
+    # and its threshold, far above rounding. A halved coefficient, or a rate
+    # moved the wrong way, must give both sides the same first failing point
+    # (or both accept: the Lyapunov mu can be twice too large).
+    rng = np.random.default_rng(400 + n)
+    firsts = []
+    for _ in range(6):
+        A = rng.normal(size=(n, n))
+        Phi = A - (max(float(np.linalg.eigvals(A).real.max()), 0.0) + rng.uniform(0.1, 1.0)) * np.eye(n)
+        decay, growth = decay_envelope(Phi), growth_envelope(A)
+        cases = [
+            (Phi, decay.mu, -decay.lam, 50.0 / decay.lam, "decay", -2.0 * decay.lam),
+            (A, growth.theta, growth.rho, 50.0 / max(growth.rho, 0.5), "growth", 0.5 * growth.rho),
+        ]
+        for M, coeff, rate, t_hi, kind, wrong_rate in cases:
+            assert _check_against_oracle(M, coeff, rate, t_hi, kind) is None
+            for c, r in ((0.5 * coeff, rate), (coeff, wrong_rate)):
+                if not _near_tie(M, c, r, t_hi):
+                    firsts.append(_check_against_oracle(M, c, r, t_hi, kind))
+    assert len(firsts) >= 16
+    assert 0 in firsts and any(f is not None and f > 0 for f in firsts)
+
+
+def test_overflowing_exponential_is_a_failing_grid_point():
+    # exp(A t) is tiny, but expm overflows on the way: every t > 0 is non-finite
+    A = np.array([[-1e300, 1e300], [-1e300, -1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnvelopeError, match=r"^growth .* at t=0\.0001: \|\|exp\(Mt\)\|\|=inf > bound=1$"):
+            growth_envelope(A)
+        # an earlier failure is still the one reported, as in the per-point loop
+        assert first_envelope_violation(A, 0.5, 0.0, _validation_grid(100.0)) == 0
+        with pytest.raises(EnvelopeError, match=r"at t=0: \|\|exp\(Mt\)\|\|=1 > bound=0\.5$"):
+            _validate_envelope(A, 0.5, 0.0, 100.0, "growth")
+        # exp(800 t) overflows only at grid points past the first failure,
+        # which the per-point loop never reached: no warning either
+        with pytest.raises(EnvelopeError, match=r"at t=0\.001: "):
+            _validate_envelope(np.array([[800.0]]), 1.0, 0.0, 1000.0, "growth")
 
 
 def test_envelope_bound_method():
