@@ -102,14 +102,6 @@ def is_jammed(seq: DosSequence, t: float) -> bool:
     return idx >= 0 and t < float(seq._end[idx])
 
 
-def tau_last(seq: DosSequence, t: float) -> float:
-    """Elapsed part of the most recent interval: min(tau_n, t - h_n), 0 before the first onset."""
-    n = n_of_t(seq, t)
-    if n < 0:
-        return 0.0
-    return min(float(seq._d[n]), t - float(seq._h[n]))
-
-
 def xi_measure(seq: DosSequence, t: float) -> float:
     """Total jammed time accumulated on [0, t]."""
     n = n_of_t(seq, t)

@@ -382,13 +382,6 @@ def dos_free_segments(
     return [(a, b) for a, b in segments if b > a]
 
 
-def delta_n_of_t(lam: float, rho_star_value: float, tau_n_t: float) -> float:
-    """Per-interval amplification factor exp((lam + rho_star) * elapsed) - 1."""
-    if tau_n_t < 0.0:
-        raise ValueError(f"tau_n_t must be >= 0, got {tau_n_t}")
-    return math.expm1((lam + rho_star_value) * tau_n_t)
-
-
 def gronwall_bound(
     omega1: float,
     omega2: float,

@@ -53,7 +53,8 @@ class LtiPlant:
 
     Construction validates dimensions and builds the decay envelope of the
     closed-loop matrix (which doubles as the Hurwitz check) and the growth
-    envelope of the open-loop matrix. Exact propagators for the held-input
+    envelope of the open-loop matrix, both proved for all t >= 0 with stated
+    rounding slack (see dosloop.linalg). Exact propagators for the held-input
     dynamics live in a least-recently-used table of PROPAGATOR_CACHE_SIZE
     entries keyed by step length, so memory stays bounded over any horizon.
     """
@@ -168,7 +169,3 @@ class LoopState:
     last_attempt_failed: bool = False
     t_held: float = 0.0
 
-
-def error_vector(state: LoopState) -> FloatArray:
-    """Transmission error e = x_held - x (zero right after a successful update)."""
-    return state.x_held - state.x

@@ -324,7 +324,7 @@ def test_c07_numeric_kernel():
             )
             got = exact_hold_step(plant, x0, xh, dt)
             assert np.linalg.norm(got - exact) <= 1e-6 * max(1.0, float(np.linalg.norm(exact)))
-            # envelopes were grid-validated at construction; spot-check off-grid
+            # envelopes are proved for all t >= 0, with stated rounding slack; spot-check them
             env, gro = plant.decay, plant.growth
             for tt in rng.uniform(0.0, 10.0 / env.lam, size=10):
                 val = float(np.linalg.norm(mat_exp(plant.phi, float(tt)), 2))

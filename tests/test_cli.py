@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dosloop
-from dosloop import EnvelopeError, growth_envelope, riccati_delta2
+from dosloop import growth_envelope, riccati_delta2
 from dosloop import cli as cli_mod
 from dosloop.cli import (
     ScenarioError,
@@ -110,25 +110,28 @@ def test_analyze_missing_section_exits_1(tmp_path, capsys):
 
 
 def test_envelope_failure_text_is_pinned(tmp_path, capsys):
-    # a fast rotation: expm rounding pushes ||exp(Mt)|| just past the 1e-9 slack
+    # a fast rotation has ||exp(Mt)|| = 1 exactly; sampling it with expm once
+    # rejected it on rounding (1.00000000173 > 1 at ||Mt|| ~ 1e5)
     A = [[0.0, 1e5], [-1e5, 0.0]]
-    with pytest.raises(EnvelopeError) as info:
-        growth_envelope(np.array(A))
-    assert str(info.value) == (
-        "growth envelope failed grid validation at t=1.32194: ||exp(Mt)||=1.00000000173 > bound=1"
-    )
+    env = growth_envelope(np.array(A))
+    assert env.theta == 1.0 and env.rho <= 1e-9
     doc = scalar_doc(
         plant={"A": A, "B": [[1.0, 0.0], [0.0, 1.0]], "K": [[-1.0, 0.0], [0.0, -1.0]]},
+        trigger={"kind": "pure_time", "sigma": 0.25, "delta1": 1e-6, "delta2": None},
         sim={"x0": [1.0, 0.0], "horizon": 6.0, "record_step": 0.005},
         analysis={"Q": [[1.0, 0.0], [0.0, 1.0]]},
     )
     path = tmp_path / "rotation.json"
     path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path)]) == 0
+    report = _read_report(capsys.readouterr().out)
+    assert float(report["rho"]) <= 1e-9
+    assert 1.0 <= float(report["mu"]) <= 1.0 + 1e-12
+    # no envelope: exit 1, and the error names the inequality that failed
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(scalar_doc(plant={"A": [[0.2]], "B": [[1.0]], "K": [[0.0]]})))
     assert main(["analyze", "--config", str(path)]) == 1
-    assert (
-        "plant: decay envelope failed grid validation at t=1.32804: "
-        "||exp(Mt)||=0.26499511433 > bound=0.264995113849"
-    ) in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: plant: no decay envelope: phi = 0.2 >= 0, not Hurwitz\n"
 
 
 def test_shared_parser_keeps_no_state_between_calls(scalar_config, tmp_path, capsys):

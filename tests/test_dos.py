@@ -19,7 +19,6 @@ from dosloop import (
     is_jammed,
     n_of_t,
     periodic_budget,
-    tau_last,
     xi_measure,
 )
 from dosloop import dos as dos_io
@@ -59,13 +58,6 @@ def test_is_jammed_boundaries():
     assert not is_jammed(SEQ, 2.0)
     assert is_jammed(SEQ, 3.9)
     assert not is_jammed(SEQ, 4.0)  # 4.0 is the right-open end of [3.0, 4.0)
-
-
-def test_tau_last():
-    assert tau_last(SEQ, 0.5) == 0.0
-    assert tau_last(SEQ, 1.2) == pytest.approx(0.2)
-    assert tau_last(SEQ, 2.0) == pytest.approx(0.5)
-    assert tau_last(SEQ, 3.25) == pytest.approx(0.25)
 
 
 def test_xi_measure_hand_values():

@@ -12,7 +12,6 @@ from dosloop import (
     IDEAL_ROBUSTNESS,
     LtiPlant,
     SamplingRobustness,
-    delta_n_of_t,
     dos_free_segments,
     format_report,
     ges_certificate_ideal,
@@ -214,13 +213,6 @@ def test_dos_free_segments():
     # without inflation the middle gap reappears
     segs0 = dos_free_segments(seq, IDEAL_ROBUSTNESS, horizon=8.0)
     assert segs0 == [(0.0, 1.0), (1.5, 2.0), (2.5, 6.0), (7.0, 8.0)]
-
-
-def test_delta_n_of_t():
-    assert delta_n_of_t(1.0, 0.5, 0.0) == 0.0
-    assert delta_n_of_t(1.0, 0.5, 2.0) == pytest.approx(math.expm1(3.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        delta_n_of_t(1.0, 0.5, -0.1)
 
 
 def test_gronwall_bound_reduces_to_classical():

@@ -21,9 +21,8 @@ from dosloop import (
     solve_lyapunov,
     spectral_norm,
 )
-from dosloop.linalg import _validate_envelope, _validation_grid
 from conftest import assert_close, random_stabilized_plant
-from oracles import exp_norm, first_envelope_violation, gram_spectral_norm, kronecker_lyapunov
+from oracles import envelope_grid, first_envelope_violation, gram_spectral_norm, kronecker_lyapunov
 
 
 def test_spectral_norm_known_values():
@@ -182,55 +181,56 @@ def test_growth_envelope_basics(rng):
             assert actual <= env3.theta * np.exp(env3.rho * t) * (1.0 + 1e-6)
 
 
-def _check_against_oracle(M, coeff, rate, t_hi, kind):
-    """_validate_envelope must reject exactly where the per-point oracle does."""
-    grid = _validation_grid(t_hi)
-    first = first_envelope_violation(M, coeff, rate, grid)
-    if first is None:
-        _validate_envelope(M, coeff, rate, t_hi, kind)
-    else:
-        with pytest.raises(EnvelopeError, match=rf"^{kind} envelope failed grid validation at t={grid[first]:.6g}: "):
-            _validate_envelope(M, coeff, rate, t_hi, kind)
-    return first
+def _envelope_cases(n: int, rng: np.random.Generator) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(kind, A, Phi) draws: A any real matrix, Phi Hurwitz."""
+    eye = np.eye(n)
 
+    def hurwitz(A: np.ndarray) -> np.ndarray:
+        return A - (max(float(np.linalg.eigvals(A).real.max()), 0.0) + rng.uniform(0.1, 1.0)) * eye
 
-def _near_tie(M, coeff, rate, t_hi):
-    """Some grid point t > 0 lies within 1e-6 relative of the slack-widened bound.
-
-    t = 0 is left out: exp(0 M) = I exactly on both sides.
-    """
-    for t in _validation_grid(t_hi)[1:]:
-        threshold = coeff * np.exp(rate * t) * (1.0 + 1e-9)
-        if abs(exp_norm(M, t) - threshold) <= 1e-6 * threshold:
-            return True
-    return False
+    cases = []
+    for _ in range(3):
+        A = np.diag(rng.normal(size=n)) + np.triu(rng.normal(scale=5.0, size=(n, n)), 1)
+        cases.append(("non_normal", A, hurwitz(A)))
+        # one Jordan chain, its eigenvalues split by a 1e-6 perturbation
+        A = rng.normal() * eye + np.diag(np.full(n - 1, rng.uniform(1.0, 3.0)), 1)
+        A += 1e-6 * rng.normal(size=(n, n))
+        cases.append(("near_defective", A, hurwitz(A)))
+        # 2x2 rotation blocks; w stays at most 50, where expm's own rounding
+        # keeps under the oracle's 1e-9 slack (at w = 1e5 it does not)
+        A = 1e-3 * rng.normal(size=(n, n))
+        for k in range(0, n - 1, 2):
+            w = rng.uniform(10.0, 50.0)
+            A[k, k + 1] += w
+            A[k + 1, k] -= w
+        cases.append(("fast_rotation", A, hurwitz(A)))
+        A = rng.normal(size=(n, n))
+        B = rng.normal(size=(n, max(1, n // 2)))
+        X = scipy.linalg.solve_continuous_are(A, B, eye, np.eye(B.shape[1]))
+        cases.append(("lqr", A, A - B @ B.T @ X))
+    return cases
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
-def test_validate_envelope_matches_per_point_oracle(n):
-    # n = 1 takes expm's scalar path. With the true constants both sides must
-    # accept; no tie guard there: the growth bound is tight to second order
-    # near t = 0, and a true bound keeps the 1e-9 slack between every point
-    # and its threshold, far above rounding. A halved coefficient, or a rate
-    # moved the wrong way, must give both sides the same first failing point
-    # (or both accept: the Lyapunov mu can be twice too large).
-    rng = np.random.default_rng(400 + n)
-    firsts = []
-    for _ in range(6):
-        A = rng.normal(size=(n, n))
-        Phi = A - (max(float(np.linalg.eigvals(A).real.max()), 0.0) + rng.uniform(0.1, 1.0)) * np.eye(n)
+def test_proven_envelopes_pass_per_point_oracle(n):
+    # the proved constants must leave no violation on the oracle's grid, and
+    # sit on the conservative side of the plain Lyapunov and log-norm values
+    rng = np.random.default_rng(600 + n)
+    for kind, A, Phi in _envelope_cases(n, rng):
         decay, growth = decay_envelope(Phi), growth_envelope(A)
-        cases = [
-            (Phi, decay.mu, -decay.lam, 50.0 / decay.lam, "decay", -2.0 * decay.lam),
-            (A, growth.theta, growth.rho, 50.0 / max(growth.rho, 0.5), "growth", 0.5 * growth.rho),
-        ]
-        for M, coeff, rate, t_hi, kind, wrong_rate in cases:
-            assert _check_against_oracle(M, coeff, rate, t_hi, kind) is None
-            for c, r in ((0.5 * coeff, rate), (coeff, wrong_rate)):
-                if not _near_tie(M, c, r, t_hi):
-                    firsts.append(_check_against_oracle(M, c, r, t_hi, kind))
-    assert len(firsts) >= 16
-    assert 0 in firsts and any(f is not None and f > 0 for f in firsts)
+        grid = envelope_grid(50.0 / decay.lam)
+        assert first_envelope_violation(Phi, decay.mu, -decay.lam, grid) is None, kind
+        grid = envelope_grid(50.0 / max(growth.rho, 0.5))
+        assert first_envelope_violation(A, growth.theta, growth.rho, grid) is None, kind
+        assert growth.theta == 1.0 and growth.rho >= max(0.0, log_norm(A)), kind
+        if n == 1:
+            # the exact scalar forms
+            assert (decay.mu, decay.lam) == (1.0, -Phi[0, 0]), kind
+            assert growth.rho == max(0.0, A[0, 0]), kind
+        else:
+            eigs = np.linalg.eigvalsh(solve_lyapunov(Phi, np.eye(n)))
+            assert decay.lam <= 1.0 / (2.0 * eigs[-1]), kind
+            assert decay.mu >= np.sqrt(eigs[-1] / eigs[0]), kind
 
 
 def test_overflowing_exponential_is_a_failing_grid_point():
@@ -238,16 +238,23 @@ def test_overflowing_exponential_is_a_failing_grid_point():
     A = np.array([[-1e300, 1e300], [-1e300, -1e300]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(EnvelopeError, match=r"^growth .* at t=0\.0001: \|\|exp\(Mt\)\|\|=inf > bound=1$"):
-            growth_envelope(A)
-        # an earlier failure is still the one reported, as in the per-point loop
-        assert first_envelope_violation(A, 0.5, 0.0, _validation_grid(100.0)) == 0
-        with pytest.raises(EnvelopeError, match=r"at t=0: \|\|exp\(Mt\)\|\|=1 > bound=0\.5$"):
-            _validate_envelope(A, 0.5, 0.0, 100.0, "growth")
-        # exp(800 t) overflows only at grid points past the first failure,
-        # which the per-point loop never reached: no warning either
-        with pytest.raises(EnvelopeError, match=r"at t=0\.001: "):
-            _validate_envelope(np.array([[800.0]]), 1.0, 0.0, 1000.0, "growth")
+        # log norm -1e300: the proved envelope needs no exponential, and rho = 0 is a true bound
+        assert growth_envelope(A) == GrowthEnvelope(theta=1.0, rho=0.0)
+        # the oracle stops at the first failure, before any overflowing point
+        assert first_envelope_violation(A, 0.5, 0.0, envelope_grid(100.0)) == 0
+
+
+def test_envelope_error_names_the_failed_inequality():
+    with pytest.raises(EnvelopeError, match=r"^no decay envelope: phi = 0\.2 >= 0, not Hurwitz$"):
+        decay_envelope(np.array([[0.2]]))
+    # P = diag(2^24, 2^-26) is positive definite, but its small eigenvalue lies
+    # inside eigvalsh's error bound 4 n eps ||P|| = 2^-25
+    message = r"^no decay envelope: a1 - err = -1\.49011611938e-08 <= 0 \(err = 2\.98e-08\)$"
+    with pytest.raises(EnvelopeError, match=message):
+        decay_envelope(np.diag([-(2.0**-25), -(2.0**25)]))
+    # the residual is computed as 0, but the rounding bound on forming it is not small
+    with pytest.raises(EnvelopeError, match=r"^no decay envelope: residual bound r = 4 >= 1$"):
+        decay_envelope(np.array([[-1.0, 2.0**26], [0.0, -1.0]]))
 
 
 def test_envelope_bound_method():

@@ -10,7 +10,6 @@ from dosloop import (
     InputMode,
     LoopState,
     LtiPlant,
-    error_vector,
     exact_hold_step,
     mat_exp,
 )
@@ -112,10 +111,7 @@ def test_input_mode_values():
     assert plant.input_mode is InputMode.ZERO_DURING_DOS
 
 
-def test_loop_state_and_error_vector():
-    x = np.array([1.0, 2.0])
-    xh = np.array([1.5, 1.0])
-    st = LoopState(t=3.0, x=x, x_held=xh)
+def test_loop_state_defaults():
+    st = LoopState(t=3.0, x=np.array([1.0, 2.0]), x_held=np.array([1.5, 1.0]))
     assert st.last_attempt_failed is False
     assert st.t_held == 0.0
-    assert np.array_equal(error_vector(st), xh - x)
