@@ -3,7 +3,8 @@
 The plant is x' = A x + B u with static gain K applied to the most recently
 received state sample, u = K * x_held. Between transmission instants the pair
 (x, x_held) evolves linearly, so single steps are integrated exactly through
-an augmented matrix exponential rather than an ODE stepper.
+an augmented matrix exponential rather than an ODE stepper, and k equal steps
+are the first k powers of that one-step map.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from .linalg import (
 # record step, the crossing-grid cell), so a small table holds every key
 # that recurs; one-off lengths are evicted least recently used first.
 PROPAGATOR_CACHE_SIZE = 16
+# Power tables kept per plant (LtiPlant.power_table with keep=True), and the
+# most powers one table holds: a few recurring lengths, at most 256 deep, so
+# the memory they take does not depend on the horizon.
+POWER_TABLE_CACHE_SIZE = 4
+POWER_TABLE_ROWS = 256
 
 
 class InputMode(Enum):
@@ -47,6 +53,24 @@ def _held_input_blocks(F: FloatArray, G: FloatArray, dt: float) -> tuple[FloatAr
     return E[:n, :n], E[:n, n:]
 
 
+def _extend_powers(W: FloatArray, count: int) -> FloatArray:
+    """Grow the table W[j-1] = [T^j | S_j H] (S_j = I + T + ... + T^(j-1)) to count rows by doubling.
+
+    Each pass appends rows a + j = (a, j) for a = 1.. up to the rows it has:
+    T^(a+j) = T^a T^j and S_(a+j) H = T^a S_j H + S_a H, one batched matmul.
+    Row k always comes from the same products, so a table's rows do not
+    depend on how far it was grown.
+    """
+    n = W.shape[1]
+    while len(W) < count:
+        j = len(W)
+        take = min(j, count - j)
+        nxt = W[:take, :, :n] @ W[j - 1]
+        nxt[:, :, n:] += W[:take, :, n:]
+        W = np.concatenate((W, nxt))
+    return W
+
+
 @dataclass(frozen=True, eq=False)
 class LtiPlant:
     """Plant matrices plus feedback gain; A + B K must be Hurwitz.
@@ -56,7 +80,11 @@ class LtiPlant:
     envelope of the open-loop matrix, both proved for all t >= 0 with stated
     rounding slack (see dosloop.linalg). Exact propagators for the held-input
     dynamics live in a least-recently-used table of PROPAGATOR_CACHE_SIZE
-    entries keyed by step length, so memory stays bounded over any horizon.
+    entries keyed by step length. power_table stacks the first k powers of
+    one propagator, built from it by doubling; tables of recurring lengths
+    stay in a second least-recently-used table of POWER_TABLE_CACHE_SIZE
+    entries, each at most POWER_TABLE_ROWS deep, so memory stays bounded over
+    any horizon.
     """
 
     A: FloatArray
@@ -86,6 +114,7 @@ class LtiPlant:
         object.__setattr__(self, "_decay", decay_envelope(self._phi))
         object.__setattr__(self, "_growth", growth_envelope(A))
         object.__setattr__(self, "_prop_cache", OrderedDict())
+        object.__setattr__(self, "_power_cache", OrderedDict())
 
     @property
     def n(self) -> int:
@@ -127,6 +156,35 @@ class LtiPlant:
         if len(cache) > PROPAGATOR_CACHE_SIZE:
             cache.popitem(last=False)
         return blocks
+
+    def power_table(self, dt: float, count: int, zero_input: bool = False, *, keep: bool = False) -> FloatArray:
+        """Stacked powers of the dt propagator: row j-1 maps a state to j steps of dt later.
+
+        With (T, H) = propagator(dt, zero_input), row j-1 is [T^j | S_j H]
+        (S_j = I + T + ... + T^(j-1)), of shape (n, 2n), so x after j steps
+        is row @ [x; x_held]; with the input zeroed it is T^j alone, (n, n).
+        count is at most POWER_TABLE_ROWS. With keep=True the table is cached
+        for reuse and may hold more than count rows; otherwise exactly count
+        rows are built and nothing is kept.
+        """
+        if not 1 <= count <= POWER_TABLE_ROWS:
+            raise ValueError(f"count must be in [1, {POWER_TABLE_ROWS}], got {count}")
+        key = (float(dt), bool(zero_input))
+        cache = self._power_cache
+        W = cache.get(key) if keep else None
+        if W is None:
+            T, H = self.propagator(dt, zero_input)
+            W = (T if H is None else np.hstack((T, H)))[None]
+        if not keep:
+            return _extend_powers(W, count)
+        if len(W) < count:
+            # kept tables grow in whole doublings, so a longer request costs one pass
+            W = _extend_powers(W, min(POWER_TABLE_ROWS, 1 << (count - 1).bit_length()))
+        cache[key] = W
+        cache.move_to_end(key)
+        if len(cache) > POWER_TABLE_CACHE_SIZE:
+            cache.popitem(last=False)
+        return W
 
 
 def exact_hold_step(

@@ -7,18 +7,25 @@ logic; a successful attempt swaps the held sample and resets the transmission
 error. Traces carry regular samples plus dedicated rows at attempts (pre- and
 post-jump at the same timestamp) and jam breakpoints.
 
-Every segment, grid cell and root-search trial is stepped as T x + H x_held
-with blocks from LtiPlant.propagator; vectors are validated once, by
-SimConfig, not per step. Full record ticks step by exactly record_step and
-full crossing-grid cells by exactly the cell width, so the plant's bounded
-propagator cache keeps hitting on those few lengths. Event crossings are
-bracketed on a grid and then located by Illinois regula falsi.
+Between two such events the loop state z = [x; x_held] follows z <- M z with
+M = [[T, H], [0, I]] from LtiPlant.propagator, so k equal steps are the
+first k powers of M. LtiPlant.power_table builds those powers by doubling
+from the one propagator, and keeps the tables of the lengths that recur
+(the record step, the crossing-grid cell) in a bounded per-plant cache.
+run() steps every stretch of full record ticks before the next event as one
+product of that table with z, up to POWER_TABLE_ROWS ticks per block, with
+vectorised norms and divergence guard. The event-crossing search evaluates
+its grid, anchored at its start, in blocks of 16 doubling up to
+POWER_TABLE_ROWS cells, and narrows the first cell where the threshold is
+reached by Illinois regula falsi. Off-grid steps and root-search trials are
+single T x + H x_held steps. Vectors are validated once, by SimConfig, not
+per step.
 
-The run loop takes its jam state from its cursor over the sorted jam
-breakpoints, not from a search per stop, and computes the input K x_held
-only when the held sample changes. Trace.to_csv formats rows with one
-format string in fixed-size blocks, one write per block, lines ending in
-CRLF.
+Trace rows are written into growable numpy column arrays, a row or a block
+at a time. The run loop takes its jam state from its cursor over the sorted
+jam breakpoints, not from a search per stop, and computes the input K x_held
+only when the held sample changes. Trace.to_csv formats rows with one format
+string in fixed-size blocks, one write per block, lines ending in CRLF.
 
 Runs are bit-reproducible: no randomness, no wall-clock dependence.
 """
@@ -26,7 +33,7 @@ Runs are bit-reproducible: no randomness, no wall-clock dependence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -35,7 +42,7 @@ import numpy as np
 from .dos import DosBudget, DosSequence, check_slow_average, is_jammed
 from .guarantees import SamplingRobustness, _per_interval_gaps
 from .linalg import FloatArray, as_vector
-from .plant import InputMode, LoopState, LtiPlant
+from .plant import POWER_TABLE_ROWS, InputMode, LoopState, LtiPlant
 from .plant import exact_hold_step  # noqa: F401  (bench/test_bench.py rebinds dosloop.sim.exact_hold_step)
 from .triggers import (
     LogicKind,
@@ -51,6 +58,15 @@ _GES_SLACK = 1e-6
 _RULE_SLACK = 1e-6
 # Trace rows formatted per write in Trace.to_csv.
 _CSV_BLOCK_ROWS = 1024
+# Cells in the first block of a crossing scan; each later block doubles,
+# up to POWER_TABLE_ROWS.
+_SCAN_BLOCK_MIN = 16
+_STAT_KEYS = ("blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "root_trials")
+
+
+def _new_stats() -> dict[str, int]:
+    """Zeroed run counters; see Trace."""
+    return {key: 0 for key in _STAT_KEYS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +124,13 @@ class OnsetSnapshot:
 
 @dataclass(eq=False)
 class Trace:
-    """Array-of-rows recording of one run (see run() for the row conventions)."""
+    """Array-of-rows recording of one run (see run() for the row conventions).
+
+    stats holds plain integer counters of the run: blocks_stepped (blocks of
+    record ticks stepped as one product), rows_emitted, crossing_searches,
+    cells_scanned (crossing-grid cells evaluated) and root_trials (regula
+    falsi trials inside bracketing cells).
+    """
 
     t: FloatArray
     x: FloatArray
@@ -124,6 +146,7 @@ class Trace:
     divergence_time: float | None
     horizon: float
     crossing_tol: float
+    stats: dict[str, int] = field(default_factory=_new_stats)
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -159,6 +182,17 @@ class Trace:
 def _norm(v: FloatArray) -> float:
     """Euclidean norm of a 1-D vector; bit-identical to np.linalg.norm, without its overhead."""
     return math.sqrt(v.dot(v))
+
+
+def _row_norms(X: FloatArray) -> FloatArray:
+    """Euclidean norm of every row of a 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->i", X, X))
+
+
+def _apply_powers(W: FloatArray, count: int, x: FloatArray, x_held: FloatArray, zero_input: bool) -> FloatArray:
+    """States after 1..count steps, one per row, from the power table W (see LtiPlant.power_table)."""
+    z = x if zero_input else np.concatenate((x, x_held))
+    return (W[:count].reshape(-1, W.shape[2]) @ z).reshape(count, -1)
 
 
 def _advance(plant: LtiPlant, x: FloatArray, x_held: FloatArray, dt: float, zero_input: bool) -> FloatArray:
@@ -211,15 +245,19 @@ def find_event_crossing(
     *,
     grid_step: float | None = None,
     zero_input: bool = False,
+    stats: dict[str, int] | None = None,
 ) -> float | None:
     """First t in (t_from, t_max] where ||e(t)|| reaches sigma ||x(t)||.
 
     state must hold the loop values at t_from with ||e|| < sigma ||x|| (or
-    e = 0). Scans a fixed grid of step min(grid_step, window/64) for a sign
-    change of g = ||e|| - sigma ||x||, then narrows the bracketing cell by
-    regula falsi (see _bracketed_root) to a bracket no wider than
-    crossing_tol and returns its upper end, where g >= 0; returns None when
-    no crossing occurs in the window.
+    e = 0). Scans a fixed grid of step min(grid_step, window/64), anchored at
+    t_from, for a sign change of g = ||e|| - sigma ||x||, then narrows the
+    bracketing cell by regula falsi (see _bracketed_root) to a bracket no
+    wider than crossing_tol and returns its upper end, where g >= 0; returns
+    None when no crossing occurs in the window. Full cells are evaluated in
+    blocks of _SCAN_BLOCK_MIN up to POWER_TABLE_ROWS cells, each one product
+    with the cell's power table; a partial last cell is stepped on its own.
+    Searches, cells and root trials are added to stats when it is given.
     """
     window = t_max - t_from
     if window <= 0.0:
@@ -234,32 +272,50 @@ def find_event_crossing(
     g_prev = e0 - sigma * x0n
     if g_prev >= 0.0 and e0 > 0.0:
         raise ValueError("state already violates the update-rule threshold at t_from")
+    if stats is None:
+        stats = _new_stats()
+    stats["crossing_searches"] += 1
 
     def g(x: FloatArray) -> float:
         return _norm(xh - x) - sigma * _norm(x)
 
-    T, H = plant.propagator(step, zero_input)
-    drift = None if H is None else H @ xh
+    def root_in_cell(x_start: FloatArray, g_start: float, t_off: float, t_end: float, g_end: float) -> float:
+        def trial(s: float) -> float:
+            stats["root_trials"] += 1
+            return g(_advance(plant, x_start, xh, s, zero_input))
+
+        return t_from + t_off + _bracketed_root(trial, 0.0, g_start, t_end - t_off, g_end, crossing_tol)
+
     n_cells = max(1, math.ceil(window / step - 1e-9))
-    t_off = 0.0
-    for i in range(1, n_cells + 1):
-        t_end = i * step
-        if t_end <= window:
-            x_cur = T @ x_prev if drift is None else T @ x_prev + drift
-        else:
-            t_end = window
-            if t_end <= t_off:
-                break
-            x_cur = _advance(plant, x_prev, xh, t_end - t_off, zero_input)
-        g_cur = g(x_cur)
-        if g_cur >= 0.0:
-            hi = _bracketed_root(
-                lambda s: g(_advance(plant, x_prev, xh, s, zero_input)),
-                0.0, g_prev, t_end - t_off, g_cur, crossing_tol,
-            )
-            return t_from + t_off + hi
-        x_prev, g_prev, t_off = x_cur, g_cur, t_end
-    return None
+    # only the last cell can end past the window (the 1e-9 margin above)
+    n_full = n_cells if n_cells * step <= window else n_cells - 1
+    if n_full:
+        # the grid cell recurs from search to search; the window/64 one does not
+        W = plant.power_table(step, min(n_full, POWER_TABLE_ROWS), zero_input, keep=step == grid_step)
+    done = 0
+    size = _SCAN_BLOCK_MIN
+    while done < n_full:
+        c = min(size, n_full - done, POWER_TABLE_ROWS)
+        X = _apply_powers(W, c, x_prev, xh, zero_input)
+        G = _row_norms(xh - X) - sigma * _row_norms(X)
+        stats["cells_scanned"] += c
+        hit = np.flatnonzero(G >= 0.0)
+        if hit.size:
+            i = int(hit[0])
+            if i:
+                x_prev, g_prev = X[i - 1], float(G[i - 1])
+            return root_in_cell(x_prev, g_prev, (done + i) * step, (done + i + 1) * step, float(G[i]))
+        x_prev, g_prev = X[-1], float(G[-1])
+        done += c
+        size *= 2
+    if n_full == n_cells:
+        return None
+    t_off = done * step
+    if window <= t_off:
+        return None
+    stats["cells_scanned"] += 1
+    g_cur = g(_advance(plant, x_prev, xh, window - t_off, zero_input))
+    return root_in_cell(x_prev, g_prev, t_off, window, g_cur) if g_cur >= 0.0 else None
 
 
 def _piecewise_crossing(
@@ -270,6 +326,7 @@ def _piecewise_crossing(
     crossing_tol: float,
     delta1: float,
     dos: DosSequence,
+    stats: dict[str, int],
 ) -> float | None:
     """Crossing search across jam breakpoints (the input may switch there)."""
     zero_mode = plant.input_mode is InputMode.ZERO_DURING_DOS
@@ -287,7 +344,7 @@ def _piecewise_crossing(
             zi = False
         probe = LoopState(t, x, xh, state.last_attempt_failed, state.t_held)
         hit = find_event_crossing(
-            plant, probe, sigma, t, seg_end, crossing_tol, grid_step=delta1 / 8.0, zero_input=zi
+            plant, probe, sigma, t, seg_end, crossing_tol, grid_step=delta1 / 8.0, zero_input=zi, stats=stats
         )
         if hit is not None:
             return hit
@@ -296,6 +353,77 @@ def _piecewise_crossing(
         x = _advance(plant, x, xh, seg_end - t, zi)
         t = seg_end
     return None
+
+
+class _Rows:
+    """Trace columns in growable numpy arrays, filled one row or one block at a time."""
+
+    _COLUMNS = ("t", "x", "u", "e_norm", "x_norm", "jammed", "attempt", "success")
+
+    def __init__(self, n: int, m: int) -> None:
+        cap = 1024
+        self.size = 0
+        self.t = np.zeros(cap)
+        self.x = np.zeros((cap, n))
+        self.u = np.zeros((cap, m))
+        self.e_norm = np.zeros(cap)
+        self.x_norm = np.zeros(cap)
+        self.jammed = np.zeros(cap, dtype=np.int8)
+        self.attempt = np.zeros(cap, dtype=np.int8)
+        self.success = np.zeros(cap, dtype=np.int8)
+
+    def _reserve(self, k: int) -> int:
+        """Make room for k more rows (doubling the capacity); returns the index of the first."""
+        i = self.size
+        if i + k > len(self.t):
+            cap = max(i + k, 2 * len(self.t))
+            for name in self._COLUMNS:
+                old = getattr(self, name)
+                new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
+                new[:i] = old[:i]
+                setattr(self, name, new)
+        self.size = i + k
+        return i
+
+    def row(
+        self, t: float, x: FloatArray, u: FloatArray, e_norm: float, x_norm: float, jam: bool, att: int, suc: int
+    ) -> None:
+        i = self._reserve(1)
+        self.t[i] = t
+        self.x[i] = x
+        self.u[i] = u
+        self.e_norm[i] = e_norm
+        self.x_norm[i] = x_norm
+        self.jammed[i] = jam
+        self.attempt[i] = att
+        self.success[i] = suc
+
+    def block(
+        self, t: FloatArray, x: FloatArray, u: FloatArray, e_norm: FloatArray, x_norm: FloatArray, jam: bool
+    ) -> None:
+        """Rows without attempt flags (those columns keep their zero fill)."""
+        i = self._reserve(len(t))
+        rows = slice(i, self.size)
+        self.t[rows] = t
+        self.x[rows] = x
+        self.u[rows] = u
+        self.e_norm[rows] = e_norm
+        self.x_norm[rows] = x_norm
+        self.jammed[rows] = jam
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The filled rows of every column, copied out of the spare capacity."""
+        return {name: getattr(self, name)[: self.size].copy() for name in self._COLUMNS}
+
+
+def _ticks_before(k: int, rs: float, t_stop: float) -> int:
+    """How many record ticks k rs, (k + 1) rs, ... lie strictly before t_stop, at most POWER_TABLE_ROWS."""
+    c = min(POWER_TABLE_ROWS, max(0, math.ceil(t_stop / rs) - k))
+    while c > 0 and (k + c - 1) * rs >= t_stop:
+        c -= 1
+    while c < POWER_TABLE_ROWS and (k + c) * rs < t_stop:
+        c += 1
+    return c
 
 
 # A state that overflows turns into inf/NaN entries; the divergence guard
@@ -310,6 +438,11 @@ def run(config: SimConfig) -> Trace:
     at the same t with the new held sample (transmission error zero). The
     final row sits at the horizon unless the divergence guard (||x|| > 1e12
     or not finite) stopped the run early.
+
+    Record ticks that fall strictly before the next attempt, jam breakpoint
+    and the horizon are stepped as one block: one product of the record
+    step's power table with [x; x_held], up to POWER_TABLE_ROWS ticks at a
+    time, with norms and the divergence guard applied to the whole block.
     """
     plant = config.plant
     trig = config.trigger
@@ -336,14 +469,8 @@ def run(config: SimConfig) -> Trace:
     # one interval ends as the next starts, the onset is consumed last.
     jammed = False
 
-    rows_t: list[float] = []
-    rows_x: list[FloatArray] = []
-    rows_u: list[FloatArray] = []
-    rows_en: list[float] = []
-    rows_xn: list[float] = []
-    rows_jam: list[bool] = []
-    rows_att: list[int] = []
-    rows_suc: list[int] = []
+    rows = _Rows(n, m)
+    stats = _new_stats()
     attempts: list[tuple[float, bool]] = []
     onsets: list[OnsetSnapshot] = []
 
@@ -353,18 +480,12 @@ def run(config: SimConfig) -> Trace:
     u_held = K @ np.zeros(n)
 
     def emit(t: float, x: FloatArray, xh: FloatArray, jam: bool, att: int = 0, suc: int = 0) -> None:
-        rows_t.append(t)
-        rows_x.append(x)
-        rows_u.append(u_zero if (zero_mode and jam) else u_held)
-        rows_en.append(_norm(xh - x))
-        rows_xn.append(_norm(x))
-        rows_jam.append(jam)
-        rows_att.append(att)
-        rows_suc.append(suc)
+        u = u_zero if (zero_mode and jam) else u_held
+        rows.row(t, x, u, _norm(xh - x), _norm(x), jam, att, suc)
 
     def finder(st: LoopState, cap: float) -> float | None:
         return _piecewise_crossing(
-            plant, st, trig.sigma, min(cap, horizon), config.crossing_tol, trig.delta1, dos
+            plant, st, trig.sigma, min(cap, horizon), config.crossing_tol, trig.delta1, dos, stats
         )
 
     def schedule(st: LoopState) -> float:
@@ -398,6 +519,27 @@ def run(config: SimConfig) -> Trace:
             t_rec += rs
         t_bp = bp_times[bp_i] if bp_i < len(bp_times) else math.inf
         stop = min(horizon, next_attempt, t_rec, t_bp)
+
+        count = _ticks_before(k_tick, rs, min(horizon, next_attempt, t_bp)) if on_tick and stop == t_rec else 0
+        if count:
+            zi = zero_mode and jammed
+            xh = state.x_held
+            X = _apply_powers(plant.power_table(rs, count, zi, keep=True), count, state.x, xh, zi)
+            ts = np.arange(k_tick, k_tick + count) * rs
+            x_norm = _row_norms(X)
+            u = u_zero if zi else u_held
+            stats["blocks_stepped"] += 1
+            bad = np.flatnonzero(~(x_norm <= DIVERGENCE_NORM))
+            if bad.size:
+                i = int(bad[0])
+                rows.block(ts[:i], X[:i], u, _row_norms(xh - X[:i]), x_norm[:i], jammed)
+                div_time = float(ts[i])
+                emit(div_time, X[i], xh, is_jammed(dos, div_time))
+                diverged = True
+                break
+            rows.block(ts, X, u, _row_norms(xh - X), x_norm, jammed)
+            state = LoopState(float(ts[-1]), X[-1], xh, state.last_attempt_failed, state.t_held)
+            continue
 
         if stop > t:
             zi = zero_mode and jammed
@@ -442,21 +584,16 @@ def run(config: SimConfig) -> Trace:
         if not handled:
             emit(stop, state.x, state.x_held, jammed)
 
+    stats["rows_emitted"] = rows.size
     return Trace(
-        t=np.array(rows_t),
-        x=np.array(rows_x).reshape(len(rows_t), n),
-        u=np.array(rows_u).reshape(len(rows_t), m),
-        e_norm=np.array(rows_en),
-        x_norm=np.array(rows_xn),
-        jammed=np.array(rows_jam, dtype=np.int8),
-        attempt=np.array(rows_att, dtype=np.int8),
-        success=np.array(rows_suc, dtype=np.int8),
+        **rows.columns(),
         attempts=tuple(attempts),
         dos_onsets=tuple(onsets),
         diverged=diverged,
         divergence_time=div_time,
         horizon=horizon,
         crossing_tol=config.crossing_tol,
+        stats=stats,
     )
 
 
@@ -507,15 +644,17 @@ def check_update_rule(
     Rows inside any inflated jam window [h_n, h_n + tau_n + gap_n), widened by
     the crossing tolerance at both edges, are exempt, as are pre-jump rows of
     successful attempts (their timestamp legally carries the post-jump value).
+    The windows are tested in one pass: inflated windows may overlap, so a
+    row is exempt when the latest window starting at or before it (the
+    onsets are sorted) has a running maximum of window ends past it.
     """
-    gaps = _per_interval_gaps(seq, robustness)
-    edge = trace.crossing_tol
-    exempt = np.zeros(len(trace), dtype=bool)
-    for k in range(len(seq)):
-        s = float(seq.onsets[k]) - edge
-        e = float(seq.ends[k]) + gaps[k] + edge
-        exempt |= (trace.t >= s) & (trace.t < e)
-    exempt |= (trace.attempt == 1) & (trace.success == 1)
+    gaps = np.asarray(_per_interval_gaps(seq, robustness), dtype=float)
+    exempt = (trace.attempt == 1) & (trace.success == 1)
+    if len(seq):
+        edge = trace.crossing_tol
+        reach = np.maximum.accumulate(seq.ends + gaps + edge)
+        last = np.searchsorted(seq.onsets - edge, trace.t, side="right") - 1
+        exempt |= (last >= 0) & (trace.t < reach[np.maximum(last, 0)])
     atol = 1e-12 * float(trace.x_norm[0])
     limit = sigma * trace.x_norm * (1.0 + _RULE_SLACK) + atol
     bad = np.nonzero(~exempt & (trace.e_norm > limit))[0]

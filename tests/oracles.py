@@ -259,3 +259,64 @@ def rk4_first_crossing(
             return k * h + hi
         x = x_next
     return None
+
+
+def restep_rows(trace, A: np.ndarray, B: np.ndarray, K: np.ndarray, zero_during_dos: bool = False) -> float:
+    """Largest deviation of a trace row from its predecessor re-stepped by one expm.
+
+    Walks the rows in order and tracks the held sample (the state of the
+    last successful attempt row, zero before the first). Each row is
+    compared with scipy.linalg.expm of the augmented matrix [[A, B K], [0, 0]]
+    (of A alone when zero_during_dos and the earlier row is jammed) over the
+    gap between the two timestamps, applied to [x_prev; x_held]; rows at one
+    timestamp must carry the same state. The deviation is relative to
+    max(||x_i||, ||x_held||). The library steps whole blocks of rows by
+    powers of one propagator; this takes one exponential per row pair.
+    """
+    n = A.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = A
+    aug[:n, n:] = B @ K
+    exps: dict[tuple[float, bool], np.ndarray] = {}
+    held = np.zeros(n)
+    worst = 0.0
+    for i in range(1, len(trace)):
+        prev = trace.x[i - 1]
+        if trace.attempt[i - 1] and trace.success[i - 1]:
+            held = prev
+        dt = float(trace.t[i] - trace.t[i - 1])
+        zeroed = bool(zero_during_dos and trace.jammed[i - 1])
+        if dt == 0.0:
+            want = prev
+        else:
+            key = (dt, zeroed)
+            if key not in exps:
+                exps[key] = scipy.linalg.expm((A if zeroed else aug) * dt)
+            want = exps[key] @ (prev if zeroed else np.concatenate((prev, held)))
+            want = want[:n]
+        scale = max(float(np.linalg.norm(trace.x[i])), float(np.linalg.norm(held)))
+        worst = max(worst, float(np.linalg.norm(trace.x[i] - want)) / scale)
+    return worst
+
+
+def update_rule_by_loop(trace, sigma: float, seq, robustness) -> tuple[bool, float | None, float]:
+    """(holds, first_violation, worst_ratio) of the update-rule check, one mask pass per jam interval.
+
+    O(rows x intervals): every inflated window [h_k - tol, h_k + d_k + gap_k
+    + tol) masks all rows in turn. The library finds each row's window by a
+    binary search over the window starts and a running maximum of their ends.
+    """
+    gaps = list(robustness.delta_per_interval) or [robustness.delta_star] * len(seq)
+    edge = trace.crossing_tol
+    exempt = np.zeros(len(trace), dtype=bool)
+    for k in range(len(seq)):
+        s = float(seq.onsets[k]) - edge
+        e = float(seq.ends[k]) + gaps[k] + edge
+        exempt |= (trace.t >= s) & (trace.t < e)
+    exempt |= (trace.attempt == 1) & (trace.success == 1)
+    limit = sigma * trace.x_norm * (1.0 + 1e-6) + 1e-12 * float(trace.x_norm[0])
+    bad = np.nonzero(~exempt & (trace.e_norm > limit))[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(trace.x_norm > 0, trace.e_norm / np.maximum(trace.x_norm, 1e-300), 0.0)
+    worst = float(ratios[~exempt].max()) if np.any(~exempt) else 0.0
+    return bad.size == 0, float(trace.t[bad[0]]) if bad.size else None, worst

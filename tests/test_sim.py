@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from dosloop import (
     LogicKind,
     LoopState,
     LtiPlant,
+    SamplingRobustness,
     SimConfig,
     TriggerConfig,
     Varphi,
@@ -31,10 +34,13 @@ from dosloop import (
     run,
     verify_ges,
 )
-from dosloop.plant import PROPAGATOR_CACHE_SIZE
-from dosloop.sim import _CSV_BLOCK_ROWS, _bracketed_root
+from dosloop.cli import _applicable_certificates, certificates, scenario_from_dict
+from dosloop.plant import POWER_TABLE_CACHE_SIZE, POWER_TABLE_ROWS, PROPAGATOR_CACHE_SIZE
+from dosloop.sim import _CSV_BLOCK_ROWS, Trace, _bracketed_root
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
-from oracles import rk4_first_crossing
+from oracles import restep_rows, rk4_first_crossing, update_rule_by_loop
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # A = 0, B = 1, K = -1: between updates x is a straight line x(t) = x1 (1 - dt)
 # and the error ratio crosses sigma at exactly dt = sigma / (1 + sigma)
@@ -282,24 +288,186 @@ def test_propagator_cache_is_bounded_independent_of_horizon(monkeypatch):
     trig = standard_trigger(base, sigma)
     period, duty = 40.0 * trig.delta1, 0.2
     x0 = rng.normal(size=base.n)
-    peak = [0]
-    original = LtiPlant.propagator
+    peak = [0, 0, 0]
+    original, original_table = LtiPlant.propagator, LtiPlant.power_table
 
     def watched(self, dt, zero_input=False):
         blocks = original(self, dt, zero_input)
         peak[0] = max(peak[0], len(self._prop_cache))
         return blocks
 
+    def watched_table(self, dt, count, zero_input=False, *, keep=False):
+        table = original_table(self, dt, count, zero_input, keep=keep)
+        peak[1] = max(peak[1], len(self._power_cache))
+        peak[2] = max(peak[2], len(table), *(len(W) for W in self._power_cache.values()))
+        return table
+
     monkeypatch.setattr(LtiPlant, "propagator", watched)
+    monkeypatch.setattr(LtiPlant, "power_table", watched_table)
     final = []
     for horizon in (2.0, 8.0):
         plant = LtiPlant(A=base.A, B=base.B, K=base.K, input_mode=InputMode.ZERO_DURING_DOS)
         seq = gen_periodic(0.5 * period, period, duty, horizon)
         run(_config(plant, LogicKind.EVENT_TIME, trig, dos=seq, budget=periodic_budget(period, duty),
                     x0=x0, horizon=horizon))
-        final.append(len(plant._prop_cache))
+        final.append((len(plant._prop_cache), len(plant._power_cache)))
     assert peak[0] <= PROPAGATOR_CACHE_SIZE
+    assert peak[1] <= POWER_TABLE_CACHE_SIZE
+    assert peak[2] <= POWER_TABLE_ROWS
     assert final[0] == final[1]
+    assert final[0][1] > 0
+
+
+def test_power_table_rows_are_the_powers_of_one_step():
+    plant = random_stabilized_plant(np.random.default_rng(21), n=3)
+    dt = 0.01
+    T, H = plant.propagator(dt)
+    kept = plant.power_table(dt, 5, keep=True)
+    one_off = plant.power_table(dt, 37)
+    assert len(kept) == 8 and len(one_off) == 37
+    assert np.array_equal(kept[:5], one_off[:5])  # a row does not depend on how far the table grew
+    grown = plant.power_table(dt, 100, keep=True)
+    assert len(grown) == 128 and np.array_equal(grown[:8], kept) and np.array_equal(grown[:37], one_off)
+    P, S = np.eye(3), np.zeros((3, 3))
+    for j in range(37):
+        S, P = S + P, T @ P
+        np.testing.assert_allclose(one_off[j], np.hstack((P, S @ H)), rtol=0, atol=1e-13)
+    zeroed = plant.power_table(dt, 3, zero_input=True)
+    assert zeroed.shape == (3, 3, 3)
+    np.testing.assert_allclose(zeroed[2], np.linalg.matrix_power(plant.propagator(dt, True)[0], 3), atol=1e-14)
+    with pytest.raises(ValueError):
+        plant.power_table(dt, POWER_TABLE_ROWS + 1)
+
+
+@pytest.mark.parametrize("mode", list(InputMode))
+@pytest.mark.parametrize("logic", list(LogicKind))
+def test_rows_match_an_expm_restep_of_the_row_before(logic, mode):
+    # every row is its predecessor advanced by one exponential over the gap;
+    # the second run records 64 ticks per delta1, so more than 256 ticks lie
+    # between attempts and row blocks span several power tables
+    rng = np.random.default_rng(300 + len(logic.value))
+    long_gap = 0
+    for k in range(2):
+        base = random_stabilized_plant(rng)
+        plant = LtiPlant(A=base.A, B=base.B, K=base.K, input_mode=mode)
+        trig = standard_trigger(plant, feasible_sigma(plant))
+        horizon = 60.0 * trig.delta2 if k else 3.0
+        seq, budget, _ = budgeted_jam(k + 3, trig, tau_avg=5.0, horizon=horizon)
+        rs = trig.delta1 / (64.0 if k else 4.0)
+        trace = run(SimConfig(plant=plant, logic=logic, trigger=trig, dos=seq, budget=budget,
+                              x0=rng.normal(size=plant.n), horizon=horizon, record_step=rs))
+        assert not trace.diverged and len(trace.dos_onsets) > 0
+        worst = restep_rows(trace, plant.A, plant.B, plant.K, mode is InputMode.ZERO_DURING_DOS)
+        assert worst <= 1e-12, (k, worst)
+        long_gap = max(long_gap, int(np.diff(np.flatnonzero(trace.attempt)).max()))
+    assert long_gap > POWER_TABLE_ROWS
+
+
+# Measured before row blocks: rows, attempts, successes, jam onsets, diverged,
+# verify_ges holds (None: no feasible certificate) and check_update_rule holds.
+PINNED_BEHAVIOUR = {
+    ("scalar", "event_time", "hold_last"): (1294, 64, 30, 2, False, True, True),
+    ("scalar", "event_time", "zero_during_dos"): (1263, 35, 28, 2, False, True, True),
+    ("scalar", "pure_time", "hold_last"): (1294, 64, 30, 2, False, True, True),
+    ("scalar", "pure_time", "zero_during_dos"): (1294, 64, 30, 2, False, True, True),
+    ("scalar", "self_trigger", "hold_last"): (1261, 33, 28, 2, False, None, True),
+    ("scalar", "self_trigger", "zero_during_dos"): (1261, 33, 28, 2, False, None, True),
+    ("scalar", "ideal_event", "hold_last"): (1262, 32, 30, 2, False, True, True),
+    ("scalar", "ideal_event", "zero_during_dos"): (1257, 29, 28, 2, False, True, True),
+    ("double_integrator", "event_time", "hold_last"): (7083, 90, 88, 4, False, True, True),
+    ("double_integrator", "event_time", "zero_during_dos"): (7084, 90, 89, 4, False, True, True),
+    ("double_integrator", "pure_time", "hold_last"): (7538, 324, 309, 4, False, True, True),
+    ("double_integrator", "pure_time", "zero_during_dos"): (7538, 324, 309, 4, False, True, True),
+    ("double_integrator", "self_trigger", "hold_last"): (7523, 311, 307, 4, False, None, True),
+    ("double_integrator", "self_trigger", "zero_during_dos"): (7523, 311, 307, 4, False, None, True),
+    ("double_integrator", "ideal_event", "hold_last"): (7083, 90, 88, 4, False, True, True),
+    ("double_integrator", "ideal_event", "zero_during_dos"): (7084, 90, 89, 4, False, True, True),
+}
+
+
+@pytest.mark.parametrize("name,logic,mode", list(PINNED_BEHAVIOUR), ids="-".join)
+def test_shipped_scenarios_keep_their_pinned_behaviour(name, logic, mode):
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    doc["trigger"]["kind"] = logic
+    doc["plant"]["input_mode"] = mode
+    sc = scenario_from_dict(doc, SCENARIOS)
+    trace = run(sc.sim_config())
+    feasible = [(a, b) for _, a, b, ok in _applicable_certificates(sc, certificates(sc)) if ok]
+    ges = verify_ges(trace, *max(feasible, key=lambda ab: ab[1])).holds if feasible else None
+    rule = check_update_rule(trace, sc.trigger.sigma, sc.dos, measure_robustness(trace.attempts, sc.dos))
+    got = (len(trace), len(trace.attempts), sum(ok for _, ok in trace.attempts), len(trace.dos_onsets),
+           trace.diverged, ges, rule.holds)
+    assert got == PINNED_BEHAVIOUR[name, logic, mode]
+
+
+def test_trace_stats_count_blocks_and_are_reproducible():
+    plant = random_stabilized_plant(np.random.default_rng(8))
+    trig = standard_trigger(plant, feasible_sigma(plant))
+    seq, budget, _ = budgeted_jam(5, trig, tau_avg=6.0, horizon=4.0)
+    cfg = _config(plant, LogicKind.EVENT_TIME, trig, dos=seq, budget=budget, horizon=4.0)
+    a, b = run(cfg), run(cfg)
+    assert a.stats == b.stats
+    assert set(a.stats) == {"blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "root_trials"}
+    assert all(type(v) is int for v in a.stats.values())
+    assert a.stats["rows_emitted"] == len(a)
+    assert 0 < a.stats["blocks_stepped"] < len(a)
+    assert 0 < a.stats["crossing_searches"] <= a.stats["cells_scanned"]
+    assert a.stats["root_trials"] > 0
+    periodic = run(_config(plant, LogicKind.PURE_TIME, trig, dos=seq, budget=budget, horizon=4.0))
+    assert periodic.stats["crossing_searches"] == periodic.stats["cells_scanned"] == 0
+
+
+def _rule_trace(t, ratio, x_norm, attempt, success):
+    n = len(t)
+    return Trace(
+        t=t, x=x_norm[:, None], u=np.zeros((n, 1)), e_norm=ratio * x_norm, x_norm=x_norm,
+        jammed=np.zeros(n, dtype=np.int8), attempt=attempt, success=success, attempts=(), dos_onsets=(),
+        diverged=False, divergence_time=None, horizon=float(t[-1]), crossing_tol=1e-9,
+    )
+
+
+def test_check_update_rule_matches_the_per_interval_loop():
+    rng = np.random.default_rng(2024)
+    sigma = 0.5
+    dur = rng.uniform(0.01, 0.05, size=240)
+    space = np.where(rng.random(240) < 0.2, 0.0, rng.uniform(0.0, 0.05, size=240))  # some intervals touch
+    intervals, h = [], 0.1
+    for d, gap in zip(dur.tolist(), space.tolist()):
+        intervals.append((h, d))
+        h = h + d + gap
+    seq = DosSequence(tuple(intervals))
+    # gaps up to 0.2 make inflated windows reach over several later ones
+    gaps = rng.uniform(0.0, 0.2, size=240)
+    rob = SamplingRobustness(delta_star=float(gaps.max()), tau_star=float(dur.min()),
+                             delta_per_interval=tuple(gaps.tolist()))
+    end = float(seq.ends[-1]) + 0.5
+    # rows on every window edge, just inside and outside, plus random ones
+    starts = seq.onsets - 1e-9
+    reach = seq.ends + gaps + 1e-9
+    t = np.sort(np.concatenate((
+        rng.uniform(0.0, end, size=800), starts, reach, np.nextafter(starts, -1.0), np.nextafter(reach, -1.0),
+    )))
+    n = len(t)
+    x_norm = rng.uniform(0.5, 2.0, size=n)
+    attempt = (rng.random(n) < 0.1).astype(np.int8)
+    success = attempt * (rng.random(n) < 0.5).astype(np.int8)
+    verdicts = set()
+    for draw in range(4):
+        ratio = rng.uniform(0.0, 3.0 if draw % 2 else 1.0, size=n) * sigma
+        for s, r in ((seq, rob), (DosSequence(()), SamplingRobustness(delta_star=0.1, tau_star=1.0))):
+            trace = _rule_trace(t, ratio, x_norm, attempt, success)
+            got = check_update_rule(trace, sigma, s, r)
+            assert (got.holds, got.first_violation, got.worst_ratio) == update_rule_by_loop(trace, sigma, s, r)
+            verdicts.add(got.holds)
+    assert verdicts == {True, False}
+    # one violating row at a time: holds says exactly whether that row is exempt
+    calm = np.full(n, 0.5 * sigma)
+    for i in rng.choice(n, size=300, replace=False):
+        ratio = calm.copy()
+        ratio[i] = 2.0 * sigma
+        trace = _rule_trace(t, ratio, x_norm, attempt, success)
+        got = check_update_rule(trace, sigma, seq, rob)
+        assert (got.holds, got.first_violation, got.worst_ratio) == update_rule_by_loop(trace, sigma, seq, rob)
 
 
 def test_sim_config_validation():
