@@ -7,6 +7,8 @@ sim / analysis (see parse_scenario). Exit codes form the tool's contract:
     1  input problem (parse error, missing file, infeasible generator)
     2  analyze only: some certificate is infeasible at the configured budget
     3  simulate only: a certified property failed in simulation
+    4  internal error: an unexpected exception, a bug in dosloop rather than
+       in the input; "internal error:" and the traceback go to stderr
 
 Exit code 3 is the signal worth paging someone over: it means a bound that
 the analysis certified was violated by the trajectory it certifies.
@@ -19,6 +21,7 @@ import functools
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -583,6 +586,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, EnvelopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:  # anything else is a bug, not bad input: keep it off exit 1
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

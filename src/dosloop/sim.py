@@ -25,7 +25,8 @@ Trace rows are written into growable numpy column arrays, a row or a block
 at a time. The run loop takes its jam state from its cursor over the sorted
 jam breakpoints, not from a search per stop, and computes the input K x_held
 only when the held sample changes. Trace.to_csv formats rows with one format
-string in fixed-size blocks, one write per block, lines ending in CRLF.
+string in fixed-size blocks, one write per block, lines ending in CRLF; the
+input cells are formatted once per run of equal rows.
 
 Runs are bit-reproducible: no randomness, no wall-clock dependence.
 """
@@ -58,6 +59,8 @@ _GES_SLACK = 1e-6
 _RULE_SLACK = 1e-6
 # Trace rows formatted per write in Trace.to_csv.
 _CSV_BLOCK_ROWS = 1024
+# Text of the jammed,attempt,success cells, indexed by 4 jammed + 2 attempt + success.
+_CSV_FLAGS = np.array([f"{j},{a},{s}\r\n" for j in (0, 1) for a in (0, 1) for s in (0, 1)], dtype=object)
 # Cells in the first block of a crossing scan; each later block doubles,
 # up to POWER_TABLE_ROWS.
 _SCAN_BLOCK_MIN = 16
@@ -159,7 +162,10 @@ class Trace:
         Attempt rows come in pre/post pairs at the same timestamp on success;
         the pre row carries the attempt and success flags. Rows are
         formatted and written in blocks of _CSV_BLOCK_ROWS, so memory stays
-        flat however long the trace is.
+        flat however long the trace is. The input u changes only at updates
+        and jam edges, so each run of rows with bit-identical u (-0.0 and NaN
+        keep their own text) has its u cells formatted once, and the flag
+        cells come from a table of their 8 spellings.
         """
         n = self.x.shape[1]
         m = self.u.shape[1]
@@ -169,14 +175,26 @@ class Trace:
             + [f"u{j + 1}" for j in range(m)]
             + ["e_norm", "x_norm", "jammed", "attempt", "success"]
         )
-        line = "%.17g," * (n + m + 3) + "%d,%d,%d\r\n"
+        line = "%.17g," * (n + 1) + "%s%.17g,%.17g,%s"
+        u_cells = "%.17g," * m
+        flags = self.jammed * 4 + self.attempt * 2 + self.success
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             for lo in range(0, len(self), _CSV_BLOCK_ROWS):
                 b = slice(lo, lo + _CSV_BLOCK_ROWS)
-                floats = np.column_stack((self.t[b], self.x[b], self.u[b], self.e_norm[b], self.x_norm[b])).tolist()
-                flags = np.column_stack((self.jammed[b], self.attempt[b], self.success[b])).tolist()
-                fh.write("".join([line % (*f, *g) for f, g in zip(floats, flags)]))
+                u = self.u[b]
+                bits = u.view(np.int64)
+                new_run = np.ones(len(u), dtype=bool)
+                new_run[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+                u_text = np.array([u_cells % tuple(r) for r in u[new_run].tolist()], dtype=object)
+                cells = np.empty((len(u), n + 5), dtype=object)
+                cells[:, 0] = self.t[b]
+                cells[:, 1 : n + 1] = self.x[b]
+                cells[:, n + 1] = u_text[np.cumsum(new_run) - 1]
+                cells[:, n + 2] = self.e_norm[b]
+                cells[:, n + 3] = self.x_norm[b]
+                cells[:, n + 4] = _CSV_FLAGS[flags[b]]
+                fh.write("".join([line % tuple(row) for row in cells.tolist()]))
 
 
 def _norm(v: FloatArray) -> float:

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written by a different route than the library
 code: closed forms where the library integrates, integration where the library
-uses a closed form or matrix exponentials, an eigenvalue or Kronecker solve
-where the library calls an SVD or Bartels-Stewart, grid counting where the
-library uses interval arithmetic, sampled exponentials where the library
-proves an envelope. Keep it that way; the value of these oracles is that they share
-no code path with what they check.
+uses a closed form or matrix exponentials, an eigenvalue solve where the
+library calls an SVD, grid counting where the library uses interval
+arithmetic, sampled exponentials where the library proves an envelope, one
+format per row where the library formats runs of rows at once. Keep it that
+way; the value of these oracles is that they share no code path with what
+they check.
 """
 
 from __future__ import annotations
@@ -93,17 +94,6 @@ def gram_spectral_norm(M: np.ndarray) -> float:
     """Largest singular value as the square root of the top eigenvalue of M^T M (no SVD)."""
     M = np.asarray(M, dtype=float)
     return math.sqrt(max(float(np.linalg.eigvalsh(M.T @ M)[-1]), 0.0))
-
-
-def kronecker_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve F^T P + P F + Q = 0 as one dense n^2 x n^2 linear system (no Schur form).
-
-    Row-major vec: vec(F^T P) = kron(F^T, I) vec(P), vec(P F) = kron(I, F^T) vec(P).
-    """
-    n = F.shape[0]
-    eye = np.eye(n)
-    L = np.kron(F.T, eye) + np.kron(eye, F.T)
-    return np.linalg.solve(L, -np.asarray(Q, dtype=float).reshape(-1)).reshape(n, n)
 
 
 def exp_norm(M: np.ndarray, t: float) -> float:
@@ -320,3 +310,22 @@ def update_rule_by_loop(trace, sigma: float, seq, robustness) -> tuple[bool, flo
         ratios = np.where(trace.x_norm > 0, trace.e_norm / np.maximum(trace.x_norm, 1e-300), 0.0)
     worst = float(ratios[~exempt].max()) if np.any(~exempt) else 0.0
     return bad.size == 0, float(trace.t[bad[0]]) if bad.size else None, worst
+
+
+def csv_by_row(trace) -> bytes:
+    """Trace.to_csv's bytes, formatting every row with one format string, u cells included.
+
+    The library formats the u cells once per run of bit-identical rows and
+    takes the flag cells from a table; here every cell of every row goes
+    through %.17g or %d.
+    """
+    n, m = trace.x.shape[1], trace.u.shape[1]
+    header = (
+        ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{j + 1}" for j in range(m)]
+        + ["e_norm", "x_norm", "jammed", "attempt", "success"]
+    )
+    line = "%.17g," * (n + m + 3) + "%d,%d,%d\r\n"
+    floats = np.column_stack((trace.t, trace.x, trace.u, trace.e_norm, trace.x_norm)).tolist()
+    flags = np.column_stack((trace.jammed, trace.attempt, trace.success)).tolist()
+    text = ",".join(header) + "\r\n" + "".join([line % (*f, *g) for f, g in zip(floats, flags)])
+    return text.encode()

@@ -414,3 +414,48 @@ def test_cli_import_does_not_load_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_analyze_and_gen_dos_never_load_scipy(tmp_path):
+    # importing scipy.linalg is most of a fresh process's start-up time; only
+    # the commands that integrate the plant (simulate, sweep) may pay for it
+    src = Path(dosloop.__file__).resolve().parent.parent
+    scenario = src.parent / "scenarios" / "double_integrator.json"
+    code = """
+import json, sys
+from dosloop.cli import main
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+scenario, out = sys.argv[1], sys.argv[2]
+loaded = {"import": scipy_modules()}
+codes = {"analyze": main(["analyze", "--config", scenario])}
+loaded["analyze"] = scipy_modules()
+codes["gen-dos"] = main(["gen-dos", "--kind", "random", "--kappa", "0.6", "--tau", "12", "--seed", "3",
+                         "--horizon", "6", "--min-duration", "0.1", "--min-gap", "0.04", "--out", out + "/jam.txt"])
+loaded["gen-dos"] = scipy_modules()
+codes["simulate"] = main(["simulate", "--config", scenario, "--out", out + "/trace.csv"])
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code, str(scenario), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["loaded"] == {"import": [], "analyze": [], "gen-dos": []}
+    assert result["codes"] == {"analyze": 0, "gen-dos": 0, "simulate": 0}
+
+
+def test_internal_error_exits_4_with_its_traceback(scalar_config, tmp_path, monkeypatch, capsys):
+    def broken(sc):
+        raise RuntimeError("bug in the report")
+
+    monkeypatch.setattr(cli_mod, "analysis_report", broken)
+    assert main(["analyze", "--config", str(scalar_config)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:\nTraceback (most recent call last):")
+    assert err.rstrip().endswith("RuntimeError: bug in the report")
+    # bad input keeps exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["analyze", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -22,7 +22,7 @@ from dosloop import (
     spectral_norm,
 )
 from conftest import assert_close, random_stabilized_plant
-from oracles import envelope_grid, first_envelope_violation, gram_spectral_norm, kronecker_lyapunov
+from oracles import envelope_grid, first_envelope_violation, gram_spectral_norm
 
 
 def test_spectral_norm_known_values():
@@ -98,7 +98,8 @@ def test_solve_lyapunov_residual_and_oracle():
         P = solve_lyapunov(F, Q)
         residual = F.T @ P + P @ F + Q
         assert np.linalg.norm(residual, 2) <= 1e-8 * np.linalg.norm(Q, 2)
-        P_ref = kronecker_lyapunov(F, Q)
+        # Schur-based Bartels-Stewart: no code path shared with the library's Kronecker solve
+        P_ref = scipy.linalg.solve_continuous_lyapunov(F.T, -Q)
         assert np.allclose(P, P_ref, rtol=1e-8, atol=1e-10)
         assert np.allclose(P, P.T)
         assert np.linalg.eigvalsh(P)[0] > 0.0
@@ -126,7 +127,8 @@ def test_solve_lyapunov_rejects_bad_inputs():
         np.zeros((2, 2)),
         np.array([[0.0, 1.0], [-1.0, 0.0]]),
         np.diag([1.0, -1.0]),
-        # extreme scales: scipy finds no Schur form / returns a non-finite P
+        # extreme scales, on which scipy's Bartels-Stewart finds no Schur form
+        # or returns a non-finite P
         np.array([[0.0, 0.0, -1e-213], [1e-113, 0.0, 0.0], [-1e110, -1e-218, 0.0]]),
         np.array([[0.0, 0.0, 1e-219], [0.0, 0.0, 0.0], [-1e-272, 1e171, 0.0]]),
     ],
@@ -255,6 +257,16 @@ def test_envelope_error_names_the_failed_inequality():
     # the residual is computed as 0, but the rounding bound on forming it is not small
     with pytest.raises(EnvelopeError, match=r"^no decay envelope: residual bound r = 4 >= 1$"):
         decay_envelope(np.array([[-1.0, 2.0**26], [0.0, -1.0]]))
+
+
+def test_wide_diagonal_plant_meets_the_conditioning_inequality_not_the_residual():
+    # Phi = diag(-2^-k, -2^k): P = diag(2^(k-1), 2^(-k-1)) is exact, so the
+    # plant is accepted while cond(P) = 2^(2k) stays under the eigvalsh error
+    # bound and rejected by that inequality beyond it, never by the residual
+    env = decay_envelope(np.diag([-(2.0**-24), -(2.0**24)]))
+    assert env.mu >= 2.0**24 and env.lam > 0.0
+    with pytest.raises(EnvelopeError, match=r"^no decay envelope: a1 - err = .* <= 0 \(err = "):
+        decay_envelope(np.diag([-(2.0**-27), -(2.0**27)]))
 
 
 def test_envelope_bound_method():

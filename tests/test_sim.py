@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -38,7 +39,7 @@ from dosloop.cli import _applicable_certificates, certificates, scenario_from_di
 from dosloop.plant import POWER_TABLE_CACHE_SIZE, POWER_TABLE_ROWS, PROPAGATOR_CACHE_SIZE
 from dosloop.sim import _CSV_BLOCK_ROWS, Trace, _bracketed_root
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
-from oracles import restep_rows, rk4_first_crossing, update_rule_by_loop
+from oracles import csv_by_row, restep_rows, rk4_first_crossing, update_rule_by_loop
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -385,13 +386,17 @@ PINNED_BEHAVIOUR = {
 }
 
 
-@pytest.mark.parametrize("name,logic,mode", list(PINNED_BEHAVIOUR), ids="-".join)
-def test_shipped_scenarios_keep_their_pinned_behaviour(name, logic, mode):
+def _shipped_run(name, logic, mode):
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     doc["trigger"]["kind"] = logic
     doc["plant"]["input_mode"] = mode
     sc = scenario_from_dict(doc, SCENARIOS)
-    trace = run(sc.sim_config())
+    return sc, run(sc.sim_config())
+
+
+@pytest.mark.parametrize("name,logic,mode", list(PINNED_BEHAVIOUR), ids="-".join)
+def test_shipped_scenarios_keep_their_pinned_behaviour(name, logic, mode):
+    sc, trace = _shipped_run(name, logic, mode)
     feasible = [(a, b) for _, a, b, ok in _applicable_certificates(sc, certificates(sc)) if ok]
     ges = verify_ges(trace, *max(feasible, key=lambda ab: ab[1])).holds if feasible else None
     rule = check_update_rule(trace, sc.trigger.sigma, sc.dos, measure_robustness(trace.attempts, sc.dos))
@@ -590,6 +595,16 @@ def _reference_csv(trace) -> bytes:
     return buf.getvalue().encode()
 
 
+def _diverged_run():
+    """A run that diverges while jammed; its last row is NaN."""
+    return run(SimConfig(
+        plant=LtiPlant(A=np.array([[50.0]]), B=np.array([[1.0]]), K=np.array([[-60.0]])),
+        logic=LogicKind.IDEAL_EVENT, trigger=TriggerConfig(sigma=0.1, delta1=100.0, delta2=100.0),
+        dos=DosSequence(((1.0, 30.0),)), budget=DosBudget(kappa=40.0, tau_avg=2.0),
+        x0=np.array([1.0]), horizon=200.0, record_step=25.0,
+    ))
+
+
 def test_to_csv_bytes_match_a_csv_writer_reference(tmp_path):
     trig = TriggerConfig(sigma=0.25, delta1=0.05, delta2=0.19)
     # successful attempts, so pre/post row pairs at one timestamp
@@ -603,13 +618,7 @@ def test_to_csv_bytes_match_a_csv_writer_reference(tmp_path):
     touching = run(_config(plant, LogicKind.EVENT_TIME, slow, dos=DosSequence(((0.3, 0.2), (0.5, 0.1))),
                            budget=DosBudget(kappa=0.35, tau_avg=4.0), x0=[1.0, -0.0], horizon=30.0))
     assert len(touching) > 2 * _CSV_BLOCK_ROWS
-    # a diverged run whose last row is NaN
-    diverged = run(SimConfig(
-        plant=LtiPlant(A=np.array([[50.0]]), B=np.array([[1.0]]), K=np.array([[-60.0]])),
-        logic=LogicKind.IDEAL_EVENT, trigger=TriggerConfig(sigma=0.1, delta1=100.0, delta2=100.0),
-        dos=DosSequence(((1.0, 30.0),)), budget=DosBudget(kappa=40.0, tau_avg=2.0),
-        x0=np.array([1.0]), horizon=200.0, record_step=25.0,
-    ))
+    diverged = _diverged_run()
     assert diverged.diverged and np.isnan(diverged.x_norm[-1])
     for name, trace in (("paired", paired), ("touching", touching), ("diverged", diverged)):
         path = tmp_path / f"{name}.csv"
@@ -619,6 +628,32 @@ def test_to_csv_bytes_match_a_csv_writer_reference(tmp_path):
     assert b",-0," in (tmp_path / "touching.csv").read_bytes()
     assert b",nan," in (tmp_path / "diverged.csv").read_bytes()
     assert (tmp_path / "paired.csv").read_bytes().endswith(b"\r\n")
+
+
+@pytest.mark.parametrize("case", [*("-".join(key) for key in PINNED_BEHAVIOUR), "diverged", "signed_zero_and_nan_u"])
+def test_to_csv_bytes_match_the_per_row_writer(case, tmp_path):
+    if case == "diverged":
+        trace = _diverged_run()
+    elif case == "signed_zero_and_nan_u":
+        # runs of u differing only in the sign of zero or in a NaN payload must
+        # keep their own text: -0 is not 0, and a run break must not be missed
+        _, base = _shipped_run("double_integrator", "pure_time", "zero_during_dos")
+        u = base.u.copy()
+        u[::7] = -0.0
+        u[1::7] = 0.0
+        u[4::11] = np.nan
+        u[5::11] = -np.nan
+        trace = dataclasses.replace(base, u=u)
+        assert len(trace) > 2 * _CSV_BLOCK_ROWS
+    else:
+        trace = _shipped_run(*case.split("-"))[1]
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_bytes() == csv_by_row(trace)
+    if case == "signed_zero_and_nan_u":
+        text = path.read_bytes().decode()
+        cells = [row.split(",")[3] for row in text.splitlines()[1:]]
+        assert cells[:2] == ["-0", "0"] and cells[4:6] == ["nan", "nan"]
 
 
 @pytest.mark.parametrize("mode", list(InputMode))
