@@ -4,7 +4,8 @@ Scenarios are JSON documents with sections plant / trigger / dos / budget /
 sim / analysis (see parse_scenario). Exit codes form the tool's contract:
 
     0  command succeeded; every claimed property held
-    1  input problem (parse error, missing file, infeasible generator)
+    1  input problem (parse error, missing file, infeasible generator, a
+       jam sequence over its budget, an inadmissible delta2)
     2  analyze only: some certificate is infeasible at the configured budget
     3  simulate only: a certified property failed in simulation
     4  internal error: an unexpected exception, a bug in dosloop rather than
@@ -50,14 +51,19 @@ from .guarantees import (
     measure_robustness,
     xi_bar_measure,
 )
-from .linalg import EnvelopeError, FloatArray, spectral_norm
+from .linalg import EnvelopeError, FloatArray, as_weight, spectral_norm
 from .plant import InputMode, LtiPlant
 from .sim import SimConfig, check_update_rule, run, verify_ges
 from .triggers import LogicKind, TriggerConfig, Varphi, riccati_delta2, validate_trigger_for_plant
 
 
 class ScenarioError(ValueError):
-    """A scenario file is malformed or internally inconsistent."""
+    """Bad input: a malformed or inconsistent scenario file or command line.
+
+    The only ValueError that main reports as bad input (exit 1); any other
+    ValueError is a bug (exit 4), so input checks that the library raises as
+    ValueError are re-raised as ScenarioError where the input is read.
+    """
 
 
 @dataclass(eq=False)
@@ -77,17 +83,21 @@ class Scenario:
     delta2_was_computed: bool
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            plant=self.plant,
-            logic=self.logic,
-            trigger=self.trigger,
-            dos=self.dos,
-            budget=self.budget,
-            x0=self.x0,
-            horizon=self.horizon,
-            record_step=self.record_step,
-            crossing_tol=self.crossing_tol,
-        )
+        """The run settings, checked by SimConfig (jam budget, record_step, delta2, x0)."""
+        try:
+            return SimConfig(
+                plant=self.plant,
+                logic=self.logic,
+                trigger=self.trigger,
+                dos=self.dos,
+                budget=self.budget,
+                x0=self.x0,
+                horizon=self.horizon,
+                record_step=self.record_step,
+                crossing_tol=self.crossing_tol,
+            )
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -188,16 +198,14 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     vp = t.get("varphi") or {}
     if not isinstance(vp, dict):
         raise ScenarioError("trigger.varphi must be an object")
-    varphi = Varphi(
-        kind=str(vp.get("kind", "zero")),
-        scale=_as_float(vp.get("scale", 1.0), "trigger.varphi.scale"),
-    )
+    scale = _as_float(vp.get("scale", 1.0), "trigger.varphi.scale")
     delta2_was_computed = delta2_raw is None
-    if delta2_was_computed:
-        delta2 = riccati_delta2(spectral_norm(plant.phi), spectral_norm(plant.bk), sigma)
-    else:
+    if not delta2_was_computed:
         delta2 = _as_float(delta2_raw, "trigger.delta2")
     try:
+        varphi = Varphi(kind=str(vp.get("kind", "zero")), scale=scale)
+        if delta2_was_computed:
+            delta2 = riccati_delta2(spectral_norm(plant.phi), spectral_norm(plant.bk), sigma)
         trigger = TriggerConfig(sigma=sigma, delta1=delta1, delta2=delta2, varphi=varphi)
     except ValueError as exc:
         raise ScenarioError(f"trigger: {exc}") from exc
@@ -231,7 +239,10 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     if not isinstance(a, dict):
         raise ScenarioError("section 'analysis' must be an object")
     q_raw = a.get("Q")
-    Q = np.eye(plant.n) if q_raw is None else np.asarray(q_raw, dtype=float)
+    try:
+        Q = np.eye(plant.n) if q_raw is None else as_weight(q_raw, plant.n, "analysis.Q")
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(str(exc)) from exc
 
     return Scenario(
         plant=plant,
@@ -329,7 +340,10 @@ def analysis_report(sc: Scenario) -> dict[str, object]:
     """Key/value report over all three certificate families at the configured budget."""
     bundle = certificates(sc)
     ideal, sampled, lyap = bundle.ideal, bundle.sampled, bundle.lyapunov
-    delta2_bound = validate_trigger_for_plant(sc.trigger, sc.plant)
+    try:
+        delta2_bound = validate_trigger_for_plant(sc.trigger, sc.plant)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     report: dict[str, object] = {
         "logic": sc.logic.value,
         "sigma": sc.trigger.sigma,
@@ -505,18 +519,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_dos(args: argparse.Namespace) -> int:
-    if args.kind == "periodic":
-        if args.period is None or args.duty is None:
-            raise ScenarioError("gen-dos --kind periodic needs --period and --duty")
-        seq = gen_periodic(args.onset, args.period, args.duty, args.horizon)
-        budget = periodic_budget(args.period, args.duty)
-    elif args.kind == "random":
-        if args.kappa is None or args.tau is None or args.min_duration is None:
-            raise ScenarioError("gen-dos --kind random needs --kappa, --tau and --min-duration")
-        budget = DosBudget(kappa=args.kappa, tau_avg=args.tau)
-        seq = gen_random_budgeted(budget, args.min_duration, args.seed, args.horizon, args.min_gap)
-    else:
-        raise ScenarioError(f"unknown gen-dos kind {args.kind!r} (expected periodic or random)")
+    try:
+        if args.kind == "periodic":
+            if args.period is None or args.duty is None:
+                raise ScenarioError("gen-dos --kind periodic needs --period and --duty")
+            seq = gen_periodic(args.onset, args.period, args.duty, args.horizon)
+            budget = periodic_budget(args.period, args.duty)
+        elif args.kind == "random":
+            if args.kappa is None or args.tau is None or args.min_duration is None:
+                raise ScenarioError("gen-dos --kind random needs --kappa, --tau and --min-duration")
+            budget = DosBudget(kappa=args.kappa, tau_avg=args.tau)
+            seq = gen_random_budgeted(budget, args.min_duration, args.seed, args.horizon, args.min_gap)
+        else:
+            raise ScenarioError(f"unknown gen-dos kind {args.kind!r} (expected periodic or random)")
+    except ScenarioError:
+        raise
+    except ValueError as exc:  # the generators' argument checks
+        raise ScenarioError(str(exc)) from exc
     verdict = check_slow_average(seq, budget, args.horizon)
     if not verdict.ok:
         raise GenerationError(
@@ -583,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
     except GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, EnvelopeError) as exc:
+    except (OSError, EnvelopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # anything else is a bug, not bad input: keep it off exit 1

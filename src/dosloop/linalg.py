@@ -64,6 +64,18 @@ def require_square(M: FloatArray, name: str = "matrix") -> FloatArray:
     return M
 
 
+def as_weight(Q: ArrayLike, n: int, name: str = "Q") -> FloatArray:
+    """Coerce to a symmetric positive-definite n x n float matrix, raising ValueError otherwise."""
+    Qm = require_square(as_matrix(Q, name), name)
+    if Qm.shape[0] != n:
+        raise ValueError(f"{name} must be {n} x {n}, got shape {Qm.shape}")
+    if float(np.linalg.norm(Qm - Qm.T, 2)) > 1e-10 * max(float(np.linalg.norm(Qm, 2)), 1.0):
+        raise ValueError(f"{name} must be symmetric")
+    if float(np.linalg.eigvalsh(Qm)[0]) <= 0.0:
+        raise ValueError(f"{name} must be positive definite")
+    return Qm
+
+
 def mat_exp(M: ArrayLike, t: float) -> FloatArray:
     """exp(M t), computed by scaling-and-squaring with a Pade rational core.
 
@@ -104,15 +116,8 @@ def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:
     Hurwitz).
     """
     F = require_square(as_matrix(Phi, "Phi"), "Phi")
-    Qm = require_square(as_matrix(Q, "Q"), "Q")
-    if F.shape != Qm.shape:
-        raise ValueError(f"Phi and Q shapes differ: {F.shape} vs {Qm.shape}")
-    q_norm = float(np.linalg.norm(Qm, 2))
-    if float(np.linalg.norm(Qm - Qm.T, 2)) > 1e-10 * max(q_norm, 1.0):
-        raise ValueError("Q must be symmetric")
-    if float(np.linalg.eigvalsh(Qm)[0]) <= 0.0:
-        raise ValueError("Q must be positive definite")
-    return _lyapunov(F, Qm, q_norm)[0]
+    Qm = as_weight(Q, F.shape[0])
+    return _lyapunov(F, Qm, float(np.linalg.norm(Qm, 2)))[0]
 
 
 def _lyapunov(F: FloatArray, Q: FloatArray, q_norm: float) -> tuple[FloatArray, float, FloatArray]:

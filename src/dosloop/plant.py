@@ -2,9 +2,13 @@
 
 The plant is x' = A x + B u with static gain K applied to the most recently
 received state sample, u = K * x_held. Between transmission instants the pair
-(x, x_held) evolves linearly, so single steps are integrated exactly through
-an augmented matrix exponential rather than an ODE stepper, and k equal steps
-are the first k powers of that one-step map.
+z = [x; x_held] evolves linearly, z' = M z with M = [[A, B K], [0, 0]] (or
+x' = A x with the input zeroed), so it is integrated exactly through the
+exponential of M rather than an ODE stepper. A single step of any length
+(LtiPlant.step) sums a Taylor table built once per plant and input mode
+while ||M||_F dt <= TAYLOR_THETA, where the truncated series is exact to
+rounding, and takes the augmented matrix exponential past that. k equal
+steps are the first k powers of that exponential's one-step map.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +40,12 @@ PROPAGATOR_CACHE_SIZE = 16
 # the memory they take does not depend on the horizon.
 POWER_TABLE_CACHE_SIZE = 4
 POWER_TABLE_ROWS = 256
+# Degree and reach of the single-step Taylor table (see LtiPlant.step): the
+# series is cut after the term of degree TAYLOR_DEGREE and used for steps
+# with ||M||_F dt <= TAYLOR_THETA, where the rest of it stays below 2.2e-17.
+TAYLOR_DEGREE = 18
+TAYLOR_THETA = 1.0
+_TAYLOR_EXPONENTS = np.arange(TAYLOR_DEGREE + 1, dtype=float)
 
 
 class InputMode(Enum):
@@ -51,6 +62,31 @@ def _held_input_blocks(F: FloatArray, G: FloatArray, dt: float) -> tuple[FloatAr
     M[:n, :n], M[:n, n:] = F, G
     E = mat_exp(M, dt)
     return E[:n, :n], E[:n, n:]
+
+
+def _taylor_table(F: FloatArray, G: FloatArray | None) -> tuple[FloatArray, float]:
+    """Scaled Taylor rows of exp(M dt), M = [[F, G], [0, 0]] (F alone when G is None), and their rate.
+
+    With rate = ||M||_F / TAYLOR_THETA and S = M / rate, block k of the
+    table, rows k n .. (k + 1) n - 1, is the top n rows of S^k / k!, so the
+    state after dt is sum_k (dt rate)^k (block k @ z). The scaling keeps
+    every entry within TAYLOR_THETA^k / k!, so no coefficient overflows and
+    no power of dt underflows however large or small ||M|| is. With M = 0
+    the rate is 0 and only block 0, the identity, is nonzero.
+    """
+    n = F.shape[0]
+    if G is None:
+        M = F
+    else:
+        M = np.zeros((2 * n, 2 * n))
+        M[:n, :n], M[:n, n:] = F, G
+    rate = float(np.linalg.norm(M)) / TAYLOR_THETA
+    S = M / rate if rate > 0.0 else M
+    rows = np.empty((TAYLOR_DEGREE + 1, n, M.shape[1]))
+    rows[0] = np.eye(n, M.shape[1])
+    for k in range(1, TAYLOR_DEGREE + 1):
+        rows[k] = rows[k - 1] @ S / k
+    return rows.reshape(-1, M.shape[1]), rate
 
 
 def _extend_powers(W: FloatArray, count: int) -> FloatArray:
@@ -78,13 +114,16 @@ class LtiPlant:
     Construction validates dimensions and builds the decay envelope of the
     closed-loop matrix (which doubles as the Hurwitz check) and the growth
     envelope of the open-loop matrix, both proved for all t >= 0 with stated
-    rounding slack (see dosloop.linalg). Exact propagators for the held-input
-    dynamics live in a least-recently-used table of PROPAGATOR_CACHE_SIZE
-    entries keyed by step length. power_table stacks the first k powers of
-    one propagator, built from it by doubling; tables of recurring lengths
-    stay in a second least-recently-used table of POWER_TABLE_CACHE_SIZE
-    entries, each at most POWER_TABLE_ROWS deep, so memory stays bounded over
-    any horizon.
+    rounding slack (see dosloop.linalg). step (and stepper, which serves many
+    step lengths from one start) advances the held-input dynamics by a single
+    step of any length: from a Taylor table of the augmented matrix, built on
+    first use per input mode, while ||M||_F dt <= TAYLOR_THETA, and from
+    propagator past that. Propagators, the exact matrix exponentials, live in
+    a least-recently-used table of PROPAGATOR_CACHE_SIZE entries keyed by step
+    length. power_table stacks the first k powers of one propagator, built
+    from it by doubling; tables of recurring lengths stay in a second
+    least-recently-used table of POWER_TABLE_CACHE_SIZE entries, each at most
+    POWER_TABLE_ROWS deep, so memory stays bounded over any horizon.
     """
 
     A: FloatArray
@@ -115,6 +154,7 @@ class LtiPlant:
         object.__setattr__(self, "_growth", growth_envelope(A))
         object.__setattr__(self, "_prop_cache", OrderedDict())
         object.__setattr__(self, "_power_cache", OrderedDict())
+        object.__setattr__(self, "_taylor", {})
 
     @property
     def n(self) -> int:
@@ -157,6 +197,62 @@ class LtiPlant:
             cache.popitem(last=False)
         return blocks
 
+    def stepper(
+        self, x: FloatArray, x_held: FloatArray, zero_input: bool = False, stats: dict[str, int] | None = None
+    ) -> Callable[[float], FloatArray]:
+        """The state x(dt) reached from x by held-input flow, as a function of dt.
+
+        The Taylor rows are applied to z = [x; x_held] (x alone, and M = A,
+        with the input zeroed) once, here, so each call costs one dot
+        product with the powers of dt ||M||_F / TAYLOR_THETA.
+
+        Truncation bound. Let r = ||M dt||_F <= TAYLOR_THETA = 1 and
+        K = TAYLOR_DEGREE = 18. The Frobenius norm is submultiplicative, so
+        ||(M dt)^k|| <= r^k, and (K+1+j)! >= (K+1)! j!, so the terms left out
+        of exp(M dt) = sum_k (M dt)^k / k! sum to at most
+
+            sum_{j >= 0} r^(K+1+j) / (K+1+j)! <= r^(K+1) / (K+1)! * e^r <= e / 19! = 2.2e-17
+
+        in norm. The top rows of that remainder move x(dt) by at most
+        2.2e-17 ||z||, below the unit roundoff 1.1e-16; the scaling in the
+        table moves r by a few roundoffs, which does not change this. Steps
+        with ||M||_F |dt| past TAYLOR_THETA take propagator(dt) instead.
+
+        Arguments are not validated (see exact_hold_step). Each call adds
+        one to stats["taylor_steps"] or stats["expm_steps"] when stats is
+        given.
+        """
+        table = self._taylor.get(zero_input)
+        if table is None:
+            table = self._taylor[zero_input] = _taylor_table(self.A, None if zero_input else self._bk)
+        rows, rate = table
+        z = x if zero_input else np.concatenate((x, x_held))
+        terms = (rows @ z).reshape(TAYLOR_DEGREE + 1, -1)
+
+        def advance(dt: float) -> FloatArray:
+            s = dt * rate
+            if abs(s) <= 1.0:
+                if stats is not None:
+                    stats["taylor_steps"] += 1
+                return s**_TAYLOR_EXPONENTS @ terms
+            if stats is not None:
+                stats["expm_steps"] += 1
+            T, H = self.propagator(dt, zero_input)
+            return T @ x if H is None else T @ x + H @ x_held
+
+        return advance
+
+    def step(
+        self,
+        x: FloatArray,
+        x_held: FloatArray,
+        dt: float,
+        zero_input: bool = False,
+        stats: dict[str, int] | None = None,
+    ) -> FloatArray:
+        """State after dt of held-input flow from x with x_held frozen; see stepper."""
+        return self.stepper(x, x_held, zero_input, stats)(dt)
+
     def power_table(self, dt: float, count: int, zero_input: bool = False, *, keep: bool = False) -> FloatArray:
         """Stacked powers of the dt propagator: row j-1 maps a state to j steps of dt later.
 
@@ -197,19 +293,17 @@ def exact_hold_step(
 ) -> FloatArray:
     """Advance x' = A x + B K x_held by dt > 0 with x_held frozen.
 
-    Exact (matrix-exponential) integration; with zero_input=True the input
-    term is dropped entirely, i.e. x' = A x. Validates its arguments on every
-    call; the simulator, whose vectors SimConfig has already checked, applies
-    the propagator blocks directly instead.
+    Exact integration by LtiPlant.step (a Taylor table exact to rounding for
+    short steps, the matrix exponential otherwise); with zero_input=True the
+    input term is dropped entirely, i.e. x' = A x. Validates its arguments on
+    every call; the simulator, whose vectors SimConfig has already checked,
+    calls LtiPlant.step directly instead.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     x0 = as_vector(x0, plant.n, "x0")
-    T, H = plant.propagator(float(dt), zero_input)
-    if H is None:
-        return T @ x0
-    xh = as_vector(x_held, plant.n, "x_held")
-    return T @ x0 + H @ xh
+    xh = x0 if zero_input else as_vector(x_held, plant.n, "x_held")
+    return plant.step(x0, xh, float(dt), zero_input)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,9 +17,14 @@ product of that table with z, up to POWER_TABLE_ROWS ticks per block, with
 vectorised norms and divergence guard. The event-crossing search evaluates
 its grid, anchored at its start, in blocks of 16 doubling up to
 POWER_TABLE_ROWS cells, and narrows the first cell where the threshold is
-reached by Illinois regula falsi. Off-grid steps and root-search trials are
-single T x + H x_held steps. Vectors are validated once, by SimConfig, not
-per step.
+reached by Illinois regula falsi. Every other step is a single step of a
+one-off length, by LtiPlant.step: off-tick steps of run(), the partial last
+cell of a scan, the step to a jam breakpoint between scans and every
+regula-falsi trial. Those steps are short, so they sum the plant's Taylor
+table rather than take a fresh matrix exponential each, and the trials of
+one bracketing cell share one product of that table with the cell's start
+state (LtiPlant.stepper), so each trial is one dot product. Vectors are
+validated once, by SimConfig, not per step.
 
 Trace rows are written into growable numpy column arrays, a row or a block
 at a time. The run loop takes its jam state from its cursor over the sorted
@@ -64,7 +69,15 @@ _CSV_FLAGS = np.array([f"{j},{a},{s}\r\n" for j in (0, 1) for a in (0, 1) for s 
 # Cells in the first block of a crossing scan; each later block doubles,
 # up to POWER_TABLE_ROWS.
 _SCAN_BLOCK_MIN = 16
-_STAT_KEYS = ("blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "root_trials")
+_STAT_KEYS = (
+    "blocks_stepped",
+    "rows_emitted",
+    "crossing_searches",
+    "cells_scanned",
+    "root_trials",
+    "taylor_steps",
+    "expm_steps",
+)
 
 
 def _new_stats() -> dict[str, int]:
@@ -131,8 +144,10 @@ class Trace:
 
     stats holds plain integer counters of the run: blocks_stepped (blocks of
     record ticks stepped as one product), rows_emitted, crossing_searches,
-    cells_scanned (crossing-grid cells evaluated) and root_trials (regula
-    falsi trials inside bracketing cells).
+    cells_scanned (crossing-grid cells evaluated), root_trials (regula
+    falsi trials inside bracketing cells), and taylor_steps and expm_steps
+    (single steps of LtiPlant.step taken from its Taylor table and, past
+    the table's reach, from the matrix exponential; trials included).
     """
 
     t: FloatArray
@@ -213,12 +228,6 @@ def _apply_powers(W: FloatArray, count: int, x: FloatArray, x_held: FloatArray, 
     return (W[:count].reshape(-1, W.shape[2]) @ z).reshape(count, -1)
 
 
-def _advance(plant: LtiPlant, x: FloatArray, x_held: FloatArray, dt: float, zero_input: bool) -> FloatArray:
-    """State after dt of held-input flow, unvalidated (callers pass checked vectors)."""
-    T, H = plant.propagator(dt, zero_input)
-    return T @ x if H is None else T @ x + H @ x_held
-
-
 def _bracketed_root(
     g: Callable[[float], float], lo: float, g_lo: float, hi: float, g_hi: float, tol: float
 ) -> float:
@@ -229,14 +238,17 @@ def _bracketed_root(
     a row is halved so that end moves too. Trials stay tol/2 inside the
     bracket so one step can close it once the secant is that accurate, and a
     bisection replaces the secant whenever two trials in a row failed to
-    halve the bracket (or the secant is not finite).
+    halve the bracket (or the secant is not finite). A bisection always counts
+    as halving it, so whether the next trial is a secant never hangs on how
+    one subtraction rounds.
     """
     side = 0
     stale = 0
     while hi - lo > tol:
         width = hi - lo
         c = min(max(hi - g_hi * (width / (g_hi - g_lo)), lo + 0.5 * tol), hi - 0.5 * tol)
-        if stale >= 2 or not lo < c < hi:
+        bisect = stale >= 2 or not lo < c < hi
+        if bisect:
             c = lo + 0.5 * width
         g_c = g(c)
         if g_c < 0.0:
@@ -249,7 +261,7 @@ def _bracketed_root(
             if side > 0:
                 g_lo *= 0.5
             side = 1
-        stale = stale + 1 if hi - lo > 0.5 * width else 0
+        stale = stale + 1 if not bisect and hi - lo > 0.5 * width else 0
     return hi
 
 
@@ -274,8 +286,12 @@ def find_event_crossing(
     wider than crossing_tol and returns its upper end, where g >= 0; returns
     None when no crossing occurs in the window. Full cells are evaluated in
     blocks of _SCAN_BLOCK_MIN up to POWER_TABLE_ROWS cells, each one product
-    with the cell's power table; a partial last cell is stepped on its own.
-    Searches, cells and root trials are added to stats when it is given.
+    with the cell's power table. The bracketing cell, and a partial last
+    cell, is stepped by one LtiPlant.stepper from the cell's start, so each
+    regula-falsi trial in it is one dot product with the plant's Taylor
+    table; the trial states equal exact exponential steps up to rounding.
+    Searches, cells, root trials and single steps are added to stats when it
+    is given.
     """
     window = t_max - t_from
     if window <= 0.0:
@@ -297,10 +313,12 @@ def find_event_crossing(
     def g(x: FloatArray) -> float:
         return _norm(xh - x) - sigma * _norm(x)
 
-    def root_in_cell(x_start: FloatArray, g_start: float, t_off: float, t_end: float, g_end: float) -> float:
+    def root_in_cell(
+        advance: Callable[[float], FloatArray], g_start: float, t_off: float, t_end: float, g_end: float
+    ) -> float:
         def trial(s: float) -> float:
             stats["root_trials"] += 1
-            return g(_advance(plant, x_start, xh, s, zero_input))
+            return g(advance(s))
 
         return t_from + t_off + _bracketed_root(trial, 0.0, g_start, t_end - t_off, g_end, crossing_tol)
 
@@ -322,7 +340,8 @@ def find_event_crossing(
             i = int(hit[0])
             if i:
                 x_prev, g_prev = X[i - 1], float(G[i - 1])
-            return root_in_cell(x_prev, g_prev, (done + i) * step, (done + i + 1) * step, float(G[i]))
+            advance = plant.stepper(x_prev, xh, zero_input, stats)
+            return root_in_cell(advance, g_prev, (done + i) * step, (done + i + 1) * step, float(G[i]))
         x_prev, g_prev = X[-1], float(G[-1])
         done += c
         size *= 2
@@ -332,8 +351,9 @@ def find_event_crossing(
     if window <= t_off:
         return None
     stats["cells_scanned"] += 1
-    g_cur = g(_advance(plant, x_prev, xh, window - t_off, zero_input))
-    return root_in_cell(x_prev, g_prev, t_off, window, g_cur) if g_cur >= 0.0 else None
+    advance = plant.stepper(x_prev, xh, zero_input, stats)
+    g_cur = g(advance(window - t_off))
+    return root_in_cell(advance, g_prev, t_off, window, g_cur) if g_cur >= 0.0 else None
 
 
 def _piecewise_crossing(
@@ -368,7 +388,7 @@ def _piecewise_crossing(
             return hit
         if seg_end >= t_max:
             return None
-        x = _advance(plant, x, xh, seg_end - t, zi)
+        x = plant.step(x, xh, seg_end - t, zi, stats)
         t = seg_end
     return None
 
@@ -561,9 +581,9 @@ def run(config: SimConfig) -> Trace:
 
         if stop > t:
             zi = zero_mode and jammed
-            # a full tick steps by exactly rs, so its propagator stays cached
+            # a full tick steps by exactly rs, as the row blocks do
             dt = rs if on_tick and stop == t_rec else stop - t
-            x_new = _advance(plant, state.x, state.x_held, dt, zi)
+            x_new = plant.step(state.x, state.x_held, dt, zi, stats)
             state = LoopState(stop, x_new, state.x_held, state.last_attempt_failed, state.t_held)
             # written so that a NaN state (inf - inf after overflow) also trips the guard
             if not _norm(x_new) <= DIVERGENCE_NORM:

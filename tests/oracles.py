@@ -251,6 +251,22 @@ def rk4_first_crossing(
     return None
 
 
+def expm_hold_step(
+    A: np.ndarray, BK: np.ndarray, x: np.ndarray, x_held: np.ndarray, dt: float, zero_input: bool = False
+) -> np.ndarray:
+    """x after dt of x' = A x + B K x_held (x' = A x when zero_input), x_held frozen.
+
+    One scipy.linalg.expm of the augmented matrix [[A, B K], [0, 0]] applied
+    to [x; x_held]; the library sums a Taylor table for such steps.
+    """
+    n = A.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = A
+    if not zero_input:
+        aug[:n, n:] = BK
+    return (scipy.linalg.expm(aug * dt) @ np.concatenate((x, x_held)))[:n]
+
+
 def restep_rows(trace, A: np.ndarray, B: np.ndarray, K: np.ndarray, zero_during_dos: bool = False) -> float:
     """Largest deviation of a trace row from its predecessor re-stepped by one expm.
 

@@ -459,3 +459,39 @@ def test_internal_error_exits_4_with_its_traceback(scalar_config, tmp_path, monk
     bad.write_text("{not json")
     assert main(["analyze", "--config", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_library_value_error_exits_4_but_input_checks_exit_1(scalar_config, tmp_path, monkeypatch, capsys):
+    # a ValueError from inside the library is a bug, not bad input
+    def broken(sc):
+        raise ValueError("shape mismatch in the report")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli_mod, "analysis_report", broken)
+        assert main(["analyze", "--config", str(scalar_config)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:\nTraceback (most recent call last):")
+    assert err.rstrip().endswith("ValueError: shape mismatch in the report")
+
+    # the input checks that the library raises as ValueError still read as bad input
+    def exits_1(argv, doc, needle):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        assert main([*argv[:1], "--config", str(path), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err, err
+
+    out = str(tmp_path / "t.csv")
+    over_budget = scalar_doc(dos={"intervals": [[1.0, 3.0]]})  # 3 s jammed against kappa = 0.6
+    exits_1(["simulate", "--out", out], over_budget, "violates its budget")
+    coarse = scalar_doc(sim={"x0": [1.0], "horizon": 6.0, "record_step": 0.01})  # > delta1 / 4
+    exits_1(["simulate", "--out", out], coarse, "record_step")
+    wide = scalar_doc(trigger={"kind": "pure_time", "sigma": 0.25, "delta1": 0.02, "delta2": 5.0})
+    exits_1(["simulate", "--out", out], wide, "exceeds")
+    exits_1(["analyze"], wide, "exceeds")
+    exits_1(["analyze"], scalar_doc(analysis={"Q": [[-1.0]]}), "analysis.Q must be positive definite")
+    exits_1(["analyze"], scalar_doc(trigger={"kind": "pure_time", "sigma": 0.25, "delta1": 0.02,
+                                             "varphi": {"kind": "cubic"}}), "unknown varphi kind")
+    assert main(["gen-dos", "--kind", "periodic", "--period", "1.0", "--duty", "1.5",
+                 "--horizon", "5", "--out", str(tmp_path / "x.txt")]) == 1
+    assert capsys.readouterr().err.startswith("error: duty must lie in (0, 1)")

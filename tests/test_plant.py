@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,8 +18,9 @@ from dosloop import (
     exact_hold_step,
     mat_exp,
 )
+from dosloop.plant import TAYLOR_THETA
 from conftest import random_stabilized_plant
-from oracles import rk4_hold_trajectory
+from oracles import expm_hold_step, rk4_hold_trajectory
 
 
 def _sample_plant(seed: int) -> LtiPlant:
@@ -115,3 +121,60 @@ def test_loop_state_defaults():
     st = LoopState(t=3.0, x=np.array([1.0, 2.0]), x_held=np.array([1.5, 1.0]))
     assert st.last_attempt_failed is False
     assert st.t_held == 0.0
+
+
+@pytest.mark.parametrize("zero_input", [False, True], ids=["hold", "zero_input"])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_taylor_step_matches_expm_of_the_augmented_matrix(n, zero_input):
+    rng = np.random.default_rng(900 + n)
+    plant = random_stabilized_plant(rng, n=n)
+    # the table covers ||M||_F dt <= TAYLOR_THETA, M = [[A, B K], [0, 0]] or A alone
+    reach = TAYLOR_THETA / np.linalg.norm(plant.A if zero_input else np.hstack((plant.A, plant.bk)))
+    # the top point stays a rounding margin inside, so the test does not hang on how reach rounds
+    grid = np.geomspace(1e-9 * reach, (1.0 - 1e-12) * reach, 25)
+    stats = {"taylor_steps": 0, "expm_steps": 0}
+    for k, dt in enumerate([*grid, 1.001 * reach, 4.0 * reach]):
+        x, xh = rng.normal(size=n), rng.normal(size=n)
+        want = expm_hold_step(plant.A, plant.bk, x, xh, dt, zero_input)
+        before = stats["expm_steps"]
+        got = plant.step(x, xh, float(dt), zero_input, stats)
+        assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(x), np.linalg.norm(xh)), (k, dt)
+        # past the reach the step is the matrix exponential, and says so
+        assert stats["expm_steps"] - before == (dt > reach)
+    assert stats == {"taylor_steps": len(grid), "expm_steps": 2}
+
+
+def test_stepper_serves_many_lengths_from_one_start():
+    rng = np.random.default_rng(17)
+    plant = random_stabilized_plant(rng, n=3)
+    x, xh = rng.normal(size=3), rng.normal(size=3)
+    for zero_input in (False, True):
+        advance = plant.stepper(x, xh, zero_input)
+        for dt in (1e-6, 3e-4, 0.02, 5.0):
+            assert np.array_equal(advance(dt), plant.step(x, xh, dt, zero_input))
+        assert np.array_equal(advance(0.0), x)
+
+
+def test_taylor_step_of_a_zero_matrix_is_the_identity():
+    # A = 0 with the input zeroed: x' = 0, and the table is the identity alone
+    plant = LtiPlant(A=np.array([[0.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
+    stats = {"taylor_steps": 0, "expm_steps": 0}
+    for dt in (1e-300, 1.0, 1e300):
+        assert plant.step(np.array([2.5]), np.array([7.0]), dt, True, stats).tolist() == [2.5]
+    assert stats == {"taylor_steps": 3, "expm_steps": 0}
+
+
+def test_taylor_step_loads_no_scipy():
+    code = (
+        "import sys, numpy as np\n"
+        "from dosloop import LtiPlant, exact_hold_step\n"
+        "p = LtiPlant(A=np.array([[0.0, 1.0], [0.0, 0.0]]), B=np.array([[0.0], [1.0]]), K=np.array([[-1.0, -1.0]]))\n"
+        "exact_hold_step(p, np.ones(2), np.ones(2), 1e-3)\n"
+        "p.step(np.ones(2), np.ones(2), 1e-3, True)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

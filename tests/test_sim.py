@@ -39,7 +39,7 @@ from dosloop.cli import _applicable_certificates, certificates, scenario_from_di
 from dosloop.plant import POWER_TABLE_CACHE_SIZE, POWER_TABLE_ROWS, PROPAGATOR_CACHE_SIZE
 from dosloop.sim import _CSV_BLOCK_ROWS, Trace, _bracketed_root
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
-from oracles import csv_by_row, restep_rows, rk4_first_crossing, update_rule_by_loop
+from oracles import csv_by_row, expm_hold_step, restep_rows, rk4_first_crossing, update_rule_by_loop
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -98,6 +98,42 @@ def test_find_event_crossing_matches_rk4_oracle(mode):
             assert -1e-11 <= (got - 0.3) - want <= tol + 1e-11, (k, tol, got - 0.3, want)
         hits += want is not None
     assert hits >= 4
+
+
+@pytest.mark.parametrize("zero_input", [False, True], ids=["hold", "zero_input"])
+def test_find_event_crossing_meets_its_contract_under_an_expm_oracle(zero_input):
+    # g = ||e|| - sigma ||x|| evaluated by one expm of the augmented matrix
+    # from the search's start, never through the plant's own steps: every
+    # returned t has g(t) >= 0 and g(t - crossing_tol) < 0, both up to a
+    # rounding slack (t itself is rounded, and a trial can land within
+    # rounding of the root)
+    rng = np.random.default_rng(77)
+    hits = 0
+    for k in range(12):
+        plant = random_stabilized_plant(rng)
+        sigma = feasible_sigma(plant)
+        trig = standard_trigger(plant, sigma)
+        x = rng.normal(size=plant.n)
+        e = rng.normal(size=plant.n)
+        e *= (float(rng.uniform(0.1, 0.9)) * sigma * np.linalg.norm(x) / np.linalg.norm(e)) if k % 3 else 0.0
+        slack = 1e-13 * max(np.linalg.norm(x), np.linalg.norm(x + e))
+
+        def g(s):
+            xs = expm_hold_step(plant.A, plant.bk, x, x + e, s, zero_input)
+            return np.linalg.norm(e + x - xs) - sigma * np.linalg.norm(xs)
+
+        t_from = float(rng.uniform(0.0, 2.0))
+        for tol in (1e-9, 1e-6):
+            for window, grid_step in ((4.0, None), (4.0 * trig.delta2, trig.delta1 / 8.0)):
+                t = find_event_crossing(plant, LoopState(t_from, x, x + e), sigma, t_from, t_from + window, tol,
+                                        grid_step=grid_step, zero_input=zero_input)
+                if t is None:
+                    continue
+                hits += 1
+                assert t_from < t <= t_from + window
+                assert g(t - t_from) >= -slack, (k, tol, grid_step)
+                assert g(t - t_from - tol) < slack, (k, tol, grid_step)
+    assert hits >= 30
 
 
 @pytest.mark.parametrize(
@@ -412,14 +448,20 @@ def test_trace_stats_count_blocks_and_are_reproducible():
     cfg = _config(plant, LogicKind.EVENT_TIME, trig, dos=seq, budget=budget, horizon=4.0)
     a, b = run(cfg), run(cfg)
     assert a.stats == b.stats
-    assert set(a.stats) == {"blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "root_trials"}
+    assert set(a.stats) == {
+        "blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "root_trials",
+        "taylor_steps", "expm_steps",
+    }
     assert all(type(v) is int for v in a.stats.values())
     assert a.stats["rows_emitted"] == len(a)
     assert 0 < a.stats["blocks_stepped"] < len(a)
     assert 0 < a.stats["crossing_searches"] <= a.stats["cells_scanned"]
     assert a.stats["root_trials"] > 0
+    # every trial is a single step, and these steps are all within the table's reach
+    assert a.stats["taylor_steps"] > a.stats["root_trials"] and a.stats["expm_steps"] == 0
     periodic = run(_config(plant, LogicKind.PURE_TIME, trig, dos=seq, budget=budget, horizon=4.0))
     assert periodic.stats["crossing_searches"] == periodic.stats["cells_scanned"] == 0
+    assert periodic.stats["taylor_steps"] > 0
 
 
 def _rule_trace(t, ratio, x_norm, attempt, success):
