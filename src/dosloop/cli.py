@@ -424,13 +424,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     bundle = certificates(sc)
     measured = measure_robustness(trace.attempts, sc.dos)
 
+    xi = xi_measure(sc.dos, sc.horizon)
+    xi_bar = xi_bar_measure(sc.dos, measured, sc.horizon)
+
     lines: dict[str, object] = {
         "trace_rows": len(trace),
         "diverged": trace.diverged,
         "delta_star_measured": measured.delta_star,
         "tau_star_measured": measured.tau_star,
-        "xi_horizon": xi_measure(sc.dos, sc.horizon),
-        "xi_bar_horizon": xi_bar_measure(sc.dos, measured, sc.horizon),
+        "xi_horizon": xi,
+        "xi_bar_horizon": xi_bar,
     }
 
     violation = False
@@ -456,8 +459,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lines["update_rule_first_violation"] = rule.first_violation
         violation = True
 
-    xi = xi_measure(sc.dos, sc.horizon)
-    xi_bar = xi_bar_measure(sc.dos, measured, sc.horizon)
     measure_ok = xi_bar <= xi * measured.inflation * (1.0 + 1e-9) + 1e-12
     lines["measure_inequality_holds"] = measure_ok
     if not measure_ok:
@@ -477,22 +478,23 @@ def _sweep_point(doc: dict, base_dir: Path, param: str, value: float) -> tuple[f
         patched.setdefault("trigger", {})["delta1"] = value
     else:
         raise ScenarioError(f"unknown sweep parameter {param!r} (expected tau, sigma or delta1)")
+    # Only input errors blank a point; anything else is a bug and reaches main's exit 4.
     try:
         sc = scenario_from_dict(patched, base_dir)
-        bundle = certificates(sc)
-    except (ScenarioError, GenerationError, ValueError):
+    except (ScenarioError, GenerationError):
         return (value, "nan", "nan", "nan", "")
+    bundle = certificates(sc)
     sampled = bundle.sampled
-    observed = ""
+    row = (value, repr(sampled.tau_min), repr(sampled.alpha), repr(sampled.beta))
     feasible = [(n, a, b) for n, a, b, ok in _applicable_certificates(sc, bundle) if ok]
-    if feasible:
-        try:
-            trace = run(sc.sim_config())
-            _, alpha, beta = max(feasible, key=lambda item: item[2])
-            observed = "true" if verify_ges(trace, alpha, beta).holds else "false"
-        except ValueError:
-            observed = ""
-    return (value, repr(sampled.tau_min), repr(sampled.alpha), repr(sampled.beta), observed)
+    if not feasible:
+        return (*row, "")
+    try:
+        config = sc.sim_config()
+    except ScenarioError:  # e.g. the jam sequence breaks this point's budget
+        return (*row, "")
+    _, alpha, beta = max(feasible, key=lambda item: item[2])
+    return (*row, "true" if verify_ges(run(config), alpha, beta).holds else "false")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -29,9 +29,16 @@ validated once, by SimConfig, not per step.
 Trace rows are written into growable numpy column arrays, a row or a block
 at a time. The run loop takes its jam state from its cursor over the sorted
 jam breakpoints, not from a search per stop, and computes the input K x_held
-only when the held sample changes. Trace.to_csv formats rows with one format
-string in fixed-size blocks, one write per block, lines ending in CRLF; the
-input cells are formatted once per run of equal rows.
+only when the held sample changes. Trace.to_csv writes the '%.17g' text of
+every float without formatting them one by one: a numpy kernel
+(dosloop._g17, loaded by the first to_csv) computes the 17 correctly rounded
+digits with an error-free double-double product (Dekker 1971) whose proved
+error, below 2^-46 of a unit in the last digit, can decide a rounding only
+within 1e-6 of a tie; those values, NaN, +-inf and |x| outside
+[1e-250, 1e250] go to '%.17g' % x itself. Digits come from a table of
+4-digit words, and each block of rows is one NUL-padded word matrix whose
+NUL bytes are dropped in one pass, one write per block, lines ending in
+CRLF; the input cells are formatted once per run of equal rows.
 
 Runs are bit-reproducible: no randomness, no wall-clock dependence.
 """
@@ -62,10 +69,16 @@ from .triggers import (
 DIVERGENCE_NORM = 1e12
 _GES_SLACK = 1e-6
 _RULE_SLACK = 1e-6
-# Trace rows formatted per write in Trace.to_csv.
+# Trace rows formatted per write in Trace.to_csv: at most _CSV_BLOCK_ROWS,
+# and no more rows than fill _CSV_BLOCK_CELLS float cells, which bounds the
+# formatting kernel's temporaries whatever the plant's size.
 _CSV_BLOCK_ROWS = 1024
-# Text of the jammed,attempt,success cells, indexed by 4 jammed + 2 attempt + success.
-_CSV_FLAGS = np.array([f"{j},{a},{s}\r\n" for j in (0, 1) for a in (0, 1) for s in (0, 1)], dtype=object)
+_CSV_BLOCK_CELLS = 4096
+# The jammed,attempt,success cells and the line end, one NUL-padded 8-byte
+# word per 4 jammed + 2 attempt + success.
+_CSV_FLAG_WORDS = np.frombuffer(
+    b"".join(f"{j},{a},{s}\r\n\0".encode() for j in (0, 1) for a in (0, 1) for s in (0, 1)), dtype=np.uint64
+)
 # Cells in the first block of a crossing scan; each later block doubles,
 # up to POWER_TABLE_ROWS.
 _SCAN_BLOCK_MIN = 16
@@ -175,13 +188,24 @@ class Trace:
         Floats carry 17 significant digits (%.17g) so values round-trip
         exactly; flags are 0/1. Lines end in CRLF, as csv.writer's do.
         Attempt rows come in pre/post pairs at the same timestamp on success;
-        the pre row carries the attempt and success flags. Rows are
-        formatted and written in blocks of _CSV_BLOCK_ROWS, so memory stays
-        flat however long the trace is. The input u changes only at updates
-        and jam edges, so each run of rows with bit-identical u (-0.0 and NaN
-        keep their own text) has its u cells formatted once, and the flag
-        cells come from a table of their 8 spellings.
+        the pre row carries the attempt and success flags.
+
+        The bytes are those of '%.17g' % x for every float, computed in bulk
+        by dosloop._g17.csv_cells: 17 correctly rounded digits from an
+        error-free double-double product with a proved error below 2^-46 of
+        a unit in the last digit (none for 1e-6 <= |x| < 1e17), so only
+        values within 1e-6 of a rounding tie elsewhere, NaN, +-inf and |x|
+        outside [1e-250, 1e250] are formatted one by one with '%.17g' % x.
+        Rows are formatted and written in blocks of at most _CSV_BLOCK_ROWS
+        rows and _CSV_BLOCK_CELLS floats, each one NUL-padded word matrix
+        whose NUL bytes are dropped, so memory stays flat however long the
+        trace is. The input u changes only at updates and jam edges, so each
+        run of rows with bit-identical u (-0.0 and NaN keep their own text)
+        has its u cells formatted once, and the flag cells come from a table
+        of their 8 spellings.
         """
+        from ._g17 import csv_cells  # on first use: commands that write no trace never load it
+
         n = self.x.shape[1]
         m = self.u.shape[1]
         header = (
@@ -190,26 +214,28 @@ class Trace:
             + [f"u{j + 1}" for j in range(m)]
             + ["e_norm", "x_norm", "jammed", "attempt", "success"]
         )
-        line = "%.17g," * (n + 1) + "%s%.17g,%.17g,%s"
-        u_cells = "%.17g," * m
-        flags = self.jammed * 4 + self.attempt * 2 + self.success
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for lo in range(0, len(self), _CSV_BLOCK_ROWS):
-                b = slice(lo, lo + _CSV_BLOCK_ROWS)
+        width = n + m + 3  # float cells per row
+        block = max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_CELLS // width))
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            for lo in range(0, len(self), block):
+                b = slice(lo, lo + block)
                 u = self.u[b]
+                rows = len(u)
                 bits = u.view(np.int64)
-                new_run = np.ones(len(u), dtype=bool)
+                new_run = np.ones(rows, dtype=bool)
                 new_run[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-                u_text = np.array([u_cells % tuple(r) for r in u[new_run].tolist()], dtype=object)
-                cells = np.empty((len(u), n + 5), dtype=object)
-                cells[:, 0] = self.t[b]
-                cells[:, 1 : n + 1] = self.x[b]
-                cells[:, n + 1] = u_text[np.cumsum(new_run) - 1]
-                cells[:, n + 2] = self.e_norm[b]
-                cells[:, n + 3] = self.x_norm[b]
-                cells[:, n + 4] = _CSV_FLAGS[flags[b]]
-                fh.write("".join([line % tuple(row) for row in cells.tolist()]))
+                own = np.column_stack((self.t[b], self.x[b], self.e_norm[b], self.x_norm[b]))
+                cells = csv_cells(np.concatenate((own.ravel(), u[new_run].ravel())))
+                own_cells = cells[:, : own.size].T.reshape(rows, n + 3, 4)
+                u_cells = cells[:, own.size :].T.reshape(-1, m, 4)
+                words = np.empty((rows, 4 * width + 1), dtype=np.uint64)
+                line = words[:, :-1].reshape(rows, width, 4)
+                line[:, : n + 1] = own_cells[:, : n + 1]
+                line[:, n + 1 : n + 1 + m] = u_cells[np.cumsum(new_run) - 1]
+                line[:, n + 1 + m :] = own_cells[:, n + 1 :]
+                words[:, -1] = _CSV_FLAG_WORDS.take(self.jammed[b] * 4 + self.attempt[b] * 2 + self.success[b])
+                fh.write(words.tobytes().translate(None, b"\0"))
 
 
 def _norm(v: FloatArray) -> float:

@@ -495,3 +495,26 @@ def test_library_value_error_exits_4_but_input_checks_exit_1(scalar_config, tmp_
     assert main(["gen-dos", "--kind", "periodic", "--period", "1.0", "--duty", "1.5",
                  "--horizon", "5", "--out", str(tmp_path / "x.txt")]) == 1
     assert capsys.readouterr().err.startswith("error: duty must lie in (0, 1)")
+
+
+def test_sweep_blanks_input_errors_but_a_library_error_exits_4(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(scalar_doc(dos={"intervals": [[1.0, 3.0]]})))  # 3 s jammed against kappa = 0.6
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(path), "--param", "sigma", "--from", "0.1", "--to", "0.2",
+            "--steps", "3", "--out", str(out)]
+    # a point whose jam sequence breaks its budget is bad input: a blank ges_observed
+    assert main(argv) == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 3 and all(r[4] == "" and r[1] != "nan" for r in rows)
+    capsys.readouterr()
+
+    def broken(sc):
+        raise ValueError("bug inside the library")
+
+    monkeypatch.setattr(cli_mod, "certificates", broken)
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:\nTraceback (most recent call last):")
+    assert err.rstrip().endswith("ValueError: bug inside the library")
