@@ -598,13 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, EnvelopeError) as exc:
+    except (ScenarioError, GenerationError, OSError) as exc:  # bad input, a plant with no envelope included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # anything else is a bug, not bad input: keep it off exit 1

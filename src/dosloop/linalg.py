@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel for desk-scale systems.
+"""Dense linear-algebra kernel for desk-scale systems, on numpy alone.
 
 Matrix exponentials, norms, Lyapunov solves, and exponential envelopes of
 the form ||exp(M t)|| <= c * exp(r t). State dimensions here are small
@@ -7,10 +7,10 @@ all t >= 0, with stated rounding slack: the decay envelope by Lyapunov's
 inequality with an a-posteriori residual bound, the growth envelope by the
 logarithmic norm. No exponential is sampled.
 
-The Lyapunov equation is solved as one n^2 x n^2 linear system with numpy's
-LAPACK solve, and scipy is imported only by mat_exp, on its first call. So
-`analyze` and `gen-dos`, which need no exponential, never load scipy, whose
-import is most of a fresh process's start-up time.
+Every exponential comes from one degree-18 Taylor kernel (_taylor_terms):
+mat_exp sums it at M t / 2^j and squares the sum j times, and the plant
+sums its top rows for single steps within its reach. The Lyapunov equation
+is solved as one n^2 x n^2 linear system with numpy's LAPACK solve.
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ FloatArray = NDArray[np.float64]
 _LYAP_RESIDUAL_REL = 1e-8
 _EPS = float(np.finfo(float).eps)
 _UNIT_ROUNDOFF = 0.5 * _EPS
+# The Taylor kernel (_taylor_terms) cuts the series of exp(X) after the term
+# of degree TAYLOR_DEGREE and sums it only at ||X||_F <= TAYLOR_THETA.
+TAYLOR_DEGREE = 18
+TAYLOR_THETA = 1.0
+_TAYLOR_EXPONENTS = np.arange(TAYLOR_DEGREE + 1, dtype=float)
+_TAYLOR_FACTORIALS = np.cumprod(np.maximum(_TAYLOR_EXPONENTS, 1.0))
 
 
 class LyapunovError(RuntimeError):
@@ -76,19 +82,56 @@ def as_weight(Q: ArrayLike, n: int, name: str = "Q") -> FloatArray:
     return Qm
 
 
-def mat_exp(M: ArrayLike, t: float) -> FloatArray:
-    """exp(M t), computed by scaling-and-squaring with a Pade rational core.
+def _taylor_terms(M: FloatArray, rows: int | None = None) -> tuple[FloatArray, float]:
+    """Taylor terms S^k / k! (top rows of each; all by default) of S = M / rate, rate = ||M||_F / TAYLOR_THETA.
 
-    scipy.linalg is imported on the first call, so code paths that take no
-    exponential never load scipy.
+    exp(M dt) is sum_k (dt rate)^k S^k / k! for |dt| rate <= 1, up to the
+    truncation below. The powers come by doubling (S^(a+k) = S^a S^k, a <= k,
+    in one product), each divided once by the exact k!. No entry exceeds
+    TAYLOR_THETA^k / k!, and the norm is taken of M / max|M|, so nothing
+    overflows however large or small ||M|| is (rate is inf only past the
+    largest double, and then S = 0). With M = 0 the rate is 0.
+
+    Truncation bound. Let X = M dt, r = ||X||_F <= TAYLOR_THETA = 1 and
+    K = TAYLOR_DEGREE. The Frobenius norm is submultiplicative and
+    (K+1+i)! >= (K+1)! i!, so the terms left out of exp(X) sum to R with
+    ||R|| <= r^(K+1) / (K+1)! * e^r <= e / 19! = 2.2e-17, below the unit
+    roundoff. Squared j times (mat_exp), the sum exp(X) - R = exp(X)(I + G),
+    with G = -exp(-X) R a power series in X, ||G|| <= r^(K+1) e^2 / 19!,
+    gives exp(2^j (X + log(I + G))): a relative perturbation of 2^j X below
+    r^K e^2 / 19! (1 + ||G||) <= 6.1e-17 whatever j is (Higham 2005). The
+    scaling by rate moves r by a few roundoffs, which changes neither bound.
     """
-    from scipy.linalg import expm
+    peak = float(np.abs(M).max())
+    rate = peak * float(np.linalg.norm(M / peak)) / TAYLOR_THETA if peak > 0.0 else 0.0
+    P = np.empty((TAYLOR_DEGREE + 1, *M.shape))
+    P[0], P[1] = np.eye(M.shape[0]), M / rate if rate > 0.0 else M
+    k = 1
+    while k < TAYLOR_DEGREE:
+        take = min(k, TAYLOR_DEGREE - k)
+        P[k + 1 : k + 1 + take] = P[1 : 1 + take] @ P[k]
+        k += take
+    return P[:, :rows] / _TAYLOR_FACTORIALS[:, None, None], rate
 
-    A = require_square(as_matrix(M))
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    return expm(A * t)
+
+def mat_exp(M: ArrayLike, t: float) -> FloatArray:
+    """exp(M t): the Taylor sum of _taylor_terms at M t / 2^j, squared j times (Moler & Van Loan 2003).
+
+    j = max(0, ceil(log2 ||M t||_F / TAYLOR_THETA)) puts the sum within its
+    proved reach. Raises ValueError for a non-finite t, M t or ||M t||_F.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = require_square(as_matrix(M)) * float(t)
+    if not np.isfinite(X).all():
+        raise ValueError("t and M t must be finite")
+    terms, rate = _taylor_terms(X)
+    if rate == math.inf:
+        raise ValueError("||M t||_F exceeds the largest double")
+    j = math.ceil(math.log2(rate)) if rate > 1.0 else 0
+    E = (math.ldexp(rate, -j) ** _TAYLOR_EXPONENTS @ terms.reshape(TAYLOR_DEGREE + 1, -1)).reshape(X.shape)
+    for _ in range(j):
+        E = E @ E
+    return E
 
 
 def spectral_norm(M: ArrayLike) -> float:
@@ -109,11 +152,10 @@ def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:
     with numpy's LAPACK solve (LU with partial pivoting). Its cost is O(n^6):
     about 0.1 ms at n = 8, 3 ms at n = 16 and 65 ms at n = 32 on a 2-vCPU
     host. scipy's O(n^3) Bartels-Stewart takes the same 0.1 ms at n = 8 and
-    wins only above the n <= 8 used here, but it would load scipy.linalg
-    (see the module docstring). Raises ValueError for a non-symmetric or non-
-    positive-definite Q, LyapunovError when the system is singular or the
-    solve leaves a large residual, or when P is not positive definite (not
-    Hurwitz).
+    wins only above the n <= 8 used here. Raises ValueError for a non-
+    symmetric or non-positive-definite Q, LyapunovError when the system is
+    singular or the solve leaves a large residual, or when P is not positive
+    definite (not Hurwitz).
     """
     F = require_square(as_matrix(Phi, "Phi"), "Phi")
     Qm = as_weight(Q, F.shape[0])

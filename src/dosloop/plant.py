@@ -5,9 +5,9 @@ received state sample, u = K * x_held. Between transmission instants the pair
 z = [x; x_held] evolves linearly, z' = M z with M = [[A, B K], [0, 0]] (or
 x' = A x with the input zeroed), so it is integrated exactly through the
 exponential of M rather than an ODE stepper. A single step of any length
-(LtiPlant.step) sums a Taylor table built once per plant and input mode
-while ||M||_F dt <= TAYLOR_THETA, where the truncated series is exact to
-rounding, and takes the augmented matrix exponential past that. k equal
+(LtiPlant.step) sums the top rows of linalg's Taylor kernel while
+||M||_F dt <= TAYLOR_THETA, where the truncated series is exact to rounding,
+and takes mat_exp, the same series scaled and squared, past that. k equal
 steps are the first k powers of that exponential's one-step map.
 """
 
@@ -24,6 +24,8 @@ from .linalg import (
     DecayEnvelope,
     FloatArray,
     GrowthEnvelope,
+    _TAYLOR_EXPONENTS,
+    _taylor_terms,
     as_matrix,
     as_vector,
     decay_envelope,
@@ -31,21 +33,12 @@ from .linalg import (
     mat_exp,
 )
 
-# Propagators kept per plant. Runs step mostly by a few fixed lengths (the
-# record step, the crossing-grid cell), so a small table holds every key
-# that recurs; one-off lengths are evicted least recently used first.
-PROPAGATOR_CACHE_SIZE = 16
 # Power tables kept per plant (LtiPlant.power_table with keep=True), and the
-# most powers one table holds: a few recurring lengths, at most 256 deep, so
-# the memory they take does not depend on the horizon.
+# most powers one table holds: a few recurring lengths (the record step, the
+# crossing-grid cell), at most 256 deep, so the memory they take does not
+# depend on the horizon.
 POWER_TABLE_CACHE_SIZE = 4
 POWER_TABLE_ROWS = 256
-# Degree and reach of the single-step Taylor table (see LtiPlant.step): the
-# series is cut after the term of degree TAYLOR_DEGREE and used for steps
-# with ||M||_F dt <= TAYLOR_THETA, where the rest of it stays below 2.2e-17.
-TAYLOR_DEGREE = 18
-TAYLOR_THETA = 1.0
-_TAYLOR_EXPONENTS = np.arange(TAYLOR_DEGREE + 1, dtype=float)
 
 
 class InputMode(Enum):
@@ -55,38 +48,28 @@ class InputMode(Enum):
     ZERO_DURING_DOS = "zero_during_dos"
 
 
-def _held_input_blocks(F: FloatArray, G: FloatArray, dt: float) -> tuple[FloatArray, FloatArray]:
-    """Blocks of exp([[F, G], [0, 0]] dt): z' = F z + G w, w frozen, gives z(dt) = E11 z + E12 w."""
+def _augmented(F: FloatArray, G: FloatArray | None) -> FloatArray:
+    """M = [[F, G], [0, 0]] of z' = F z + G w with w frozen; F alone when G is None."""
+    if G is None:
+        return F
     n = F.shape[0]
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n], M[:n, n:] = F, G
-    E = mat_exp(M, dt)
-    return E[:n, :n], E[:n, n:]
+    return M
+
+
+def _held_input_blocks(F: FloatArray, G: FloatArray | None, dt: float) -> tuple[FloatArray, FloatArray | None]:
+    """Blocks of exp(M dt), M = _augmented(F, G): z(dt) = E11 z + E12 w (E12 None when G is)."""
+    n = F.shape[0]
+    E = mat_exp(_augmented(F, G), dt)
+    return E[:n, :n], None if G is None else E[:n, n:]
 
 
 def _taylor_table(F: FloatArray, G: FloatArray | None) -> tuple[FloatArray, float]:
-    """Scaled Taylor rows of exp(M dt), M = [[F, G], [0, 0]] (F alone when G is None), and their rate.
-
-    With rate = ||M||_F / TAYLOR_THETA and S = M / rate, block k of the
-    table, rows k n .. (k + 1) n - 1, is the top n rows of S^k / k!, so the
-    state after dt is sum_k (dt rate)^k (block k @ z). The scaling keeps
-    every entry within TAYLOR_THETA^k / k!, so no coefficient overflows and
-    no power of dt underflows however large or small ||M|| is. With M = 0
-    the rate is 0 and only block 0, the identity, is nonzero.
-    """
-    n = F.shape[0]
-    if G is None:
-        M = F
-    else:
-        M = np.zeros((2 * n, 2 * n))
-        M[:n, :n], M[:n, n:] = F, G
-    rate = float(np.linalg.norm(M)) / TAYLOR_THETA
-    S = M / rate if rate > 0.0 else M
-    rows = np.empty((TAYLOR_DEGREE + 1, n, M.shape[1]))
-    rows[0] = np.eye(n, M.shape[1])
-    for k in range(1, TAYLOR_DEGREE + 1):
-        rows[k] = rows[k - 1] @ S / k
-    return rows.reshape(-1, M.shape[1]), rate
+    """Top n rows of the Taylor terms of M = _augmented(F, G), term k as rows k n .., and their rate."""
+    M = _augmented(F, G)
+    terms, rate = _taylor_terms(M, F.shape[0])
+    return terms.reshape(-1, M.shape[1]), rate
 
 
 def _extend_powers(W: FloatArray, count: int) -> FloatArray:
@@ -118,12 +101,11 @@ class LtiPlant:
     step lengths from one start) advances the held-input dynamics by a single
     step of any length: from a Taylor table of the augmented matrix, built on
     first use per input mode, while ||M||_F dt <= TAYLOR_THETA, and from
-    propagator past that. Propagators, the exact matrix exponentials, live in
-    a least-recently-used table of PROPAGATOR_CACHE_SIZE entries keyed by step
-    length. power_table stacks the first k powers of one propagator, built
-    from it by doubling; tables of recurring lengths stay in a second
-    least-recently-used table of POWER_TABLE_CACHE_SIZE entries, each at most
-    POWER_TABLE_ROWS deep, so memory stays bounded over any horizon.
+    propagator, the matrix exponential, past that. power_table stacks the
+    first k powers of one propagator, built from it by doubling; tables of
+    recurring lengths stay in a least-recently-used table of
+    POWER_TABLE_CACHE_SIZE entries, each at most POWER_TABLE_ROWS deep, so
+    memory stays bounded over any horizon.
     """
 
     A: FloatArray
@@ -152,7 +134,6 @@ class LtiPlant:
         object.__setattr__(self, "_bk", B @ K)
         object.__setattr__(self, "_decay", decay_envelope(self._phi))
         object.__setattr__(self, "_growth", growth_envelope(A))
-        object.__setattr__(self, "_prop_cache", OrderedDict())
         object.__setattr__(self, "_power_cache", OrderedDict())
         object.__setattr__(self, "_taylor", {})
 
@@ -183,19 +164,7 @@ class LtiPlant:
 
     def propagator(self, dt: float, zero_input: bool = False) -> tuple[FloatArray, FloatArray | None]:
         """Blocks (T, H) with x(t+dt) = T x(t) + H x_held; H is None when the input is zeroed."""
-        key = (float(dt), bool(zero_input))
-        cache = self._prop_cache
-        cached = cache.get(key)
-        if cached is not None:
-            cache.move_to_end(key)
-            return cached
-        blocks: tuple[FloatArray, FloatArray | None] = (
-            (mat_exp(self.A, dt), None) if zero_input else _held_input_blocks(self.A, self._bk, dt)
-        )
-        cache[key] = blocks
-        if len(cache) > PROPAGATOR_CACHE_SIZE:
-            cache.popitem(last=False)
-        return blocks
+        return _held_input_blocks(self.A, None if zero_input else self._bk, dt)
 
     def stepper(
         self, x: FloatArray, x_held: FloatArray, zero_input: bool = False, stats: dict[str, int] | None = None
@@ -204,30 +173,20 @@ class LtiPlant:
 
         The Taylor rows are applied to z = [x; x_held] (x alone, and M = A,
         with the input zeroed) once, here, so each call costs one dot
-        product with the powers of dt ||M||_F / TAYLOR_THETA.
-
-        Truncation bound. Let r = ||M dt||_F <= TAYLOR_THETA = 1 and
-        K = TAYLOR_DEGREE = 18. The Frobenius norm is submultiplicative, so
-        ||(M dt)^k|| <= r^k, and (K+1+j)! >= (K+1)! j!, so the terms left out
-        of exp(M dt) = sum_k (M dt)^k / k! sum to at most
-
-            sum_{j >= 0} r^(K+1+j) / (K+1+j)! <= r^(K+1) / (K+1)! * e^r <= e / 19! = 2.2e-17
-
-        in norm. The top rows of that remainder move x(dt) by at most
-        2.2e-17 ||z||, below the unit roundoff 1.1e-16; the scaling in the
-        table moves r by a few roundoffs, which does not change this. Steps
-        with ||M||_F |dt| past TAYLOR_THETA take propagator(dt) instead.
+        product with the powers of dt ||M||_F / TAYLOR_THETA. Within that
+        reach the truncated series moves x(dt) by at most 2.2e-17 ||z||
+        (linalg._taylor_terms); past it, steps take propagator(dt).
 
         Arguments are not validated (see exact_hold_step). Each call adds
-        one to stats["taylor_steps"] or stats["expm_steps"] when stats is
-        given.
+        one to stats["taylor_steps"] or, past the reach, stats["expm_steps"]
+        when stats is given.
         """
         table = self._taylor.get(zero_input)
         if table is None:
             table = self._taylor[zero_input] = _taylor_table(self.A, None if zero_input else self._bk)
         rows, rate = table
         z = x if zero_input else np.concatenate((x, x_held))
-        terms = (rows @ z).reshape(TAYLOR_DEGREE + 1, -1)
+        terms = (rows @ z).reshape(-1, len(x))
 
         def advance(dt: float) -> FloatArray:
             s = dt * rate
@@ -294,10 +253,10 @@ def exact_hold_step(
     """Advance x' = A x + B K x_held by dt > 0 with x_held frozen.
 
     Exact integration by LtiPlant.step (a Taylor table exact to rounding for
-    short steps, the matrix exponential otherwise); with zero_input=True the
-    input term is dropped entirely, i.e. x' = A x. Validates its arguments on
-    every call; the simulator, whose vectors SimConfig has already checked,
-    calls LtiPlant.step directly instead.
+    short steps, mat_exp otherwise); with zero_input=True the input term is
+    dropped entirely, i.e. x' = A x. Validates its arguments on every call;
+    the simulator, whose vectors SimConfig has already checked, calls
+    LtiPlant.step directly instead.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")

@@ -8,10 +8,10 @@ error. Traces carry regular samples plus dedicated rows at attempts (pre- and
 post-jump at the same timestamp) and jam breakpoints.
 
 Between two such events the loop state z = [x; x_held] follows z <- M z with
-M = [[T, H], [0, I]] from LtiPlant.propagator, so k equal steps are the
-first k powers of M. LtiPlant.power_table builds those powers by doubling
-from the one propagator, and keeps the tables of the lengths that recur
-(the record step, the crossing-grid cell) in a bounded per-plant cache.
+M = [[T, H], [0, I]] from LtiPlant.propagator (mat_exp, not cached), so k
+equal steps are the first k powers of M. LtiPlant.power_table builds those
+powers by doubling from the one propagator, and keeps the tables of the
+lengths that recur (record step, crossing-grid cell) in a bounded cache.
 run() steps every stretch of full record ticks before the next event as one
 product of that table with z, up to POWER_TABLE_ROWS ticks per block, with
 vectorised norms and divergence guard. The event-crossing search evaluates
@@ -160,7 +160,7 @@ class Trace:
     cells_scanned (crossing-grid cells evaluated), root_trials (regula
     falsi trials inside bracketing cells), and taylor_steps and expm_steps
     (single steps of LtiPlant.step taken from its Taylor table and, past
-    the table's reach, from the matrix exponential; trials included).
+    the table's reach, by the squaring in mat_exp; trials included).
     """
 
     t: FloatArray

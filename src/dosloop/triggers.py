@@ -116,8 +116,8 @@ def predict_state(plant: LtiPlant, x_at_t1: FloatArray, t1: float, t2: float) ->
     """Forward prediction of the state at t2 from a successful sample at t1.
 
     Applies the closed-loop flow operator driven by that same sample:
-    chi = [exp(Phi dt) + int_0^dt exp(Phi (dt - s)) B K ds] x(t1): the plant
-    propagator's Van Loan blocks with Phi for A, uncached so as to evict none.
+    chi = [exp(Phi dt) + int_0^dt exp(Phi (dt - s)) B K ds] x(t1): the Van
+    Loan blocks of the plant propagator with Phi for A.
     """
     if t2 < t1:
         raise ValueError(f"need t2 >= t1, got t1={t1}, t2={t2}")

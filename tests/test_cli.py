@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dosloop
-from dosloop import growth_envelope, riccati_delta2
+from dosloop import EnvelopeError, growth_envelope, riccati_delta2
 from dosloop import cli as cli_mod
 from dosloop.cli import (
     ScenarioError,
@@ -406,19 +406,9 @@ def test_worst_case_robustness_by_logic():
     assert rob3.delta_star == 0.0 and math.isinf(rob3.tau_star)
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # scipy.optimize alone adds about 19 MB and 0.2 s to every command's start-up
-    src = Path(dosloop.__file__).resolve().parent.parent
-    code = "import sys, dosloop.cli; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_analyze_and_gen_dos_never_load_scipy(tmp_path):
-    # importing scipy.linalg is most of a fresh process's start-up time; only
-    # the commands that integrate the plant (simulate, sweep) may pay for it
+def test_no_command_loads_scipy(tmp_path):
+    # the runtime needs numpy alone: importing scipy.linalg would be most of a
+    # fresh process's start-up time, and scipy.optimize adds about 19 MB more
     src = Path(dosloop.__file__).resolve().parent.parent
     scenario = src.parent / "scenarios" / "double_integrator.json"
     code = """
@@ -427,13 +417,17 @@ from dosloop.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 scenario, out = sys.argv[1], sys.argv[2]
-loaded = {"import": scipy_modules()}
-codes = {"analyze": main(["analyze", "--config", scenario])}
-loaded["analyze"] = scipy_modules()
-codes["gen-dos"] = main(["gen-dos", "--kind", "random", "--kappa", "0.6", "--tau", "12", "--seed", "3",
-                         "--horizon", "6", "--min-duration", "0.1", "--min-gap", "0.04", "--out", out + "/jam.txt"])
-loaded["gen-dos"] = scipy_modules()
-codes["simulate"] = main(["simulate", "--config", scenario, "--out", out + "/trace.csv"])
+loaded, codes = {"import": scipy_modules()}, {}
+for name, argv in [
+    ("analyze", ["analyze", "--config", scenario]),
+    ("gen-dos", ["gen-dos", "--kind", "random", "--kappa", "0.6", "--tau", "12", "--seed", "3", "--horizon", "6",
+                 "--min-duration", "0.1", "--min-gap", "0.04", "--out", out + "/jam.txt"]),
+    ("simulate", ["simulate", "--config", scenario, "--out", out + "/trace.csv"]),
+    ("sweep", ["sweep", "--config", scenario, "--param", "sigma", "--from", "0.03", "--to", "0.0488",
+               "--steps", "2", "--out", out + "/sweep.csv"]),
+]:
+    codes[name] = main(argv)
+    loaded[name] = scipy_modules()
 print(json.dumps({"loaded": loaded, "codes": codes}))
 """
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -441,8 +435,11 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["loaded"] == {"import": [], "analyze": [], "gen-dos": []}
-    assert result["codes"] == {"analyze": 0, "gen-dos": 0, "simulate": 0}
+    assert result["loaded"] == {"import": [], "analyze": [], "gen-dos": [], "simulate": [], "sweep": []}
+    assert result["codes"] == {"analyze": 0, "gen-dos": 0, "simulate": 0, "sweep": 0}
+    with open(tmp_path / "sweep.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 2 and all(r[4] == "true" for r in rows)
 
 
 def test_internal_error_exits_4_with_its_traceback(scalar_config, tmp_path, monkeypatch, capsys):
@@ -472,6 +469,18 @@ def test_library_value_error_exits_4_but_input_checks_exit_1(scalar_config, tmp_
     err = capsys.readouterr().err
     assert err.startswith("internal error:\nTraceback (most recent call last):")
     assert err.rstrip().endswith("ValueError: shape mismatch in the report")
+
+    # so is an EnvelopeError past parsing: a plant without an envelope is
+    # rejected, as bad input, where the scenario is read
+    def no_envelope(sc):
+        raise EnvelopeError("no decay envelope: raised after parsing")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli_mod, "analysis_report", no_envelope)
+        assert main(["analyze", "--config", str(scalar_config)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:\nTraceback (most recent call last):")
+    assert err.rstrip().endswith("EnvelopeError: no decay envelope: raised after parsing")
 
     # the input checks that the library raises as ValueError still read as bad input
     def exits_1(argv, doc, needle):

@@ -22,7 +22,7 @@ from dosloop import (
     spectral_norm,
 )
 from conftest import assert_close, random_stabilized_plant
-from oracles import envelope_grid, first_envelope_violation, gram_spectral_norm
+from oracles import envelope_grid, first_envelope_violation, gram_spectral_norm, mp_expm
 
 
 def test_spectral_norm_known_values():
@@ -87,6 +87,49 @@ def test_mat_exp_semigroup_and_inverse():
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-8 * scale
         prod = mat_exp(A, t) @ mat_exp(A, -t)
         assert np.linalg.norm(prod - np.eye(n), 2) <= 1e-8
+
+
+def _normal_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Q D Q^T with D block diagonal in 2 x 2 blocks [[a, b], [-b, a]] (and a 1 x 1 when n is odd)."""
+    D = np.zeros((n, n))
+    for i in range(0, n - 1, 2):
+        a, b = rng.normal(size=2)
+        D[i : i + 2, i : i + 2] = [[a, b], [-b, a]]
+    if n % 2:
+        D[-1, -1] = rng.normal()
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return Q @ D @ Q.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_mat_exp_matches_a_40_digit_reference(n):
+    # normal and non-normal (triangular) M, ||M t||_F from 1e-8 to 300 with
+    # either sign of t: relative 2-norm error of 1e-12 at most (about 1.5e-13
+    # seen; scipy's Pade reaches 2e-12 on the same cases)
+    rng = np.random.default_rng(700 + n)
+    for kind in ("normal", "triangular"):
+        for size in (1e-8, 1e-3, 0.5, 3.0, 40.0, 300.0):
+            M = _normal_matrix(rng, n) if kind == "normal" else np.triu(rng.normal(size=(n, n)))
+            t = float(rng.choice([-1.0, 1.0])) * size / float(np.linalg.norm(M))
+            want = mp_expm(M, t)
+            err = np.linalg.norm(mat_exp(M, t) - want, 2) / np.linalg.norm(want, 2)
+            assert err <= 1e-12, (kind, size, t, err)
+
+
+def test_mat_exp_scales_by_the_largest_entry_and_rejects_overflow():
+    # ||M||_F overflows a plain sum of squares, not M itself: the squaring
+    # count comes from the norm of M / max|M|, and exp(M) = e^-1e300 R is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = mat_exp(np.array([[-1e300, 1e300], [-1e300, -1e300]]), 1.0)
+    assert E.shape == (2, 2) and np.array_equal(E, np.zeros((2, 2)))
+    # an entry of M t past the float range is an argument error, as a non-finite t is
+    # and so is ||M t||_F past it
+    cases = [([[1e308]], 10.0), ([[1.0]], float("inf")), ([[1.0]], float("nan")), (np.full((2, 2), 1e308), 1.0)]
+    for M, t in cases:
+        with pytest.raises(ValueError):
+            mat_exp(M, t)
+    assert mat_exp(np.zeros((3, 3)), 1e300).tolist() == np.eye(3).tolist()
 
 
 def test_solve_lyapunov_residual_and_oracle():

@@ -2,11 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -18,9 +13,9 @@ from dosloop import (
     exact_hold_step,
     mat_exp,
 )
-from dosloop.plant import TAYLOR_THETA
+from dosloop.linalg import TAYLOR_THETA
 from conftest import random_stabilized_plant
-from oracles import expm_hold_step, rk4_hold_trajectory
+from oracles import expm_hold_step, mp_expm, rk4_hold_trajectory, scipy_expm
 
 
 def _sample_plant(seed: int) -> LtiPlant:
@@ -65,13 +60,6 @@ def test_propagator_blocks(rng):
     T0, H0 = plant.propagator(dt, zero_input=True)
     assert H0 is None
     assert np.array_equal(T0, T) or np.allclose(T0, T)
-
-
-def test_propagator_cache_returns_same_objects():
-    plant = _sample_plant(5)
-    a = plant.propagator(0.125)
-    b = plant.propagator(0.125)
-    assert a[0] is b[0] and a[1] is b[1]
 
 
 def test_semigroup_of_hold_step(rng):
@@ -135,7 +123,11 @@ def test_taylor_step_matches_expm_of_the_augmented_matrix(n, zero_input):
     stats = {"taylor_steps": 0, "expm_steps": 0}
     for k, dt in enumerate([*grid, 1.001 * reach, 4.0 * reach]):
         x, xh = rng.normal(size=n), rng.normal(size=n)
-        want = expm_hold_step(plant.A, plant.bk, x, xh, dt, zero_input)
+        # past the reach the step is the scaled and squared series, which is more
+        # accurate there than scipy's Pade (9e-14 relative error at n = 2): the
+        # reference for those points is a 40-digit exponential
+        exp = mp_expm if dt > reach else scipy_expm
+        want = expm_hold_step(plant.A, plant.bk, x, xh, dt, zero_input, exp)
         before = stats["expm_steps"]
         got = plant.step(x, xh, float(dt), zero_input, stats)
         assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(x), np.linalg.norm(xh)), (k, dt)
@@ -162,19 +154,3 @@ def test_taylor_step_of_a_zero_matrix_is_the_identity():
     for dt in (1e-300, 1.0, 1e300):
         assert plant.step(np.array([2.5]), np.array([7.0]), dt, True, stats).tolist() == [2.5]
     assert stats == {"taylor_steps": 3, "expm_steps": 0}
-
-
-def test_taylor_step_loads_no_scipy():
-    code = (
-        "import sys, numpy as np\n"
-        "from dosloop import LtiPlant, exact_hold_step\n"
-        "p = LtiPlant(A=np.array([[0.0, 1.0], [0.0, 0.0]]), B=np.array([[0.0], [1.0]]), K=np.array([[-1.0, -1.0]]))\n"
-        "exact_hold_step(p, np.ones(2), np.ones(2), 1e-3)\n"
-        "p.step(np.ones(2), np.ones(2), 1e-3, True)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"

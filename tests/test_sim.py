@@ -36,7 +36,7 @@ from dosloop import (
     verify_ges,
 )
 from dosloop.cli import _applicable_certificates, certificates, scenario_from_dict
-from dosloop.plant import POWER_TABLE_CACHE_SIZE, POWER_TABLE_ROWS, PROPAGATOR_CACHE_SIZE
+from dosloop.plant import POWER_TABLE_CACHE_SIZE, POWER_TABLE_ROWS
 from dosloop.sim import _CSV_BLOCK_ROWS, Trace, _bracketed_root
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
 from oracles import csv_by_row, expm_hold_step, restep_rows, rk4_first_crossing, update_rule_by_loop
@@ -318,28 +318,22 @@ def test_divergence_guard_catches_nan_state():
     assert not verify_ges(trace, alpha=1e6, beta=0.0).holds
 
 
-def test_propagator_cache_is_bounded_independent_of_horizon(monkeypatch):
+def test_power_table_cache_is_bounded_independent_of_horizon(monkeypatch):
     rng = np.random.default_rng(12)
     base = random_stabilized_plant(rng)
     sigma = feasible_sigma(base)
     trig = standard_trigger(base, sigma)
     period, duty = 40.0 * trig.delta1, 0.2
     x0 = rng.normal(size=base.n)
-    peak = [0, 0, 0]
-    original, original_table = LtiPlant.propagator, LtiPlant.power_table
-
-    def watched(self, dt, zero_input=False):
-        blocks = original(self, dt, zero_input)
-        peak[0] = max(peak[0], len(self._prop_cache))
-        return blocks
+    peak = [0, 0]
+    original_table = LtiPlant.power_table
 
     def watched_table(self, dt, count, zero_input=False, *, keep=False):
         table = original_table(self, dt, count, zero_input, keep=keep)
-        peak[1] = max(peak[1], len(self._power_cache))
-        peak[2] = max(peak[2], len(table), *(len(W) for W in self._power_cache.values()))
+        peak[0] = max(peak[0], len(self._power_cache))
+        peak[1] = max(peak[1], len(table), *(len(W) for W in self._power_cache.values()))
         return table
 
-    monkeypatch.setattr(LtiPlant, "propagator", watched)
     monkeypatch.setattr(LtiPlant, "power_table", watched_table)
     final = []
     for horizon in (2.0, 8.0):
@@ -347,12 +341,10 @@ def test_propagator_cache_is_bounded_independent_of_horizon(monkeypatch):
         seq = gen_periodic(0.5 * period, period, duty, horizon)
         run(_config(plant, LogicKind.EVENT_TIME, trig, dos=seq, budget=periodic_budget(period, duty),
                     x0=x0, horizon=horizon))
-        final.append((len(plant._prop_cache), len(plant._power_cache)))
-    assert peak[0] <= PROPAGATOR_CACHE_SIZE
-    assert peak[1] <= POWER_TABLE_CACHE_SIZE
-    assert peak[2] <= POWER_TABLE_ROWS
-    assert final[0] == final[1]
-    assert final[0][1] > 0
+        final.append(len(plant._power_cache))
+    assert peak[0] <= POWER_TABLE_CACHE_SIZE
+    assert peak[1] <= POWER_TABLE_ROWS
+    assert final[0] == final[1] > 0
 
 
 def test_power_table_rows_are_the_powers_of_one_step():
