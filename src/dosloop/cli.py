@@ -119,6 +119,8 @@ def _get(sec: dict, section: str, key: str, default=None, required: bool = True)
 
 def _as_float(value, where: str) -> float:
     try:
+        if isinstance(value, bool):  # float() would read a JSON true or false as 1.0 or 0.0
+            raise TypeError(value)
         return float(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: expected a number, got {value!r}") from exc
@@ -153,10 +155,13 @@ def _parse_dos(sec: dict, budget: DosBudget, horizon: float, base_dir: Path) -> 
             horizon=horizon,
         )
     if gkind == "random":
+        seed = _get(gen, "dos.generator", "seed")
+        if type(seed) is not int:  # int() would truncate 2.9 to 2 and read true as 1
+            raise ScenarioError(f"dos.generator.seed: expected an integer, got {seed!r}")
         return gen_random_budgeted(
             budget=budget,
             min_duration=_as_float(_get(gen, "dos.generator", "min_duration"), "dos.generator.min_duration"),
-            seed=int(_get(gen, "dos.generator", "seed")),
+            seed=seed,
             horizon=horizon,
             min_gap=_as_float(_get(gen, "dos.generator", "min_gap", 0.0), "dos.generator.min_gap"),
         )

@@ -69,10 +69,6 @@ class DosSequence:
     def ends(self) -> FloatArray:
         return self._end
 
-    def breakpoints(self) -> FloatArray:
-        """All onsets and ends, sorted (may contain duplicates when intervals touch)."""
-        return np.sort(np.concatenate((self._h, self._end)))
-
 
 @dataclass(frozen=True)
 class DosBudget:

@@ -33,9 +33,9 @@ from .linalg import (
     mat_exp,
 )
 
-# Power tables kept per plant (LtiPlant.power_table with keep=True), and the
-# most powers one table holds: a few recurring lengths (the record step, the
-# crossing-grid cell), at most 256 deep, so the memory they take does not
+# Power tables kept per plant (LtiPlant.power_table), and the most powers one
+# table holds: a few step lengths (run() uses the record step, with and
+# without the input), at most 256 deep, so the memory they take does not
 # depend on the horizon.
 POWER_TABLE_CACHE_SIZE = 4
 POWER_TABLE_ROWS = 256
@@ -102,10 +102,10 @@ class LtiPlant:
     step of any length: from a Taylor table of the augmented matrix, built on
     first use per input mode, while ||M||_F dt <= TAYLOR_THETA, and from
     propagator, the matrix exponential, past that. power_table stacks the
-    first k powers of one propagator, built from it by doubling; tables of
-    recurring lengths stay in a least-recently-used table of
-    POWER_TABLE_CACHE_SIZE entries, each at most POWER_TABLE_ROWS deep, so
-    memory stays bounded over any horizon.
+    first k powers of one propagator, built from it by doubling; the tables
+    stay in a least-recently-used cache of POWER_TABLE_CACHE_SIZE entries,
+    each at most POWER_TABLE_ROWS deep, so memory stays bounded over any
+    horizon.
     """
 
     A: FloatArray
@@ -212,28 +212,24 @@ class LtiPlant:
         """State after dt of held-input flow from x with x_held frozen; see stepper."""
         return self.stepper(x, x_held, zero_input, stats)(dt)
 
-    def power_table(self, dt: float, count: int, zero_input: bool = False, *, keep: bool = False) -> FloatArray:
+    def power_table(self, dt: float, count: int, zero_input: bool = False) -> FloatArray:
         """Stacked powers of the dt propagator: row j-1 maps a state to j steps of dt later.
 
         With (T, H) = propagator(dt, zero_input), row j-1 is [T^j | S_j H]
         (S_j = I + T + ... + T^(j-1)), of shape (n, 2n), so x after j steps
         is row @ [x; x_held]; with the input zeroed it is T^j alone, (n, n).
-        count is at most POWER_TABLE_ROWS. With keep=True the table is cached
-        for reuse and may hold more than count rows; otherwise exactly count
-        rows are built and nothing is kept.
+        count is at most POWER_TABLE_ROWS. The table is cached for reuse and
+        grows in whole doublings, so it may hold more than count rows.
         """
         if not 1 <= count <= POWER_TABLE_ROWS:
             raise ValueError(f"count must be in [1, {POWER_TABLE_ROWS}], got {count}")
         key = (float(dt), bool(zero_input))
         cache = self._power_cache
-        W = cache.get(key) if keep else None
+        W = cache.get(key)
         if W is None:
             T, H = self.propagator(dt, zero_input)
             W = (T if H is None else np.hstack((T, H)))[None]
-        if not keep:
-            return _extend_powers(W, count)
         if len(W) < count:
-            # kept tables grow in whole doublings, so a longer request costs one pass
             W = _extend_powers(W, min(POWER_TABLE_ROWS, 1 << (count - 1).bit_length()))
         cache[key] = W
         cache.move_to_end(key)

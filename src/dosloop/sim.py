@@ -10,35 +10,27 @@ post-jump at the same timestamp) and jam breakpoints.
 Between two such events the loop state z = [x; x_held] follows z <- M z with
 M = [[T, H], [0, I]] from LtiPlant.propagator (mat_exp, not cached), so k
 equal steps are the first k powers of M. LtiPlant.power_table builds those
-powers by doubling from the one propagator, and keeps the tables of the
-lengths that recur (record step, crossing-grid cell) in a bounded cache.
-run() steps every stretch of full record ticks before the next event as one
-product of that table with z, up to POWER_TABLE_ROWS ticks per block, with
-vectorised norms and divergence guard. The event-crossing search evaluates
-its grid, anchored at its start, in blocks of 16 doubling up to
-POWER_TABLE_ROWS cells, and narrows the first cell where the threshold is
-reached by Illinois regula falsi. Every other step is a single step of a
-one-off length, by LtiPlant.step: off-tick steps of run(), the partial last
-cell of a scan, the step to a jam breakpoint between scans and every
-regula-falsi trial. Those steps are short, so they sum the plant's Taylor
-table rather than take a fresh matrix exponential each, and the trials of
-one bracketing cell share one product of that table with the cell's start
-state (LtiPlant.stepper), so each trial is one dot product. Vectors are
-validated once, by SimConfig, not per step.
+powers by doubling from the one propagator and keeps the table of the record
+step in a bounded cache. run() steps every stretch of full record ticks
+before the next event as one product of that table with z, up to
+POWER_TABLE_ROWS ticks per block, with vectorised norms and divergence
+guard. Every other step is a single step of a one-off length, by
+LtiPlant.step: off-tick steps to an attempt, a jam breakpoint or the first
+tick after one. Those steps are short, so they sum the plant's Taylor table
+rather than take a fresh matrix exponential each. Vectors are validated
+once, by SimConfig, not per step.
+
+The event logics integrate each segment once: while they wait for
+||e|| to reach sigma ||x||, run() watches the states it computes (_Watch),
+clearing each cell between two of them by a proved bound on their norms and
+handing a cell the bound cannot clear to find_event_crossing's proved safe
+steps. Rows a block stepped past the crossing are dropped.
 
 Trace rows are written into growable numpy column arrays, a row or a block
 at a time. The run loop takes its jam state from its cursor over the sorted
 jam breakpoints, not from a search per stop, and computes the input K x_held
-only when the held sample changes. Trace.to_csv writes the '%.17g' text of
-every float without formatting them one by one: a numpy kernel
-(dosloop._g17, loaded by the first to_csv) computes the 17 correctly rounded
-digits with an error-free double-double product (Dekker 1971) whose proved
-error, below 2^-46 of a unit in the last digit, can decide a rounding only
-within 1e-6 of a tie; those values, NaN, +-inf and |x| outside
-[1e-250, 1e250] go to '%.17g' % x itself. Digits come from a table of
-4-digit words, and each block of rows is one NUL-padded word matrix whose
-NUL bytes are dropped in one pass, one write per block, lines ending in
-CRLF; the input cells are formatted once per run of equal rows.
+only when the held sample changes. Trace.to_csv writes the exact '%.17g'
+text of every float with a bulk numpy kernel (dosloop._g17).
 
 Runs are bit-reproducible: no randomness, no wall-clock dependence.
 """
@@ -48,17 +40,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .dos import DosBudget, DosSequence, check_slow_average, is_jammed
 from .guarantees import SamplingRobustness, _per_interval_gaps
-from .linalg import FloatArray, as_vector
+from .linalg import FloatArray, as_vector, spectral_norm
 from .plant import POWER_TABLE_ROWS, InputMode, LoopState, LtiPlant
 from .plant import exact_hold_step  # noqa: F401  (bench/test_bench.py rebinds dosloop.sim.exact_hold_step)
 from .triggers import (
     LogicKind,
+    awaits_crossing,
     TriggerConfig,
     next_update_event_time,
     next_update_pure_time,
@@ -79,9 +71,11 @@ _CSV_BLOCK_CELLS = 4096
 _CSV_FLAG_WORDS = np.frombuffer(
     b"".join(f"{j},{a},{s}\r\n\0".encode() for j in (0, 1) for a in (0, 1) for s in (0, 1)), dtype=np.uint64
 )
-# Cells in the first block of a crossing scan; each later block doubles,
-# up to POWER_TABLE_ROWS.
+# Fewest record ticks in the first block stepped while watching for a
+# crossing; each later block doubles, up to POWER_TABLE_ROWS.
 _SCAN_BLOCK_MIN = 16
+# Relative rounding slack of the crossing bounds (see find_event_crossing, _Watch).
+_CROSSING_SLACK = 1e-12
 _STAT_KEYS = (
     "blocks_stepped",
     "rows_emitted",
@@ -156,11 +150,12 @@ class Trace:
     """Array-of-rows recording of one run (see run() for the row conventions).
 
     stats holds plain integer counters of the run: blocks_stepped (blocks of
-    record ticks stepped as one product), rows_emitted, crossing_searches,
-    cells_scanned (crossing-grid cells evaluated), root_trials (regula
-    falsi trials inside bracketing cells), and taylor_steps and expm_steps
-    (single steps of LtiPlant.step taken from its Taylor table and, past
-    the table's reach, by the squaring in mat_exp; trials included).
+    record ticks stepped as one product), rows_emitted, cells_scanned
+    (cells between computed states tested by _Watch's bound, those stepped
+    past a crossing included), crossing_searches (find_event_crossing calls,
+    one per cell the bound could not clear), root_trials (their safe steps),
+    and taylor_steps and expm_steps (single steps, safe steps included,
+    from the plant's Taylor table and, past its reach, by mat_exp).
     """
 
     t: FloatArray
@@ -248,49 +243,6 @@ def _row_norms(X: FloatArray) -> FloatArray:
     return np.sqrt(np.einsum("ij,ij->i", X, X))
 
 
-def _apply_powers(W: FloatArray, count: int, x: FloatArray, x_held: FloatArray, zero_input: bool) -> FloatArray:
-    """States after 1..count steps, one per row, from the power table W (see LtiPlant.power_table)."""
-    z = x if zero_input else np.concatenate((x, x_held))
-    return (W[:count].reshape(-1, W.shape[2]) @ z).reshape(count, -1)
-
-
-def _bracketed_root(
-    g: Callable[[float], float], lo: float, g_lo: float, hi: float, g_hi: float, tol: float
-) -> float:
-    """Shrink [lo, hi] with g(lo) < 0 <= g(hi) to width <= tol; return its upper end.
-
-    Illinois regula falsi (Dowell & Jarratt 1971): each trial is the secant
-    point of the bracket, and the value kept at an end that survives twice in
-    a row is halved so that end moves too. Trials stay tol/2 inside the
-    bracket so one step can close it once the secant is that accurate, and a
-    bisection replaces the secant whenever two trials in a row failed to
-    halve the bracket (or the secant is not finite). A bisection always counts
-    as halving it, so whether the next trial is a secant never hangs on how
-    one subtraction rounds.
-    """
-    side = 0
-    stale = 0
-    while hi - lo > tol:
-        width = hi - lo
-        c = min(max(hi - g_hi * (width / (g_hi - g_lo)), lo + 0.5 * tol), hi - 0.5 * tol)
-        bisect = stale >= 2 or not lo < c < hi
-        if bisect:
-            c = lo + 0.5 * width
-        g_c = g(c)
-        if g_c < 0.0:
-            lo, g_lo = c, g_c
-            if side < 0:
-                g_hi *= 0.5
-            side = -1
-        else:
-            hi, g_hi = c, g_c
-            if side > 0:
-                g_lo *= 0.5
-            side = 1
-        stale = stale + 1 if not bisect and hi - lo > 0.5 * width else 0
-    return hi
-
-
 def find_event_crossing(
     plant: LtiPlant,
     state: LoopState,
@@ -303,120 +255,156 @@ def find_event_crossing(
     zero_input: bool = False,
     stats: dict[str, int] | None = None,
 ) -> float | None:
-    """First t in (t_from, t_max] where ||e(t)|| reaches sigma ||x(t)||.
+    """First t in (t_from, t_max] where ||e(t)|| reaches sigma ||x(t)||, by proved safe steps.
 
-    state must hold the loop values at t_from with ||e|| < sigma ||x|| (or
-    e = 0). Scans a fixed grid of step min(grid_step, window/64), anchored at
-    t_from, for a sign change of g = ||e|| - sigma ||x||, then narrows the
-    bracketing cell by regula falsi (see _bracketed_root) to a bracket no
-    wider than crossing_tol and returns its upper end, where g >= 0; returns
-    None when no crossing occurs in the window. Full cells are evaluated in
-    blocks of _SCAN_BLOCK_MIN up to POWER_TABLE_ROWS cells, each one product
-    with the cell's power table. The bracketing cell, and a partial last
-    cell, is stepped by one LtiPlant.stepper from the cell's start, so each
-    regula-falsi trial in it is one dot product with the plant's Taylor
-    table; the trial states equal exact exponential steps up to rounding.
-    Searches, cells, root trials and single steps are added to stats when it
-    is given.
+    state holds the loop values at t_from with ||e|| < sigma ||x|| or e = 0
+    (a start past the threshold by more than the rounding slack raises
+    ValueError). Returns the first step point where g = ||x_held - x|| -
+    sigma ||x|| >= 0, or None (always for x = x_held = 0, which stays put).
+
+    Proof: between updates x'' = A x', so ||x'(t + r)|| <= theta exp(rho r)
+    ||x'(t)|| by the growth envelope, and |g'| <= (1 + sigma) ||x'||. From a
+    point with g < 0, L = (1 + sigma) theta exp(rho h) ||A x + B K x_held||
+    (no B K term with the input zeroed) bounds |g'| for the next h, so g < 0
+    for the next -g/L. Steps of min(max(-g/L, crossing_tol), h, rest of the
+    window), h = min(grid_step, window, 1/rho), pass no point with g >= 0
+    except within a step of crossing_tol: the first crossing lies in
+    (t - crossing_tol, t] or is an excursion that starts and ends within
+    one such step. Rounding slack: -g is shrunk by _CROSSING_SLACK
+    (1 + sigma) (||x|| + ||x_held||) and L grown by 1 + _CROSSING_SLACK,
+    covering the norms, the derivative and the steps (a Taylor sum within
+    2.2e-17 of ||[x; x_held]|| plus rounding, or mat_exp past its reach).
+
+    One LtiPlant.stepper serves each stretch of h, so with h within the
+    Taylor table's reach each step is one dot product. Near a tangency (g
+    within L crossing_tol of zero) steps shrink to crossing_tol, up to
+    window / crossing_tol of them. Counts go to stats when it is given.
     """
+    if not (crossing_tol > 0.0 and (grid_step is None or grid_step > 0.0)):
+        raise ValueError(f"crossing_tol and grid_step must be positive, got {crossing_tol} and {grid_step}")
     window = t_max - t_from
     if window <= 0.0:
         return None
-    step = window / 64.0 if grid_step is None else min(grid_step, window / 64.0)
     xh = state.x_held
-    x_prev = state.x
-    e0 = _norm(xh - x_prev)
-    x0n = _norm(x_prev)
-    if e0 == 0.0 and x0n == 0.0:
+    x = state.x
+    held = _norm(xh)
+    x_n = _norm(x)
+    if x_n == 0.0 and held == 0.0:
         return None
-    g_prev = e0 - sigma * x0n
-    if g_prev >= 0.0 and e0 > 0.0:
+    g = _norm(xh - x) - sigma * x_n
+    if g > _CROSSING_SLACK * (1.0 + sigma) * (x_n + held):
         raise ValueError("state already violates the update-rule threshold at t_from")
     if stats is None:
         stats = _new_stats()
     stats["crossing_searches"] += 1
-
-    def g(x: FloatArray) -> float:
-        return _norm(xh - x) - sigma * _norm(x)
-
-    def root_in_cell(
-        advance: Callable[[float], FloatArray], g_start: float, t_off: float, t_end: float, g_end: float
-    ) -> float:
-        def trial(s: float) -> float:
-            stats["root_trials"] += 1
-            return g(advance(s))
-
-        return t_from + t_off + _bracketed_root(trial, 0.0, g_start, t_end - t_off, g_end, crossing_tol)
-
-    n_cells = max(1, math.ceil(window / step - 1e-9))
-    # only the last cell can end past the window (the 1e-9 margin above)
-    n_full = n_cells if n_cells * step <= window else n_cells - 1
-    if n_full:
-        # the grid cell recurs from search to search; the window/64 one does not
-        W = plant.power_table(step, min(n_full, POWER_TABLE_ROWS), zero_input, keep=step == grid_step)
-    done = 0
-    size = _SCAN_BLOCK_MIN
-    while done < n_full:
-        c = min(size, n_full - done, POWER_TABLE_ROWS)
-        X = _apply_powers(W, c, x_prev, xh, zero_input)
-        G = _row_norms(xh - X) - sigma * _row_norms(X)
-        stats["cells_scanned"] += c
-        hit = np.flatnonzero(G >= 0.0)
-        if hit.size:
-            i = int(hit[0])
-            if i:
-                x_prev, g_prev = X[i - 1], float(G[i - 1])
-            advance = plant.stepper(x_prev, xh, zero_input, stats)
-            return root_in_cell(advance, g_prev, (done + i) * step, (done + i + 1) * step, float(G[i]))
-        x_prev, g_prev = X[-1], float(G[-1])
-        done += c
-        size *= 2
-    if n_full == n_cells:
+    env = plant.growth
+    h = min(window if grid_step is None else grid_step, window, 1.0 / env.rho if env.rho > 0.0 else math.inf)
+    lip = (1.0 + sigma) * env.theta * math.exp(env.rho * h) * (1.0 + _CROSSING_SLACK)
+    bkw = 0.0 if zero_input else plant.bk @ xh
+    advance = plant.stepper(x, xh, zero_input, stats)
+    base = t = 0.0  # offsets from t_from of the stepper's start and of x
+    while g < 0.0 and t < window:
+        slope = lip * _norm(plant.A @ x + bkw)
+        safe = (-g - _CROSSING_SLACK * (1.0 + sigma) * (x_n + held)) / slope if slope > 0.0 else math.inf
+        # written so that a NaN bound (an overflowing state) takes the shortest step
+        s = min(safe if safe > crossing_tol else crossing_tol, h, window - t)
+        if t + s - base > h:
+            advance = plant.stepper(x, xh, zero_input, stats)
+            base = t
+        t = window if s == window - t else t + s
+        x = advance(t - base)
+        stats["root_trials"] += 1
+        x_n = _norm(x)
+        g = _norm(xh - x) - sigma * x_n
+    if not g >= 0.0:
         return None
-    t_off = done * step
-    if window <= t_off:
+    return t_max if t == window else t_from + t
+
+
+class _Watch:
+    """Watches the states run() computes for the first crossing of ||e|| = sigma ||x||.
+
+    Armed after a success (triggers.awaits_crossing). A cell [a, b] between
+    consecutive states is clear when g_a < 0, g_b < 0 and
+    g_a + g_b + L h + eta < 0 (h = b - a): L = (1 + sigma) theta exp(rho h)
+    (||A||_2 ||x_a|| + ||B K x_held||), without B K when the input is
+    zeroed, is a Lipschitz constant of g there (see find_event_crossing), so
+    g <= (g_a + g_b + L h) / 2 < 0 on it (Piyavskii 1972; Shubert 1972).
+    eta = _CROSSING_SLACK (1 + sigma) (||x_a|| + ||x_b|| + ||x_held||) and L
+    grown by 1 + _CROSSING_SLACK cover the rounding of the norms and of
+    ||A||_2 and the stepping error of a state (below 1e-12 of
+    max(||x||, ||x_held||) in the suite's checks). A cell the bound cannot
+    clear goes to find_event_crossing; a state with g >= 0 bounds the
+    crossing. Blocks stepped while watching hold at most size ticks: the
+    last watch's tick count (at least _SCAN_BLOCK_MIN), doubling per block.
+    """
+
+    def __init__(self, plant: LtiPlant, sigma: float, crossing_tol: float, stats: dict[str, int]) -> None:
+        self.plant = plant
+        self.sigma = sigma
+        self.tol = crossing_tol
+        self.stats = stats
+        self.a_norm = math.nan  # ||A||_2, taken on the first arming
+        self.active = False
+        self.last = 0  # record ticks the last watch stepped, up to its crossing
+
+    def arm(self, x_held: FloatArray) -> None:
+        """Start watching from the state x_held itself (e = 0), just after a success."""
+        if math.isnan(self.a_norm):
+            self.a_norm = spectral_norm(self.plant.A)
+        self.active = True
+        self.x_held = x_held
+        self.held = _norm(x_held)
+        self.bkw = _norm(self.plant.bk @ x_held)
+        self.g, self.n = -self.sigma * self.held, self.held  # g and ||x|| of the current state
+        self.size = max(_SCAN_BLOCK_MIN, self.last)
+        self.ticks = 0  # record ticks stepped since arming
+
+    def _clear(self, g_a, g_b, n_a, n_b, h: float, zi: bool):
+        """Whether the bound clears each cell of length h (floats or arrays of cells)."""
+        env = self.plant.growth
+        sigma = self.sigma
+        slope = (1.0 + sigma) * env.theta * np.exp(env.rho * h) * (1.0 + _CROSSING_SLACK)  # inf: not clear
+        rise = slope * h * (self.a_norm * n_a + (0.0 if zi else self.bkw))
+        eta = _CROSSING_SLACK * (1.0 + sigma) * (n_a + n_b + self.held)
+        return (g_a < 0.0) & (g_b < 0.0) & (g_a + g_b + rise + eta < 0.0)
+
+    def _search(self, t_a: float, x_a: FloatArray, t_b: float, g_b: float, zi: bool) -> float | None:
+        """The crossing in a cell the bound could not clear, no later than t_b if g_b >= 0; one ends the watch."""
+        start = LoopState(t_a, x_a, self.x_held)
+        hit = find_event_crossing(self.plant, start, self.sigma, t_a, t_b, self.tol, zero_input=zi, stats=self.stats)
+        if hit is None and g_b >= 0.0:
+            hit = t_b
+        self.active = hit is None
+        return hit
+
+    def block(
+        self, t: float, x: FloatArray, ts: FloatArray, X: FloatArray, e_norm: FloatArray, x_norm: FloatArray, zi: bool
+    ) -> tuple[int, float] | None:
+        """(i, crossing time) of the first cell with a crossing, from x at t through X at ts; it ends at X[i]."""
+        self.stats["cells_scanned"] += len(ts)
+        g = e_norm - self.sigma * x_norm
+        g_a = np.concatenate(((self.g,), g[:-1]))
+        n_a = np.concatenate(((self.n,), x_norm[:-1]))
+        for i in np.flatnonzero(~self._clear(g_a, g, n_a, x_norm, ts[0] - t, zi)).tolist():
+            hit = self._search(float(ts[i - 1]) if i else t, X[i - 1] if i else x, float(ts[i]), g[i], zi)
+            if hit is not None:
+                self.last = self.ticks + i + 1
+                return i, hit
+        self.g, self.n = float(g[-1]), float(x_norm[-1])
+        self.ticks += len(ts)
+        self.size = min(2 * self.size, POWER_TABLE_ROWS)
         return None
-    stats["cells_scanned"] += 1
-    advance = plant.stepper(x_prev, xh, zero_input, stats)
-    g_cur = g(advance(window - t_off))
-    return root_in_cell(advance, g_prev, t_off, window, g_cur) if g_cur >= 0.0 else None
 
-
-def _piecewise_crossing(
-    plant: LtiPlant,
-    state: LoopState,
-    sigma: float,
-    t_max: float,
-    crossing_tol: float,
-    delta1: float,
-    dos: DosSequence,
-    stats: dict[str, int],
-) -> float | None:
-    """Crossing search across jam breakpoints (the input may switch there)."""
-    zero_mode = plant.input_mode is InputMode.ZERO_DURING_DOS
-    bps = dos.breakpoints() if zero_mode else np.empty(0)
-    t = state.t
-    x = state.x
-    xh = state.x_held
-    while t < t_max - 1e-15:
-        if zero_mode:
-            idx = int(np.searchsorted(bps, t, side="right"))
-            seg_end = min(t_max, float(bps[idx])) if idx < len(bps) else t_max
-            zi = is_jammed(dos, 0.5 * (t + seg_end))
-        else:
-            seg_end = t_max
-            zi = False
-        probe = LoopState(t, x, xh, state.last_attempt_failed, state.t_held)
-        hit = find_event_crossing(
-            plant, probe, sigma, t, seg_end, crossing_tol, grid_step=delta1 / 8.0, zero_input=zi, stats=stats
-        )
-        if hit is not None:
-            return hit
-        if seg_end >= t_max:
-            return None
-        x = plant.step(x, xh, seg_end - t, zi, stats)
-        t = seg_end
-    return None
+    def step(self, t: float, x: FloatArray, stop: float, x_new: FloatArray, zi: bool) -> float | None:
+        """The crossing in the cell of one single step from x at t to x_new at stop, or None."""
+        self.stats["cells_scanned"] += 1
+        self.ticks += 1
+        n_b = _norm(x_new)
+        g_b = _norm(self.x_held - x_new) - self.sigma * n_b
+        hit = None if self._clear(self.g, g_b, self.n, n_b, stop - t, zi) else self._search(t, x, stop, g_b, zi)
+        self.g, self.n = g_b, n_b
+        return hit
 
 
 class _Rows:
@@ -507,6 +495,9 @@ def run(config: SimConfig) -> Trace:
     and the horizon are stepped as one block: one product of the record
     step's power table with [x; x_held], up to POWER_TABLE_ROWS ticks at a
     time, with norms and the divergence guard applied to the whole block.
+    While an event logic waits for a crossing (triggers.awaits_crossing),
+    its next attempt is a deadline, and a crossing that _Watch finds on the
+    computed states, in blocks of at most its size, comes first.
     """
     plant = config.plant
     trig = config.trigger
@@ -517,21 +508,11 @@ def run(config: SimConfig) -> Trace:
     K = plant.K
     zero_mode = plant.input_mode is InputMode.ZERO_DURING_DOS
 
-    bp_times: list[float] = []
-    bp_onset: list[bool] = []
-    for h, d in dos.intervals:
-        bp_times.append(h)
-        bp_onset.append(True)
-        bp_times.append(h + d)
-        bp_onset.append(False)
-    order = sorted(range(len(bp_times)), key=lambda i: bp_times[i])
-    bp_times = [bp_times[i] for i in order]
-    bp_onset = [bp_onset[i] for i in order]
+    # jam breakpoints (time, is onset), sorted: intervals cannot overlap, and
+    # where one ends as the next starts, the onset sorts (and is consumed) last
+    bps = sorted([(h, True) for h, _ in dos.intervals] + [(h + d, False) for h, d in dos.intervals])
     bp_i = 0
-    # jam state on [t, next breakpoint): whether the last breakpoint consumed
-    # was an onset. The sort is stable and intervals cannot overlap, so where
-    # one interval ends as the next starts, the onset is consumed last.
-    jammed = False
+    jammed = False  # on [t, next breakpoint): whether the last breakpoint consumed was an onset
 
     rows = _Rows(n, m)
     stats = _new_stats()
@@ -547,25 +528,25 @@ def run(config: SimConfig) -> Trace:
         u = u_zero if (zero_mode and jam) else u_held
         rows.row(t, x, u, _norm(xh - x), _norm(x), jam, att, suc)
 
-    def finder(st: LoopState, cap: float) -> float | None:
-        return _piecewise_crossing(
-            plant, st, trig.sigma, min(cap, horizon), config.crossing_tol, trig.delta1, dos, stats
-        )
+    watch = _Watch(plant, trig.sigma, config.crossing_tol, stats)
 
     def schedule(st: LoopState) -> float:
         if config.logic is LogicKind.PURE_TIME:
             return next_update_pure_time(st, trig)
         if config.logic is LogicKind.SELF_TRIGGER:
             return next_update_self_trigger(st, plant, trig)
+        # the event logics attempt at a deadline, or at the crossing the watch finds first
+        watch.active = False
+        if awaits_crossing(st, config.logic):
+            watch.arm(st.x_held)
         if config.logic is LogicKind.EVENT_TIME:
-            return next_update_event_time(st, trig, finder)
+            return next_update_event_time(st, trig)
         # IDEAL_EVENT: retry "continuously" while jammed, i.e. succeed the
         # instant the interval ends; otherwise wait for the next crossing.
         if st.last_attempt_failed:
             idx = int(np.searchsorted(dos.onsets, st.t, side="right")) - 1
             return float(dos.ends[idx])
-        hit = finder(st, horizon)
-        return hit if hit is not None else horizon + 1.0
+        return horizon + 1.0
 
     state = LoopState(0.0, config.x0.copy(), np.zeros(n), False, 0.0)
     next_attempt = 0.0
@@ -581,36 +562,52 @@ def run(config: SimConfig) -> Trace:
         t_rec = k_tick * rs
         if t_rec <= t:
             t_rec += rs
-        t_bp = bp_times[bp_i] if bp_i < len(bp_times) else math.inf
+        t_bp = bps[bp_i][0] if bp_i < len(bps) else math.inf
         stop = min(horizon, next_attempt, t_rec, t_bp)
 
         count = _ticks_before(k_tick, rs, min(horizon, next_attempt, t_bp)) if on_tick and stop == t_rec else 0
         if count:
             zi = zero_mode and jammed
             xh = state.x_held
-            X = _apply_powers(plant.power_table(rs, count, zi, keep=True), count, state.x, xh, zi)
+            if watch.active:
+                count = min(count, watch.size)
+            z = state.x if zi else np.concatenate((state.x, xh))
+            X = (plant.power_table(rs, count, zi)[:count].reshape(-1, z.size) @ z).reshape(count, n)
             ts = np.arange(k_tick, k_tick + count) * rs
             x_norm = _row_norms(X)
-            u = u_zero if zi else u_held
+            e_norm = _row_norms(xh - X)
             stats["blocks_stepped"] += 1
             bad = np.flatnonzero(~(x_norm <= DIVERGENCE_NORM))
-            if bad.size:
-                i = int(bad[0])
-                rows.block(ts[:i], X[:i], u, _row_norms(xh - X[:i]), x_norm[:i], jammed)
-                div_time = float(ts[i])
-                emit(div_time, X[i], xh, is_jammed(dos, div_time))
+            keep = int(bad[0]) if bad.size else count
+            hit = None
+            if watch.active:
+                cells = slice(0, keep + 1)
+                hit = watch.block(t, state.x, ts[cells], X[cells], e_norm[cells], x_norm[cells], zi)
+            if hit is not None:
+                keep, next_attempt = hit
+            rows.block(ts[:keep], X[:keep], u_zero if zi else u_held, e_norm[:keep], x_norm[:keep], jammed)
+            if hit is None and bad.size:
+                div_time = float(ts[keep])
+                emit(div_time, X[keep], xh, is_jammed(dos, div_time))
                 diverged = True
                 break
-            rows.block(ts, X, u, _row_norms(xh - X), x_norm, jammed)
-            state = LoopState(float(ts[-1]), X[-1], xh, state.last_attempt_failed, state.t_held)
+            if keep:
+                state = LoopState(float(ts[keep - 1]), X[keep - 1], xh, state.last_attempt_failed, state.t_held)
             continue
 
         if stop > t:
             zi = zero_mode and jammed
+            xh = state.x_held
             # a full tick steps by exactly rs, as the row blocks do
             dt = rs if on_tick and stop == t_rec else stop - t
-            x_new = plant.step(state.x, state.x_held, dt, zi, stats)
-            state = LoopState(stop, x_new, state.x_held, state.last_attempt_failed, state.t_held)
+            x_new = plant.step(state.x, xh, dt, zi, stats)
+            if watch.active:
+                hit = watch.step(t, state.x, stop, x_new, zi)
+                if hit is not None:
+                    next_attempt = hit
+                    if hit < stop:
+                        continue  # step again, to the crossing
+            state = LoopState(stop, x_new, xh, state.last_attempt_failed, state.t_held)
             # written so that a NaN state (inf - inf after overflow) also trips the guard
             if not _norm(x_new) <= DIVERGENCE_NORM:
                 emit(stop, state.x, state.x_held, is_jammed(dos, stop))
@@ -624,8 +621,8 @@ def run(config: SimConfig) -> Trace:
         handled = False
         if stop == t_bp:
             saw_onset = False
-            while bp_i < len(bp_times) and bp_times[bp_i] == stop:
-                jammed = bp_onset[bp_i]
+            while bp_i < len(bps) and bps[bp_i][0] == stop:
+                jammed = bps[bp_i][1]
                 saw_onset = saw_onset or jammed
                 bp_i += 1
             if saw_onset:

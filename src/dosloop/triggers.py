@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -129,22 +128,27 @@ def predict_state(plant: LtiPlant, x_at_t1: FloatArray, t1: float, t2: float) ->
     return (T + H) @ x
 
 
-EventTimeFinder = Callable[[LoopState, float], Optional[float]]
+def awaits_crossing(state: LoopState, logic: LogicKind) -> bool:
+    """Whether the next attempt waits for ||e|| to reach sigma ||x||, which sim.run finds on its rows.
 
-
-def next_update_event_time(state: LoopState, config: TriggerConfig, finder: EventTimeFinder) -> float:
-    """EVENT_TIME rule: delta1 retry while jammed or at rest, else the next threshold crossing.
-
-    The crossing search is delegated (see sim.find_event_crossing) and capped
-    at delta2 * 1e6 so a crossing that never comes cannot stall the loop.
+    Only after a success of an event logic, and not from rest: ||x|| <= ZERO_STATE_TOL
+    for EVENT_TIME (it retries at delta1), x = 0 for IDEAL_EVENT (it stays there).
     """
-    if state.last_attempt_failed or float(np.linalg.norm(state.x)) <= ZERO_STATE_TOL:
+    if state.last_attempt_failed or logic not in (LogicKind.EVENT_TIME, LogicKind.IDEAL_EVENT):
+        return False
+    x_norm = float(np.linalg.norm(state.x))
+    return x_norm > (ZERO_STATE_TOL if logic is LogicKind.EVENT_TIME else 0.0)
+
+
+def next_update_event_time(state: LoopState, config: TriggerConfig) -> float:
+    """EVENT_TIME rule: delta1 retry while jammed or at rest, else a deadline delta2 * 1e6 ahead.
+
+    sim.run moves the attempt to an earlier crossing (see awaits_crossing);
+    the deadline keeps a crossing that never comes from stalling the loop.
+    """
+    if not awaits_crossing(state, LogicKind.EVENT_TIME):
         return state.t + config.delta1
-    cap = state.t + config.delta2 * _EVENT_CAP_FACTOR
-    crossing = finder(state, cap)
-    if crossing is None:
-        return cap
-    return min(crossing, cap)
+    return state.t + config.delta2 * _EVENT_CAP_FACTOR
 
 
 def next_update_pure_time(state: LoopState, config: TriggerConfig) -> float:

@@ -109,6 +109,25 @@ def test_analyze_missing_section_exits_1(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_json_booleans_and_fractional_seeds_exit_1(tmp_path, capsys):
+    # float() and int() would read true as 1.0 and a seed of 2.9 as 2
+    random_jam = {"generator": {"kind": "random", "seed": 2.9, "min_duration": 0.1}}
+    bool_horizon = {"x0": [1.0], "horizon": True, "record_step": 0.005}
+    cases = [
+        (scalar_doc(sim=bool_horizon), "sim.horizon: expected a number, got True"),
+        (scalar_doc(budget={"kappa": True, "tau": 12.0}), "budget.kappa: expected a number, got True"),
+        (scalar_doc(dos=random_jam), "dos.generator.seed: expected an integer, got 2.9"),
+        (scalar_doc(dos={"generator": {**random_jam["generator"], "seed": True}}), "expected an integer, got True"),
+    ]
+    for k, (doc, message) in enumerate(cases):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--config", str(path)]) == 1, message
+        assert message in capsys.readouterr().err
+    # a whole-number seed still parses
+    scenario_from_dict(scalar_doc(dos={"generator": {**random_jam["generator"], "seed": 2}}))
+
+
 def test_envelope_failure_text_is_pinned(tmp_path, capsys):
     # a fast rotation has ||exp(Mt)|| = 1 exactly; sampling it with expm once
     # rejected it on rounding (1.00000000173 > 1 at ||Mt|| ~ 1e5)

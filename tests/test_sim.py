@@ -37,9 +37,9 @@ from dosloop import (
 )
 from dosloop.cli import _applicable_certificates, certificates, scenario_from_dict
 from dosloop.plant import POWER_TABLE_CACHE_SIZE, POWER_TABLE_ROWS
-from dosloop.sim import _CSV_BLOCK_ROWS, Trace, _bracketed_root
+from dosloop.sim import _CSV_BLOCK_ROWS, Trace
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
-from oracles import csv_by_row, expm_hold_step, restep_rows, rk4_first_crossing, update_rule_by_loop
+from oracles import csv_by_row, expm_hold_step, restep_rows, rk4_first_crossing, scipy_expm, update_rule_by_loop
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -136,30 +136,37 @@ def test_find_event_crossing_meets_its_contract_under_an_expm_oracle(zero_input)
     assert hits >= 30
 
 
-@pytest.mark.parametrize(
-    "g",
-    [
-        lambda s: np.expm1(40.0 * (s - 0.3)),  # smooth, simple root
-        lambda s: (s - 0.3) ** 3,  # triple root: the secant alone converges linearly
-        lambda s: -1.0 if s < 0.3 else 1e-300,  # jump: only the bisection fallback helps
-    ],
-    ids=["simple", "triple", "jump"],
-)
-def test_bracketed_root_keeps_the_bisection_contract(g):
-    # upper end of a bracket no wider than tol, g(hi) >= 0, and never more
-    # than three trials per bisection step
-    calls = []
-
-    def counted(s):
-        calls.append(s)
-        return g(s)
-
-    for tol in (1e-12, 1e-9, 1e-4):
-        calls.clear()
-        hi = _bracketed_root(counted, 0.0, g(0.0), 1.0, g(1.0), tol)
-        assert g(hi) >= 0.0
-        assert 0.3 - 1e-15 <= hi <= 0.3 + tol
-        assert len(calls) <= 3 * np.ceil(np.log2(1.0 / tol)) + 2
+def test_find_event_crossing_finds_a_crossing_between_any_two_grid_points():
+    # Rotating plants, e = 0 at the start and sigma set 1e-5 to 1e-3 below the
+    # peak of ||e|| / ||x|| on a dense grid: the window's only crossings can
+    # be short excursions above sigma, which a search that looks at fixed
+    # grid points skips. The grid steps by one cached scipy exponential
+    # (oracles.expm_hold_step), never by the library's stepping. The longest
+    # step, 0.01, is within the Taylor table's reach of these plants.
+    rng = np.random.default_rng(1972)
+    points = 2000
+    for k in range(60):
+        w, gain = rng.uniform(2.0, 30.0), rng.uniform(0.1, 2.0)
+        A = np.array([[0.0, w], [-w, 0.0]]) + 0.05 * rng.normal(size=(2, 2))
+        plant = LtiPlant(A=A, B=np.eye(2), K=-gain * np.eye(2))
+        x0 = rng.normal(size=2)
+        window = float(rng.uniform(0.05, 0.5))
+        dt = window / points
+        one_step = scipy_expm(np.block([[A, plant.bk], [np.zeros((2, 4))]]), dt)
+        xs = [x0]
+        for _ in range(points):
+            xs.append(expm_hold_step(A, plant.bk, xs[-1], x0, dt, exp=lambda M, t: one_step))
+        xs = np.array(xs)
+        ratio = np.linalg.norm(x0 - xs, axis=1) / np.linalg.norm(xs, axis=1)
+        sigma = float(ratio.max()) * (1.0 - 10.0 ** rng.uniform(-5.0, -3.0))
+        # the first grid point past sigma by more than the grid's rounding
+        first = int(np.argmax(ratio >= sigma * (1.0 + 1e-9))) * dt
+        tol = 1e-9
+        t = find_event_crossing(plant, LoopState(0.0, x0, x0), sigma, 0.0, window, tol, grid_step=0.01)
+        assert t is not None, (k, sigma)
+        assert t <= first + tol, (k, t, first)
+        x_t = expm_hold_step(A, plant.bk, x0, x0, t)
+        assert np.linalg.norm(x0 - x_t) - sigma * np.linalg.norm(x_t) >= -1e-12 * np.linalg.norm(x0), k
 
 
 def test_find_event_crossing_none_when_out_of_window():
@@ -174,6 +181,10 @@ def test_find_event_crossing_rejects_violated_start():
     state = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([2.0]))  # e = 1 > sigma x
     with pytest.raises(ValueError):
         find_event_crossing(LINE, state, 0.25, 0.0, 1.0)
+    start = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([1.0]))
+    for tol, grid_step in ((0.0, None), (1e-9, 0.0), (-1e-9, 0.1)):
+        with pytest.raises(ValueError):
+            find_event_crossing(LINE, start, 0.25, 0.0, 1.0, tol, grid_step=grid_step)
 
 
 def test_event_time_run_has_geometric_updates():
@@ -328,8 +339,8 @@ def test_power_table_cache_is_bounded_independent_of_horizon(monkeypatch):
     peak = [0, 0]
     original_table = LtiPlant.power_table
 
-    def watched_table(self, dt, count, zero_input=False, *, keep=False):
-        table = original_table(self, dt, count, zero_input, keep=keep)
+    def watched_table(self, dt, count, zero_input=False):
+        table = original_table(self, dt, count, zero_input)
         peak[0] = max(peak[0], len(self._power_cache))
         peak[1] = max(peak[1], len(table), *(len(W) for W in self._power_cache.values()))
         return table
@@ -351,18 +362,19 @@ def test_power_table_rows_are_the_powers_of_one_step():
     plant = random_stabilized_plant(np.random.default_rng(21), n=3)
     dt = 0.01
     T, H = plant.propagator(dt)
-    kept = plant.power_table(dt, 5, keep=True)
-    one_off = plant.power_table(dt, 37)
-    assert len(kept) == 8 and len(one_off) == 37
-    assert np.array_equal(kept[:5], one_off[:5])  # a row does not depend on how far the table grew
-    grown = plant.power_table(dt, 100, keep=True)
-    assert len(grown) == 128 and np.array_equal(grown[:8], kept) and np.array_equal(grown[:37], one_off)
+    kept = plant.power_table(dt, 5)
+    assert len(kept) == 8  # tables grow in whole doublings
+    fresh = LtiPlant(A=plant.A, B=plant.B, K=plant.K).power_table(dt, 37)
+    assert len(fresh) == 64 and np.array_equal(fresh[:8], kept)  # a row does not depend on how far the table grew
+    grown = plant.power_table(dt, 100)
+    assert len(grown) == 128 and np.array_equal(grown[:64], fresh)
+    one_off = grown[:37]
     P, S = np.eye(3), np.zeros((3, 3))
     for j in range(37):
         S, P = S + P, T @ P
         np.testing.assert_allclose(one_off[j], np.hstack((P, S @ H)), rtol=0, atol=1e-13)
     zeroed = plant.power_table(dt, 3, zero_input=True)
-    assert zeroed.shape == (3, 3, 3)
+    assert zeroed.shape == (4, 3, 3)
     np.testing.assert_allclose(zeroed[2], np.linalg.matrix_power(plant.propagator(dt, True)[0], 3), atol=1e-14)
     with pytest.raises(ValueError):
         plant.power_table(dt, POWER_TABLE_ROWS + 1)
@@ -433,6 +445,18 @@ def test_shipped_scenarios_keep_their_pinned_behaviour(name, logic, mode):
     assert got == PINNED_BEHAVIOUR[name, logic, mode]
 
 
+@pytest.mark.parametrize(
+    "name,logic,mode", [key for key in PINNED_BEHAVIOUR if key[1] in ("event_time", "ideal_event")], ids="-".join
+)
+def test_crossing_watch_costs_little_beyond_the_rows(name, logic, mode):
+    # rows stepped and then dropped past a crossing, and searches in cells
+    # the bound could not clear although they held no crossing, stay few
+    _, trace = _shipped_run(name, logic, mode)
+    successes = sum(ok for _, ok in trace.attempts)
+    assert trace.stats["crossing_searches"] <= 2 * successes
+    assert trace.stats["cells_scanned"] <= 1.5 * len(trace)
+
+
 def test_trace_stats_count_blocks_and_are_reproducible():
     plant = random_stabilized_plant(np.random.default_rng(8))
     trig = standard_trigger(plant, feasible_sigma(plant))
@@ -447,9 +471,11 @@ def test_trace_stats_count_blocks_and_are_reproducible():
     assert all(type(v) is int for v in a.stats.values())
     assert a.stats["rows_emitted"] == len(a)
     assert 0 < a.stats["blocks_stepped"] < len(a)
+    # cells between computed states while watching for a crossing, the
+    # searches in cells the bound could not clear, one or more safe steps each
     assert 0 < a.stats["crossing_searches"] <= a.stats["cells_scanned"]
-    assert a.stats["root_trials"] > 0
-    # every trial is a single step, and these steps are all within the table's reach
+    assert a.stats["root_trials"] >= a.stats["crossing_searches"]
+    # every safe step is a single step, and these steps are all within the table's reach
     assert a.stats["taylor_steps"] > a.stats["root_trials"] and a.stats["expm_steps"] == 0
     periodic = run(_config(plant, LogicKind.PURE_TIME, trig, dos=seq, budget=budget, horizon=4.0))
     assert periodic.stats["crossing_searches"] == periodic.stats["cells_scanned"] == 0

@@ -22,6 +22,7 @@ from dosloop import (
     spectral_norm,
     validate_trigger_for_plant,
 )
+from dosloop.triggers import awaits_crossing
 from conftest import assert_close, random_stabilized_plant
 from oracles import rk4_hold_trajectory, rk4_riccati_crossing
 
@@ -136,15 +137,19 @@ def test_pure_time_branches():
 
 def test_event_time_branches():
     # failed attempts and near-zero states fall back to the fast retry rate
-    assert next_update_event_time(_state(failed=True), CFG, lambda s, cap: 99.0) == pytest.approx(1.05)
+    assert next_update_event_time(_state(failed=True), CFG) == pytest.approx(1.05)
     zero = _state(x=(0.0,), xh=(0.0,))
-    assert next_update_event_time(zero, CFG, lambda s, cap: 99.0) == pytest.approx(1.05)
-    # otherwise the crossing finder decides, capped
-    hit = next_update_event_time(_state(), CFG, lambda s, cap: 1.7)
-    assert hit == pytest.approx(1.7)
-    cap = 1.0 + CFG.delta2 * 1e6
-    assert next_update_event_time(_state(), CFG, lambda s, cap_: None) == pytest.approx(cap)
-    assert next_update_event_time(_state(), CFG, lambda s, cap_: cap + 5.0) == pytest.approx(cap)
+    assert next_update_event_time(zero, CFG) == pytest.approx(1.05)
+    # otherwise the deadline; sim.run moves the attempt to an earlier crossing
+    assert next_update_event_time(_state(), CFG) == pytest.approx(1.0 + CFG.delta2 * 1e6)
+    assert awaits_crossing(_state(), LogicKind.EVENT_TIME)
+    assert not awaits_crossing(_state(failed=True), LogicKind.EVENT_TIME)
+    assert not awaits_crossing(zero, LogicKind.EVENT_TIME)
+    # the idealized logic waits for a crossing from any nonzero state, the periodic ones never do
+    tiny = _state(x=(1e-13,), xh=(1e-13,))
+    assert awaits_crossing(tiny, LogicKind.IDEAL_EVENT) and not awaits_crossing(zero, LogicKind.IDEAL_EVENT)
+    assert not awaits_crossing(_state(), LogicKind.PURE_TIME)
+    assert not awaits_crossing(_state(), LogicKind.SELF_TRIGGER)
 
 
 def test_self_trigger_interpolates():
