@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
 import traceback
 from dataclasses import dataclass
@@ -47,11 +48,10 @@ from .guarantees import (
     format_report,
     ges_certificate_ideal,
     ges_certificate_lyapunov,
-    ges_certificate_sampled,
     measure_robustness,
     xi_bar_measure,
 )
-from .linalg import EnvelopeError, FloatArray, as_weight, spectral_norm
+from .linalg import EnvelopeError, FloatArray, as_weight
 from .plant import InputMode, LtiPlant
 from .sim import SimConfig, check_update_rule, run, verify_ges
 from .triggers import LogicKind, TriggerConfig, Varphi, riccati_delta2, validate_trigger_for_plant
@@ -117,13 +117,34 @@ def _get(sec: dict, section: str, key: str, default=None, required: bool = True)
     return sec[key]
 
 
+def _is_number(value) -> bool:
+    # float() would read a JSON true or false as 1.0 or 0.0, and the string "0.25" as 0.25
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_float(value, where: str) -> float:
+    if not _is_number(value):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _as_array(value, where: str) -> FloatArray:
+    """A float array of value, a number or nested lists of numbers; checks each entry, not numpy's dtype.
+
+    np.asarray([True, 1.0]) is float64, and np.asarray(["0.5"], dtype=float) parses the string.
+    """
+    def check(v) -> None:
+        if isinstance(v, (list, tuple)):
+            for item in v:
+                check(item)
+        elif not _is_number(v):
+            raise ScenarioError(f"{where}: expected a number, got {v!r}")
+
+    check(value.tolist() if isinstance(value, np.ndarray) else value)
     try:
-        if isinstance(value, bool):  # float() would read a JSON true or false as 1.0 or 0.0
-            raise TypeError(value)
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: expected a number, got {value!r}") from exc
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:  # ragged nesting
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _parse_dos(sec: dict, budget: DosBudget, horizon: float, base_dir: Path) -> DosSequence:
@@ -133,10 +154,10 @@ def _parse_dos(sec: dict, budget: DosBudget, horizon: float, base_dir: Path) -> 
     kind = keys[0]
     if kind == "intervals":
         try:
-            pairs = [(float(h), float(d)) for h, d in sec["intervals"]]
+            pairs = [(h, d) for h, d in sec["intervals"]]
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"dos.intervals must be [onset, duration] pairs: {exc}") from exc
-        return DosSequence(tuple(pairs))
+        return DosSequence(tuple((_as_float(h, "dos.intervals"), _as_float(d, "dos.intervals")) for h, d in pairs))
     if kind == "file":
         path = base_dir / str(sec["file"])
         if not path.exists():
@@ -181,13 +202,9 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
         mode = InputMode(mode_text)
     except ValueError as exc:
         raise ScenarioError(f"unknown plant.input_mode {mode_text!r}") from exc
+    A, B, K = (_as_array(_get(p, "plant", key), f"plant.{key}") for key in "ABK")
     try:
-        plant = LtiPlant(
-            A=np.asarray(_get(p, "plant", "A"), dtype=float),
-            B=np.asarray(_get(p, "plant", "B"), dtype=float),
-            K=np.asarray(_get(p, "plant", "K"), dtype=float),
-            input_mode=mode,
-        )
+        plant = LtiPlant(A=A, B=B, K=K, input_mode=mode)
     except (ValueError, TypeError, EnvelopeError) as exc:
         raise ScenarioError(f"plant: {exc}") from exc
 
@@ -210,7 +227,7 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     try:
         varphi = Varphi(kind=str(vp.get("kind", "zero")), scale=scale)
         if delta2_was_computed:
-            delta2 = riccati_delta2(spectral_norm(plant.phi), spectral_norm(plant.bk), sigma)
+            delta2 = riccati_delta2(plant.phi_norm, plant.bk_norm, sigma)
         trigger = TriggerConfig(sigma=sigma, delta1=delta1, delta2=delta2, varphi=varphi)
     except ValueError as exc:
         raise ScenarioError(f"trigger: {exc}") from exc
@@ -228,10 +245,7 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     horizon = _as_float(_get(s, "sim", "horizon"), "sim.horizon")
     record_step = _as_float(_get(s, "sim", "record_step"), "sim.record_step")
     crossing_tol = _as_float(_get(s, "sim", "crossing_tol", 1e-9), "sim.crossing_tol")
-    try:
-        x0 = np.asarray(_get(s, "sim", "x0"), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"sim.x0: {exc}") from exc
+    x0 = _as_array(_get(s, "sim", "x0"), "sim.x0")
 
     try:
         seq = _parse_dos(_section(doc, "dos"), budget, horizon, base_dir)
@@ -245,7 +259,7 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
         raise ScenarioError("section 'analysis' must be an object")
     q_raw = a.get("Q")
     try:
-        Q = np.eye(plant.n) if q_raw is None else as_weight(q_raw, plant.n, "analysis.Q")
+        Q = np.eye(plant.n) if q_raw is None else as_weight(_as_array(q_raw, "analysis.Q"), plant.n, "analysis.Q")
     except (TypeError, ValueError) as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -331,11 +345,13 @@ class CertificateBundle:
 
 
 def certificates(sc: Scenario) -> CertificateBundle:
+    """The three certificates at the configured budget; the sampled one is the ideal one inflated (one rho_star)."""
     rob = worst_case_robustness(sc)
     kappa, tau = sc.budget.kappa, sc.budget.tau_avg
+    ideal = ges_certificate_ideal(sc.plant, sc.trigger.sigma, kappa, tau)
     return CertificateBundle(
-        ideal=ges_certificate_ideal(sc.plant, sc.trigger.sigma, kappa, tau),
-        sampled=ges_certificate_sampled(sc.plant, sc.trigger.sigma, kappa, tau, rob),
+        ideal=ideal,
+        sampled=ideal.inflated(rob.inflation),
         lyapunov=ges_certificate_lyapunov(sc.plant, sc.Q, sc.trigger.sigma, kappa, tau),
         robustness=rob,
     )

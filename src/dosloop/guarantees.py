@@ -19,7 +19,7 @@ impulsive amplification factors supports the trajectory family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -140,6 +140,35 @@ class TrajectoryConstants:
             raise ValueError(f"zeta must be positive, got {zeta}")
         return (self.omega2 * (1.0 + self.sigma) + self.omega2 * theta2) / (self.lam + zeta)
 
+    def inflated(self, inflation: float) -> TrajectoryConstants:
+        """This certificate with every jam window inflated by the factor inflation.
+
+        Only the jam-time rate (lam + rho_star) inflation and the fields that
+        follow from it change; rho_star does not depend on the inflation, so
+        its bisection does not run again.
+        """
+        return replace(
+            self, **_jam_terms(self.mu, self.lam, self.rho_star, self.sigma_margin, self.kappa, self.tau, inflation)
+        )
+
+
+def _jam_terms(
+    mu: float, lam: float, rs: float, margin: float, kappa: float, tau: float, inflation: float
+) -> dict[str, float | bool]:
+    """The fields of a trajectory certificate that depend on the inflation: tau_min, alpha, beta, feasible."""
+    sigma_feasible = margin > 0.0
+    rate = (lam + rs) * inflation
+    tau_min = rate / margin if sigma_feasible else math.inf
+    alpha = mu * _exp_or_inf(kappa * rate)
+    return {
+        "inflation": inflation,
+        "tau_min": tau_min,
+        "alpha": alpha,
+        "beta": margin - rate / tau,
+        # an overflowing alpha certifies nothing, whatever tau is
+        "feasible": sigma_feasible and tau > tau_min and alpha < math.inf,
+    }
+
 
 def _exp_or_inf(x: float) -> float:
     """math.exp(x), or +inf where the result overflows a float."""
@@ -149,13 +178,8 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _trajectory_certificate(
-    plant: LtiPlant,
-    sigma: float,
-    kappa: float,
-    tau: float,
-    inflation: float,
-) -> TrajectoryConstants:
+def ges_certificate_ideal(plant: LtiPlant, sigma: float, kappa: float, tau: float) -> TrajectoryConstants:
+    """Trajectory certificate assuming updates resume the instant jamming stops (inflation 1)."""
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not (kappa >= 0.0 and math.isfinite(kappa)):
@@ -164,18 +188,10 @@ def _trajectory_certificate(
         raise ValueError(f"tau must be positive, got {tau}")
     env = plant.decay
     gro = plant.growth
-    bk_norm = spectral_norm(plant.bk)
+    bk_norm = plant.bk_norm
     omega2 = env.mu * bk_norm
-    theta1 = gro.theta * (1.0 + sigma) * bk_norm
     rs = rho_star(env.lam, omega2, sigma, gro.theta, bk_norm, gro.rho)
     margin = env.lam - sigma * env.mu * bk_norm
-    sigma_feasible = margin > 0.0
-    rate = (env.lam + rs) * inflation
-    tau_min = rate / margin if sigma_feasible else math.inf
-    alpha = env.mu * _exp_or_inf(kappa * rate)
-    beta = margin - rate / tau
-    # an overflowing alpha certifies nothing, whatever tau is
-    feasible = sigma_feasible and tau > tau_min and alpha < math.inf
     return TrajectoryConstants(
         mu=env.mu,
         lam=env.lam,
@@ -184,23 +200,14 @@ def _trajectory_certificate(
         sigma=sigma,
         bk_norm=bk_norm,
         omega2=omega2,
-        theta1=theta1,
+        theta1=gro.theta * (1.0 + sigma) * bk_norm,
         rho_star=rs,
-        inflation=inflation,
         kappa=kappa,
         tau=tau,
         sigma_margin=margin,
-        tau_min=tau_min,
-        alpha=alpha,
-        beta=beta,
-        sigma_feasible=sigma_feasible,
-        feasible=feasible,
+        sigma_feasible=margin > 0.0,
+        **_jam_terms(env.mu, env.lam, rs, margin, kappa, tau, 1.0),
     )
-
-
-def ges_certificate_ideal(plant: LtiPlant, sigma: float, kappa: float, tau: float) -> TrajectoryConstants:
-    """Trajectory certificate assuming updates resume the instant jamming stops."""
-    return _trajectory_certificate(plant, sigma, kappa, tau, inflation=1.0)
 
 
 def ges_certificate_sampled(
@@ -213,10 +220,11 @@ def ges_certificate_sampled(
     """Trajectory certificate under finite attempt rates.
 
     Every jam window is inflated by the worst attempt gap; all jam-time terms
-    pick up the factor 1 + delta_star / tau_star. With delta_star = 0 this
-    reduces exactly to ges_certificate_ideal.
+    pick up the factor 1 + delta_star / tau_star: the ideal certificate,
+    inflated (TrajectoryConstants.inflated). With delta_star = 0 this reduces
+    exactly to ges_certificate_ideal.
     """
-    return _trajectory_certificate(plant, sigma, kappa, tau, inflation=robustness.inflation)
+    return ges_certificate_ideal(plant, sigma, kappa, tau).inflated(robustness.inflation)
 
 
 @dataclass(frozen=True)
@@ -253,7 +261,10 @@ def ges_certificate_lyapunov(
     ||K^T B^T P + P B K||; feasibility of sigma requires gamma1 - sigma gamma2 > 0.
     V decays at rate omega1 outside jam windows and grows at most at omega2
     inside them, giving alpha = sqrt(exp(kappa (omega1 + omega2)) alpha2/alpha1)
-    and beta = (omega1 - (omega1 + omega2)/tau) / 2.
+    and beta = (omega1 - (omega1 + omega2)/tau) / 2. When Q is the identity,
+    bit for bit, P and its eigenvalues are the ones plant.decay solved for
+    and checked (as solve_lyapunov checks them: the identity's computed
+    2-norm is exactly 1.0), so no second Lyapunov system is solved.
     """
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -262,8 +273,12 @@ def ges_certificate_lyapunov(
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive, got {tau}")
     Qm = as_matrix(Q, "Q")
-    P = solve_lyapunov(plant.phi, Qm)
-    p_eigs = np.linalg.eigvalsh(P)
+    env = plant.decay
+    if env.P is not None and Qm.shape == env.P.shape and Qm.tobytes() == np.eye(plant.n).tobytes():
+        P, p_eigs = env.P, env.p_eigs
+    else:
+        P = solve_lyapunov(plant.phi, Qm)
+        p_eigs = np.linalg.eigvalsh(P)
     alpha1, alpha2 = float(p_eigs[0]), float(p_eigs[-1])
     gamma1 = float(np.linalg.eigvalsh(Qm)[0])
     gamma2 = spectral_norm(plant.bk.T @ P + P @ plant.bk)

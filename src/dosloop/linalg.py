@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -150,12 +150,15 @@ def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:
 
     Solves the vectorised system (I kron Phi^T + Phi^T kron I) vec P = -vec Q
     with numpy's LAPACK solve (LU with partial pivoting). Its cost is O(n^6):
-    about 0.1 ms at n = 8, 3 ms at n = 16 and 65 ms at n = 32 on a 2-vCPU
-    host. scipy's O(n^3) Bartels-Stewart takes the same 0.1 ms at n = 8 and
-    wins only above the n <= 8 used here. Raises ValueError for a non-
-    symmetric or non-positive-definite Q, LyapunovError when the system is
-    singular or the solve leaves a large residual, or when P is not positive
-    definite (not Hurwitz).
+    with Q = I, 0.11-0.19 ms at n = 2-4, 0.21-0.29 ms at n = 8, 2.0-2.6 ms
+    at n = 16 and 53 ms at n = 32 on a 2-vCPU host, of which the checks of Q
+    and of P take about half at n <= 8; the Kronecker operator, formed by
+    broadcasting, takes 3-27 us at n = 1-8 (np.kron: 28-69 us). scipy's
+    O(n^3) Bartels-Stewart takes 0.05-0.09 ms at n <= 8, but scipy is not a
+    run-time dependency. Raises ValueError for a non-symmetric or non-
+    positive-definite Q, LyapunovError when the system is singular or the
+    solve leaves a large residual, or when P is not positive definite (not
+    Hurwitz).
     """
     F = require_square(as_matrix(Phi, "Phi"), "Phi")
     Qm = as_weight(Q, F.shape[0])
@@ -166,8 +169,11 @@ def _lyapunov(F: FloatArray, Q: FloatArray, q_norm: float) -> tuple[FloatArray, 
     """P of solve_lyapunov for a checked Q, with ||R||_2 of R = F^T P + P F + Q and eigvalsh(P)."""
     n = F.shape[0]
     eye = np.eye(n)
-    # Row-major vec: vec(F^T P) = kron(F^T, I) vec P, vec(P F) = kron(I, F^T) vec P.
-    L = np.kron(F.T, eye) + np.kron(eye, F.T)
+    # Row-major vec: vec(F^T P) = kron(F^T, I) vec P, vec(P F) = kron(I, F^T) vec P,
+    # formed by broadcasting from the same products np.kron takes, so the same bits.
+    Ft = F.T
+    L = Ft[:, None, :, None] * eye[None, :, None, :] + eye[:, None, :, None] * Ft[None, :, None, :]
+    L = L.reshape(n * n, n * n)
     # Extreme scales overflow with only a warning; the two checks below reject the result.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -188,10 +194,18 @@ def _lyapunov(F: FloatArray, Q: FloatArray, q_norm: float) -> tuple[FloatArray, 
 
 @dataclass(frozen=True)
 class DecayEnvelope:
-    """Certified bound ||exp(Phi t)|| <= mu * exp(-lam t) for all t >= 0."""
+    """Certified bound ||exp(Phi t)|| <= mu * exp(-lam t) for all t >= 0.
+
+    P and p_eigs, from decay_envelope for n >= 2, are the solution of
+    Phi^T P + P Phi + I = 0 that the bound was proved from, checked as
+    solve_lyapunov checks its P with Q = I, and eigvalsh(P); both are
+    read-only, and None for n = 1.
+    """
 
     mu: float
     lam: float
+    P: FloatArray | None = field(default=None, compare=False, repr=False)
+    p_eigs: FloatArray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.mu >= 1.0 and math.isfinite(self.mu)):
@@ -268,7 +282,8 @@ def decay_envelope(Phi: ArrayLike) -> DecayEnvelope:
     a1, a2 = float(eigs[0]) - err, float(eigs[-1]) + err
     if not a1 > 0.0:
         raise EnvelopeError(f"no decay envelope: a1 - err = {a1:.12g} <= 0 (err = {err:.3g})")
-    return DecayEnvelope(mu=max(1.0, math.sqrt(a2 / a1)), lam=(1.0 - r) / (2.0 * a2))
+    P.flags.writeable = eigs.flags.writeable = False
+    return DecayEnvelope(mu=max(1.0, math.sqrt(a2 / a1)), lam=(1.0 - r) / (2.0 * a2), P=P, p_eigs=eigs)
 
 
 def growth_envelope(A: ArrayLike) -> GrowthEnvelope:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,7 @@ from .linalg import (
     decay_envelope,
     growth_envelope,
     mat_exp,
+    spectral_norm,
 )
 
 # Power tables kept per plant (LtiPlant.power_table), and the most powers one
@@ -97,15 +99,22 @@ class LtiPlant:
     Construction validates dimensions and builds the decay envelope of the
     closed-loop matrix (which doubles as the Hurwitz check) and the growth
     envelope of the open-loop matrix, both proved for all t >= 0 with stated
-    rounding slack (see dosloop.linalg). step (and stepper, which serves many
-    step lengths from one start) advances the held-input dynamics by a single
-    step of any length: from a Taylor table of the augmented matrix, built on
-    first use per input mode, while ||M||_F dt <= TAYLOR_THETA, and from
-    propagator, the matrix exponential, past that. power_table stacks the
-    first k powers of one propagator, built from it by doubling; the tables
-    stay in a least-recently-used cache of POWER_TABLE_CACHE_SIZE entries,
-    each at most POWER_TABLE_ROWS deep, so memory stays bounded over any
-    horizon.
+    rounding slack (see dosloop.linalg).
+
+    The plant keeps, computed once, each invariant that the certificates,
+    the trigger check and the simulator share: phi = A + B K and bk = B K;
+    decay, whose P and p_eigs (n >= 2) are the solution of
+    phi^T P + P phi + I = 0 and its eigenvalues; growth; and, each on first
+    use, the spectral norms phi_norm, bk_norm and a_norm of phi, bk and A.
+
+    step (and stepper, which serves many step lengths from one start)
+    advances the held-input dynamics by a single step of any length: from a
+    Taylor table of the augmented matrix, built on first use per input mode,
+    while ||M||_F dt <= TAYLOR_THETA, and from propagator, the matrix
+    exponential, past that. power_table stacks the first k powers of one
+    propagator, built from it by doubling; the tables stay in a
+    least-recently-used cache of POWER_TABLE_CACHE_SIZE entries, each at most
+    POWER_TABLE_ROWS deep, so memory stays bounded over any horizon.
     """
 
     A: FloatArray
@@ -153,6 +162,21 @@ class LtiPlant:
     @property
     def bk(self) -> FloatArray:
         return self._bk
+
+    @cached_property
+    def phi_norm(self) -> float:
+        """||A + B K||_2."""
+        return spectral_norm(self._phi)
+
+    @cached_property
+    def bk_norm(self) -> float:
+        """||B K||_2."""
+        return spectral_norm(self._bk)
+
+    @cached_property
+    def a_norm(self) -> float:
+        """||A||_2."""
+        return spectral_norm(self.A)
 
     @property
     def decay(self) -> DecayEnvelope:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .dos import DosBudget, DosSequence, check_slow_average, is_jammed
 from .guarantees import SamplingRobustness, _per_interval_gaps
-from .linalg import FloatArray, as_vector, spectral_norm
+from .linalg import FloatArray, as_vector
 from .plant import POWER_TABLE_ROWS, InputMode, LoopState, LtiPlant
 from .plant import exact_hold_step  # noqa: F401  (bench/test_bench.py rebinds dosloop.sim.exact_hold_step)
 from .triggers import (
@@ -344,14 +344,11 @@ class _Watch:
         self.sigma = sigma
         self.tol = crossing_tol
         self.stats = stats
-        self.a_norm = math.nan  # ||A||_2, taken on the first arming
         self.active = False
         self.last = 0  # record ticks the last watch stepped, up to its crossing
 
     def arm(self, x_held: FloatArray) -> None:
         """Start watching from the state x_held itself (e = 0), just after a success."""
-        if math.isnan(self.a_norm):
-            self.a_norm = spectral_norm(self.plant.A)
         self.active = True
         self.x_held = x_held
         self.held = _norm(x_held)
@@ -365,7 +362,7 @@ class _Watch:
         env = self.plant.growth
         sigma = self.sigma
         slope = (1.0 + sigma) * env.theta * np.exp(env.rho * h) * (1.0 + _CROSSING_SLACK)  # inf: not clear
-        rise = slope * h * (self.a_norm * n_a + (0.0 if zi else self.bkw))
+        rise = slope * h * (self.plant.a_norm * n_a + (0.0 if zi else self.bkw))
         eta = _CROSSING_SLACK * (1.0 + sigma) * (n_a + n_b + self.held)
         return (g_a < 0.0) & (g_b < 0.0) & (g_a + g_b + rise + eta < 0.0)
 

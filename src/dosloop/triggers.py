@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import FloatArray, as_vector, spectral_norm
+from .linalg import FloatArray, as_vector
 from .plant import LoopState, LtiPlant, _held_input_blocks
 
 ZERO_STATE_TOL = 1e-12
@@ -83,7 +83,7 @@ def validate_trigger_for_plant(config: TriggerConfig, plant: LtiPlant) -> float:
     Raises ValueError when delta2 exceeds it, since the update rule would no
     longer be guaranteed between successful transmissions.
     """
-    bound = riccati_delta2(spectral_norm(plant.phi), spectral_norm(plant.bk), config.sigma)
+    bound = riccati_delta2(plant.phi_norm, plant.bk_norm, config.sigma)
     if config.delta2 > bound * (1.0 + 1e-9):
         raise ValueError(
             f"delta2={config.delta2} exceeds the admissible inter-update bound {bound:.12g}"
@@ -160,8 +160,12 @@ def next_update_self_trigger(state: LoopState, plant: LtiPlant, config: TriggerC
     """SELF_TRIGGER rule: interpolate between delta2 and delta1 by predicted state size.
 
     chi predicts the current state from the last successfully received sample;
-    large predictions pull the next attempt toward the fast rate delta1.
+    large predictions pull the next attempt toward the fast rate delta1. The
+    zero varphi ignores chi, so it is not predicted: the attempt is delta2
+    ahead, the same float as the interpolation gives (x - 0.0 == x).
     """
+    if config.varphi.kind == "zero":
+        return state.t + config.delta2
     chi = predict_state(plant, state.x_held, state.t_held, state.t)
     frac = config.varphi(float(np.linalg.norm(chi)))
     return state.t + config.delta2 - (config.delta2 - config.delta1) * frac

@@ -118,6 +118,14 @@ def test_json_booleans_and_fractional_seeds_exit_1(tmp_path, capsys):
         (scalar_doc(budget={"kappa": True, "tau": 12.0}), "budget.kappa: expected a number, got True"),
         (scalar_doc(dos=random_jam), "dos.generator.seed: expected an integer, got 2.9"),
         (scalar_doc(dos={"generator": {**random_jam["generator"], "seed": True}}), "expected an integer, got True"),
+        # numpy would read these as numbers too: np.asarray([True, 1.0]) is float64,
+        # and np.asarray(["0.5"], dtype=float) parses the string
+        (scalar_doc(dos={"intervals": [[True, 0.3]]}), "dos.intervals: expected a number, got True"),
+        (scalar_doc(sim={**scalar_doc()["sim"], "x0": [True]}), "sim.x0: expected a number, got True"),
+        (scalar_doc(plant={**scalar_doc()["plant"], "A": [[True]]}), "plant.A: expected a number, got True"),
+        (scalar_doc(trigger={**scalar_doc()["trigger"], "sigma": "0.25"}), "trigger.sigma: expected a number, got '0.25'"),
+        (scalar_doc(analysis={"Q": [[True]]}), "analysis.Q: expected a number, got True"),
+        (scalar_doc(analysis={"Q": [["2.0"]]}), "analysis.Q: expected a number, got '2.0'"),
     ]
     for k, (doc, message) in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
@@ -546,3 +554,63 @@ def test_sweep_blanks_input_errors_but_a_library_error_exits_4(tmp_path, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("internal error:\nTraceback (most recent call last):")
     assert err.rstrip().endswith("ValueError: bug inside the library")
+
+
+SHIPPED_DOUBLE_INTEGRATOR = Path(__file__).resolve().parent.parent / "scenarios" / "double_integrator.json"
+
+
+def _count_calls(monkeypatch, functions) -> dict[str, int]:
+    """Count calls of each function through every dosloop module that binds it by name."""
+    counts = {}
+    for function in functions:
+        name = function.__name__
+        counts[name] = 0
+
+        def counted(*args, _name=name, _function=function, **kwargs):
+            counts[_name] += 1
+            return _function(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "dosloop" and getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_analyze_computes_each_plant_invariant_once(monkeypatch, capsys):
+    from dosloop.guarantees import rho_star
+    from dosloop.linalg import solve_lyapunov, spectral_norm
+
+    counts = _count_calls(monkeypatch, (spectral_norm, solve_lyapunov, rho_star))
+    assert main(["analyze", "--config", str(SHIPPED_DOUBLE_INTEGRATOR)]) == 0
+    assert "feasible_all = true" in capsys.readouterr().out
+    # ||A + BK|| and ||BK|| once per plant, ||K^T B^T P + P B K|| once
+    assert counts["spectral_norm"] <= 3
+    # Q = I: P is the one the decay envelope solved for
+    assert counts["solve_lyapunov"] == 0
+    # the ideal and sampled certificates share one bisection
+    assert counts["rho_star"] == 1
+
+
+def test_reused_invariants_equal_direct_computation():
+    from dosloop.guarantees import ges_certificate_lyapunov, ges_certificate_sampled, rho_star
+    from dosloop.linalg import solve_lyapunov, spectral_norm
+
+    sc = load_scenario(SHIPPED_DOUBLE_INTEGRATOR)
+    plant, sigma, kappa, tau = sc.plant, sc.trigger.sigma, sc.budget.kappa, sc.budget.tau_avg
+    eye = np.eye(plant.n)
+    cert = ges_certificate_lyapunov(plant, eye, sigma, kappa, tau)
+    assert cert.P is plant.decay.P
+    direct = solve_lyapunov(plant.phi, eye)
+    assert cert.P.tobytes() == direct.tobytes()
+    assert plant.decay.p_eigs.tobytes() == np.linalg.eigvalsh(direct).tobytes()
+    assert (plant.phi_norm, plant.bk_norm, plant.a_norm) == tuple(map(spectral_norm, (plant.phi, plant.bk, plant.A)))
+    bundle = cli_mod.certificates(sc)
+    assert bundle.robustness.inflation > 1.0
+    env, gro = plant.decay, plant.growth
+    rs = rho_star(env.lam, env.mu * plant.bk_norm, sigma, gro.theta, plant.bk_norm, gro.rho)
+    assert bundle.ideal.rho_star == rs and bundle.sampled.rho_star == rs
+    assert bundle.sampled == ges_certificate_sampled(plant, sigma, kappa, tau, bundle.robustness)
+    # the inflated fields, from the same operations as a certificate built with the inflation
+    rate, margin = (env.lam + rs) * bundle.robustness.inflation, bundle.ideal.sigma_margin
+    inflated = (rate / margin, env.mu * math.exp(kappa * rate), margin - rate / tau)
+    assert (bundle.sampled.tau_min, bundle.sampled.alpha, bundle.sampled.beta) == inflated
