@@ -134,13 +134,13 @@ def _as_array(value, where: str) -> FloatArray:
     np.asarray([True, 1.0]) is float64, and np.asarray(["0.5"], dtype=float) parses the string.
     """
     def check(v) -> None:
-        if isinstance(v, (list, tuple)):
+        if isinstance(v, list):
             for item in v:
                 check(item)
         elif not _is_number(v):
             raise ScenarioError(f"{where}: expected a number, got {v!r}")
 
-    check(value.tolist() if isinstance(value, np.ndarray) else value)
+    check(value)
     try:
         return np.asarray(value, dtype=float)
     except ValueError as exc:  # ragged nesting
@@ -153,11 +153,10 @@ def _parse_dos(sec: dict, budget: DosBudget, horizon: float, base_dir: Path) -> 
         raise ScenarioError("section 'dos' needs exactly one of: intervals, file, generator")
     kind = keys[0]
     if kind == "intervals":
-        try:
-            pairs = [(h, d) for h, d in sec["intervals"]]
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"dos.intervals must be [onset, duration] pairs: {exc}") from exc
-        return DosSequence(tuple((_as_float(h, "dos.intervals"), _as_float(d, "dos.intervals")) for h, d in pairs))
+        intervals = sec["intervals"]
+        if not (isinstance(intervals, list) and all(isinstance(p, list) and len(p) == 2 for p in intervals)):
+            raise ScenarioError("dos.intervals must be a list of [onset, duration] pairs")
+        return DosSequence(tuple((_as_float(h, "dos.intervals"), _as_float(d, "dos.intervals")) for h, d in intervals))
     if kind == "file":
         path = base_dir / str(sec["file"])
         if not path.exists():

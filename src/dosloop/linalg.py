@@ -150,15 +150,14 @@ def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:
 
     Solves the vectorised system (I kron Phi^T + Phi^T kron I) vec P = -vec Q
     with numpy's LAPACK solve (LU with partial pivoting). Its cost is O(n^6):
-    with Q = I, 0.11-0.19 ms at n = 2-4, 0.21-0.29 ms at n = 8, 2.0-2.6 ms
-    at n = 16 and 53 ms at n = 32 on a 2-vCPU host, of which the checks of Q
-    and of P take about half at n <= 8; the Kronecker operator, formed by
-    broadcasting, takes 3-27 us at n = 1-8 (np.kron: 28-69 us). scipy's
-    O(n^3) Bartels-Stewart takes 0.05-0.09 ms at n <= 8, but scipy is not a
-    run-time dependency. Raises ValueError for a non-symmetric or non-
-    positive-definite Q, LyapunovError when the system is singular or the
-    solve leaves a large residual, or when P is not positive definite (not
-    Hurwitz).
+    with Q = I, 0.17-0.26 ms at n = 2-4, 0.29-0.33 ms at n = 8, 2.6-2.9 ms
+    at n = 16 and 40-50 ms at n = 32 on a 2-vCPU host, of which the checks
+    of Q and of P take about half and np.kron 0.04-0.08 ms at n <= 8.
+    scipy's O(n^3) Bartels-Stewart takes 0.05-0.07 ms at n <= 8, but scipy
+    is not a run-time dependency. Raises ValueError for a non-symmetric or
+    non-positive-definite Q, LyapunovError when the system is singular or
+    the solve leaves a large residual, or when P is not positive definite
+    (not Hurwitz).
     """
     F = require_square(as_matrix(Phi, "Phi"), "Phi")
     Qm = as_weight(Q, F.shape[0])
@@ -169,11 +168,8 @@ def _lyapunov(F: FloatArray, Q: FloatArray, q_norm: float) -> tuple[FloatArray, 
     """P of solve_lyapunov for a checked Q, with ||R||_2 of R = F^T P + P F + Q and eigvalsh(P)."""
     n = F.shape[0]
     eye = np.eye(n)
-    # Row-major vec: vec(F^T P) = kron(F^T, I) vec P, vec(P F) = kron(I, F^T) vec P,
-    # formed by broadcasting from the same products np.kron takes, so the same bits.
-    Ft = F.T
-    L = Ft[:, None, :, None] * eye[None, :, None, :] + eye[:, None, :, None] * Ft[None, :, None, :]
-    L = L.reshape(n * n, n * n)
+    # Row-major vec: vec(F^T P) = kron(F^T, I) vec P, vec(P F) = kron(I, F^T) vec P.
+    L = np.kron(F.T, eye) + np.kron(eye, F.T)
     # Extreme scales overflow with only a warning; the two checks below reject the result.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -160,12 +160,8 @@ def next_update_self_trigger(state: LoopState, plant: LtiPlant, config: TriggerC
     """SELF_TRIGGER rule: interpolate between delta2 and delta1 by predicted state size.
 
     chi predicts the current state from the last successfully received sample;
-    large predictions pull the next attempt toward the fast rate delta1. The
-    zero varphi ignores chi, so it is not predicted: the attempt is delta2
-    ahead, the same float as the interpolation gives (x - 0.0 == x).
+    large predictions pull the next attempt toward the fast rate delta1.
     """
-    if config.varphi.kind == "zero":
-        return state.t + config.delta2
     chi = predict_state(plant, state.x_held, state.t_held, state.t)
     frac = config.varphi(float(np.linalg.norm(chi)))
     return state.t + config.delta2 - (config.delta2 - config.delta1) * frac

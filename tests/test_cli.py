@@ -121,6 +121,7 @@ def test_json_booleans_and_fractional_seeds_exit_1(tmp_path, capsys):
         # numpy would read these as numbers too: np.asarray([True, 1.0]) is float64,
         # and np.asarray(["0.5"], dtype=float) parses the string
         (scalar_doc(dos={"intervals": [[True, 0.3]]}), "dos.intervals: expected a number, got True"),
+        (scalar_doc(dos={"intervals": [[0.3]]}), "dos.intervals must be a list of [onset, duration] pairs"),
         (scalar_doc(sim={**scalar_doc()["sim"], "x0": [True]}), "sim.x0: expected a number, got True"),
         (scalar_doc(plant={**scalar_doc()["plant"], "A": [[True]]}), "plant.A: expected a number, got True"),
         (scalar_doc(trigger={**scalar_doc()["trigger"], "sigma": "0.25"}), "trigger.sigma: expected a number, got '0.25'"),

@@ -167,23 +167,6 @@ def test_self_trigger_interpolates():
     assert CFG.delta1 - 1e-12 <= gap <= CFG.delta2 + 1e-12
 
 
-def test_zero_varphi_attempt_makes_no_prediction(monkeypatch):
-    import dosloop.triggers as triggers
-
-    calls = []
-    predict = triggers.predict_state
-    monkeypatch.setattr(triggers, "predict_state", lambda *args: calls.append(args) or predict(*args))
-    plant = LtiPlant(A=np.array([[0.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
-    state = LoopState(t=2.0, x=np.array([5.0]), x_held=np.array([4.0]), t_held=1.5)
-    cfg_zero = TriggerConfig(sigma=0.3, delta1=0.05, delta2=0.2, varphi=Varphi())
-    # the same float the interpolation gives: t + delta2 - (delta2 - delta1) * 0.0
-    assert next_update_self_trigger(state, plant, cfg_zero) == 2.0 + 0.2 - (0.2 - 0.05) * 0.0
-    assert calls == []
-    cfg_ramp = TriggerConfig(sigma=0.3, delta1=0.05, delta2=0.2, varphi=Varphi(kind="saturated_linear", scale=0.1))
-    next_update_self_trigger(state, plant, cfg_ramp)
-    assert len(calls) == 1
-
-
 def test_logic_kind_round_trip():
     for kind in LogicKind:
         assert LogicKind(kind.value) is kind
