@@ -415,10 +415,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     sys.stdout.write(text)
     if args.report:
         Path(args.report).write_text(text)
-    all_ok = bool(report["feasible_ideal"]) and bool(report["feasible_sampled"]) and bool(
-        report["feasible_lyapunov"]
-    )
-    return 0 if all_ok else 2
+    return 0 if report["feasible_all"] else 2
 
 
 def _applicable_certificates(sc: Scenario, bundle: CertificateBundle) -> list[tuple[str, float, float, bool]]:
@@ -488,16 +485,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 3 if violation else 0
 
 
+# The scenario section that holds each parameter sweep can vary.
+_SWEEP_SECTIONS = {"tau": "budget", "sigma": "trigger", "delta1": "trigger"}
+
+
 def _sweep_point(doc: dict, base_dir: Path, param: str, value: float) -> tuple[float, str, str, str, str]:
     patched = json.loads(json.dumps(doc))
-    if param == "tau":
-        patched.setdefault("budget", {})["tau"] = value
-    elif param == "sigma":
-        patched.setdefault("trigger", {})["sigma"] = value
-    elif param == "delta1":
-        patched.setdefault("trigger", {})["delta1"] = value
-    else:
-        raise ScenarioError(f"unknown sweep parameter {param!r} (expected tau, sigma or delta1)")
+    patched.setdefault(_SWEEP_SECTIONS[param], {})[param] = value
     # Only input errors blank a point; anything else is a bug and reaches main's exit 4.
     try:
         sc = scenario_from_dict(patched, base_dir)
@@ -518,7 +512,7 @@ def _sweep_point(doc: dict, base_dir: Path, param: str, value: float) -> tuple[f
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.param not in ("tau", "sigma", "delta1"):
+    if args.param not in _SWEEP_SECTIONS:
         raise ScenarioError(f"unknown sweep parameter {args.param!r} (expected tau, sigma or delta1)")
     if args.steps < 2:
         raise ScenarioError(f"sweep needs at least 2 steps, got {args.steps}")

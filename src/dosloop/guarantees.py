@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .dos import DosSequence, n_of_t
-from .linalg import FloatArray, as_matrix, solve_lyapunov, spectral_norm
+from .linalg import FloatArray, _lyapunov, as_matrix, as_weight, spectral_norm
 from .plant import LtiPlant
 
 _RHO_STAR_EPS = 1e-12
@@ -129,16 +129,6 @@ class TrajectoryConstants:
     beta: float
     sigma_feasible: bool
     feasible: bool
-
-    def omega_star_at(self, zeta: float) -> float:
-        """omega2 [(1+sigma) + theta + theta1/zeta] / (lam + zeta); rho_star makes it <= 1."""
-        if self.theta1 == 0.0:
-            theta2 = self.theta
-        elif zeta > 0.0:
-            theta2 = self.theta + self.theta1 / zeta
-        else:
-            raise ValueError(f"zeta must be positive, got {zeta}")
-        return (self.omega2 * (1.0 + self.sigma) + self.omega2 * theta2) / (self.lam + zeta)
 
     def inflated(self, inflation: float) -> TrajectoryConstants:
         """This certificate with every jam window inflated by the factor inflation.
@@ -264,7 +254,9 @@ def ges_certificate_lyapunov(
     and beta = (omega1 - (omega1 + omega2)/tau) / 2. When Q is the identity,
     bit for bit, P and its eigenvalues are the ones plant.decay solved for
     and checked (as solve_lyapunov checks them: the identity's computed
-    2-norm is exactly 1.0), so no second Lyapunov system is solved.
+    2-norm is exactly 1.0), so no second Lyapunov system is solved. Any
+    other Q is checked once (linalg.as_weight) and solved as solve_lyapunov
+    solves it, keeping the eigenvalues of P that the solve checked.
     """
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -277,8 +269,8 @@ def ges_certificate_lyapunov(
     if env.P is not None and Qm.shape == env.P.shape and Qm.tobytes() == np.eye(plant.n).tobytes():
         P, p_eigs = env.P, env.p_eigs
     else:
-        P = solve_lyapunov(plant.phi, Qm)
-        p_eigs = np.linalg.eigvalsh(P)
+        Qm = as_weight(Qm, plant.n)
+        P, _, p_eigs = _lyapunov(plant.phi, Qm, spectral_norm(Qm))
     alpha1, alpha2 = float(p_eigs[0]), float(p_eigs[-1])
     gamma1 = float(np.linalg.eigvalsh(Qm)[0])
     gamma2 = spectral_norm(plant.bk.T @ P + P @ plant.bk)

@@ -139,12 +139,6 @@ def spectral_norm(M: ArrayLike) -> float:
     return float(np.linalg.norm(as_matrix(M), 2))
 
 
-def log_norm(M: ArrayLike) -> float:
-    """Logarithmic norm: largest eigenvalue of the symmetric part of M."""
-    A = require_square(as_matrix(M))
-    return float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
-
-
 def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:
     """Solve Phi^T P + P Phi + Q = 0 for symmetric positive-definite P.
 
@@ -283,7 +277,7 @@ def decay_envelope(Phi: ArrayLike) -> DecayEnvelope:
 
 
 def growth_envelope(A: ArrayLike) -> GrowthEnvelope:
-    """Exponential growth envelope theta = 1, rho >= max(0, log_norm(A)), proved for all t >= 0.
+    """Exponential growth envelope theta = 1, rho >= max(0, mu_2(A)), proved for all t >= 0.
 
     ||exp(A t)||_2 <= exp(mu_2(A) t) with mu_2 the logarithmic norm
     (Dahlquist 1958; Soderlind 2006). n = 1 is exact: rho = max(0, a).

@@ -13,7 +13,7 @@ steps are the first k powers of that exponential's one-step map.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -35,11 +35,8 @@ from .linalg import (
     spectral_norm,
 )
 
-# Power tables kept per plant (LtiPlant.power_table), and the most powers one
-# table holds: a few step lengths (run() uses the record step, with and
-# without the input), at most 256 deep, so the memory they take does not
-# depend on the horizon.
-POWER_TABLE_CACHE_SIZE = 4
+# The most powers one table of LtiPlant.power_table holds, so the memory the
+# tables take does not depend on the horizon.
 POWER_TABLE_ROWS = 256
 
 
@@ -105,16 +102,16 @@ class LtiPlant:
     the trigger check and the simulator share: phi = A + B K and bk = B K;
     decay, whose P and p_eigs (n >= 2) are the solution of
     phi^T P + P phi + I = 0 and its eigenvalues; growth; and, each on first
-    use, the spectral norms phi_norm, bk_norm and a_norm of phi, bk and A.
+    use, the spectral norms phi_norm and bk_norm of phi and bk.
 
     step (and stepper, which serves many step lengths from one start)
     advances the held-input dynamics by a single step of any length: from a
     Taylor table of the augmented matrix, built on first use per input mode,
-    while ||M||_F dt <= TAYLOR_THETA, and from propagator, the matrix
+    for steps up to taylor_reach, and from propagator, the matrix
     exponential, past that. power_table stacks the first k powers of one
-    propagator, built from it by doubling; the tables stay in a
-    least-recently-used cache of POWER_TABLE_CACHE_SIZE entries, each at most
-    POWER_TABLE_ROWS deep, so memory stays bounded over any horizon.
+    propagator, built from it by doubling; the plant keeps one table per
+    input mode, for the last step length asked, at most POWER_TABLE_ROWS
+    deep, so memory stays bounded over any horizon.
     """
 
     A: FloatArray
@@ -143,7 +140,7 @@ class LtiPlant:
         object.__setattr__(self, "_bk", B @ K)
         object.__setattr__(self, "_decay", decay_envelope(self._phi))
         object.__setattr__(self, "_growth", growth_envelope(A))
-        object.__setattr__(self, "_power_cache", OrderedDict())
+        object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_taylor", {})
 
     @property
@@ -173,11 +170,6 @@ class LtiPlant:
         """||B K||_2."""
         return spectral_norm(self._bk)
 
-    @cached_property
-    def a_norm(self) -> float:
-        """||A||_2."""
-        return spectral_norm(self.A)
-
     @property
     def decay(self) -> DecayEnvelope:
         return self._decay
@@ -205,10 +197,7 @@ class LtiPlant:
         one to stats["taylor_steps"] or, past the reach, stats["expm_steps"]
         when stats is given.
         """
-        table = self._taylor.get(zero_input)
-        if table is None:
-            table = self._taylor[zero_input] = _taylor_table(self.A, None if zero_input else self._bk)
-        rows, rate = table
+        rows, rate = self._table(zero_input)
         z = x if zero_input else np.concatenate((x, x_held))
         terms = (rows @ z).reshape(-1, len(x))
 
@@ -224,6 +213,18 @@ class LtiPlant:
             return T @ x if H is None else T @ x + H @ x_held
 
         return advance
+
+    def _table(self, zero_input: bool) -> tuple[FloatArray, float]:
+        """The Taylor rows and rate of M for this input mode, built on first use."""
+        table = self._taylor.get(zero_input)
+        if table is None:
+            table = self._taylor[zero_input] = _taylor_table(self.A, None if zero_input else self._bk)
+        return table
+
+    def taylor_reach(self, zero_input: bool = False) -> float:
+        """Longest step that stepper sums from its Taylor table: TAYLOR_THETA / ||M||_F (inf for M = 0)."""
+        rate = self._table(zero_input)[1]
+        return 1.0 / rate if rate > 0.0 else math.inf
 
     def step(
         self,
@@ -242,23 +243,20 @@ class LtiPlant:
         With (T, H) = propagator(dt, zero_input), row j-1 is [T^j | S_j H]
         (S_j = I + T + ... + T^(j-1)), of shape (n, 2n), so x after j steps
         is row @ [x; x_held]; with the input zeroed it is T^j alone, (n, n).
-        count is at most POWER_TABLE_ROWS. The table is cached for reuse and
-        grows in whole doublings, so it may hold more than count rows.
+        count is at most POWER_TABLE_ROWS. The plant keeps the table of the
+        last dt asked per input mode (run() asks only for the record step)
+        and grows it in whole doublings, so it may hold more than count rows.
         """
         if not 1 <= count <= POWER_TABLE_ROWS:
             raise ValueError(f"count must be in [1, {POWER_TABLE_ROWS}], got {count}")
-        key = (float(dt), bool(zero_input))
-        cache = self._power_cache
-        W = cache.get(key)
-        if W is None:
+        dt, zero_input = float(dt), bool(zero_input)
+        kept_dt, W = self._powers.get(zero_input, (None, None))
+        if kept_dt != dt:
             T, H = self.propagator(dt, zero_input)
             W = (T if H is None else np.hstack((T, H)))[None]
         if len(W) < count:
             W = _extend_powers(W, min(POWER_TABLE_ROWS, 1 << (count - 1).bit_length()))
-        cache[key] = W
-        cache.move_to_end(key)
-        if len(cache) > POWER_TABLE_CACHE_SIZE:
-            cache.popitem(last=False)
+        self._powers[zero_input] = (dt, W)
         return W
 
 

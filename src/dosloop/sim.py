@@ -10,8 +10,8 @@ post-jump at the same timestamp) and jam breakpoints.
 Between two such events the loop state z = [x; x_held] follows z <- M z with
 M = [[T, H], [0, I]] from LtiPlant.propagator (mat_exp, not cached), so k
 equal steps are the first k powers of M. LtiPlant.power_table builds those
-powers by doubling from the one propagator and keeps the table of the record
-step in a bounded cache. run() steps every stretch of full record ticks
+powers by doubling from the one propagator and keeps the record step's table,
+one per input mode. run() steps every stretch of full record ticks
 before the next event as one product of that table with z, up to
 POWER_TABLE_ROWS ticks per block, with vectorised norms and divergence
 guard. Every other step is a single step of a one-off length, by
@@ -22,9 +22,10 @@ once, by SimConfig, not per step.
 
 The event logics integrate each segment once: while they wait for
 ||e|| to reach sigma ||x||, run() watches the states it computes (_Watch),
-clearing each cell between two of them by a proved bound on their norms and
-handing a cell the bound cannot clear to find_event_crossing's proved safe
-steps. Rows a block stepped past the crossing are dropped.
+clearing each cell between two of them by a proved bound and handing a
+cell the bound cannot clear to find_event_crossing's safe steps. Both use
+one Lipschitz bound from the exact derivative ||A x + B K x_held|| and one
+rounding slack. Rows a block stepped past the crossing are dropped.
 
 Trace rows are written into growable numpy column arrays, a row or a block
 at a time. The run loop takes its jam state from its cursor over the sorted
@@ -153,9 +154,10 @@ class Trace:
     record ticks stepped as one product), rows_emitted, cells_scanned
     (cells between computed states tested by _Watch's bound, those stepped
     past a crossing included), crossing_searches (find_event_crossing calls,
-    one per cell the bound could not clear), root_trials (their safe steps),
-    and taylor_steps and expm_steps (single steps, safe steps included,
-    from the plant's Taylor table and, past its reach, by mat_exp).
+    one per cell the bound could not clear), root_trials (their safe steps,
+    under the same bound), and taylor_steps and expm_steps (single steps
+    from the plant's Taylor table and, past its reach, by mat_exp; safe
+    steps stay within it).
     """
 
     t: FloatArray
@@ -243,6 +245,18 @@ def _row_norms(X: FloatArray) -> FloatArray:
     return np.sqrt(np.einsum("ij,ij->i", X, X))
 
 
+def _slope_factor(plant: LtiPlant, sigma: float, h: float, zero_input: bool) -> float:
+    """(1 + sigma) theta exp(rho h) (1 + _CROSSING_SLACK): times ||x'|| at a point, it bounds |g'| for the next h.
+
+    inf for h past the plant's Taylor reach, where the rounding argument
+    (see find_event_crossing) does not hold.
+    """
+    if h > plant.taylor_reach(zero_input):
+        return math.inf
+    env = plant.growth
+    return (1.0 + sigma) * env.theta * math.exp(env.rho * h) * (1.0 + _CROSSING_SLACK)
+
+
 def find_event_crossing(
     plant: LtiPlant,
     state: LoopState,
@@ -251,7 +265,6 @@ def find_event_crossing(
     t_max: float,
     crossing_tol: float = 1e-9,
     *,
-    grid_step: float | None = None,
     zero_input: bool = False,
     stats: dict[str, int] | None = None,
 ) -> float | None:
@@ -265,23 +278,27 @@ def find_event_crossing(
     Proof: between updates x'' = A x', so ||x'(t + r)|| <= theta exp(rho r)
     ||x'(t)|| by the growth envelope, and |g'| <= (1 + sigma) ||x'||. From a
     point with g < 0, L = (1 + sigma) theta exp(rho h) ||A x + B K x_held||
-    (no B K term with the input zeroed) bounds |g'| for the next h, so g < 0
-    for the next -g/L. Steps of min(max(-g/L, crossing_tol), h, rest of the
-    window), h = min(grid_step, window, 1/rho), pass no point with g >= 0
-    except within a step of crossing_tol: the first crossing lies in
-    (t - crossing_tol, t] or is an excursion that starts and ends within
-    one such step. Rounding slack: -g is shrunk by _CROSSING_SLACK
-    (1 + sigma) (||x|| + ||x_held||) and L grown by 1 + _CROSSING_SLACK,
-    covering the norms, the derivative and the steps (a Taylor sum within
-    2.2e-17 of ||[x; x_held]|| plus rounding, or mat_exp past its reach).
+    (_slope_factor; no B K term with the input zeroed) bounds |g'| for the
+    next h, so g < 0 for the next -g/L. Steps of min(max(-g/L,
+    crossing_tol), h, rest of the window), h = min(window, 1/rho,
+    LtiPlant.taylor_reach), pass no point with g >= 0 except within a step
+    of crossing_tol: the first crossing lies in (t - crossing_tol, t] or is
+    an excursion that starts and ends within one such step. Rounding: -g is
+    shrunk by eta = _CROSSING_SLACK (1 + sigma) (||x|| + ||x_held||) and L
+    grown by 1 + _CROSSING_SLACK. eta covers the norms, the steps (a Taylor
+    sum within 2.2e-17 of ||[x; x_held]|| plus rounding) and the derivative,
+    computed to within about n eps ||M||_F (||x|| + ||x_held||), M the
+    augmented matrix: h ||M||_F <= 1 and theta exp(rho h) <= e keep its
+    share of L h below n e eps (1 + sigma) (||x|| + ||x_held||), under eta
+    for n up to 1,600.
 
-    One LtiPlant.stepper serves each stretch of h, so with h within the
-    Taylor table's reach each step is one dot product. Near a tangency (g
-    within L crossing_tol of zero) steps shrink to crossing_tol, up to
-    window / crossing_tol of them. Counts go to stats when it is given.
+    One LtiPlant.stepper, summing its Taylor table, serves each stretch of
+    h, so each step is one dot product. Near a tangency (g within L
+    crossing_tol of zero) steps shrink to crossing_tol, up to window /
+    crossing_tol of them. Counts go to stats when it is given.
     """
-    if not (crossing_tol > 0.0 and (grid_step is None or grid_step > 0.0)):
-        raise ValueError(f"crossing_tol and grid_step must be positive, got {crossing_tol} and {grid_step}")
+    if not crossing_tol > 0.0:
+        raise ValueError(f"crossing_tol must be positive, got {crossing_tol}")
     window = t_max - t_from
     if window <= 0.0:
         return None
@@ -297,9 +314,9 @@ def find_event_crossing(
     if stats is None:
         stats = _new_stats()
     stats["crossing_searches"] += 1
-    env = plant.growth
-    h = min(window if grid_step is None else grid_step, window, 1.0 / env.rho if env.rho > 0.0 else math.inf)
-    lip = (1.0 + sigma) * env.theta * math.exp(env.rho * h) * (1.0 + _CROSSING_SLACK)
+    rho = plant.growth.rho
+    h = min(window, 1.0 / rho if rho > 0.0 else math.inf, plant.taylor_reach(zero_input))
+    lip = _slope_factor(plant, sigma, h, zero_input)
     bkw = 0.0 if zero_input else plant.bk @ xh
     advance = plant.stepper(x, xh, zero_input, stats)
     base = t = 0.0  # offsets from t_from of the stepper's start and of x
@@ -326,17 +343,18 @@ class _Watch:
 
     Armed after a success (triggers.awaits_crossing). A cell [a, b] between
     consecutive states is clear when g_a < 0, g_b < 0 and
-    g_a + g_b + L h + eta < 0 (h = b - a): L = (1 + sigma) theta exp(rho h)
-    (||A||_2 ||x_a|| + ||B K x_held||), without B K when the input is
-    zeroed, is a Lipschitz constant of g there (see find_event_crossing), so
-    g <= (g_a + g_b + L h) / 2 < 0 on it (Piyavskii 1972; Shubert 1972).
-    eta = _CROSSING_SLACK (1 + sigma) (||x_a|| + ||x_b|| + ||x_held||) and L
-    grown by 1 + _CROSSING_SLACK cover the rounding of the norms and of
-    ||A||_2 and the stepping error of a state (below 1e-12 of
-    max(||x||, ||x_held||) in the suite's checks). A cell the bound cannot
-    clear goes to find_event_crossing; a state with g >= 0 bounds the
-    crossing. Blocks stepped while watching hold at most size ticks: the
-    last watch's tick count (at least _SCAN_BLOCK_MIN), doubling per block.
+    g_a + g_b + L h + eta < 0 (h = b - a): L = _slope_factor(h)
+    ||A x_a + B K x_held|| (no B K with the input zeroed), the Lipschitz
+    constant that find_event_crossing steps by, taken at every cell start
+    by one product per block or per single step, gives g <= (g_a + g_b +
+    L h) / 2 < 0 on the cell (Piyavskii 1972; Shubert 1972). The rounding
+    argument is the search's, eta = _CROSSING_SLACK (1 + sigma) (||x_a|| +
+    ||x_b|| + ||x_held||) also covering the stepping error of the states
+    (below 1e-12 of max(||x||, ||x_held||) in the suite's checks); no cell
+    past the Taylor reach is cleared. A cell the bound cannot clear goes to
+    find_event_crossing; a state with g >= 0 bounds the crossing. Blocks
+    stepped while watching hold at most size ticks: the last watch's tick
+    count (at least _SCAN_BLOCK_MIN), doubling per block.
     """
 
     def __init__(self, plant: LtiPlant, sigma: float, crossing_tol: float, stats: dict[str, int]) -> None:
@@ -352,18 +370,20 @@ class _Watch:
         self.active = True
         self.x_held = x_held
         self.held = _norm(x_held)
-        self.bkw = _norm(self.plant.bk @ x_held)
+        self.bkw = self.plant.bk @ x_held
         self.g, self.n = -self.sigma * self.held, self.held  # g and ||x|| of the current state
         self.size = max(_SCAN_BLOCK_MIN, self.last)
         self.ticks = 0  # record ticks stepped since arming
 
-    def _clear(self, g_a, g_b, n_a, n_b, h: float, zi: bool):
-        """Whether the bound clears each cell of length h (floats or arrays of cells)."""
-        env = self.plant.growth
-        sigma = self.sigma
-        slope = (1.0 + sigma) * env.theta * np.exp(env.rho * h) * (1.0 + _CROSSING_SLACK)  # inf: not clear
-        rise = slope * h * (self.plant.a_norm * n_a + (0.0 if zi else self.bkw))
-        eta = _CROSSING_SLACK * (1.0 + sigma) * (n_a + n_b + self.held)
+    def _derivative(self, x: FloatArray, zi: bool) -> FloatArray:
+        """x' = A x + B K x_held (A x with the input zeroed) of a state, or of each row of a block."""
+        ax = x @ self.plant.A.T
+        return ax if zi else ax + self.bkw
+
+    def _clear(self, g_a, g_b, n_a, n_b, d_a, h: float, zi: bool):
+        """Whether the bound clears each cell of length h (floats or arrays of cells); d_a = ||x'|| at its start."""
+        rise = _slope_factor(self.plant, self.sigma, h, zi) * h * d_a
+        eta = _CROSSING_SLACK * (1.0 + self.sigma) * (n_a + n_b + self.held)
         return (g_a < 0.0) & (g_b < 0.0) & (g_a + g_b + rise + eta < 0.0)
 
     def _search(self, t_a: float, x_a: FloatArray, t_b: float, g_b: float, zi: bool) -> float | None:
@@ -383,7 +403,8 @@ class _Watch:
         g = e_norm - self.sigma * x_norm
         g_a = np.concatenate(((self.g,), g[:-1]))
         n_a = np.concatenate(((self.n,), x_norm[:-1]))
-        for i in np.flatnonzero(~self._clear(g_a, g, n_a, x_norm, ts[0] - t, zi)).tolist():
+        d_a = _row_norms(self._derivative(np.concatenate((x[None], X[:-1])), zi))
+        for i in np.flatnonzero(~self._clear(g_a, g, n_a, x_norm, d_a, ts[0] - t, zi)).tolist():
             hit = self._search(float(ts[i - 1]) if i else t, X[i - 1] if i else x, float(ts[i]), g[i], zi)
             if hit is not None:
                 self.last = self.ticks + i + 1
@@ -399,7 +420,8 @@ class _Watch:
         self.ticks += 1
         n_b = _norm(x_new)
         g_b = _norm(self.x_held - x_new) - self.sigma * n_b
-        hit = None if self._clear(self.g, g_b, self.n, n_b, stop - t, zi) else self._search(t, x, stop, g_b, zi)
+        d_a = _norm(self._derivative(x, zi))
+        hit = None if self._clear(self.g, g_b, self.n, n_b, d_a, stop - t, zi) else self._search(t, x, stop, g_b, zi)
         self.g, self.n = g_b, n_b
         return hit
 

@@ -117,14 +117,20 @@ def test_sampled_inflation_strictly_worsens():
     assert all(a > b for a, b in zip(betas, betas[1:]))
 
 
+def _omega_star(cert, zeta: float) -> float:
+    """omega2 [(1+sigma) + theta + theta1/zeta] / (lam + zeta), the coefficient rho_star makes <= 1."""
+    extra = cert.theta1 / zeta if cert.theta1 > 0.0 else 0.0
+    return cert.omega2 * ((1.0 + cert.sigma) + cert.theta + extra) / (cert.lam + zeta)
+
+
 def test_omega_star_at_threshold_is_at_most_one():
     rng = np.random.default_rng(12)
     for _ in range(15):
         plant = random_stabilized_plant(rng)
         cert = ges_certificate_ideal(plant, sigma=0.02, kappa=0.1, tau=30.0)
-        assert cert.omega_star_at(cert.rho_star) <= 1.0
+        assert _omega_star(cert, cert.rho_star) <= 1.0
         # strictly above the threshold the coefficient keeps shrinking
-        assert cert.omega_star_at(cert.rho_star * 1.5) < 1.0
+        assert _omega_star(cert, cert.rho_star * 1.5) < 1.0
 
 
 def test_lyapunov_certificate_hand_values():

@@ -16,7 +16,6 @@ from dosloop import (
     LyapunovError,
     decay_envelope,
     growth_envelope,
-    log_norm,
     mat_exp,
     solve_lyapunov,
     spectral_norm,
@@ -55,15 +54,22 @@ def test_spectral_norm_close_top_singular_values(gap):
     assert elapsed < 0.05, f"spectral_norm took {elapsed:.3f} s on a 3x3 matrix"
 
 
-def test_log_norm_triangular_hand_value():
-    # symmetric part of [[a, b], [0, a]] has eigenvalues a +- b/2
+def _log_norm(A: np.ndarray) -> float:
+    """Logarithmic norm mu_2(A): the largest eigenvalue of the symmetric part, by scipy."""
+    return float(scipy.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+
+
+def test_growth_rate_triangular_hand_value():
+    # symmetric part of [[a, b], [0, a]] has eigenvalues a +- b/2; rho is the
+    # larger one grown by its stated slack 4 n eps ||S||_2 (n = 2), and exact for n = 1
     A = np.array([[2.0, 3.0], [0.0, 2.0]])
-    assert log_norm(A) == pytest.approx(3.5, rel=1e-12)
-    assert log_norm(np.array([[1.0]])) == pytest.approx(1.0, rel=1e-14)
+    eps = np.finfo(float).eps
+    assert 3.5 <= growth_envelope(A).rho <= 3.5 * (1.0 + 9.0 * eps)
+    assert growth_envelope(np.array([[1.0]])).rho == 1.0
 
 
-def test_log_norm_matches_growth_derivative():
-    # log norm is the right derivative of ||exp(A t)|| at t = 0
+def test_growth_rate_matches_growth_derivative():
+    # the log norm is the right derivative of ||exp(A t)|| at t = 0, and rho is it floored at 0
     rng = np.random.default_rng(5)
     for _ in range(20):
         A = rng.normal(size=(3, 3))
@@ -72,7 +78,7 @@ def test_log_norm_matches_growth_derivative():
             return (np.linalg.norm(scipy.linalg.expm(A * h), 2) - 1.0) / h
 
         richardson = 2.0 * f(1e-6) - f(2e-6)
-        assert_close(log_norm(A), richardson, 1e-5, "log norm vs derivative")
+        assert_close(growth_envelope(A).rho, max(0.0, richardson), 1e-5, "growth rate vs derivative")
 
 
 def test_mat_exp_semigroup_and_inverse():
@@ -267,7 +273,7 @@ def test_proven_envelopes_pass_per_point_oracle(n):
         assert first_envelope_violation(Phi, decay.mu, -decay.lam, grid) is None, kind
         grid = envelope_grid(50.0 / max(growth.rho, 0.5))
         assert first_envelope_violation(A, growth.theta, growth.rho, grid) is None, kind
-        assert growth.theta == 1.0 and growth.rho >= max(0.0, log_norm(A)), kind
+        assert growth.theta == 1.0 and growth.rho >= max(0.0, _log_norm(A)), kind
         if n == 1:
             # the exact scalar forms
             assert (decay.mu, decay.lam) == (1.0, -Phi[0, 0]), kind

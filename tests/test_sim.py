@@ -27,6 +27,7 @@ from dosloop import (
     check_update_rule,
     dos_free_segments,
     find_event_crossing,
+    gen_greedy_adversary,
     gen_periodic,
     ges_certificate_lyapunov,
     is_jammed,
@@ -34,10 +35,13 @@ from dosloop import (
     periodic_budget,
     run,
     verify_ges,
+    xi_bar_measure,
+    xi_measure,
 )
-from dosloop.cli import _applicable_certificates, certificates, scenario_from_dict
-from dosloop.plant import POWER_TABLE_CACHE_SIZE, POWER_TABLE_ROWS
+from dosloop.cli import Scenario, _applicable_certificates, certificates, scenario_from_dict
+from dosloop.plant import POWER_TABLE_ROWS
 from dosloop.sim import _CSV_BLOCK_ROWS, Trace
+from dosloop.triggers import awaits_crossing
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
 from oracles import csv_by_row, expm_hold_step, restep_rows, rk4_first_crossing, scipy_expm, update_rule_by_loop
 
@@ -124,15 +128,15 @@ def test_find_event_crossing_meets_its_contract_under_an_expm_oracle(zero_input)
 
         t_from = float(rng.uniform(0.0, 2.0))
         for tol in (1e-9, 1e-6):
-            for window, grid_step in ((4.0, None), (4.0 * trig.delta2, trig.delta1 / 8.0)):
+            for window in (4.0, 4.0 * trig.delta2):
                 t = find_event_crossing(plant, LoopState(t_from, x, x + e), sigma, t_from, t_from + window, tol,
-                                        grid_step=grid_step, zero_input=zero_input)
+                                        zero_input=zero_input)
                 if t is None:
                     continue
                 hits += 1
                 assert t_from < t <= t_from + window
-                assert g(t - t_from) >= -slack, (k, tol, grid_step)
-                assert g(t - t_from - tol) < slack, (k, tol, grid_step)
+                assert g(t - t_from) >= -slack, (k, tol, window)
+                assert g(t - t_from - tol) < slack, (k, tol, window)
     assert hits >= 30
 
 
@@ -141,8 +145,7 @@ def test_find_event_crossing_finds_a_crossing_between_any_two_grid_points():
     # peak of ||e|| / ||x|| on a dense grid: the window's only crossings can
     # be short excursions above sigma, which a search that looks at fixed
     # grid points skips. The grid steps by one cached scipy exponential
-    # (oracles.expm_hold_step), never by the library's stepping. The longest
-    # step, 0.01, is within the Taylor table's reach of these plants.
+    # (oracles.expm_hold_step), never by the library's stepping.
     rng = np.random.default_rng(1972)
     points = 2000
     for k in range(60):
@@ -162,11 +165,24 @@ def test_find_event_crossing_finds_a_crossing_between_any_two_grid_points():
         # the first grid point past sigma by more than the grid's rounding
         first = int(np.argmax(ratio >= sigma * (1.0 + 1e-9))) * dt
         tol = 1e-9
-        t = find_event_crossing(plant, LoopState(0.0, x0, x0), sigma, 0.0, window, tol, grid_step=0.01)
+        t = find_event_crossing(plant, LoopState(0.0, x0, x0), sigma, 0.0, window, tol)
         assert t is not None, (k, sigma)
         assert t <= first + tol, (k, t, first)
         x_t = expm_hold_step(A, plant.bk, x0, x0, t)
         assert np.linalg.norm(x0 - x_t) - sigma * np.linalg.norm(x_t) >= -1e-12 * np.linalg.norm(x0), k
+
+
+def test_find_event_crossing_steps_within_the_taylor_reach():
+    # x' = -50 x - x_held from x = x_held = 1: x(t) = -0.02 + 1.02 exp(-50 t),
+    # and ||e|| = 10 ||x|| at x = 1/11. rho = 0, so only the Taylor reach
+    # 1/||[-50, -1]|| bounds a stretch; the crossing lies past two of them
+    plant = LtiPlant(A=np.array([[-50.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
+    want = -np.log((1.0 / 11.0 + 0.02) / 1.02) / 50.0
+    assert want > 2.0 * plant.taylor_reach()
+    stats = dict.fromkeys(("crossing_searches", "root_trials", "taylor_steps", "expm_steps"), 0)
+    t = find_event_crossing(plant, LoopState(0.0, np.ones(1), np.ones(1)), 10.0, 0.0, 1.0, stats=stats)
+    assert want <= t <= want + 1e-9 + 1e-15
+    assert stats["expm_steps"] == 0 and stats["taylor_steps"] == stats["root_trials"] > 0
 
 
 def test_find_event_crossing_none_when_out_of_window():
@@ -182,9 +198,9 @@ def test_find_event_crossing_rejects_violated_start():
     with pytest.raises(ValueError):
         find_event_crossing(LINE, state, 0.25, 0.0, 1.0)
     start = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([1.0]))
-    for tol, grid_step in ((0.0, None), (1e-9, 0.0), (-1e-9, 0.1)):
+    for tol in (0.0, -1e-9):
         with pytest.raises(ValueError):
-            find_event_crossing(LINE, start, 0.25, 0.0, 1.0, tol, grid_step=grid_step)
+            find_event_crossing(LINE, start, 0.25, 0.0, 1.0, tol)
 
 
 def test_event_time_run_has_geometric_updates():
@@ -341,8 +357,8 @@ def test_power_table_cache_is_bounded_independent_of_horizon(monkeypatch):
 
     def watched_table(self, dt, count, zero_input=False):
         table = original_table(self, dt, count, zero_input)
-        peak[0] = max(peak[0], len(self._power_cache))
-        peak[1] = max(peak[1], len(table), *(len(W) for W in self._power_cache.values()))
+        peak[0] = max(peak[0], len(self._powers))
+        peak[1] = max(peak[1], len(table), *(len(W) for _, W in self._powers.values()))
         return table
 
     monkeypatch.setattr(LtiPlant, "power_table", watched_table)
@@ -352,8 +368,9 @@ def test_power_table_cache_is_bounded_independent_of_horizon(monkeypatch):
         seq = gen_periodic(0.5 * period, period, duty, horizon)
         run(_config(plant, LogicKind.EVENT_TIME, trig, dos=seq, budget=periodic_budget(period, duty),
                     x0=x0, horizon=horizon))
-        final.append(len(plant._power_cache))
-    assert peak[0] <= POWER_TABLE_CACHE_SIZE
+        final.append(len(plant._powers))
+    # one table per input mode
+    assert peak[0] <= 2
     assert peak[1] <= POWER_TABLE_ROWS
     assert final[0] == final[1] > 0
 
@@ -376,6 +393,10 @@ def test_power_table_rows_are_the_powers_of_one_step():
     zeroed = plant.power_table(dt, 3, zero_input=True)
     assert zeroed.shape == (4, 3, 3)
     np.testing.assert_allclose(zeroed[2], np.linalg.matrix_power(plant.propagator(dt, True)[0], 3), atol=1e-14)
+    # one table per input mode: another step length replaces it, and the first comes back row for row
+    double = plant.power_table(2 * dt, 1)
+    np.testing.assert_allclose(double[0], grown[1], rtol=0, atol=1e-14)
+    assert len(plant._powers) == 2 and np.array_equal(plant.power_table(dt, 3), grown[:4])
     with pytest.raises(ValueError):
         plant.power_table(dt, POWER_TABLE_ROWS + 1)
 
@@ -453,8 +474,64 @@ def test_crossing_watch_costs_little_beyond_the_rows(name, logic, mode):
     # the bound could not clear although they held no crossing, stay few
     _, trace = _shipped_run(name, logic, mode)
     successes = sum(ok for _, ok in trace.attempts)
-    assert trace.stats["crossing_searches"] <= 2 * successes
+    assert trace.stats["crossing_searches"] <= successes
     assert trace.stats["cells_scanned"] <= 1.5 * len(trace)
+
+
+def _whole_window_crossing(plant, trace, seq, sigma, t_s, x_s):
+    """find_event_crossing from a success at t_s over the rest of the run.
+
+    With the input zeroed while jammed, the flow changes at every jam
+    breakpoint, so the search restarts there from the recorded state (run()
+    writes a row at each breakpoint) in that stretch's input mode.
+    """
+    zero_mode = plant.input_mode is InputMode.ZERO_DURING_DOS
+    edges = sorted({float(b) for b in (*seq.onsets, *seq.ends) if t_s < b < trace.horizon}) if zero_mode else []
+    t_a, x_a = t_s, x_s
+    for t_b in edges + [trace.horizon]:
+        zi = zero_mode and is_jammed(seq, t_a)
+        hit = find_event_crossing(plant, LoopState(t_a, x_a, x_s), sigma, t_a, t_b, trace.crossing_tol, zero_input=zi)
+        if hit is not None or t_b == trace.horizon:
+            return hit
+        i = int(np.searchsorted(trace.t, t_b))
+        assert trace.t[i] == t_b
+        t_a, x_a = t_b, trace.x[i]
+
+
+@pytest.mark.parametrize("mode", list(InputMode))
+@pytest.mark.parametrize("logic", [LogicKind.EVENT_TIME, LogicKind.IDEAL_EVENT])
+def test_watch_finds_the_crossing_a_whole_window_search_finds(logic, mode):
+    # Every attempt that waits for a crossing (the one after a success, not
+    # from rest) lies within crossing_tol of the search that run() never
+    # makes: one find_event_crossing over the whole window from that
+    # success. Both return a point in [t*, t* + crossing_tol) of the first
+    # crossing t*; only an excursion above sigma shorter than crossing_tol,
+    # which either may skip, could part them, and these runs have none.
+    rng = np.random.default_rng(1600 + len(logic.value) + len(mode.value))
+    checked = 0
+    for k in range(3):
+        base = random_stabilized_plant(rng)
+        plant = LtiPlant(A=base.A, B=base.B, K=base.K, input_mode=mode)
+        sigma = feasible_sigma(plant)
+        trig = standard_trigger(plant, sigma)
+        horizon = 30.0 * trig.delta2
+        seq, budget, _ = budgeted_jam(k + 5, trig, tau_avg=5.0, horizon=horizon)
+        trace = run(SimConfig(plant=plant, logic=logic, trigger=trig, dos=seq, budget=budget,
+                              x0=rng.normal(size=plant.n), horizon=horizon, record_step=trig.delta1 / 4.0))
+        tol = trace.crossing_tol
+        success_rows = np.flatnonzero((trace.attempt == 1) & (trace.success == 1))
+        x_at = {float(trace.t[i]): trace.x[i] for i in success_rows}
+        later = [t for t, _ in trace.attempts[1:]] + [None]
+        for (t_s, ok), t_next in zip(trace.attempts, later):
+            if not (ok and awaits_crossing(LoopState(t_s, x_at[t_s], x_at[t_s]), logic)):
+                continue
+            want = _whole_window_crossing(plant, trace, seq, sigma, t_s, x_at[t_s])
+            if t_next is None:
+                assert want is None or want > horizon - tol, (k, t_s, want)
+            else:
+                assert want is not None and abs(want - t_next) <= tol, (k, t_s, t_next, want)
+            checked += 1
+    assert checked >= 30
 
 
 def test_trace_stats_count_blocks_and_are_reproducible():
@@ -752,3 +829,51 @@ def test_onset_snapshots_capture_held_state():
     for snap in trace.dos_onsets:
         assert snap.x.shape == (1,)
         assert snap.x_held.shape == (1,)
+
+
+@pytest.mark.parametrize("logic", list(LogicKind))
+@pytest.mark.parametrize("n", [2, 4])
+def test_certificates_hold_against_a_greedy_fixed_point_adversary(n, logic):
+    # The jammer jams the loop's own attempt times as far as its budget
+    # allows (gen_greedy_adversary), the loop is run again against that
+    # sequence, and so on for at most 3 rounds or until the jammed attempts
+    # stop changing. Every jammed run keeps each certificate that applies to
+    # its logic and the inequalities that support it. The budget's tau is
+    # 1.35 times the largest tau_min of the three routes (the sampled one at
+    # the worst-case inflation), so every route is certified.
+    base = random_stabilized_plant(np.random.default_rng(1500 + n), n=n)
+    sigma = feasible_sigma(base, 0.5)
+    trig = standard_trigger(base, sigma)
+    min_duration = 5.0 * trig.delta1
+    rounds = 0
+    for mode in InputMode:
+        plant = LtiPlant(A=base.A, B=base.B, K=base.K, input_mode=mode)
+        sc = Scenario(plant=plant, logic=logic, trigger=trig, dos=DosSequence(((0.0, min_duration),)),
+                      budget=DosBudget(kappa=min_duration, tau_avg=2.0), x0=np.ones(n), horizon=1.0,
+                      record_step=trig.delta1 / 4.0, crossing_tol=1e-9, Q=np.eye(n), delta2_was_computed=False)
+        bundle = certificates(sc)
+        tau = 1.35 * max(bundle.sampled.tau_min, bundle.ideal.tau_min, bundle.lyapunov.tau_min)
+        budget = DosBudget(kappa=3.0 * min_duration, tau_avg=tau)
+        horizon = 8.0 * tau * min_duration
+        sc = dataclasses.replace(sc, dos=NO_DOS, budget=budget, horizon=horizon)
+        trace = run(sc.sim_config())
+        for _ in range(3):
+            seq = gen_greedy_adversary(budget, min_duration, [t for t, _ in trace.attempts])
+            if seq.intervals == sc.dos.intervals:
+                break
+            assert len(seq) >= 3
+            sc = dataclasses.replace(sc, dos=seq)
+            trace = run(sc.sim_config())  # checks the budget
+            rounds += 1
+            assert not trace.diverged
+            bundle = certificates(sc)
+            routes = [(a, b) for _, a, b, ok in _applicable_certificates(sc, bundle) if ok]
+            assert routes
+            for alpha, beta in routes:
+                assert verify_ges(trace, alpha, beta).holds
+            measured = measure_robustness(trace.attempts, seq)
+            assert check_update_rule(trace, sigma, seq, measured).holds
+            xi, xi_bar = xi_measure(seq, horizon), xi_bar_measure(seq, measured, horizon)
+            assert xi_bar <= xi * measured.inflation * (1.0 + 1e-9) + 1e-12
+            assert check_onset_amplification(trace, sigma)[0]
+    assert rounds >= 2
