@@ -277,8 +277,8 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
+def _read_document(path: Path) -> dict:
+    """The JSON object in a scenario file; a missing file or malformed JSON is bad input."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -289,7 +289,12 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
-    return scenario_from_dict(doc, base_dir=path.parent)
+    return doc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    path = Path(path)
+    return scenario_from_dict(_read_document(path), base_dir=path.parent)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -433,13 +438,19 @@ def _applicable_certificates(sc: Scenario, bundle: CertificateBundle) -> list[tu
     return [("sampled", bundle.sampled.alpha, bundle.sampled.beta, bundle.sampled.feasible)]
 
 
+def _strongest_certificate(sc: Scenario, bundle: CertificateBundle) -> tuple[str, float, float] | None:
+    """(name, alpha, beta) of the feasible applicable certificate with the largest beta, or None."""
+    feasible = [(n, a, b) for n, a, b, ok in _applicable_certificates(sc, bundle) if ok]
+    return max(feasible, key=lambda item: item[2]) if feasible else None
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     sc = load_scenario(args.config)
     config = sc.sim_config()
     trace = run(config)
     trace.to_csv(args.out)
     bundle = certificates(sc)
-    measured = measure_robustness(trace.attempts, sc.dos)
+    measured = measure_robustness(trace.t[trace.attempt == 1], sc.dos)
 
     xi = xi_measure(sc.dos, sc.horizon)
     xi_bar = xi_bar_measure(sc.dos, measured, sc.horizon)
@@ -454,9 +465,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
 
     violation = False
-    feasible = [(n, a, b) for n, a, b, ok in _applicable_certificates(sc, bundle) if ok]
-    if feasible:
-        name, alpha, beta = max(feasible, key=lambda item: item[2])
+    strongest = _strongest_certificate(sc, bundle)
+    if strongest is not None:
+        name, alpha, beta = strongest
         verdict = verify_ges(trace, alpha, beta)
         lines["certificate"] = name
         lines["alpha"] = alpha
@@ -500,14 +511,14 @@ def _sweep_point(doc: dict, base_dir: Path, param: str, value: float) -> tuple[f
     bundle = certificates(sc)
     sampled = bundle.sampled
     row = (value, repr(sampled.tau_min), repr(sampled.alpha), repr(sampled.beta))
-    feasible = [(n, a, b) for n, a, b, ok in _applicable_certificates(sc, bundle) if ok]
-    if not feasible:
+    strongest = _strongest_certificate(sc, bundle)
+    if strongest is None:
         return (*row, "")
     try:
         config = sc.sim_config()
     except ScenarioError:  # e.g. the jam sequence breaks this point's budget
         return (*row, "")
-    _, alpha, beta = max(feasible, key=lambda item: item[2])
+    _, alpha, beta = strongest
     return (*row, "true" if verify_ges(run(config), alpha, beta).holds else "false")
 
 
@@ -517,12 +528,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise ScenarioError(f"sweep needs at least 2 steps, got {args.steps}")
     path = Path(args.config)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _read_document(path)
     # one point after another: the work is GIL-bound Python, which threads do not speed up
     rows = [_sweep_point(doc, path.parent, args.param, float(v)) for v in np.linspace(args.lo, args.hi, args.steps)]
     rows.sort(key=lambda r: r[0])
@@ -535,22 +541,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_dos(args: argparse.Namespace) -> int:
+    if args.kind not in ("periodic", "random"):
+        raise ScenarioError(f"unknown gen-dos kind {args.kind!r} (expected periodic or random)")
+    if args.kind == "periodic" and (args.period is None or args.duty is None):
+        raise ScenarioError("gen-dos --kind periodic needs --period and --duty")
+    if args.kind == "random" and (args.kappa is None or args.tau is None or args.min_duration is None):
+        raise ScenarioError("gen-dos --kind random needs --kappa, --tau and --min-duration")
     try:
         if args.kind == "periodic":
-            if args.period is None or args.duty is None:
-                raise ScenarioError("gen-dos --kind periodic needs --period and --duty")
             seq = gen_periodic(args.onset, args.period, args.duty, args.horizon)
             budget = periodic_budget(args.period, args.duty)
-        elif args.kind == "random":
-            if args.kappa is None or args.tau is None or args.min_duration is None:
-                raise ScenarioError("gen-dos --kind random needs --kappa, --tau and --min-duration")
+        else:
             budget = DosBudget(kappa=args.kappa, tau_avg=args.tau)
             seq = gen_random_budgeted(budget, args.min_duration, args.seed, args.horizon, args.min_gap)
-        else:
-            raise ScenarioError(f"unknown gen-dos kind {args.kind!r} (expected periodic or random)")
-    except ScenarioError:
-        raise
-    except ValueError as exc:  # the generators' argument checks
+    except ValueError as exc:  # the generators' and the budget's argument checks
         raise ScenarioError(str(exc)) from exc
     verdict = check_slow_average(seq, budget, args.horizon)
     if not verdict.ok:

@@ -14,13 +14,18 @@ Both produce global exponential bounds ||x(t)|| <= alpha exp(-beta t) ||x(0)||
 with an explicit feasibility verdict; a family whose alpha overflows a float
 reports alpha = inf and is infeasible. A product-form Gronwall bound with
 impulsive amplification factors supports the trajectory family.
+
+The measured side reads a run's attempt times alone (measure_robustness:
+the worst gap per jam interval, found with whole-array operations), and one
+running maximum of the inflated window ends (_window_reach) gives both the
+jam-free segments here and the exempt rows of sim.check_update_rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -300,39 +305,27 @@ def ges_certificate_lyapunov(
     )
 
 
-def measure_robustness(
-    attempts: Iterable[float] | Iterable[tuple[float, bool]],
-    seq: DosSequence,
-) -> SamplingRobustness:
-    """Measure delta_star / tau_star from a run's attempt times.
+def measure_robustness(attempt_times: FloatArray | Sequence[float], seq: DosSequence) -> SamplingRobustness:
+    """Measure delta_star / tau_star from a run's attempt times (in any order).
 
     For each jam interval, the worst gap between consecutive attempts whose
     *first* element falls inside it (an attempt with no successor contributes
     nothing: its gap is not observable). Intervals containing no attempt get
     gap 0. tau_star is the shortest interval duration, +inf for an empty
-    sequence.
+    sequence. A run's attempt times are trace.t[trace.attempt == 1].
     """
-    times: list[float] = []
-    for a in attempts:
-        if isinstance(a, (tuple, list)):
-            times.append(float(a[0]))
-        else:
-            times.append(float(a))
-    times.sort()
-    per = [0.0] * len(seq)
-    if len(seq) and len(times) >= 2:
-        onsets = seq.onsets
-        ends = seq.ends
-        for k in range(len(times) - 1):
-            t = times[k]
-            idx = int(np.searchsorted(onsets, t, side="right")) - 1
-            if idx >= 0 and t < ends[idx]:
-                gap = times[k + 1] - t
-                if gap > per[idx]:
-                    per[idx] = gap
-    delta_star = max(per, default=0.0)
+    times = np.sort(np.asarray(attempt_times, dtype=float))
+    if times.ndim != 1:
+        raise ValueError(f"attempt_times must be one-dimensional, got shape {times.shape}")
+    per = np.zeros(len(seq))
+    if len(seq) and times.size >= 2:
+        starts = times[:-1]
+        idx = np.searchsorted(seq.onsets, starts, side="right") - 1
+        inside = (idx >= 0) & (starts < seq.ends[np.maximum(idx, 0)])
+        np.maximum.at(per, idx[inside], np.diff(times)[inside])
+    delta_star = float(per.max()) if len(seq) else 0.0
     tau_star = float(np.min(seq.durations)) if len(seq) else math.inf
-    return SamplingRobustness(delta_star=delta_star, tau_star=tau_star, delta_per_interval=tuple(per))
+    return SamplingRobustness(delta_star=delta_star, tau_star=tau_star, delta_per_interval=tuple(per.tolist()))
 
 
 def _per_interval_gaps(seq: DosSequence, robustness: SamplingRobustness) -> Sequence[float]:
@@ -359,6 +352,16 @@ def xi_bar_measure(seq: DosSequence, robustness: SamplingRobustness, t: float) -
     return total
 
 
+def _window_reach(seq: DosSequence, robustness: SamplingRobustness) -> FloatArray:
+    """Running maximum of end_k + gap_k over the sorted onsets.
+
+    Entry k is where the union of the inflated jam windows [h_j, end_j +
+    gap_j), j <= k, ends past h_k: windows j <= k cover t >= h_k exactly when
+    t < reach[k].
+    """
+    return np.maximum.accumulate(seq.ends + np.asarray(_per_interval_gaps(seq, robustness), dtype=float))
+
+
 def dos_free_segments(
     seq: DosSequence,
     robustness: SamplingRobustness,
@@ -367,26 +370,13 @@ def dos_free_segments(
     """Maximal sub-intervals of [0, horizon] outside every inflated jam window."""
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    gaps = _per_interval_gaps(seq, robustness)
-    windows: list[tuple[float, float]] = []
-    for k in range(len(seq)):
-        s = float(seq.onsets[k])
-        e = float(seq.ends[k]) + gaps[k]
-        if windows and s <= windows[-1][1]:
-            windows[-1] = (windows[-1][0], max(windows[-1][1], e))
-        else:
-            windows.append((s, e))
-    segments: list[tuple[float, float]] = []
-    cursor = 0.0
-    for s, e in windows:
-        if s > horizon:
-            break
-        if s > cursor:
-            segments.append((cursor, min(s, horizon)))
-        cursor = max(cursor, e)
-    if cursor < horizon:
-        segments.append((cursor, horizon))
-    return [(a, b) for a, b in segments if b > a]
+    reach = _window_reach(seq, robustness)
+    # a window starts a new stretch of jamming unless an earlier one reaches it
+    first = np.flatnonzero(seq.onsets > np.concatenate(([-math.inf], reach))[: len(seq)])
+    lo = np.concatenate(([0.0], reach[first[1:] - 1], reach[-1:]))
+    hi = np.minimum(np.concatenate((seq.onsets[first], [horizon])), horizon)
+    keep = hi > lo
+    return list(zip(lo[keep].tolist(), hi[keep].tolist()))
 
 
 def gronwall_bound(

@@ -28,10 +28,12 @@ one Lipschitz bound from the exact derivative ||A x + B K x_held|| and one
 rounding slack. Rows a block stepped past the crossing are dropped.
 
 Trace rows are written into growable numpy column arrays, a row or a block
-at a time. The run loop takes its jam state from its cursor over the sorted
-jam breakpoints, not from a search per stop, and computes the input K x_held
-only when the held sample changes. Trace.to_csv writes the exact '%.17g'
-text of every float with a bulk numpy kernel (dosloop._g17).
+at a time. They are the run's only record: the verdicts read attempts,
+onsets and divergence from the columns. The run loop takes its jam state
+from its cursor over the sorted jam breakpoints, not from a search per
+stop, and computes the input K x_held only when the held sample changes.
+Trace.to_csv writes the exact '%.17g' text of every float with a bulk numpy
+kernel (dosloop._g17).
 
 Runs are bit-reproducible: no randomness, no wall-clock dependence.
 """
@@ -45,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .dos import DosBudget, DosSequence, check_slow_average, is_jammed
-from .guarantees import SamplingRobustness, _per_interval_gaps
+from .guarantees import SamplingRobustness, _window_reach
 from .linalg import FloatArray, as_vector
 from .plant import POWER_TABLE_ROWS, InputMode, LoopState, LtiPlant
 from .plant import exact_hold_step  # noqa: F401  (bench/test_bench.py rebinds dosloop.sim.exact_hold_step)
@@ -62,6 +64,8 @@ from .triggers import (
 DIVERGENCE_NORM = 1e12
 _GES_SLACK = 1e-6
 _RULE_SLACK = 1e-6
+_ONSET_SLACK = 1e-9
+_LYAPUNOV_SLACK = 1e-6
 # Trace rows formatted per write in Trace.to_csv: at most _CSV_BLOCK_ROWS,
 # and no more rows than fill _CSV_BLOCK_CELLS float cells, which bounds the
 # formatting kernel's temporaries whatever the plant's size.
@@ -137,18 +141,14 @@ class SimConfig:
             validate_trigger_for_plant(self.trigger, self.plant)
 
 
-@dataclass(frozen=True, eq=False)
-class OnsetSnapshot:
-    """State and held sample captured at a jam onset."""
-
-    t: float
-    x: FloatArray
-    x_held: FloatArray
-
-
 @dataclass(eq=False)
 class Trace:
     """Array-of-rows recording of one run (see run() for the row conventions).
+
+    The columns are the run's only record. Attempt times are
+    t[attempt == 1] and their outcomes success[attempt == 1]; each jam
+    onset the run reached has a row at its time; a diverged run's last row is
+    the state that tripped the guard, at t[-1].
 
     stats holds plain integer counters of the run: blocks_stepped (blocks of
     record ticks stepped as one product), rows_emitted, cells_scanned
@@ -168,11 +168,7 @@ class Trace:
     jammed: np.ndarray
     attempt: np.ndarray
     success: np.ndarray
-    attempts: tuple[tuple[float, bool], ...]
-    dos_onsets: tuple[OnsetSnapshot, ...]
     diverged: bool
-    divergence_time: float | None
-    horizon: float
     crossing_tol: float
     stats: dict[str, int] = field(default_factory=_new_stats)
 
@@ -508,7 +504,9 @@ def run(config: SimConfig) -> Trace:
     (values just before the update), followed on success by an unflagged row
     at the same t with the new held sample (transmission error zero). The
     final row sits at the horizon unless the divergence guard (||x|| > 1e12
-    or not finite) stopped the run early.
+    or not finite) stopped the run early, at the time of the last row, which
+    holds the state that tripped it; a jam breakpoint at that time was not
+    handled.
 
     Record ticks that fall strictly before the next attempt, jam breakpoint
     and the horizon are stepped as one block: one product of the record
@@ -535,8 +533,6 @@ def run(config: SimConfig) -> Trace:
 
     rows = _Rows(n, m)
     stats = _new_stats()
-    attempts: list[tuple[float, bool]] = []
-    onsets: list[OnsetSnapshot] = []
 
     u_zero = np.zeros(m)
     # K x_held, recomputed only when the held sample changes; no state vector
@@ -571,7 +567,6 @@ def run(config: SimConfig) -> Trace:
     next_attempt = 0.0
     on_tick = True  # state.t sits on a record tick
     diverged = False
-    div_time: float | None = None
 
     while True:
         t = state.t
@@ -606,8 +601,8 @@ def run(config: SimConfig) -> Trace:
                 keep, next_attempt = hit
             rows.block(ts[:keep], X[:keep], u_zero if zi else u_held, e_norm[:keep], x_norm[:keep], jammed)
             if hit is None and bad.size:
-                div_time = float(ts[keep])
-                emit(div_time, X[keep], xh, is_jammed(dos, div_time))
+                t_div = float(ts[keep])
+                emit(t_div, X[keep], xh, is_jammed(dos, t_div))
                 diverged = True
                 break
             if keep:
@@ -631,7 +626,6 @@ def run(config: SimConfig) -> Trace:
             if not _norm(x_new) <= DIVERGENCE_NORM:
                 emit(stop, state.x, state.x_held, is_jammed(dos, stop))
                 diverged = True
-                div_time = stop
                 break
         else:
             state = LoopState(stop, state.x, state.x_held, state.last_attempt_failed, state.t_held)
@@ -639,13 +633,9 @@ def run(config: SimConfig) -> Trace:
 
         handled = False
         if stop == t_bp:
-            saw_onset = False
             while bp_i < len(bps) and bps[bp_i][0] == stop:
                 jammed = bps[bp_i][1]
-                saw_onset = saw_onset or jammed
                 bp_i += 1
-            if saw_onset:
-                onsets.append(OnsetSnapshot(stop, state.x.copy(), state.x_held.copy()))
             emit(stop, state.x, state.x_held, jammed)
             handled = True
 
@@ -657,7 +647,6 @@ def run(config: SimConfig) -> Trace:
                 state = LoopState(stop, state.x, state.x.copy(), False, stop)
                 u_held = K @ state.x_held
                 emit(stop, state.x, state.x_held, jammed)
-            attempts.append((stop, not jammed))
             next_attempt = schedule(state)
             handled = True
 
@@ -665,16 +654,7 @@ def run(config: SimConfig) -> Trace:
             emit(stop, state.x, state.x_held, jammed)
 
     stats["rows_emitted"] = rows.size
-    return Trace(
-        **rows.columns(),
-        attempts=tuple(attempts),
-        dos_onsets=tuple(onsets),
-        diverged=diverged,
-        divergence_time=div_time,
-        horizon=horizon,
-        crossing_tol=config.crossing_tol,
-        stats=stats,
-    )
+    return Trace(**rows.columns(), diverged=diverged, crossing_tol=config.crossing_tol, stats=stats)
 
 
 @dataclass(frozen=True)
@@ -728,11 +708,12 @@ def check_update_rule(
     row is exempt when the latest window starting at or before it (the
     onsets are sorted) has a running maximum of window ends past it.
     """
-    gaps = np.asarray(_per_interval_gaps(seq, robustness), dtype=float)
     exempt = (trace.attempt == 1) & (trace.success == 1)
     if len(seq):
         edge = trace.crossing_tol
-        reach = np.maximum.accumulate(seq.ends + gaps + edge)
+        # rounding is monotonic: adding edge after the running maximum of
+        # end + gap gives the floats that adding it before would
+        reach = _window_reach(seq, robustness) + edge
         last = np.searchsorted(seq.onsets - edge, trace.t, side="right") - 1
         exempt |= (last >= 0) & (trace.t < reach[np.maximum(last, 0)])
     atol = 1e-12 * float(trace.x_norm[0])
@@ -748,24 +729,28 @@ def check_update_rule(
     )
 
 
-def check_onset_amplification(trace: Trace, sigma: float, slack: float = 1e-9) -> tuple[bool, float]:
-    """At every jam onset the held sample obeys ||x_held|| <= (1 + sigma) ||x||.
+def check_onset_amplification(trace: Trace, sigma: float, seq: DosSequence) -> tuple[bool, float]:
+    """At every jam onset of seq that the run reached, ||x_held|| <= (1 + sigma) ||x|| (slack 1 + 1e-9).
+
+    seq is the run's jam sequence. An onset's x is that of the first row at
+    its time (run() writes a row at every jam breakpoint), and its held
+    sample is the x of the last successful attempt row before that one (the
+    pre-jump row carries the new held sample), or zero before the first
+    success. A diverged run stopped before it handled a breakpoint at its
+    last row's time, so an onset there is not checked.
 
     Returns (ok, worst ratio of ||x_held|| to (1 + sigma) ||x||).
     """
-    worst = 0.0
-    ok = True
-    for snap in trace.dos_onsets:
-        lhs = float(np.linalg.norm(snap.x_held))
-        rhs = (1.0 + sigma) * float(np.linalg.norm(snap.x))
-        if lhs > rhs * (1.0 + slack):
-            ok = False
-        if rhs > 0.0:
-            worst = max(worst, lhs / rhs)
-        elif lhs > 0.0:
-            ok = False
-            worst = math.inf
-    return ok, worst
+    t_end = trace.t[-1]
+    onsets = seq.onsets[seq.onsets < t_end] if trace.diverged else seq.onsets[seq.onsets <= t_end]
+    rows = np.searchsorted(trace.t, onsets)
+    succ = trace.success == 1
+    # the held norm after each success row, and zero before the first
+    lhs = np.concatenate(([0.0], trace.x_norm[succ]))[np.searchsorted(np.flatnonzero(succ), rows)]
+    rhs = (1.0 + sigma) * trace.x_norm[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, math.inf, 0.0))
+    return not np.any(lhs > rhs * (1.0 + _ONSET_SLACK)), float(ratios.max(initial=0.0))
 
 
 def check_lyapunov_decay(
@@ -773,9 +758,8 @@ def check_lyapunov_decay(
     P: FloatArray,
     omega1: float,
     segments: list[tuple[float, float]],
-    slack: float = 1e-6,
 ) -> tuple[bool, float]:
-    """Check V(x(t)) <= exp(-omega1 (t - s)) V(x(s)) on each jam-free segment [s, e].
+    """Check V(x(t)) <= exp(-omega1 (t - s)) V(x(s)) (slack 1 + 1e-6) on each jam-free segment [s, e].
 
     Returns (ok, worst ratio against the bound).
     """
@@ -791,6 +775,6 @@ def check_lyapunov_decay(
         bound = v_ref * np.exp(-omega1 * (trace.t[idx] - t_ref))
         ratio = V[idx] / np.maximum(bound, 1e-300)
         worst = max(worst, float(ratio.max()))
-        if float(ratio.max()) > 1.0 + slack:
+        if float(ratio.max()) > 1.0 + _LYAPUNOV_SLACK:
             ok = False
     return ok, worst

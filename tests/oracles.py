@@ -354,6 +354,60 @@ def update_rule_by_loop(trace, sigma: float, seq, robustness) -> tuple[bool, flo
     return bad.size == 0, float(trace.t[bad[0]]) if bad.size else None, worst
 
 
+def robustness_by_loop(times, seq) -> tuple[float, float, tuple[float, ...]]:
+    """(delta_star, tau_star, per-interval gaps) of measure_robustness, one Python loop over the attempts.
+
+    Sorts the times, then takes each consecutive pair in turn: the interval
+    holding the pair's first time (the last onset at or before it, if the
+    time is before that interval's end) keeps the larger of its gap so far
+    and this one. The library does the same with one binary search, one
+    difference and one scattered maximum over whole arrays.
+    """
+    times = sorted(float(t) for t in times)
+    per = [0.0] * len(seq)
+    for k in range(len(times) - 1):
+        t = times[k]
+        idx = int(np.searchsorted(seq.onsets, t, side="right")) - 1
+        if idx >= 0 and t < seq.ends[idx]:
+            gap = times[k + 1] - t
+            if gap > per[idx]:
+                per[idx] = gap
+    tau_star = float(np.min(seq.durations)) if len(seq) else math.inf
+    return max(per, default=0.0), tau_star, tuple(per)
+
+
+def onset_amplification_by_walk(trace, sigma: float, seq) -> tuple[bool, float, list[tuple[float, float, float]]]:
+    """(ok, worst, [(onset, ||x_held||, ||x||)]) of check_onset_amplification, walking the rows in order.
+
+    Carries the held sample along the rows (the state of the last successful
+    attempt row, zero before the first) and reads it, with the state, at the
+    first row of each onset the run handled: every onset up to the last row,
+    except one at the last row of a diverged run, which stopped there before
+    handling it. Norms come from np.linalg.norm of the rows' x, not from the
+    x_norm column; the library reads the columns with two binary searches.
+    """
+    end = float(trace.t[-1])
+    pending = [h for h in seq.onsets.tolist() if h < end or (h == end and not trace.diverged)]
+    held = 0.0
+    seen = []
+    for i in range(len(trace)):
+        if pending and trace.t[i] == pending[0]:
+            seen.append((pending.pop(0), held, float(np.linalg.norm(trace.x[i]))))
+        if trace.attempt[i] and trace.success[i]:
+            held = float(np.linalg.norm(trace.x[i]))
+    assert not pending, f"no row at onsets {pending}"
+    ok, worst = True, 0.0
+    for _, lhs, x in seen:
+        rhs = (1.0 + sigma) * x
+        if lhs > rhs * (1.0 + 1e-9):
+            ok = False
+        if rhs > 0.0:
+            worst = max(worst, lhs / rhs)
+        elif lhs > 0.0:
+            ok, worst = False, math.inf
+    return ok, worst, seen
+
+
 def csv_by_row(trace) -> bytes:
     """Trace.to_csv's bytes, formatting every row with one format string, u cells included.
 

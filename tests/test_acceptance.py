@@ -169,9 +169,9 @@ def test_c02_lyapunov_certificate_envelope():
                 f"seed {seed}: envelope violated at t={verdict.first_violation} "
                 f"(margin {verdict.worst_margin})"
             )
-            measured = measure_robustness(trace.attempts, config.dos)
+            measured = measure_robustness(trace.t[trace.attempt == 1], config.dos)
             segments = dos_free_segments(config.dos, measured, config.horizon)
-            ok, worst = check_lyapunov_decay(trace, cert.P, cert.omega1, segments, slack=1e-6)
+            ok, worst = check_lyapunov_decay(trace, cert.P, cert.omega1, segments)
             assert ok, f"seed {seed}: segment decay violated (worst ratio {worst})"
 
 
@@ -195,7 +195,7 @@ def test_c03_inter_event_lower_bound():
                 record_step=trig.delta1 / 4.0,
             )
             trace = run(config)
-            times = [t for t, ok in trace.attempts if ok]
+            times = trace.t[trace.success == 1]
             assert len(times) >= 3, f"seed {seed}: too few events to measure gaps"
             gaps = np.diff(times)
             assert float(np.min(gaps)) >= bound - 1e-6, (
@@ -209,9 +209,9 @@ def test_c04_onset_jump_bound():
         for seed in range(12):
             config, cert, _ = _sampled_scenario(seed)
             trace = run(config)
-            ok, worst = check_onset_amplification(trace, config.trigger.sigma, slack=1e-9)
+            ok, worst = check_onset_amplification(trace, config.trigger.sigma, config.dos)
             assert ok, f"seed {seed}: onset amplification {worst} too large"
-            onsets_seen += len(trace.dos_onsets)
+            onsets_seen += int(np.sum(config.dos.onsets <= trace.t[-1]))
         # jamming from the very first instant: the held sample is still zero
         plant = LtiPlant(A=np.array([[0.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
         trig = TriggerConfig(sigma=0.25, delta1=0.02, delta2=0.1)
@@ -222,10 +222,9 @@ def test_c04_onset_jump_bound():
             horizon=1.5, record_step=0.005,
         )
         trace0 = run(config0)
-        assert len(trace0.dos_onsets) == 2
-        assert float(np.linalg.norm(trace0.dos_onsets[0].x_held)) == 0.0
-        ok0, _ = check_onset_amplification(trace0, trig.sigma, slack=1e-9)
-        assert ok0
+        assert trace0.t[0] == 0.0 and trace0.jammed[0] == 1 and not np.any(trace0.success[trace0.t == 0.0])
+        ok0, worst0 = check_onset_amplification(trace0, trig.sigma, seq)
+        assert ok0 and worst0 > 0.0  # the held sample is zero at t = 0, not at 0.6
         assert onsets_seen >= 3, "criterion needs scenarios that actually jam"
 
 
@@ -238,11 +237,12 @@ def test_c05_effective_jam_measure_inequality():
             if len(seq) == 0:
                 continue
             trace = run(config)
-            rob = measure_robustness(trace.attempts, seq)
+            attempt_times = trace.t[trace.attempt == 1]
+            rob = measure_robustness(attempt_times, seq)
             points = sorted(
                 set(map(float, seq.onsets))
                 | set(map(float, seq.ends))
-                | {t for t, _ in trace.attempts}
+                | set(attempt_times.tolist())
                 | {config.horizon}
             )
             factor = rob.inflation
@@ -383,13 +383,13 @@ def test_c09_unstable_open_loop_divergence():
         )
         trace = run(config)
         assert trace.diverged
-        assert trace.divergence_time is not None
+        assert trace.t[-1] < horizon
         assert trace.x_norm[-1] > 1e12
         for i in range(len(trace)):
             want = componentwise_exp_diag(np.diag(A), np.array([1.0, 1.0]), float(trace.t[i]))
             assert np.allclose(trace.x[i], want, rtol=1e-6, atol=1e-20), trace.t[i]
         assert np.all(trace.u == 0.0)
-        assert all(not ok for _, ok in trace.attempts)
+        assert np.any(trace.attempt == 1) and not np.any(trace.success)
 
 
 def test_c10_determinism_and_round_trips(tmp_path):
@@ -399,7 +399,8 @@ def test_c10_determinism_and_round_trips(tmp_path):
         b = run(config)
         assert np.array_equal(a.t, b.t) and np.array_equal(a.x, b.x)
         assert np.array_equal(a.u, b.u) and np.array_equal(a.e_norm, b.e_norm)
-        assert a.attempts == b.attempts and a.diverged == b.diverged
+        assert np.array_equal(a.attempt, b.attempt) and np.array_equal(a.success, b.success)
+        assert a.diverged == b.diverged
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         a.to_csv(pa)
         b.to_csv(pb)

@@ -332,6 +332,21 @@ def test_sweep_input_errors(scalar_config, tmp_path, capsys):
     assert "unknown sweep parameter" in capsys.readouterr().err
     assert main(["sweep", "--config", str(scalar_config), "--param", "tau",
                  "--from", "1", "--to", "2", "--steps", "1", "--out", out]) == 1
+    # sweep reads the scenario file as analyze does: a missing file, malformed
+    # JSON and a top level that is not an object are bad input, with one message
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"plant": [1,\n')
+    for path, message in ((listed, "top level must be an object"), (broken, "line 2, column 1"),
+                          (tmp_path / "missing.json", "cannot read scenario file")):
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert main(["sweep", "--config", str(path), "--param", "tau",
+                     "--from", "1", "--to", "2", "--steps", "2", "--out", out]) == 1
+        assert capsys.readouterr().err == err
 
 
 def test_gen_dos_random_deterministic(tmp_path):

@@ -24,7 +24,7 @@ from dosloop import (
     xi_measure,
 )
 from conftest import assert_close, random_stabilized_plant
-from oracles import picard_gronwall, quadratic_rate_threshold, scalar_lyapunov_constants
+from oracles import picard_gronwall, quadratic_rate_threshold, robustness_by_loop, scalar_lyapunov_constants
 
 # scalar plant with unit envelopes: A = 0, B = 1, K = -1 gives Phi = -1,
 # mu = 1, lam = 1, ||BK|| = 1, theta = 1, rho = 0
@@ -162,9 +162,10 @@ def test_measure_robustness_hand_case():
     assert rob.delta_star == pytest.approx(0.3)
     assert rob.tau_star == 0.5
     assert rob.delta_per_interval == (pytest.approx(0.3),)
-    # (time, success) pairs are accepted too
-    rob2 = measure_robustness([(0.9, True), (1.1, False), (1.3, False), (1.6, True)], seq)
-    assert rob2.delta_star == rob.delta_star
+    # any order, and an array as a trace's t[attempt == 1] gives it
+    assert measure_robustness(np.array([1.6, 0.9, 1.3, 1.1]), seq) == rob
+    with pytest.raises(ValueError):
+        measure_robustness([(0.9, True), (1.1, False)], seq)  # times only, not (time, success) pairs
 
 
 def test_measure_robustness_edge_cases():
@@ -177,6 +178,42 @@ def test_measure_robustness_edge_cases():
     empty = measure_robustness([0.5, 0.6], DosSequence(()))
     assert empty.delta_star == 0.0 and math.isinf(empty.tau_star)
     assert empty.inflation == 1.0
+
+
+def _bits(rob):
+    return [float(v).hex() for v in (rob.delta_star, rob.tau_star, *rob.delta_per_interval)]
+
+
+def test_measure_robustness_matches_the_loop_bitwise():
+    # seeded unsorted attempt times against the per-attempt loop: times
+    # exactly at onsets and at ends, intervals with no attempt, touching
+    # intervals, and fewer than two attempts
+    rng = np.random.default_rng(16)
+    cases = 0
+    for _ in range(200):
+        k = int(rng.integers(0, 8))
+        gaps = np.where(rng.random(k) < 0.3, 0.0, rng.uniform(0.0, 1.0, size=k))
+        durations = rng.uniform(0.05, 1.0, size=k)
+        onsets = np.cumsum(gaps + np.concatenate(([0.0], durations[:-1]))) if k else np.zeros(0)
+        seq = DosSequence(tuple(zip(onsets.tolist(), durations.tolist())))
+        end = float(seq.ends[-1]) + 0.5 if k else 2.0
+        times = rng.uniform(0.0, end, size=int(rng.integers(0, 30)))
+        edges = np.concatenate((seq.onsets, seq.ends))
+        times = np.concatenate((times, rng.choice(edges, size=min(len(edges), 5), replace=False) if k else []))
+        rng.shuffle(times)
+        for sample in (times, times[:1], times[:0]):
+            got = measure_robustness(sample, seq)
+            want = robustness_by_loop(sample, seq)
+            assert _bits(got) == [float(v).hex() for v in (want[0], want[1], *want[2])]
+            cases += 1
+    # an interval holding no attempt, one gap starting on an end (outside)
+    # and one on an onset (inside)
+    seq = DosSequence(((1.0, 0.5), (1.5, 0.25), (4.0, 0.25)))
+    times = [1.75, 1.5, 0.2, 1.0, 3.0]
+    got = measure_robustness(times, seq)
+    assert got.delta_per_interval == (0.5, 0.25, 0.0)
+    assert _bits(got) == [float(v).hex() for v in (0.5, 0.25, 0.5, 0.25, 0.0)]
+    assert cases == 600
 
 
 def test_inflation_exact_identity():
