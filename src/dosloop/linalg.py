@@ -33,6 +33,15 @@ TAYLOR_DEGREE = 18
 TAYLOR_THETA = 1.0
 _TAYLOR_EXPONENTS = np.arange(TAYLOR_DEGREE + 1, dtype=float)
 _TAYLOR_FACTORIALS = np.cumprod(np.maximum(_TAYLOR_EXPONENTS, 1.0))
+# A sum of squares below _NORM_FLOOR may have lost bits to underflow (a
+# square is subnormal below 2^-1022); _norm and _row_norms then sum the
+# squares of the vector times _NORM_SCALE. Both are powers of two, so the
+# scaling is exact: a norm below 2^-450 scaled up stays below 2^150, and
+# the smallest double's square, 2^-948 after scaling, is a normal number.
+# Above the floor, squares lost to underflow (each below 2^-1074) move the
+# sum by less than n 2^-174 of itself.
+_NORM_FLOOR = 2.0**-900
+_NORM_SCALE = 2.0**600
 
 
 class LyapunovError(RuntimeError):
@@ -137,6 +146,33 @@ def mat_exp(M: ArrayLike, t: float) -> FloatArray:
 def spectral_norm(M: ArrayLike) -> float:
     """Largest singular value of M, from LAPACK's SVD."""
     return float(np.linalg.norm(as_matrix(M), 2))
+
+
+def _norm(v: FloatArray) -> float:
+    """Euclidean norm of a 1-D vector, never under-estimated through underflow.
+
+    sqrt(v . v), bit-identical to np.linalg.norm without its overhead, unless
+    v . v < _NORM_FLOOR: then the same sum of the exactly scaled vector.
+    """
+    sq = v.dot(v)
+    if sq < _NORM_FLOOR:
+        v = v * _NORM_SCALE
+        return math.sqrt(v.dot(v)) / _NORM_SCALE
+    return math.sqrt(sq)
+
+
+def _row_norms(X: FloatArray) -> FloatArray:
+    """Euclidean norm of every row of a 2-D array; rows whose sum of squares is below _NORM_FLOOR as in _norm.
+
+    Its sums (einsum) may differ from _norm's (dot) in the last bit.
+    """
+    sq = np.einsum("ij,ij->i", X, X)
+    out = np.sqrt(sq)
+    if np.fmin.reduce(sq, initial=math.inf) < _NORM_FLOOR:  # fmin passes over NaN rows
+        low = sq < _NORM_FLOOR
+        W = X[low] * _NORM_SCALE
+        out[low] = np.sqrt(np.einsum("ij,ij->i", W, W)) / _NORM_SCALE
+    return out
 
 
 def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:

@@ -207,12 +207,18 @@ class LtiPlant:
                 if stats is not None:
                     stats["taylor_steps"] += 1
                 return s**_TAYLOR_EXPONENTS @ terms
-            if stats is not None:
-                stats["expm_steps"] += 1
-            T, H = self.propagator(dt, zero_input)
-            return T @ x if H is None else T @ x + H @ x_held
+            return self._expm_step(x, x_held, dt, zero_input, stats)
 
         return advance
+
+    def _expm_step(
+        self, x: FloatArray, x_held: FloatArray, dt: float, zero_input: bool, stats: dict[str, int] | None
+    ) -> FloatArray:
+        """A step past the Taylor reach, by propagator(dt)."""
+        if stats is not None:
+            stats["expm_steps"] += 1
+        T, H = self.propagator(dt, zero_input)
+        return T @ x if H is None else T @ x + H @ x_held
 
     def _table(self, zero_input: bool) -> tuple[FloatArray, float]:
         """The Taylor rows and rate of M for this input mode, built on first use."""
@@ -234,8 +240,19 @@ class LtiPlant:
         zero_input: bool = False,
         stats: dict[str, int] | None = None,
     ) -> FloatArray:
-        """State after dt of held-input flow from x with x_held frozen; see stepper."""
-        return self.stepper(x, x_held, zero_input, stats)(dt)
+        """State after dt of held-input flow from x with x_held frozen; see stepper.
+
+        The same sums as stepper's, without building one: a single step is
+        what run() takes for every off-tick stop.
+        """
+        rows, rate = self._table(zero_input)
+        s = dt * rate
+        if abs(s) <= 1.0:
+            if stats is not None:
+                stats["taylor_steps"] += 1
+            z = x if zero_input else np.concatenate((x, x_held))
+            return s**_TAYLOR_EXPONENTS @ (rows @ z).reshape(-1, len(x))
+        return self._expm_step(x, x_held, dt, zero_input, stats)
 
     def power_table(self, dt: float, count: int, zero_input: bool = False) -> FloatArray:
         """Stacked powers of the dt propagator: row j-1 maps a state to j steps of dt later.

@@ -24,9 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .linalg import FloatArray, as_vector
+from .linalg import FloatArray, _norm, as_vector
 from .plant import LoopState, LtiPlant, _held_input_blocks
 
 ZERO_STATE_TOL = 1e-12
@@ -136,8 +134,7 @@ def awaits_crossing(state: LoopState, logic: LogicKind) -> bool:
     """
     if state.last_attempt_failed or logic not in (LogicKind.EVENT_TIME, LogicKind.IDEAL_EVENT):
         return False
-    x_norm = float(np.linalg.norm(state.x))
-    return x_norm > (ZERO_STATE_TOL if logic is LogicKind.EVENT_TIME else 0.0)
+    return _norm(state.x) > (ZERO_STATE_TOL if logic is LogicKind.EVENT_TIME else 0.0)
 
 
 def next_update_event_time(state: LoopState, config: TriggerConfig) -> float:
@@ -159,9 +156,10 @@ def next_update_pure_time(state: LoopState, config: TriggerConfig) -> float:
 def next_update_self_trigger(state: LoopState, plant: LtiPlant, config: TriggerConfig) -> float:
     """SELF_TRIGGER rule: interpolate between delta2 and delta1 by predicted state size.
 
-    chi predicts the current state from the last successfully received sample;
-    large predictions pull the next attempt toward the fast rate delta1.
+    chi predicts the current state from the last successfully received sample
+    (it is that sample itself at the instant it was taken); large predictions
+    pull the next attempt toward the fast rate delta1.
     """
-    chi = predict_state(plant, state.x_held, state.t_held, state.t)
-    frac = config.varphi(float(np.linalg.norm(chi)))
+    chi = state.x_held if state.t == state.t_held else predict_state(plant, state.x_held, state.t_held, state.t)
+    frac = config.varphi(_norm(chi))
     return state.t + config.delta2 - (config.delta2 - config.delta1) * frac

@@ -383,23 +383,31 @@ def onset_amplification_by_walk(trace, sigma: float, seq) -> tuple[bool, float, 
     attempt row, zero before the first) and reads it, with the state, at the
     first row of each onset the run handled: every onset up to the last row,
     except one at the last row of a diverged run, which stopped there before
-    handling it. Norms come from np.linalg.norm of the rows' x, not from the
-    x_norm column; the library reads the columns with two binary searches.
+    handling it, and one whose interval starts where the interval before it
+    ends. Norms come from np.linalg.norm of the rows' x, not from the x_norm
+    column; the library reads the columns with two binary searches. The
+    bound at an onset is widened by (1 + sigma) 2 crossing_tol times the
+    speed of x from the row before, as the library's docstring states.
     """
     end = float(trace.t[-1])
-    pending = [h for h in seq.onsets.tolist() if h < end or (h == end and not trace.diverged)]
+    ends = {h + d for h, d in seq.intervals}
+    pending = [h for h in seq.onsets.tolist() if (h < end or (h == end and not trace.diverged)) and h not in ends]
     held = 0.0
     seen = []
+    allowed = []
     for i in range(len(trace)):
         if pending and trace.t[i] == pending[0]:
-            seen.append((pending.pop(0), held, float(np.linalg.norm(trace.x[i]))))
+            x = float(np.linalg.norm(trace.x[i]))
+            seen.append((pending.pop(0), held, x))
+            speed = float(np.linalg.norm(trace.x[i] - trace.x[i - 1])) / (trace.t[i] - trace.t[i - 1]) if i else 0.0
+            allowed.append((1.0 + sigma) * (x + 2.0 * trace.crossing_tol * speed))
         if trace.attempt[i] and trace.success[i]:
             held = float(np.linalg.norm(trace.x[i]))
     assert not pending, f"no row at onsets {pending}"
     ok, worst = True, 0.0
-    for _, lhs, x in seen:
+    for (_, lhs, x), limit in zip(seen, allowed):
         rhs = (1.0 + sigma) * x
-        if lhs > rhs * (1.0 + 1e-9):
+        if lhs > limit * (1.0 + 1e-9):
             ok = False
         if rhs > 0.0:
             worst = max(worst, lhs / rhs)

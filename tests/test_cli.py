@@ -630,3 +630,15 @@ def test_reused_invariants_equal_direct_computation():
     rate, margin = (env.lam + rs) * bundle.robustness.inflation, bundle.ideal.sigma_margin
     inflated = (rate / margin, env.mu * math.exp(kappa * rate), margin - rate / tau)
     assert (bundle.sampled.tau_min, bundle.sampled.alpha, bundle.sampled.beta) == inflated
+
+
+@pytest.mark.parametrize("name", ["scalar", "double_integrator"])
+def test_python_m_dosloop_runs_the_cli(name, capsys):
+    # python -m dosloop is the console script without installing it
+    src = Path(dosloop.__file__).resolve().parent.parent
+    scenario = src.parent / "scenarios" / f"{name}.json"
+    code = main(["analyze", "--config", str(scenario)])
+    want = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "dosloop", "analyze", "--config", str(scenario)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, want, "")

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -456,10 +457,37 @@ PINNED_BEHAVIOUR = {
 }
 
 
-def _shipped_run(name, logic, mode):
+# Trace.stats of the same runs, in the order of _PINNED_STAT_KEYS: a change
+# to the loop that keeps these does the same work.
+_PINNED_STAT_KEYS = (
+    "blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "root_trials", "taylor_steps", "expm_steps",
+)
+PINNED_STATS = {
+    ("scalar", "event_time", "hold_last"): (68, 1294, 30, 1235, 117, 249, 0),
+    ("scalar", "event_time", "zero_during_dos"): (40, 1263, 27, 1479, 122, 196, 0),
+    ("scalar", "pure_time", "hold_last"): (67, 1294, 0, 0, 0, 132, 0),
+    ("scalar", "pure_time", "zero_during_dos"): (67, 1294, 0, 0, 0, 132, 0),
+    ("scalar", "self_trigger", "hold_last"): (37, 1261, 0, 0, 0, 70, 0),
+    ("scalar", "self_trigger", "zero_during_dos"): (37, 1261, 0, 0, 0, 70, 0),
+    ("scalar", "ideal_event", "hold_last"): (35, 1262, 29, 1235, 116, 180, 0),
+    ("scalar", "ideal_event", "zero_during_dos"): (33, 1257, 27, 1480, 122, 182, 0),
+    ("double_integrator", "event_time", "hold_last"): (107, 7083, 87, 8866, 285, 481, 0),
+    ("double_integrator", "event_time", "zero_during_dos"): (107, 7084, 88, 9097, 292, 488, 0),
+    ("double_integrator", "pure_time", "hold_last"): (328, 7538, 0, 0, 0, 663, 0),
+    ("double_integrator", "pure_time", "zero_during_dos"): (328, 7538, 0, 0, 0, 663, 0),
+    ("double_integrator", "self_trigger", "hold_last"): (318, 7523, 0, 0, 0, 637, 0),
+    ("double_integrator", "self_trigger", "zero_during_dos"): (318, 7523, 0, 0, 0, 637, 0),
+    ("double_integrator", "ideal_event", "hold_last"): (106, 7083, 87, 8872, 287, 479, 0),
+    ("double_integrator", "ideal_event", "zero_during_dos"): (106, 7084, 88, 9105, 291, 485, 0),
+}
+
+
+def _shipped_run(name, logic, mode, x0=None):
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     doc["trigger"]["kind"] = logic
     doc["plant"]["input_mode"] = mode
+    if x0 is not None:
+        doc["sim"]["x0"] = x0
     sc = scenario_from_dict(doc, SCENARIOS)
     return sc, run(sc.sim_config())
 
@@ -473,6 +501,34 @@ def test_shipped_scenarios_keep_their_pinned_behaviour(name, logic, mode):
     onsets = int(np.isin(sc.dos.onsets, trace.t).sum())  # jam onsets the run wrote a row at
     got = (len(trace), int(trace.attempt.sum()), int(trace.success.sum()), onsets, trace.diverged, ges, rule.holds)
     assert got == PINNED_BEHAVIOUR[name, logic, mode]
+    assert trace.stats == dict(zip(_PINNED_STAT_KEYS, PINNED_STATS[name, logic, mode]))
+
+
+@pytest.mark.parametrize("x1", [2.0**-565, 1e-160], ids=["2^-565", "1e-160"])
+def test_recorded_norms_are_never_under_estimated(x1):
+    # Entries below about 1e-154 have subnormal squares, and below about
+    # 1e-162 their squares vanish: sqrt(x . x) read 0 on every row from
+    # [1e-170, 0], and ideal_event, which waits for ||e|| to reach
+    # sigma ||x||, made one attempt in the run instead of 90.
+    for logic in LogicKind:
+        for mode in InputMode:
+            _, trace = _shipped_run("double_integrator", logic.value, mode.value, x0=[x1, 0.0])
+            held = [0.0, 0.0]
+            rows = zip(trace.x.tolist(), trace.x_norm.tolist(), trace.e_norm.tolist(), trace.attempt, trace.success)
+            for i, (x, x_norm, e_norm, att, suc) in enumerate(rows):
+                for got, want in ((x_norm, math.hypot(*x)), (e_norm, math.hypot(*np.subtract(held, x)))):
+                    assert abs(got - want) <= 4.0 * math.ulp(want), (logic, mode, i, got, want)
+                if att and suc:
+                    held = x
+    # scaled by a power of two, the ideal_event run is the unscaled one, scaled
+    if x1 == 2.0**-565:
+        _, ref = _shipped_run("double_integrator", "ideal_event", "hold_last")
+        _, tiny = _shipped_run("double_integrator", "ideal_event", "hold_last", x0=[x1, 0.0])
+        assert int(tiny.attempt.sum()) == int(ref.attempt.sum()) == 90
+        for name in ("t", "jammed", "attempt", "success"):
+            assert np.array_equal(getattr(tiny, name), getattr(ref, name)), name
+        for name in ("x", "e_norm", "x_norm"):
+            assert np.array_equal(getattr(tiny, name), getattr(ref, name) * x1), name
 
 
 _EVENT_CASES = [key for key in PINNED_BEHAVIOUR if key[1] in ("event_time", "ideal_event")]
@@ -830,14 +886,14 @@ def test_jam_column_and_attempts_match_is_jammed(logic, mode):
             held = trace.x[i]
 
 
-@pytest.mark.parametrize("mode", list(InputMode))
-@pytest.mark.parametrize("logic", list(LogicKind))
-def test_onset_amplification_matches_a_per_row_walk(logic, mode):
-    # The check reads each onset's held sample from the columns; the walk
-    # carries it along the rows. Onsets: at t = 0 (the held sample is still
-    # zero), at a success of the run jammed only from t = 0 (the same run
-    # up to there, so an attempt falls on the onset and now fails), and one
-    # that touches the interval before it.
+def _touching_onsets_run(logic, mode):
+    """A = 0, B = 1, K = -1, sigma 0.25, delta1 0.05, delta2 0.19, jammed on three intervals.
+
+    Onsets: at t = 0 (the held sample is still zero), at a success t_a of
+    the run jammed only from t = 0 (the same run up to there, so an attempt
+    falls on the onset and now fails), and at t_a + 0.1, where the interval
+    before it ends.
+    """
     plant = LtiPlant(A=LINE.A, B=LINE.B, K=LINE.K, input_mode=mode)
     trig = TriggerConfig(sigma=0.25, delta1=0.05, delta2=0.19)
     budget = DosBudget(kappa=0.45, tau_avg=4.0)
@@ -848,15 +904,54 @@ def test_onset_amplification_matches_a_per_row_walk(logic, mode):
     assert seq.ends[1] == seq.onsets[2]
     trace = run(_config(plant, logic, trig, dos=seq, budget=budget, horizon=1.2))
     assert np.any((trace.attempt == 1) & (trace.t == t_a) & (trace.success == 0))
+    return trig, seq, trace
+
+
+@pytest.mark.parametrize("mode", list(InputMode))
+@pytest.mark.parametrize("logic", list(LogicKind))
+def test_onset_amplification_matches_a_per_row_walk(logic, mode):
+    # The check reads each onset's held sample from the columns; the walk
+    # carries it along the rows.
+    trig, seq, trace = _touching_onsets_run(logic, mode)
     _, _, seen = onset_amplification_by_walk(trace, trig.sigma, seq)
-    assert [h for h, _, _ in seen] == seq.onsets.tolist()
+    assert [h for h, _, _ in seen] == seq.onsets[:2].tolist()
     assert seen[0][1] == 0.0 and seen[1][1] > 0.0
-    # jammed since t_a, the loop reaches the touching onset with a stale held
-    # sample, so the bound may fail there; at sigma = 4 every onset keeps it
-    for sigma in (trig.sigma, 4.0):
+    for sigma in (trig.sigma, 0.1, 4.0):
         ok, worst, _ = onset_amplification_by_walk(trace, sigma, seq)
         assert check_onset_amplification(trace, sigma, seq) == (ok, worst)
-        assert worst > 0.0 and (ok or sigma == trig.sigma)
+        assert worst > 0.0 and (ok or sigma == 0.1)
+
+
+@pytest.mark.parametrize("mode", list(InputMode))
+@pytest.mark.parametrize("logic", list(LogicKind))
+def test_onset_check_skips_touching_onsets_and_allows_a_late_crossing(logic, mode):
+    # Jammed since t_a, the loop reaches the touching onset t_a + 0.1 with
+    # the sample held since before t_a: read as a fresh onset, its ratio was
+    # 1.127-1.143 with the input held. It continues the period that began at
+    # t_a and is not checked. At t_a the event logics attempted at a
+    # crossing found up to crossing_tol late, so the ratio there exceeds 1
+    # by about crossing_tol (1 + sigma), past the 1e-9 slack but within the
+    # crossing_tol allowance.
+    trig, seq, trace = _touching_onsets_run(logic, mode)
+    ok, worst = check_onset_amplification(trace, trig.sigma, seq)
+    assert ok and worst < 1.0 + 2e-9, worst
+    if logic in (LogicKind.EVENT_TIME, LogicKind.IDEAL_EVENT):
+        assert worst > 1.0 + 1e-9, worst
+
+
+def test_onset_check_fails_a_stale_held_sample_at_a_fresh_onset():
+    # One success at t = 0 holds x = 1. The interval from 0.5 touches the
+    # one that ends there and is skipped; the one from 1.0 starts a new
+    # jamming period with ||x|| = 0.5: 1 / (1.25 * 0.5) = 1.6.
+    t = np.array([0.0, 0.0, 0.2, 0.5, 0.75, 1.0])
+    x = np.array([1.0, 1.0, 0.9, 0.6, 0.55, 0.5])
+    attempt = np.array([1, 0, 0, 0, 0, 0], dtype=np.int8)
+    trace = _rule_trace(t, np.zeros(6), x, attempt, attempt.copy())
+    seq = DosSequence(((0.2, 0.3), (0.5, 0.2), (1.0, 0.1)))
+    assert seq.ends[0] == seq.onsets[1] and seq.ends[1] != seq.onsets[2]
+    ok, worst, seen = onset_amplification_by_walk(trace, 0.25, seq)
+    assert [h for h, _, _ in seen] == [0.2, 1.0]
+    assert check_onset_amplification(trace, 0.25, seq) == (ok, worst) == (False, 1.6)
 
 
 @pytest.mark.parametrize("mode", list(InputMode))
