@@ -66,7 +66,6 @@ from .triggers import (
     validate_trigger_for_plant,
 )
 
-DIVERGENCE_NORM = 1e12
 _GES_SLACK = 1e-6
 _RULE_SLACK = 1e-6
 _ONSET_SLACK = 1e-9
@@ -110,7 +109,7 @@ class SimConfig:
     record_step must not exceed delta1/4 so traces resolve the fast retry
     cadence, and the jam sequence must satisfy the declared budget over the
     run horizon. delta2 admissibility against the plant is enforced for the
-    finite-rate logics (IDEAL_EVENT only uses delta2 as a defensive cap).
+    finite-rate logics; IDEAL_EVENT never reads delta2.
     """
 
     plant: LtiPlant
@@ -518,9 +517,11 @@ def run(config: SimConfig) -> Trace:
     (values just before the update), followed on success by an unflagged row
     at the same t with the new held sample (transmission error zero). The
     final row sits at the horizon unless the divergence guard (||x|| > 1e12
-    or not finite) stopped the run early, at the time of the last row, which
-    holds the state that tripped it; a jam breakpoint at that time was not
-    handled.
+    ||x0||, or not finite) stopped the run early, at the time of the last row,
+    which holds the state that tripped it; a jam breakpoint at that time was
+    not handled. Nothing depends on the units of x: from 2^-k x0 the run has
+    the same t, flags and stats, and x, u and the norms exactly 2^-k times
+    the originals, while every value stays a normal float.
 
     Record ticks that fall strictly before the next attempt, jam breakpoint
     and the horizon are stepped as one block: one product of the record
@@ -528,9 +529,9 @@ def run(config: SimConfig) -> Trace:
     time. Its rows take their norms from _row_norms, and its divergence
     guard is the largest of them (NaN included); only a block that trips it
     is searched for the first row past the bound. While an event logic
-    waits for a crossing (triggers.awaits_crossing), its next attempt is a
-    deadline, and a crossing that _Watch finds on the computed states, in
-    blocks of at most its size, comes first.
+    waits for a crossing (triggers.awaits_crossing), its next attempt is
+    the crossing that _Watch finds on the computed states, in blocks of at
+    most its size, and inf until then.
 
     Every other stop is written by single rows. The loop carries t, x,
     x_held, the failed flag and t_held in locals, and builds a LoopState
@@ -570,18 +571,15 @@ def run(config: SimConfig) -> Trace:
             return next_update_pure_time(st, trig)
         if config.logic is LogicKind.SELF_TRIGGER:
             return next_update_self_trigger(st, plant, trig)
-        # the event logics attempt at a deadline, or at the crossing the watch finds first
+        # a waiting event logic attempts at the crossing the watch finds
         watch.active = False
         if awaits_crossing(st, config.logic):
             watch.arm(st.x_held)
         if config.logic is LogicKind.EVENT_TIME:
             return next_update_event_time(st, trig)
-        # IDEAL_EVENT: retry "continuously" while jammed, i.e. succeed the
-        # instant the interval ends; otherwise wait for the next crossing.
-        if st.last_attempt_failed:
-            idx = int(np.searchsorted(dos.onsets, st.t, side="right")) - 1
-            return float(dos.ends[idx])
-        return horizon + 1.0
+        # IDEAL_EVENT: retry "continuously" while jammed, i.e. succeed at the interval's end,
+        # the next breakpoint on the cursor; otherwise wait for the next crossing.
+        return bps[bp_i][0] if st.last_attempt_failed else math.inf
 
     # the loop state, and ||x|| by _norm once taken for this x (None until then)
     t, x, xh = 0.0, config.x0.copy(), np.zeros(n)
@@ -590,6 +588,7 @@ def run(config: SimConfig) -> Trace:
     next_attempt = 0.0
     on_tick = True  # t sits on a record tick
     diverged = False
+    x_max = min(1e12 * _norm(x), np.finfo(float).max)  # the divergence guard; capped, so inf trips it
 
     while True:
         if t >= horizon - 1e-15:
@@ -614,8 +613,8 @@ def run(config: SimConfig) -> Trace:
             x_norm, e_norm = norms[:count], norms[count:]
             stats["blocks_stepped"] += 1
             # written so that a NaN row (inf - inf after overflow) also trips the guard
-            tripped = not x_norm.max() <= DIVERGENCE_NORM
-            keep = int(np.flatnonzero(~(x_norm <= DIVERGENCE_NORM))[0]) if tripped else count
+            tripped = not x_norm.max() <= x_max
+            keep = int(np.flatnonzero(~(x_norm <= x_max))[0]) if tripped else count
             hit = None
             if watch.active:
                 cells = slice(0, keep + 1)
@@ -647,7 +646,7 @@ def run(config: SimConfig) -> Trace:
                         continue  # step again, to the crossing
             t, x, x_n = stop, x_new, _norm(x_new)
             # written so that a NaN state (inf - inf after overflow) also trips the guard
-            if not x_n <= DIVERGENCE_NORM:
+            if not x_n <= x_max:
                 jam = is_jammed(dos, stop)
                 rows.row(stop, x, u_zero if zero_mode and jam else u_held, _norm(xh - x), x_n, jam, 0, 0)
                 diverged = True
@@ -682,6 +681,12 @@ def run(config: SimConfig) -> Trace:
     return Trace(**rows.columns(), diverged=diverged, crossing_tol=config.crossing_tol, stats=stats)
 
 
+def _ratio(num: FloatArray, den: FloatArray) -> FloatArray:
+    """num / den elementwise, with 0 where num is 0 (also 0 / 0) and inf where only den is: no floor, so no scale."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(num == 0.0, 0.0, num / den)
+
+
 @dataclass(frozen=True)
 class GesVerdict:
     """Result of checking a trace against alpha exp(-beta t) ||x(0)||."""
@@ -700,7 +705,7 @@ def verify_ges(trace: Trace, alpha: float, beta: float) -> GesVerdict:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     x0n = float(trace.x_norm[0])
     bound = alpha * np.exp(-beta * trace.t) * x0n
-    ratio = trace.x_norm / np.maximum(bound, 1e-300)
+    ratio = _ratio(trace.x_norm, bound)
     bad = np.nonzero(~(ratio <= 1.0 + _GES_SLACK))[0]
     return GesVerdict(
         holds=bad.size == 0,
@@ -744,8 +749,7 @@ def check_update_rule(
     atol = 1e-12 * float(trace.x_norm[0])
     limit = sigma * trace.x_norm * (1.0 + _RULE_SLACK) + atol
     bad = np.nonzero(~exempt & (trace.e_norm > limit))[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(trace.x_norm > 0, trace.e_norm / np.maximum(trace.x_norm, 1e-300), 0.0)
+    ratios = _ratio(trace.e_norm, trace.x_norm)
     worst = float(ratios[~exempt].max()) if np.any(~exempt) else 0.0
     return RuleVerdict(
         holds=bad.size == 0,
@@ -790,7 +794,7 @@ def check_onset_amplification(trace: Trace, sigma: float, seq: DosSequence) -> t
     prev = np.maximum(rows - 1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         speed = np.where(rows > 0, _row_norms(trace.x[rows] - trace.x[prev]) / (trace.t[rows] - trace.t[prev]), 0.0)
-        ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, math.inf, 0.0))
+    ratios = _ratio(lhs, rhs)
     allowed = rhs + (1.0 + sigma) * 2.0 * trace.crossing_tol * speed
     return not np.any(lhs > allowed * (1.0 + _ONSET_SLACK)), float(ratios.max(initial=0.0))
 
@@ -815,7 +819,7 @@ def check_lyapunov_decay(
         t_ref = float(trace.t[idx[0]])
         v_ref = float(V[idx[0]])
         bound = v_ref * np.exp(-omega1 * (trace.t[idx] - t_ref))
-        ratio = V[idx] / np.maximum(bound, 1e-300)
+        ratio = _ratio(V[idx], bound)
         worst = max(worst, float(ratio.max()))
         if float(ratio.max()) > 1.0 + _LYAPUNOV_SLACK:
             ok = False

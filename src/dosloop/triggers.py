@@ -27,9 +27,6 @@ from enum import Enum
 from .linalg import FloatArray, _norm, as_vector
 from .plant import LoopState, LtiPlant, _held_input_blocks
 
-ZERO_STATE_TOL = 1e-12
-_EVENT_CAP_FACTOR = 1e6
-
 
 class LogicKind(Enum):
     EVENT_TIME = "event_time"
@@ -129,23 +126,22 @@ def predict_state(plant: LtiPlant, x_at_t1: FloatArray, t1: float, t2: float) ->
 def awaits_crossing(state: LoopState, logic: LogicKind) -> bool:
     """Whether the next attempt waits for ||e|| to reach sigma ||x||, which sim.run finds on its rows.
 
-    Only after a success of an event logic, and not from rest: ||x|| <= ZERO_STATE_TOL
-    for EVENT_TIME (it retries at delta1), x = 0 for IDEAL_EVENT (it stays there).
+    Only after a success of an event logic, and whenever x has a nonzero
+    entry: no size of x counts as rest. From x = 0, EVENT_TIME retries at
+    delta1 and IDEAL_EVENT stays there.
     """
     if state.last_attempt_failed or logic not in (LogicKind.EVENT_TIME, LogicKind.IDEAL_EVENT):
         return False
-    return _norm(state.x) > (ZERO_STATE_TOL if logic is LogicKind.EVENT_TIME else 0.0)
+    return bool(state.x.any())
 
 
 def next_update_event_time(state: LoopState, config: TriggerConfig) -> float:
-    """EVENT_TIME rule: delta1 retry while jammed or at rest, else a deadline delta2 * 1e6 ahead.
+    """EVENT_TIME rule: delta1 retry while jammed or at x = 0, else no attempt until a crossing (inf).
 
-    sim.run moves the attempt to an earlier crossing (see awaits_crossing);
-    the deadline keeps a crossing that never comes from stalling the loop.
+    sim.run attempts at the crossing it finds (see awaits_crossing); if none
+    comes, the run goes on to the horizon without one.
     """
-    if not awaits_crossing(state, LogicKind.EVENT_TIME):
-        return state.t + config.delta1
-    return state.t + config.delta2 * _EVENT_CAP_FACTOR
+    return math.inf if awaits_crossing(state, LogicKind.EVENT_TIME) else state.t + config.delta1
 
 
 def next_update_pure_time(state: LoopState, config: TriggerConfig) -> float:

@@ -348,8 +348,8 @@ def update_rule_by_loop(trace, sigma: float, seq, robustness) -> tuple[bool, flo
     exempt |= (trace.attempt == 1) & (trace.success == 1)
     limit = sigma * trace.x_norm * (1.0 + 1e-6) + 1e-12 * float(trace.x_norm[0])
     bad = np.nonzero(~exempt & (trace.e_norm > limit))[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(trace.x_norm > 0, trace.e_norm / np.maximum(trace.x_norm, 1e-300), 0.0)
+    # e / x with no floor: 0 where both are 0, inf where only x is
+    ratios = np.array([e / x if x != 0.0 else (math.inf if e > 0.0 else 0.0) for e, x in zip(trace.e_norm, trace.x_norm)])
     worst = float(ratios[~exempt].max()) if np.any(~exempt) else 0.0
     return bad.size == 0, float(trace.t[bad[0]]) if bad.size else None, worst
 

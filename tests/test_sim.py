@@ -39,7 +39,7 @@ from dosloop import (
     xi_bar_measure,
     xi_measure,
 )
-from dosloop.cli import Scenario, _applicable_certificates, certificates, scenario_from_dict
+from dosloop.cli import Scenario, _applicable_certificates, certificates, main, scenario_from_dict
 from dosloop.plant import POWER_TABLE_ROWS
 from dosloop.sim import _CSV_BLOCK_ROWS, Trace
 from dosloop.triggers import awaits_crossing
@@ -336,6 +336,10 @@ def test_zero_input_mode_and_divergence_flag():
         t = trace.t[i]
         want = np.exp(np.diag(A) * t)
         assert np.allclose(trace.x[i], want, rtol=1e-6), t
+    # the guard's bound is relative to ||x0||; where 1e12 ||x0|| overflows,
+    # an infinite norm still trips it
+    huge = run(dataclasses.replace(cfg, x0=np.array([1e300, 1e300])))
+    assert huge.diverged and huge.t[-1] < horizon and huge.x_norm[-1] == math.inf
 
 
 def test_divergence_guard_catches_nan_state():
@@ -482,13 +486,17 @@ PINNED_STATS = {
 }
 
 
-def _shipped_run(name, logic, mode, x0=None):
+def _shipped_doc(name, logic, mode, x0=None):
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     doc["trigger"]["kind"] = logic
     doc["plant"]["input_mode"] = mode
     if x0 is not None:
         doc["sim"]["x0"] = x0
-    sc = scenario_from_dict(doc, SCENARIOS)
+    return doc
+
+
+def _shipped_run(name, logic, mode, x0=None):
+    sc = scenario_from_dict(_shipped_doc(name, logic, mode, x0), SCENARIOS)
     return sc, run(sc.sim_config())
 
 
@@ -520,15 +528,57 @@ def test_recorded_norms_are_never_under_estimated(x1):
                     assert abs(got - want) <= 4.0 * math.ulp(want), (logic, mode, i, got, want)
                 if att and suc:
                     held = x
-    # scaled by a power of two, the ideal_event run is the unscaled one, scaled
-    if x1 == 2.0**-565:
-        _, ref = _shipped_run("double_integrator", "ideal_event", "hold_last")
-        _, tiny = _shipped_run("double_integrator", "ideal_event", "hold_last", x0=[x1, 0.0])
-        assert int(tiny.attempt.sum()) == int(ref.attempt.sum()) == 90
-        for name in ("t", "jammed", "attempt", "success"):
-            assert np.array_equal(getattr(tiny, name), getattr(ref, name)), name
-        for name in ("x", "e_norm", "x_norm"):
-            assert np.array_equal(getattr(tiny, name), getattr(ref, name) * x1), name
+
+
+# 2^-k x0 in the test below: from past 1e12, once an absolute divergence
+# bound, to norms whose squares underflow (k = 900).
+_SCALES = (-40, 1, 100, 300, 500, 900)
+
+
+def _scaled_shipped_run(name, logic, mode, k, path, capsys):
+    """The run from 2^-k x0, the verdicts on it, and simulate's exit code and report."""
+    doc = _shipped_doc(name, logic, mode)
+    doc["sim"]["x0"] = [math.ldexp(v, -k) for v in doc["sim"]["x0"]]
+    sc = scenario_from_dict(doc, SCENARIOS)
+    trace = run(sc.sim_config())
+    bundle = certificates(sc)
+    sigma, dos = sc.trigger.sigma, sc.dos
+    measured = measure_robustness(trace.t[trace.attempt == 1], dos)
+    feasible = [(a, b) for _, a, b, ok in _applicable_certificates(sc, bundle) if ok]
+    segments = dos_free_segments(dos, measured, sc.horizon)
+    got = {
+        "certificate": verify_ges(trace, *max(feasible, key=lambda ab: ab[1])) if feasible else None,
+        "false bound": verify_ges(trace, 1.5, 1.2),
+        "update rule": check_update_rule(trace, sigma, dos, measured),
+        "onsets": check_onset_amplification(trace, sigma, dos),
+        "lyapunov": check_lyapunov_decay(trace, bundle.lyapunov.P, bundle.lyapunov.omega1, segments),
+    }
+    path.write_text(json.dumps(doc))
+    got["exit code"] = main(["simulate", "--config", str(path), "--out", str(path.with_suffix(".csv"))])
+    got["report"] = capsys.readouterr().out
+    return trace, got
+
+
+@pytest.mark.parametrize("name,logic,mode", list(PINNED_BEHAVIOUR), ids=["-".join(key) for key in PINNED_BEHAVIOUR])
+def test_a_run_from_a_scaled_x0_is_that_run_scaled(name, logic, mode, tmp_path, capsys):
+    # The update logics act on time and on ||e|| / ||x||, never on the size
+    # of x, and the plant is linear: from 2^-k x0 every float of the run is
+    # the unscaled one times 2^-k, exactly, while it stays a normal float,
+    # so the times, flags, counters, verdicts and report are those of the
+    # unscaled run. V = x' P x is quadratic, 2^-2k times the unscaled V:
+    # past k = 511 it leaves the normal floats (at k = 600 it is 0 on every
+    # row), so check_lyapunov_decay is compared up to k = 500.
+    ref, want = _scaled_shipped_run(name, logic, mode, 0, tmp_path / "ref.json", capsys)
+    for k in _SCALES:
+        trace, got = _scaled_shipped_run(name, logic, mode, k, tmp_path / "scaled.json", capsys)
+        assert (len(trace), trace.diverged, trace.stats) == (len(ref), ref.diverged, ref.stats), k
+        for col in ("t", "jammed", "attempt", "success"):
+            assert np.array_equal(getattr(trace, col), getattr(ref, col)), (k, col)
+        for col in ("x", "u", "e_norm", "x_norm"):
+            assert np.array_equal(getattr(trace, col), np.ldexp(getattr(ref, col), -k)), (k, col)
+        for key, value in want.items():
+            if key != "lyapunov" or k <= 500:
+                assert got[key] == value, (k, key)
 
 
 _EVENT_CASES = [key for key in PINNED_BEHAVIOUR if key[1] in ("event_time", "ideal_event")]
@@ -697,7 +747,7 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(plant=LINE, logic=LogicKind.EVENT_TIME, trigger=wild, dos=NO_DOS,
                   budget=LOOSE, x0=np.ones(1), horizon=1.0, record_step=0.0125)
-    # ... but tolerated for the idealized logic, which only uses it as a cap
+    # ... but tolerated for the idealized logic, which never reads it
     SimConfig(plant=LINE, logic=LogicKind.IDEAL_EVENT, trigger=wild, dos=NO_DOS,
               budget=LOOSE, x0=np.ones(1), horizon=1.0, record_step=0.0125)
 
@@ -711,6 +761,11 @@ def test_verify_ges_detects_violations():
     assert not bad.holds
     assert bad.first_violation is not None
     assert bad.worst_margin > 1.0
+    # no floor under the bound: the norms scaled by 2^-1000, where the bound
+    # falls below 1e-300, give the same verdicts
+    tiny = dataclasses.replace(trace, x_norm=np.ldexp(trace.x_norm, -1000))
+    for alpha, beta in ((2.0, 0.01), (1.0, 2.0)):
+        assert verify_ges(tiny, alpha, beta) == verify_ges(trace, alpha, beta)
     with pytest.raises(ValueError):
         verify_ges(trace, alpha=0.5, beta=0.1)
 
@@ -722,10 +777,34 @@ def test_check_update_rule_and_violation_detection():
     ok = check_update_rule(trace, 0.25, NO_DOS, rob)
     assert ok.holds
     assert ok.worst_ratio <= 0.25 * (1.0 + 1e-6)
+    # no floor under ||x||: the norms scaled by 2^-1000 give the same verdict
+    tiny = dataclasses.replace(trace, e_norm=np.ldexp(trace.e_norm, -1000), x_norm=np.ldexp(trace.x_norm, -1000))
+    assert check_update_rule(tiny, 0.25, NO_DOS, rob) == ok
     # the same trace cannot satisfy a much stricter threshold
     strict = check_update_rule(trace, 0.025, NO_DOS, rob)
     assert not strict.holds
     assert strict.first_violation is not None
+
+
+@pytest.mark.parametrize("logic", [LogicKind.EVENT_TIME, LogicKind.IDEAL_EVENT])
+def test_a_run_from_zero_stays_there_and_every_ratio_reads_zero(logic):
+    # No x is too small to wait for a crossing, but x = 0 has none to wait
+    # for: event_time retries every delta1, ideal_event stays put after its
+    # first success. Every ratio is 0 / 0 there, which reads 0.
+    trig = TriggerConfig(sigma=0.25, delta1=0.05, delta2=0.19)
+    seq = DosSequence(((0.3, 0.2),))
+    trace = run(_config(LINE, logic, trig, dos=seq, x0=[0.0], horizon=1.0))
+    assert not trace.x.any() and not trace.diverged
+    attempts = trace.t[trace.attempt == 1]
+    if logic is LogicKind.EVENT_TIME:
+        assert len(attempts) == 20 and np.allclose(np.diff(attempts), trig.delta1)
+    else:
+        assert attempts.tolist() == [0.0]
+    ges = verify_ges(trace, alpha=1.0, beta=1.0)
+    assert (ges.holds, ges.worst_margin) == (True, 0.0)
+    rule = check_update_rule(trace, trig.sigma, seq, measure_robustness(attempts, seq))
+    assert (rule.holds, rule.worst_ratio) == (True, 0.0)
+    assert check_onset_amplification(trace, trig.sigma, seq) == (True, 0.0)
 
 
 def test_check_update_rule_exempts_jam_windows():

@@ -136,17 +136,18 @@ def test_pure_time_branches():
 
 
 def test_event_time_branches():
-    # failed attempts and near-zero states fall back to the fast retry rate
+    # failed attempts and the zero state fall back to the fast retry rate
     assert next_update_event_time(_state(failed=True), CFG) == pytest.approx(1.05)
     zero = _state(x=(0.0,), xh=(0.0,))
     assert next_update_event_time(zero, CFG) == pytest.approx(1.05)
-    # otherwise the deadline; sim.run moves the attempt to an earlier crossing
-    assert next_update_event_time(_state(), CFG) == pytest.approx(1.0 + CFG.delta2 * 1e6)
+    # otherwise no attempt until sim.run finds a crossing
+    assert next_update_event_time(_state(), CFG) == math.inf
     assert awaits_crossing(_state(), LogicKind.EVENT_TIME)
     assert not awaits_crossing(_state(failed=True), LogicKind.EVENT_TIME)
     assert not awaits_crossing(zero, LogicKind.EVENT_TIME)
-    # the idealized logic waits for a crossing from any nonzero state, the periodic ones never do
-    tiny = _state(x=(1e-13,), xh=(1e-13,))
+    # both event logics wait for a crossing from any nonzero state, the periodic ones never do
+    tiny = _state(x=(5e-324,), xh=(5e-324,))
+    assert awaits_crossing(tiny, LogicKind.EVENT_TIME) and next_update_event_time(tiny, CFG) == math.inf
     assert awaits_crossing(tiny, LogicKind.IDEAL_EVENT) and not awaits_crossing(zero, LogicKind.IDEAL_EVENT)
     assert not awaits_crossing(_state(), LogicKind.PURE_TIME)
     assert not awaits_crossing(_state(), LogicKind.SELF_TRIGGER)
