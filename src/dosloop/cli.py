@@ -109,9 +109,9 @@ def _section(doc: dict, name: str) -> dict:
     return sec
 
 
-def _get(sec: dict, section: str, key: str, default=None, required: bool = True):
+def _get(sec: dict, section: str, key: str, default=None):
     if key not in sec or sec[key] is None:
-        if required and default is None:
+        if default is None:
             raise ScenarioError(f"section {section!r} is missing key {key!r}")
         return default
     return sec[key]

@@ -40,7 +40,16 @@ _TAYLOR_FACTORIALS = np.cumprod(np.maximum(_TAYLOR_EXPONENTS, 1.0))
 # the smallest double's square, 2^-948 after scaling, is a normal number.
 # Above the floor, squares lost to underflow (each below 2^-1074) move the
 # sum by less than n 2^-174 of itself.
+# A sum of squares above _NORM_CEIL may have overflowed (a square passes
+# the largest double from 2^512 on); they then sum the squares of the
+# vector times 1 / _NORM_SCALE. An entry scaled down stays below 2^424, so
+# no square overflows for n below 2^176. The scaled sum is above 2^-300
+# (2^900 times 2^-1200) and is the unscaled sum times 2^-1200 up to the
+# entries that scaling or squaring took below 2^-1022: each such square is
+# below 2^-1022 either way, so they move the sum by less than n 2^-722 of
+# itself.
 _NORM_FLOOR = 2.0**-900
+_NORM_CEIL = 2.0**900
 _NORM_SCALE = 2.0**600
 
 
@@ -149,29 +158,40 @@ def spectral_norm(M: ArrayLike) -> float:
 
 
 def _norm(v: FloatArray) -> float:
-    """Euclidean norm of a 1-D vector, never under-estimated through underflow.
+    """Euclidean norm of a 1-D vector, never under-estimated through underflow nor lost to overflow.
 
     sqrt(v . v), bit-identical to np.linalg.norm without its overhead, unless
-    v . v < _NORM_FLOOR: then the same sum of the exactly scaled vector.
+    v . v < _NORM_FLOOR or v . v > _NORM_CEIL: then the same sum of the
+    vector scaled by a power of two. A first sum that overflows raises
+    numpy's overflow signal, which the caller's np.errstate handles (run()
+    ignores it); the norm returned is finite all the same.
     """
     sq = v.dot(v)
     if sq < _NORM_FLOOR:
         v = v * _NORM_SCALE
         return math.sqrt(v.dot(v)) / _NORM_SCALE
+    if sq > _NORM_CEIL:
+        v = v / _NORM_SCALE
+        return math.sqrt(v.dot(v)) * _NORM_SCALE
     return math.sqrt(sq)
 
 
 def _row_norms(X: FloatArray) -> FloatArray:
-    """Euclidean norm of every row of a 2-D array; rows whose sum of squares is below _NORM_FLOOR as in _norm.
+    """Euclidean norm of every row of a 2-D array; a row whose sum of squares is past a bound as in _norm.
 
     Its sums (einsum) may differ from _norm's (dot) in the last bit.
     """
     sq = np.einsum("ij,ij->i", X, X)
     out = np.sqrt(sq)
-    if np.fmin.reduce(sq, initial=math.inf) < _NORM_FLOOR:  # fmin passes over NaN rows
+    # fmin and fmax pass over NaN rows
+    if np.fmin.reduce(sq, initial=math.inf) < _NORM_FLOOR:
         low = sq < _NORM_FLOOR
         W = X[low] * _NORM_SCALE
         out[low] = np.sqrt(np.einsum("ij,ij->i", W, W)) / _NORM_SCALE
+    if np.fmax.reduce(sq, initial=0.0) > _NORM_CEIL:
+        high = sq > _NORM_CEIL
+        W = X[high] / _NORM_SCALE
+        out[high] = np.sqrt(np.einsum("ij,ij->i", W, W)) * _NORM_SCALE
     return out
 
 

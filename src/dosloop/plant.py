@@ -4,11 +4,12 @@ The plant is x' = A x + B u with static gain K applied to the most recently
 received state sample, u = K * x_held. Between transmission instants the pair
 z = [x; x_held] evolves linearly, z' = M z with M = [[A, B K], [0, 0]] (or
 x' = A x with the input zeroed), so it is integrated exactly through the
-exponential of M rather than an ODE stepper. A single step of any length
-(LtiPlant.step) sums the top rows of linalg's Taylor kernel while
+exponential of M rather than an ODE stepper. LtiPlant.step, the one
+single-step path, sums the top rows of linalg's Taylor kernel while
 ||M||_F dt <= TAYLOR_THETA, where the truncated series is exact to rounding,
 and takes mat_exp, the same series scaled and squared, past that. k equal
-steps are the first k powers of that exponential's one-step map.
+steps are the first k powers of that exponential's one-step map
+(LtiPlant.power_table).
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable
-
 import numpy as np
 
 from .linalg import (
@@ -71,20 +70,19 @@ def _taylor_table(F: FloatArray, G: FloatArray | None) -> tuple[FloatArray, floa
     return terms.reshape(-1, M.shape[1]), rate
 
 
-def _extend_powers(W: FloatArray, count: int) -> FloatArray:
-    """Grow the table W[j-1] = [T^j | S_j H] (S_j = I + T + ... + T^(j-1)) to count rows by doubling.
+def _power_rows(W1: FloatArray) -> FloatArray:
+    """The table W[j-1] = [T^j | S_j H] (S_j = I + T + ... + T^(j-1)), POWER_TABLE_ROWS rows, from W1 = [T | H].
 
-    Each pass appends rows a + j = (a, j) for a = 1.. up to the rows it has:
-    T^(a+j) = T^a T^j and S_(a+j) H = T^a S_j H + S_a H, one batched matmul.
-    Row k always comes from the same products, so a table's rows do not
-    depend on how far it was grown.
+    Built by doubling: each pass appends rows a + j = (a, j) for a = 1.. up
+    to the rows it has, T^(a+j) = T^a T^j and S_(a+j) H = T^a S_j H + S_a H,
+    one batched matmul. With the input zeroed W1 is T alone.
     """
-    n = W.shape[1]
-    while len(W) < count:
+    n = W1.shape[0]
+    W = W1[None]
+    while len(W) < POWER_TABLE_ROWS:
         j = len(W)
-        take = min(j, count - j)
-        nxt = W[:take, :, :n] @ W[j - 1]
-        nxt[:, :, n:] += W[:take, :, n:]
+        nxt = W[: min(j, POWER_TABLE_ROWS - j), :, :n] @ W[j - 1]
+        nxt[:, :, n:] += W[: len(nxt), :, n:]
         W = np.concatenate((W, nxt))
     return W
 
@@ -104,14 +102,13 @@ class LtiPlant:
     phi^T P + P phi + I = 0 and its eigenvalues; growth; and, each on first
     use, the spectral norms phi_norm and bk_norm of phi and bk.
 
-    step (and stepper, which serves many step lengths from one start)
-    advances the held-input dynamics by a single step of any length: from a
-    Taylor table of the augmented matrix, built on first use per input mode,
-    for steps up to taylor_reach, and from propagator, the matrix
-    exponential, past that. power_table stacks the first k powers of one
-    propagator, built from it by doubling; the plant keeps one table per
-    input mode, for the last step length asked, at most POWER_TABLE_ROWS
-    deep, so memory stays bounded over any horizon.
+    step advances the held-input dynamics by a single step of any length:
+    from a Taylor table of the augmented matrix, built on first use per
+    input mode, for steps up to taylor_reach, and from propagator, the
+    matrix exponential, past that. power_table stacks the first
+    POWER_TABLE_ROWS powers of one propagator, built from it by doubling;
+    the plant keeps one table per input mode, for the last step length
+    asked, so memory stays bounded over any horizon.
     """
 
     A: FloatArray
@@ -182,44 +179,6 @@ class LtiPlant:
         """Blocks (T, H) with x(t+dt) = T x(t) + H x_held; H is None when the input is zeroed."""
         return _held_input_blocks(self.A, None if zero_input else self._bk, dt)
 
-    def stepper(
-        self, x: FloatArray, x_held: FloatArray, zero_input: bool = False, stats: dict[str, int] | None = None
-    ) -> Callable[[float], FloatArray]:
-        """The state x(dt) reached from x by held-input flow, as a function of dt.
-
-        The Taylor rows are applied to z = [x; x_held] (x alone, and M = A,
-        with the input zeroed) once, here, so each call costs one dot
-        product with the powers of dt ||M||_F / TAYLOR_THETA. Within that
-        reach the truncated series moves x(dt) by at most 2.2e-17 ||z||
-        (linalg._taylor_terms); past it, steps take propagator(dt).
-
-        Arguments are not validated (see exact_hold_step). Each call adds
-        one to stats["taylor_steps"] or, past the reach, stats["expm_steps"]
-        when stats is given.
-        """
-        rows, rate = self._table(zero_input)
-        z = x if zero_input else np.concatenate((x, x_held))
-        terms = (rows @ z).reshape(-1, len(x))
-
-        def advance(dt: float) -> FloatArray:
-            s = dt * rate
-            if abs(s) <= 1.0:
-                if stats is not None:
-                    stats["taylor_steps"] += 1
-                return s**_TAYLOR_EXPONENTS @ terms
-            return self._expm_step(x, x_held, dt, zero_input, stats)
-
-        return advance
-
-    def _expm_step(
-        self, x: FloatArray, x_held: FloatArray, dt: float, zero_input: bool, stats: dict[str, int] | None
-    ) -> FloatArray:
-        """A step past the Taylor reach, by propagator(dt)."""
-        if stats is not None:
-            stats["expm_steps"] += 1
-        T, H = self.propagator(dt, zero_input)
-        return T @ x if H is None else T @ x + H @ x_held
-
     def _table(self, zero_input: bool) -> tuple[FloatArray, float]:
         """The Taylor rows and rate of M for this input mode, built on first use."""
         table = self._taylor.get(zero_input)
@@ -228,7 +187,7 @@ class LtiPlant:
         return table
 
     def taylor_reach(self, zero_input: bool = False) -> float:
-        """Longest step that stepper sums from its Taylor table: TAYLOR_THETA / ||M||_F (inf for M = 0)."""
+        """Longest step that step sums from its Taylor table: TAYLOR_THETA / ||M||_F (inf for M = 0)."""
         rate = self._table(zero_input)[1]
         return 1.0 / rate if rate > 0.0 else math.inf
 
@@ -240,10 +199,17 @@ class LtiPlant:
         zero_input: bool = False,
         stats: dict[str, int] | None = None,
     ) -> FloatArray:
-        """State after dt of held-input flow from x with x_held frozen; see stepper.
+        """State after dt of held-input flow from x with x_held frozen.
 
-        The same sums as stepper's, without building one: a single step is
-        what run() takes for every off-tick stop.
+        Within taylor_reach the Taylor rows are applied to z = [x; x_held]
+        (x alone, and M = A, with the input zeroed) and summed with the
+        powers of dt ||M||_F / TAYLOR_THETA; the truncated series moves
+        x(dt) by at most 2.2e-17 ||z|| (linalg._taylor_terms). Past it the
+        step takes propagator(dt).
+
+        Arguments are not validated (see exact_hold_step). Each call adds
+        one to stats["taylor_steps"] or, past the reach, stats["expm_steps"]
+        when stats is given.
         """
         rows, rate = self._table(zero_input)
         s = dt * rate
@@ -252,28 +218,27 @@ class LtiPlant:
                 stats["taylor_steps"] += 1
             z = x if zero_input else np.concatenate((x, x_held))
             return s**_TAYLOR_EXPONENTS @ (rows @ z).reshape(-1, len(x))
-        return self._expm_step(x, x_held, dt, zero_input, stats)
+        if stats is not None:
+            stats["expm_steps"] += 1
+        T, H = self.propagator(dt, zero_input)
+        return T @ x if H is None else T @ x + H @ x_held
 
-    def power_table(self, dt: float, count: int, zero_input: bool = False) -> FloatArray:
+    def power_table(self, dt: float, zero_input: bool = False) -> FloatArray:
         """Stacked powers of the dt propagator: row j-1 maps a state to j steps of dt later.
 
         With (T, H) = propagator(dt, zero_input), row j-1 is [T^j | S_j H]
         (S_j = I + T + ... + T^(j-1)), of shape (n, 2n), so x after j steps
         is row @ [x; x_held]; with the input zeroed it is T^j alone, (n, n).
-        count is at most POWER_TABLE_ROWS. The plant keeps the table of the
-        last dt asked per input mode (run() asks only for the record step)
-        and grows it in whole doublings, so it may hold more than count rows.
+        The table has POWER_TABLE_ROWS rows. The plant keeps the table of
+        the last dt asked per input mode (run() asks only for the record
+        step) and builds a new one when dt changes.
         """
-        if not 1 <= count <= POWER_TABLE_ROWS:
-            raise ValueError(f"count must be in [1, {POWER_TABLE_ROWS}], got {count}")
         dt, zero_input = float(dt), bool(zero_input)
         kept_dt, W = self._powers.get(zero_input, (None, None))
         if kept_dt != dt:
             T, H = self.propagator(dt, zero_input)
-            W = (T if H is None else np.hstack((T, H)))[None]
-        if len(W) < count:
-            W = _extend_powers(W, min(POWER_TABLE_ROWS, 1 << (count - 1).bit_length()))
-        self._powers[zero_input] = (dt, W)
+            W = _power_rows(T if H is None else np.hstack((T, H)))
+            self._powers[zero_input] = (dt, W)
         return W
 
 

@@ -9,23 +9,24 @@ post-jump at the same timestamp) and jam breakpoints.
 
 Between two such events the loop state z = [x; x_held] follows z <- M z with
 M = [[T, H], [0, I]] from LtiPlant.propagator (mat_exp, not cached), so k
-equal steps are the first k powers of M. LtiPlant.power_table builds those
-powers by doubling from the one propagator and keeps the record step's table,
-one per input mode. run() steps every stretch of full record ticks
-before the next event as one product of that table with z, up to
-POWER_TABLE_ROWS ticks per block, with vectorised norms and divergence
-guard. Every other step is a single step of a one-off length, by
-LtiPlant.step: off-tick steps to an attempt, a jam breakpoint or the first
-tick after one. Those steps are short, so they sum the plant's Taylor table
-rather than take a fresh matrix exponential each. Vectors are validated
-once, by SimConfig, not per step.
+equal steps are the first k powers of M. LtiPlant.power_table builds all
+POWER_TABLE_ROWS of those powers by doubling from the one propagator and
+keeps the record step's table, one per input mode. run() steps every
+stretch of full record ticks before the next event as one product of that
+table with z, up to POWER_TABLE_ROWS ticks per block, with vectorised
+norms and divergence guard. Every other step, and every safe step of the
+crossing search, is a single step by LtiPlant.step: off-tick steps to an
+attempt, a jam breakpoint or the first tick after one. Those steps are
+short, so they sum the plant's Taylor table rather than take a fresh matrix
+exponential each. Vectors are validated once, by SimConfig, not per step.
 
 The event logics integrate each segment once: while they wait for
 ||e|| to reach sigma ||x||, run() watches the states it computes (_Watch),
 clearing each cell between two of them by a proved bound and handing a
-cell the bound cannot clear to find_event_crossing's safe steps. Both use
-one Lipschitz bound from the exact derivative ||A x + B K x_held|| and one
-rounding slack. Rows a block stepped past the crossing are dropped.
+cell the bound cannot clear to find_event_crossing, the one safe-step
+search. Both use one Lipschitz bound from the exact derivative
+||A x + B K x_held|| and one rounding slack. Rows a block stepped past the
+crossing are dropped.
 
 Trace rows are written into growable numpy column arrays, a row or a block
 at a time. They are the run's only record: the verdicts read attempts,
@@ -33,12 +34,12 @@ onsets and divergence from the columns. The run loop keeps its state (t,
 x, x_held, the failed flag, t_held) in locals and builds a LoopState only
 for a scheduler. It takes its jam state from its cursor over the sorted
 jam breakpoints, not from a search per stop, and computes the input
-K x_held only when the held sample changes. Row norms never under-estimate
-(linalg._norm, _row_norms): a block's rows take theirs from one _row_norms
-pass, and every other row from _norm, once per stop; the two may differ in
-the last bit, so a row keeps the one its path gives. Trace.to_csv writes
-the exact '%.17g' text of every float with a bulk numpy kernel
-(dosloop._g17), in blocks of about 7k cells.
+K x_held only when the held sample changes. Row norms are neither
+under-estimated nor lost to overflow (linalg._norm, _row_norms): a block's
+rows take theirs from one _row_norms pass, and every other row from _norm,
+once per stop; the two may differ in the last bit, so a row keeps the one
+its path gives. Trace.to_csv writes the exact '%.17g' text of every float
+with a bulk numpy kernel (dosloop._g17), in blocks of about 7k cells.
 
 Runs are bit-reproducible: no randomness, no wall-clock dependence.
 """
@@ -285,18 +286,49 @@ def find_event_crossing(
     share of L h below n e eps (1 + sigma) (||x|| + ||x_held||), under eta
     for n up to 1,600.
 
-    One LtiPlant.stepper, summing its Taylor table, serves each stretch of
-    h, so each step is one dot product. Near a tangency (g within L
-    crossing_tol of zero) steps shrink to crossing_tol, up to window /
-    crossing_tol of them. Counts go to stats when it is given. The steps
-    are _Watch.safe_steps: run() arms one watch per success, and each of its
-    searches reuses the watch's ||x_held||, B K x_held and slope factor.
+    Each step is one LtiPlant.step, taken from the state at the start of
+    its stretch of h, so it stays within the Taylor reach. Near a tangency
+    (g within L crossing_tol of zero) steps shrink to crossing_tol, up to
+    window / crossing_tol of them. Counts go to stats when it is given.
+    This is run()'s only search: _Watch hands it every cell its bound
+    cannot clear.
     """
     if not crossing_tol > 0.0:
         raise ValueError(f"crossing_tol must be positive, got {crossing_tol}")
-    watch = _Watch(plant, sigma, crossing_tol, _new_stats() if stats is None else stats)
-    watch.arm(state.x_held)
-    return watch.safe_steps(t_from, state.x, t_max, zero_input)
+    window = t_max - t_from
+    if window <= 0.0:
+        return None
+    x, xh = state.x, state.x_held
+    x_n, held = _norm(x), _norm(xh)
+    if x_n == 0.0 and held == 0.0:
+        return None
+    g = _norm(xh - x) - sigma * x_n
+    if g > _CROSSING_SLACK * (1.0 + sigma) * (x_n + held):
+        raise ValueError("state already violates the update-rule threshold at t_from")
+    if stats is None:
+        stats = _new_stats()
+    stats["crossing_searches"] += 1
+    rho = plant.growth.rho
+    h = min(window, 1.0 / rho if rho > 0.0 else math.inf, plant.taylor_reach(zero_input))
+    lip = _slope_factor(plant, sigma, h, zero_input)
+    bkw = 0.0 if zero_input else plant.bk @ xh
+    x_base = x
+    base = t = 0.0  # offsets from t_from of x_base and of x
+    while g < 0.0 and t < window:
+        slope = lip * _norm(plant.A @ x + bkw)
+        safe = (-g - _CROSSING_SLACK * (1.0 + sigma) * (x_n + held)) / slope if slope > 0.0 else math.inf
+        # written so that a NaN bound (an overflowing state) takes the shortest step
+        s = min(safe if safe > crossing_tol else crossing_tol, h, window - t)
+        if t + s - base > h:
+            x_base, base = x, t
+        t = window if s == window - t else t + s
+        x = plant.step(x_base, xh, t - base, zero_input, stats)
+        stats["root_trials"] += 1
+        x_n = _norm(x)
+        g = _norm(xh - x) - sigma * x_n
+    if not g >= 0.0:
+        return None
+    return t_max if t == window else t_from + t
 
 
 class _Watch:
@@ -313,11 +345,10 @@ class _Watch:
     ||x_b|| + ||x_held||) also covering the stepping error of the states
     (below 1e-12 of max(||x||, ||x_held||) in the suite's checks); no cell
     past the Taylor reach is cleared. A cell the bound cannot clear goes to
-    safe_steps, find_event_crossing's search, which shares the armed
-    ||x_held|| and B K x_held and the slope factor of the last step length;
-    a state with g >= 0 bounds the crossing. Blocks stepped while watching
-    hold at most size ticks: the last watch's tick count (at least
-    _SCAN_BLOCK_MIN), doubling per block.
+    find_event_crossing, called by its module name; a state with g >= 0
+    bounds the crossing. Blocks stepped while watching hold at most size
+    ticks: the last watch's tick count (at least _SCAN_BLOCK_MIN), doubling
+    per block.
     """
 
     def __init__(self, plant: LtiPlant, sigma: float, crossing_tol: float, stats: dict[str, int]) -> None:
@@ -327,7 +358,6 @@ class _Watch:
         self.stats = stats
         self.active = False
         self.last = 0  # record ticks the last watch stepped, up to its crossing
-        self._lip = (math.nan, False, math.nan)  # (h, zero input, _slope_factor) last taken
 
     def arm(self, x_held: FloatArray) -> None:
         """Start watching from the state x_held itself (e = 0), just after a success."""
@@ -339,12 +369,6 @@ class _Watch:
         self.size = max(_SCAN_BLOCK_MIN, self.last)
         self.ticks = 0  # record ticks stepped since arming
 
-    def _slope(self, h: float, zi: bool) -> float:
-        """_slope_factor(h), taken once per run of equal step lengths."""
-        if self._lip[:2] != (h, zi):
-            self._lip = (h, zi, _slope_factor(self.plant, self.sigma, h, zi))
-        return self._lip[2]
-
     def _derivative(self, x: FloatArray, zi: bool) -> FloatArray:
         """x' = A x + B K x_held (A x with the input zeroed) of a state, or of each row of a block."""
         ax = x @ self.plant.A.T
@@ -352,50 +376,15 @@ class _Watch:
 
     def _clear(self, g_a, g_b, n_a, n_b, d_a, h: float, zi: bool):
         """Whether the bound clears each cell of length h (floats or arrays of cells); d_a = ||x'|| at its start."""
-        rise = self._slope(h, zi) * h * d_a
+        rise = _slope_factor(self.plant, self.sigma, h, zi) * h * d_a
         eta = _CROSSING_SLACK * (1.0 + self.sigma) * (n_a + n_b + self.held)
         return (g_a < 0.0) & (g_b < 0.0) & (g_a + g_b + rise + eta < 0.0)
 
-    def safe_steps(self, t_from: float, x: FloatArray, t_max: float, zi: bool) -> float | None:
-        """find_event_crossing from x at t_from, with the armed held sample."""
-        window = t_max - t_from
-        if window <= 0.0:
-            return None
-        plant, sigma, xh, held = self.plant, self.sigma, self.x_held, self.held
-        x_n = _norm(x)
-        if x_n == 0.0 and held == 0.0:
-            return None
-        g = _norm(xh - x) - sigma * x_n
-        if g > _CROSSING_SLACK * (1.0 + sigma) * (x_n + held):
-            raise ValueError("state already violates the update-rule threshold at t_from")
-        stats = self.stats
-        stats["crossing_searches"] += 1
-        rho = plant.growth.rho
-        h = min(window, 1.0 / rho if rho > 0.0 else math.inf, plant.taylor_reach(zi))
-        lip = self._slope(h, zi)
-        bkw = 0.0 if zi else self.bkw
-        advance = plant.stepper(x, xh, zi, stats)
-        base = t = 0.0  # offsets from t_from of the stepper's start and of x
-        while g < 0.0 and t < window:
-            slope = lip * _norm(plant.A @ x + bkw)
-            safe = (-g - _CROSSING_SLACK * (1.0 + sigma) * (x_n + held)) / slope if slope > 0.0 else math.inf
-            # written so that a NaN bound (an overflowing state) takes the shortest step
-            s = min(safe if safe > self.tol else self.tol, h, window - t)
-            if t + s - base > h:
-                advance = plant.stepper(x, xh, zi, stats)
-                base = t
-            t = window if s == window - t else t + s
-            x = advance(t - base)
-            stats["root_trials"] += 1
-            x_n = _norm(x)
-            g = _norm(xh - x) - sigma * x_n
-        if not g >= 0.0:
-            return None
-        return t_max if t == window else t_from + t
-
     def _search(self, t_a: float, x_a: FloatArray, t_b: float, g_b: float, zi: bool) -> float | None:
         """The crossing in a cell the bound could not clear, no later than t_b if g_b >= 0; one ends the watch."""
-        hit = self.safe_steps(t_a, x_a, t_b, zi)
+        hit = find_event_crossing(
+            self.plant, LoopState(t_a, x_a, self.x_held), self.sigma, t_a, t_b, self.tol, zero_input=zi, stats=self.stats
+        )
         if hit is None and g_b >= 0.0:
             hit = t_b
         self.active = hit is None
@@ -420,12 +409,16 @@ class _Watch:
         self.size = min(2 * self.size, POWER_TABLE_ROWS)
         return None
 
-    def step(self, t: float, x: FloatArray, stop: float, x_new: FloatArray, zi: bool) -> float | None:
-        """The crossing in the cell of one single step from x at t to x_new at stop, or None."""
+    def step(
+        self, t: float, x: FloatArray, stop: float, x_new: FloatArray, n_b: float, e_b: float, zi: bool
+    ) -> float | None:
+        """The crossing in the cell of one single step from x at t to x_new at stop, or None.
+
+        n_b and e_b are ||x_new|| and ||x_held - x_new||, which run() takes once per stop.
+        """
         self.stats["cells_scanned"] += 1
         self.ticks += 1
-        n_b = _norm(x_new)
-        g_b = _norm(self.x_held - x_new) - self.sigma * n_b
+        g_b = e_b - self.sigma * n_b
         d_a = _norm(self._derivative(x, zi))
         hit = None if self._clear(self.g, g_b, self.n, n_b, d_a, stop - t, zi) else self._search(t, x, stop, g_b, zi)
         self.g, self.n = g_b, n_b
@@ -536,10 +529,11 @@ def run(config: SimConfig) -> Trace:
     Every other stop is written by single rows. The loop carries t, x,
     x_held, the failed flag and t_held in locals, and builds a LoopState
     only for a scheduler. All rows at one stop share its state, so ||x|| and
-    ||x_held - x|| are taken once there, by _norm; a stop reached by a
-    single step reuses the ||x|| of its divergence guard. The post-jump row
-    of a success shares ||x|| with its pre-jump row, and its transmission
-    error is exactly zero.
+    ||x_held - x|| are taken once there, by _norm; at a stop reached by a
+    single step they are taken right after the step and serve the watch,
+    the divergence guard and the rows. The post-jump row of a success
+    shares ||x|| with its pre-jump row, and its transmission error is
+    exactly zero.
     """
     plant = config.plant
     trig = config.trigger
@@ -581,17 +575,17 @@ def run(config: SimConfig) -> Trace:
         # the next breakpoint on the cursor; otherwise wait for the next crossing.
         return bps[bp_i][0] if st.last_attempt_failed else math.inf
 
-    # the loop state, and ||x|| by _norm once taken for this x (None until then)
+    # the loop state, and ||x|| and ||x_held - x|| of it once taken (None until then)
     t, x, xh = 0.0, config.x0.copy(), np.zeros(n)
     failed, t_held = False, 0.0
-    x_n = None
+    x_n = e_n = None
     next_attempt = 0.0
     on_tick = True  # t sits on a record tick
     diverged = False
     x_max = min(1e12 * _norm(x), np.finfo(float).max)  # the divergence guard; capped, so inf trips it
 
     while True:
-        if t >= horizon - 1e-15:
+        if t >= horizon:
             break
         k_tick = math.floor(t / rs + 1e-9) + 1
         t_rec = k_tick * rs
@@ -606,7 +600,7 @@ def run(config: SimConfig) -> Trace:
             if watch.active:
                 count = min(count, watch.size)
             z = x if zi else np.concatenate((x, xh))
-            X = (plant.power_table(rs, count, zi)[:count].reshape(-1, z.size) @ z).reshape(count, n)
+            X = (plant.power_table(rs, zi)[:count].reshape(-1, z.size) @ z).reshape(count, n)
             ts = np.arange(k_tick, k_tick + count) * rs
             # one pass for both: each row's sum is the same in a stack as alone
             norms = _row_norms(np.concatenate((X, xh - X)))
@@ -630,7 +624,7 @@ def run(config: SimConfig) -> Trace:
                 diverged = True
                 break
             if keep:
-                t, x, x_n = float(ts[keep - 1]), X[keep - 1], None
+                t, x, x_n, e_n = float(ts[keep - 1]), X[keep - 1], None, None
             continue
 
         if stop > t:
@@ -638,17 +632,18 @@ def run(config: SimConfig) -> Trace:
             # a full tick steps by exactly rs, as the row blocks do
             dt = rs if on_tick and stop == t_rec else stop - t
             x_new = plant.step(x, xh, dt, zi, stats)
+            n_new, e_new = _norm(x_new), _norm(xh - x_new)
             if watch.active:
-                hit = watch.step(t, x, stop, x_new, zi)
+                hit = watch.step(t, x, stop, x_new, n_new, e_new, zi)
                 if hit is not None:
                     next_attempt = hit
                     if hit < stop:
                         continue  # step again, to the crossing
-            t, x, x_n = stop, x_new, _norm(x_new)
+            t, x, x_n, e_n = stop, x_new, n_new, e_new
             # written so that a NaN state (inf - inf after overflow) also trips the guard
             if not x_n <= x_max:
                 jam = is_jammed(dos, stop)
-                rows.row(stop, x, u_zero if zero_mode and jam else u_held, _norm(xh - x), x_n, jam, 0, 0)
+                rows.row(stop, x, u_zero if zero_mode and jam else u_held, e_n, x_n, jam, 0, 0)
                 diverged = True
                 break
         else:
@@ -662,7 +657,8 @@ def run(config: SimConfig) -> Trace:
                 bp_i += 1
         if x_n is None:
             x_n = _norm(x)
-        e_n = _norm(xh - x)
+        if e_n is None:
+            e_n = _norm(xh - x)
         u = u_zero if zero_mode and jammed else u_held
         if at_bp:
             rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)
@@ -670,9 +666,9 @@ def run(config: SimConfig) -> Trace:
             rows.row(stop, x, u, e_n, x_n, jammed, 1, 0 if jammed else 1)
             failed = jammed
             if not jammed:
-                xh, t_held = x.copy(), stop
+                xh, t_held, e_n = x.copy(), stop, 0.0
                 u_held = K @ xh
-                rows.row(stop, x, u_held, 0.0, x_n, jammed, 0, 0)
+                rows.row(stop, x, u_held, e_n, x_n, jammed, 0, 0)
             next_attempt = schedule(LoopState(stop, x, xh, failed, t_held))
         elif not at_bp:
             rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)
@@ -807,9 +803,15 @@ def check_lyapunov_decay(
 ) -> tuple[bool, float]:
     """Check V(x(t)) <= exp(-omega1 (t - s)) V(x(s)) (slack 1 + 1e-6) on each jam-free segment [s, e].
 
+    V is formed from the rows times 2^-e, e the binary exponent of ||x(0)||:
+    the ratio is homogeneous in x, and the scaling is exact, so V stays a
+    normal float whatever the units of x (unscaled, it underflows from about
+    2^-511 x0 and overflows from about 2^511 x0).
+
     Returns (ok, worst ratio against the bound).
     """
-    V = np.einsum("ij,jk,ik->i", trace.x, P, trace.x)
+    X = np.ldexp(trace.x, -math.frexp(float(trace.x_norm[0]))[1])
+    V = np.einsum("ij,jk,ik->i", X, P, X)
     worst = 0.0
     ok = True
     for s, e in segments:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 
@@ -20,6 +21,7 @@ from dosloop import (
     solve_lyapunov,
     spectral_norm,
 )
+from dosloop.linalg import _norm, _row_norms
 from conftest import assert_close, random_stabilized_plant
 from oracles import envelope_grid, first_envelope_violation, gram_spectral_norm, mp_expm
 
@@ -28,6 +30,22 @@ def test_spectral_norm_known_values():
     assert spectral_norm(np.array([[3.0, 0.0], [0.0, -4.0]])) == pytest.approx(4.0, rel=1e-12)
     assert spectral_norm(np.zeros((2, 2))) == 0.0
     assert spectral_norm(np.array([[-4.0]])) == pytest.approx(4.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [-1000, -565, 0, 520, 1000])
+def test_norms_scale_exactly_by_powers_of_two(k):
+    # Sums of squares that underflow (k <= -565) or overflow (k >= 520) are
+    # taken of the vector scaled by a power of two, so no norm is lost to
+    # either: the norms of 2^k X are those of X times 2^k, exactly. _norm's
+    # first sum signals the overflow, which run() ignores, as here.
+    X = np.random.default_rng(5).normal(size=(4, 3))
+    Y = np.ldexp(X, k)
+    assert np.array_equal(_row_norms(Y), np.ldexp(_row_norms(X), k))
+    for x, y in zip(X, Y):
+        with np.errstate(over="ignore"):
+            got = _norm(y)
+        assert got == math.ldexp(_norm(x), k)
+        assert abs(got - math.hypot(*y)) <= 4.0 * math.ulp(math.hypot(*y))
 
 
 def test_spectral_norm_matches_gram_oracle():

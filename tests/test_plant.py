@@ -136,17 +136,6 @@ def test_taylor_step_matches_expm_of_the_augmented_matrix(n, zero_input):
     assert stats == {"taylor_steps": len(grid), "expm_steps": 2}
 
 
-def test_stepper_serves_many_lengths_from_one_start():
-    rng = np.random.default_rng(17)
-    plant = random_stabilized_plant(rng, n=3)
-    x, xh = rng.normal(size=3), rng.normal(size=3)
-    for zero_input in (False, True):
-        advance = plant.stepper(x, xh, zero_input)
-        for dt in (1e-6, 3e-4, 0.02, 5.0):
-            assert np.array_equal(advance(dt), plant.step(x, xh, dt, zero_input))
-        assert np.array_equal(advance(0.0), x)
-
-
 def test_taylor_step_of_a_zero_matrix_is_the_identity():
     # A = 0 with the input zeroed: x' = 0, and the table is the identity alone
     plant = LtiPlant(A=np.array([[0.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
