@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -27,9 +27,16 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class DosSequence:
-    """Ordered, non-overlapping jamming intervals (onset, duration)."""
+    """Ordered, non-overlapping jamming intervals (onset, duration).
+
+    onsets, durations and ends are read-only arrays built from intervals
+    on construction; equality and hashing use intervals alone.
+    """
 
     intervals: tuple[tuple[float, float], ...] = ()
+    onsets: FloatArray = field(init=False, repr=False, compare=False)
+    durations: FloatArray = field(init=False, repr=False, compare=False)
+    ends: FloatArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         clean = []
@@ -49,25 +56,12 @@ class DosSequence:
         object.__setattr__(self, "intervals", tuple(clean))
         h_arr = np.array([p[0] for p in clean], dtype=float)
         d_arr = np.array([p[1] for p in clean], dtype=float)
-        object.__setattr__(self, "_h", h_arr)
-        object.__setattr__(self, "_d", d_arr)
-        object.__setattr__(self, "_end", h_arr + d_arr)
-        object.__setattr__(self, "_cum", np.cumsum(d_arr))
+        for name, arr in (("onsets", h_arr), ("durations", d_arr), ("ends", h_arr + d_arr)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.intervals)
-
-    @property
-    def onsets(self) -> FloatArray:
-        return self._h
-
-    @property
-    def durations(self) -> FloatArray:
-        return self._d
-
-    @property
-    def ends(self) -> FloatArray:
-        return self._end
 
 
 @dataclass(frozen=True)
@@ -89,22 +83,32 @@ class DosBudget:
 
 def n_of_t(seq: DosSequence, t: float) -> int:
     """Index of the most recent interval with onset strictly before t (-1 if none)."""
-    return int(np.searchsorted(seq._h, t, side="left")) - 1
+    return int(np.searchsorted(seq.onsets, t, side="left")) - 1
 
 
 def is_jammed(seq: DosSequence, t: float) -> bool:
     """True when t lies in some [h_n, h_n + tau_n) (closed left, open right)."""
-    idx = int(np.searchsorted(seq._h, t, side="right")) - 1
-    return idx >= 0 and t < float(seq._end[idx])
+    idx = int(np.searchsorted(seq.onsets, t, side="right")) - 1
+    return idx >= 0 and t < float(seq.ends[idx])
+
+
+def _window_time(seq: DosSequence, t: float | FloatArray, lengths: FloatArray) -> FloatArray:
+    """Jammed time on [0, t], t a float or an array, with interval k taken as [h_k, h_k + lengths[k]).
+
+    The latest interval with onset strictly before t counts up to t, every
+    earlier one whole, summed in interval order (one cumulative sum).
+    """
+    if not len(seq):
+        return np.zeros(np.shape(t))
+    n = np.searchsorted(seq.onsets, t, side="left") - 1
+    k = np.maximum(n, 0)
+    before = np.concatenate(([0.0], np.cumsum(lengths)))[k]
+    return np.where(n >= 0, before + np.minimum(lengths[k], t - seq.onsets[k]), 0.0)
 
 
 def xi_measure(seq: DosSequence, t: float) -> float:
     """Total jammed time accumulated on [0, t]."""
-    n = n_of_t(seq, t)
-    if n < 0:
-        return 0.0
-    before = float(seq._cum[n - 1]) if n > 0 else 0.0
-    return before + min(float(seq._d[n]), t - float(seq._h[n]))
+    return float(_window_time(seq, t, seq.durations))
 
 
 @dataclass(frozen=True)
@@ -125,23 +129,12 @@ def check_slow_average(seq: DosSequence, budget: DosBudget, horizon: float) -> B
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    points = set()
-    for h, d in seq.intervals:
-        if h <= horizon:
-            points.add(h)
-        points.add(min(h + d, horizon))
-    points.add(horizon)
-    worst = -math.inf
-    first_bad: float | None = None
-    for t in sorted(points):
-        if t > horizon:
-            continue
-        bound = budget.bound(t)
-        excess = xi_measure(seq, t) - bound
-        worst = max(worst, excess)
-        if excess > _BUDGET_EPS * max(1.0, bound) and first_bad is None:
-            first_bad = t
-    return BudgetCheck(ok=first_bad is None, violation_time=first_bad, worst_excess=worst)
+    t = np.unique(np.concatenate((seq.onsets[seq.onsets <= horizon], np.minimum(seq.ends, horizon), [horizon])))
+    bound = budget.bound(t)
+    excess = _window_time(seq, t, seq.durations) - bound
+    bad = np.flatnonzero(excess > _BUDGET_EPS * np.maximum(1.0, bound))
+    first_bad = float(t[bad[0]]) if bad.size else None
+    return BudgetCheck(ok=first_bad is None, violation_time=first_bad, worst_excess=float(excess.max()))
 
 
 def gen_periodic(onset: float, period: float, duty: float, horizon: float) -> DosSequence:

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dos import DosSequence, n_of_t
+from .dos import DosSequence, _window_time
 from .linalg import FloatArray, _lyapunov, as_matrix, as_weight, spectral_norm
 from .plant import LtiPlant
 
@@ -51,7 +51,7 @@ class SamplingRobustness:
     delta_per_interval: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (self.delta_star >= 0.0 and not math.isnan(self.delta_star)):
+        if not self.delta_star >= 0.0:
             raise ValueError(f"delta_star must be >= 0, got {self.delta_star}")
         if not self.tau_star > 0.0:
             raise ValueError(f"tau_star must be > 0, got {self.tau_star}")
@@ -61,8 +61,6 @@ class SamplingRobustness:
     @property
     def inflation(self) -> float:
         """Inflation factor 1 + delta_star / tau_star (exactly 1 when delta_star is 0)."""
-        if self.delta_star == 0.0:
-            return 1.0
         return 1.0 + self.delta_star / self.tau_star
 
 
@@ -94,8 +92,7 @@ def rho_star(
     theta1 = theta * (1.0 + sigma) * bk_norm
 
     def omega_star_at(z: float) -> float:
-        extra = theta1 / z if theta1 > 0.0 else 0.0
-        return omega2 * ((1.0 + sigma) + theta + extra) / (lam + z)
+        return omega2 * ((1.0 + sigma) + theta + theta1 / z) / (lam + z)
 
     lo = max(rho_floor, _RHO_STAR_EPS)
     if omega_star_at(lo) <= 1.0:
@@ -173,14 +170,19 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def ges_certificate_ideal(plant: LtiPlant, sigma: float, kappa: float, tau: float) -> TrajectoryConstants:
-    """Trajectory certificate assuming updates resume the instant jamming stops (inflation 1)."""
+def _check_budget_args(sigma: float, kappa: float, tau: float) -> None:
+    """The argument checks both certificate families make."""
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not (kappa >= 0.0 and math.isfinite(kappa)):
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive, got {tau}")
+
+
+def ges_certificate_ideal(plant: LtiPlant, sigma: float, kappa: float, tau: float) -> TrajectoryConstants:
+    """Trajectory certificate assuming updates resume the instant jamming stops (inflation 1)."""
+    _check_budget_args(sigma, kappa, tau)
     env = plant.decay
     gro = plant.growth
     bk_norm = plant.bk_norm
@@ -263,12 +265,7 @@ def ges_certificate_lyapunov(
     other Q is checked once (linalg.as_weight) and solved as solve_lyapunov
     solves it, keeping the eigenvalues of P that the solve checked.
     """
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not (kappa >= 0.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive, got {tau}")
+    _check_budget_args(sigma, kappa, tau)
     Qm = as_matrix(Q, "Q")
     env = plant.decay
     if env.P is not None and Qm.shape == env.P.shape and Qm.tobytes() == np.eye(plant.n).tobytes():
@@ -328,28 +325,21 @@ def measure_robustness(attempt_times: FloatArray | Sequence[float], seq: DosSequ
     return SamplingRobustness(delta_star=delta_star, tau_star=tau_star, delta_per_interval=tuple(per.tolist()))
 
 
-def _per_interval_gaps(seq: DosSequence, robustness: SamplingRobustness) -> Sequence[float]:
+def _gaps(seq: DosSequence, robustness: SamplingRobustness) -> FloatArray:
+    """The attempt gap of each jam interval: delta_per_interval, or delta_star for each when it is empty."""
     if robustness.delta_per_interval:
         if len(robustness.delta_per_interval) != len(seq):
             raise ValueError(
                 f"robustness carries {len(robustness.delta_per_interval)} per-interval gaps "
                 f"for a sequence of {len(seq)} intervals"
             )
-        return robustness.delta_per_interval
-    return [robustness.delta_star] * len(seq)
+        return np.array(robustness.delta_per_interval, dtype=float)
+    return np.full(len(seq), robustness.delta_star)
 
 
 def xi_bar_measure(seq: DosSequence, robustness: SamplingRobustness, t: float) -> float:
     """Inflated jammed time on [0, t]: each interval extended by its attempt gap."""
-    n = n_of_t(seq, t)
-    if n < 0:
-        return 0.0
-    gaps = _per_interval_gaps(seq, robustness)
-    total = 0.0
-    for k in range(n):
-        total += float(seq.durations[k]) + gaps[k]
-    total += min(float(seq.durations[n]) + gaps[n], t - float(seq.onsets[n]))
-    return total
+    return float(_window_time(seq, t, seq.durations + _gaps(seq, robustness)))
 
 
 def _window_reach(seq: DosSequence, robustness: SamplingRobustness) -> FloatArray:
@@ -359,7 +349,7 @@ def _window_reach(seq: DosSequence, robustness: SamplingRobustness) -> FloatArra
     gap_j), j <= k, ends past h_k: windows j <= k cover t >= h_k exactly when
     t < reach[k].
     """
-    return np.maximum.accumulate(seq.ends + np.asarray(_per_interval_gaps(seq, robustness), dtype=float))
+    return np.maximum.accumulate(seq.ends + _gaps(seq, robustness))
 
 
 def dos_free_segments(

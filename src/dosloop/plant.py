@@ -15,7 +15,7 @@ steps are the first k powers of that exponential's one-step map
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 import numpy as np
@@ -100,7 +100,10 @@ class LtiPlant:
     the trigger check and the simulator share: phi = A + B K and bk = B K;
     decay, whose P and p_eigs (n >= 2) are the solution of
     phi^T P + P phi + I = 0 and its eigenvalues; growth; and, each on first
-    use, the spectral norms phi_norm and bk_norm of phi and bk.
+    use, the spectral norms phi_norm and bk_norm of phi and bk. A, B and K
+    are the plant's own copies of its arguments, and they, phi and bk are
+    read-only arrays, so no edit can make them disagree with the envelopes
+    and step tables built from them.
 
     step advances the held-input dynamics by a single step of any length:
     from a Taylor table of the augmented matrix, built on first use per
@@ -115,6 +118,10 @@ class LtiPlant:
     B: FloatArray
     K: FloatArray
     input_mode: InputMode = InputMode.HOLD_LAST
+    phi: FloatArray = field(init=False, repr=False)
+    bk: FloatArray = field(init=False, repr=False)
+    decay: DecayEnvelope = field(init=False, repr=False)
+    growth: GrowthEnvelope = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         A = as_matrix(self.A, "A")
@@ -130,13 +137,11 @@ class LtiPlant:
             raise ValueError(f"K must have shape {(m, n)}, got {K.shape}")
         if not isinstance(self.input_mode, InputMode):
             raise ValueError(f"input_mode must be an InputMode, got {self.input_mode!r}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "_phi", A + B @ K)
-        object.__setattr__(self, "_bk", B @ K)
-        object.__setattr__(self, "_decay", decay_envelope(self._phi))
-        object.__setattr__(self, "_growth", growth_envelope(A))
+        for name, M in (("A", A.copy()), ("B", B.copy()), ("K", K.copy()), ("phi", A + B @ K), ("bk", B @ K)):
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
+        object.__setattr__(self, "decay", decay_envelope(self.phi))
+        object.__setattr__(self, "growth", growth_envelope(self.A))
         object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_taylor", {})
 
@@ -148,42 +153,25 @@ class LtiPlant:
     def m(self) -> int:
         return self.B.shape[1]
 
-    @property
-    def phi(self) -> FloatArray:
-        """Closed-loop matrix A + B K."""
-        return self._phi
-
-    @property
-    def bk(self) -> FloatArray:
-        return self._bk
-
     @cached_property
     def phi_norm(self) -> float:
         """||A + B K||_2."""
-        return spectral_norm(self._phi)
+        return spectral_norm(self.phi)
 
     @cached_property
     def bk_norm(self) -> float:
         """||B K||_2."""
-        return spectral_norm(self._bk)
-
-    @property
-    def decay(self) -> DecayEnvelope:
-        return self._decay
-
-    @property
-    def growth(self) -> GrowthEnvelope:
-        return self._growth
+        return spectral_norm(self.bk)
 
     def propagator(self, dt: float, zero_input: bool = False) -> tuple[FloatArray, FloatArray | None]:
         """Blocks (T, H) with x(t+dt) = T x(t) + H x_held; H is None when the input is zeroed."""
-        return _held_input_blocks(self.A, None if zero_input else self._bk, dt)
+        return _held_input_blocks(self.A, None if zero_input else self.bk, dt)
 
     def _table(self, zero_input: bool) -> tuple[FloatArray, float]:
         """The Taylor rows and rate of M for this input mode, built on first use."""
         table = self._taylor.get(zero_input)
         if table is None:
-            table = self._taylor[zero_input] = _taylor_table(self.A, None if zero_input else self._bk)
+            table = self._taylor[zero_input] = _taylor_table(self.A, None if zero_input else self.bk)
         return table
 
     def taylor_reach(self, zero_input: bool = False) -> float:
@@ -233,7 +221,6 @@ class LtiPlant:
         the last dt asked per input mode (run() asks only for the record
         step) and builds a new one when dt changes.
         """
-        dt, zero_input = float(dt), bool(zero_input)
         kept_dt, W = self._powers.get(zero_input, (None, None))
         if kept_dt != dt:
             T, H = self.propagator(dt, zero_input)

@@ -71,11 +71,10 @@ _GES_SLACK = 1e-6
 _RULE_SLACK = 1e-6
 _ONSET_SLACK = 1e-9
 _LYAPUNOV_SLACK = 1e-6
-# Trace rows formatted per write in Trace.to_csv: at most _CSV_BLOCK_ROWS,
-# and no more rows than fill _CSV_BLOCK_CELLS float cells, which bounds the
-# formatting kernel's temporaries whatever the plant's size. Its fixed cost
-# per call stops mattering at about 7k cells: 4,096 took 7-14% longer.
-_CSV_BLOCK_ROWS = 1024
+# Float cells formatted per write in Trace.to_csv (whole rows, at least
+# one), which bounds the formatting kernel's temporaries whatever the
+# plant's size. Its fixed cost per call stops mattering at about 7k cells:
+# 4,096 took 7-14% longer.
 _CSV_BLOCK_CELLS = 7168
 # The jammed,attempt,success cells and the line end, one NUL-padded 8-byte
 # word per 4 jammed + 2 attempt + success.
@@ -136,7 +135,9 @@ class SimConfig:
             )
         if not (self.crossing_tol > 0.0 and math.isfinite(self.crossing_tol)):
             raise ValueError(f"crossing_tol must be positive, got {self.crossing_tol}")
-        object.__setattr__(self, "x0", as_vector(self.x0, self.plant.n, "x0"))
+        x0 = as_vector(self.x0, self.plant.n, "x0").copy()
+        x0.flags.writeable = False  # the run starts from it as is
+        object.__setattr__(self, "x0", x0)
         verdict = check_slow_average(self.dos, self.budget, self.horizon)
         if not verdict.ok:
             raise ValueError(
@@ -195,15 +196,15 @@ class Trace:
         a unit in the last digit (none for 1e-6 <= |x| < 1e17), so only
         values within 1e-6 of a rounding tie elsewhere, NaN, +-inf and |x|
         outside [1e-250, 1e250] are formatted one by one with '%.17g' % x.
-        Rows are formatted and written in blocks of at most _CSV_BLOCK_ROWS
-        rows and _CSV_BLOCK_CELLS floats, each one NUL-padded word matrix
-        whose NUL bytes are dropped, so memory stays flat however long the
-        trace is. The block is sized for throughput: the kernel's per-call
+        Rows are formatted and written in blocks of as many whole rows as fit
+        _CSV_BLOCK_CELLS floats (at least one), each one NUL-padded word
+        matrix whose NUL bytes are dropped, so memory stays flat however long
+        the trace is. The block is sized for throughput: the kernel's per-call
         cost is spread over about 7k cells, and its temporaries, about 150
-        bytes a cell, stay near 1 MB. The input u changes only at updates
-        and jam edges, so each run of rows with bit-identical u (-0.0 and
-        NaN keep their own text) has its u cells formatted once, and the
-        flag cells come from a table of their 8 spellings.
+        bytes a cell, stay near 1 MB. The input u changes only at updates and
+        jam edges, so each run of rows with bit-identical u (-0.0 and NaN keep
+        their own text) has its u cells formatted once, and the flag cells
+        come from a table of their 8 spellings.
         """
         from ._g17 import csv_cells  # on first use: commands that write no trace never load it
 
@@ -216,7 +217,7 @@ class Trace:
             + ["e_norm", "x_norm", "jammed", "attempt", "success"]
         )
         width = n + m + 3  # float cells per row
-        block = max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_CELLS // width))
+        block = max(1, _CSV_BLOCK_CELLS // width)
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\r\n").encode())
             for lo in range(0, len(self), block):
@@ -251,9 +252,11 @@ def _slope_factor(plant: LtiPlant, sigma: float, h: float, zero_input: bool) -> 
     return (1.0 + sigma) * env.theta * math.exp(env.rho * h) * (1.0 + _CROSSING_SLACK)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def find_event_crossing(
     plant: LtiPlant,
-    state: LoopState,
+    x: FloatArray,
+    x_held: FloatArray,
     sigma: float,
     t_from: float,
     t_max: float,
@@ -264,7 +267,7 @@ def find_event_crossing(
 ) -> float | None:
     """First t in (t_from, t_max] where ||e(t)|| reaches sigma ||x(t)||, by proved safe steps.
 
-    state holds the loop values at t_from with ||e|| < sigma ||x|| or e = 0
+    x and x_held hold the loop at t_from with ||e|| < sigma ||x|| or e = 0
     (a start past the threshold by more than the rounding slack raises
     ValueError). Returns the first step point where g = ||x_held - x|| -
     sigma ||x|| >= 0, or None (always for x = x_held = 0, which stays put).
@@ -298,11 +301,10 @@ def find_event_crossing(
     window = t_max - t_from
     if window <= 0.0:
         return None
-    x, xh = state.x, state.x_held
-    x_n, held = _norm(x), _norm(xh)
+    x_n, held = _norm(x), _norm(x_held)
     if x_n == 0.0 and held == 0.0:
         return None
-    g = _norm(xh - x) - sigma * x_n
+    g = _norm(x_held - x) - sigma * x_n
     if g > _CROSSING_SLACK * (1.0 + sigma) * (x_n + held):
         raise ValueError("state already violates the update-rule threshold at t_from")
     if stats is None:
@@ -311,7 +313,7 @@ def find_event_crossing(
     rho = plant.growth.rho
     h = min(window, 1.0 / rho if rho > 0.0 else math.inf, plant.taylor_reach(zero_input))
     lip = _slope_factor(plant, sigma, h, zero_input)
-    bkw = 0.0 if zero_input else plant.bk @ xh
+    bkw = 0.0 if zero_input else plant.bk @ x_held
     x_base = x
     base = t = 0.0  # offsets from t_from of x_base and of x
     while g < 0.0 and t < window:
@@ -322,10 +324,10 @@ def find_event_crossing(
         if t + s - base > h:
             x_base, base = x, t
         t = window if s == window - t else t + s
-        x = plant.step(x_base, xh, t - base, zero_input, stats)
+        x = plant.step(x_base, x_held, t - base, zero_input, stats)
         stats["root_trials"] += 1
         x_n = _norm(x)
-        g = _norm(xh - x) - sigma * x_n
+        g = _norm(x_held - x) - sigma * x_n
     if not g >= 0.0:
         return None
     return t_max if t == window else t_from + t
@@ -383,7 +385,7 @@ class _Watch:
     def _search(self, t_a: float, x_a: FloatArray, t_b: float, g_b: float, zi: bool) -> float | None:
         """The crossing in a cell the bound could not clear, no later than t_b if g_b >= 0; one ends the watch."""
         hit = find_event_crossing(
-            self.plant, LoopState(t_a, x_a, self.x_held), self.sigma, t_a, t_b, self.tol, zero_input=zi, stats=self.stats
+            self.plant, x_a, self.x_held, self.sigma, t_a, t_b, self.tol, zero_input=zi, stats=self.stats
         )
         if hit is None and g_b >= 0.0:
             hit = t_b
@@ -566,7 +568,6 @@ def run(config: SimConfig) -> Trace:
         if config.logic is LogicKind.SELF_TRIGGER:
             return next_update_self_trigger(st, plant, trig)
         # a waiting event logic attempts at the crossing the watch finds
-        watch.active = False
         if awaits_crossing(st, config.logic):
             watch.arm(st.x_held)
         if config.logic is LogicKind.EVENT_TIME:
@@ -576,7 +577,7 @@ def run(config: SimConfig) -> Trace:
         return bps[bp_i][0] if st.last_attempt_failed else math.inf
 
     # the loop state, and ||x|| and ||x_held - x|| of it once taken (None until then)
-    t, x, xh = 0.0, config.x0.copy(), np.zeros(n)
+    t, x, xh = 0.0, config.x0, np.zeros(n)
     failed, t_held = False, 0.0
     x_n = e_n = None
     next_attempt = 0.0
@@ -584,9 +585,7 @@ def run(config: SimConfig) -> Trace:
     diverged = False
     x_max = min(1e12 * _norm(x), np.finfo(float).max)  # the divergence guard; capped, so inf trips it
 
-    while True:
-        if t >= horizon:
-            break
+    while t < horizon:
         k_tick = math.floor(t / rs + 1e-9) + 1
         t_rec = k_tick * rs
         if t_rec <= t:
@@ -615,12 +614,11 @@ def run(config: SimConfig) -> Trace:
                 hit = watch.block(t, x, ts[cells], X[cells], e_norm[cells], x_norm[cells], zi)
             if hit is not None:
                 keep, next_attempt = hit
-            rows.block(ts[:keep], X[:keep], u_zero if zi else u_held, e_norm[:keep], x_norm[:keep], jammed)
+            u = u_zero if zi else u_held
+            rows.block(ts[:keep], X[:keep], u, e_norm[:keep], x_norm[:keep], jammed)
             if hit is None and tripped:
-                t_div, x_div = float(ts[keep]), X[keep]
-                jam = is_jammed(dos, t_div)
-                u = u_zero if zero_mode and jam else u_held
-                rows.row(t_div, x_div, u, _norm(xh - x_div), _norm(x_div), jam, 0, 0)
+                # the block ends before the next breakpoint, so the cursor's jam state holds at this row too
+                rows.row(float(ts[keep]), X[keep], u, _norm(xh - X[keep]), _norm(X[keep]), jammed, 0, 0)
                 diverged = True
                 break
             if keep:
@@ -655,10 +653,8 @@ def run(config: SimConfig) -> Trace:
             while bp_i < len(bps) and bps[bp_i][0] == stop:
                 jammed = bps[bp_i][1]
                 bp_i += 1
-        if x_n is None:
-            x_n = _norm(x)
-        if e_n is None:
-            e_n = _norm(xh - x)
+        if x_n is None:  # e_n is None with it
+            x_n, e_n = _norm(x), _norm(xh - x)
         u = u_zero if zero_mode and jammed else u_held
         if at_bp:
             rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .linalg import FloatArray, _norm, as_vector
 from .plant import LoopState, LtiPlant, _held_input_blocks
 
@@ -149,6 +151,7 @@ def next_update_pure_time(state: LoopState, config: TriggerConfig) -> float:
     return state.t + (config.delta1 if state.last_attempt_failed else config.delta2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def next_update_self_trigger(state: LoopState, plant: LtiPlant, config: TriggerConfig) -> float:
     """SELF_TRIGGER rule: interpolate between delta2 and delta1 by predicted state size.
 

@@ -433,3 +433,47 @@ def csv_by_row(trace) -> bytes:
     flags = np.column_stack((trace.jammed, trace.attempt, trace.success)).tolist()
     text = ",".join(header) + "\r\n" + "".join([line % (*f, *g) for f, g in zip(floats, flags)])
     return text.encode()
+
+
+def jammed_time_by_loop(intervals: list[tuple[float, float]], t: float, gaps: list[float] | None = None) -> float:
+    """Xi(t), or with per-interval gaps the inflated Xi-bar(t), by one Python loop over the intervals.
+
+    Interval k counts as d_k (d_k + gaps[k] with gaps): whole when a later
+    onset lies strictly before t, up to t when its own onset is the latest
+    such. The lengths are summed one by one, in interval order; the library
+    evaluates all points at once through one cumulative sum.
+    """
+    lengths = [d if gaps is None else d + gaps[k] for k, (_, d) in enumerate(intervals)]
+    before = [k for k, (h, _) in enumerate(intervals) if h < t]
+    if not before:
+        return 0.0
+    total = 0.0
+    for k in range(before[-1]):
+        total += lengths[k]
+    return total + min(lengths[before[-1]], t - intervals[before[-1]][0])
+
+
+def slow_average_by_loop(
+    intervals: list[tuple[float, float]], kappa: float, tau: float, horizon: float
+) -> tuple[bool, float | None, float]:
+    """(ok, violation_time, worst_excess) of check_slow_average, one breakpoint at a time.
+
+    The breakpoints (onsets up to the horizon, ends clipped to it, the
+    horizon) are visited in order, carrying the sum of the whole intervals
+    so far; a breakpoint fails when Xi(t) - (kappa + t / tau) exceeds 1e-12
+    max(1, kappa + t / tau).
+    """
+    points = {h for h, _ in intervals if h <= horizon} | {min(h + d, horizon) for h, d in intervals} | {horizon}
+    worst, first_bad = -math.inf, None
+    total, n = 0.0, -1  # n: the latest interval with onset strictly before t; total: the ones before it
+    for t in sorted(points):
+        while n + 1 < len(intervals) and intervals[n + 1][0] < t:
+            if n >= 0:
+                total += intervals[n][1]
+            n += 1
+        xi = 0.0 if n < 0 else total + min(intervals[n][1], t - intervals[n][0])
+        bound = kappa + t / tau
+        worst = max(worst, xi - bound)
+        if first_bad is None and xi - bound > 1e-12 * max(1.0, bound):
+            first_bad = t
+    return first_bad is None, first_bad, worst

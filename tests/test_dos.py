@@ -21,8 +21,9 @@ from dosloop import (
     periodic_budget,
     xi_measure,
 )
+from dosloop import SamplingRobustness, xi_bar_measure
 from dosloop import dos as dos_io
-from oracles import grid_jam_measure
+from oracles import grid_jam_measure, jammed_time_by_loop, slow_average_by_loop
 
 SEQ = DosSequence(((1.0, 0.5), (3.0, 1.0), (5.5, 0.25)))
 
@@ -39,6 +40,15 @@ def test_sequence_validation():
         DosSequence(((3.0, 0.5), (1.0, 0.5)))  # out of order
     # touching intervals are allowed: [0,1) then [1,2)
     DosSequence(((0.0, 1.0), (1.0, 1.0)))
+
+
+def test_sequence_arrays_are_read_only():
+    for arr in (SEQ.onsets, SEQ.durations, SEQ.ends):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # equality and hashing still go by the intervals alone
+    same = DosSequence(SEQ.intervals)
+    assert same == SEQ and hash(same) == hash(SEQ) and same != DosSequence(SEQ.intervals[:2])
 
 
 def test_n_of_t_hand_values():
@@ -81,6 +91,57 @@ def test_xi_measure_matches_grid_oracle():
         for t in rng.uniform(0.1, cursor + 1.0, size=5):
             want = grid_jam_measure(pairs, float(t))
             assert abs(xi_measure(seq, float(t)) - want) <= 2e-4 * max(1.0, t)
+
+
+def _seeded_pairs(rng, count, touching=False):
+    """count intervals of 0.05-0.8 after gaps of 0-1.5 (no gaps when touching): each onset the float end of the last."""
+    pairs, cursor = [], 0.0
+    for _ in range(count):
+        cursor += 0.0 if touching else float(rng.uniform(0.0, 1.5))
+        d = float(rng.uniform(0.05, 0.8))
+        pairs.append((cursor, d))
+        cursor += d
+    return pairs
+
+
+def _jam_oracle_cases():
+    """(intervals, horizon) on which the library's cumulative sum meets the loops of oracles.py."""
+    rng = np.random.default_rng(1311)
+    inside = _seeded_pairs(rng, 9)
+    past = _seeded_pairs(rng, 12)
+    periodic = gen_periodic(onset=0.3, period=1.0, duty=0.25, horizon=10_000.0).intervals
+    return [
+        pytest.param([], 5.0, id="empty"),
+        pytest.param(_seeded_pairs(rng, 10, touching=True), 6.0, id="touching"),
+        pytest.param(inside, inside[5][0] + 0.5 * inside[5][1], id="horizon_inside_an_interval"),
+        pytest.param(past, past[6][0] - 0.1, id="onsets_past_the_horizon"),
+        pytest.param(list(periodic), periodic[-1][0] + 0.1, id="periodic_10000"),
+    ]
+
+
+@pytest.mark.parametrize("intervals,horizon", _jam_oracle_cases())
+def test_jammed_time_sums_match_the_loops_bit_for_bit(intervals, horizon):
+    rng = np.random.default_rng(len(intervals))
+    seq = DosSequence(tuple(intervals))
+    edges = [0.0, horizon] + [b for h, d in intervals[:40] for b in (h, h + d)]
+    points = edges + [np.nextafter(b, s) for b in edges for s in (-np.inf, np.inf)]
+    points += rng.uniform(0.0, horizon + 1.0, size=20).tolist()
+    per = rng.uniform(0.0, 0.3, size=len(intervals)).tolist()
+    uniform = SamplingRobustness(delta_star=0.2, tau_star=1.0)
+    measured = SamplingRobustness(delta_star=max(per, default=0.0), tau_star=1.0, delta_per_interval=tuple(per))
+    for t in map(float, points):
+        assert xi_measure(seq, t) == jammed_time_by_loop(intervals, t), t
+        assert xi_bar_measure(seq, uniform, t) == jammed_time_by_loop(intervals, t, [0.2] * len(intervals)), t
+        assert xi_bar_measure(seq, measured, t) == jammed_time_by_loop(intervals, t, per), t
+    verdicts = set()
+    # budgets from loose to violated, the periodic sequence's own tight (0.25, 4) among them
+    for kappa in (0.0, 0.25, 0.25 * (1 - 1e-9), 2.0):
+        for tau in (1.5, 4.0, 4.0 * (1 + 1e-9), 50.0):
+            for h in (horizon, 0.5 * horizon):
+                chk = check_slow_average(seq, DosBudget(kappa=kappa, tau_avg=tau), h)
+                assert (chk.ok, chk.violation_time, chk.worst_excess) == slow_average_by_loop(intervals, kappa, tau, h)
+                verdicts.add(chk.ok)
+    assert verdicts == ({True} if not intervals else {True, False})
 
 
 def test_budget_validation_and_bound():

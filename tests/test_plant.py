@@ -95,6 +95,21 @@ def test_plant_validation():
         LtiPlant(A=A, B=B, K=np.zeros((1, 2)))  # A + BK not Hurwitz
 
 
+def test_plant_keeps_its_own_read_only_matrices():
+    # an edit of the caller's arrays after construction must not reach the
+    # plant, whose envelopes and step tables were built from the originals,
+    # and no array of the plant can be written
+    A, B, K = np.array([[0.0, 1.0], [-2.0, -3.0]]), np.array([[0.0], [1.0]]), np.array([[-1.0, -1.0]])
+    plant = LtiPlant(A=A, B=B, K=K)
+    kept = {name: getattr(plant, name).copy() for name in ("A", "B", "K", "phi", "bk")}
+    A[0, 0] = B[1, 0] = K[0, 1] = 7.0
+    for name, want in kept.items():
+        M = getattr(plant, name)
+        assert np.array_equal(M, want), name
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+
 def test_input_mode_values():
     assert InputMode("hold_last") is InputMode.HOLD_LAST
     assert InputMode("zero_during_dos") is InputMode.ZERO_DURING_DOS

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from dosloop import (
 )
 from dosloop.cli import Scenario, _applicable_certificates, certificates, main, scenario_from_dict
 from dosloop.plant import POWER_TABLE_ROWS
-from dosloop.sim import _CSV_BLOCK_ROWS, Trace
+from dosloop.sim import _CSV_BLOCK_CELLS, Trace
 from dosloop.triggers import awaits_crossing
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
 from oracles import (
@@ -83,7 +84,7 @@ def _config(plant, logic, trigger, dos=NO_DOS, budget=LOOSE, x0=None, horizon=3.
 def test_find_event_crossing_scalar_hand_value():
     sigma = 0.25
     state = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([1.0]))
-    hit = find_event_crossing(LINE, state, sigma, 0.0, 1.0)
+    hit = find_event_crossing(LINE, state.x, state.x_held, sigma, 0.0, 1.0)
     assert hit == pytest.approx(sigma / (1.0 + sigma), abs=2e-9)
 
 
@@ -103,7 +104,7 @@ def test_find_event_crossing_matches_rk4_oracle(mode):
         state = LoopState(t=0.3, x=x, x_held=x + e)
         want = rk4_first_crossing(plant.A, plant.B, plant.K, x, x + e, sigma, 4.0, zero_input=zero_input)
         for tol in (1e-9, 1e-6):
-            got = find_event_crossing(plant, state, sigma, 0.3, 4.3, tol, zero_input=zero_input)
+            got = find_event_crossing(plant, state.x, state.x_held, sigma, 0.3, 4.3, tol, zero_input=zero_input)
             if want is None:
                 assert got is None
                 continue
@@ -138,8 +139,7 @@ def test_find_event_crossing_meets_its_contract_under_an_expm_oracle(zero_input)
         t_from = float(rng.uniform(0.0, 2.0))
         for tol in (1e-9, 1e-6):
             for window in (4.0, 4.0 * trig.delta2):
-                t = find_event_crossing(plant, LoopState(t_from, x, x + e), sigma, t_from, t_from + window, tol,
-                                        zero_input=zero_input)
+                t = find_event_crossing(plant, x, x + e, sigma, t_from, t_from + window, tol, zero_input=zero_input)
                 if t is None:
                     continue
                 hits += 1
@@ -174,7 +174,7 @@ def test_find_event_crossing_finds_a_crossing_between_any_two_grid_points():
         # the first grid point past sigma by more than the grid's rounding
         first = int(np.argmax(ratio >= sigma * (1.0 + 1e-9))) * dt
         tol = 1e-9
-        t = find_event_crossing(plant, LoopState(0.0, x0, x0), sigma, 0.0, window, tol)
+        t = find_event_crossing(plant, x0, x0, sigma, 0.0, window, tol)
         assert t is not None, (k, sigma)
         assert t <= first + tol, (k, t, first)
         x_t = expm_hold_step(A, plant.bk, x0, x0, t)
@@ -189,27 +189,48 @@ def test_find_event_crossing_steps_within_the_taylor_reach():
     want = -np.log((1.0 / 11.0 + 0.02) / 1.02) / 50.0
     assert want > 2.0 * plant.taylor_reach()
     stats = dict.fromkeys(("crossing_searches", "root_trials", "taylor_steps", "expm_steps"), 0)
-    t = find_event_crossing(plant, LoopState(0.0, np.ones(1), np.ones(1)), 10.0, 0.0, 1.0, stats=stats)
+    t = find_event_crossing(plant, np.ones(1), np.ones(1), 10.0, 0.0, 1.0, stats=stats)
     assert want <= t <= want + 1e-9 + 1e-15
     assert stats["expm_steps"] == 0 and stats["taylor_steps"] == stats["root_trials"] > 0
 
 
 def test_find_event_crossing_none_when_out_of_window():
     state = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([1.0]))
-    assert find_event_crossing(LINE, state, 0.25, 0.0, 0.1) is None
+    assert find_event_crossing(LINE, state.x, state.x_held, 0.25, 0.0, 0.1) is None
     # zero state never crosses anything
     rest = LoopState(t=0.0, x=np.array([0.0]), x_held=np.array([0.0]))
-    assert find_event_crossing(LINE, rest, 0.25, 0.0, 5.0) is None
+    assert find_event_crossing(LINE, rest.x, rest.x_held, 0.25, 0.0, 5.0) is None
 
 
 def test_find_event_crossing_rejects_violated_start():
     state = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([2.0]))  # e = 1 > sigma x
     with pytest.raises(ValueError):
-        find_event_crossing(LINE, state, 0.25, 0.0, 1.0)
+        find_event_crossing(LINE, state.x, state.x_held, 0.25, 0.0, 1.0)
     start = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([1.0]))
     for tol in (0.0, -1e-9):
         with pytest.raises(ValueError):
-            find_event_crossing(LINE, start, 0.25, 0.0, 1.0, tol)
+            find_event_crossing(LINE, start.x, start.x_held, 0.25, 0.0, 1.0, tol)
+
+
+def test_find_event_crossing_from_a_huge_state_is_exact_and_warning_free():
+    # a sum of squares past 2^900 is rescaled by a power of two (linalg._norm),
+    # so from 2^600 the search takes the steps it takes from 1, and the
+    # overflow of the first sum raises no warning
+    big, one = np.array([2.0**600]), np.ones(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hit = find_event_crossing(LINE, big, big, 0.25, 0.0, 1.0)
+    assert hit is not None and hit == find_event_crossing(LINE, one, one, 0.25, 0.0, 1.0)
+
+
+def test_config_keeps_its_own_read_only_x0():
+    x0 = np.array([1.0])
+    cfg = _config(LINE, LogicKind.PURE_TIME, TriggerConfig(sigma=0.25, delta1=0.05, delta2=0.19), x0=x0, horizon=0.5)
+    x0[0] = 5.0
+    assert cfg.x0[0] == 1.0
+    with pytest.raises(ValueError):
+        cfg.x0[0] = 2.0
+    assert run(cfg).x[0, 0] == 1.0
 
 
 def test_event_time_run_has_geometric_updates():
@@ -641,7 +662,7 @@ def _whole_window_crossing(plant, trace, seq, sigma, t_s, x_s):
     t_a, x_a = t_s, x_s
     for t_b in edges + [horizon]:
         zi = zero_mode and is_jammed(seq, t_a)
-        hit = find_event_crossing(plant, LoopState(t_a, x_a, x_s), sigma, t_a, t_b, trace.crossing_tol, zero_input=zi)
+        hit = find_event_crossing(plant, x_a, x_s, sigma, t_a, t_b, trace.crossing_tol, zero_input=zi)
         if hit is not None or t_b == horizon:
             return hit
         i = int(np.searchsorted(trace.t, t_b))
@@ -922,6 +943,11 @@ def _diverged_run():
     ))
 
 
+def _csv_block_rows(trace):
+    """Rows per block that Trace.to_csv formats and writes at once."""
+    return _CSV_BLOCK_CELLS // (trace.x.shape[1] + trace.u.shape[1] + 3)
+
+
 def test_to_csv_bytes_match_a_csv_writer_reference(tmp_path):
     trig = TriggerConfig(sigma=0.25, delta1=0.05, delta2=0.19)
     # successful attempts, so pre/post row pairs at one timestamp
@@ -934,7 +960,7 @@ def test_to_csv_bytes_match_a_csv_writer_reference(tmp_path):
     slow = TriggerConfig(sigma=0.25, delta1=0.05, delta2=0.09)
     touching = run(_config(plant, LogicKind.EVENT_TIME, slow, dos=DosSequence(((0.3, 0.2), (0.5, 0.1))),
                            budget=DosBudget(kappa=0.35, tau_avg=4.0), x0=[1.0, -0.0], horizon=30.0))
-    assert len(touching) > 2 * _CSV_BLOCK_ROWS
+    assert len(touching) > 2 * _csv_block_rows(touching)
     diverged = _diverged_run()
     assert diverged.diverged and np.isnan(diverged.x_norm[-1])
     for name, trace in (("paired", paired), ("touching", touching), ("diverged", diverged)):
@@ -961,7 +987,7 @@ def test_to_csv_bytes_match_the_per_row_writer(case, tmp_path):
         u[4::11] = np.nan
         u[5::11] = -np.nan
         trace = dataclasses.replace(base, u=u)
-        assert len(trace) > 2 * _CSV_BLOCK_ROWS
+        assert len(trace) > 2 * _csv_block_rows(trace)
     else:
         trace = _shipped_run(*case.split("-"))[1]
     path = tmp_path / "trace.csv"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,18 @@ def test_self_trigger_interpolates():
     assert next_update_self_trigger(loud, plant, cfg_ramp) == pytest.approx(2.05)
     gap = next_update_self_trigger(loud, plant, cfg_zero) - 2.0
     assert CFG.delta1 - 1e-12 <= gap <= CFG.delta2 + 1e-12
+
+
+def test_self_trigger_from_a_huge_state_is_warning_free():
+    # ||chi|| of 2^600 overflows its first sum of squares, which is then
+    # rescaled: varphi saturates and the next attempt is delta1 away
+    plant = LtiPlant(A=np.array([[0.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
+    cfg = TriggerConfig(sigma=0.3, delta1=0.25, delta2=0.5, varphi=Varphi(kind="saturated_linear", scale=1.0))
+    big = np.array([2.0**600])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1.0, 1.25):  # chi the sample itself, then its prediction
+            assert next_update_self_trigger(LoopState(t=t, x=big, x_held=big, t_held=1.0), plant, cfg) == t + 0.25
 
 
 def test_logic_kind_round_trip():
