@@ -118,8 +118,10 @@ def _get(sec: dict, section: str, key: str, default=None):
 
 
 def _is_number(value) -> bool:
-    # float() would read a JSON true or false as 1.0 or 0.0, and the string "0.25" as 0.25
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # float() would read a JSON true or false as 1.0 or 0.0, and the string "0.25" as 0.25.
+    # JSON gives exact floats and ints; the type test spares them the numbers.Real ABC walk.
+    t = type(value)
+    return t is float or t is int or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def _as_float(value, where: str) -> float:

@@ -55,7 +55,7 @@ class SamplingRobustness:
             raise ValueError(f"delta_star must be >= 0, got {self.delta_star}")
         if not self.tau_star > 0.0:
             raise ValueError(f"tau_star must be > 0, got {self.tau_star}")
-        if any(d < 0.0 for d in self.delta_per_interval):
+        if any(not d >= 0.0 for d in self.delta_per_interval):
             raise ValueError("per-interval gaps must be >= 0")
 
     @property

@@ -66,7 +66,7 @@ def as_matrix(value: ArrayLike, name: str = "matrix") -> FloatArray:
     M = np.asarray(value, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise ValueError(f"{name} must be a non-empty 2-D array, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} must have finite entries")
     return M
 
@@ -75,7 +75,7 @@ def as_vector(value: ArrayLike, size: int | None = None, name: str = "vector") -
     v = np.asarray(value, dtype=float).reshape(-1)
     if v.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must have finite entries")
     if size is not None and v.size != size:
         raise ValueError(f"{name} must have length {size}, got {v.size}")
@@ -93,7 +93,7 @@ def as_weight(Q: ArrayLike, n: int, name: str = "Q") -> FloatArray:
     Qm = require_square(as_matrix(Q, name), name)
     if Qm.shape[0] != n:
         raise ValueError(f"{name} must be {n} x {n}, got shape {Qm.shape}")
-    if float(np.linalg.norm(Qm - Qm.T, 2)) > 1e-10 * max(float(np.linalg.norm(Qm, 2)), 1.0):
+    if _norm2(Qm - Qm.T) > 1e-10 * max(_norm2(Qm), 1.0):
         raise ValueError(f"{name} must be symmetric")
     if float(np.linalg.eigvalsh(Qm)[0]) <= 0.0:
         raise ValueError(f"{name} must be positive definite")
@@ -152,9 +152,19 @@ def mat_exp(M: ArrayLike, t: float) -> FloatArray:
     return E
 
 
+def _norm2(M: FloatArray) -> float:
+    """||M||_2 of a float64 matrix: the largest singular value from one gesdd call.
+
+    np.linalg.norm(M, 2) takes the same maximum (amax, initial 0) of the
+    same svd(M, compute_uv=False) after its axis bookkeeping, so the two
+    agree bit for bit.
+    """
+    return float(np.linalg.svd(M, compute_uv=False).max(initial=0.0))
+
+
 def spectral_norm(M: ArrayLike) -> float:
-    """Largest singular value of M, from LAPACK's SVD."""
-    return float(np.linalg.norm(as_matrix(M), 2))
+    """Largest singular value of M, from one LAPACK gesdd call; bit for bit np.linalg.norm(M, 2)."""
+    return _norm2(as_matrix(M))
 
 
 def _norm(v: FloatArray) -> float:
@@ -201,18 +211,26 @@ def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:
 
     Solves the vectorised system (I kron Phi^T + Phi^T kron I) vec P = -vec Q
     with numpy's LAPACK solve (LU with partial pivoting). Its cost is O(n^6):
-    with Q = I, 0.17-0.26 ms at n = 2-4, 0.29-0.33 ms at n = 8, 2.6-2.9 ms
-    at n = 16 and 40-50 ms at n = 32 on a 2-vCPU host, of which the checks
-    of Q and of P take about half and np.kron 0.04-0.08 ms at n <= 8.
-    scipy's O(n^3) Bartels-Stewart takes 0.05-0.07 ms at n <= 8, but scipy
-    is not a run-time dependency. Raises ValueError for a non-symmetric or
-    non-positive-definite Q, LyapunovError when the system is singular or
-    the solve leaves a large residual, or when P is not positive definite
-    (not Hurwitz).
+    with Q = I, 0.08-0.15 ms at n = 2-8, 2.2-2.6 ms at n = 16 and 40-56 ms
+    at n = 32 on a 2-vCPU host (Python 3.11, numpy 2.4). At n <= 8 the
+    check of Q takes about 0.04 ms of that and the operator, two broadcast
+    products (_kron), 0.01-0.03 ms; the same pair from np.kron took
+    0.04-0.05 ms. scipy's O(n^3) Bartels-Stewart takes 0.05-0.09 ms at
+    n <= 8, but scipy is not a run-time dependency. Each 2-norm (of Q, of
+    its asymmetry and of the residual) is one gesdd call (_norm2). Raises
+    ValueError for a non-symmetric or non-positive-definite Q, LyapunovError
+    when the system is singular or the solve leaves a large residual, or
+    when P is not positive definite (not Hurwitz).
     """
     F = require_square(as_matrix(Phi, "Phi"), "Phi")
     Qm = as_weight(Q, F.shape[0])
-    return _lyapunov(F, Qm, float(np.linalg.norm(Qm, 2)))[0]
+    return _lyapunov(F, Qm, _norm2(Qm))[0]
+
+
+def _kron(a: FloatArray, b: FloatArray) -> FloatArray:
+    """np.kron(a, b) of two square matrices: the same products, without its expand_dims and reshape wrapper."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def _lyapunov(F: FloatArray, Q: FloatArray, q_norm: float) -> tuple[FloatArray, float, FloatArray]:
@@ -220,7 +238,7 @@ def _lyapunov(F: FloatArray, Q: FloatArray, q_norm: float) -> tuple[FloatArray, 
     n = F.shape[0]
     eye = np.eye(n)
     # Row-major vec: vec(F^T P) = kron(F^T, I) vec P, vec(P F) = kron(I, F^T) vec P.
-    L = np.kron(F.T, eye) + np.kron(eye, F.T)
+    L = _kron(F.T, eye) + _kron(eye, F.T)
     # Extreme scales overflow with only a warning; the two checks below reject the result.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -230,7 +248,7 @@ def _lyapunov(F: FloatArray, Q: FloatArray, q_norm: float) -> tuple[FloatArray, 
             raise LyapunovError(f"singular Lyapunov system: {exc}") from exc
         P = 0.5 * (P + P.T)
         R = F.T @ P + P @ F + Q
-    residual = float(np.linalg.norm(R, 2)) if np.isfinite(R).all() else math.inf
+    residual = _norm2(R) if np.isfinite(R).all() else math.inf
     if not residual <= _LYAP_RESIDUAL_REL * q_norm:
         raise LyapunovError(f"Lyapunov residual {residual:.3e} exceeds {_LYAP_RESIDUAL_REL:.1e} * ||Q||")
     eigs = np.linalg.eigvalsh(P)

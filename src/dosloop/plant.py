@@ -179,6 +179,18 @@ class LtiPlant:
         rate = self._table(zero_input)[1]
         return 1.0 / rate if rate > 0.0 else math.inf
 
+    def taylor_coeffs(self, x: FloatArray, x_held: FloatArray, zero_input: bool = False) -> FloatArray:
+        """Coefficients c, one row per Taylor term, with x(dt) = sum_k (dt rate)^k c[k] within taylor_reach.
+
+        c is the Taylor rows applied to z = [x; x_held] (x alone, and M = A,
+        with the input zeroed), rate = ||M||_F / TAYLOR_THETA. A caller that
+        steps many times from one state (find_event_crossing) forms c once
+        and hands it to step.
+        """
+        rows = self._table(zero_input)[0]
+        z = x if zero_input else np.concatenate((x, x_held))
+        return (rows @ z).reshape(-1, len(x))
+
     def step(
         self,
         x: FloatArray,
@@ -186,26 +198,27 @@ class LtiPlant:
         dt: float,
         zero_input: bool = False,
         stats: dict[str, int] | None = None,
+        coeffs: FloatArray | None = None,
     ) -> FloatArray:
         """State after dt of held-input flow from x with x_held frozen.
 
-        Within taylor_reach the Taylor rows are applied to z = [x; x_held]
-        (x alone, and M = A, with the input zeroed) and summed with the
-        powers of dt ||M||_F / TAYLOR_THETA; the truncated series moves
-        x(dt) by at most 2.2e-17 ||z|| (linalg._taylor_terms). Past it the
-        step takes propagator(dt).
+        Within taylor_reach the step sums taylor_coeffs(x, x_held) (coeffs,
+        when given, must be those) with the powers of dt ||M||_F /
+        TAYLOR_THETA; the truncated series moves x(dt) by at most 2.2e-17
+        ||[x; x_held]|| (linalg._taylor_terms). Past it the step takes
+        propagator(dt).
 
         Arguments are not validated (see exact_hold_step). Each call adds
         one to stats["taylor_steps"] or, past the reach, stats["expm_steps"]
         when stats is given.
         """
-        rows, rate = self._table(zero_input)
-        s = dt * rate
+        s = dt * self._table(zero_input)[1]
         if abs(s) <= 1.0:
             if stats is not None:
                 stats["taylor_steps"] += 1
-            z = x if zero_input else np.concatenate((x, x_held))
-            return s**_TAYLOR_EXPONENTS @ (rows @ z).reshape(-1, len(x))
+            if coeffs is None:
+                coeffs = self.taylor_coeffs(x, x_held, zero_input)
+            return s**_TAYLOR_EXPONENTS @ coeffs
         if stats is not None:
             stats["expm_steps"] += 1
         T, H = self.propagator(dt, zero_input)

@@ -290,7 +290,8 @@ def find_event_crossing(
     for n up to 1,600.
 
     Each step is one LtiPlant.step, taken from the state at the start of
-    its stretch of h, so it stays within the Taylor reach. Near a tangency
+    its stretch of h, so it stays within the Taylor reach; the stretch's
+    LtiPlant.taylor_coeffs are formed once, when it starts. Near a tangency
     (g within L crossing_tol of zero) steps shrink to crossing_tol, up to
     window / crossing_tol of them. Counts go to stats when it is given.
     This is run()'s only search: _Watch hands it every cell its bound
@@ -314,7 +315,7 @@ def find_event_crossing(
     h = min(window, 1.0 / rho if rho > 0.0 else math.inf, plant.taylor_reach(zero_input))
     lip = _slope_factor(plant, sigma, h, zero_input)
     bkw = 0.0 if zero_input else plant.bk @ x_held
-    x_base = x
+    x_base, coeffs = x, plant.taylor_coeffs(x, x_held, zero_input)
     base = t = 0.0  # offsets from t_from of x_base and of x
     while g < 0.0 and t < window:
         slope = lip * _norm(plant.A @ x + bkw)
@@ -322,9 +323,9 @@ def find_event_crossing(
         # written so that a NaN bound (an overflowing state) takes the shortest step
         s = min(safe if safe > crossing_tol else crossing_tol, h, window - t)
         if t + s - base > h:
-            x_base, base = x, t
+            x_base, base, coeffs = x, t, plant.taylor_coeffs(x, x_held, zero_input)
         t = window if s == window - t else t + s
-        x = plant.step(x_base, x_held, t - base, zero_input, stats)
+        x = plant.step(x_base, x_held, t - base, zero_input, stats, coeffs)
         stats["root_trials"] += 1
         x_n = _norm(x)
         g = _norm(x_held - x) - sigma * x_n

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
+import numbers
 import os
 import subprocess
 import sys
@@ -605,6 +607,70 @@ def test_analyze_computes_each_plant_invariant_once(monkeypatch, capsys):
     assert counts["solve_lyapunov"] == 0
     # the ideal and sampled certificates share one bisection
     assert counts["rho_star"] == 1
+
+
+def _count_linalg_calls(monkeypatch) -> dict[str, int]:
+    """Count calls of every numpy.linalg function and of np.kron; norm is keyed by its ord."""
+    counts: dict[str, int] = {}
+    targets = [(np.linalg, name) for name in np.linalg.__all__ if not inspect.isclass(getattr(np.linalg, name))]
+    for module, name in [*targets, (np, "kron")]:
+        function = getattr(module, name)
+
+        def counted(*args, _name=name, _function=function, **kwargs):
+            if _name == "norm":
+                _name = f"norm(ord={args[1] if len(args) > 1 else kwargs.get('ord')})"
+            counts[_name] = counts.get(_name, 0) + 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _seeded_scenario(tmp_path: Path, n: int, seed: int) -> Path:
+    """A scenario file of a seeded n-state plant, Q = I by default and delta2 computed."""
+    from conftest import feasible_sigma, random_stabilized_plant, standard_trigger
+
+    plant = random_stabilized_plant(np.random.default_rng(seed), n=n)
+    sigma = feasible_sigma(plant, 0.5)
+    doc = scalar_doc(
+        plant={"A": plant.A.tolist(), "B": plant.B.tolist(), "K": plant.K.tolist(), "input_mode": "hold_last"},
+        trigger={"kind": "event_time", "sigma": sigma, "delta1": standard_trigger(plant, sigma).delta1, "delta2": None},
+        budget={"kappa": 0.5, "tau": 1e6},
+        sim={"x0": [1.0] * n, "horizon": 2.0, "record_step": 0.01},
+    )
+    del doc["analysis"]
+    path = tmp_path / f"seeded_{n}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("scenario", ["double_integrator", "seeded_n8"])
+def test_analyze_lapack_call_budget(scenario, tmp_path, monkeypatch, capsys):
+    # Every 2-norm is one svd and the Lyapunov operator is built without np.kron;
+    # a change that brings numpy's wrappers back, or adds a LAPACK call, fails here.
+    path = SHIPPED_DOUBLE_INTEGRATOR if scenario == "double_integrator" else _seeded_scenario(tmp_path, 8, 21)
+    counts = _count_linalg_calls(monkeypatch)
+    assert main(["analyze", "--config", str(path)]) == 0
+    assert "feasible_all = true" in capsys.readouterr().out
+    # svd: the decay residual, ||A + BK||, ||BK|| and ||K^T B^T P + P B K||; eigvalsh: P of the
+    # decay envelope, the symmetric part of A and the identity Q; norm: the Frobenius norm of the
+    # decay envelope's rounding bound; solve: the one Lyapunov system
+    assert counts == {"svd": 4, "eigvalsh": 3, "solve": 1, "norm(ord=None)": 1}
+
+
+def test_is_number_accepts_exactly_the_real_non_bool_values():
+    from decimal import Decimal
+    from fractions import Fraction
+
+    from dosloop.cli import _is_number
+
+    accepted = [0, -3, 2**80, 0.5, -0.0, math.inf, math.nan, np.float64(0.25), np.int64(3), np.float32(1.5), Fraction(1, 3)]
+    rejected = [True, False, np.bool_(True), "0.25", "1", None, 1j, complex(1.0, 0.0), np.complex128(1.0), Decimal("0.5"), [1.0], {}]
+    assert [_is_number(v) for v in accepted] == [True] * len(accepted)
+    assert [_is_number(v) for v in rejected] == [False] * len(rejected)
+    # the ABC test it stands for, on every value
+    for v in accepted + rejected:
+        assert _is_number(v) == (isinstance(v, numbers.Real) and not isinstance(v, bool)), v
 
 
 def test_reused_invariants_equal_direct_computation():

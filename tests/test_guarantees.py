@@ -222,6 +222,14 @@ def test_inflation_exact_identity():
     assert SamplingRobustness(delta_star=0.1, tau_star=0.4).inflation == pytest.approx(1.25)
 
 
+@pytest.mark.parametrize("gap", [math.nan, -1e-300, -math.inf])
+def test_sampling_robustness_rejects_nan_and_negative_gaps(gap):
+    with pytest.raises(ValueError, match="per-interval gaps"):
+        SamplingRobustness(0.1, 1.0, (0.05, gap))
+    with pytest.raises(ValueError, match="per-interval gaps"):
+        SamplingRobustness(0.1, 1.0, (gap,))
+
+
 def test_xi_bar_hand_values_and_inequality():
     seq = DosSequence(((1.0, 0.5), (3.0, 1.0)))
     rob = SamplingRobustness(delta_star=0.2, tau_star=0.5, delta_per_interval=(0.2, 0.1))

@@ -21,7 +21,7 @@ from dosloop import (
     solve_lyapunov,
     spectral_norm,
 )
-from dosloop.linalg import _norm, _row_norms
+from dosloop.linalg import _kron, _norm, _row_norms
 from conftest import assert_close, random_stabilized_plant
 from oracles import envelope_grid, first_envelope_violation, gram_spectral_norm, mp_expm
 
@@ -46,6 +46,41 @@ def test_norms_scale_exactly_by_powers_of_two(k):
             got = _norm(y)
         assert got == math.ldexp(_norm(x), k)
         assert abs(got - math.hypot(*y)) <= 4.0 * math.ulp(math.hypot(*y))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spectral_norm_is_numpys_2_norm_bit_for_bit(n):
+    # one gesdd call and its largest singular value: what np.linalg.norm(M, 2) computes
+    rng = np.random.default_rng(300 + n)
+    u, v = rng.normal(size=n), rng.normal(size=n)
+    cases = {
+        "zero": np.zeros((n, n)),
+        "negative_zero": -np.zeros((n, n)),
+        "rank_one": np.outer(u, v),
+        "non_normal": np.triu(rng.normal(size=(n, n)), 1) * 1e3 - np.eye(n),
+        "dense": rng.normal(size=(n, n)),
+        "wide": rng.normal(size=(n, n + 2)),
+    }
+    for name, M in cases.items():
+        for k in (0, 500, -500):
+            S = np.ldexp(M, k)
+            assert spectral_norm(S).hex() == float(np.linalg.norm(S, 2)).hex(), (name, k)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kronecker_operator_is_np_kron_bit_for_bit(n):
+    # the Lyapunov operator kron(F^T, I) + kron(I, F^T), signed zeros included
+    rng = np.random.default_rng(400 + n)
+    F = rng.normal(size=(n, n))
+    F[rng.random((n, n)) < 0.3] = -0.0
+    F[rng.random((n, n)) < 0.2] = 0.0
+    eye = np.eye(n)
+    for G in (F, np.ldexp(F, 500), np.ldexp(F, -1070), -np.zeros((n, n))):
+        want = np.kron(G.T, eye) + np.kron(eye, G.T)
+        assert (_kron(G.T, eye) + _kron(eye, G.T)).tobytes() == want.tobytes()
+    B = rng.normal(size=(3, 3))
+    assert _kron(F, B).tobytes() == np.kron(F, B).tobytes()
+    assert _kron(B, F.T).tobytes() == np.kron(B, F.T).tobytes()
 
 
 def test_spectral_norm_matches_gram_oracle():

@@ -158,3 +158,18 @@ def test_taylor_step_of_a_zero_matrix_is_the_identity():
     for dt in (1e-300, 1.0, 1e300):
         assert plant.step(np.array([2.5]), np.array([7.0]), dt, True, stats).tolist() == [2.5]
     assert stats == {"taylor_steps": 3, "expm_steps": 0}
+
+
+@pytest.mark.parametrize("zero_input", [False, True], ids=["hold", "zero_input"])
+def test_step_from_its_taylor_coefficients_is_the_same_step(zero_input):
+    # a caller stepping many times from one state forms taylor_coeffs once and hands them to step
+    rng = np.random.default_rng(77)
+    plant = random_stabilized_plant(rng, n=4)
+    x, xh = rng.normal(size=4), rng.normal(size=4)
+    coeffs = plant.taylor_coeffs(x, xh, zero_input)
+    reach = plant.taylor_reach(zero_input)
+    stats = {"taylor_steps": 0, "expm_steps": 0}
+    for dt in [*np.geomspace(1e-9 * reach, (1.0 - 1e-12) * reach, 12), 2.0 * reach]:
+        want = plant.step(x, xh, float(dt), zero_input)
+        assert plant.step(x, xh, float(dt), zero_input, stats, coeffs).tobytes() == want.tobytes()
+    assert stats == {"taylor_steps": 12, "expm_steps": 1}

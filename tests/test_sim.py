@@ -181,7 +181,7 @@ def test_find_event_crossing_finds_a_crossing_between_any_two_grid_points():
         assert np.linalg.norm(x0 - x_t) - sigma * np.linalg.norm(x_t) >= -1e-12 * np.linalg.norm(x0), k
 
 
-def test_find_event_crossing_steps_within_the_taylor_reach():
+def test_find_event_crossing_steps_within_the_taylor_reach(monkeypatch):
     # x' = -50 x - x_held from x = x_held = 1: x(t) = -0.02 + 1.02 exp(-50 t),
     # and ||e|| = 10 ||x|| at x = 1/11. rho = 0, so only the Taylor reach
     # 1/||[-50, -1]|| bounds a stretch; the crossing lies past two of them
@@ -189,9 +189,14 @@ def test_find_event_crossing_steps_within_the_taylor_reach():
     want = -np.log((1.0 / 11.0 + 0.02) / 1.02) / 50.0
     assert want > 2.0 * plant.taylor_reach()
     stats = dict.fromkeys(("crossing_searches", "root_trials", "taylor_steps", "expm_steps"), 0)
+    formed = []
+    original = LtiPlant.taylor_coeffs
+    monkeypatch.setattr(LtiPlant, "taylor_coeffs", lambda *args: formed.append(args[1:]) or original(*args))
     t = find_event_crossing(plant, np.ones(1), np.ones(1), 10.0, 0.0, 1.0, stats=stats)
     assert want <= t <= want + 1e-9 + 1e-15
     assert stats["expm_steps"] == 0 and stats["taylor_steps"] == stats["root_trials"] > 0
+    # the Taylor coefficients are formed once per stretch, not once per step
+    assert len(formed) == math.ceil(want / plant.taylor_reach()) == 3 < stats["root_trials"]
 
 
 def test_find_event_crossing_none_when_out_of_window():
