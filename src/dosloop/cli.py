@@ -1,11 +1,12 @@
 """Command-line front end: analyze, simulate, sweep, gen-dos.
 
 Scenarios are JSON documents with sections plant / trigger / dos / budget /
-sim / analysis (see parse_scenario). Exit codes form the tool's contract:
+sim / analysis (see scenario_from_dict). Exit codes form the tool's contract:
 
     0  command succeeded; every claimed property held
-    1  input problem (parse error, missing file, infeasible generator, a
-       jam sequence over its budget, an inadmissible delta2)
+    1  input problem (a command-line error, with argparse's usage on stderr;
+       parse error, missing file, infeasible generator, a jam sequence over
+       its budget, an inadmissible delta2)
     2  analyze only: some certificate is infeasible at the configured budget
     3  simulate only: a certified property failed in simulation
     4  internal error: an unexpected exception, a bug in dosloop rather than
@@ -135,14 +136,12 @@ def _as_array(value, where: str) -> FloatArray:
 
     np.asarray([True, 1.0]) is float64, and np.asarray(["0.5"], dtype=float) parses the string.
     """
-    def check(v) -> None:
+    entries = [value]
+    for v in entries:  # one flat pass: a list's items join its end, and a float is taken without a call
         if isinstance(v, list):
-            for item in v:
-                check(item)
-        elif not _is_number(v):
+            entries.extend(v)
+        elif not (type(v) is float or _is_number(v)):
             raise ScenarioError(f"{where}: expected a number, got {v!r}")
-
-    check(value)
     try:
         return np.asarray(value, dtype=float)
     except ValueError as exc:  # ragged nesting
@@ -568,11 +567,19 @@ def cmd_gen_dos(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are bad input (exit 1), not argparse's exit 2; subparsers are _Parsers too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
 # Cached: building the argparse tree is most of main's own per-call cost.
 # parse_args returns a fresh Namespace each time, so calls share no state.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dosloop",
         description="Stability certificates and simulation for control loops under jamming.",
     )
@@ -615,8 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ScenarioError, GenerationError, OSError) as exc:  # bad input, a plant with no envelope included
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Sampled-data LTI loop: plant, held-input propagation, loop state.
+"""Sampled-data LTI loop: plant and held-input propagation.
 
 The plant is x' = A x + B u with static gain K applied to the most recently
 received state sample, u = K * x_held. Between transmission instants the pair
@@ -263,20 +263,4 @@ def exact_hold_step(
     x0 = as_vector(x0, plant.n, "x0")
     xh = x0 if zero_input else as_vector(x_held, plant.n, "x_held")
     return plant.step(x0, xh, float(dt), zero_input)
-
-
-@dataclass(frozen=True, eq=False)
-class LoopState:
-    """Loop snapshot: time, plant state, held sample and its timestamp.
-
-    last_attempt_failed mirrors the acknowledgement logic: True while the most
-    recent transmission attempt was jammed. Before any success x_held is the
-    zero vector (start-up convention when the channel is jammed at t = 0).
-    """
-
-    t: float
-    x: FloatArray
-    x_held: FloatArray
-    last_attempt_failed: bool = False
-    t_held: float = 0.0
 

@@ -20,8 +20,10 @@ attempt, a jam breakpoint or the first tick after one. Those steps are
 short, so they sum the plant's Taylor table rather than take a fresh matrix
 exponential each. Vectors are validated once, by SimConfig, not per step.
 
-The event logics integrate each segment once: while they wait for
-||e|| to reach sigma ||x||, run() watches the states it computes (_Watch),
+The update policy lives in triggers.next_attempt, which run() calls once
+after every attempt. The event logics integrate each segment once: while
+they wait for ||e|| to reach sigma ||x|| (next_attempt returns inf after a
+success from a nonzero state), run() watches the states it computes (_Watch),
 clearing each cell between two of them by a proved bound and handing a
 cell the bound cannot clear to find_event_crossing, the one safe-step
 search. Both use one Lipschitz bound from the exact derivative
@@ -31,15 +33,15 @@ crossing are dropped.
 Trace rows are written into growable numpy column arrays, a row or a block
 at a time. They are the run's only record: the verdicts read attempts,
 onsets and divergence from the columns. The run loop keeps its state (t,
-x, x_held, the failed flag, t_held) in locals and builds a LoopState only
-for a scheduler. It takes its jam state from its cursor over the sorted
-jam breakpoints, not from a search per stop, and computes the input
-K x_held only when the held sample changes. Row norms are neither
-under-estimated nor lost to overflow (linalg._norm, _row_norms): a block's
-rows take theirs from one _row_norms pass, and every other row from _norm,
-once per stop; the two may differ in the last bit, so a row keeps the one
-its path gives. Trace.to_csv writes the exact '%.17g' text of every float
-with a bulk numpy kernel (dosloop._g17), in blocks of about 7k cells.
+x, x_held, t_held, the next attempt) in locals. It takes its jam state
+from its cursor over the sorted jam breakpoints, not from a search per
+stop, and computes the input K x_held only when the held sample changes.
+Row norms are neither under-estimated nor lost to overflow (linalg._norm,
+_row_norms): a block's rows take theirs from one _row_norms pass, and
+every other row from _norm, once per stop; the two may differ in the last
+bit, so a row keeps the one its path gives. Trace.to_csv writes the exact
+'%.17g' text of every float with a bulk numpy kernel (dosloop._g17), in
+blocks of about 7k cells.
 
 Runs are bit-reproducible: no randomness, no wall-clock dependence.
 """
@@ -55,17 +57,9 @@ import numpy as np
 from .dos import DosBudget, DosSequence, check_slow_average, is_jammed
 from .guarantees import SamplingRobustness, _window_reach
 from .linalg import FloatArray, _norm, _row_norms, as_vector
-from .plant import POWER_TABLE_ROWS, InputMode, LoopState, LtiPlant
+from .plant import POWER_TABLE_ROWS, InputMode, LtiPlant
 from .plant import exact_hold_step  # noqa: F401  (bench/test_bench.py rebinds dosloop.sim.exact_hold_step)
-from .triggers import (
-    LogicKind,
-    awaits_crossing,
-    TriggerConfig,
-    next_update_event_time,
-    next_update_pure_time,
-    next_update_self_trigger,
-    validate_trigger_for_plant,
-)
+from .triggers import LogicKind, TriggerConfig, next_attempt, validate_trigger_for_plant
 
 _GES_SLACK = 1e-6
 _RULE_SLACK = 1e-6
@@ -337,17 +331,19 @@ def find_event_crossing(
 class _Watch:
     """Watches the states run() computes for the first crossing of ||e|| = sigma ||x||.
 
-    Armed after a success (triggers.awaits_crossing). A cell [a, b] between
-    consecutive states is clear when g_a < 0, g_b < 0 and
-    g_a + g_b + L h + eta < 0 (h = b - a): L = _slope_factor(h)
-    ||A x_a + B K x_held|| (no B K with the input zeroed), the Lipschitz
-    constant that find_event_crossing steps by, taken at every cell start
-    by one product per block or per single step, gives g <= (g_a + g_b +
-    L h) / 2 < 0 on the cell (Piyavskii 1972; Shubert 1972). The rounding
-    argument is the search's, eta = _CROSSING_SLACK (1 + sigma) (||x_a|| +
-    ||x_b|| + ||x_held||) also covering the stepping error of the states
-    (below 1e-12 of max(||x||, ||x_held||) in the suite's checks); no cell
-    past the Taylor reach is cleared. A cell the bound cannot clear goes to
+    Armed after a success from a nonzero state, when triggers.next_attempt
+    returns inf. A cell [a, b] between consecutive states is clear when
+    g_a < 0, g_b < 0 and g_a + g_b + L h + eta < 0 (h = b - a): L =
+    _slope_factor(h) ||A x_a + B K x_held|| (no B K with the input zeroed),
+    the Lipschitz constant that find_event_crossing steps by, taken at every
+    cell start by one product per block or per single step, gives g <=
+    (g_a + g_b + L h) / 2 < 0 on the cell (Piyavskii 1972; Shubert 1972).
+    The rounding argument is the search's, eta = _CROSSING_SLACK (1 + sigma)
+    (||x_a|| + ||x_b|| + ||x_held||) also covering the stepping error of the
+    states: measured, not proved (tests/test_plant.py), below 4e-14 of
+    max(||x||, ||x_held||) of their start, but up to 7.7e-10 for record steps
+    near the Taylor reach on strongly non-normal plants. No cell past the
+    Taylor reach is cleared. A cell the bound cannot clear goes to
     find_event_crossing, called by its module name; a state with g >= 0
     bounds the crossing. Blocks stepped while watching hold at most size
     ticks: the last watch's tick count (at least _SCAN_BLOCK_MIN), doubling
@@ -524,19 +520,18 @@ def run(config: SimConfig) -> Trace:
     step's power table with [x; x_held], up to POWER_TABLE_ROWS ticks at a
     time. Its rows take their norms from _row_norms, and its divergence
     guard is the largest of them (NaN included); only a block that trips it
-    is searched for the first row past the bound. While an event logic
-    waits for a crossing (triggers.awaits_crossing), its next attempt is
-    the crossing that _Watch finds on the computed states, in blocks of at
-    most its size, and inf until then.
+    is searched for the first row past the bound. After every attempt,
+    triggers.next_attempt gives the next one; while an event logic waits
+    for a crossing it is inf, and the attempt is the crossing that _Watch
+    finds on the computed states, in blocks of at most its size.
 
     Every other stop is written by single rows. The loop carries t, x,
-    x_held, the failed flag and t_held in locals, and builds a LoopState
-    only for a scheduler. All rows at one stop share its state, so ||x|| and
-    ||x_held - x|| are taken once there, by _norm; at a stop reached by a
-    single step they are taken right after the step and serve the watch,
-    the divergence guard and the rows. The post-jump row of a success
-    shares ||x|| with its pre-jump row, and its transmission error is
-    exactly zero.
+    x_held, t_held and the next attempt in locals. All rows at one stop
+    share its state, so ||x|| and ||x_held - x|| are taken once there, by
+    _norm; at a stop reached by a single step they are taken right after
+    the step and serve the watch, the divergence guard and the rows. The
+    post-jump row of a success shares ||x|| with its pre-jump row, and its
+    transmission error is exactly zero.
     """
     plant = config.plant
     trig = config.trigger
@@ -563,25 +558,10 @@ def run(config: SimConfig) -> Trace:
 
     watch = _Watch(plant, trig.sigma, config.crossing_tol, stats)
 
-    def schedule(st: LoopState) -> float:
-        if config.logic is LogicKind.PURE_TIME:
-            return next_update_pure_time(st, trig)
-        if config.logic is LogicKind.SELF_TRIGGER:
-            return next_update_self_trigger(st, plant, trig)
-        # a waiting event logic attempts at the crossing the watch finds
-        if awaits_crossing(st, config.logic):
-            watch.arm(st.x_held)
-        if config.logic is LogicKind.EVENT_TIME:
-            return next_update_event_time(st, trig)
-        # IDEAL_EVENT: retry "continuously" while jammed, i.e. succeed at the interval's end,
-        # the next breakpoint on the cursor; otherwise wait for the next crossing.
-        return bps[bp_i][0] if st.last_attempt_failed else math.inf
-
     # the loop state, and ||x|| and ||x_held - x|| of it once taken (None until then)
-    t, x, xh = 0.0, config.x0, np.zeros(n)
-    failed, t_held = False, 0.0
+    t, x, xh, t_held = 0.0, config.x0, np.zeros(n), 0.0
     x_n = e_n = None
-    next_attempt = 0.0
+    t_next = 0.0  # the next attempt
     on_tick = True  # t sits on a record tick
     diverged = False
     x_max = min(1e12 * _norm(x), np.finfo(float).max)  # the divergence guard; capped, so inf trips it
@@ -592,9 +572,9 @@ def run(config: SimConfig) -> Trace:
         if t_rec <= t:
             t_rec += rs
         t_bp = bps[bp_i][0] if bp_i < len(bps) else math.inf
-        stop = min(horizon, next_attempt, t_rec, t_bp)
+        stop = min(horizon, t_next, t_rec, t_bp)
 
-        count = _ticks_before(k_tick, rs, min(horizon, next_attempt, t_bp)) if on_tick and stop == t_rec else 0
+        count = _ticks_before(k_tick, rs, min(horizon, t_next, t_bp)) if on_tick and stop == t_rec else 0
         if count:
             zi = zero_mode and jammed
             if watch.active:
@@ -614,7 +594,7 @@ def run(config: SimConfig) -> Trace:
                 cells = slice(0, keep + 1)
                 hit = watch.block(t, x, ts[cells], X[cells], e_norm[cells], x_norm[cells], zi)
             if hit is not None:
-                keep, next_attempt = hit
+                keep, t_next = hit
             u = u_zero if zi else u_held
             rows.block(ts[:keep], X[:keep], u, e_norm[:keep], x_norm[:keep], jammed)
             if hit is None and tripped:
@@ -635,7 +615,7 @@ def run(config: SimConfig) -> Trace:
             if watch.active:
                 hit = watch.step(t, x, stop, x_new, n_new, e_new, zi)
                 if hit is not None:
-                    next_attempt = hit
+                    t_next = hit
                     if hit < stop:
                         continue  # step again, to the crossing
             t, x, x_n, e_n = stop, x_new, n_new, e_new
@@ -659,14 +639,16 @@ def run(config: SimConfig) -> Trace:
         u = u_zero if zero_mode and jammed else u_held
         if at_bp:
             rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)
-        if stop == next_attempt and stop < horizon:
+        if stop == t_next and stop < horizon:
             rows.row(stop, x, u, e_n, x_n, jammed, 1, 0 if jammed else 1)
-            failed = jammed
             if not jammed:
                 xh, t_held, e_n = x.copy(), stop, 0.0
                 u_held = K @ xh
                 rows.row(stop, x, u_held, e_n, x_n, jammed, 0, 0)
-            next_attempt = schedule(LoopState(stop, x, xh, failed, t_held))
+            jam_end = bps[bp_i][0] if jammed else math.inf  # while jammed, the next breakpoint ends the interval
+            t_next = next_attempt(config.logic, trig, plant, stop, xh, t_held, jammed, jam_end)
+            if t_next == math.inf and xh.any():
+                watch.arm(xh)
         elif not at_bp:
             rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)
 

@@ -11,6 +11,10 @@ Four interchangeable rules decide when the sensor attempts to transmit:
 - IDEAL_EVENT: pure event triggering with instantaneous retry, an
   idealization used as a baseline.
 
+next_attempt applies them after every attempt. After a success from any
+nonzero state both event logics wait for ||e|| to reach sigma ||x||: it
+returns inf, and the simulator finds the crossing on the states it computes.
+
 delta2 admissibility comes from a scalar Riccati comparison: the ratio
 ||e|| / ||x|| after a successful update is bounded by the solution of
 phi' = c + (c + a) phi + a phi^2 with c = ||A + BK|| and a = ||BK||, so the
@@ -27,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import FloatArray, _norm, as_vector
-from .plant import LoopState, LtiPlant, _held_input_blocks
+from .plant import LtiPlant, _held_input_blocks
 
 
 class LogicKind(Enum):
@@ -125,40 +129,46 @@ def predict_state(plant: LtiPlant, x_at_t1: FloatArray, t1: float, t2: float) ->
     return (T + H) @ x
 
 
-def awaits_crossing(state: LoopState, logic: LogicKind) -> bool:
-    """Whether the next attempt waits for ||e|| to reach sigma ||x||, which sim.run finds on its rows.
+def next_update_event_time(t: float, x_held: FloatArray, failed: bool, config: TriggerConfig) -> float:
+    """EVENT_TIME rule: delta1 retry while jammed or at x_held = 0, else no attempt until a crossing (inf).
 
-    Only after a success of an event logic, and whenever x has a nonzero
-    entry: no size of x counts as rest. From x = 0, EVENT_TIME retries at
-    delta1 and IDEAL_EVENT stays there.
+    No size of x_held counts as rest. sim.run attempts at the crossing it
+    finds; if none comes, the run goes on to the horizon without one.
     """
-    if state.last_attempt_failed or logic not in (LogicKind.EVENT_TIME, LogicKind.IDEAL_EVENT):
-        return False
-    return bool(state.x.any())
-
-
-def next_update_event_time(state: LoopState, config: TriggerConfig) -> float:
-    """EVENT_TIME rule: delta1 retry while jammed or at x = 0, else no attempt until a crossing (inf).
-
-    sim.run attempts at the crossing it finds (see awaits_crossing); if none
-    comes, the run goes on to the horizon without one.
-    """
-    return math.inf if awaits_crossing(state, LogicKind.EVENT_TIME) else state.t + config.delta1
-
-
-def next_update_pure_time(state: LoopState, config: TriggerConfig) -> float:
-    """PURE_TIME rule: delta1 after a failed attempt, delta2 after a success."""
-    return state.t + (config.delta1 if state.last_attempt_failed else config.delta2)
+    return math.inf if not failed and x_held.any() else t + config.delta1
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def next_update_self_trigger(state: LoopState, plant: LtiPlant, config: TriggerConfig) -> float:
+def next_update_self_trigger(
+    t: float, x_held: FloatArray, t_held: float, plant: LtiPlant, config: TriggerConfig
+) -> float:
     """SELF_TRIGGER rule: interpolate between delta2 and delta1 by predicted state size.
 
     chi predicts the current state from the last successfully received sample
     (it is that sample itself at the instant it was taken); large predictions
     pull the next attempt toward the fast rate delta1.
     """
-    chi = state.x_held if state.t == state.t_held else predict_state(plant, state.x_held, state.t_held, state.t)
+    chi = x_held if t == t_held else predict_state(plant, x_held, t_held, t)
     frac = config.varphi(_norm(chi))
-    return state.t + config.delta2 - (config.delta2 - config.delta1) * frac
+    return t + config.delta2 - (config.delta2 - config.delta1) * frac
+
+
+def next_attempt(
+    logic: LogicKind, config: TriggerConfig, plant: LtiPlant, t: float, x_held: FloatArray, t_held: float,
+    failed: bool, jam_end: float,
+) -> float:
+    """The next attempt after an attempt at t, or inf while it waits for a crossing.
+
+    x_held, taken at t_held, is the held sample after the attempt (zero
+    before the first success); jam_end ends the jam interval a failed
+    attempt met. IDEAL_EVENT retries continuously while jammed, so it
+    succeeds at jam_end. From x_held = 0 after a success, EVENT_TIME
+    retries at delta1 and IDEAL_EVENT stays there (inf, nothing to cross).
+    """
+    if logic is LogicKind.EVENT_TIME:
+        return next_update_event_time(t, x_held, failed, config)
+    if logic is LogicKind.SELF_TRIGGER:
+        return next_update_self_trigger(t, x_held, t_held, plant, config)
+    if logic is LogicKind.IDEAL_EVENT:
+        return jam_end if failed else math.inf
+    return t + (config.delta1 if failed else config.delta2)

@@ -126,6 +126,7 @@ def test_json_booleans_and_fractional_seeds_exit_1(tmp_path, capsys):
         (scalar_doc(dos={"intervals": [[0.3]]}), "dos.intervals must be a list of [onset, duration] pairs"),
         (scalar_doc(sim={**scalar_doc()["sim"], "x0": [True]}), "sim.x0: expected a number, got True"),
         (scalar_doc(plant={**scalar_doc()["plant"], "A": [[True]]}), "plant.A: expected a number, got True"),
+        (scalar_doc(plant={**scalar_doc()["plant"], "A": [[1.0], [2.0, 3.0]]}), "plant.A: setting an array element"),
         (scalar_doc(trigger={**scalar_doc()["trigger"], "sigma": "0.25"}), "trigger.sigma: expected a number, got '0.25'"),
         (scalar_doc(analysis={"Q": [[True]]}), "analysis.Q: expected a number, got True"),
         (scalar_doc(analysis={"Q": [["2.0"]]}), "analysis.Q: expected a number, got '2.0'"),
@@ -382,6 +383,44 @@ def test_gen_dos_infeasible_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "x.txt")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_an_infinite_horizon_is_bad_input(tmp_path, capsys):
+    # the jam generators would loop forever on it
+    out = str(tmp_path / "x.txt")
+    assert main(["gen-dos", "--kind", "periodic", "--period", "1.5", "--duty", "0.1",
+                 "--horizon", "inf", "--out", out]) == 1
+    assert main(["gen-dos", "--kind", "random", "--kappa", "0.5", "--tau", "10", "--min-duration", "0.1",
+                 "--horizon", "inf", "--out", out]) == 1
+    doc = json.loads((Path(dosloop.__file__).resolve().parents[2] / "scenarios" / "double_integrator.json").read_text())
+    doc["sim"]["horizon"] = math.inf  # written as the JSON literal Infinity, which json reads back
+    path = tmp_path / "endless.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.count("horizon must be positive and finite, got inf") == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["sweep", "--config", "s.json", "--param", "tau", "--from", "1", "--to", "x", "--steps", "3", "--out", "o.csv"],
+        [],
+    ],
+    ids=["missing_option", "bad_float", "no_command"],
+)
+def test_command_line_errors_exit_1_with_usage(argv, capsys):
+    # exit 2 means an infeasible certificate, never a mistyped command line
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dosloop") and "\nerror: dosloop" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dosloop analyze")
 
 
 def test_scenario_round_trip(scalar_config):

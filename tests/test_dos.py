@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,15 @@ def test_gen_random_budgeted_respects_min_gap():
     seq = gen_random_budgeted(budget, min_duration=0.05, seed=1, horizon=30.0, min_gap=0.2)
     for k in range(1, len(seq)):
         assert seq.onsets[k] - seq.ends[k - 1] >= 0.2 - 1e-12
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_generators_need_a_finite_horizon(horizon):
+    # an infinite horizon would never end their loops
+    with pytest.raises(ValueError, match="finite"):
+        gen_periodic(onset=0.0, period=1.5, duty=0.1, horizon=horizon)
+    with pytest.raises(ValueError, match="finite"):
+        gen_random_budgeted(DosBudget(kappa=0.5, tau_avg=10.0), min_duration=0.1, seed=0, horizon=horizon)
 
 
 def test_gen_random_budgeted_infeasible():

@@ -18,7 +18,6 @@ from dosloop import (
     DosSequence,
     InputMode,
     LogicKind,
-    LoopState,
     LtiPlant,
     SamplingRobustness,
     SimConfig,
@@ -43,7 +42,6 @@ from dosloop import (
 from dosloop.cli import Scenario, _applicable_certificates, certificates, main, scenario_from_dict
 from dosloop.plant import POWER_TABLE_ROWS
 from dosloop.sim import _CSV_BLOCK_CELLS, Trace
-from dosloop.triggers import awaits_crossing
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
 from oracles import (
     csv_by_row,
@@ -83,8 +81,7 @@ def _config(plant, logic, trigger, dos=NO_DOS, budget=LOOSE, x0=None, horizon=3.
 
 def test_find_event_crossing_scalar_hand_value():
     sigma = 0.25
-    state = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([1.0]))
-    hit = find_event_crossing(LINE, state.x, state.x_held, sigma, 0.0, 1.0)
+    hit = find_event_crossing(LINE, np.array([1.0]), np.array([1.0]), sigma, 0.0, 1.0)
     assert hit == pytest.approx(sigma / (1.0 + sigma), abs=2e-9)
 
 
@@ -101,10 +98,9 @@ def test_find_event_crossing_matches_rk4_oracle(mode):
         x = rng.normal(size=plant.n)
         e = rng.normal(size=plant.n)
         e *= (0.5 * sigma * np.linalg.norm(x) / np.linalg.norm(e)) if k % 2 else 0.0
-        state = LoopState(t=0.3, x=x, x_held=x + e)
         want = rk4_first_crossing(plant.A, plant.B, plant.K, x, x + e, sigma, 4.0, zero_input=zero_input)
         for tol in (1e-9, 1e-6):
-            got = find_event_crossing(plant, state.x, state.x_held, sigma, 0.3, 4.3, tol, zero_input=zero_input)
+            got = find_event_crossing(plant, x, x + e, sigma, 0.3, 4.3, tol, zero_input=zero_input)
             if want is None:
                 assert got is None
                 continue
@@ -200,21 +196,17 @@ def test_find_event_crossing_steps_within_the_taylor_reach(monkeypatch):
 
 
 def test_find_event_crossing_none_when_out_of_window():
-    state = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([1.0]))
-    assert find_event_crossing(LINE, state.x, state.x_held, 0.25, 0.0, 0.1) is None
+    assert find_event_crossing(LINE, np.array([1.0]), np.array([1.0]), 0.25, 0.0, 0.1) is None
     # zero state never crosses anything
-    rest = LoopState(t=0.0, x=np.array([0.0]), x_held=np.array([0.0]))
-    assert find_event_crossing(LINE, rest.x, rest.x_held, 0.25, 0.0, 5.0) is None
+    assert find_event_crossing(LINE, np.array([0.0]), np.array([0.0]), 0.25, 0.0, 5.0) is None
 
 
 def test_find_event_crossing_rejects_violated_start():
-    state = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([2.0]))  # e = 1 > sigma x
     with pytest.raises(ValueError):
-        find_event_crossing(LINE, state.x, state.x_held, 0.25, 0.0, 1.0)
-    start = LoopState(t=0.0, x=np.array([1.0]), x_held=np.array([1.0]))
+        find_event_crossing(LINE, np.array([1.0]), np.array([2.0]), 0.25, 0.0, 1.0)  # e = 1 > sigma x
     for tol in (0.0, -1e-9):
         with pytest.raises(ValueError):
-            find_event_crossing(LINE, start.x, start.x_held, 0.25, 0.0, 1.0, tol)
+            find_event_crossing(LINE, np.array([1.0]), np.array([1.0]), 0.25, 0.0, 1.0, tol)
 
 
 def test_find_event_crossing_from_a_huge_state_is_exact_and_warning_free():
@@ -701,7 +693,7 @@ def test_watch_finds_the_crossing_a_whole_window_search_finds(logic, mode):
         att = trace.attempt == 1
         times = trace.t[att].tolist()
         for t_s, ok, t_next in zip(times, trace.success[att], times[1:] + [None]):
-            if not (ok and awaits_crossing(LoopState(t_s, x_at[t_s], x_at[t_s]), logic)):
+            if not (ok and x_at[t_s].any()):
                 continue
             want = _whole_window_crossing(plant, trace, seq, sigma, t_s, x_at[t_s])
             if t_next is None:

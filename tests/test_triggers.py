@@ -10,20 +10,18 @@ import pytest
 
 from dosloop import (
     LogicKind,
-    LoopState,
     LtiPlant,
     TriggerConfig,
     Varphi,
     exact_hold_step,
     next_update_event_time,
-    next_update_pure_time,
     next_update_self_trigger,
     predict_state,
     riccati_delta2,
     spectral_norm,
     validate_trigger_for_plant,
 )
-from dosloop.triggers import awaits_crossing
+from dosloop.triggers import next_attempt
 from conftest import assert_close, random_stabilized_plant
 from oracles import rk4_hold_trajectory, rk4_riccati_crossing
 
@@ -124,48 +122,50 @@ def test_predict_state_edges():
         predict_state(plant, x, 1.0, 0.5)
 
 
-def _state(t=1.0, x=(1.0,), xh=(1.0,), failed=False, t_held=0.5):
-    return LoopState(t=t, x=np.array(x), x_held=np.array(xh), last_attempt_failed=failed, t_held=t_held)
-
-
 CFG = TriggerConfig(sigma=0.3, delta1=0.05, delta2=0.2)
+LINE = LtiPlant(A=np.array([[0.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
+
+
+def _next(logic, xh=(1.0,), failed=False, jam_end=math.inf):
+    return next_attempt(logic, CFG, LINE, 1.0, np.array(xh), 0.5, failed, jam_end)
 
 
 def test_pure_time_branches():
-    assert next_update_pure_time(_state(failed=False), CFG) == pytest.approx(1.2)
-    assert next_update_pure_time(_state(failed=True), CFG) == pytest.approx(1.05)
+    assert _next(LogicKind.PURE_TIME, failed=False) == pytest.approx(1.2)
+    assert _next(LogicKind.PURE_TIME, failed=True) == pytest.approx(1.05)
 
 
 def test_event_time_branches():
     # failed attempts and the zero state fall back to the fast retry rate
-    assert next_update_event_time(_state(failed=True), CFG) == pytest.approx(1.05)
-    zero = _state(x=(0.0,), xh=(0.0,))
-    assert next_update_event_time(zero, CFG) == pytest.approx(1.05)
+    assert next_update_event_time(1.0, np.ones(1), True, CFG) == pytest.approx(1.05)
+    assert next_update_event_time(1.0, np.zeros(1), False, CFG) == pytest.approx(1.05)
     # otherwise no attempt until sim.run finds a crossing
-    assert next_update_event_time(_state(), CFG) == math.inf
-    assert awaits_crossing(_state(), LogicKind.EVENT_TIME)
-    assert not awaits_crossing(_state(failed=True), LogicKind.EVENT_TIME)
-    assert not awaits_crossing(zero, LogicKind.EVENT_TIME)
+    assert next_update_event_time(1.0, np.ones(1), False, CFG) == math.inf
+    assert _next(LogicKind.EVENT_TIME) == math.inf
+    assert _next(LogicKind.EVENT_TIME, failed=True) == pytest.approx(1.05)
+    assert _next(LogicKind.EVENT_TIME, xh=(0.0,)) == pytest.approx(1.05)
     # both event logics wait for a crossing from any nonzero state, the periodic ones never do
-    tiny = _state(x=(5e-324,), xh=(5e-324,))
-    assert awaits_crossing(tiny, LogicKind.EVENT_TIME) and next_update_event_time(tiny, CFG) == math.inf
-    assert awaits_crossing(tiny, LogicKind.IDEAL_EVENT) and not awaits_crossing(zero, LogicKind.IDEAL_EVENT)
-    assert not awaits_crossing(_state(), LogicKind.PURE_TIME)
-    assert not awaits_crossing(_state(), LogicKind.SELF_TRIGGER)
+    assert _next(LogicKind.EVENT_TIME, xh=(5e-324,)) == math.inf
+    assert _next(LogicKind.IDEAL_EVENT, xh=(5e-324,)) == math.inf
+    # IDEAL_EVENT retries continuously while jammed: it succeeds when the interval ends;
+    # from x_held = 0 it stays there, inf with no crossing to watch for (sim.run arms no watch)
+    assert _next(LogicKind.IDEAL_EVENT, failed=True, jam_end=1.7) == 1.7
+    assert _next(LogicKind.IDEAL_EVENT, xh=(0.0,)) == math.inf
+    assert _next(LogicKind.PURE_TIME) < math.inf and _next(LogicKind.SELF_TRIGGER) < math.inf
 
 
 def test_self_trigger_interpolates():
     plant = LtiPlant(A=np.array([[0.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
-    quiet = LoopState(t=2.0, x=np.array([1e-9]), x_held=np.array([1e-9]), t_held=2.0)
+    quiet = np.array([1e-9])
     cfg_zero = TriggerConfig(sigma=0.3, delta1=0.05, delta2=0.2, varphi=Varphi())
-    assert next_update_self_trigger(quiet, plant, cfg_zero) == pytest.approx(2.2)
+    assert next_update_self_trigger(2.0, quiet, 2.0, plant, cfg_zero) == pytest.approx(2.2)
     cfg_ramp = TriggerConfig(
         sigma=0.3, delta1=0.05, delta2=0.2, varphi=Varphi(kind="saturated_linear", scale=1e6)
     )
-    loud = LoopState(t=2.0, x=np.array([5.0]), x_held=np.array([5.0]), t_held=2.0)
+    loud = np.array([5.0])
     # huge predicted state saturates varphi, pulling the gap down to delta1
-    assert next_update_self_trigger(loud, plant, cfg_ramp) == pytest.approx(2.05)
-    gap = next_update_self_trigger(loud, plant, cfg_zero) - 2.0
+    assert next_update_self_trigger(2.0, loud, 2.0, plant, cfg_ramp) == pytest.approx(2.05)
+    gap = next_update_self_trigger(2.0, loud, 2.0, plant, cfg_zero) - 2.0
     assert CFG.delta1 - 1e-12 <= gap <= CFG.delta2 + 1e-12
 
 
@@ -178,7 +178,7 @@ def test_self_trigger_from_a_huge_state_is_warning_free():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in (1.0, 1.25):  # chi the sample itself, then its prediction
-            assert next_update_self_trigger(LoopState(t=t, x=big, x_held=big, t_held=1.0), plant, cfg) == t + 0.25
+            assert next_update_self_trigger(t, big, 1.0, plant, cfg) == t + 0.25
 
 
 def test_logic_kind_round_trip():
