@@ -35,6 +35,7 @@ from .dos import (
     DosBudget,
     DosSequence,
     GenerationError,
+    check_horizon,
     check_slow_average,
     gen_periodic,
     gen_random_budgeted,
@@ -54,7 +55,7 @@ from .guarantees import (
 )
 from .linalg import EnvelopeError, FloatArray, as_weight
 from .plant import InputMode, LtiPlant
-from .sim import SimConfig, check_update_rule, run, verify_ges
+from .sim import SimConfig, Verdict, check_update_rule, run, verify_ges
 from .triggers import LogicKind, TriggerConfig, Varphi, riccati_delta2, validate_trigger_for_plant
 
 
@@ -243,6 +244,10 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
 
     s = _section(doc, "sim")
     horizon = _as_float(_get(s, "sim", "horizon"), "sim.horizon")
+    try:
+        check_horizon(horizon)  # as SimConfig does, which analyze never builds
+    except ValueError as exc:
+        raise ScenarioError(f"sim.horizon: {exc}") from exc
     record_step = _as_float(_get(s, "sim", "record_step"), "sim.record_step")
     crossing_tol = _as_float(_get(s, "sim", "crossing_tol", 1e-9), "sim.crossing_tol")
     x0 = _as_array(_get(s, "sim", "x0"), "sim.x0")
@@ -465,36 +470,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "xi_bar_horizon": xi_bar,
     }
 
-    violation = False
+    # (key, report key of its worst, verdict): each adds key_holds, its worst and, failing, key_first_violation
+    verdicts: list[tuple[str, str, Verdict]] = []
     strongest = _strongest_certificate(sc, bundle)
     if strongest is not None:
         name, alpha, beta = strongest
-        verdict = verify_ges(trace, alpha, beta)
-        lines["certificate"] = name
-        lines["alpha"] = alpha
-        lines["beta"] = beta
-        lines["ges_holds"] = verdict.holds
-        lines["ges_worst_margin"] = verdict.worst_margin
-        if not verdict.holds:
-            lines["ges_first_violation"] = verdict.first_violation
-            violation = True
+        lines.update(certificate=name, alpha=alpha, beta=beta)
+        verdicts.append(("ges", "ges_worst_margin", verify_ges(trace, alpha, beta)))
     else:
         lines["certificate"] = "uncertified"
-
     rule = check_update_rule(trace, sc.trigger.sigma, sc.dos, measured)
-    lines["update_rule_holds"] = rule.holds
-    lines["update_rule_worst_ratio"] = rule.worst_ratio
-    if not rule.holds:
-        lines["update_rule_first_violation"] = rule.first_violation
-        violation = True
+    verdicts.append(("update_rule", "update_rule_worst_ratio", rule))
+    for key, worst_key, verdict in verdicts:
+        lines[f"{key}_holds"] = verdict.holds
+        lines[worst_key] = verdict.worst
+        if not verdict.holds:
+            lines[f"{key}_first_violation"] = verdict.first_violation
 
     measure_ok = xi_bar <= xi * measured.inflation * (1.0 + 1e-9) + 1e-12
     lines["measure_inequality_holds"] = measure_ok
-    if not measure_ok:
-        violation = True
 
     sys.stdout.write(format_report(lines))
-    return 3 if violation else 0
+    return 0 if measure_ok and all(verdict.holds for _, _, verdict in verdicts) else 3
 
 
 # The scenario section that holds each parameter sweep can vary.

@@ -137,6 +137,12 @@ def check_slow_average(seq: DosSequence, budget: DosBudget, horizon: float) -> B
     return BudgetCheck(ok=first_bad is None, violation_time=first_bad, worst_excess=float(excess.max()))
 
 
+def check_horizon(horizon: float) -> None:
+    """Raise ValueError unless the run horizon is positive and finite (jam generators and runs need one)."""
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+
+
 def gen_periodic(onset: float, period: float, duty: float, horizon: float) -> DosSequence:
     """Periodic jamming: intervals of length duty*period every period, onsets < horizon.
 
@@ -149,8 +155,7 @@ def gen_periodic(onset: float, period: float, duty: float, horizon: float) -> Do
         raise ValueError(f"duty must lie in (0, 1), got {duty}")
     if onset < 0.0:
         raise ValueError(f"onset must be >= 0, got {onset}")
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    check_horizon(horizon)
     d = duty * period
     out = []
     k = 0
@@ -183,8 +188,7 @@ def gen_random_budgeted(
         raise ValueError(f"min_duration must be positive, got {min_duration}")
     if min_gap < 0.0:
         raise ValueError(f"min_gap must be >= 0, got {min_gap}")
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    check_horizon(horizon)
     earliest_end = budget.tau_avg * (min_duration - budget.kappa)
     if earliest_end - min_duration >= horizon:
         raise GenerationError(

@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dos import DosBudget, DosSequence, check_slow_average, is_jammed
+from .dos import DosBudget, DosSequence, check_horizon, check_slow_average, is_jammed
 from .guarantees import SamplingRobustness, _window_reach
 from .linalg import FloatArray, _norm, _row_norms, as_vector
 from .plant import POWER_TABLE_ROWS, InputMode, LtiPlant
@@ -119,8 +119,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.logic, LogicKind):
             raise ValueError(f"logic must be a LogicKind, got {self.logic!r}")
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        check_horizon(self.horizon)
         if not (self.record_step > 0.0 and math.isfinite(self.record_step)):
             raise ValueError(f"record_step must be positive, got {self.record_step}")
         if self.record_step > self.trigger.delta1 / 4.0 * (1.0 + 1e-12):
@@ -663,39 +662,42 @@ def _ratio(num: FloatArray, den: FloatArray) -> FloatArray:
 
 
 @dataclass(frozen=True)
-class GesVerdict:
-    """Result of checking a trace against alpha exp(-beta t) ||x(0)||."""
+class Verdict:
+    """Result of a trace check: whether it holds, the time of its first failing row, and its worst ratio.
+
+    first_violation is None when the check holds. What worst measures is
+    given by each check; it is 0.0 when the check had no row to check. A
+    row whose checked value is NaN fails every check.
+    """
 
     holds: bool
     first_violation: float | None
-    worst_margin: float
+    worst: float
 
 
-def verify_ges(trace: Trace, alpha: float, beta: float) -> GesVerdict:
-    """Check ||x(t)|| <= alpha exp(-beta t) ||x(0)|| (slack 1 + 1e-6) on every row.
+def _verdict(t: FloatArray, ratios: FloatArray, bound: FloatArray | float, value=None) -> Verdict:
+    """The verdict on the checked rows at times t: a row fails unless its value <= bound, so NaN fails.
 
-    A row whose norm is not finite (a diverged run) counts as a violation.
+    value defaults to ratios; worst is the largest ratio (NaN if any is NaN).
     """
-    if not alpha >= 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    x0n = float(trace.x_norm[0])
-    bound = alpha * np.exp(-beta * trace.t) * x0n
-    ratio = _ratio(trace.x_norm, bound)
-    bad = np.nonzero(~(ratio <= 1.0 + _GES_SLACK))[0]
-    return GesVerdict(
+    bad = np.flatnonzero(~((ratios if value is None else value) <= bound))
+    return Verdict(
         holds=bad.size == 0,
-        first_violation=float(trace.t[bad[0]]) if bad.size else None,
-        worst_margin=float(ratio.max()) if len(trace) else 0.0,
+        first_violation=float(t[bad[0]]) if bad.size else None,
+        worst=float(ratios.max(initial=0.0)),
     )
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
-    """Result of checking the update rule outside inflated jam windows."""
+def verify_ges(trace: Trace, alpha: float, beta: float) -> Verdict:
+    """Check ||x(t)|| <= alpha exp(-beta t) ||x(0)|| (slack 1 + 1e-6) on every row.
 
-    holds: bool
-    first_violation: float | None
-    worst_ratio: float
+    A row whose norm is not finite (a diverged run) counts as a violation.
+    worst is the largest ratio of ||x(t)|| to alpha exp(-beta t) ||x(0)||.
+    """
+    if not alpha >= 1.0:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    bound = alpha * np.exp(-beta * trace.t) * float(trace.x_norm[0])
+    return _verdict(trace.t, _ratio(trace.x_norm, bound), 1.0 + _GES_SLACK)
 
 
 def check_update_rule(
@@ -703,7 +705,7 @@ def check_update_rule(
     sigma: float,
     seq: DosSequence,
     robustness: SamplingRobustness,
-) -> RuleVerdict:
+) -> Verdict:
     """Check ||e(t)|| <= sigma ||x(t)|| wherever transmissions were possible.
 
     Rows inside any inflated jam window [h_n, h_n + tau_n + gap_n), widened by
@@ -712,6 +714,8 @@ def check_update_rule(
     The windows are tested in one pass: inflated windows may overlap, so a
     row is exempt when the latest window starting at or before it (the
     onsets are sorted) has a running maximum of window ends past it.
+
+    worst is the largest ||e|| / ||x|| on the rows that are not exempt.
     """
     exempt = (trace.attempt == 1) & (trace.success == 1)
     if len(seq):
@@ -721,19 +725,13 @@ def check_update_rule(
         reach = _window_reach(seq, robustness) + edge
         last = np.searchsorted(seq.onsets - edge, trace.t, side="right") - 1
         exempt |= (last >= 0) & (trace.t < reach[np.maximum(last, 0)])
-    atol = 1e-12 * float(trace.x_norm[0])
-    limit = sigma * trace.x_norm * (1.0 + _RULE_SLACK) + atol
-    bad = np.nonzero(~exempt & (trace.e_norm > limit))[0]
-    ratios = _ratio(trace.e_norm, trace.x_norm)
-    worst = float(ratios[~exempt].max()) if np.any(~exempt) else 0.0
-    return RuleVerdict(
-        holds=bad.size == 0,
-        first_violation=float(trace.t[bad[0]]) if bad.size else None,
-        worst_ratio=worst,
-    )
+    keep = ~exempt
+    e_n, x_n = trace.e_norm[keep], trace.x_norm[keep]
+    limit = sigma * x_n * (1.0 + _RULE_SLACK) + 1e-12 * float(trace.x_norm[0])
+    return _verdict(trace.t[keep], _ratio(e_n, x_n), limit, e_n)
 
 
-def check_onset_amplification(trace: Trace, sigma: float, seq: DosSequence) -> tuple[bool, float]:
+def check_onset_amplification(trace: Trace, sigma: float, seq: DosSequence) -> Verdict:
     """At the onset of every jamming period the run reached, ||x_held|| <= (1 + sigma) ||x||.
 
     seq is the run's jam sequence. An interval that starts where the one
@@ -755,7 +753,12 @@ def check_onset_amplification(trace: Trace, sigma: float, seq: DosSequence) -> t
     row before the onset row, stands in for ||x'||; the factor 2 covers its
     change over that short cell. On top, a relative slack of 1e-9.
 
-    Returns (ok, worst ratio of ||x_held|| to (1 + sigma) ||x||).
+    worst is the largest ||x_held|| / ((1 + sigma) ||x||) over the checked
+    onsets, and first_violation the first onset that fails.
+
+    simulate does not run this check: its allowance rests on an estimate of
+    ||x'||, not on a proof, and the bound follows from the update rule,
+    which simulate checks.
     """
     t_end = trace.t[-1]
     fresh = np.ones(len(seq), dtype=bool)
@@ -769,9 +772,8 @@ def check_onset_amplification(trace: Trace, sigma: float, seq: DosSequence) -> t
     prev = np.maximum(rows - 1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         speed = np.where(rows > 0, _row_norms(trace.x[rows] - trace.x[prev]) / (trace.t[rows] - trace.t[prev]), 0.0)
-    ratios = _ratio(lhs, rhs)
     allowed = rhs + (1.0 + sigma) * 2.0 * trace.crossing_tol * speed
-    return not np.any(lhs > allowed * (1.0 + _ONSET_SLACK)), float(ratios.max(initial=0.0))
+    return _verdict(trace.t[rows], _ratio(lhs, rhs), allowed * (1.0 + _ONSET_SLACK), lhs)
 
 
 def check_lyapunov_decay(
@@ -779,7 +781,7 @@ def check_lyapunov_decay(
     P: FloatArray,
     omega1: float,
     segments: list[tuple[float, float]],
-) -> tuple[bool, float]:
+) -> Verdict:
     """Check V(x(t)) <= exp(-omega1 (t - s)) V(x(s)) (slack 1 + 1e-6) on each jam-free segment [s, e].
 
     V is formed from the rows times 2^-e, e the binary exponent of ||x(0)||:
@@ -787,21 +789,19 @@ def check_lyapunov_decay(
     normal float whatever the units of x (unscaled, it underflows from about
     2^-511 x0 and overflows from about 2^511 x0).
 
-    Returns (ok, worst ratio against the bound).
+    worst is the largest ratio of V(x(t)) to its decay bound over the
+    segments' rows. A segment with fewer than two rows is not checked.
+
+    simulate does not run this check: it needs P and omega1 of the Lyapunov
+    route, and it applies only to IDEAL_EVENT runs, whose updates resume the
+    instant jamming stops.
     """
     X = np.ldexp(trace.x, -math.frexp(float(trace.x_norm[0]))[1])
     V = np.einsum("ij,jk,ik->i", X, P, X)
-    worst = 0.0
-    ok = True
+    ts, ratios = [np.empty(0)], [np.empty(0)]
     for s, e in segments:
-        idx = np.nonzero((trace.t >= s) & (trace.t <= e))[0]
-        if idx.size < 2:
-            continue
-        t_ref = float(trace.t[idx[0]])
-        v_ref = float(V[idx[0]])
-        bound = v_ref * np.exp(-omega1 * (trace.t[idx] - t_ref))
-        ratio = _ratio(V[idx], bound)
-        worst = max(worst, float(ratio.max()))
-        if float(ratio.max()) > 1.0 + _LYAPUNOV_SLACK:
-            ok = False
-    return ok, worst
+        idx = np.flatnonzero((trace.t >= s) & (trace.t <= e))
+        if idx.size >= 2:
+            ts.append(trace.t[idx])
+            ratios.append(_ratio(V[idx], V[idx[0]] * np.exp(-omega1 * (trace.t[idx] - trace.t[idx[0]]))))
+    return _verdict(np.concatenate(ts), np.concatenate(ratios), 1.0 + _LYAPUNOV_SLACK)

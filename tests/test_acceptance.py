@@ -116,7 +116,7 @@ def test_c01_ges_envelope_under_sampled_updates():
             verdict = verify_ges(trace, cert.alpha, cert.beta)
             assert verdict.holds, (
                 f"seed {seed}: envelope violated at t={verdict.first_violation} "
-                f"(margin {verdict.worst_margin})"
+                f"(margin {verdict.worst})"
             )
             jammed += int(len(config.dos) > 0)
         assert jammed >= 40, f"only {jammed}/50 scenarios exercised jamming"
@@ -167,12 +167,12 @@ def test_c02_lyapunov_certificate_envelope():
             verdict = verify_ges(trace, cert.alpha, cert.beta)
             assert verdict.holds, (
                 f"seed {seed}: envelope violated at t={verdict.first_violation} "
-                f"(margin {verdict.worst_margin})"
+                f"(margin {verdict.worst})"
             )
             measured = measure_robustness(trace.t[trace.attempt == 1], config.dos)
             segments = dos_free_segments(config.dos, measured, config.horizon)
-            ok, worst = check_lyapunov_decay(trace, cert.P, cert.omega1, segments)
-            assert ok, f"seed {seed}: segment decay violated (worst ratio {worst})"
+            decay = check_lyapunov_decay(trace, cert.P, cert.omega1, segments)
+            assert decay.holds, f"seed {seed}: segment decay violated (worst ratio {decay.worst})"
 
 
 def test_c03_inter_event_lower_bound():
@@ -209,8 +209,8 @@ def test_c04_onset_jump_bound():
         for seed in range(12):
             config, cert, _ = _sampled_scenario(seed)
             trace = run(config)
-            ok, worst = check_onset_amplification(trace, config.trigger.sigma, config.dos)
-            assert ok, f"seed {seed}: onset amplification {worst} too large"
+            onsets = check_onset_amplification(trace, config.trigger.sigma, config.dos)
+            assert onsets.holds, f"seed {seed}: onset amplification {onsets.worst} too large"
             onsets_seen += int(np.sum(config.dos.onsets <= trace.t[-1]))
         # jamming from the very first instant: the held sample is still zero
         plant = LtiPlant(A=np.array([[0.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
@@ -223,8 +223,8 @@ def test_c04_onset_jump_bound():
         )
         trace0 = run(config0)
         assert trace0.t[0] == 0.0 and trace0.jammed[0] == 1 and not np.any(trace0.success[trace0.t == 0.0])
-        ok0, worst0 = check_onset_amplification(trace0, trig.sigma, seq)
-        assert ok0 and worst0 > 0.0  # the held sample is zero at t = 0, not at 0.6
+        onsets0 = check_onset_amplification(trace0, trig.sigma, seq)
+        assert onsets0.holds and onsets0.worst > 0.0  # the held sample is zero at t = 0, not at 0.6
         assert onsets_seen >= 3, "criterion needs scenarios that actually jam"
 
 

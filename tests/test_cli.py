@@ -26,7 +26,7 @@ from dosloop.cli import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from dosloop.sim import GesVerdict
+from dosloop.sim import Verdict
 
 
 def scalar_doc(**overrides) -> dict:
@@ -274,7 +274,7 @@ def test_simulate_certified_violation_exits_3(scalar_config, tmp_path, monkeypat
     # exercise the exit path by forcing the envelope check to report a failure
     monkeypatch.setattr(
         cli_mod, "verify_ges",
-        lambda trace, alpha, beta: GesVerdict(holds=False, first_violation=0.5, worst_margin=2.0),
+        lambda trace, alpha, beta: Verdict(holds=False, first_violation=0.5, worst=2.0),
     )
     code = main(["simulate", "--config", str(scalar_config), "--out", str(tmp_path / "t.csv")])
     assert code == 3
@@ -398,6 +398,19 @@ def test_an_infinite_horizon_is_bad_input(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["analyze", "--config", str(path)]) == 1
     assert capsys.readouterr().err.count("horizon must be positive and finite, got inf") == 3
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
+def test_analyze_checks_the_horizon_of_inline_jam_intervals(horizon, tmp_path, capsys):
+    # no generator reads the horizon here, and analyze builds no SimConfig:
+    # the scenario's own check must reject it, as simulate does
+    doc = json.loads((Path(dosloop.__file__).resolve().parents[2] / "scenarios" / "scalar.json").read_text())
+    assert "intervals" in doc["dos"]
+    doc["sim"]["horizon"] = horizon  # JSON's Infinity and NaN literals, which json reads back
+    path = tmp_path / "horizon.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert f"error: sim.horizon: horizon must be positive and finite, got {horizon}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

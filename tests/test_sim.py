@@ -23,6 +23,7 @@ from dosloop import (
     SimConfig,
     TriggerConfig,
     Varphi,
+    Verdict,
     check_lyapunov_decay,
     check_onset_amplification,
     check_update_rule,
@@ -768,7 +769,7 @@ def test_check_update_rule_matches_the_per_interval_loop():
         for s, r in ((seq, rob), (DosSequence(()), SamplingRobustness(delta_star=0.1, tau_star=1.0))):
             trace = _rule_trace(t, ratio, x_norm, attempt, success)
             got = check_update_rule(trace, sigma, s, r)
-            assert (got.holds, got.first_violation, got.worst_ratio) == update_rule_by_loop(trace, sigma, s, r)
+            assert (got.holds, got.first_violation, got.worst) == update_rule_by_loop(trace, sigma, s, r)
             verdicts.add(got.holds)
     assert verdicts == {True, False}
     # one violating row at a time: holds says exactly whether that row is exempt
@@ -778,7 +779,7 @@ def test_check_update_rule_matches_the_per_interval_loop():
         ratio[i] = 2.0 * sigma
         trace = _rule_trace(t, ratio, x_norm, attempt, success)
         got = check_update_rule(trace, sigma, seq, rob)
-        assert (got.holds, got.first_violation, got.worst_ratio) == update_rule_by_loop(trace, sigma, seq, rob)
+        assert (got.holds, got.first_violation, got.worst) == update_rule_by_loop(trace, sigma, seq, rob)
 
 
 def test_sim_config_validation():
@@ -812,7 +813,7 @@ def test_verify_ges_detects_violations():
     bad = verify_ges(trace, alpha=1.0, beta=50.0)
     assert not bad.holds
     assert bad.first_violation is not None
-    assert bad.worst_margin > 1.0
+    assert bad.worst > 1.0
     # no floor under the bound: the norms scaled by 2^-1000, where the bound
     # falls below 1e-300, give the same verdicts
     tiny = dataclasses.replace(trace, x_norm=np.ldexp(trace.x_norm, -1000))
@@ -828,7 +829,7 @@ def test_check_update_rule_and_violation_detection():
     rob = measure_robustness(trace.t[trace.attempt == 1], NO_DOS)
     ok = check_update_rule(trace, 0.25, NO_DOS, rob)
     assert ok.holds
-    assert ok.worst_ratio <= 0.25 * (1.0 + 1e-6)
+    assert ok.worst <= 0.25 * (1.0 + 1e-6)
     # no floor under ||x||: the norms scaled by 2^-1000 give the same verdict
     tiny = dataclasses.replace(trace, e_norm=np.ldexp(trace.e_norm, -1000), x_norm=np.ldexp(trace.x_norm, -1000))
     assert check_update_rule(tiny, 0.25, NO_DOS, rob) == ok
@@ -853,10 +854,10 @@ def test_a_run_from_zero_stays_there_and_every_ratio_reads_zero(logic):
     else:
         assert attempts.tolist() == [0.0]
     ges = verify_ges(trace, alpha=1.0, beta=1.0)
-    assert (ges.holds, ges.worst_margin) == (True, 0.0)
+    assert (ges.holds, ges.worst) == (True, 0.0)
     rule = check_update_rule(trace, trig.sigma, seq, measure_robustness(attempts, seq))
-    assert (rule.holds, rule.worst_ratio) == (True, 0.0)
-    assert check_onset_amplification(trace, trig.sigma, seq) == (True, 0.0)
+    assert (rule.holds, rule.worst) == (True, 0.0)
+    assert check_onset_amplification(trace, trig.sigma, seq) == Verdict(True, None, 0.0)
 
 
 def test_check_update_rule_exempts_jam_windows():
@@ -868,9 +869,9 @@ def test_check_update_rule_exempts_jam_windows():
     rob = measure_robustness(trace.t[trace.attempt == 1], seq)
     verdict = check_update_rule(trace, sigma, seq, rob)
     assert verdict.holds, verdict
-    ok, worst = check_onset_amplification(trace, sigma, seq)
-    assert ok
-    assert worst <= 1.0 + 1e-9
+    onsets = check_onset_amplification(trace, sigma, seq)
+    assert onsets.holds
+    assert onsets.worst <= 1.0 + 1e-9
 
 
 def test_check_lyapunov_decay_on_quiet_segments():
@@ -880,11 +881,60 @@ def test_check_lyapunov_decay_on_quiet_segments():
     trace = run(_config(plant, LogicKind.EVENT_TIME, trig, horizon=2.0))
     cert = ges_certificate_lyapunov(plant, np.array([[2.0]]), sigma, 0.0, 100.0)
     segments = dos_free_segments(NO_DOS, measure_robustness(trace.t[trace.attempt == 1], NO_DOS), 2.0)
-    ok, worst = check_lyapunov_decay(trace, cert.P, cert.omega1, segments)
-    assert ok, worst
+    decay = check_lyapunov_decay(trace, cert.P, cert.omega1, segments)
+    assert decay.holds, decay.worst
     # an impossible decay rate must be caught
-    bad, _ = check_lyapunov_decay(trace, cert.P, 50.0 * cert.omega1, segments)
-    assert not bad
+    bad = check_lyapunov_decay(trace, cert.P, 50.0 * cert.omega1, segments)
+    assert not bad.holds
+
+
+def test_every_check_fails_a_nan_row_at_its_time():
+    # run() can write such a row (a diverged run's last); here no window
+    # exempts it, and a row passes a check only if its value is <= its bound
+    t = np.array([0.0, 0.0, 0.1, 0.2])
+    x = np.array([1.0, 1.0, 0.9, np.nan])
+    attempt = np.array([1, 0, 0, 0], dtype=np.int8)
+    trace = _rule_trace(t, np.full(4, 0.1), x, attempt, attempt.copy())
+    verdicts = (
+        verify_ges(trace, 2.0, 0.0),
+        check_update_rule(trace, 0.25, NO_DOS, measure_robustness(t[attempt == 1], NO_DOS)),
+        check_onset_amplification(trace, 0.25, DosSequence(((0.2, 0.1),))),
+        check_lyapunov_decay(trace, np.eye(1), 1.0, [(0.0, 0.2)]),
+    )
+    for verdict in verdicts:
+        assert not verdict.holds and verdict.first_violation == 0.2 and math.isnan(verdict.worst), verdict
+
+
+def test_a_check_with_no_row_to_check_holds_with_worst_zero():
+    t = np.array([0.0, 0.5, 1.0])
+    no_attempt = np.zeros(3, dtype=np.int8)
+    trace = _rule_trace(t, np.full(3, 0.5), np.ones(3), no_attempt, no_attempt.copy())
+    covering = DosSequence(((0.0, 2.0),))  # exempts every row from the update rule
+    empty = Verdict(True, None, 0.0)
+    assert check_update_rule(trace, 0.25, covering, measure_robustness(t[:0], covering)) == empty
+    assert check_onset_amplification(trace, 0.25, NO_DOS) == empty
+    assert check_lyapunov_decay(trace, np.eye(1), 1.0, []) == empty
+
+
+def test_onset_and_lyapunov_checks_report_their_first_violation():
+    # the stale held sample of test_onset_check_fails_a_stale_held_sample_at_a_fresh_onset
+    t = np.array([0.0, 0.0, 0.2, 0.5, 0.75, 1.0])
+    x = np.array([1.0, 1.0, 0.9, 0.6, 0.55, 0.5])
+    attempt = np.array([1, 0, 0, 0, 0, 0], dtype=np.int8)
+    trace = _rule_trace(t, np.zeros(6), x, attempt, attempt.copy())
+    seq = DosSequence(((0.2, 0.3), (0.5, 0.2), (1.0, 0.1)))
+    assert check_onset_amplification(trace, 0.25, seq) == Verdict(False, 1.0, 1.6)
+    # the impossible decay rate of test_check_lyapunov_decay_on_quiet_segments
+    plant = LtiPlant(A=np.array([[1.0]]), B=np.array([[1.0]]), K=np.array([[-2.0]]))
+    trace = run(_config(plant, LogicKind.EVENT_TIME, standard_trigger(plant, 0.25), horizon=2.0))
+    cert = ges_certificate_lyapunov(plant, np.array([[2.0]]), 0.25, 0.0, 100.0)
+    segments = dos_free_segments(NO_DOS, measure_robustness(trace.t[trace.attempt == 1], NO_DOS), 2.0)
+    assert segments == [(0.0, 2.0)]
+    bad = check_lyapunov_decay(trace, cert.P, 50.0 * cert.omega1, segments)
+    # V = P x^2 on the one segment: the first row past its decay bound
+    V = cert.P[0, 0] * trace.x[:, 0] ** 2
+    over = np.flatnonzero(V > V[0] * np.exp(-50.0 * cert.omega1 * trace.t) * (1.0 + 1e-6))
+    assert over.size and bad.first_violation == trace.t[over[0]] > 0.0
 
 
 def test_to_csv_round_trip(tmp_path):
@@ -1054,7 +1104,8 @@ def test_onset_amplification_matches_a_per_row_walk(logic, mode):
     assert seen[0][1] == 0.0 and seen[1][1] > 0.0
     for sigma in (trig.sigma, 0.1, 4.0):
         ok, worst, _ = onset_amplification_by_walk(trace, sigma, seq)
-        assert check_onset_amplification(trace, sigma, seq) == (ok, worst)
+        got = check_onset_amplification(trace, sigma, seq)
+        assert (got.holds, got.worst) == (ok, worst)
         assert worst > 0.0 and (ok or sigma == 0.1)
 
 
@@ -1069,10 +1120,10 @@ def test_onset_check_skips_touching_onsets_and_allows_a_late_crossing(logic, mod
     # by about crossing_tol (1 + sigma), past the 1e-9 slack but within the
     # crossing_tol allowance.
     trig, seq, trace = _touching_onsets_run(logic, mode)
-    ok, worst = check_onset_amplification(trace, trig.sigma, seq)
-    assert ok and worst < 1.0 + 2e-9, worst
+    onsets = check_onset_amplification(trace, trig.sigma, seq)
+    assert onsets.holds and onsets.worst < 1.0 + 2e-9, onsets.worst
     if logic in (LogicKind.EVENT_TIME, LogicKind.IDEAL_EVENT):
-        assert worst > 1.0 + 1e-9, worst
+        assert onsets.worst > 1.0 + 1e-9, onsets.worst
 
 
 def test_onset_check_fails_a_stale_held_sample_at_a_fresh_onset():
@@ -1087,7 +1138,8 @@ def test_onset_check_fails_a_stale_held_sample_at_a_fresh_onset():
     assert seq.ends[0] == seq.onsets[1] and seq.ends[1] != seq.onsets[2]
     ok, worst, seen = onset_amplification_by_walk(trace, 0.25, seq)
     assert [h for h, _, _ in seen] == [0.2, 1.0]
-    assert check_onset_amplification(trace, 0.25, seq) == (ok, worst) == (False, 1.6)
+    got = check_onset_amplification(trace, 0.25, seq)
+    assert (got.holds, got.worst) == (ok, worst) == (False, 1.6)
 
 
 @pytest.mark.parametrize("mode", list(InputMode))
@@ -1105,7 +1157,8 @@ def test_onset_amplification_skips_the_onset_a_diverged_run_stopped_at(mode):
     assert trace.diverged and trace.t[-1] == 20.0 and not trace.x_norm[-1] <= 1e12
     ok, worst, seen = onset_amplification_by_walk(trace, trig.sigma, seq)
     assert [(h, held) for h, held, _ in seen] == [(2.0**-8, 1.0)]
-    assert check_onset_amplification(trace, trig.sigma, seq) == (ok, worst)
+    got = check_onset_amplification(trace, trig.sigma, seq)
+    assert (got.holds, got.worst) == (ok, worst)
     assert ok and 0.9 < worst < 1.0
 
 
@@ -1153,5 +1206,5 @@ def test_certificates_hold_against_a_greedy_fixed_point_adversary(n, logic):
             assert check_update_rule(trace, sigma, seq, measured).holds
             xi, xi_bar = xi_measure(seq, horizon), xi_bar_measure(seq, measured, horizon)
             assert xi_bar <= xi * measured.inflation * (1.0 + 1e-9) + 1e-12
-            assert check_onset_amplification(trace, sigma, seq)[0]
+            assert check_onset_amplification(trace, sigma, seq).holds
     assert rounds >= 2
