@@ -35,6 +35,7 @@ from .dos import (
     DosBudget,
     DosSequence,
     GenerationError,
+    Verdict,
     check_horizon,
     check_slow_average,
     gen_periodic,
@@ -55,7 +56,7 @@ from .guarantees import (
 )
 from .linalg import EnvelopeError, FloatArray, as_weight
 from .plant import InputMode, LtiPlant
-from .sim import SimConfig, Verdict, check_update_rule, run, verify_ges
+from .sim import SimConfig, check_update_rule, run, verify_ges
 from .triggers import LogicKind, TriggerConfig, Varphi, riccati_delta2, validate_trigger_for_plant
 
 
@@ -498,14 +499,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 _SWEEP_SECTIONS = {"tau": "budget", "sigma": "trigger", "delta1": "trigger"}
 
 
-def _sweep_point(doc: dict, base_dir: Path, param: str, value: float) -> tuple[float, str, str, str, str]:
-    patched = json.loads(json.dumps(doc))
-    patched.setdefault(_SWEEP_SECTIONS[param], {})[param] = value
-    # Only input errors blank a point; anything else is a bug and reaches main's exit 4.
-    try:
-        sc = scenario_from_dict(patched, base_dir)
-    except (ScenarioError, GenerationError):
-        return (value, "nan", "nan", "nan", "")
+def _sweep_point(sc: Scenario, value: float) -> tuple[float, str, str, str, str]:
+    """The sweep row of the scenario at one grid value."""
     bundle = certificates(sc)
     sampled = bundle.sampled
     row = (value, repr(sampled.tau_min), repr(sampled.alpha), repr(sampled.beta))
@@ -527,8 +522,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError(f"sweep needs at least 2 steps, got {args.steps}")
     path = Path(args.config)
     doc = _read_document(path)
+    rows, errors = [], []
     # one point after another: the work is GIL-bound Python, which threads do not speed up
-    rows = [_sweep_point(doc, path.parent, args.param, float(v)) for v in np.linspace(args.lo, args.hi, args.steps)]
+    for value in np.linspace(args.lo, args.hi, args.steps).tolist():
+        patched = json.loads(json.dumps(doc))
+        patched.setdefault(_SWEEP_SECTIONS[args.param], {})[args.param] = value
+        # Only input errors blank a point; anything else is a bug and reaches main's exit 4.
+        try:
+            sc = scenario_from_dict(patched, path.parent)
+        except (ScenarioError, GenerationError) as exc:
+            errors.append(exc)
+            rows.append((value, "nan", "nan", "nan", ""))
+        else:
+            rows.append(_sweep_point(sc, value))
+    if len(errors) == len(rows):  # no swept value mends the document: it is bad input
+        raise errors[0]
     rows.sort(key=lambda r: r[0])
     with open(args.out, "w") as fh:
         fh.write("value,tau_min,alpha,beta,ges_observed\n")
@@ -555,9 +563,9 @@ def cmd_gen_dos(args: argparse.Namespace) -> int:
     except ValueError as exc:  # the generators' and the budget's argument checks
         raise ScenarioError(str(exc)) from exc
     verdict = check_slow_average(seq, budget, args.horizon)
-    if not verdict.ok:
+    if not verdict.holds:
         raise GenerationError(
-            f"generated sequence violates its own budget at t={verdict.violation_time:.6g}"
+            f"generated sequence violates its own budget at t={verdict.first_violation:.6g}"
         )
     dos_io.save(args.out, seq, budget)
     sys.stdout.write(f"wrote {len(seq)} intervals to {args.out}\n")

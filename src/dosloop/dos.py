@@ -112,20 +112,27 @@ def xi_measure(seq: DosSequence, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class BudgetCheck:
-    """Result of validating a sequence against a budget on [0, horizon]."""
+class Verdict:
+    """Result of a check: whether it holds, the time of its first failure, and its worst value.
 
-    ok: bool
-    violation_time: float | None
-    worst_excess: float
+    first_violation is None when the check holds. What worst measures is
+    given by each check: check_slow_average here, and the trace checks of
+    dosloop.sim, where a check with no row to check has worst 0.0 and a row
+    whose checked value is NaN fails every check.
+    """
+
+    holds: bool
+    first_violation: float | None
+    worst: float
 
 
-def check_slow_average(seq: DosSequence, budget: DosBudget, horizon: float) -> BudgetCheck:
+def check_slow_average(seq: DosSequence, budget: DosBudget, horizon: float) -> Verdict:
     """Check xi(t) <= kappa + t / tau_avg at every breakpoint up to the horizon.
 
     The jammed-time measure is piecewise linear, so scanning interval onsets,
     interval ends (clipped to the horizon) and the horizon itself covers the
-    extrema; the earliest failing breakpoint is reported.
+    extrema; first_violation is the earliest failing breakpoint, and worst
+    the largest excess xi(t) - kappa - t / tau_avg over the breakpoints.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -134,7 +141,7 @@ def check_slow_average(seq: DosSequence, budget: DosBudget, horizon: float) -> B
     excess = _window_time(seq, t, seq.durations) - bound
     bad = np.flatnonzero(excess > _BUDGET_EPS * np.maximum(1.0, bound))
     first_bad = float(t[bad[0]]) if bad.size else None
-    return BudgetCheck(ok=first_bad is None, violation_time=first_bad, worst_excess=float(excess.max()))
+    return Verdict(holds=first_bad is None, first_violation=first_bad, worst=float(excess.max()))
 
 
 def check_horizon(horizon: float) -> None:

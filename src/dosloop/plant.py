@@ -1,20 +1,20 @@
 """Sampled-data LTI loop: plant and held-input propagation.
 
-The plant is x' = A x + B u with static gain K applied to the most recently
-received state sample, u = K * x_held. Between transmission instants the pair
-z = [x; x_held] evolves linearly, z' = M z with M = [[A, B K], [0, 0]] (or
-x' = A x with the input zeroed), so it is integrated exactly through the
-exponential of M rather than an ODE stepper. LtiPlant.step, the one
-single-step path, sums the top rows of linalg's Taylor kernel while
-||M||_F dt <= TAYLOR_THETA, where the truncated series is exact to rounding,
-and takes mat_exp, the same series scaled and squared, past that. k equal
-steps are the first k powers of that exponential's one-step map
-(LtiPlant.power_table).
+The plant is x' = A x + B u with static gain K applied to a frozen sample w,
+u = K w: the most recently received state sample x_held, or zero while the
+channel is jammed under InputMode.ZERO_DURING_DOS. Between transmission
+instants the pair z = [x; w] evolves linearly, z' = M z with
+M = [[A, B K], [0, 0]] (Van Loan 1978), in either input mode, so it is
+integrated exactly through the exponential of M rather than an ODE stepper.
+LtiPlant.step, the one single-step path, sums the top rows of linalg's
+Taylor kernel while ||M||_F dt <= TAYLOR_THETA, where the truncated series is
+exact to rounding, and takes mat_exp, the same series scaled and squared,
+past that. k equal steps are the first k powers of that exponential's
+one-step map (LtiPlant.power_table).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -46,28 +46,19 @@ class InputMode(Enum):
     ZERO_DURING_DOS = "zero_during_dos"
 
 
-def _augmented(F: FloatArray, G: FloatArray | None) -> FloatArray:
-    """M = [[F, G], [0, 0]] of z' = F z + G w with w frozen; F alone when G is None."""
-    if G is None:
-        return F
+def _augmented(F: FloatArray, G: FloatArray) -> FloatArray:
+    """M = [[F, G], [0, 0]] of z' = F z + G w with w frozen."""
     n = F.shape[0]
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n], M[:n, n:] = F, G
     return M
 
 
-def _held_input_blocks(F: FloatArray, G: FloatArray | None, dt: float) -> tuple[FloatArray, FloatArray | None]:
-    """Blocks of exp(M dt), M = _augmented(F, G): z(dt) = E11 z + E12 w (E12 None when G is)."""
+def _held_input_blocks(F: FloatArray, G: FloatArray, dt: float) -> tuple[FloatArray, FloatArray]:
+    """Blocks of exp(M dt), M = _augmented(F, G): z(dt) = E11 z + E12 w."""
     n = F.shape[0]
     E = mat_exp(_augmented(F, G), dt)
-    return E[:n, :n], None if G is None else E[:n, n:]
-
-
-def _taylor_table(F: FloatArray, G: FloatArray | None) -> tuple[FloatArray, float]:
-    """Top n rows of the Taylor terms of M = _augmented(F, G), term k as rows k n .., and their rate."""
-    M = _augmented(F, G)
-    terms, rate = _taylor_terms(M, F.shape[0])
-    return terms.reshape(-1, M.shape[1]), rate
+    return E[:n, :n], E[:n, n:]
 
 
 def _power_rows(W1: FloatArray) -> FloatArray:
@@ -75,7 +66,7 @@ def _power_rows(W1: FloatArray) -> FloatArray:
 
     Built by doubling: each pass appends rows a + j = (a, j) for a = 1.. up
     to the rows it has, T^(a+j) = T^a T^j and S_(a+j) H = T^a S_j H + S_a H,
-    one batched matmul. With the input zeroed W1 is T alone.
+    one batched matmul.
     """
     n = W1.shape[0]
     W = W1[None]
@@ -105,13 +96,14 @@ class LtiPlant:
     read-only arrays, so no edit can make them disagree with the envelopes
     and step tables built from them.
 
-    step advances the held-input dynamics by a single step of any length:
-    from a Taylor table of the augmented matrix, built on first use per
-    input mode, for steps up to taylor_reach, and from propagator, the
+    step advances the held-input dynamics z = [x; w] by a single step of
+    any length, w the applied sample (x_held, or zero while a zeroed input
+    is jammed): from the Taylor table of M = [[A, B K], [0, 0]], built on
+    first use, for steps up to taylor_reach, and from propagator, the
     matrix exponential, past that. power_table stacks the first
     POWER_TABLE_ROWS powers of one propagator, built from it by doubling;
-    the plant keeps one table per input mode, for the last step length
-    asked, so memory stays bounded over any horizon.
+    the plant keeps one table, for the last step length asked, so memory
+    stays bounded over any horizon.
     """
 
     A: FloatArray
@@ -142,8 +134,7 @@ class LtiPlant:
             object.__setattr__(self, name, M)
         object.__setattr__(self, "decay", decay_envelope(self.phi))
         object.__setattr__(self, "growth", growth_envelope(self.A))
-        object.__setattr__(self, "_powers", {})
-        object.__setattr__(self, "_taylor", {})
+        object.__setattr__(self, "_powers", (None, None))  # (dt, table) of the last power_table asked
 
     @property
     def n(self) -> int:
@@ -163,104 +154,88 @@ class LtiPlant:
         """||B K||_2."""
         return spectral_norm(self.bk)
 
-    def propagator(self, dt: float, zero_input: bool = False) -> tuple[FloatArray, FloatArray | None]:
-        """Blocks (T, H) with x(t+dt) = T x(t) + H x_held; H is None when the input is zeroed."""
-        return _held_input_blocks(self.A, None if zero_input else self.bk, dt)
+    def propagator(self, dt: float) -> tuple[FloatArray, FloatArray]:
+        """Blocks (T, H) with x(t+dt) = T x(t) + H w for the applied sample w."""
+        return _held_input_blocks(self.A, self.bk, dt)
 
-    def _table(self, zero_input: bool) -> tuple[FloatArray, float]:
-        """The Taylor rows and rate of M for this input mode, built on first use."""
-        table = self._taylor.get(zero_input)
-        if table is None:
-            table = self._taylor[zero_input] = _taylor_table(self.A, None if zero_input else self.bk)
-        return table
+    @cached_property
+    def _taylor(self) -> tuple[FloatArray, float]:
+        """The top n rows of the Taylor terms of M, term k as rows k n .., and their rate ||M||_F / TAYLOR_THETA."""
+        terms, rate = _taylor_terms(_augmented(self.A, self.bk), self.n)
+        return terms.reshape(-1, 2 * self.n), rate
 
-    def taylor_reach(self, zero_input: bool = False) -> float:
-        """Longest step that step sums from its Taylor table: TAYLOR_THETA / ||M||_F (inf for M = 0)."""
-        rate = self._table(zero_input)[1]
-        return 1.0 / rate if rate > 0.0 else math.inf
+    @cached_property
+    def taylor_reach(self) -> float:
+        """Longest step that step sums from its Taylor table: TAYLOR_THETA / ||M||_F.
 
-    def taylor_coeffs(self, x: FloatArray, x_held: FloatArray, zero_input: bool = False) -> FloatArray:
+        Finite: A + B K is Hurwitz, so A and B K are not both zero.
+        """
+        return 1.0 / self._taylor[1]
+
+    def taylor_coeffs(self, x: FloatArray, w: FloatArray) -> FloatArray:
         """Coefficients c, one row per Taylor term, with x(dt) = sum_k (dt rate)^k c[k] within taylor_reach.
 
-        c is the Taylor rows applied to z = [x; x_held] (x alone, and M = A,
-        with the input zeroed), rate = ||M||_F / TAYLOR_THETA. A caller that
-        steps many times from one state (find_event_crossing) forms c once
-        and hands it to step.
+        c is the Taylor rows applied to z = [x; w], rate = ||M||_F /
+        TAYLOR_THETA. A caller that steps many times from one state
+        (find_event_crossing) forms c once and hands it to step.
         """
-        rows = self._table(zero_input)[0]
-        z = x if zero_input else np.concatenate((x, x_held))
-        return (rows @ z).reshape(-1, len(x))
+        return (self._taylor[0] @ np.concatenate((x, w))).reshape(-1, len(x))
 
     def step(
         self,
         x: FloatArray,
-        x_held: FloatArray,
+        w: FloatArray,
         dt: float,
-        zero_input: bool = False,
         stats: dict[str, int] | None = None,
         coeffs: FloatArray | None = None,
     ) -> FloatArray:
-        """State after dt of held-input flow from x with x_held frozen.
+        """State after dt of held-input flow from x with the applied sample w frozen.
 
-        Within taylor_reach the step sums taylor_coeffs(x, x_held) (coeffs,
-        when given, must be those) with the powers of dt ||M||_F /
-        TAYLOR_THETA; the truncated series moves x(dt) by at most 2.2e-17
-        ||[x; x_held]|| (linalg._taylor_terms). Past it the step takes
-        propagator(dt).
+        Within taylor_reach the step sums taylor_coeffs(x, w) (coeffs, when
+        given, must be those) with the powers of dt ||M||_F / TAYLOR_THETA;
+        the truncated series moves x(dt) by at most 2.2e-17 ||[x; w]||
+        (linalg._taylor_terms). Past it the step takes propagator(dt).
 
         Arguments are not validated (see exact_hold_step). Each call adds
         one to stats["taylor_steps"] or, past the reach, stats["expm_steps"]
         when stats is given.
         """
-        s = dt * self._table(zero_input)[1]
+        s = dt * self._taylor[1]
         if abs(s) <= 1.0:
             if stats is not None:
                 stats["taylor_steps"] += 1
             if coeffs is None:
-                coeffs = self.taylor_coeffs(x, x_held, zero_input)
+                coeffs = self.taylor_coeffs(x, w)
             return s**_TAYLOR_EXPONENTS @ coeffs
         if stats is not None:
             stats["expm_steps"] += 1
-        T, H = self.propagator(dt, zero_input)
-        return T @ x if H is None else T @ x + H @ x_held
+        T, H = self.propagator(dt)
+        return T @ x + H @ w
 
-    def power_table(self, dt: float, zero_input: bool = False) -> FloatArray:
+    def power_table(self, dt: float) -> FloatArray:
         """Stacked powers of the dt propagator: row j-1 maps a state to j steps of dt later.
 
-        With (T, H) = propagator(dt, zero_input), row j-1 is [T^j | S_j H]
-        (S_j = I + T + ... + T^(j-1)), of shape (n, 2n), so x after j steps
-        is row @ [x; x_held]; with the input zeroed it is T^j alone, (n, n).
-        The table has POWER_TABLE_ROWS rows. The plant keeps the table of
-        the last dt asked per input mode (run() asks only for the record
+        With (T, H) = propagator(dt), row j-1 is [T^j | S_j H] (S_j = I + T
+        + ... + T^(j-1)), of shape (n, 2n), so x after j steps is
+        row @ [x; w]. The table has POWER_TABLE_ROWS rows. The plant keeps
+        the table of the last dt asked (run() asks only for the record
         step) and builds a new one when dt changes.
         """
-        kept_dt, W = self._powers.get(zero_input, (None, None))
+        kept_dt, W = self._powers
         if kept_dt != dt:
-            T, H = self.propagator(dt, zero_input)
-            W = _power_rows(T if H is None else np.hstack((T, H)))
-            self._powers[zero_input] = (dt, W)
+            W = _power_rows(np.hstack(self.propagator(dt)))
+            object.__setattr__(self, "_powers", (dt, W))
         return W
 
 
-def exact_hold_step(
-    plant: LtiPlant,
-    x0: FloatArray,
-    x_held: FloatArray,
-    dt: float,
-    *,
-    zero_input: bool = False,
-) -> FloatArray:
+def exact_hold_step(plant: LtiPlant, x0: FloatArray, x_held: FloatArray, dt: float) -> FloatArray:
     """Advance x' = A x + B K x_held by dt > 0 with x_held frozen.
 
     Exact integration by LtiPlant.step (a Taylor table exact to rounding for
-    short steps, mat_exp otherwise); with zero_input=True the input term is
-    dropped entirely, i.e. x' = A x. Validates its arguments on every call;
-    the simulator, whose vectors SimConfig has already checked, calls
-    LtiPlant.step directly instead.
+    short steps, mat_exp otherwise); a zeroed input is x_held = 0. Validates
+    its arguments on every call; the simulator, whose vectors SimConfig has
+    already checked, calls LtiPlant.step directly instead.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x0 = as_vector(x0, plant.n, "x0")
-    xh = x0 if zero_input else as_vector(x_held, plant.n, "x_held")
-    return plant.step(x0, xh, float(dt), zero_input)
-
+    return plant.step(as_vector(x0, plant.n, "x0"), as_vector(x_held, plant.n, "x_held"), float(dt))

@@ -7,18 +7,19 @@ logic; a successful attempt swaps the held sample and resets the transmission
 error. Traces carry regular samples plus dedicated rows at attempts (pre- and
 post-jump at the same timestamp) and jam breakpoints.
 
-Between two such events the loop state z = [x; x_held] follows z <- M z with
-M = [[T, H], [0, I]] from LtiPlant.propagator (mat_exp, not cached), so k
-equal steps are the first k powers of M. LtiPlant.power_table builds all
-POWER_TABLE_ROWS of those powers by doubling from the one propagator and
-keeps the record step's table, one per input mode. run() steps every
-stretch of full record ticks before the next event as one product of that
-table with z, up to POWER_TABLE_ROWS ticks per block, with vectorised
-norms and divergence guard. Every other step, and every safe step of the
-crossing search, is a single step by LtiPlant.step: off-tick steps to an
-attempt, a jam breakpoint or the first tick after one. Those steps are
-short, so they sum the plant's Taylor table rather than take a fresh matrix
-exponential each. Vectors are validated once, by SimConfig, not per step.
+Between two such events the loop state z = [x; w] follows z <- M z with
+M = [[T, H], [0, I]] from LtiPlant.propagator (mat_exp, not cached), w the
+applied sample: x_held, or zero while jammed under
+InputMode.ZERO_DURING_DOS. So k equal steps are the first k powers of M,
+in either input mode. LtiPlant.power_table builds all POWER_TABLE_ROWS of
+those powers by doubling from the one propagator and keeps the record
+step's table. run() steps every stretch of full record ticks before the
+next event as one product of that table with z, up to POWER_TABLE_ROWS
+ticks per block, with vectorised norms and divergence guard. Every other
+step, and every safe step of the crossing search, is a single step by
+LtiPlant.step: off-tick steps to an attempt, a jam breakpoint or the first
+tick after one. Those steps are short, so they sum the plant's Taylor table
+rather than take a fresh matrix exponential each. Vectors are validated once, by SimConfig, not per step.
 
 The update policy lives in triggers.next_attempt, which run() calls once
 after every attempt. The event logics integrate each segment once: while
@@ -27,7 +28,7 @@ success from a nonzero state), run() watches the states it computes (_Watch),
 clearing each cell between two of them by a proved bound and handing a
 cell the bound cannot clear to find_event_crossing, the one safe-step
 search. Both use one Lipschitz bound from the exact derivative
-||A x + B K x_held|| and one rounding slack. Rows a block stepped past the
+||A x + B K w|| and one rounding slack. Rows a block stepped past the
 crossing are dropped.
 
 Trace rows are written into growable numpy column arrays, a row or a block
@@ -54,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dos import DosBudget, DosSequence, check_horizon, check_slow_average, is_jammed
+from .dos import DosBudget, DosSequence, Verdict, check_horizon, check_slow_average, is_jammed
 from .guarantees import SamplingRobustness, _window_reach
 from .linalg import FloatArray, _norm, _row_norms, as_vector
 from .plant import POWER_TABLE_ROWS, InputMode, LtiPlant
@@ -132,10 +133,10 @@ class SimConfig:
         x0.flags.writeable = False  # the run starts from it as is
         object.__setattr__(self, "x0", x0)
         verdict = check_slow_average(self.dos, self.budget, self.horizon)
-        if not verdict.ok:
+        if not verdict.holds:
             raise ValueError(
-                f"jam sequence violates its budget at t={verdict.violation_time:.6g} "
-                f"(excess {verdict.worst_excess:.3e})"
+                f"jam sequence violates its budget at t={verdict.first_violation:.6g} "
+                f"(excess {verdict.worst:.3e})"
             )
         if self.logic is not LogicKind.IDEAL_EVENT:
             validate_trigger_for_plant(self.trigger, self.plant)
@@ -233,13 +234,13 @@ class Trace:
                 fh.write(words.tobytes().translate(None, b"\0"))
 
 
-def _slope_factor(plant: LtiPlant, sigma: float, h: float, zero_input: bool) -> float:
+def _slope_factor(plant: LtiPlant, sigma: float, h: float) -> float:
     """(1 + sigma) theta exp(rho h) (1 + _CROSSING_SLACK): times ||x'|| at a point, it bounds |g'| for the next h.
 
     inf for h past the plant's Taylor reach, where the rounding argument
     (see find_event_crossing) does not hold.
     """
-    if h > plant.taylor_reach(zero_input):
+    if h > plant.taylor_reach:
         return math.inf
     env = plant.growth
     return (1.0 + sigma) * env.theta * math.exp(env.rho * h) * (1.0 + _CROSSING_SLACK)
@@ -255,32 +256,34 @@ def find_event_crossing(
     t_max: float,
     crossing_tol: float = 1e-9,
     *,
-    zero_input: bool = False,
+    applied: FloatArray | None = None,
     stats: dict[str, int] | None = None,
 ) -> float | None:
     """First t in (t_from, t_max] where ||e(t)|| reaches sigma ||x(t)||, by proved safe steps.
 
     x and x_held hold the loop at t_from with ||e|| < sigma ||x|| or e = 0
     (a start past the threshold by more than the rounding slack raises
-    ValueError). Returns the first step point where g = ||x_held - x|| -
-    sigma ||x|| >= 0, or None (always for x = x_held = 0, which stays put).
+    ValueError). x follows x' = A x + B K w, w = applied: x_held by default,
+    zeros while a zeroed input is jammed. Returns the first step point where
+    g = ||x_held - x|| - sigma ||x|| >= 0, or None (always for x = x_held =
+    0, which stays put).
 
     Proof: between updates x'' = A x', so ||x'(t + r)|| <= theta exp(rho r)
     ||x'(t)|| by the growth envelope, and |g'| <= (1 + sigma) ||x'||. From a
-    point with g < 0, L = (1 + sigma) theta exp(rho h) ||A x + B K x_held||
-    (_slope_factor; no B K term with the input zeroed) bounds |g'| for the
-    next h, so g < 0 for the next -g/L. Steps of min(max(-g/L,
-    crossing_tol), h, rest of the window), h = min(window, 1/rho,
-    LtiPlant.taylor_reach), pass no point with g >= 0 except within a step
-    of crossing_tol: the first crossing lies in (t - crossing_tol, t] or is
-    an excursion that starts and ends within one such step. Rounding: -g is
+    point with g < 0, L = (1 + sigma) theta exp(rho h) ||A x + B K w||
+    (_slope_factor) bounds |g'| for the next h, so g < 0 for the next -g/L.
+    Steps of min(max(-g/L, crossing_tol), h, rest of the window), h =
+    min(window, 1/rho, LtiPlant.taylor_reach), pass no point with g >= 0
+    except within a step of crossing_tol: the first crossing lies in
+    (t - crossing_tol, t] or is an excursion that starts and ends within one
+    such step. Rounding: -g is
     shrunk by eta = _CROSSING_SLACK (1 + sigma) (||x|| + ||x_held||) and L
     grown by 1 + _CROSSING_SLACK. eta covers the norms, the steps (a Taylor
-    sum within 2.2e-17 of ||[x; x_held]|| plus rounding) and the derivative,
+    sum within 2.2e-17 of ||[x; w]|| plus rounding) and the derivative,
     computed to within about n eps ||M||_F (||x|| + ||x_held||), M the
-    augmented matrix: h ||M||_F <= 1 and theta exp(rho h) <= e keep its
-    share of L h below n e eps (1 + sigma) (||x|| + ||x_held||), under eta
-    for n up to 1,600.
+    augmented matrix, as ||w|| <= ||x_held||: h ||M||_F <= 1 and
+    theta exp(rho h) <= e keep its share of L h below
+    n e eps (1 + sigma) (||x|| + ||x_held||), under eta for n up to 1,600.
 
     Each step is one LtiPlant.step, taken from the state at the start of
     its stretch of h, so it stays within the Taylor reach; the stretch's
@@ -305,10 +308,11 @@ def find_event_crossing(
         stats = _new_stats()
     stats["crossing_searches"] += 1
     rho = plant.growth.rho
-    h = min(window, 1.0 / rho if rho > 0.0 else math.inf, plant.taylor_reach(zero_input))
-    lip = _slope_factor(plant, sigma, h, zero_input)
-    bkw = 0.0 if zero_input else plant.bk @ x_held
-    x_base, coeffs = x, plant.taylor_coeffs(x, x_held, zero_input)
+    w = x_held if applied is None else applied
+    h = min(window, 1.0 / rho if rho > 0.0 else math.inf, plant.taylor_reach)
+    lip = _slope_factor(plant, sigma, h)
+    bkw = plant.bk @ w
+    x_base, coeffs = x, plant.taylor_coeffs(x, w)
     base = t = 0.0  # offsets from t_from of x_base and of x
     while g < 0.0 and t < window:
         slope = lip * _norm(plant.A @ x + bkw)
@@ -316,9 +320,9 @@ def find_event_crossing(
         # written so that a NaN bound (an overflowing state) takes the shortest step
         s = min(safe if safe > crossing_tol else crossing_tol, h, window - t)
         if t + s - base > h:
-            x_base, base, coeffs = x, t, plant.taylor_coeffs(x, x_held, zero_input)
+            x_base, base, coeffs = x, t, plant.taylor_coeffs(x, w)
         t = window if s == window - t else t + s
-        x = plant.step(x_base, x_held, t - base, zero_input, stats, coeffs)
+        x = plant.step(x_base, w, t - base, stats, coeffs)
         stats["root_trials"] += 1
         x_n = _norm(x)
         g = _norm(x_held - x) - sigma * x_n
@@ -333,7 +337,7 @@ class _Watch:
     Armed after a success from a nonzero state, when triggers.next_attempt
     returns inf. A cell [a, b] between consecutive states is clear when
     g_a < 0, g_b < 0 and g_a + g_b + L h + eta < 0 (h = b - a): L =
-    _slope_factor(h) ||A x_a + B K x_held|| (no B K with the input zeroed),
+    _slope_factor(h) ||A x_a + B K w||, w the applied sample run() hands it,
     the Lipschitz constant that find_event_crossing steps by, taken at every
     cell start by one product per block or per single step, gives g <=
     (g_a + g_b + L h) / 2 < 0 on the cell (Piyavskii 1972; Shubert 1972).
@@ -362,26 +366,24 @@ class _Watch:
         self.active = True
         self.x_held = x_held
         self.held = _norm(x_held)
-        self.bkw = self.plant.bk @ x_held
         self.g, self.n = -self.sigma * self.held, self.held  # g and ||x|| of the current state
         self.size = max(_SCAN_BLOCK_MIN, self.last)
         self.ticks = 0  # record ticks stepped since arming
 
-    def _derivative(self, x: FloatArray, zi: bool) -> FloatArray:
-        """x' = A x + B K x_held (A x with the input zeroed) of a state, or of each row of a block."""
-        ax = x @ self.plant.A.T
-        return ax if zi else ax + self.bkw
+    def _derivative(self, x: FloatArray, w: FloatArray) -> FloatArray:
+        """x' = A x + B K w of a state, or of each row of a block, under the applied sample w."""
+        return x @ self.plant.A.T + self.plant.bk @ w
 
-    def _clear(self, g_a, g_b, n_a, n_b, d_a, h: float, zi: bool):
+    def _clear(self, g_a, g_b, n_a, n_b, d_a, h: float):
         """Whether the bound clears each cell of length h (floats or arrays of cells); d_a = ||x'|| at its start."""
-        rise = _slope_factor(self.plant, self.sigma, h, zi) * h * d_a
+        rise = _slope_factor(self.plant, self.sigma, h) * h * d_a
         eta = _CROSSING_SLACK * (1.0 + self.sigma) * (n_a + n_b + self.held)
         return (g_a < 0.0) & (g_b < 0.0) & (g_a + g_b + rise + eta < 0.0)
 
-    def _search(self, t_a: float, x_a: FloatArray, t_b: float, g_b: float, zi: bool) -> float | None:
+    def _search(self, t_a: float, x_a: FloatArray, t_b: float, g_b: float, w: FloatArray) -> float | None:
         """The crossing in a cell the bound could not clear, no later than t_b if g_b >= 0; one ends the watch."""
         hit = find_event_crossing(
-            self.plant, x_a, self.x_held, self.sigma, t_a, t_b, self.tol, zero_input=zi, stats=self.stats
+            self.plant, x_a, self.x_held, self.sigma, t_a, t_b, self.tol, applied=w, stats=self.stats
         )
         if hit is None and g_b >= 0.0:
             hit = t_b
@@ -389,16 +391,23 @@ class _Watch:
         return hit
 
     def block(
-        self, t: float, x: FloatArray, ts: FloatArray, X: FloatArray, e_norm: FloatArray, x_norm: FloatArray, zi: bool
+        self,
+        t: float,
+        x: FloatArray,
+        ts: FloatArray,
+        X: FloatArray,
+        e_norm: FloatArray,
+        x_norm: FloatArray,
+        w: FloatArray,
     ) -> tuple[int, float] | None:
         """(i, crossing time) of the first cell with a crossing, from x at t through X at ts; it ends at X[i]."""
         self.stats["cells_scanned"] += len(ts)
         g = e_norm - self.sigma * x_norm
         g_a = np.concatenate(((self.g,), g[:-1]))
         n_a = np.concatenate(((self.n,), x_norm[:-1]))
-        d_a = _row_norms(self._derivative(np.concatenate((x[None], X[:-1])), zi))
-        for i in np.flatnonzero(~self._clear(g_a, g, n_a, x_norm, d_a, ts[0] - t, zi)).tolist():
-            hit = self._search(float(ts[i - 1]) if i else t, X[i - 1] if i else x, float(ts[i]), g[i], zi)
+        d_a = _row_norms(self._derivative(np.concatenate((x[None], X[:-1])), w))
+        for i in np.flatnonzero(~self._clear(g_a, g, n_a, x_norm, d_a, ts[0] - t)).tolist():
+            hit = self._search(float(ts[i - 1]) if i else t, X[i - 1] if i else x, float(ts[i]), g[i], w)
             if hit is not None:
                 self.last = self.ticks + i + 1
                 return i, hit
@@ -408,17 +417,17 @@ class _Watch:
         return None
 
     def step(
-        self, t: float, x: FloatArray, stop: float, x_new: FloatArray, n_b: float, e_b: float, zi: bool
+        self, t: float, x: FloatArray, stop: float, x_new: FloatArray, n_b: float, e_b: float, w: FloatArray
     ) -> float | None:
-        """The crossing in the cell of one single step from x at t to x_new at stop, or None.
+        """The crossing in the cell of one single step from x at t to x_new at stop under w, or None.
 
         n_b and e_b are ||x_new|| and ||x_held - x_new||, which run() takes once per stop.
         """
         self.stats["cells_scanned"] += 1
         self.ticks += 1
         g_b = e_b - self.sigma * n_b
-        d_a = _norm(self._derivative(x, zi))
-        hit = None if self._clear(self.g, g_b, self.n, n_b, d_a, stop - t, zi) else self._search(t, x, stop, g_b, zi)
+        d_a = _norm(self._derivative(x, w))
+        hit = None if self._clear(self.g, g_b, self.n, n_b, d_a, stop - t) else self._search(t, x, stop, g_b, w)
         self.g, self.n = g_b, n_b
         return hit
 
@@ -516,10 +525,11 @@ def run(config: SimConfig) -> Trace:
 
     Record ticks that fall strictly before the next attempt, jam breakpoint
     and the horizon are stepped as one block: one product of the record
-    step's power table with [x; x_held], up to POWER_TABLE_ROWS ticks at a
-    time. Its rows take their norms from _row_norms, and its divergence
-    guard is the largest of them (NaN included); only a block that trips it
-    is searched for the first row past the bound. After every attempt,
+    step's power table with [x; w], w the applied sample (x_held, or zero
+    while jammed under InputMode.ZERO_DURING_DOS), up to POWER_TABLE_ROWS
+    ticks at a time. Its rows take their norms from _row_norms, and its
+    divergence guard is the largest of them (NaN included); only a block
+    that trips it is searched for the first row past the bound. After every attempt,
     triggers.next_attempt gives the next one; while an event logic waits
     for a crossing it is inf, and the attempt is the crossing that _Watch
     finds on the computed states, in blocks of at most its size.
@@ -550,7 +560,8 @@ def run(config: SimConfig) -> Trace:
     rows = _Rows(n, m)
     stats = _new_stats()
 
-    u_zero = np.zeros(m)
+    # the applied sample and the input while jammed under ZERO_DURING_DOS
+    w_zero, u_zero = np.zeros(n), np.zeros(m)
     # K x_held, recomputed only when the held sample changes; no state vector
     # is mutated in place, so rows may share them
     u_held = K @ np.zeros(n)
@@ -575,11 +586,10 @@ def run(config: SimConfig) -> Trace:
 
         count = _ticks_before(k_tick, rs, min(horizon, t_next, t_bp)) if on_tick and stop == t_rec else 0
         if count:
-            zi = zero_mode and jammed
+            w, u = (w_zero, u_zero) if zero_mode and jammed else (xh, u_held)
             if watch.active:
                 count = min(count, watch.size)
-            z = x if zi else np.concatenate((x, xh))
-            X = (plant.power_table(rs, zi)[:count].reshape(-1, z.size) @ z).reshape(count, n)
+            X = (plant.power_table(rs)[:count].reshape(-1, 2 * n) @ np.concatenate((x, w))).reshape(count, n)
             ts = np.arange(k_tick, k_tick + count) * rs
             # one pass for both: each row's sum is the same in a stack as alone
             norms = _row_norms(np.concatenate((X, xh - X)))
@@ -591,10 +601,9 @@ def run(config: SimConfig) -> Trace:
             hit = None
             if watch.active:
                 cells = slice(0, keep + 1)
-                hit = watch.block(t, x, ts[cells], X[cells], e_norm[cells], x_norm[cells], zi)
+                hit = watch.block(t, x, ts[cells], X[cells], e_norm[cells], x_norm[cells], w)
             if hit is not None:
                 keep, t_next = hit
-            u = u_zero if zi else u_held
             rows.block(ts[:keep], X[:keep], u, e_norm[:keep], x_norm[:keep], jammed)
             if hit is None and tripped:
                 # the block ends before the next breakpoint, so the cursor's jam state holds at this row too
@@ -606,13 +615,13 @@ def run(config: SimConfig) -> Trace:
             continue
 
         if stop > t:
-            zi = zero_mode and jammed
+            w = w_zero if zero_mode and jammed else xh
             # a full tick steps by exactly rs, as the row blocks do
             dt = rs if on_tick and stop == t_rec else stop - t
-            x_new = plant.step(x, xh, dt, zi, stats)
+            x_new = plant.step(x, w, dt, stats)
             n_new, e_new = _norm(x_new), _norm(xh - x_new)
             if watch.active:
-                hit = watch.step(t, x, stop, x_new, n_new, e_new, zi)
+                hit = watch.step(t, x, stop, x_new, n_new, e_new, w)
                 if hit is not None:
                     t_next = hit
                     if hit < stop:
@@ -659,20 +668,6 @@ def _ratio(num: FloatArray, den: FloatArray) -> FloatArray:
     """num / den elementwise, with 0 where num is 0 (also 0 / 0) and inf where only den is: no floor, so no scale."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(num == 0.0, 0.0, num / den)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Result of a trace check: whether it holds, the time of its first failing row, and its worst ratio.
-
-    first_violation is None when the check holds. What worst measures is
-    given by each check; it is 0.0 when the check had no row to check. A
-    row whose checked value is NaN fails every check.
-    """
-
-    holds: bool
-    first_violation: float | None
-    worst: float
 
 
 def _verdict(t: FloatArray, ratios: FloatArray, bound: FloatArray | float, value=None) -> Verdict:

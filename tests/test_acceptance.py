@@ -146,7 +146,7 @@ def _lyapunov_scenario(seed: int):
     h0 = 0.3 * horizon
     seq = DosSequence(((h0, min_duration), (h0 + min_duration + gap, min_duration)))
     tight = DosBudget(kappa=kappa / inflation, tau_avg=tau * inflation)
-    assert check_slow_average(seq, tight, horizon).ok
+    assert check_slow_average(seq, tight, horizon).holds
     budget = DosBudget(kappa=kappa, tau_avg=tau)
     cert = ges_certificate_lyapunov(plant, Q, sigma, kappa, tau)
     assert cert.feasible

@@ -364,7 +364,7 @@ def test_gen_dos_random_deterministic(tmp_path):
     from dosloop import check_slow_average
     seq, budget = dos_io.load(a)
     assert budget is not None
-    assert check_slow_average(seq, budget, 12.0).ok
+    assert check_slow_average(seq, budget, 12.0).holds
 
 
 def test_gen_dos_periodic_ignores_seed(tmp_path):
@@ -624,6 +624,22 @@ def test_sweep_blanks_input_errors_but_a_library_error_exits_4(tmp_path, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("internal error:\nTraceback (most recent call last):")
     assert err.rstrip().endswith("ValueError: bug inside the library")
+
+
+def test_sweep_of_a_document_no_point_can_mend_exits_1(tmp_path, capsys):
+    # every grid point fails to build for the same reason, which no swept
+    # value mends: that is bad input, reported once, and no CSV is written
+    doc = json.loads((Path(dosloop.__file__).resolve().parents[2] / "scenarios" / "scalar.json").read_text())
+    doc["sim"]["horizon"] = math.inf  # JSON's Infinity literal, which json reads back
+    path = tmp_path / "endless.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(path), "--param", "tau", "--from", "6", "--to", "30", "--steps", "3",
+            "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: sim.horizon: horizon must be positive and finite, got inf\n"
+    assert captured.out == "" and not out.exists()
 
 
 SHIPPED_DOUBLE_INTEGRATOR = Path(__file__).resolve().parent.parent / "scenarios" / "double_integrator.json"

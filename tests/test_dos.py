@@ -140,8 +140,8 @@ def test_jammed_time_sums_match_the_loops_bit_for_bit(intervals, horizon):
         for tau in (1.5, 4.0, 4.0 * (1 + 1e-9), 50.0):
             for h in (horizon, 0.5 * horizon):
                 chk = check_slow_average(seq, DosBudget(kappa=kappa, tau_avg=tau), h)
-                assert (chk.ok, chk.violation_time, chk.worst_excess) == slow_average_by_loop(intervals, kappa, tau, h)
-                verdicts.add(chk.ok)
+                assert (chk.holds, chk.first_violation, chk.worst) == slow_average_by_loop(intervals, kappa, tau, h)
+                verdicts.add(chk.holds)
     assert verdicts == ({True} if not intervals else {True, False})
 
 
@@ -157,19 +157,19 @@ def test_budget_validation_and_bound():
 def test_check_slow_average_accepts_and_rejects():
     seq = DosSequence(((0.0, 1.0),))
     ok = check_slow_average(seq, DosBudget(kappa=1.0, tau_avg=2.0), horizon=10.0)
-    assert ok.ok and ok.violation_time is None
+    assert ok.holds and ok.first_violation is None
     bad = check_slow_average(seq, DosBudget(kappa=0.25, tau_avg=2.0), horizon=10.0)
-    assert not bad.ok
+    assert not bad.holds
     # xi(t) = t on the first interval crosses 0.25 + t/2 at t = 0.5; the
     # earliest *breakpoint* with a violation is the interval end
-    assert bad.violation_time == pytest.approx(1.0)
-    assert bad.worst_excess > 0.0
+    assert bad.first_violation == pytest.approx(1.0)
+    assert bad.worst > 0.0
 
 
 def test_check_slow_average_only_counts_up_to_horizon():
     seq = DosSequence(((0.0, 5.0),))
-    assert check_slow_average(seq, DosBudget(kappa=1.0, tau_avg=2.0), horizon=2.0).ok
-    assert not check_slow_average(seq, DosBudget(kappa=1.0, tau_avg=2.0), horizon=5.0).ok
+    assert check_slow_average(seq, DosBudget(kappa=1.0, tau_avg=2.0), horizon=2.0).holds
+    assert not check_slow_average(seq, DosBudget(kappa=1.0, tau_avg=2.0), horizon=5.0).holds
 
 
 def test_gen_periodic():
@@ -178,7 +178,7 @@ def test_gen_periodic():
     budget = periodic_budget(2.0, 0.25)
     assert budget.kappa == pytest.approx(0.5)
     assert budget.tau_avg == pytest.approx(4.0)
-    assert check_slow_average(seq, budget, 6.0).ok
+    assert check_slow_average(seq, budget, 6.0).holds
     # onsets strictly below the horizon
     seq2 = gen_periodic(onset=0.0, period=1.0, duty=0.5, horizon=3.0)
     assert len(seq2) == 3
@@ -191,7 +191,7 @@ def test_gen_random_budgeted_is_deterministic_and_compliant():
     assert a.intervals == b.intervals
     c = gen_random_budgeted(budget, min_duration=0.05, seed=43, horizon=20.0)
     assert a.intervals != c.intervals
-    assert check_slow_average(a, budget, 20.0).ok
+    assert check_slow_average(a, budget, 20.0).holds
     assert len(a) > 0
     assert float(np.min(a.durations)) >= 0.05
     assert all(h < 20.0 for h in a.onsets)
@@ -226,7 +226,7 @@ def test_gen_greedy_adversary_covers_early_attempts():
     seq = gen_greedy_adversary(budget, min_duration=0.2, attempt_times=attempts)
     assert len(seq) >= 1
     assert is_jammed(seq, 0.1)
-    assert check_slow_average(seq, budget, max(attempts) + 1.0).ok
+    assert check_slow_average(seq, budget, max(attempts) + 1.0).holds
     assert float(np.min(seq.durations)) >= 0.2
 
 
@@ -290,4 +290,4 @@ def test_xi_measure_monotone_and_bounded(raw, t):
 def test_random_generator_budget_compliance(seed):
     budget = DosBudget(kappa=0.3, tau_avg=3.5)
     seq = gen_random_budgeted(budget, min_duration=0.05, seed=seed, horizon=12.0)
-    assert check_slow_average(seq, budget, 12.0).ok
+    assert check_slow_average(seq, budget, 12.0).holds

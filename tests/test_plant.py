@@ -45,12 +45,10 @@ def test_exact_hold_step_zero_input_matches_rk4(rng):
     x0 = rng.normal(size=2)
     xh = rng.normal(size=2)
     dt = 0.4
-    got = exact_hold_step(plant, x0, xh, dt, zero_input=True)
+    # a zeroed input is the applied sample w = 0; the oracle drops the input term instead
+    got = exact_hold_step(plant, x0, np.zeros(2), dt)
     want = rk4_hold_trajectory(plant.A, plant.B, plant.K, x0, xh, dt, steps=4000, zero_input=True)
     assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, float(np.linalg.norm(want)))
-    # the held sample is irrelevant once the input is zeroed
-    also = exact_hold_step(plant, x0, np.zeros(2), dt, zero_input=True)
-    assert np.array_equal(got, also)
 
 
 def test_propagator_blocks(rng):
@@ -63,9 +61,6 @@ def test_propagator_blocks(rng):
         e_i = np.eye(plant.n)[i]
         assert np.allclose(exact_hold_step(plant, e_i, np.zeros(plant.n), dt), T @ e_i)
         assert np.allclose(exact_hold_step(plant, np.zeros(plant.n), e_i, dt), H @ e_i)
-    T0, H0 = plant.propagator(dt, zero_input=True)
-    assert H0 is None
-    assert np.array_equal(T0, T) or np.allclose(T0, T)
 
 
 def test_semigroup_of_hold_step(rng):
@@ -131,8 +126,8 @@ def test_input_mode_values():
 def test_taylor_step_matches_expm_of_the_augmented_matrix(n, zero_input):
     rng = np.random.default_rng(900 + n)
     plant = random_stabilized_plant(rng, n=n)
-    # the table covers ||M||_F dt <= TAYLOR_THETA, M = [[A, B K], [0, 0]] or A alone
-    reach = TAYLOR_THETA / np.linalg.norm(plant.A if zero_input else np.hstack((plant.A, plant.bk)))
+    # the table covers ||M||_F dt <= TAYLOR_THETA, M = [[A, B K], [0, 0]]; a zeroed input is w = 0
+    reach = TAYLOR_THETA / np.linalg.norm(np.hstack((plant.A, plant.bk)))
     # the top point stays a rounding margin inside, so the test does not hang on how reach rounds
     grid = np.geomspace(1e-9 * reach, (1.0 - 1e-12) * reach, 25)
     stats = {"taylor_steps": 0, "expm_steps": 0}
@@ -144,7 +139,7 @@ def test_taylor_step_matches_expm_of_the_augmented_matrix(n, zero_input):
         exp = mp_expm if dt > reach else scipy_expm
         want = expm_hold_step(plant.A, plant.bk, x, xh, dt, zero_input, exp)
         before = stats["expm_steps"]
-        got = plant.step(x, xh, float(dt), zero_input, stats)
+        got = plant.step(x, np.zeros(n) if zero_input else xh, float(dt), stats)
         assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(x), np.linalg.norm(xh)), (k, dt)
         # past the reach the step is the matrix exponential, and says so
         assert stats["expm_steps"] - before == (dt > reach)
@@ -185,9 +180,10 @@ def _worst_table_error(rng: np.random.Generator, plant: LtiPlant, zero_input: bo
     x, held, M, scale = _states_and_exact_flow(rng, plant, zero_input)
     Z = x if zero_input else np.vstack((x, held))
     want = mp_expm_orbit(M, rs, Z, POWER_TABLE_ROWS)[:, : plant.n]
-    rows = plant.power_table(rs, zero_input).reshape(-1, len(Z))
-    # each state as sim.run steps it in a block: one product of the table with [x; x_held]
-    return max(float(np.max(np.linalg.norm((rows @ Z[:, c]).reshape(-1, plant.n) - want[:, :, c], axis=1))) / scale[c]
+    rows = plant.power_table(rs).reshape(-1, 2 * plant.n)
+    # each state as sim.run steps it in a block: one product of the table with [x; w], w = 0 for a zeroed input
+    W = np.vstack((x, 0.0 * held if zero_input else held))
+    return max(float(np.max(np.linalg.norm((rows @ W[:, c]).reshape(-1, plant.n) - want[:, :, c], axis=1))) / scale[c]
                for c in range(3))
 
 
@@ -208,12 +204,12 @@ def test_stepped_states_lie_within_the_crossing_slack(kind, zero_input):
         rs = riccati_delta2(plant.phi_norm, plant.bk_norm, feasible_sigma(plant)) / 4.0
         worst = max(worst, _worst_table_error(rng, plant, zero_input, rs))
         # h k for k = 1..8 are exact floats, 8 h within 2^-40 of the reach
-        mant, ex = math.frexp(plant.taylor_reach(zero_input) / 8.0)
+        mant, ex = math.frexp(plant.taylor_reach / 8.0)
         h = math.ldexp(math.floor(math.ldexp(mant, 40)), ex - 40)
         x, held, M, scale = _states_and_exact_flow(rng, plant, zero_input)
         want = mp_expm_orbit(M, h, x if zero_input else np.vstack((x, held)), 8)[:, :n]
         for k, c in itertools.product(range(1, 9), range(3)):
-            got = plant.step(x[:, c], held[:, c], k * h, zero_input)
+            got = plant.step(x[:, c], np.zeros(n) if zero_input else held[:, c], k * h)
             worst = max(worst, float(np.linalg.norm(got - want[k - 1, :, c])) / scale[c])
     assert worst <= _CROSSING_SLACK, worst
 
@@ -242,17 +238,18 @@ def test_power_table_rows_at_the_taylor_reach_lie_within_the_crossing_slack(kind
     worst = 0.0
     for n in range(1, 9):
         plant = _hunt_plant(rng, n, kind)
-        worst = max(worst, _worst_table_error(rng, plant, zero_input, plant.taylor_reach(zero_input)))
+        worst = max(worst, _worst_table_error(rng, plant, zero_input, plant.taylor_reach))
     assert worst <= _CROSSING_SLACK, worst
 
 
 def test_taylor_step_of_a_zero_matrix_is_the_identity():
-    # A = 0 with the input zeroed: x' = 0, and the table is the identity alone
+    # A = 0 with the input zeroed (w = 0): x' = 0, so every step, from the
+    # table within its reach (||M||_F = 1) and by mat_exp past it, keeps x
     plant = LtiPlant(A=np.array([[0.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
     stats = {"taylor_steps": 0, "expm_steps": 0}
     for dt in (1e-300, 1.0, 1e300):
-        assert plant.step(np.array([2.5]), np.array([7.0]), dt, True, stats).tolist() == [2.5]
-    assert stats == {"taylor_steps": 3, "expm_steps": 0}
+        assert plant.step(np.array([2.5]), np.array([0.0]), dt, stats).tolist() == [2.5]
+    assert stats == {"taylor_steps": 2, "expm_steps": 1}
 
 
 @pytest.mark.parametrize("zero_input", [False, True], ids=["hold", "zero_input"])
@@ -261,10 +258,12 @@ def test_step_from_its_taylor_coefficients_is_the_same_step(zero_input):
     rng = np.random.default_rng(77)
     plant = random_stabilized_plant(rng, n=4)
     x, xh = rng.normal(size=4), rng.normal(size=4)
-    coeffs = plant.taylor_coeffs(x, xh, zero_input)
-    reach = plant.taylor_reach(zero_input)
+    if zero_input:
+        xh = np.zeros(4)
+    coeffs = plant.taylor_coeffs(x, xh)
+    reach = plant.taylor_reach
     stats = {"taylor_steps": 0, "expm_steps": 0}
     for dt in [*np.geomspace(1e-9 * reach, (1.0 - 1e-12) * reach, 12), 2.0 * reach]:
-        want = plant.step(x, xh, float(dt), zero_input)
-        assert plant.step(x, xh, float(dt), zero_input, stats, coeffs).tobytes() == want.tobytes()
+        want = plant.step(x, xh, float(dt))
+        assert plant.step(x, xh, float(dt), stats, coeffs).tobytes() == want.tobytes()
     assert stats == {"taylor_steps": 12, "expm_steps": 1}

@@ -101,7 +101,7 @@ def test_find_event_crossing_matches_rk4_oracle(mode):
         e *= (0.5 * sigma * np.linalg.norm(x) / np.linalg.norm(e)) if k % 2 else 0.0
         want = rk4_first_crossing(plant.A, plant.B, plant.K, x, x + e, sigma, 4.0, zero_input=zero_input)
         for tol in (1e-9, 1e-6):
-            got = find_event_crossing(plant, x, x + e, sigma, 0.3, 4.3, tol, zero_input=zero_input)
+            got = find_event_crossing(plant, x, x + e, sigma, 0.3, 4.3, tol, applied=0.0 * x if zero_input else None)
             if want is None:
                 assert got is None
                 continue
@@ -136,7 +136,8 @@ def test_find_event_crossing_meets_its_contract_under_an_expm_oracle(zero_input)
         t_from = float(rng.uniform(0.0, 2.0))
         for tol in (1e-9, 1e-6):
             for window in (4.0, 4.0 * trig.delta2):
-                t = find_event_crossing(plant, x, x + e, sigma, t_from, t_from + window, tol, zero_input=zero_input)
+                t = find_event_crossing(plant, x, x + e, sigma, t_from, t_from + window, tol,
+                                        applied=0.0 * x if zero_input else None)
                 if t is None:
                     continue
                 hits += 1
@@ -184,7 +185,7 @@ def test_find_event_crossing_steps_within_the_taylor_reach(monkeypatch):
     # 1/||[-50, -1]|| bounds a stretch; the crossing lies past two of them
     plant = LtiPlant(A=np.array([[-50.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
     want = -np.log((1.0 / 11.0 + 0.02) / 1.02) / 50.0
-    assert want > 2.0 * plant.taylor_reach()
+    assert want > 2.0 * plant.taylor_reach
     stats = dict.fromkeys(("crossing_searches", "root_trials", "taylor_steps", "expm_steps"), 0)
     formed = []
     original = LtiPlant.taylor_coeffs
@@ -193,7 +194,7 @@ def test_find_event_crossing_steps_within_the_taylor_reach(monkeypatch):
     assert want <= t <= want + 1e-9 + 1e-15
     assert stats["expm_steps"] == 0 and stats["taylor_steps"] == stats["root_trials"] > 0
     # the Taylor coefficients are formed once per stretch, not once per step
-    assert len(formed) == math.ceil(want / plant.taylor_reach()) == 3 < stats["root_trials"]
+    assert len(formed) == math.ceil(want / plant.taylor_reach) == 3 < stats["root_trials"]
 
 
 def test_find_event_crossing_none_when_out_of_window():
@@ -401,10 +402,11 @@ def test_power_table_cache_is_bounded_independent_of_horizon(monkeypatch):
     peak = [0, 0]
     original_table = LtiPlant.power_table
 
-    def watched_table(self, dt, zero_input=False):
-        table = original_table(self, dt, zero_input)
-        peak[0] = max(peak[0], len(self._powers))
-        peak[1] = max(peak[1], len(table), *(len(W) for _, W in self._powers.values()))
+    def watched_table(self, dt):
+        table = original_table(self, dt)
+        # tables the plant holds: its one (dt, table) slot, which holds the table returned
+        peak[0] = max(peak[0], len({id(table), id(self._powers[1])}))
+        peak[1] = max(peak[1], len(table), len(self._powers[1]))
         return table
 
     monkeypatch.setattr(LtiPlant, "power_table", watched_table)
@@ -414,39 +416,51 @@ def test_power_table_cache_is_bounded_independent_of_horizon(monkeypatch):
         seq = gen_periodic(0.5 * period, period, duty, horizon)
         run(_config(plant, LogicKind.EVENT_TIME, trig, dos=seq, budget=periodic_budget(period, duty),
                     x0=x0, horizon=horizon))
-        final.append(len(plant._powers))
-    # one table per input mode, each of exactly POWER_TABLE_ROWS rows
-    assert peak[0] <= 2
+        final.append(plant._powers[0])
+    # one kept (dt, table) slot, for the record step, whose table has exactly POWER_TABLE_ROWS rows,
+    # through jammed stretches (w = 0) and free ones (w = x_held) alike
+    assert peak[0] == 1
     assert peak[1] == POWER_TABLE_ROWS
-    assert final[0] == final[1] > 0
+    assert final[0] == final[1] == trig.delta1 / 4.0
 
 
 def test_power_table_rows_are_the_powers_of_one_step():
     plant = random_stabilized_plant(np.random.default_rng(21), n=3)
     dt = 0.01
-    for zero_input in (False, True):
-        T, H = plant.propagator(dt, zero_input)
-        table = plant.power_table(dt, zero_input)
-        # built whole: exactly POWER_TABLE_ROWS rows, [T^j | S_j H] or T^j alone
-        assert table.shape == (POWER_TABLE_ROWS, 3, 3 if zero_input else 6)
-        P, S = np.eye(3), np.zeros((3, 3))
-        for j in range(POWER_TABLE_ROWS):
-            S, P = S + P, T @ P
-            want = P if zero_input else np.hstack((P, S @ H))
-            np.testing.assert_allclose(table[j], want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
-        # kept: asked again for the same step, the plant returns the same table
-        assert plant.power_table(dt, zero_input) is table
-    # one table per input mode: another step length replaces it, and the first comes back row for row
-    assert sorted(plant._powers) == [False, True]
+    T, H = plant.propagator(dt)
+    table = plant.power_table(dt)
+    # built whole: exactly POWER_TABLE_ROWS rows, [T^j | S_j H], in either input mode (a zeroed input is w = 0)
+    assert table.shape == (POWER_TABLE_ROWS, 3, 6)
+    P, S = np.eye(3), np.zeros((3, 3))
+    for j in range(POWER_TABLE_ROWS):
+        S, P = S + P, T @ P
+        want = np.hstack((P, S @ H))
+        np.testing.assert_allclose(table[j], want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
+    # kept: asked again for the same step, the plant returns the same table
+    assert plant.power_table(dt) is table
+    # one table: another step length replaces it, and the first comes back row for row
     first = plant.power_table(dt)
     double = plant.power_table(2 * dt)
-    assert double is not first and len(plant._powers) == 2
+    assert double is not first
     np.testing.assert_allclose(double[0], first[1], rtol=0, atol=1e-14)
     last = first[-1]
     np.testing.assert_allclose(double[POWER_TABLE_ROWS // 2 - 1], last, rtol=0, atol=1e-13 * np.abs(last).max())
-    assert plant._powers[False][1] is double and plant._powers[True][0] == dt
+    assert plant._powers[1] is double and plant._powers[0] == 2 * dt
     again = plant.power_table(dt)
     assert again is not first and np.array_equal(again, first)
+
+
+@pytest.mark.parametrize("logic", ["pure_time", "event_time"])
+def test_a_zeroed_input_steps_from_the_one_power_table(logic, monkeypatch):
+    # a zeroed input is the applied sample w = 0 on the flow of a held one,
+    # so a ZERO_DURING_DOS run that meets a jam interval and takes no expm
+    # step builds one power table: one propagator, for the record step
+    steps = []
+    original = LtiPlant.propagator
+    monkeypatch.setattr(LtiPlant, "propagator", lambda self, dt, *rest: steps.append(dt) or original(self, dt, *rest))
+    sc, trace = _shipped_run("double_integrator", logic, "zero_during_dos")
+    assert trace.jammed.any() and trace.stats["expm_steps"] == 0
+    assert steps == [sc.sim_config().record_step]
 
 
 @pytest.mark.parametrize("mode", list(InputMode))
@@ -660,7 +674,8 @@ def _whole_window_crossing(plant, trace, seq, sigma, t_s, x_s):
     t_a, x_a = t_s, x_s
     for t_b in edges + [horizon]:
         zi = zero_mode and is_jammed(seq, t_a)
-        hit = find_event_crossing(plant, x_a, x_s, sigma, t_a, t_b, trace.crossing_tol, zero_input=zi)
+        w = 0.0 * x_s if zi else None
+        hit = find_event_crossing(plant, x_a, x_s, sigma, t_a, t_b, trace.crossing_tol, applied=w)
         if hit is not None or t_b == horizon:
             return hit
         i = int(np.searchsorted(trace.t, t_b))

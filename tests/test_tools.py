@@ -1,4 +1,4 @@
-"""tools/: the output-identity script's case list."""
+"""tools/: the output-identity script's case list, and the CSV comparison."""
 
 from __future__ import annotations
 
@@ -10,15 +10,46 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_case_digests_lists_56_distinct_cases(tmp_path, monkeypatch):
     # cases() only writes the scenario files; no case runs here
     monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("case_digests", TOOLS / "case_digests.py")
-    case_digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(case_digests)
-    listed = case_digests.cases(tmp_path)
+    listed = _load("case_digests").cases(tmp_path)
     ids = [case_id for case_id, _, _ in listed]
     assert len(ids) == len(set(ids)) == 56
     assert Counter(command for _, command, _ in listed) == {"simulate": 44, "analyze": 12}
     assert all(path.is_file() for _, _, path in listed)
     assert not list(tmp_path.rglob("*.csv"))
+
+
+_HEADER = "t,x1,u1,e_norm,x_norm,jammed,attempt,success\r\n"
+
+
+def test_csv_delta_reports_float_cells_and_fails_on_times_and_flags(tmp_path, capsys):
+    csv_delta = _load("csv_delta")
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    rows = ["0,1,-2,0,1,0,0,0", "0.5,0.25,-0.5,0.75,0.25,1,1,0"]
+    for d in (a, b):
+        (d / "same.csv").write_text(_HEADER + "\r\n".join(rows) + "\r\n")
+    (a / "moved.csv").write_text(_HEADER + "\r\n".join(rows) + "\r\n")
+    moved = "0.5,0.25000000000000006,-0.5,0.75,0.25,1,1,0"
+    (b / "moved.csv").write_text(_HEADER + "\r\n".join([rows[0], moved]) + "\r\n")
+    # only float cells other than t moved: reported, exit 0
+    assert csv_delta.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["moved.csv: rows 2 / 2, 1 differ, max rel 2.22e-16, t equal, flags equal", "1 of 2 CSVs differ"]
+    # a flag, a time, a row count or a missing case fails
+    for moved in ("0.5,0.25,-0.5,0.75,0.25,1,0,0", "0.75,0.25,-0.5,0.75,0.25,1,1,0", None):
+        (b / "moved.csv").write_text(_HEADER + "\r\n".join([rows[0]] + ([moved] if moved else [])) + "\r\n")
+        assert csv_delta.main([str(a), str(b)]) == 1, moved
+    (b / "moved.csv").unlink()
+    assert csv_delta.main([str(a), str(b)]) == 1
+    assert "moved.csv: only in " in capsys.readouterr().out

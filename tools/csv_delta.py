@@ -1,0 +1,69 @@
+"""How far the trace CSVs of two case_digests.py runs differ, case by case.
+
+    python3 tools/csv_delta.py DIR_A DIR_B
+
+DIR_A and DIR_B hold the trace CSVs of two runs (``OUT_DIR/csv`` of
+``tools/case_digests.py``, copied aside before the second run). For each case
+whose CSV differs it prints the row counts, how many rows differ, the largest
+relative difference |a - b| / max(|a|, |b|) of a float cell, and whether the t
+column and the three flag columns (jammed, attempt, success) are equal. Exits
+1 when a case is missing from one side or a row count, t column or flag column
+differs, and 0 otherwise: then the traces differ at most in their float cells.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+FLAGS = 3  # jammed, attempt, success: the last columns of every row
+
+
+def compare(a: Path, b: Path) -> tuple[str, bool]:
+    """One report line for two CSVs of a case, and whether they keep their rows, times and flags."""
+    rows_a, rows_b = a.read_text().splitlines()[1:], b.read_text().splitlines()[1:]
+    head = f"{a.name}: rows {len(rows_a)} / {len(rows_b)}"
+    if len(rows_a) != len(rows_b):
+        return head, False
+    differ = sum(ra != rb for ra, rb in zip(rows_a, rows_b))
+    if not rows_a:
+        return f"{head}, 0 differ", True
+    A = np.array([r.split(",") for r in rows_a], dtype=float)
+    B = np.array([r.split(",") for r in rows_b], dtype=float)
+    same_t = np.array_equal(A[:, 0], B[:, 0])
+    same_flags = np.array_equal(A[:, -FLAGS:], B[:, -FLAGS:])
+    fa, fb = A[:, :-FLAGS], B[:, :-FLAGS]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(fa - fb) / np.maximum(np.abs(fa), np.abs(fb))
+    # equal cells (both zero, both NaN, the same infinity) differ by nothing; any other NaN by inf
+    rel = np.where((fa == fb) | (np.isnan(fa) & np.isnan(fb)), 0.0, np.nan_to_num(rel, nan=np.inf))
+    line = (f"{head}, {differ} differ, max rel {rel.max():.3g}, "
+            f"t {'equal' if same_t else 'DIFFERS'}, flags {'equal' if same_flags else 'DIFFER'}")
+    return line, same_t and same_flags
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        sys.stderr.write("usage: csv_delta.py DIR_A DIR_B\n")
+        return 1
+    dir_a, dir_b = Path(args[0]), Path(args[1])
+    names = sorted({p.name for p in dir_a.glob("*.csv")} | {p.name for p in dir_b.glob("*.csv")})
+    ok, differing = True, 0
+    for name in names:
+        a, b = dir_a / name, dir_b / name
+        if not (a.is_file() and b.is_file()):
+            print(f"{name}: only in {dir_a if a.is_file() else dir_b}")
+            ok, differing = False, differing + 1
+        elif a.read_bytes() != b.read_bytes():
+            line, kept = compare(a, b)
+            print(line)
+            ok, differing = ok and kept, differing + 1
+    print(f"{differing} of {len(names)} CSVs differ")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
