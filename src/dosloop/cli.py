@@ -265,7 +265,7 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
         raise ScenarioError("section 'analysis' must be an object")
     q_raw = a.get("Q")
     try:
-        Q = np.eye(plant.n) if q_raw is None else as_weight(_as_array(q_raw, "analysis.Q"), plant.n, "analysis.Q")
+        Q = np.eye(plant.n) if q_raw is None else as_weight(_as_array(q_raw, "analysis.Q"), plant.n, "analysis.Q")[0]
     except (TypeError, ValueError) as exc:
         raise ScenarioError(str(exc)) from exc
 

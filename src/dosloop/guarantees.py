@@ -262,19 +262,20 @@ def ges_certificate_lyapunov(
     bit for bit, P and its eigenvalues are the ones plant.decay solved for
     and checked (as solve_lyapunov checks them: the identity's computed
     2-norm is exactly 1.0), so no second Lyapunov system is solved. Any
-    other Q is checked once (linalg.as_weight) and solved as solve_lyapunov
-    solves it, keeping the eigenvalues of P that the solve checked.
+    other Q is checked once (linalg.as_weight), which also gives gamma1, its
+    smallest eigenvalue, and solved as solve_lyapunov solves it, keeping the
+    eigenvalues of P that the solve checked.
     """
     _check_budget_args(sigma, kappa, tau)
     Qm = as_matrix(Q, "Q")
     env = plant.decay
     if env.P is not None and Qm.shape == env.P.shape and Qm.tobytes() == np.eye(plant.n).tobytes():
         P, p_eigs = env.P, env.p_eigs
+        gamma1 = float(np.linalg.eigvalsh(Qm)[0])
     else:
-        Qm = as_weight(Qm, plant.n)
+        Qm, gamma1 = as_weight(Qm, plant.n)
         P, _, p_eigs = _lyapunov(plant.phi, Qm, spectral_norm(Qm))
     alpha1, alpha2 = float(p_eigs[0]), float(p_eigs[-1])
-    gamma1 = float(np.linalg.eigvalsh(Qm)[0])
     gamma2 = spectral_norm(plant.bk.T @ P + P @ plant.bk)
     sigma_feasible = gamma1 - sigma * gamma2 > 0.0
     omega1 = (gamma1 - gamma2 * sigma) / alpha2

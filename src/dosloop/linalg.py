@@ -88,16 +88,20 @@ def require_square(M: FloatArray, name: str = "matrix") -> FloatArray:
     return M
 
 
-def as_weight(Q: ArrayLike, n: int, name: str = "Q") -> FloatArray:
-    """Coerce to a symmetric positive-definite n x n float matrix, raising ValueError otherwise."""
+def as_weight(Q: ArrayLike, n: int, name: str = "Q") -> tuple[FloatArray, float]:
+    """Coerce to a symmetric positive-definite n x n float matrix, raising ValueError otherwise.
+
+    Returns the matrix and its smallest eigenvalue, which the positive-definiteness check takes.
+    """
     Qm = require_square(as_matrix(Q, name), name)
     if Qm.shape[0] != n:
         raise ValueError(f"{name} must be {n} x {n}, got shape {Qm.shape}")
     if _norm2(Qm - Qm.T) > 1e-10 * max(_norm2(Qm), 1.0):
         raise ValueError(f"{name} must be symmetric")
-    if float(np.linalg.eigvalsh(Qm)[0]) <= 0.0:
+    q_min = float(np.linalg.eigvalsh(Qm)[0])
+    if q_min <= 0.0:
         raise ValueError(f"{name} must be positive definite")
-    return Qm
+    return Qm, q_min
 
 
 def _taylor_terms(M: FloatArray, rows: int | None = None) -> tuple[FloatArray, float]:
@@ -223,7 +227,7 @@ def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:
     when P is not positive definite (not Hurwitz).
     """
     F = require_square(as_matrix(Phi, "Phi"), "Phi")
-    Qm = as_weight(Q, F.shape[0])
+    Qm = as_weight(Q, F.shape[0])[0]
     return _lyapunov(F, Qm, _norm2(Qm))[0]
 
 

@@ -6,11 +6,12 @@ channel is jammed under InputMode.ZERO_DURING_DOS. Between transmission
 instants the pair z = [x; w] evolves linearly, z' = M z with
 M = [[A, B K], [0, 0]] (Van Loan 1978), in either input mode, so it is
 integrated exactly through the exponential of M rather than an ODE stepper.
-LtiPlant.step, the one single-step path, sums the top rows of linalg's
-Taylor kernel while ||M||_F dt <= TAYLOR_THETA, where the truncated series is
-exact to rounding, and takes mat_exp, the same series scaled and squared,
-past that. k equal steps are the first k powers of that exponential's
-one-step map (LtiPlant.power_table).
+The Taylor coefficients of one state (LtiPlant.taylor_coeffs, the top rows
+of linalg's Taylor kernel applied to z) give its flow at every offset up to
+the Taylor reach, ||M||_F dt <= TAYLOR_THETA, where the truncated series is
+exact to rounding: LtiPlant.stretch evaluates many offsets at once, and
+LtiPlant.step, the one single-step path, one; past the reach a step takes
+mat_exp, the same series scaled and squared.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ from .linalg import (
     mat_exp,
     spectral_norm,
 )
-
-# The most powers one table of LtiPlant.power_table holds, so the memory the
-# tables take does not depend on the horizon.
-POWER_TABLE_ROWS = 256
 
 
 class InputMode(Enum):
@@ -61,23 +58,6 @@ def _held_input_blocks(F: FloatArray, G: FloatArray, dt: float) -> tuple[FloatAr
     return E[:n, :n], E[:n, n:]
 
 
-def _power_rows(W1: FloatArray) -> FloatArray:
-    """The table W[j-1] = [T^j | S_j H] (S_j = I + T + ... + T^(j-1)), POWER_TABLE_ROWS rows, from W1 = [T | H].
-
-    Built by doubling: each pass appends rows a + j = (a, j) for a = 1.. up
-    to the rows it has, T^(a+j) = T^a T^j and S_(a+j) H = T^a S_j H + S_a H,
-    one batched matmul.
-    """
-    n = W1.shape[0]
-    W = W1[None]
-    while len(W) < POWER_TABLE_ROWS:
-        j = len(W)
-        nxt = W[: min(j, POWER_TABLE_ROWS - j), :, :n] @ W[j - 1]
-        nxt[:, :, n:] += W[: len(nxt), :, n:]
-        W = np.concatenate((W, nxt))
-    return W
-
-
 @dataclass(frozen=True, eq=False)
 class LtiPlant:
     """Plant matrices plus feedback gain; A + B K must be Hurwitz.
@@ -100,10 +80,8 @@ class LtiPlant:
     any length, w the applied sample (x_held, or zero while a zeroed input
     is jammed): from the Taylor table of M = [[A, B K], [0, 0]], built on
     first use, for steps up to taylor_reach, and from propagator, the
-    matrix exponential, past that. power_table stacks the first
-    POWER_TABLE_ROWS powers of one propagator, built from it by doubling;
-    the plant keeps one table, for the last step length asked, so memory
-    stays bounded over any horizon.
+    matrix exponential, past that. stretch takes the states at many offsets
+    within taylor_reach from one state's taylor_coeffs, in one product.
     """
 
     A: FloatArray
@@ -134,7 +112,6 @@ class LtiPlant:
             object.__setattr__(self, name, M)
         object.__setattr__(self, "decay", decay_envelope(self.phi))
         object.__setattr__(self, "growth", growth_envelope(self.A))
-        object.__setattr__(self, "_powers", (None, None))  # (dt, table) of the last power_table asked
 
     @property
     def n(self) -> int:
@@ -166,7 +143,7 @@ class LtiPlant:
 
     @cached_property
     def taylor_reach(self) -> float:
-        """Longest step that step sums from its Taylor table: TAYLOR_THETA / ||M||_F.
+        """Longest step that step and stretch sum from the Taylor table: TAYLOR_THETA / ||M||_F.
 
         Finite: A + B K is Hurwitz, so A and B K are not both zero.
         """
@@ -176,10 +153,19 @@ class LtiPlant:
         """Coefficients c, one row per Taylor term, with x(dt) = sum_k (dt rate)^k c[k] within taylor_reach.
 
         c is the Taylor rows applied to z = [x; w], rate = ||M||_F /
-        TAYLOR_THETA. A caller that steps many times from one state
-        (find_event_crossing) forms c once and hands it to step.
+        TAYLOR_THETA. A caller that steps many times from one state forms c
+        once and hands it to step (find_event_crossing) or stretch (sim.run).
         """
         return (self._taylor[0] @ np.concatenate((x, w))).reshape(-1, len(x))
+
+    def stretch(self, coeffs: FloatArray, dts: FloatArray) -> FloatArray:
+        """States at offsets dts, each within taylor_reach, from the state whose taylor_coeffs are coeffs.
+
+        One row per offset: the powers of dt rate, all in one array, times
+        coeffs. Each row is, up to rounding, the step of that length, with
+        step's error bound. The offsets are not checked.
+        """
+        return np.power.outer(dts * self._taylor[1], _TAYLOR_EXPONENTS) @ coeffs
 
     def step(
         self,
@@ -192,40 +178,25 @@ class LtiPlant:
         """State after dt of held-input flow from x with the applied sample w frozen.
 
         Within taylor_reach the step sums taylor_coeffs(x, w) (coeffs, when
-        given, must be those) with the powers of dt ||M||_F / TAYLOR_THETA;
-        the truncated series moves x(dt) by at most 2.2e-17 ||[x; w]||
-        (linalg._taylor_terms). Past it the step takes propagator(dt).
+        given, must be those) with the powers of dt ||M||_F / TAYLOR_THETA,
+        as stretch does for many offsets; the truncated series moves x(dt)
+        by at most 2.2e-17 ||[x; w]|| (linalg._taylor_terms). Past it the
+        step takes propagator(dt).
 
         Arguments are not validated (see exact_hold_step). Each call adds
         one to stats["taylor_steps"] or, past the reach, stats["expm_steps"]
         when stats is given.
         """
-        s = dt * self._taylor[1]
-        if abs(s) <= 1.0:
+        if abs(dt) <= self.taylor_reach:
             if stats is not None:
                 stats["taylor_steps"] += 1
             if coeffs is None:
                 coeffs = self.taylor_coeffs(x, w)
-            return s**_TAYLOR_EXPONENTS @ coeffs
+            return (dt * self._taylor[1]) ** _TAYLOR_EXPONENTS @ coeffs
         if stats is not None:
             stats["expm_steps"] += 1
         T, H = self.propagator(dt)
         return T @ x + H @ w
-
-    def power_table(self, dt: float) -> FloatArray:
-        """Stacked powers of the dt propagator: row j-1 maps a state to j steps of dt later.
-
-        With (T, H) = propagator(dt), row j-1 is [T^j | S_j H] (S_j = I + T
-        + ... + T^(j-1)), of shape (n, 2n), so x after j steps is
-        row @ [x; w]. The table has POWER_TABLE_ROWS rows. The plant keeps
-        the table of the last dt asked (run() asks only for the record
-        step) and builds a new one when dt changes.
-        """
-        kept_dt, W = self._powers
-        if kept_dt != dt:
-            W = _power_rows(np.hstack(self.propagator(dt)))
-            object.__setattr__(self, "_powers", (dt, W))
-        return W
 
 
 def exact_hold_step(plant: LtiPlant, x0: FloatArray, x_held: FloatArray, dt: float) -> FloatArray:

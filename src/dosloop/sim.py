@@ -7,19 +7,18 @@ logic; a successful attempt swaps the held sample and resets the transmission
 error. Traces carry regular samples plus dedicated rows at attempts (pre- and
 post-jump at the same timestamp) and jam breakpoints.
 
-Between two such events the loop state z = [x; w] follows z <- M z with
-M = [[T, H], [0, I]] from LtiPlant.propagator (mat_exp, not cached), w the
-applied sample: x_held, or zero while jammed under
-InputMode.ZERO_DURING_DOS. So k equal steps are the first k powers of M,
-in either input mode. LtiPlant.power_table builds all POWER_TABLE_ROWS of
-those powers by doubling from the one propagator and keeps the record
-step's table. run() steps every stretch of full record ticks before the
-next event as one product of that table with z, up to POWER_TABLE_ROWS
-ticks per block, with vectorised norms and divergence guard. Every other
-step, and every safe step of the crossing search, is a single step by
-LtiPlant.step: off-tick steps to an attempt, a jam breakpoint or the first
-tick after one. Those steps are short, so they sum the plant's Taylor table
-rather than take a fresh matrix exponential each. Vectors are validated once, by SimConfig, not per step.
+Between two such events the loop state z = [x; w] follows z' = M z with
+M = [[A, B K], [0, 0]], w the applied sample: x_held, or zero while jammed
+under InputMode.ZERO_DURING_DOS. run() steps each segment as Taylor
+stretches: at every stop that changes the state or the applied sample (an
+attempt, a jam breakpoint, the end of a stretch) it forms
+LtiPlant.taylor_coeffs once, and every row up to the next event (the record
+ticks before it and the event's own stop) is one product of the offsets'
+powers with them (LtiPlant.stretch), with vectorised norms and divergence
+guard. A stretch holds at most _STRETCH_ROWS rows and no offset past
+LtiPlant.taylor_reach; only a stop past the reach is a single step by
+mat_exp (LtiPlant.step). Vectors are validated once, by SimConfig, not per
+step.
 
 The update policy lives in triggers.next_attempt, which run() calls once
 after every attempt. The event logics integrate each segment once: while
@@ -28,8 +27,9 @@ success from a nonzero state), run() watches the states it computes (_Watch),
 clearing each cell between two of them by a proved bound and handing a
 cell the bound cannot clear to find_event_crossing, the one safe-step
 search. Both use one Lipschitz bound from the exact derivative
-||A x + B K w|| and one rounding slack. Rows a block stepped past the
-crossing are dropped.
+||A x + B K w|| and one rounding slack. Rows a stretch stepped past the
+crossing are dropped, and the state at the crossing comes from the
+stretch's coefficients.
 
 Trace rows are written into growable numpy column arrays, a row or a block
 at a time. They are the run's only record: the verdicts read attempts,
@@ -38,9 +38,9 @@ x, x_held, t_held, the next attempt) in locals. It takes its jam state
 from its cursor over the sorted jam breakpoints, not from a search per
 stop, and computes the input K x_held only when the held sample changes.
 Row norms are neither under-estimated nor lost to overflow (linalg._norm,
-_row_norms): a block's rows take theirs from one _row_norms pass, and
-every other row from _norm, once per stop; the two may differ in the last
-bit, so a row keeps the one its path gives. Trace.to_csv writes the exact
+_row_norms): a stretch's rows take theirs from one _row_norms pass, and a
+state at a crossing from _norm; the two may differ in the last bit, so a
+row keeps the one its path gives. Trace.to_csv writes the exact
 '%.17g' text of every float with a bulk numpy kernel (dosloop._g17), in
 blocks of about 7k cells.
 
@@ -58,7 +58,7 @@ import numpy as np
 from .dos import DosBudget, DosSequence, Verdict, check_horizon, check_slow_average, is_jammed
 from .guarantees import SamplingRobustness, _window_reach
 from .linalg import FloatArray, _norm, _row_norms, as_vector
-from .plant import POWER_TABLE_ROWS, InputMode, LtiPlant
+from .plant import InputMode, LtiPlant
 from .plant import exact_hold_step  # noqa: F401  (bench/test_bench.py rebinds dosloop.sim.exact_hold_step)
 from .triggers import LogicKind, TriggerConfig, next_attempt, validate_trigger_for_plant
 
@@ -76,8 +76,12 @@ _CSV_BLOCK_CELLS = 7168
 _CSV_FLAG_WORDS = np.frombuffer(
     b"".join(f"{j},{a},{s}\r\n\0".encode() for j in (0, 1) for a in (0, 1) for s in (0, 1)), dtype=np.uint64
 )
-# Fewest record ticks in the first block stepped while watching for a
-# crossing; each later block doubles, up to POWER_TABLE_ROWS.
+# The most rows one Taylor stretch of run() holds, so its arrays do not
+# grow with the horizon.
+_STRETCH_ROWS = 256
+# Fewest record ticks in the first stretch stepped while watching for a
+# crossing, which also holds the off-tick cell before them; each later
+# stretch doubles, up to _STRETCH_ROWS.
 _SCAN_BLOCK_MIN = 16
 # Relative rounding slack of the crossing bounds (see find_event_crossing, _Watch).
 _CROSSING_SLACK = 1e-12
@@ -151,14 +155,16 @@ class Trace:
     onset the run reached has a row at its time; a diverged run's last row is
     the state that tripped the guard, at t[-1].
 
-    stats holds plain integer counters of the run: blocks_stepped (blocks of
-    record ticks stepped as one product), rows_emitted, cells_scanned
-    (cells between computed states tested by _Watch's bound, those stepped
-    past a crossing included), crossing_searches (find_event_crossing calls,
-    one per cell the bound could not clear), root_trials (their safe steps,
-    under the same bound), and taylor_steps and expm_steps (single steps
-    from the plant's Taylor table and, past its reach, by mat_exp; safe
-    steps stay within it).
+    stats holds plain integer counters of the run: blocks_stepped (Taylor
+    stretches: rows stepped as one product from one set of coefficients),
+    rows_emitted, cells_scanned (cells between computed states tested by
+    _Watch's bound, those stepped past a crossing included),
+    crossing_searches (find_event_crossing calls, one per cell the bound
+    could not clear), root_trials (their safe steps, under the same bound),
+    taylor_steps (single steps from the plant's Taylor table: the search's
+    safe steps, and the state at a crossing between two rows) and
+    expm_steps (single steps past its reach, by mat_exp: a stop past the
+    reach, or a crossing's state in such a cell).
     """
 
     t: FloatArray
@@ -336,21 +342,27 @@ class _Watch:
 
     Armed after a success from a nonzero state, when triggers.next_attempt
     returns inf. A cell [a, b] between consecutive states is clear when
-    g_a < 0, g_b < 0 and g_a + g_b + L h + eta < 0 (h = b - a): L =
-    _slope_factor(h) ||A x_a + B K w||, w the applied sample run() hands it,
-    the Lipschitz constant that find_event_crossing steps by, taken at every
-    cell start by one product per block or per single step, gives g <=
+    g_a < 0, g_b < 0 and g_a + g_b + L h + eta < 0: h the longest cell of the
+    stretch, L = _slope_factor(h) ||A x_a + B K w||, w the applied sample
+    run() hands it, the Lipschitz constant that find_event_crossing steps
+    by, taken at every cell start by one product per stretch, gives g <=
     (g_a + g_b + L h) / 2 < 0 on the cell (Piyavskii 1972; Shubert 1972).
     The rounding argument is the search's, eta = _CROSSING_SLACK (1 + sigma)
     (||x_a|| + ||x_b|| + ||x_held||) also covering the stepping error of the
-    states: measured, not proved (tests/test_plant.py), below 4e-14 of
-    max(||x||, ||x_held||) of their start, but up to 7.7e-10 for record steps
-    near the Taylor reach on strongly non-normal plants. No cell past the
+    states: each is one Taylor sum of at most the reach from its stretch's
+    base, so its error is one step's, a truncation below 2.2e-17
+    ||[x; w]|| plus the rounding of two short products, measured below
+    7e-16 max(||x||, ||x_held||) of the exact flow from that base on every
+    row of stretches up to the reach on seeded non-normal and fast-rotating
+    plants, n = 1-8 (tests/test_plant.py). The slack does not cover drift
+    chained across stretches: each base carries the error of the stretch
+    before, and the watch bounds the exact flow from it. No cell past the
     Taylor reach is cleared. A cell the bound cannot clear goes to
     find_event_crossing, called by its module name; a state with g >= 0
-    bounds the crossing. Blocks stepped while watching hold at most size
-    ticks: the last watch's tick count (at least _SCAN_BLOCK_MIN), doubling
-    per block.
+    bounds the crossing. Stretches stepped while watching hold at most size
+    rows: one more than the last watch's cell count (at least
+    _SCAN_BLOCK_MIN), for the off-tick cell up to the first tick, doubling
+    per stretch.
     """
 
     def __init__(self, plant: LtiPlant, sigma: float, crossing_tol: float, stats: dict[str, int]) -> None:
@@ -359,7 +371,7 @@ class _Watch:
         self.tol = crossing_tol
         self.stats = stats
         self.active = False
-        self.last = 0  # record ticks the last watch stepped, up to its crossing
+        self.last = 0  # cells the last watch scanned, up to its crossing
 
     def arm(self, x_held: FloatArray) -> None:
         """Start watching from the state x_held itself (e = 0), just after a success."""
@@ -367,15 +379,11 @@ class _Watch:
         self.x_held = x_held
         self.held = _norm(x_held)
         self.g, self.n = -self.sigma * self.held, self.held  # g and ||x|| of the current state
-        self.size = max(_SCAN_BLOCK_MIN, self.last)
-        self.ticks = 0  # record ticks stepped since arming
-
-    def _derivative(self, x: FloatArray, w: FloatArray) -> FloatArray:
-        """x' = A x + B K w of a state, or of each row of a block, under the applied sample w."""
-        return x @ self.plant.A.T + self.plant.bk @ w
+        self.size = max(_SCAN_BLOCK_MIN, self.last) + 1
+        self.cells = 0  # cells scanned since arming
 
     def _clear(self, g_a, g_b, n_a, n_b, d_a, h: float):
-        """Whether the bound clears each cell of length h (floats or arrays of cells); d_a = ||x'|| at its start."""
+        """Whether the bound clears each cell up to h long (floats or arrays of cells); d_a = ||x'|| at its start."""
         rise = _slope_factor(self.plant, self.sigma, h) * h * d_a
         eta = _CROSSING_SLACK * (1.0 + self.sigma) * (n_a + n_b + self.held)
         return (g_a < 0.0) & (g_b < 0.0) & (g_a + g_b + rise + eta < 0.0)
@@ -395,41 +403,32 @@ class _Watch:
         t: float,
         x: FloatArray,
         ts: FloatArray,
+        dts: FloatArray,
         X: FloatArray,
         e_norm: FloatArray,
         x_norm: FloatArray,
         w: FloatArray,
     ) -> tuple[int, float] | None:
-        """(i, crossing time) of the first cell with a crossing, from x at t through X at ts; it ends at X[i]."""
+        """(i, crossing time) of the first cell with a crossing, from x at t through X at ts; it ends at X[i].
+
+        dts are the offsets from t that X was stepped by, whose differences are the cells.
+        """
         self.stats["cells_scanned"] += len(ts)
         g = e_norm - self.sigma * x_norm
         g_a = np.concatenate(((self.g,), g[:-1]))
         n_a = np.concatenate(((self.n,), x_norm[:-1]))
-        d_a = _row_norms(self._derivative(np.concatenate((x[None], X[:-1])), w))
-        for i in np.flatnonzero(~self._clear(g_a, g, n_a, x_norm, d_a, ts[0] - t)).tolist():
-            hit = self._search(float(ts[i - 1]) if i else t, X[i - 1] if i else x, float(ts[i]), g[i], w)
+        starts = np.concatenate((x[None], X[:-1]))
+        d_a = _row_norms(starts @ self.plant.A.T + self.plant.bk @ w)
+        h = max(float(dts[0]), float((dts[1:] - dts[:-1]).max(initial=0.0)))
+        for i in np.flatnonzero(~self._clear(g_a, g, n_a, x_norm, d_a, h)).tolist():
+            hit = self._search(float(ts[i - 1]) if i else t, starts[i], float(ts[i]), g[i], w)
             if hit is not None:
-                self.last = self.ticks + i + 1
+                self.last = self.cells + i + 1
                 return i, hit
         self.g, self.n = float(g[-1]), float(x_norm[-1])
-        self.ticks += len(ts)
-        self.size = min(2 * self.size, POWER_TABLE_ROWS)
+        self.cells += len(ts)
+        self.size = min(2 * self.size, _STRETCH_ROWS)
         return None
-
-    def step(
-        self, t: float, x: FloatArray, stop: float, x_new: FloatArray, n_b: float, e_b: float, w: FloatArray
-    ) -> float | None:
-        """The crossing in the cell of one single step from x at t to x_new at stop under w, or None.
-
-        n_b and e_b are ||x_new|| and ||x_held - x_new||, which run() takes once per stop.
-        """
-        self.stats["cells_scanned"] += 1
-        self.ticks += 1
-        g_b = e_b - self.sigma * n_b
-        d_a = _norm(self._derivative(x, w))
-        hit = None if self._clear(self.g, g_b, self.n, n_b, d_a, stop - t) else self._search(t, x, stop, g_b, w)
-        self.g, self.n = g_b, n_b
-        return hit
 
 
 class _Rows:
@@ -497,11 +496,11 @@ class _Rows:
 
 
 def _ticks_before(k: int, rs: float, t_stop: float) -> int:
-    """How many record ticks k rs, (k + 1) rs, ... lie strictly before t_stop, at most POWER_TABLE_ROWS."""
-    c = min(POWER_TABLE_ROWS, max(0, math.ceil(t_stop / rs) - k))
+    """How many record ticks k rs, (k + 1) rs, ... lie strictly before t_stop, at most _STRETCH_ROWS."""
+    c = min(_STRETCH_ROWS, max(0, math.ceil(t_stop / rs) - k))
     while c > 0 and (k + c - 1) * rs >= t_stop:
         c -= 1
-    while c < POWER_TABLE_ROWS and (k + c) * rs < t_stop:
+    while c < _STRETCH_ROWS and (k + c) * rs < t_stop:
         c += 1
     return c
 
@@ -523,24 +522,25 @@ def run(config: SimConfig) -> Trace:
     the same t, flags and stats, and x, u and the norms exactly 2^-k times
     the originals, while every value stays a normal float.
 
-    Record ticks that fall strictly before the next attempt, jam breakpoint
-    and the horizon are stepped as one block: one product of the record
-    step's power table with [x; w], w the applied sample (x_held, or zero
-    while jammed under InputMode.ZERO_DURING_DOS), up to POWER_TABLE_ROWS
-    ticks at a time. Its rows take their norms from _row_norms, and its
-    divergence guard is the largest of them (NaN included); only a block
-    that trips it is searched for the first row past the bound. After every attempt,
+    From every stop, the record ticks strictly before the next event (the
+    next attempt, jam breakpoint or the horizon) and the event itself are
+    stepped as one Taylor stretch: the offsets' powers times
+    LtiPlant.taylor_coeffs of [x; w], w the applied sample (x_held, or zero
+    while jammed under InputMode.ZERO_DURING_DOS). A stretch ends early, at
+    a tick, after _STRETCH_ROWS rows, after the watch's size while _Watch
+    watches, or at the last offset within LtiPlant.taylor_reach, and the
+    next one starts there; a first offset past the reach is one
+    LtiPlant.step, by mat_exp. The rows take their norms from one
+    _row_norms pass, and the divergence guard is the largest of them (NaN
+    included); the first row past it ends the run. After every attempt,
     triggers.next_attempt gives the next one; while an event logic waits
     for a crossing it is inf, and the attempt is the crossing that _Watch
-    finds on the computed states, in blocks of at most its size.
+    finds on the computed states, in stretches of at most its size.
 
-    Every other stop is written by single rows. The loop carries t, x,
-    x_held, t_held and the next attempt in locals. All rows at one stop
-    share its state, so ||x|| and ||x_held - x|| are taken once there, by
-    _norm; at a stop reached by a single step they are taken right after
-    the step and serve the watch, the divergence guard and the rows. The
-    post-jump row of a success shares ||x|| with its pre-jump row, and its
-    transmission error is exactly zero.
+    The loop carries t, x, x_held, t_held, the next attempt, and ||x|| and
+    ||x_held - x|| of the state in locals. All rows at one stop share that
+    state and its norms. The post-jump row of a success shares ||x|| with
+    its pre-jump row, and its transmission error is exactly zero.
     """
     plant = config.plant
     trig = config.trigger
@@ -550,6 +550,7 @@ def run(config: SimConfig) -> Trace:
     n, m = plant.n, plant.m
     K = plant.K
     zero_mode = plant.input_mode is InputMode.ZERO_DURING_DOS
+    reach = plant.taylor_reach
 
     # jam breakpoints (time, is onset), sorted: intervals cannot overlap, and
     # where one ends as the next starts, the onset sorts (and is consumed) last
@@ -568,82 +569,79 @@ def run(config: SimConfig) -> Trace:
 
     watch = _Watch(plant, trig.sigma, config.crossing_tol, stats)
 
-    # the loop state, and ||x|| and ||x_held - x|| of it once taken (None until then)
+    # the loop state, with ||x|| and ||x_held - x|| of it
     t, x, xh, t_held = 0.0, config.x0, np.zeros(n), 0.0
-    x_n = e_n = None
+    x_n, e_n = _norm(x), _norm(xh - x)
     t_next = 0.0  # the next attempt
-    on_tick = True  # t sits on a record tick
     diverged = False
-    x_max = min(1e12 * _norm(x), np.finfo(float).max)  # the divergence guard; capped, so inf trips it
+    x_max = min(1e12 * x_n, np.finfo(float).max)  # the divergence guard; capped, so inf trips it
 
     while t < horizon:
-        k_tick = math.floor(t / rs + 1e-9) + 1
-        t_rec = k_tick * rs
-        if t_rec <= t:
-            t_rec += rs
         t_bp = bps[bp_i][0] if bp_i < len(bps) else math.inf
-        stop = min(horizon, t_next, t_rec, t_bp)
+        stop = min(horizon, t_next, t_bp)
 
-        count = _ticks_before(k_tick, rs, min(horizon, t_next, t_bp)) if on_tick and stop == t_rec else 0
-        if count:
+        if stop > t:
             w, u = (w_zero, u_zero) if zero_mode and jammed else (xh, u_held)
+            k_tick = math.floor(t / rs + 1e-9) + 1
+            if k_tick * rs <= t:
+                k_tick += 1
+            ticks = _ticks_before(k_tick, rs, stop)
+            to_stop = ticks < _STRETCH_ROWS  # whether the stretch may reach the stop
+            ts = np.arange(k_tick, k_tick + ticks + to_stop) * rs
+            if to_stop:
+                ts[-1] = stop
+            dts = ts - t
+            count = len(ts) if dts[-1] <= reach else int(dts.searchsorted(reach, "right"))
             if watch.active:
                 count = min(count, watch.size)
-            X = (plant.power_table(rs)[:count].reshape(-1, 2 * n) @ np.concatenate((x, w))).reshape(count, n)
-            ts = np.arange(k_tick, k_tick + count) * rs
+            if count:
+                coeffs = plant.taylor_coeffs(x, w)
+                X = plant.stretch(coeffs, dts[:count])
+                stats["blocks_stepped"] += 1
+            else:  # its first row lies past the Taylor reach
+                count, coeffs = 1, None
+                X = plant.step(x, w, float(dts[0]), stats)[None]
+            if count < len(ts):
+                to_stop = False
+                ts, dts = ts[:count], dts[:count]
             # one pass for both: each row's sum is the same in a stack as alone
             norms = _row_norms(np.concatenate((X, xh - X)))
             x_norm, e_norm = norms[:count], norms[count:]
-            stats["blocks_stepped"] += 1
             # written so that a NaN row (inf - inf after overflow) also trips the guard
             tripped = not x_norm.max() <= x_max
-            keep = int(np.flatnonzero(~(x_norm <= x_max))[0]) if tripped else count
+            last = int(np.flatnonzero(~(x_norm <= x_max))[0]) if tripped else count - 1  # the row to move to
             hit = None
             if watch.active:
-                cells = slice(0, keep + 1)
-                hit = watch.block(t, x, ts[cells], X[cells], e_norm[cells], x_norm[cells], w)
+                cells = slice(0, last + 1)
+                hit = watch.block(t, x, ts[cells], dts[cells], X[cells], e_norm[cells], x_norm[cells], w)
             if hit is not None:
-                keep, t_next = hit
-            rows.block(ts[:keep], X[:keep], u, e_norm[:keep], x_norm[:keep], jammed)
-            if hit is None and tripped:
-                # the block ends before the next breakpoint, so the cursor's jam state holds at this row too
-                rows.row(float(ts[keep]), X[keep], u, _norm(xh - X[keep]), _norm(X[keep]), jammed, 0, 0)
-                diverged = True
-                break
-            if keep:
-                t, x, x_n, e_n = float(ts[keep - 1]), X[keep - 1], None, None
-            continue
-
-        if stop > t:
-            w = w_zero if zero_mode and jammed else xh
-            # a full tick steps by exactly rs, as the row blocks do
-            dt = rs if on_tick and stop == t_rec else stop - t
-            x_new = plant.step(x, w, dt, stats)
-            n_new, e_new = _norm(x_new), _norm(xh - x_new)
-            if watch.active:
-                hit = watch.step(t, x, stop, x_new, n_new, e_new, w)
-                if hit is not None:
-                    t_next = hit
-                    if hit < stop:
-                        continue  # step again, to the crossing
-            t, x, x_n, e_n = stop, x_new, n_new, e_new
+                last, t_next = hit
+            # the rows before it are ticks, and so is the last row of a stretch cut short at a tick
+            kept = last + (hit is None and not tripped and not to_stop)
+            rows.block(ts[:kept], X[:kept], u, e_norm[:kept], x_norm[:kept], jammed)
+            if hit is not None and t_next < ts[last]:
+                # a crossing between two rows: its state comes from the stretch's coefficients
+                x = plant.step(x, w, t_next - t, stats, coeffs)
+                t, x_n, e_n = t_next, _norm(x), _norm(xh - x)
+            else:
+                t, x, x_n, e_n = float(ts[last]), X[last], float(x_norm[last]), float(e_norm[last])
+            if kept > last:
+                continue  # the next stretch starts at that tick
             # written so that a NaN state (inf - inf after overflow) also trips the guard
             if not x_n <= x_max:
-                jam = is_jammed(dos, stop)
-                rows.row(stop, x, u_zero if zero_mode and jam else u_held, e_n, x_n, jam, 0, 0)
+                jam = is_jammed(dos, t)
+                rows.row(t, x, u_zero if zero_mode and jam else u_held, e_n, x_n, jam, 0, 0)
                 diverged = True
                 break
+            stop = t
         else:
             t = stop
-        on_tick = stop == t_rec
 
         at_bp = stop == t_bp
         if at_bp:
             while bp_i < len(bps) and bps[bp_i][0] == stop:
                 jammed = bps[bp_i][1]
                 bp_i += 1
-        if x_n is None:  # e_n is None with it
-            x_n, e_n = _norm(x), _norm(xh - x)
         u = u_zero if zero_mode and jammed else u_held
         if at_bp:
             rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)

@@ -336,8 +336,8 @@ def restep_rows(trace, A: np.ndarray, B: np.ndarray, K: np.ndarray, zero_during_
     (of A alone when zero_during_dos and the earlier row is jammed) over the
     gap between the two timestamps, applied to [x_prev; x_held]; rows at one
     timestamp must carry the same state. The deviation is relative to
-    max(||x_i||, ||x_held||). The library steps whole blocks of rows by
-    powers of one propagator; this takes one exponential per row pair.
+    max(||x_i||, ||x_held||). The library steps every row of a stretch from
+    one set of Taylor coefficients; this takes one exponential per row pair.
     """
     n = A.shape[0]
     aug = np.zeros((2 * n, 2 * n))

@@ -148,6 +148,20 @@ def test_lyapunov_certificate_hand_values():
     assert cert.feasible
 
 
+def test_lyapunov_certificate_takes_the_eigenvalues_of_q_once(monkeypatch):
+    # a Q other than the identity: its positive-definiteness check takes
+    # its smallest eigenvalue, which is gamma1; P's are the solve's
+    plant = random_stabilized_plant(np.random.default_rng(15), n=3)
+    Q = np.diag([2.0, 3.0, 5.0]) + 0.5
+    seen = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M, *args: seen.append(M.copy()) or original(M, *args))
+    cert = ges_certificate_lyapunov(plant, Q, sigma=0.01, kappa=0.1, tau=12.0)
+    assert sum(np.array_equal(M, Q) for M in seen) == 1
+    assert len(seen) == 2 and np.array_equal(seen[1], cert.P)
+    assert cert.gamma1 == float(original(Q)[0])
+
+
 def test_lyapunov_certificate_infeasible_sigma():
     cert = ges_certificate_lyapunov(SCALAR, np.array([[2.0]]), sigma=0.6, kappa=0.0, tau=20.0)
     assert not cert.sigma_feasible  # gamma1 - sigma gamma2 = 2 - 2.4 < 0

@@ -18,8 +18,7 @@ from dosloop import (
     riccati_delta2,
 )
 from dosloop.linalg import TAYLOR_THETA
-from dosloop.plant import POWER_TABLE_ROWS
-from dosloop.sim import _CROSSING_SLACK
+from dosloop.sim import _CROSSING_SLACK, _STRETCH_ROWS
 from conftest import feasible_sigma, random_stabilized_plant
 from oracles import expm_hold_step, mp_expm, mp_expm_orbit, rk4_hold_trajectory, scipy_expm
 
@@ -175,16 +174,31 @@ def _states_and_exact_flow(rng: np.random.Generator, plant: LtiPlant, zero_input
     return x, held, M, scale
 
 
-def _worst_table_error(rng: np.random.Generator, plant: LtiPlant, zero_input: bool, rs: float) -> float:
-    """Largest error of the POWER_TABLE_ROWS states of a block of record steps rs, relative to its start's scale."""
+def _on_grid(h: float) -> float:
+    """h truncated to 40 significant bits, so that j h is an exact float for every j up to 2^13."""
+    mant, ex = math.frexp(h)
+    return math.ldexp(math.floor(math.ldexp(mant, 40)), ex - 40)
+
+
+def _worst_row_error(rng: np.random.Generator, plant: LtiPlant, zero_input: bool, h: float, rows: int) -> float:
+    """Largest error of the states at offsets h, 2 h, .., rows h (h on the grid), relative to their start's scale.
+
+    The states as sim.run computes them from one start: a stretch, the
+    offsets' powers times the start's Taylor coefficients, within the
+    Taylor reach, and one LtiPlant.step (mat_exp) past it.
+    """
     x, held, M, scale = _states_and_exact_flow(rng, plant, zero_input)
-    Z = x if zero_input else np.vstack((x, held))
-    want = mp_expm_orbit(M, rs, Z, POWER_TABLE_ROWS)[:, : plant.n]
-    rows = plant.power_table(rs).reshape(-1, 2 * plant.n)
-    # each state as sim.run steps it in a block: one product of the table with [x; w], w = 0 for a zeroed input
-    W = np.vstack((x, 0.0 * held if zero_input else held))
-    return max(float(np.max(np.linalg.norm((rows @ W[:, c]).reshape(-1, plant.n) - want[:, :, c], axis=1))) / scale[c]
-               for c in range(3))
+    want = mp_expm_orbit(M, h, x if zero_input else np.vstack((x, held)), rows)[:, : plant.n]
+    offsets = h * np.arange(1, rows + 1)
+    W = 0.0 * held if zero_input else held
+    worst = 0.0
+    for c in range(3):
+        if offsets[-1] <= plant.taylor_reach:
+            got = plant.stretch(plant.taylor_coeffs(x[:, c], W[:, c]), offsets)
+        else:
+            got = np.array([plant.step(x[:, c], W[:, c], float(dt)) for dt in offsets])
+        worst = max(worst, float(np.max(np.linalg.norm(got - want[:, :, c], axis=1))) / scale[c])
+    return worst
 
 
 @pytest.mark.parametrize("zero_input", [False, True], ids=["hold", "zero_input"])
@@ -193,19 +207,22 @@ def test_stepped_states_lie_within_the_crossing_slack(kind, zero_input):
     # sim._Watch's rounding slack also covers the error of the states it is
     # handed: each must lie within _CROSSING_SLACK max(||x||, ||x_held||) of
     # the exact flow from its start [x; x_held]. Checked on single steps
-    # (LtiPlant.step) of up to the Taylor reach, and on all rows of the power
-    # table of the longest record step an EVENT_TIME run of the plant accepts
-    # (delta1 = delta2 = the Riccati bound at a feasible sigma). Reference:
-    # powers of a 40-digit exponential in exact integer arithmetic.
+    # (LtiPlant.step) of up to the Taylor reach, and on the record ticks of
+    # the longest record step an EVENT_TIME run of the plant accepts
+    # (delta1 = delta2 = the Riccati bound at a feasible sigma): every row
+    # of one stretch (LtiPlant.stretch), as many as fit the reach, or, on
+    # the rotating plants, whose record step lies past it, one mat_exp
+    # step. Reference: powers of a 40-digit exponential in exact integer
+    # arithmetic.
     rng = np.random.default_rng(2200 + 2 * (kind == "rotating") + zero_input)
     worst = 0.0
     for n in range(1, 9):
         plant = _hunt_plant(rng, n, kind)
-        rs = riccati_delta2(plant.phi_norm, plant.bk_norm, feasible_sigma(plant)) / 4.0
-        worst = max(worst, _worst_table_error(rng, plant, zero_input, rs))
+        rs = _on_grid(riccati_delta2(plant.phi_norm, plant.bk_norm, feasible_sigma(plant)) / 4.0)
+        rows = max(1, min(_STRETCH_ROWS, int(plant.taylor_reach / rs)))
+        worst = max(worst, _worst_row_error(rng, plant, zero_input, rs, rows))
         # h k for k = 1..8 are exact floats, 8 h within 2^-40 of the reach
-        mant, ex = math.frexp(plant.taylor_reach / 8.0)
-        h = math.ldexp(math.floor(math.ldexp(mant, 40)), ex - 40)
+        h = _on_grid(plant.taylor_reach / 8.0)
         x, held, M, scale = _states_and_exact_flow(rng, plant, zero_input)
         want = mp_expm_orbit(M, h, x if zero_input else np.vstack((x, held)), 8)[:, :n]
         for k, c in itertools.product(range(1, 9), range(3)):
@@ -215,30 +232,20 @@ def test_stepped_states_lie_within_the_crossing_slack(kind, zero_input):
 
 
 @pytest.mark.parametrize("zero_input", [False, True], ids=["hold", "zero_input"])
-@pytest.mark.parametrize(
-    "kind",
-    [
-        pytest.param(
-            "non_normal",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="open finding: rows drift up to 7.7e-10 max(||x||, ||x_held||) from the exact flow "
-                "(seed 2200, n = 7, hold), past the 1e-12 slack; long-double powers of the rounded one-step "
-                "map drift as far",
-            ),
-        ),
-        "rotating",
-    ],
-)
-def test_power_table_rows_at_the_taylor_reach_lie_within_the_crossing_slack(kind, zero_input):
-    # An IDEAL_EVENT run checks no delta2 against the plant, so its record
-    # step may be as long as the Taylor reach, or longer: the same claim as
-    # above, on all rows of that table. Strongly non-normal plants break it.
+@pytest.mark.parametrize("kind", ["non_normal", "rotating"])
+def test_stretch_rows_to_the_taylor_reach_lie_within_the_slack(kind, zero_input):
+    # What sim._Watch consumes: every row of one stretch, _STRETCH_ROWS of
+    # them at offsets up to the Taylor reach, against the 40-digit flow from
+    # the stretch's base. Each row is one Taylor step from that base, so it
+    # stays within the slack on strongly non-normal plants too, where powers
+    # of a one-step propagator at the reach drifted up to 7.7e-10 (seed
+    # 2200, n = 7, hold).
     rng = np.random.default_rng(2200 + 2 * (kind == "rotating") + zero_input)
     worst = 0.0
     for n in range(1, 9):
         plant = _hunt_plant(rng, n, kind)
-        worst = max(worst, _worst_table_error(rng, plant, zero_input, plant.taylor_reach))
+        h = _on_grid(plant.taylor_reach / _STRETCH_ROWS)
+        worst = max(worst, _worst_row_error(rng, plant, zero_input, h, _STRETCH_ROWS))
     assert worst <= _CROSSING_SLACK, worst
 
 
@@ -267,3 +274,23 @@ def test_step_from_its_taylor_coefficients_is_the_same_step(zero_input):
         want = plant.step(x, xh, float(dt))
         assert plant.step(x, xh, float(dt), stats, coeffs).tobytes() == want.tobytes()
     assert stats == {"taylor_steps": 12, "expm_steps": 1}
+
+
+@pytest.mark.parametrize("zero_input", [False, True], ids=["hold", "zero_input"])
+def test_stretch_rows_are_the_steps_of_their_offsets(zero_input):
+    # sim.run steps every row up to the next event as one stretch from one
+    # set of Taylor coefficients: row i is the single step of offset i, up
+    # to the rounding of the two products (a matrix product is not summed
+    # as a vector product is, so the bits may differ)
+    rng = np.random.default_rng(78)
+    plant = random_stabilized_plant(rng, n=4)
+    x, xh = rng.normal(size=4), rng.normal(size=4)
+    if zero_input:
+        xh = np.zeros(4)
+    reach = plant.taylor_reach
+    offsets = np.append(np.sort(rng.uniform(0.0, reach, size=299)), reach)
+    rows = plant.stretch(plant.taylor_coeffs(x, xh), offsets)
+    assert rows.shape == (300, 4)
+    scale = max(np.linalg.norm(x), np.linalg.norm(xh))
+    for dt, row in zip(offsets, rows):
+        np.testing.assert_allclose(row, plant.step(x, xh, float(dt)), rtol=0, atol=1e-15 * scale)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dosloop.plant
 from dosloop import (
     DosBudget,
     DosSequence,
@@ -35,14 +36,14 @@ from dosloop import (
     is_jammed,
     measure_robustness,
     periodic_budget,
+    riccati_delta2,
     run,
     verify_ges,
     xi_bar_measure,
     xi_measure,
 )
 from dosloop.cli import Scenario, _applicable_certificates, certificates, main, scenario_from_dict
-from dosloop.plant import POWER_TABLE_ROWS
-from dosloop.sim import _CSV_BLOCK_CELLS, Trace
+from dosloop.sim import _CSV_BLOCK_CELLS, _STRETCH_ROWS, Trace
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
 from oracles import (
     csv_by_row,
@@ -392,75 +393,75 @@ def test_a_run_ends_at_its_horizon():
     assert trace.t[-2] == 3.0 * delta2 and trace.t[-3] == 3.0 * delta2 and trace.attempt[-3] == 1
 
 
-def test_power_table_cache_is_bounded_independent_of_horizon(monkeypatch):
+def test_stretches_are_bounded_independent_of_horizon(monkeypatch):
+    # 64 record ticks per delta1, so more than _STRETCH_ROWS ticks lie
+    # between some events; no stretch holds more rows than that, however
+    # long the run, through jammed stretches (w = 0) and free ones alike,
+    # and no run builds a matrix exponential
     rng = np.random.default_rng(12)
     base = random_stabilized_plant(rng)
     sigma = feasible_sigma(base)
     trig = standard_trigger(base, sigma)
     period, duty = 40.0 * trig.delta1, 0.2
     x0 = rng.normal(size=base.n)
-    peak = [0, 0]
-    original_table = LtiPlant.power_table
-
-    def watched_table(self, dt):
-        table = original_table(self, dt)
-        # tables the plant holds: its one (dt, table) slot, which holds the table returned
-        peak[0] = max(peak[0], len({id(table), id(self._powers[1])}))
-        peak[1] = max(peak[1], len(table), len(self._powers[1]))
-        return table
-
-    monkeypatch.setattr(LtiPlant, "power_table", watched_table)
-    final = []
+    rows, steps = [], []
+    stretch, propagator = LtiPlant.stretch, LtiPlant.propagator
+    monkeypatch.setattr(LtiPlant, "stretch", lambda self, c, dts: rows.append(len(dts)) or stretch(self, c, dts))
+    monkeypatch.setattr(LtiPlant, "propagator", lambda self, dt: steps.append(dt) or propagator(self, dt))
+    peaks = []
     for horizon in (2.0, 8.0):
+        rows.clear()
         plant = LtiPlant(A=base.A, B=base.B, K=base.K, input_mode=InputMode.ZERO_DURING_DOS)
         seq = gen_periodic(0.5 * period, period, duty, horizon)
-        run(_config(plant, LogicKind.EVENT_TIME, trig, dos=seq, budget=periodic_budget(period, duty),
-                    x0=x0, horizon=horizon))
-        final.append(plant._powers[0])
-    # one kept (dt, table) slot, for the record step, whose table has exactly POWER_TABLE_ROWS rows,
-    # through jammed stretches (w = 0) and free ones (w = x_held) alike
-    assert peak[0] == 1
-    assert peak[1] == POWER_TABLE_ROWS
-    assert final[0] == final[1] == trig.delta1 / 4.0
-
-
-def test_power_table_rows_are_the_powers_of_one_step():
-    plant = random_stabilized_plant(np.random.default_rng(21), n=3)
-    dt = 0.01
-    T, H = plant.propagator(dt)
-    table = plant.power_table(dt)
-    # built whole: exactly POWER_TABLE_ROWS rows, [T^j | S_j H], in either input mode (a zeroed input is w = 0)
-    assert table.shape == (POWER_TABLE_ROWS, 3, 6)
-    P, S = np.eye(3), np.zeros((3, 3))
-    for j in range(POWER_TABLE_ROWS):
-        S, P = S + P, T @ P
-        want = np.hstack((P, S @ H))
-        np.testing.assert_allclose(table[j], want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
-    # kept: asked again for the same step, the plant returns the same table
-    assert plant.power_table(dt) is table
-    # one table: another step length replaces it, and the first comes back row for row
-    first = plant.power_table(dt)
-    double = plant.power_table(2 * dt)
-    assert double is not first
-    np.testing.assert_allclose(double[0], first[1], rtol=0, atol=1e-14)
-    last = first[-1]
-    np.testing.assert_allclose(double[POWER_TABLE_ROWS // 2 - 1], last, rtol=0, atol=1e-13 * np.abs(last).max())
-    assert plant._powers[1] is double and plant._powers[0] == 2 * dt
-    again = plant.power_table(dt)
-    assert again is not first and np.array_equal(again, first)
+        trace = run(SimConfig(plant=plant, logic=LogicKind.EVENT_TIME, trigger=trig, dos=seq,
+                              budget=periodic_budget(period, duty), x0=x0, horizon=horizon,
+                              record_step=trig.delta1 / 64.0))
+        assert trace.jammed.any() and not trace.diverged
+        peaks.append(max(rows))
+    assert peaks == [_STRETCH_ROWS, _STRETCH_ROWS]
+    assert steps == []
 
 
 @pytest.mark.parametrize("logic", ["pure_time", "event_time"])
-def test_a_zeroed_input_steps_from_the_one_power_table(logic, monkeypatch):
+def test_a_zeroed_input_steps_from_the_one_taylor_table(logic, monkeypatch):
     # a zeroed input is the applied sample w = 0 on the flow of a held one,
     # so a ZERO_DURING_DOS run that meets a jam interval and takes no expm
-    # step builds one power table: one propagator, for the record step
-    steps = []
-    original = LtiPlant.propagator
-    monkeypatch.setattr(LtiPlant, "propagator", lambda self, dt, *rest: steps.append(dt) or original(self, dt, *rest))
-    sc, trace = _shipped_run("double_integrator", logic, "zero_during_dos")
+    # step forms the plant's one Taylor table once and builds no
+    # propagator: every row comes from that table
+    tables, steps = [], []
+    terms, propagator = dosloop.plant._taylor_terms, LtiPlant.propagator
+    monkeypatch.setattr(dosloop.plant, "_taylor_terms", lambda *args: tables.append(args) or terms(*args))
+    monkeypatch.setattr(LtiPlant, "propagator", lambda self, dt: steps.append(dt) or propagator(self, dt))
+    _, trace = _shipped_run("double_integrator", logic, "zero_during_dos")
     assert trace.jammed.any() and trace.stats["expm_steps"] == 0
-    assert steps == [sc.sim_config().record_step]
+    assert len(tables) == 1 and steps == []
+
+
+@pytest.mark.parametrize("mode", list(InputMode))
+@pytest.mark.parametrize("logic", [LogicKind.PURE_TIME, LogicKind.EVENT_TIME])
+def test_record_steps_past_the_taylor_reach_step_by_mat_exp(logic, mode):
+    # A weak gain and a loose sigma admit a delta2 of 11 Taylor reaches, so
+    # the record step delta1/4 lies 2.85 reaches out: every row there is
+    # one LtiPlant.step by mat_exp, the one path left to it (a Taylor sum
+    # that long would be off by about 1e-7), and a cell that long is never
+    # cleared by the watch's bound, only searched
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(3, 3))
+    A -= (np.linalg.eigvals(A).real.max() + 1.0) * np.eye(3)
+    plant = LtiPlant(A=A, B=rng.normal(size=(3, 1)), K=1e-4 * rng.normal(size=(1, 3)), input_mode=mode)
+    delta2 = riccati_delta2(plant.phi_norm, plant.bk_norm, 1e4)
+    trig = TriggerConfig(sigma=1e4, delta1=delta2, delta2=delta2)
+    seq = DosSequence(((5.0 * delta2, 3.0 * delta2), (20.0 * delta2, 4.0 * delta2)))
+    budget = DosBudget(kappa=7.0 * delta2, tau_avg=10.0)
+    cfg = _config(plant, logic, trig, dos=seq, budget=budget, x0=rng.normal(size=3), horizon=40.0 * delta2)
+    assert cfg.record_step > 2.5 * plant.taylor_reach
+    trace = run(cfg)
+    assert not trace.diverged and trace.jammed.any() and trace.success.sum() >= 2
+    assert trace.stats["expm_steps"] > 0
+    assert (trace.stats["crossing_searches"] > 0) == (logic is LogicKind.EVENT_TIME)
+    assert restep_rows(trace, plant.A, plant.B, plant.K, mode is InputMode.ZERO_DURING_DOS) <= 1e-12
+    rule = check_update_rule(trace, trig.sigma, seq, measure_robustness(trace.t[trace.attempt == 1], seq))
+    assert rule.holds, rule
 
 
 @pytest.mark.parametrize("mode", list(InputMode))
@@ -468,7 +469,7 @@ def test_a_zeroed_input_steps_from_the_one_power_table(logic, monkeypatch):
 def test_rows_match_an_expm_restep_of_the_row_before(logic, mode):
     # every row is its predecessor advanced by one exponential over the gap;
     # the second run records 64 ticks per delta1, so more than 256 ticks lie
-    # between attempts and row blocks span several power tables
+    # between attempts and the rows of one segment span several stretches
     rng = np.random.default_rng(300 + len(logic.value))
     long_gap = 0
     for k in range(2):
@@ -484,7 +485,7 @@ def test_rows_match_an_expm_restep_of_the_row_before(logic, mode):
         worst = restep_rows(trace, plant.A, plant.B, plant.K, mode is InputMode.ZERO_DURING_DOS)
         assert worst <= 1e-12, (k, worst)
         long_gap = max(long_gap, int(np.diff(np.flatnonzero(trace.attempt)).max()))
-    assert long_gap > POWER_TABLE_ROWS
+    assert long_gap > _STRETCH_ROWS
 
 
 # Measured before row blocks: rows, attempts, successes, jam onsets, diverged,
@@ -515,22 +516,22 @@ _PINNED_STAT_KEYS = (
     "blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "root_trials", "taylor_steps", "expm_steps",
 )
 PINNED_STATS = {
-    ("scalar", "event_time", "hold_last"): (68, 1294, 30, 1235, 117, 249, 0),
-    ("scalar", "event_time", "zero_during_dos"): (40, 1263, 27, 1479, 122, 196, 0),
-    ("scalar", "pure_time", "hold_last"): (67, 1294, 0, 0, 0, 132, 0),
-    ("scalar", "pure_time", "zero_during_dos"): (67, 1294, 0, 0, 0, 132, 0),
-    ("scalar", "self_trigger", "hold_last"): (37, 1261, 0, 0, 0, 70, 0),
-    ("scalar", "self_trigger", "zero_during_dos"): (37, 1261, 0, 0, 0, 70, 0),
-    ("scalar", "ideal_event", "hold_last"): (35, 1262, 29, 1235, 116, 180, 0),
-    ("scalar", "ideal_event", "zero_during_dos"): (33, 1257, 27, 1480, 122, 182, 0),
-    ("double_integrator", "event_time", "hold_last"): (107, 7083, 87, 8866, 285, 481, 0),
-    ("double_integrator", "event_time", "zero_during_dos"): (107, 7084, 88, 9097, 292, 488, 0),
-    ("double_integrator", "pure_time", "hold_last"): (328, 7538, 0, 0, 0, 663, 0),
-    ("double_integrator", "pure_time", "zero_during_dos"): (328, 7538, 0, 0, 0, 663, 0),
-    ("double_integrator", "self_trigger", "hold_last"): (318, 7523, 0, 0, 0, 637, 0),
-    ("double_integrator", "self_trigger", "zero_during_dos"): (318, 7523, 0, 0, 0, 637, 0),
-    ("double_integrator", "ideal_event", "hold_last"): (106, 7083, 87, 8872, 287, 479, 0),
-    ("double_integrator", "ideal_event", "zero_during_dos"): (106, 7084, 88, 9105, 291, 485, 0),
+    ("scalar", "event_time", "hold_last"): (69, 1294, 30, 1240, 117, 146, 0),
+    ("scalar", "event_time", "zero_during_dos"): (40, 1263, 27, 1342, 122, 149, 0),
+    ("scalar", "pure_time", "hold_last"): (68, 1294, 0, 0, 0, 0, 0),
+    ("scalar", "pure_time", "zero_during_dos"): (68, 1294, 0, 0, 0, 0, 0),
+    ("scalar", "self_trigger", "hold_last"): (37, 1261, 0, 0, 0, 0, 0),
+    ("scalar", "self_trigger", "zero_during_dos"): (37, 1261, 0, 0, 0, 0, 0),
+    ("scalar", "ideal_event", "hold_last"): (36, 1262, 29, 1242, 116, 145, 0),
+    ("scalar", "ideal_event", "zero_during_dos"): (33, 1257, 27, 1343, 122, 149, 0),
+    ("double_integrator", "event_time", "hold_last"): (108, 7083, 87, 8887, 285, 372, 0),
+    ("double_integrator", "event_time", "zero_during_dos"): (108, 7084, 88, 9119, 292, 380, 0),
+    ("double_integrator", "pure_time", "hold_last"): (332, 7538, 0, 0, 0, 0, 0),
+    ("double_integrator", "pure_time", "zero_during_dos"): (332, 7538, 0, 0, 0, 0, 0),
+    ("double_integrator", "self_trigger", "hold_last"): (319, 7523, 0, 0, 0, 0, 0),
+    ("double_integrator", "self_trigger", "zero_during_dos"): (319, 7523, 0, 0, 0, 0, 0),
+    ("double_integrator", "ideal_event", "hold_last"): (106, 7083, 87, 8893, 287, 374, 0),
+    ("double_integrator", "ideal_event", "zero_during_dos"): (107, 7084, 88, 9127, 291, 379, 0),
 }
 
 
@@ -738,11 +739,13 @@ def test_trace_stats_count_blocks_and_are_reproducible():
     # searches in cells the bound could not clear, one or more safe steps each
     assert 0 < a.stats["crossing_searches"] <= a.stats["cells_scanned"]
     assert a.stats["root_trials"] >= a.stats["crossing_searches"]
-    # every safe step is a single step, and these steps are all within the table's reach
+    # single steps are the safe steps and the states at crossings between
+    # two rows, all within the Taylor table's reach
     assert a.stats["taylor_steps"] > a.stats["root_trials"] and a.stats["expm_steps"] == 0
     periodic = run(_config(plant, LogicKind.PURE_TIME, trig, dos=seq, budget=budget, horizon=4.0))
     assert periodic.stats["crossing_searches"] == periodic.stats["cells_scanned"] == 0
-    assert periodic.stats["taylor_steps"] > 0
+    # without a search every row comes from a stretch: no single step at all
+    assert periodic.stats["blocks_stepped"] > 0 and periodic.stats["taylor_steps"] == periodic.stats["expm_steps"] == 0
 
 
 def _rule_trace(t, ratio, x_norm, attempt, success):
@@ -1088,15 +1091,17 @@ def test_jam_column_and_attempts_match_is_jammed(logic, mode):
 
 
 def _touching_onsets_run(logic, mode):
-    """A = 0, B = 1, K = -1, sigma 0.25, delta1 0.05, delta2 0.19, jammed on three intervals.
+    """A = 0, B = 1, K = -1, sigma 0.3, delta1 0.05, delta2 0.19, jammed on three intervals.
 
     Onsets: at t = 0 (the held sample is still zero), at a success t_a of
     the run jammed only from t = 0 (the same run up to there, so an attempt
     falls on the onset and now fails), and at t_a + 0.1, where the interval
-    before it ends.
+    before it ends. The event logics cross 0.3 / 1.3 after a success, off
+    the record grid (delta1 / 4), so their crossings are found by the
+    search, not read off a row.
     """
     plant = LtiPlant(A=LINE.A, B=LINE.B, K=LINE.K, input_mode=mode)
-    trig = TriggerConfig(sigma=0.25, delta1=0.05, delta2=0.19)
+    trig = TriggerConfig(sigma=0.3, delta1=0.05, delta2=0.19)
     budget = DosBudget(kappa=0.45, tau_avg=4.0)
     first = DosSequence(((0.0, 0.1),))
     probe = run(_config(plant, logic, trig, dos=first, budget=budget, horizon=1.2))
@@ -1129,7 +1134,7 @@ def test_onset_amplification_matches_a_per_row_walk(logic, mode):
 def test_onset_check_skips_touching_onsets_and_allows_a_late_crossing(logic, mode):
     # Jammed since t_a, the loop reaches the touching onset t_a + 0.1 with
     # the sample held since before t_a: read as a fresh onset, its ratio was
-    # 1.127-1.143 with the input held. It continues the period that began at
+    # 1.083-1.149 with the input held. It continues the period that began at
     # t_a and is not checked. At t_a the event logics attempted at a
     # crossing found up to crossing_tol late, so the ratio there exceeds 1
     # by about crossing_tol (1 + sigma), past the 1e-9 slack but within the

@@ -53,3 +53,22 @@ def test_csv_delta_reports_float_cells_and_fails_on_times_and_flags(tmp_path, ca
     (b / "moved.csv").unlink()
     assert csv_delta.main([str(a), str(b)]) == 1
     assert "moved.csv: only in " in capsys.readouterr().out
+
+
+def test_csv_delta_reports_how_far_the_times_moved(tmp_path, capsys):
+    # attempt times that moved by less than crossing_tol still fail the
+    # comparison, and the report says by how much they moved
+    csv_delta = _load("csv_delta")
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    rows = ["0,1,-2,0,1,0,0,0", "0.5,0.25,-0.5,0.75,0.25,0,1,1", "0.75,0.25,-0.25,0,0.25,0,0,0"]
+    (a / "case.csv").write_text(_HEADER + "\r\n".join(rows) + "\r\n")
+    moved = ["0,1,-2,0,1,0,0,0", "0.50000000025,0.25,-0.5,0.75,0.25,0,1,1", "0.75,0.25,-0.25,0,0.25,0,0,0"]
+    (b / "case.csv").write_text(_HEADER + "\r\n".join(moved) + "\r\n")
+    assert csv_delta.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "case.csv: rows 3 / 3, 1 differ, max rel 5e-10, t DIFFERS (max |dt| 2.5e-10), flags equal",
+        "1 of 1 CSVs differ",
+    ]

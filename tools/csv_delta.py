@@ -6,7 +6,9 @@ DIR_A and DIR_B hold the trace CSVs of two runs (``OUT_DIR/csv`` of
 ``tools/case_digests.py``, copied aside before the second run). For each case
 whose CSV differs it prints the row counts, how many rows differ, the largest
 relative difference |a - b| / max(|a|, |b|) of a float cell, and whether the t
-column and the three flag columns (jammed, attempt, success) are equal. Exits
+column and the three flag columns (jammed, attempt, success) are equal; when t
+differs, also the largest |dt| between the two t columns, so a change that
+moves attempt times shows by how much (say, within crossing_tol). Exits
 1 when a case is missing from one side or a row count, t column or flag column
 differs, and 0 otherwise: then the traces differ at most in their float cells.
 """
@@ -39,8 +41,8 @@ def compare(a: Path, b: Path) -> tuple[str, bool]:
         rel = np.abs(fa - fb) / np.maximum(np.abs(fa), np.abs(fb))
     # equal cells (both zero, both NaN, the same infinity) differ by nothing; any other NaN by inf
     rel = np.where((fa == fb) | (np.isnan(fa) & np.isnan(fb)), 0.0, np.nan_to_num(rel, nan=np.inf))
-    line = (f"{head}, {differ} differ, max rel {rel.max():.3g}, "
-            f"t {'equal' if same_t else 'DIFFERS'}, flags {'equal' if same_flags else 'DIFFER'}")
+    moved = "equal" if same_t else f"DIFFERS (max |dt| {np.abs(A[:, 0] - B[:, 0]).max():.3g})"
+    line = f"{head}, {differ} differ, max rel {rel.max():.3g}, t {moved}, flags {'equal' if same_flags else 'DIFFER'}"
     return line, same_t and same_flags
 
 
