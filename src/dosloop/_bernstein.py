@@ -1,0 +1,125 @@
+"""The first root of a polynomial on [0, 1], by Bernstein subdivision with a rounding bound.
+
+The polynomials are those of sim.find_event_crossing: g = ||e||^2 -
+sigma^2 ||x||^2 on one Taylor stretch, of degree DEGREE in u in [0, 1].
+In Bernstein form on an interval the coefficients bound the polynomial
+there (the convex hull property; Lane and Riesenfeld, BIT 21, 1981;
+Farouki and Rajan, CAGD 4, 1987), so coefficients all below -err prove it
+negative, err bounding their rounding. first_root splits the intervals it
+cannot clear in two, left first, until one holds exactly one sign change,
+and brackets that root to a tolerance on the power form (_refine). Each
+split is one product with exact weights (_halves), so its rounding adds to
+err a known amount.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .linalg import _UNIT_ROUNDOFF, TAYLOR_DEGREE, FloatArray
+
+DEGREE = 2 * TAYLOR_DEGREE
+# Power to Bernstein form on [0, 1], b_i = sum_m C(i, m) / C(N, m) a_m, and
+# the halves of a de Casteljau split at 1/2, left_i = sum_j C(i, j) 2^-i b_j
+# and its mirror: weights in [0, 1], the halves' exact and summing to 1.
+_COMB = np.array([[math.comb(i, j) for j in range(DEGREE + 1)] for i in range(DEGREE + 1)], dtype=float)
+_TO_BERNSTEIN = _COMB / _COMB[-1]
+_LEFT_HALF = _COMB / 2.0 ** np.arange(DEGREE + 1)[:, None]
+_HALVES = np.vstack((_LEFT_HALF, _LEFT_HALF[::-1, ::-1]))
+
+
+def to_bernstein(a: FloatArray) -> FloatArray:
+    """Bernstein coefficients on [0, 1] of the power coefficients a: each weight rounded once, in [0, 1]."""
+    return _TO_BERNSTEIN @ a
+
+
+def _poly(a_rev: list[float], u: float) -> float:
+    """The polynomial with power coefficients a_rev (highest first) at u, by Horner's rule."""
+    v = 0.0
+    for c in a_rev:
+        v = v * u + c
+    return v
+
+
+def _halves(b: FloatArray) -> tuple[FloatArray, FloatArray, float]:
+    """Bernstein coefficients of the two halves of b's interval, and a bound on the rounding the split adds.
+
+    Each new coefficient is a convex combination of b with exact weights,
+    one product of at most DEGREE + 1 terms: within gamma_37 max |b|.
+    """
+    h = _HALVES @ b
+    h[DEGREE + 1] = h[DEGREE]  # both are the value at the midpoint: one value
+    return h[: DEGREE + 1], h[DEGREE + 1 :], 40.0 * _UNIT_ROUNDOFF * float(np.abs(b).max())
+
+
+def _refine(a_rev: list[float], lo: float, hi: float, g_lo: float, g_hi: float, start: float, tol: float, stats):
+    """hi once hi - lo <= tol, from g(lo) < 0 <= g(hi) with one root between them, first trying start.
+
+    Each next trial is the secant of the last two (the first pairs start
+    with hi; regula falsi when it leaves the bracket), kept tol / 2 inside
+    the bracket. A step shorter than tol / 2 moves tol / 2, to the root's
+    far side, so that both ends close in; one longer than half the step
+    before goes to the midpoint.
+    """
+    p, g_p, q, step = hi, g_hi, start, math.inf
+    while hi - lo > tol:
+        q = min(max(q, lo + 0.5 * tol), hi - 0.5 * tol)
+        stats["root_trials"] += 1
+        g = _poly(a_rev, q)
+        if g < 0.0:
+            lo, g_lo = q, g
+        else:
+            hi, g_hi = q, g
+        nxt = q - g * (q - p) / (g - g_p) if g != g_p else lo
+        if not lo < nxt < hi:
+            nxt = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        if abs(nxt - q) < 0.5 * tol:
+            nxt = q + 0.5 * tol if g < 0.0 else q - 0.5 * tol
+        elif abs(nxt - q) > 0.5 * step:
+            nxt = 0.5 * (lo + hi)
+        p, g_p, q, step = q, g, nxt, abs(nxt - q)
+    return hi
+
+
+def first_root(a: FloatArray, b: FloatArray, err: float, tol: float, stats: dict[str, int]) -> float | None:
+    """The first u in [0, 1] where g reaches 0, up to tol; None if there is none.
+
+    a and b are g's power and Bernstein coefficients on [0, 1], err a bound
+    on the rounding of both (of b, and of Horner's sum of a at any u in
+    [0, 1]). An interval is passed over when its coefficients prove g < 0,
+    when g < 2 err throughout and < 0 at both ends (a crossing only within
+    rounding), or when it is no longer than tol and g < 0 at its right end
+    (an excursion above zero shorter than tol, if any); one no longer than
+    tol with g >= 0 at its right end returns that end. Counts go to
+    stats["hull_tests"] and stats["root_trials"].
+    """
+    a_rev = a[::-1].tolist()
+    todo = [(0.0, 1.0, b, err)]
+    while todo:
+        lo, hi, b, err = todo.pop()
+        stats["hull_tests"] += 1
+        top = float(b.max())
+        if top < -err:
+            continue
+        bl = b.tolist()
+        if bl[0] >= 0.0:
+            return lo
+        if top < err and bl[-1] < 0.0:
+            continue
+        if hi - lo <= tol:
+            if bl[-1] >= 0.0:
+                return hi
+            continue
+        # negative up to k and positive after it: one sign change, so one root (Descartes' rule of signs)
+        k = next(i for i, c in enumerate(bl) if c >= -err)
+        if bl[-1] > err and all(c > err for c in bl[k + 1 :]):
+            j = k if bl[k] >= 0.0 else k + 1  # the control polygon's root lies in its jth leg
+            start = lo + (hi - lo) * (j - bl[j] / (bl[j] - bl[j - 1])) / DEGREE
+            return _refine(a_rev, lo, hi, bl[0], bl[-1], start, tol, stats)
+        mid = 0.5 * (lo + hi)
+        left, right, grow = _halves(b)
+        todo.append((mid, hi, right, err + grow))
+        todo.append((lo, mid, left, err + grow))
+    return None

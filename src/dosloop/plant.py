@@ -154,7 +154,8 @@ class LtiPlant:
 
         c is the Taylor rows applied to z = [x; w], rate = ||M||_F /
         TAYLOR_THETA. A caller that steps many times from one state forms c
-        once and hands it to step (find_event_crossing) or stretch (sim.run).
+        once and hands it to stretch and step (sim.run), and
+        sim.find_event_crossing decides a crossing on the polynomial it gives.
         """
         return (self._taylor[0] @ np.concatenate((x, w))).reshape(-1, len(x))
 

@@ -23,13 +23,11 @@ step.
 The update policy lives in triggers.next_attempt, which run() calls once
 after every attempt. The event logics integrate each segment once: while
 they wait for ||e|| to reach sigma ||x|| (next_attempt returns inf after a
-success from a nonzero state), run() watches the states it computes (_Watch),
-clearing each cell between two of them by a proved bound and handing a
-cell the bound cannot clear to find_event_crossing, the one safe-step
-search. Both use one Lipschitz bound from the exact derivative
-||A x + B K w|| and one rounding slack. Rows a stretch stepped past the
-crossing are dropped, and the state at the crossing comes from the
-stretch's coefficients.
+success from a nonzero state), run() hands every stretch's coefficients to
+find_event_crossing, which decides the crossing on the stretch's own Taylor
+polynomial by Bernstein subdivision, up to the first row that has crossed.
+Rows a stretch stepped past the crossing are dropped, and the state at the
+crossing comes from the stretch's coefficients.
 
 Trace rows are written into growable numpy column arrays, a row or a block
 at a time. They are the run's only record: the verdicts read attempts,
@@ -55,9 +53,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._bernstein import DEGREE, first_root, to_bernstein
 from .dos import DosBudget, DosSequence, Verdict, check_horizon, check_slow_average, is_jammed
 from .guarantees import SamplingRobustness, _window_reach
-from .linalg import FloatArray, _norm, _row_norms, as_vector
+from .linalg import _UNIT_ROUNDOFF, TAYLOR_DEGREE, FloatArray, _norm, _row_norms, as_vector
 from .plant import InputMode, LtiPlant
 from .plant import exact_hold_step  # noqa: F401  (bench/test_bench.py rebinds dosloop.sim.exact_hold_step)
 from .triggers import LogicKind, TriggerConfig, next_attempt, validate_trigger_for_plant
@@ -79,17 +78,27 @@ _CSV_FLAG_WORDS = np.frombuffer(
 # The most rows one Taylor stretch of run() holds, so its arrays do not
 # grow with the horizon.
 _STRETCH_ROWS = 256
-# Fewest record ticks in the first stretch stepped while watching for a
+# Fewest record ticks in the first stretch stepped while waiting for a
 # crossing, which also holds the off-tick cell before them; each later
 # stretch doubles, up to _STRETCH_ROWS.
 _SCAN_BLOCK_MIN = 16
-# Relative rounding slack of the crossing bounds (see find_event_crossing, _Watch).
-_CROSSING_SLACK = 1e-12
+# g = ||e||^2 - sigma^2 ||x||^2 on one stretch, x = sum_k s^k c_k and
+# e = x_held - x, is sum_(r,q) w_rq u^(o_r + o_q) W_r . W_q over the rows
+# W = [x_held - x; c_0 .. c_18] times s_end^(r-1): e is row 0 minus rows
+# 2.., x rows 1.., o_r = max(r - 1, 0). _G_INDEX holds o_r + o_q, and
+# _G_HELD and _G_STATE each entry's weight in ||e||^2 and in ||x||^2.
+_G_ROW = np.arange(TAYLOR_DEGREE + 2)
+_G_ORDER = np.maximum(_G_ROW - 1, 0)
+_G_INDEX = np.add.outer(_G_ORDER, _G_ORDER).ravel()
+_G_SIGN = np.where(_G_ROW == 0, 1.0, -1.0) * (_G_ROW != 1)
+_G_HELD = np.outer(_G_SIGN, _G_SIGN).ravel()
+_G_STATE = np.outer(_G_ROW > 0, _G_ROW > 0).ravel().astype(float)
 _STAT_KEYS = (
     "blocks_stepped",
     "rows_emitted",
     "crossing_searches",
     "cells_scanned",
+    "hull_tests",
     "root_trials",
     "taylor_steps",
     "expm_steps",
@@ -106,9 +115,11 @@ class SimConfig:
     """Everything one run needs; validated on construction.
 
     record_step must not exceed delta1/4 so traces resolve the fast retry
-    cadence, and the jam sequence must satisfy the declared budget over the
-    run horizon. delta2 admissibility against the plant is enforced for the
-    finite-rate logics; IDEAL_EVENT never reads delta2.
+    cadence, crossing_tol must lie below record_step so that a crossing is
+    found within one record cell of its time, and the jam sequence must
+    satisfy the declared budget over the run horizon. delta2 admissibility
+    against the plant is enforced for the finite-rate logics; IDEAL_EVENT
+    never reads delta2.
     """
 
     plant: LtiPlant
@@ -133,6 +144,8 @@ class SimConfig:
             )
         if not (self.crossing_tol > 0.0 and math.isfinite(self.crossing_tol)):
             raise ValueError(f"crossing_tol must be positive, got {self.crossing_tol}")
+        if self.crossing_tol >= self.record_step:
+            raise ValueError(f"crossing_tol {self.crossing_tol} must be < record_step {self.record_step}")
         x0 = as_vector(self.x0, self.plant.n, "x0").copy()
         x0.flags.writeable = False  # the run starts from it as is
         object.__setattr__(self, "x0", x0)
@@ -157,14 +170,15 @@ class Trace:
 
     stats holds plain integer counters of the run: blocks_stepped (Taylor
     stretches: rows stepped as one product from one set of coefficients),
-    rows_emitted, cells_scanned (cells between computed states tested by
-    _Watch's bound, those stepped past a crossing included),
-    crossing_searches (find_event_crossing calls, one per cell the bound
-    could not clear), root_trials (their safe steps, under the same bound),
-    taylor_steps (single steps from the plant's Taylor table: the search's
-    safe steps, and the state at a crossing between two rows) and
-    expm_steps (single steps past its reach, by mat_exp: a stop past the
-    reach, or a crossing's state in such a cell).
+    rows_emitted, crossing_searches (find_event_crossing calls: one per
+    stretch stepped while an event logic waits for a crossing),
+    cells_scanned (the rows those searches covered, up to the first that
+    had crossed), hull_tests (intervals whose Bernstein coefficients a
+    search tested), root_trials (values of g taken while refining a
+    crossing), taylor_steps (single steps from the plant's Taylor table:
+    the state at a crossing between two rows, and a search's step to its
+    next stretch) and expm_steps (single steps past the reach, by mat_exp:
+    a stop past the reach, or a crossing's state in such a cell).
     """
 
     t: FloatArray
@@ -240,16 +254,30 @@ class Trace:
                 fh.write(words.tobytes().translate(None, b"\0"))
 
 
-def _slope_factor(plant: LtiPlant, sigma: float, h: float) -> float:
-    """(1 + sigma) theta exp(rho h) (1 + _CROSSING_SLACK): times ||x'|| at a point, it bounds |g'| for the next h.
+def _g_form(coeffs: FloatArray, x_held: FloatArray, sigma: float, s_end: float):
+    """(a, b, eta): g of one stretch in u = s / s_end in [0, 1], or None if the coefficients are not finite.
 
-    inf for h past the plant's Taylor reach, where the rounding argument
-    (see find_event_crossing) does not hold.
+    a holds the power and b the Bernstein coefficients (on [0, 1]) of
+    g = ||x_held - x||^2 - sigma^2 ||x||^2, x = sum_k (u s_end)^k c_k,
+    c = coeffs, times 2^-2e, e the binary exponent of the largest entry of
+    c and of x_held - c_0: scaled, every entry lies below 1, so no square
+    overflows, and the scaling is exact. eta bounds their rounding (see
+    find_event_crossing).
     """
-    if h > plant.taylor_reach:
-        return math.inf
-    env = plant.growth
-    return (1.0 + sigma) * env.theta * math.exp(env.rho * h) * (1.0 + _CROSSING_SLACK)
+    rows = np.concatenate(((x_held - coeffs[0])[None], coeffs))
+    mag = np.abs(rows)
+    peak = float(mag.max())
+    if not 0.0 < peak < math.inf:
+        return None
+    f = np.full(TAYLOR_DEGREE + 2, s_end)
+    f[0], f[1] = 1.0, math.ldexp(1.0, -math.frexp(peak)[1])
+    f = np.multiply.accumulate(f)  # 2^-e s_end^(r-1) for row r >= 1, multiplied up one by one
+    f[0] = f[1]
+    W = rows * f[:, None]
+    a = np.bincount(_G_INDEX, (W @ W.T).ravel() * (_G_HELD - sigma * sigma * _G_STATE), DEGREE + 1)
+    v = f @ mag  # the column sums of |W|
+    eta = (2 * len(x_held) + 160) * _UNIT_ROUNDOFF * (1.0 + sigma * sigma) * float(v @ v) + 2.0**-1000
+    return a, to_bernstein(a), eta
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -264,171 +292,92 @@ def find_event_crossing(
     *,
     applied: FloatArray | None = None,
     stats: dict[str, int] | None = None,
+    coeffs: FloatArray | None = None,
 ) -> float | None:
-    """First t in (t_from, t_max] where ||e(t)|| reaches sigma ||x(t)||, by proved safe steps.
+    """First t in (t_from, t_max] where ||e(t)|| reaches sigma ||x(t)||, decided on the Taylor polynomials.
 
     x and x_held hold the loop at t_from with ||e|| < sigma ||x|| or e = 0
-    (a start past the threshold by more than the rounding slack raises
-    ValueError). x follows x' = A x + B K w, w = applied: x_held by default,
-    zeros while a zeroed input is jammed. Returns the first step point where
-    g = ||x_held - x|| - sigma ||x|| >= 0, or None (always for x = x_held =
-    0, which stays put).
+    (a start proved past the threshold raises ValueError). x follows
+    x' = A x + B K w, w = applied: x_held by default, zeros while a zeroed
+    input is jammed. With g = ||x_held - x||^2 - sigma^2 ||x||^2, returns a
+    t (t_max as given, at the end) where g evaluates >= 0, before which g < 0
+    up to the bound eta below, except on excursions shorter than
+    crossing_tol or within rounding of zero (g < 2 eta); or None, also for
+    x = x_held = 0, which stays put, and for coefficients that overflow.
 
-    Proof: between updates x'' = A x', so ||x'(t + r)|| <= theta exp(rho r)
-    ||x'(t)|| by the growth envelope, and |g'| <= (1 + sigma) ||x'||. From a
-    point with g < 0, L = (1 + sigma) theta exp(rho h) ||A x + B K w||
-    (_slope_factor) bounds |g'| for the next h, so g < 0 for the next -g/L.
-    Steps of min(max(-g/L, crossing_tol), h, rest of the window), h =
-    min(window, 1/rho, LtiPlant.taylor_reach), pass no point with g >= 0
-    except within a step of crossing_tol: the first crossing lies in
-    (t - crossing_tol, t] or is an excursion that starts and ends within one
-    such step. Rounding: -g is
-    shrunk by eta = _CROSSING_SLACK (1 + sigma) (||x|| + ||x_held||) and L
-    grown by 1 + _CROSSING_SLACK. eta covers the norms, the steps (a Taylor
-    sum within 2.2e-17 of ||[x; w]|| plus rounding) and the derivative,
-    computed to within about n eps ||M||_F (||x|| + ||x_held||), M the
-    augmented matrix, as ||w|| <= ||x_held||: h ||M||_F <= 1 and
-    theta exp(rho h) <= e keep its share of L h below
-    n e eps (1 + sigma) (||x|| + ||x_held||), under eta for n up to 1,600.
+    Method. The window is cut into stretches of at most
+    LtiPlant.taylor_reach, the first from x (coeffs, when given, must be
+    its LtiPlant.taylor_coeffs), each next from one LtiPlant.step. On a
+    stretch of length h, x = sum_k s^k c_k with s = u s_end, u in [0, 1],
+    s_end = h / taylor_reach <= 1, so g is a polynomial of degree 36 in u
+    (_g_form). Its Bernstein coefficients bound it (Lane and Riesenfeld,
+    BIT 21, 1981; Farouki and Rajan, CAGD 4, 1987): on an interval where
+    all of them lie below -eta, g < 0. Other intervals are split in two,
+    left first, and one whose coefficients are negative up to an index and
+    positive after it holds one root (Descartes' rule of signs), bracketed
+    to crossing_tol on the power form (dosloop._bernstein.first_root); a
+    crossing_tol below 2^-50 h resolves no further.
 
-    Each step is one LtiPlant.step, taken from the state at the start of
-    its stretch of h, so it stays within the Taylor reach; the stretch's
-    LtiPlant.taylor_coeffs are formed once, when it starts. Near a tangency
-    (g within L crossing_tol of zero) steps shrink to crossing_tol, up to
-    window / crossing_tol of them. Counts go to stats when it is given.
-    This is run()'s only search: _Watch hands it every cell its bound
-    cannot clear.
+    Rounding (u = 2^-53, gamma_k = k u / (1 - k u), n the state's size;
+    all of g times 2^-2e). Let W be the rows [x_held - x; c_0 .. c_18]
+    times 2^-e s_end^(r-1), v the column sums of |W|, S = (1 + sigma^2) v.v.
+    The coefficient of u^m sums w_rq W_r . W_q over an antidiagonal with
+    |w_rq| <= 1 + sigma^2, so S bounds the |terms| of all of them. The
+    difference and the powers (multiplied up one by one) put W within
+    gamma_18 of its exact value, the Gram products add gamma_n, and the
+    weight, its product and the antidiagonal sums (at most 40 terms)
+    gamma_42: a is off by at most gamma_(n+80) S in all. The Bernstein
+    weights lie in [0, 1], each rounded once, and their product adds
+    gamma_38 S, so each Bernstein coefficient is within gamma_(n+119) S;
+    Horner's rule at u in [0, 1] adds gamma_72 S, so each value used while
+    refining is within gamma_(n+153) S. The series left out of each state
+    (2.2e-17 ||[x; w]||, linalg._taylor_terms) moves g by at most
+    0.81 n u S. With S's own rounding all of it stays below
+    eta = (2 n + 160) u S for n up to 1,000, plus 2^-1000 for entries and
+    products below 2^-1022, whose errors are absolute. A split at 1/2 makes
+    each coefficient a convex combination of its parent's with exact
+    weights: it adds gamma_37 times the parent's largest |coefficient| to
+    the bound. The coefficients' own rounding (the Taylor
+    table times [x; w]) is the stepping error that the rows share, within
+    1e-12 of max(||x||, ||x_held||) (tests/test_plant.py).
+
+    Near a tangency the intervals not cleared shrink to where g lies within
+    eta plus the hull's gap, O(width^2), of zero, so the hull tests grow
+    like log(1 / distance to the threshold). Counts go to stats when it is
+    given: crossing_searches, hull_tests (intervals tested), root_trials
+    (values of g while refining) and taylor_steps (steps to a next
+    stretch). run() calls it once per stretch while it waits for a crossing.
     """
     if not crossing_tol > 0.0:
         raise ValueError(f"crossing_tol must be positive, got {crossing_tol}")
     window = t_max - t_from
     if window <= 0.0:
         return None
-    x_n, held = _norm(x), _norm(x_held)
-    if x_n == 0.0 and held == 0.0:
-        return None
-    g = _norm(x_held - x) - sigma * x_n
-    if g > _CROSSING_SLACK * (1.0 + sigma) * (x_n + held):
-        raise ValueError("state already violates the update-rule threshold at t_from")
     if stats is None:
         stats = _new_stats()
     stats["crossing_searches"] += 1
-    rho = plant.growth.rho
     w = x_held if applied is None else applied
-    h = min(window, 1.0 / rho if rho > 0.0 else math.inf, plant.taylor_reach)
-    lip = _slope_factor(plant, sigma, h)
-    bkw = plant.bk @ w
-    x_base, coeffs = x, plant.taylor_coeffs(x, w)
-    base = t = 0.0  # offsets from t_from of x_base and of x
-    while g < 0.0 and t < window:
-        slope = lip * _norm(plant.A @ x + bkw)
-        safe = (-g - _CROSSING_SLACK * (1.0 + sigma) * (x_n + held)) / slope if slope > 0.0 else math.inf
-        # written so that a NaN bound (an overflowing state) takes the shortest step
-        s = min(safe if safe > crossing_tol else crossing_tol, h, window - t)
-        if t + s - base > h:
-            x_base, base, coeffs = x, t, plant.taylor_coeffs(x, w)
-        t = window if s == window - t else t + s
-        x = plant.step(x_base, w, t - base, stats, coeffs)
-        stats["root_trials"] += 1
-        x_n = _norm(x)
-        g = _norm(x_held - x) - sigma * x_n
-    if not g >= 0.0:
-        return None
-    return t_max if t == window else t_from + t
-
-
-class _Watch:
-    """Watches the states run() computes for the first crossing of ||e|| = sigma ||x||.
-
-    Armed after a success from a nonzero state, when triggers.next_attempt
-    returns inf. A cell [a, b] between consecutive states is clear when
-    g_a < 0, g_b < 0 and g_a + g_b + L h + eta < 0: h the longest cell of the
-    stretch, L = _slope_factor(h) ||A x_a + B K w||, w the applied sample
-    run() hands it, the Lipschitz constant that find_event_crossing steps
-    by, taken at every cell start by one product per stretch, gives g <=
-    (g_a + g_b + L h) / 2 < 0 on the cell (Piyavskii 1972; Shubert 1972).
-    The rounding argument is the search's, eta = _CROSSING_SLACK (1 + sigma)
-    (||x_a|| + ||x_b|| + ||x_held||) also covering the stepping error of the
-    states: each is one Taylor sum of at most the reach from its stretch's
-    base, so its error is one step's, a truncation below 2.2e-17
-    ||[x; w]|| plus the rounding of two short products, measured below
-    7e-16 max(||x||, ||x_held||) of the exact flow from that base on every
-    row of stretches up to the reach on seeded non-normal and fast-rotating
-    plants, n = 1-8 (tests/test_plant.py). The slack does not cover drift
-    chained across stretches: each base carries the error of the stretch
-    before, and the watch bounds the exact flow from it. No cell past the
-    Taylor reach is cleared. A cell the bound cannot clear goes to
-    find_event_crossing, called by its module name; a state with g >= 0
-    bounds the crossing. Stretches stepped while watching hold at most size
-    rows: one more than the last watch's cell count (at least
-    _SCAN_BLOCK_MIN), for the off-tick cell up to the first tick, doubling
-    per stretch.
-    """
-
-    def __init__(self, plant: LtiPlant, sigma: float, crossing_tol: float, stats: dict[str, int]) -> None:
-        self.plant = plant
-        self.sigma = sigma
-        self.tol = crossing_tol
-        self.stats = stats
-        self.active = False
-        self.last = 0  # cells the last watch scanned, up to its crossing
-
-    def arm(self, x_held: FloatArray) -> None:
-        """Start watching from the state x_held itself (e = 0), just after a success."""
-        self.active = True
-        self.x_held = x_held
-        self.held = _norm(x_held)
-        self.g, self.n = -self.sigma * self.held, self.held  # g and ||x|| of the current state
-        self.size = max(_SCAN_BLOCK_MIN, self.last) + 1
-        self.cells = 0  # cells scanned since arming
-
-    def _clear(self, g_a, g_b, n_a, n_b, d_a, h: float):
-        """Whether the bound clears each cell up to h long (floats or arrays of cells); d_a = ||x'|| at its start."""
-        rise = _slope_factor(self.plant, self.sigma, h) * h * d_a
-        eta = _CROSSING_SLACK * (1.0 + self.sigma) * (n_a + n_b + self.held)
-        return (g_a < 0.0) & (g_b < 0.0) & (g_a + g_b + rise + eta < 0.0)
-
-    def _search(self, t_a: float, x_a: FloatArray, t_b: float, g_b: float, w: FloatArray) -> float | None:
-        """The crossing in a cell the bound could not clear, no later than t_b if g_b >= 0; one ends the watch."""
-        hit = find_event_crossing(
-            self.plant, x_a, self.x_held, self.sigma, t_a, t_b, self.tol, applied=w, stats=self.stats
-        )
-        if hit is None and g_b >= 0.0:
-            hit = t_b
-        self.active = hit is None
-        return hit
-
-    def block(
-        self,
-        t: float,
-        x: FloatArray,
-        ts: FloatArray,
-        dts: FloatArray,
-        X: FloatArray,
-        e_norm: FloatArray,
-        x_norm: FloatArray,
-        w: FloatArray,
-    ) -> tuple[int, float] | None:
-        """(i, crossing time) of the first cell with a crossing, from x at t through X at ts; it ends at X[i].
-
-        dts are the offsets from t that X was stepped by, whose differences are the cells.
-        """
-        self.stats["cells_scanned"] += len(ts)
-        g = e_norm - self.sigma * x_norm
-        g_a = np.concatenate(((self.g,), g[:-1]))
-        n_a = np.concatenate(((self.n,), x_norm[:-1]))
-        starts = np.concatenate((x[None], X[:-1]))
-        d_a = _row_norms(starts @ self.plant.A.T + self.plant.bk @ w)
-        h = max(float(dts[0]), float((dts[1:] - dts[:-1]).max(initial=0.0)))
-        for i in np.flatnonzero(~self._clear(g_a, g, n_a, x_norm, d_a, h)).tolist():
-            hit = self._search(float(ts[i - 1]) if i else t, starts[i], float(ts[i]), g[i], w)
-            if hit is not None:
-                self.last = self.cells + i + 1
-                return i, hit
-        self.g, self.n = float(g[-1]), float(x_norm[-1])
-        self.cells += len(ts)
-        self.size = min(2 * self.size, _STRETCH_ROWS)
-        return None
+    reach = plant.taylor_reach
+    base = 0.0  # offset from t_from of x
+    while True:
+        last = window - base <= reach
+        h = window - base if last else reach
+        if coeffs is None:
+            coeffs = plant.taylor_coeffs(x, w)
+        form = _g_form(coeffs, x_held, sigma, h / reach)
+        if form is None:
+            return None
+        a, b, eta = form
+        if base == 0.0 and a[0] > eta:
+            raise ValueError("state already violates the update-rule threshold at t_from")
+        # u resolves no finer than a few ulps of 1, so a finer tolerance could never close
+        u = first_root(a, b, eta, max(crossing_tol / h, 2.0**-50), stats)
+        if u is not None:
+            return t_max if last and u == 1.0 else t_from + (base + u * h)
+        base += h
+        if last or base >= window:
+            return None
+        x, coeffs = plant.step(x, w, h, stats, coeffs), None
 
 
 class _Rows:
@@ -527,15 +476,20 @@ def run(config: SimConfig) -> Trace:
     stepped as one Taylor stretch: the offsets' powers times
     LtiPlant.taylor_coeffs of [x; w], w the applied sample (x_held, or zero
     while jammed under InputMode.ZERO_DURING_DOS). A stretch ends early, at
-    a tick, after _STRETCH_ROWS rows, after the watch's size while _Watch
-    watches, or at the last offset within LtiPlant.taylor_reach, and the
+    a tick, after _STRETCH_ROWS rows, after size rows while it waits for a
+    crossing, or at the last offset within LtiPlant.taylor_reach, and the
     next one starts there; a first offset past the reach is one
     LtiPlant.step, by mat_exp. The rows take their norms from one
     _row_norms pass, and the divergence guard is the largest of them (NaN
     included); the first row past it ends the run. After every attempt,
     triggers.next_attempt gives the next one; while an event logic waits
-    for a crossing it is inf, and the attempt is the crossing that _Watch
-    finds on the computed states, in stretches of at most its size.
+    for a crossing it is inf, and the attempt is the crossing that
+    find_event_crossing decides on each stretch's coefficients, called by
+    its module name, over the rows up to the first with ||e|| >= sigma
+    ||x|| (that row, if the search finds none before it). Those stretches
+    hold at most size rows: one more than the cells up to the last
+    crossing (at least _SCAN_BLOCK_MIN), for the off-tick cell before the
+    first tick, doubling per stretch.
 
     The loop carries t, x, x_held, t_held, the next attempt, and ||x|| and
     ||x_held - x|| of the state in locals. All rows at one stop share that
@@ -567,7 +521,11 @@ def run(config: SimConfig) -> Trace:
     # is mutated in place, so rows may share them
     u_held = K @ np.zeros(n)
 
-    watch = _Watch(plant, trig.sigma, config.crossing_tol, stats)
+    # waiting for a crossing: armed after a success from a nonzero state,
+    # in stretches of at most size rows; cells counts the rows searched since
+    # arming, and found those up to the last crossing
+    sigma, tol = trig.sigma, config.crossing_tol
+    armed, size, cells, found = False, 0, 0, 0
 
     # the loop state, with ||x|| and ||x_held - x|| of it
     t, x, xh, t_held = 0.0, config.x0, np.zeros(n), 0.0
@@ -592,8 +550,8 @@ def run(config: SimConfig) -> Trace:
                 ts[-1] = stop
             dts = ts - t
             count = len(ts) if dts[-1] <= reach else int(dts.searchsorted(reach, "right"))
-            if watch.active:
-                count = min(count, watch.size)
+            if armed:
+                count = min(count, size)
             if count:
                 coeffs = plant.taylor_coeffs(x, w)
                 X = plant.stretch(coeffs, dts[:count])
@@ -611,11 +569,21 @@ def run(config: SimConfig) -> Trace:
             tripped = not x_norm.max() <= x_max
             last = int(np.flatnonzero(~(x_norm <= x_max))[0]) if tripped else count - 1  # the row to move to
             hit = None
-            if watch.active:
-                cells = slice(0, last + 1)
-                hit = watch.block(t, x, ts[cells], dts[cells], X[cells], e_norm[cells], x_norm[cells], w)
-            if hit is not None:
-                last, t_next = hit
+            if armed:
+                # the search ends at the first row with g >= 0, the stretch's last row otherwise
+                over = np.flatnonzero(e_norm[: last + 1] - sigma * x_norm[: last + 1] >= 0.0)
+                end = int(over[0]) if over.size else last
+                stats["cells_scanned"] += end + 1
+                hit = find_event_crossing(plant, x, xh, sigma, t, float(ts[end]), tol, applied=w, stats=stats,
+                                          coeffs=coeffs)
+                if hit is None and over.size:
+                    hit = float(ts[end])
+                if hit is None:
+                    cells += last + 1
+                    size = min(2 * size, _STRETCH_ROWS)
+                else:
+                    last, t_next = int(ts.searchsorted(hit)), hit
+                    armed, found = False, cells + last + 1
             # the rows before it are ticks, and so is the last row of a stretch cut short at a tick
             kept = last + (hit is None and not tripped and not to_stop)
             rows.block(ts[:kept], X[:kept], u, e_norm[:kept], x_norm[:kept], jammed)
@@ -654,7 +622,7 @@ def run(config: SimConfig) -> Trace:
             jam_end = bps[bp_i][0] if jammed else math.inf  # while jammed, the next breakpoint ends the interval
             t_next = next_attempt(config.logic, trig, plant, stop, xh, t_held, jammed, jam_end)
             if t_next == math.inf and xh.any():
-                watch.arm(xh)
+                armed, size, cells = True, max(_SCAN_BLOCK_MIN, found) + 1, 0
         elif not at_bp:
             rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)
 

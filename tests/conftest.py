@@ -57,6 +57,24 @@ def random_stabilized_plant(rng: np.random.Generator, n: int | None = None, m: i
     raise RuntimeError("could not sample a well-conditioned plant in 200 draws")
 
 
+def hunt_plant(rng: np.random.Generator, n: int, kind: str) -> LtiPlant:
+    """A seeded plant with LQR gain whose A is far from normal or rotates fast."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if kind == "rotating":
+        # pairs of eigenvalues -0.1 +- i w, w in [50, 200], and one fast real one for odd n
+        D = np.diag(-rng.uniform(50.0, 200.0, size=n) * (n % 2))
+        for i in range(0, n - 1, 2):
+            w = rng.uniform(50.0, 200.0)
+            D[i : i + 2, i : i + 2] = [[-0.1, w], [-w, -0.1]]
+    else:
+        # a large strictly upper part: ||e^{A t}|| swells far above 1 before it decays
+        D = np.triu(rng.normal(scale=4.0, size=(n, n)), 1) - np.diag(rng.uniform(0.2, 2.0, size=n))
+    A = Q @ D @ Q.T
+    B = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+    K = -B.T @ solve_continuous_are(A, B, np.eye(n), np.eye(B.shape[1]))
+    return LtiPlant(A=A, B=B, K=K)
+
+
 def feasible_sigma(plant: LtiPlant, margin: float = 0.9) -> float:
     """sigma strictly inside the trajectory-feasibility region, by the given factor."""
     env = plant.decay

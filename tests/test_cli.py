@@ -603,6 +603,37 @@ def test_library_value_error_exits_4_but_input_checks_exit_1(scalar_config, tmp_
     assert capsys.readouterr().err.startswith("error: duty must lie in (0, 1)")
 
 
+def test_simulate_rejects_a_crossing_tol_not_below_the_record_step(tmp_path, capsys):
+    # A crossing found up to crossing_tol late must stay within one record
+    # cell, so crossing_tol >= record_step is bad input (exit 1), not a run
+    # whose attempts drift by more than a cell. One case is the shipped
+    # double integrator on a time scale 2^20 faster (A and B times 2^20,
+    # every time 2^-20): its record step falls to 8.3e-10, below the
+    # default crossing_tol of 1e-9.
+    path, out = tmp_path / "case.json", str(tmp_path / "t.csv")
+
+    def simulate(doc):
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(path), "--out", out])
+        return code, capsys.readouterr().err
+
+    for tol in (0.005, 0.01):
+        code, err = simulate(scalar_doc(sim={"x0": [1.0], "horizon": 6.0, "record_step": 0.005, "crossing_tol": tol}))
+        assert code == 1 and err.startswith("error: ") and "crossing_tol" in err, (tol, err)
+    assert simulate(scalar_doc(sim={"x0": [1.0], "horizon": 6.0, "record_step": 0.005, "crossing_tol": 0.004}))[0] == 0
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "double_integrator.json").read_text())
+    k = 20
+    doc["plant"]["A"] = [[math.ldexp(v, k) for v in row] for row in doc["plant"]["A"]]
+    doc["plant"]["B"] = [[math.ldexp(v, k) for v in row] for row in doc["plant"]["B"]]
+    for sec, key in (("trigger", "delta1"), ("sim", "horizon"), ("sim", "record_step"), ("budget", "kappa")):
+        doc[sec][key] = math.ldexp(doc[sec][key], -k)
+    for key in ("onset", "period"):
+        doc["dos"]["generator"][key] = math.ldexp(doc["dos"]["generator"][key], -k)
+    assert doc["sim"]["record_step"] < 1e-9 and "crossing_tol" not in doc["sim"]
+    code, err = simulate(doc)
+    assert code == 1 and "crossing_tol" in err, err
+
+
 def test_sweep_blanks_input_errors_but_a_library_error_exits_4(tmp_path, monkeypatch, capsys):
     path = tmp_path / "over.json"
     path.write_text(json.dumps(scalar_doc(dos={"intervals": [[1.0, 3.0]]})))  # 3 s jammed against kappa = 0.6

@@ -1,0 +1,185 @@
+"""The crossing search on a stretch's Taylor polynomial: its rounding bound, and its work near a tangency."""
+
+from __future__ import annotations
+
+import functools
+import math
+from itertools import product
+
+import mpmath
+import numpy as np
+import pytest
+
+import dosloop._bernstein
+import dosloop.sim
+from dosloop import InputMode, LtiPlant, find_event_crossing
+from dosloop._bernstein import DEGREE
+from dosloop.sim import _new_stats
+from conftest import feasible_sigma, hunt_plant
+from oracles import expm_hold_step
+
+
+def _exact_g(coeffs: np.ndarray, x_held: np.ndarray, sigma: float, s_end: float) -> list:
+    """The power coefficients in u of g of one stretch in 50-digit arithmetic, from the same coefficients.
+
+    Scaled by the same 2^-2e as the search's (sim._g_form), e the binary
+    exponent of the largest entry of coeffs and of x_held - coeffs[0]:
+    the squares of each coordinate's polynomials in e and x, summed.
+    """
+    mp = mpmath.mp
+    peak = float(np.abs(np.concatenate(((x_held - coeffs[0])[None], coeffs))).max())
+    scale = mp.ldexp(1, -math.frexp(peak)[1])
+    s, sig2 = mp.mpf(s_end), mp.mpf(sigma) ** 2
+    powers = [scale * s**k for k in range(len(coeffs))]
+    a = [mp.mpf(0)] * (DEGREE + 1)
+    for held, column in zip(x_held.tolist(), coeffs.T.tolist()):
+        x = [mp.mpf(c) * p for c, p in zip(column, powers)]
+        e = [(mp.mpf(held) - mp.mpf(column[0])) * scale] + [-c for c in x[1:]]
+        for j in range(len(x)):
+            a[2 * j] += e[j] * e[j] - sig2 * x[j] * x[j]
+            for k in range(j + 1, len(x)):
+                a[j + k] += 2 * (e[j] * e[k] - sig2 * x[j] * x[k])
+    return a
+
+
+@functools.lru_cache(maxsize=1)
+def _bernstein_weights() -> list:
+    """C(i, m) / C(N, m) in 50-digit arithmetic, N = the degree of g."""
+    N = DEGREE
+    return [[mpmath.mpf(math.comb(i, m)) / math.comb(N, m) for m in range(i + 1)] for i in range(N + 1)]
+
+
+def _exact_bernstein(a: list) -> list:
+    """Bernstein coefficients on [0, 1] of the power coefficients a, with exact weights."""
+    return [mpmath.fsum(w * c for w, c in zip(row, a)) for row in _bernstein_weights()]
+
+
+def _exact_halves(b: list) -> tuple[list, list]:
+    """de Casteljau's split of Bernstein coefficients at 1/2, in 50-digit arithmetic."""
+    left, right, level = [b[0]], [b[-1]], b
+    while len(level) > 1:
+        level = [(p + q) / 2 for p, q in zip(level, level[1:])]
+        left.append(level[0])
+        right.append(level[-1])
+    return left, right[::-1]
+
+
+def test_the_rounding_bound_covers_every_coefficient_and_value_the_search_uses(monkeypatch):
+    # Every Bernstein coefficient the search tests, at any depth of
+    # subdivision, lies within the bound it is tested against (eta plus
+    # what the splits above it added), and every value of g it takes while
+    # refining a root lies within eta, of the 50-digit values from the same
+    # coefficients. Seeded non-normal and fast-rotating plants, n = 1-8,
+    # both input modes, windows of one stretch (a twentieth of the Taylor
+    # reach to all of it) and of three, sigma just above and just below the
+    # peak of ||e|| / ||x|| over the window (a near tangency, which needs
+    # splits, and a crossing).
+    with mpmath.workdps(50):
+        exact = {}  # exact coefficients and their bound, by the bytes of the computed ones
+        checked = {"forms": [], "halves": [], "values": []}  # worst error / bound of each
+        g_form, halves, poly = dosloop.sim._g_form, dosloop._bernstein._halves, dosloop._bernstein._poly
+
+        def check(kind: str, computed: np.ndarray, want: list, bound: float) -> None:
+            checked[kind].append(max(float(abs(got - w)) for got, w in zip(computed.tolist(), want)) / bound)
+
+        def recording_g_form(coeffs, x_held, sigma, s_end):
+            a, b, eta = g_form(coeffs, x_held, sigma, s_end)
+            a_exact = _exact_g(coeffs, x_held, sigma, s_end)
+            exact[b.tobytes()] = _exact_bernstein(a_exact), eta
+            exact[a[::-1].tobytes()] = a_exact, eta
+            check("forms", b, exact[b.tobytes()][0], eta)
+            return a, b, eta
+
+        def recording_halves(b):
+            left, right, grow = halves(b)
+            want, err = exact[b.tobytes()]
+            for part, part_want in zip((left, right), _exact_halves(want)):
+                exact[part.tobytes()] = part_want, err + grow
+                check("halves", part, part_want, err + grow)
+            return left, right, grow
+
+        def recording_poly(a_rev, u):
+            v = poly(a_rev, u)
+            a_exact, eta = exact[np.array(a_rev).tobytes()]
+            checked["values"].append(float(abs(v - mpmath.polyval(a_exact[::-1], u))) / eta)
+            return v
+
+        monkeypatch.setattr(dosloop.sim, "_g_form", recording_g_form)
+        monkeypatch.setattr(dosloop._bernstein, "_halves", recording_halves)
+        monkeypatch.setattr(dosloop._bernstein, "_poly", recording_poly)
+        rng = np.random.default_rng(2611)
+        hits = 0
+        for kind, n, mode in product(("non_normal", "rotating"), range(1, 9), InputMode):
+            base = hunt_plant(rng, n, kind)
+            plant = LtiPlant(A=base.A, B=base.B, K=base.K, input_mode=mode)
+            x = rng.normal(size=n)
+            held = x if rng.random() < 0.5 else x + 0.3 * feasible_sigma(plant) * rng.normal(size=n) * np.linalg.norm(x)
+            w = np.zeros(n) if mode is InputMode.ZERO_DURING_DOS else held
+            # one stretch of up to the reach and, on the rotating plants, a window of three
+            spans = (float(rng.uniform(0.05, 1.0)), 3.0) if kind == "rotating" else (float(rng.uniform(0.05, 1.0)),)
+            for window in (plant.taylor_reach * span for span in spans):
+                X = np.array([plant.step(x, w, float(dt)) for dt in np.linspace(0.0, window, 501)])
+                peak = float((np.linalg.norm(held - X, axis=1) / np.linalg.norm(X, axis=1)).max())
+                for gap in (1e-6, -1e-6):
+                    sigma = peak * (1.0 + gap)
+                    if np.linalg.norm(held - x) < sigma * np.linalg.norm(x):
+                        hit = find_event_crossing(plant, x, held, sigma, 0.0, window, 1e-9 * window, applied=w)
+                        hits += hit is not None
+        counts = {kind: len(ratios) for kind, ratios in checked.items()}
+        assert hits >= 30 and min(counts.values()) >= 80, (hits, counts)
+        worst = {kind: max(ratios) for kind, ratios in checked.items()}
+        print("worst error / bound:", ", ".join(f"{kind} {w:.3g} over {counts[kind]}" for kind, w in worst.items()))
+        assert max(worst.values()) <= 1.0, worst
+
+
+# Item 2's reproducer: x' = A x with A = [[-0.05, 2], [-2, -0.05]] (B = I,
+# K = 0) from x = x_held = e1. ||e||^2 / ||x||^2 = f(t) = exp(0.1 t) -
+# 2 exp(0.05 t) cos(2 t) + 1 peaks near t = 1.5968 at about 2.0824^2.
+_ROTATING = LtiPlant(A=np.array([[-0.05, 2.0], [-2.0, -0.05]]), B=np.eye(2), K=np.zeros((2, 2)))
+_E1 = np.array([1.0, 0.0])
+
+
+def _rotating_peak() -> tuple[float, float]:
+    """(t, sqrt(f(t))) at the peak of ||e|| / ||x||, from f' = 0 in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a, c = mpmath.mpf("0.05"), mpmath.mpf(2)
+        f = lambda t: mpmath.exp(2 * a * t) - 2 * mpmath.exp(a * t) * mpmath.cos(c * t) + 1
+        t = mpmath.findroot(lambda t: mpmath.diff(f, t), mpmath.mpf("1.5968"))
+        return float(t), float(mpmath.sqrt(f(t)))
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7, 1e-9])
+def test_a_near_tangency_takes_few_hull_tests_per_window(gap):
+    # sigma below the peak by the relative gap: the window [0, 3] (nine
+    # Taylor stretches) holds a crossing just before the peak, where g
+    # barely rises above zero. The safe steps of the Lipschitz search took
+    # 990, 6,955 and 39,183 steps at gaps of 1e-3, 1e-5 and 1e-7; the hull
+    # tests stay below 200, and the crossing meets the search's contract
+    # under an expm oracle.
+    t_peak, peak = _rotating_peak()
+    sigma = peak * (1.0 - gap)
+    stats = _new_stats()
+    t = find_event_crossing(_ROTATING, _E1, _E1, sigma, 0.0, 3.0, 1e-9, stats=stats)
+    assert stats["hull_tests"] <= 200, stats
+    assert t is not None and t < t_peak
+
+    def g(s):
+        xs = expm_hold_step(_ROTATING.A, _ROTATING.bk, _E1, _E1, s)
+        return np.linalg.norm(_E1 - xs) - sigma * np.linalg.norm(xs)
+
+    assert g(t) >= -1e-13 and g(t - 1e-9) < 1e-13, (g(t), g(t - 1e-9))
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-7, 1e-9, 1e-11])
+def test_a_near_tangency_takes_few_hull_tests_per_record_cell(gap):
+    # sigma above the peak by the relative gap, over the shipped double
+    # integrator's record cell (0.00087) centred on the peak: no crossing.
+    # The safe steps took 257, 20,443 and 262,625 steps at gaps of 1e-5,
+    # 1e-7 and 1e-9; the hull tests stay at 10 or fewer.
+    t_peak, peak = _rotating_peak()
+    cell = 0.00087
+    t_a = t_peak - 0.5 * cell
+    x_a = expm_hold_step(_ROTATING.A, _ROTATING.bk, _E1, _E1, t_a)
+    stats = _new_stats()
+    assert find_event_crossing(_ROTATING, x_a, _E1, peak * (1.0 + gap), t_a, t_a + cell, 1e-9, stats=stats) is None
+    assert stats["hull_tests"] <= 10, stats

@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
 
 from dosloop import (
     EnvelopeError,
@@ -18,8 +17,8 @@ from dosloop import (
     riccati_delta2,
 )
 from dosloop.linalg import TAYLOR_THETA
-from dosloop.sim import _CROSSING_SLACK, _STRETCH_ROWS
-from conftest import feasible_sigma, random_stabilized_plant
+from dosloop.sim import _STRETCH_ROWS
+from conftest import feasible_sigma, hunt_plant, random_stabilized_plant
 from oracles import expm_hold_step, mp_expm, mp_expm_orbit, rk4_hold_trajectory, scipy_expm
 
 
@@ -145,24 +144,6 @@ def test_taylor_step_matches_expm_of_the_augmented_matrix(n, zero_input):
     assert stats == {"taylor_steps": len(grid), "expm_steps": 2}
 
 
-def _hunt_plant(rng: np.random.Generator, n: int, kind: str) -> LtiPlant:
-    """A seeded plant with LQR gain whose A is far from normal or rotates fast."""
-    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    if kind == "rotating":
-        # pairs of eigenvalues -0.1 +- i w, w in [50, 200], and one fast real one for odd n
-        D = np.diag(-rng.uniform(50.0, 200.0, size=n) * (n % 2))
-        for i in range(0, n - 1, 2):
-            w = rng.uniform(50.0, 200.0)
-            D[i : i + 2, i : i + 2] = [[-0.1, w], [-w, -0.1]]
-    else:
-        # a large strictly upper part: ||e^{A t}|| swells far above 1 before it decays
-        D = np.triu(rng.normal(scale=4.0, size=(n, n)), 1) - np.diag(rng.uniform(0.2, 2.0, size=n))
-    A = Q @ D @ Q.T
-    B = rng.normal(size=(n, int(rng.integers(1, n + 1))))
-    K = -B.T @ solve_continuous_are(A, B, np.eye(n), np.eye(B.shape[1]))
-    return LtiPlant(A=A, B=B, K=K)
-
-
 def _states_and_exact_flow(rng: np.random.Generator, plant: LtiPlant, zero_input: bool):
     """Three starts [x; x_held] (right after a success, apart, held zero; x at three scales) as columns,
     the matrix M of their flow, and max(||x||, ||x_held||) per start."""
@@ -204,10 +185,11 @@ def _worst_row_error(rng: np.random.Generator, plant: LtiPlant, zero_input: bool
 @pytest.mark.parametrize("zero_input", [False, True], ids=["hold", "zero_input"])
 @pytest.mark.parametrize("kind", ["non_normal", "rotating"])
 def test_stepped_states_lie_within_the_crossing_slack(kind, zero_input):
-    # sim._Watch's rounding slack also covers the error of the states it is
-    # handed: each must lie within _CROSSING_SLACK max(||x||, ||x_held||) of
-    # the exact flow from its start [x; x_held]. Checked on single steps
-    # (LtiPlant.step) of up to the Taylor reach, and on the record ticks of
+    # The stepping error that sim.find_event_crossing's docstring cites for
+    # the Taylor coefficients it decides crossings on: each state must lie
+    # within 1e-12 max(||x||, ||x_held||) of the exact flow from its start
+    # [x; x_held]. Checked on single steps (LtiPlant.step) of up to the
+    # Taylor reach, and on the record ticks of
     # the longest record step an EVENT_TIME run of the plant accepts
     # (delta1 = delta2 = the Riccati bound at a feasible sigma): every row
     # of one stretch (LtiPlant.stretch), as many as fit the reach, or, on
@@ -217,7 +199,7 @@ def test_stepped_states_lie_within_the_crossing_slack(kind, zero_input):
     rng = np.random.default_rng(2200 + 2 * (kind == "rotating") + zero_input)
     worst = 0.0
     for n in range(1, 9):
-        plant = _hunt_plant(rng, n, kind)
+        plant = hunt_plant(rng, n, kind)
         rs = _on_grid(riccati_delta2(plant.phi_norm, plant.bk_norm, feasible_sigma(plant)) / 4.0)
         rows = max(1, min(_STRETCH_ROWS, int(plant.taylor_reach / rs)))
         worst = max(worst, _worst_row_error(rng, plant, zero_input, rs, rows))
@@ -228,14 +210,16 @@ def test_stepped_states_lie_within_the_crossing_slack(kind, zero_input):
         for k, c in itertools.product(range(1, 9), range(3)):
             got = plant.step(x[:, c], np.zeros(n) if zero_input else held[:, c], k * h)
             worst = max(worst, float(np.linalg.norm(got - want[k - 1, :, c])) / scale[c])
-    assert worst <= _CROSSING_SLACK, worst
+    assert worst <= 1e-12, worst
 
 
 @pytest.mark.parametrize("zero_input", [False, True], ids=["hold", "zero_input"])
 @pytest.mark.parametrize("kind", ["non_normal", "rotating"])
 def test_stretch_rows_to_the_taylor_reach_lie_within_the_slack(kind, zero_input):
-    # What sim._Watch consumes: every row of one stretch, _STRETCH_ROWS of
-    # them at offsets up to the Taylor reach, against the 40-digit flow from
+    # What sim.run records while it waits for a crossing, from the
+    # coefficients the search decides on: every row of one stretch,
+    # _STRETCH_ROWS of them at offsets up to the Taylor reach, within 1e-12
+    # of the largest of ||x|| and ||x_held||, against the 40-digit flow from
     # the stretch's base. Each row is one Taylor step from that base, so it
     # stays within the slack on strongly non-normal plants too, where powers
     # of a one-step propagator at the reach drifted up to 7.7e-10 (seed
@@ -243,10 +227,10 @@ def test_stretch_rows_to_the_taylor_reach_lie_within_the_slack(kind, zero_input)
     rng = np.random.default_rng(2200 + 2 * (kind == "rotating") + zero_input)
     worst = 0.0
     for n in range(1, 9):
-        plant = _hunt_plant(rng, n, kind)
+        plant = hunt_plant(rng, n, kind)
         h = _on_grid(plant.taylor_reach / _STRETCH_ROWS)
         worst = max(worst, _worst_row_error(rng, plant, zero_input, h, _STRETCH_ROWS))
-    assert worst <= _CROSSING_SLACK, worst
+    assert worst <= 1e-12, worst
 
 
 def test_taylor_step_of_a_zero_matrix_is_the_identity():

@@ -182,20 +182,37 @@ def test_find_event_crossing_finds_a_crossing_between_any_two_grid_points():
 
 def test_find_event_crossing_steps_within_the_taylor_reach(monkeypatch):
     # x' = -50 x - x_held from x = x_held = 1: x(t) = -0.02 + 1.02 exp(-50 t),
-    # and ||e|| = 10 ||x|| at x = 1/11. rho = 0, so only the Taylor reach
-    # 1/||[-50, -1]|| bounds a stretch; the crossing lies past two of them
+    # and ||e|| = 10 ||x|| at x = 1/11. The window is cut into stretches of
+    # the Taylor reach 1/||[-50, -1]||, each decided on its own polynomial;
+    # the crossing lies past two of them
     plant = LtiPlant(A=np.array([[-50.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
     want = -np.log((1.0 / 11.0 + 0.02) / 1.02) / 50.0
     assert want > 2.0 * plant.taylor_reach
-    stats = dict.fromkeys(("crossing_searches", "root_trials", "taylor_steps", "expm_steps"), 0)
+    stats = dict.fromkeys(("crossing_searches", "hull_tests", "root_trials", "taylor_steps", "expm_steps"), 0)
     formed = []
     original = LtiPlant.taylor_coeffs
     monkeypatch.setattr(LtiPlant, "taylor_coeffs", lambda *args: formed.append(args[1:]) or original(*args))
     t = find_event_crossing(plant, np.ones(1), np.ones(1), 10.0, 0.0, 1.0, stats=stats)
     assert want <= t <= want + 1e-9 + 1e-15
-    assert stats["expm_steps"] == 0 and stats["taylor_steps"] == stats["root_trials"] > 0
-    # the Taylor coefficients are formed once per stretch, not once per step
-    assert len(formed) == math.ceil(want / plant.taylor_reach) == 3 < stats["root_trials"]
+    # the Taylor coefficients are formed once per stretch, each next stretch
+    # starting from one Taylor step of the one before, never from mat_exp
+    assert len(formed) == math.ceil(want / plant.taylor_reach) == 3
+    assert stats["taylor_steps"] == 2 and stats["expm_steps"] == 0
+    assert stats["crossing_searches"] == 1 and stats["hull_tests"] >= 3 and stats["root_trials"] > 0
+
+
+def test_find_event_crossing_with_a_tolerance_finer_than_a_float_returns():
+    # a tolerance below what the offsets can resolve (2^-50 of a stretch)
+    # searches to that resolution instead of stepping in place for ever
+    sigma = 0.25
+    for tol in (1e-30, 5e-324):
+        hit = find_event_crossing(LINE, np.array([1.0]), np.array([1.0]), sigma, 0.0, 1.0, tol)
+        assert hit == pytest.approx(sigma / (1.0 + sigma), abs=1e-15)
+    # and so does a run with it, which found its first crossing for ever
+    trig = TriggerConfig(sigma=sigma, delta1=0.04, delta2=0.19)
+    trace = run(_config(LINE, LogicKind.EVENT_TIME, trig, horizon=1.0, crossing_tol=1e-30))
+    times = trace.t[trace.attempt == 1]
+    assert np.allclose(times[:5], 0.2 * np.arange(5), rtol=0, atol=1e-14)
 
 
 def test_find_event_crossing_none_when_out_of_window():
@@ -513,25 +530,26 @@ PINNED_BEHAVIOUR = {
 # Trace.stats of the same runs, in the order of _PINNED_STAT_KEYS: a change
 # to the loop that keeps these does the same work.
 _PINNED_STAT_KEYS = (
-    "blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "root_trials", "taylor_steps", "expm_steps",
+    "blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "hull_tests", "root_trials", "taylor_steps",
+    "expm_steps",
 )
 PINNED_STATS = {
-    ("scalar", "event_time", "hold_last"): (69, 1294, 30, 1240, 117, 146, 0),
-    ("scalar", "event_time", "zero_during_dos"): (40, 1263, 27, 1342, 122, 149, 0),
-    ("scalar", "pure_time", "hold_last"): (68, 1294, 0, 0, 0, 0, 0),
-    ("scalar", "pure_time", "zero_during_dos"): (68, 1294, 0, 0, 0, 0, 0),
-    ("scalar", "self_trigger", "hold_last"): (37, 1261, 0, 0, 0, 0, 0),
-    ("scalar", "self_trigger", "zero_during_dos"): (37, 1261, 0, 0, 0, 0, 0),
-    ("scalar", "ideal_event", "hold_last"): (36, 1262, 29, 1242, 116, 145, 0),
-    ("scalar", "ideal_event", "zero_during_dos"): (33, 1257, 27, 1343, 122, 149, 0),
-    ("double_integrator", "event_time", "hold_last"): (108, 7083, 87, 8887, 285, 372, 0),
-    ("double_integrator", "event_time", "zero_during_dos"): (108, 7084, 88, 9119, 292, 380, 0),
-    ("double_integrator", "pure_time", "hold_last"): (332, 7538, 0, 0, 0, 0, 0),
-    ("double_integrator", "pure_time", "zero_during_dos"): (332, 7538, 0, 0, 0, 0, 0),
-    ("double_integrator", "self_trigger", "hold_last"): (319, 7523, 0, 0, 0, 0, 0),
-    ("double_integrator", "self_trigger", "zero_during_dos"): (319, 7523, 0, 0, 0, 0, 0),
-    ("double_integrator", "ideal_event", "hold_last"): (106, 7083, 87, 8893, 287, 374, 0),
-    ("double_integrator", "ideal_event", "zero_during_dos"): (107, 7084, 88, 9127, 291, 379, 0),
+    ('scalar', 'event_time', 'hold_last'): (69, 1294, 33, 1093, 33, 114, 29, 0),
+    ('scalar', 'event_time', 'zero_during_dos'): (40, 1263, 32, 1199, 32, 105, 27, 0),
+    ('scalar', 'pure_time', 'hold_last'): (68, 1294, 0, 0, 0, 0, 0, 0),
+    ('scalar', 'pure_time', 'zero_during_dos'): (68, 1294, 0, 0, 0, 0, 0, 0),
+    ('scalar', 'self_trigger', 'hold_last'): (37, 1261, 0, 0, 0, 0, 0, 0),
+    ('scalar', 'self_trigger', 'zero_during_dos'): (37, 1261, 0, 0, 0, 0, 0, 0),
+    ('scalar', 'ideal_event', 'hold_last'): (36, 1262, 33, 1093, 33, 112, 29, 0),
+    ('scalar', 'ideal_event', 'zero_during_dos'): (33, 1257, 32, 1200, 32, 105, 27, 0),
+    ('double_integrator', 'event_time', 'hold_last'): (108, 7083, 104, 6982, 104, 327, 87, 0),
+    ('double_integrator', 'event_time', 'zero_during_dos'): (108, 7084, 106, 6988, 106, 330, 88, 0),
+    ('double_integrator', 'pure_time', 'hold_last'): (332, 7538, 0, 0, 0, 0, 0, 0),
+    ('double_integrator', 'pure_time', 'zero_during_dos'): (332, 7538, 0, 0, 0, 0, 0, 0),
+    ('double_integrator', 'self_trigger', 'hold_last'): (319, 7523, 0, 0, 0, 0, 0, 0),
+    ('double_integrator', 'self_trigger', 'zero_during_dos'): (319, 7523, 0, 0, 0, 0, 0, 0),
+    ('double_integrator', 'ideal_event', 'hold_last'): (106, 7083, 104, 6986, 104, 323, 87, 0),
+    ('double_integrator', 'ideal_event', 'zero_during_dos'): (107, 7084, 106, 6992, 106, 333, 88, 0),
 }
 
 
@@ -634,13 +652,16 @@ _EVENT_CASES = [key for key in PINNED_BEHAVIOUR if key[1] in ("event_time", "ide
 
 
 @pytest.mark.parametrize("name,logic,mode", _EVENT_CASES, ids=["-".join(key) for key in _EVENT_CASES])
-def test_crossing_watch_costs_little_beyond_the_rows(name, logic, mode):
-    # rows stepped and then dropped past a crossing, and searches in cells
-    # the bound could not clear although they held no crossing, stay few
+def test_crossing_search_costs_little_beyond_the_rows(name, logic, mode):
+    # one search per stretch stepped while waiting, over the rows up to the
+    # first with g >= 0: few hull tests each, and a few trials per crossing
     _, trace = _shipped_run(name, logic, mode)
     successes = int(trace.success.sum())
-    assert trace.stats["crossing_searches"] <= successes
-    assert trace.stats["cells_scanned"] <= 1.5 * len(trace)
+    stats = trace.stats
+    assert stats["crossing_searches"] <= stats["blocks_stepped"]
+    assert stats["cells_scanned"] <= len(trace)
+    assert stats["hull_tests"] <= 2 * stats["crossing_searches"]
+    assert stats["root_trials"] <= 5 * successes
 
 
 @pytest.mark.parametrize("name,logic,mode", _EVENT_CASES, ids=["-".join(key) for key in _EVENT_CASES])
@@ -729,21 +750,23 @@ def test_trace_stats_count_blocks_and_are_reproducible():
     a, b = run(cfg), run(cfg)
     assert a.stats == b.stats
     assert set(a.stats) == {
-        "blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "root_trials",
+        "blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "hull_tests", "root_trials",
         "taylor_steps", "expm_steps",
     }
     assert all(type(v) is int for v in a.stats.values())
     assert a.stats["rows_emitted"] == len(a)
     assert 0 < a.stats["blocks_stepped"] < len(a)
-    # cells between computed states while watching for a crossing, the
-    # searches in cells the bound could not clear, one or more safe steps each
-    assert 0 < a.stats["crossing_searches"] <= a.stats["cells_scanned"]
-    assert a.stats["root_trials"] >= a.stats["crossing_searches"]
-    # single steps are the safe steps and the states at crossings between
-    # two rows, all within the Taylor table's reach
-    assert a.stats["taylor_steps"] > a.stats["root_trials"] and a.stats["expm_steps"] == 0
+    # one search per stretch stepped while waiting for a crossing, over one
+    # or more of its cells, one or more hull tests each, and trials of g
+    # while refining each crossing found between two rows
+    assert 0 < a.stats["crossing_searches"] <= min(a.stats["blocks_stepped"], a.stats["cells_scanned"])
+    assert a.stats["hull_tests"] >= a.stats["crossing_searches"]
+    assert a.stats["root_trials"] >= 2 * a.stats["taylor_steps"] > 0
+    # single steps are the states at crossings between two rows, within
+    # the Taylor table's reach
+    assert a.stats["taylor_steps"] <= int(a.success.sum()) and a.stats["expm_steps"] == 0
     periodic = run(_config(plant, LogicKind.PURE_TIME, trig, dos=seq, budget=budget, horizon=4.0))
-    assert periodic.stats["crossing_searches"] == periodic.stats["cells_scanned"] == 0
+    assert periodic.stats["crossing_searches"] == periodic.stats["cells_scanned"] == periodic.stats["hull_tests"] == 0
     # without a search every row comes from a stretch: no single step at all
     assert periodic.stats["blocks_stepped"] > 0 and periodic.stats["taylor_steps"] == periodic.stats["expm_steps"] == 0
 
@@ -821,6 +844,11 @@ def test_sim_config_validation():
     # ... but tolerated for the idealized logic, which never reads it
     SimConfig(plant=LINE, logic=LogicKind.IDEAL_EVENT, trigger=wild, dos=NO_DOS,
               budget=LOOSE, x0=np.ones(1), horizon=1.0, record_step=0.0125)
+    # a crossing must be found within one record cell of its time
+    for tol in (0.0125, 0.02):
+        with pytest.raises(ValueError, match="crossing_tol"):
+            SimConfig(plant=LINE, logic=LogicKind.EVENT_TIME, trigger=trig, dos=NO_DOS,
+                      budget=LOOSE, x0=np.ones(1), horizon=1.0, record_step=0.0125, crossing_tol=tol)
 
 
 def test_verify_ges_detects_violations():
@@ -1131,14 +1159,30 @@ def test_onset_amplification_matches_a_per_row_walk(logic, mode):
 
 @pytest.mark.parametrize("mode", list(InputMode))
 @pytest.mark.parametrize("logic", list(LogicKind))
-def test_onset_check_skips_touching_onsets_and_allows_a_late_crossing(logic, mode):
+def test_onset_check_skips_touching_onsets_and_allows_a_late_crossing(logic, mode, monkeypatch):
     # Jammed since t_a, the loop reaches the touching onset t_a + 0.1 with
     # the sample held since before t_a: read as a fresh onset, its ratio was
     # 1.083-1.149 with the input held. It continues the period that began at
     # t_a and is not checked. At t_a the event logics attempted at a
-    # crossing found up to crossing_tol late, so the ratio there exceeds 1
-    # by about crossing_tol (1 + sigma), past the 1e-9 slack but within the
-    # crossing_tol allowance.
+    # crossing found late, as the search's contract allows (up to
+    # crossing_tol), so the ratio there exceeds 1 by about crossing_tol
+    # (1 + sigma), past the 1e-9 slack but within the crossing_tol
+    # allowance. The search finds these crossings within a few ulps, so it
+    # is wrapped to return each one on the next multiple of crossing_tol / 8
+    # at least 7 crossing_tol / 8 later (the same time in both runs of the
+    # helper, whose windows differ).
+    import dosloop.sim
+
+    search = dosloop.sim.find_event_crossing
+
+    def late(plant, x, x_held, sigma, t_from, t_max, crossing_tol, **kwargs):
+        hit = search(plant, x, x_held, sigma, t_from, t_max, crossing_tol, **kwargs)
+        if hit is None:
+            return None
+        step = crossing_tol / 8.0
+        return min(math.ceil((hit + 7.0 * step) / step) * step, t_max)
+
+    monkeypatch.setattr(dosloop.sim, "find_event_crossing", late)
     trig, seq, trace = _touching_onsets_run(logic, mode)
     onsets = check_onset_amplification(trace, trig.sigma, seq)
     assert onsets.holds and onsets.worst < 1.0 + 2e-9, onsets.worst

@@ -72,3 +72,31 @@ def test_csv_delta_reports_how_far_the_times_moved(tmp_path, capsys):
         "case.csv: rows 3 / 3, 1 differ, max rel 5e-10, t DIFFERS (max |dt| 2.5e-10), flags equal",
         "1 of 1 CSVs differ",
     ]
+
+
+def test_csv_delta_passes_times_moved_within_a_tolerance(tmp_path, capsys):
+    # with --t-tol, a case whose times moved by at most SECONDS passes when
+    # its row count and flags are equal; the report line is the same
+    csv_delta = _load("csv_delta")
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    rows = ["0,1,-2,0,1,0,0,0", "0.5,0.25,-0.5,0.75,0.25,0,1,1", "0.75,0.25,-0.25,0,0.25,0,0,0"]
+    (a / "case.csv").write_text(_HEADER + "\r\n".join(rows) + "\r\n")
+    moved = ["0,1,-2,0,1,0,0,0", "0.50000000025,0.25,-0.5,0.75,0.25,0,1,1", "0.75,0.25,-0.25,0,0.25,0,0,0"]
+    (b / "case.csv").write_text(_HEADER + "\r\n".join(moved) + "\r\n")
+    line = "case.csv: rows 3 / 3, 1 differ, max rel 5e-10, t DIFFERS (max |dt| 2.5e-10), flags equal"
+    assert csv_delta.main(["--t-tol", "1e-9", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [line, "1 of 1 CSVs differ"]
+    assert csv_delta.main(["--t-tol", "1e-10", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [line, "1 of 1 CSVs differ"]
+    # flags and row counts still fail, and so does a bad tolerance
+    flag = ["0,1,-2,0,1,0,0,0", "0.50000000025,0.25,-0.5,0.75,0.25,0,1,0", "0.75,0.25,-0.25,0,0.25,0,0,0"]
+    (b / "case.csv").write_text(_HEADER + "\r\n".join(flag) + "\r\n")
+    assert csv_delta.main(["--t-tol", "1e-9", str(a), str(b)]) == 1
+    (b / "case.csv").write_text(_HEADER + "\r\n".join(moved[:2]) + "\r\n")
+    assert csv_delta.main(["--t-tol", "1e-9", str(a), str(b)]) == 1
+    capsys.readouterr()
+    for tol in ("-1e-9", "nan", "soon"):
+        assert csv_delta.main(["--t-tol", tol, str(a), str(b)]) == 1
+        assert capsys.readouterr().err.startswith("usage: csv_delta.py [--t-tol SECONDS] DIR_A DIR_B")

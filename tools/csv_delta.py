@@ -1,6 +1,6 @@
 """How far the trace CSVs of two case_digests.py runs differ, case by case.
 
-    python3 tools/csv_delta.py DIR_A DIR_B
+    python3 tools/csv_delta.py [--t-tol SECONDS] DIR_A DIR_B
 
 DIR_A and DIR_B hold the trace CSVs of two runs (``OUT_DIR/csv`` of
 ``tools/case_digests.py``, copied aside before the second run). For each case
@@ -11,10 +11,14 @@ differs, also the largest |dt| between the two t columns, so a change that
 moves attempt times shows by how much (say, within crossing_tol). Exits
 1 when a case is missing from one side or a row count, t column or flag column
 differs, and 0 otherwise: then the traces differ at most in their float cells.
+With ``--t-tol SECONDS`` a case whose t column moved passes too when its row
+counts and flag columns are equal and no t moved by more than SECONDS; the
+report lines stay the same.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -23,8 +27,11 @@ import numpy as np
 FLAGS = 3  # jammed, attempt, success: the last columns of every row
 
 
-def compare(a: Path, b: Path) -> tuple[str, bool]:
-    """One report line for two CSVs of a case, and whether they keep their rows, times and flags."""
+def compare(a: Path, b: Path, t_tol: float | None = None) -> tuple[str, bool]:
+    """One report line for two CSVs of a case, and whether they keep their rows, times and flags.
+
+    With t_tol, times that moved by at most t_tol count as kept.
+    """
     rows_a, rows_b = a.read_text().splitlines()[1:], b.read_text().splitlines()[1:]
     head = f"{a.name}: rows {len(rows_a)} / {len(rows_b)}"
     if len(rows_a) != len(rows_b):
@@ -35,21 +42,29 @@ def compare(a: Path, b: Path) -> tuple[str, bool]:
     A = np.array([r.split(",") for r in rows_a], dtype=float)
     B = np.array([r.split(",") for r in rows_b], dtype=float)
     same_t = np.array_equal(A[:, 0], B[:, 0])
+    dt = np.abs(A[:, 0] - B[:, 0]).max()
     same_flags = np.array_equal(A[:, -FLAGS:], B[:, -FLAGS:])
     fa, fb = A[:, :-FLAGS], B[:, :-FLAGS]
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.abs(fa - fb) / np.maximum(np.abs(fa), np.abs(fb))
     # equal cells (both zero, both NaN, the same infinity) differ by nothing; any other NaN by inf
     rel = np.where((fa == fb) | (np.isnan(fa) & np.isnan(fb)), 0.0, np.nan_to_num(rel, nan=np.inf))
-    moved = "equal" if same_t else f"DIFFERS (max |dt| {np.abs(A[:, 0] - B[:, 0]).max():.3g})"
+    moved = "equal" if same_t else f"DIFFERS (max |dt| {dt:.3g})"
     line = f"{head}, {differ} differ, max rel {rel.max():.3g}, t {moved}, flags {'equal' if same_flags else 'DIFFER'}"
-    return line, same_t and same_flags
+    return line, (same_t or (t_tol is not None and dt <= t_tol)) and same_flags
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else list(argv)
+    t_tol = None
+    if len(args) == 4 and args[0] == "--t-tol":
+        try:
+            t_tol = float(args[1])
+        except ValueError:
+            t_tol = math.nan
+        args = args[2:] if t_tol >= 0.0 else []  # a NaN or negative tolerance is a usage error
     if len(args) != 2:
-        sys.stderr.write("usage: csv_delta.py DIR_A DIR_B\n")
+        sys.stderr.write("usage: csv_delta.py [--t-tol SECONDS] DIR_A DIR_B\n")
         return 1
     dir_a, dir_b = Path(args[0]), Path(args[1])
     names = sorted({p.name for p in dir_a.glob("*.csv")} | {p.name for p in dir_b.glob("*.csv")})
@@ -60,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: only in {dir_a if a.is_file() else dir_b}")
             ok, differing = False, differing + 1
         elif a.read_bytes() != b.read_bytes():
-            line, kept = compare(a, b)
+            line, kept = compare(a, b, t_tol)
             print(line)
             ok, differing = ok and kept, differing + 1
     print(f"{differing} of {len(names)} CSVs differ")
