@@ -9,9 +9,10 @@ integrated exactly through the exponential of M rather than an ODE stepper.
 The Taylor coefficients of one state (LtiPlant.taylor_coeffs, the top rows
 of linalg's Taylor kernel applied to z) give its flow at every offset up to
 the Taylor reach, ||M||_F dt <= TAYLOR_THETA, where the truncated series is
-exact to rounding: LtiPlant.stretch evaluates many offsets at once, and
-LtiPlant.step, the one single-step path, one; past the reach a step takes
-mat_exp, the same series scaled and squared.
+exact to rounding: LtiPlant.stretch evaluates many offsets at once, of
+one state or of a stack of them, and LtiPlant.step, the one single-step
+path, one; past the reach a step takes mat_exp, the same series scaled
+and squared.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class LtiPlant:
     is jammed): from the Taylor table of M = [[A, B K], [0, 0]], built on
     first use, for steps up to taylor_reach, and from propagator, the
     matrix exponential, past that. stretch takes the states at many offsets
-    within taylor_reach from one state's taylor_coeffs, in one product.
+    within taylor_reach from one state's taylor_coeffs, or from a stack of
+    states' coefficients, in one product.
     """
 
     A: FloatArray
@@ -164,7 +166,11 @@ class LtiPlant:
 
         One row per offset: the powers of dt rate, all in one array, times
         coeffs. Each row is, up to rounding, the step of that length, with
-        step's error bound. The offsets are not checked.
+        step's error bound. The offsets are not checked. Stacks work the
+        same way, in one batched product: coeffs of shape (stretches,
+        terms, n) with dts of shape (stretches, rows) give the states of
+        shape (stretches, rows, n), row r of stretch s from coeffs[s]
+        (sim.run fills the record ticks of many stretches so).
         """
         return np.power.outer(dts * self._taylor[1], _TAYLOR_EXPONENTS) @ coeffs
 

@@ -10,39 +10,50 @@ post-jump at the same timestamp) and jam breakpoints.
 Between two such events the loop state z = [x; w] follows z' = M z with
 M = [[A, B K], [0, 0]], w the applied sample: x_held, or zero while jammed
 under InputMode.ZERO_DURING_DOS. run() steps each segment as Taylor
-stretches: at every stop that changes the state or the applied sample (an
-attempt, a jam breakpoint, the end of a stretch) it forms
-LtiPlant.taylor_coeffs once, and every row up to the next event (the record
-ticks before it and the event's own stop) is one product of the offsets'
-powers with them (LtiPlant.stretch), with vectorised norms and divergence
-guard. A stretch holds at most _STRETCH_ROWS rows and no offset past
-LtiPlant.taylor_reach; only a stop past the reach is a single step by
-mat_exp (LtiPlant.step). Vectors are validated once, by SimConfig, not per
-step.
+stretches, in two phases. Phase 1 is a loop over the stops that change the
+state or the applied sample (an attempt, a jam breakpoint, the end of a
+stretch, the horizon): at each it forms LtiPlant.taylor_coeffs once, and
+the next stop's state is one LtiPlant.step with them. A stretch holds at
+most _STRETCH_ROWS rows and no offset past LtiPlant.taylor_reach; only a
+stop past the reach is a single step by mat_exp. Phase 2 fills the record
+ticks strictly between two stops in bulk: the loop reserves their rows
+and moves on, and each chunk of stretches, at most _CHUNK_ROWS padded
+rows, takes their states in one batched product of the offsets' powers
+with the stretches' coefficients (LtiPlant.stretch), with one _row_norms
+pass and one divergence-guard test. Vectors are validated once, by
+SimConfig, not per step.
 
 The update policy lives in triggers.next_attempt, which run() calls once
 after every attempt. The event logics integrate each segment once: while
 they wait for ||e|| to reach sigma ||x|| (next_attempt returns inf after a
-success from a nonzero state), run() hands every stretch's coefficients to
-find_event_crossing, which decides the crossing on the stretch's own Taylor
-polynomial by Bernstein subdivision, up to the first row that has crossed.
-Rows a stretch stepped past the crossing are dropped, and the state at the
-crossing comes from the stretch's coefficients.
+success from a nonzero state), run() evaluates each stretch's rows itself,
+in one product, and hands its coefficients to find_event_crossing, which
+decides the crossing on the stretch's own Taylor polynomial by Bernstein
+subdivision, up to the first row that has crossed. Rows a stretch stepped
+past the crossing are dropped, and the state at the crossing comes from the
+stretch's coefficients.
 
-Trace rows are written into growable numpy column arrays, a row or a block
-at a time. They are the run's only record: the verdicts read attempts,
-onsets and divergence from the columns. The run loop keeps its state (t,
-x, x_held, t_held, the next attempt) in locals. It takes its jam state
-from its cursor over the sorted jam breakpoints, not from a search per
-stop, and computes the input K x_held only when the held sample changes.
-Row norms are neither under-estimated nor lost to overflow (linalg._norm,
-_row_norms): a stretch's rows take theirs from one _row_norms pass, and a
-state at a crossing from _norm; the two may differ in the last bit, so a
-row keeps the one its path gives. Trace.to_csv writes the exact
+Trace rows are written into growable numpy column arrays: a stop's rows
+one at a time, the rows of a stretch waiting for a crossing as one block,
+and the ticks of a chunk at reserved indices. They are the run's only
+record: the verdicts read attempts, onsets and divergence from the
+columns. The run loop keeps its state (t, x, x_held, t_held, the next
+attempt) in locals. It takes its jam state from its cursor over the sorted
+jam breakpoints, not from a search per stop, and computes the input
+K x_held only when the held sample changes. Row norms are neither
+under-estimated nor lost to overflow (linalg._norm, _row_norms): the rows
+of a bulk product or of a waiting stretch take theirs from one _row_norms
+pass, and a state stepped by LtiPlant.step (a stretch's end, a crossing)
+from _norm; the two may differ in the last bit, so a row keeps the one its
+path gives. Trace.to_csv writes the exact
 '%.17g' text of every float with a bulk numpy kernel (dosloop._g17), in
 blocks of about 7k cells.
 
-Runs are bit-reproducible: no randomness, no wall-clock dependence.
+Runs are bit-identical for one version on one host: no randomness, no
+wall-clock dependence, and no row depends on how its chunk was cut
+(_SLOT_ALIGN). Another host can differ in the last bits, since numpy's
+OpenBLAS picks its kernels for the CPU: a different kernel
+(OPENBLAS_CORETYPE) was measured to change the trace bytes.
 """
 
 from __future__ import annotations
@@ -78,6 +89,18 @@ _CSV_FLAG_WORDS = np.frombuffer(
 # The most rows one Taylor stretch of run() holds, so its arrays do not
 # grow with the horizon.
 _STRETCH_ROWS = 256
+# The most padded rows one bulk product of run() holds (stretches times
+# the slots of the widest), which bounds its temporaries whatever the
+# horizon: 1.2 MB at n = 8. At least _STRETCH_ROWS, so that every stretch
+# fits. On periodic runs at n = 8, 1,024 and 2,048 took 2-15% longer, and
+# 8,192 no less.
+_CHUNK_ROWS = 4096
+# Slots per stretch in a bulk product are padded to a multiple of this: with
+# OpenBLAS's kernels a row of a product takes the same bits in any product
+# whose row count is a multiple of 4 (measured on its SkylakeX kernels for
+# n = 1-8, and for any count from 2 at n >= 4), so no row depends on the
+# stretches that share its chunk.
+_SLOT_ALIGN = 4
 # Fewest record ticks in the first stretch stepped while waiting for a
 # crossing, which also holds the off-tick cell before them; each later
 # stretch doubles, up to _STRETCH_ROWS.
@@ -169,7 +192,8 @@ class Trace:
     the state that tripped the guard, at t[-1].
 
     stats holds plain integer counters of the run: blocks_stepped (Taylor
-    stretches: rows stepped as one product from one set of coefficients),
+    stretches: the rows and the end state stepped from one set of
+    coefficients),
     rows_emitted, crossing_searches (find_event_crossing calls: one per
     stretch stepped while an event logic waits for a crossing),
     cells_scanned (the rows those searches covered, up to the first that
@@ -177,8 +201,10 @@ class Trace:
     search tested), root_trials (values of g taken while refining a
     crossing), taylor_steps (single steps from the plant's Taylor table:
     the state at a crossing between two rows, and a search's step to its
-    next stretch) and expm_steps (single steps past the reach, by mat_exp:
-    a stop past the reach, or a crossing's state in such a cell).
+    next stretch; a stretch's end state, one step from its coefficients,
+    counts in blocks_stepped instead) and expm_steps (single steps past the
+    reach, by mat_exp: a stop past the reach, or a crossing's state in such
+    a cell).
     """
 
     t: FloatArray
@@ -381,7 +407,11 @@ def find_event_crossing(
 
 
 class _Rows:
-    """Trace columns in growable numpy arrays, filled one row or one block at a time."""
+    """Trace columns in growable numpy arrays: rows written one at a time, or reserved and written later as a block.
+
+    Only the first size rows are the trace; rows past a size cut back are
+    never read.
+    """
 
     _COLUMNS = ("t", "x", "u", "e_norm", "x_norm", "jammed", "attempt", "success")
 
@@ -397,8 +427,8 @@ class _Rows:
         self.attempt = np.zeros(cap, dtype=np.int8)
         self.success = np.zeros(cap, dtype=np.int8)
 
-    def _reserve(self, k: int) -> int:
-        """Make room for k more rows (doubling the capacity); returns the index of the first."""
+    def reserve(self, k: int) -> int:
+        """Make room for k more rows (doubling the capacity) and count them in; returns the index of the first."""
         i = self.size
         if i + k > len(self.t):
             cap = max(i + k, 2 * len(self.t))
@@ -414,7 +444,7 @@ class _Rows:
         self, t: float, x: FloatArray, u: FloatArray, e_norm: float, x_norm: float, jam: bool, att: int, suc: int
     ) -> None:
         """One row; a flag that is 0 keeps its zero fill (no row is written twice)."""
-        i = self._reserve(1)
+        i = self.reserve(1)
         self.t[i] = t
         self.x[i] = x
         self.u[i] = u
@@ -426,21 +456,17 @@ class _Rows:
             self.attempt[i] = 1
             self.success[i] = suc
 
-    def block(
-        self, t: FloatArray, x: FloatArray, u: FloatArray, e_norm: FloatArray, x_norm: FloatArray, jam: bool
-    ) -> None:
-        """Rows without attempt flags (those columns keep their zero fill)."""
-        i = self._reserve(len(t))
-        rows = slice(i, self.size)
-        self.t[rows] = t
-        self.x[rows] = x
-        self.u[rows] = u
-        self.e_norm[rows] = e_norm
-        self.x_norm[rows] = x_norm
-        self.jammed[rows] = jam
+    def block(self, at, t: FloatArray, x: FloatArray, u, e_norm: FloatArray, x_norm: FloatArray, jam) -> None:
+        """Reserved rows at at (a slice or an index array), without attempt flags (those keep their zero fill)."""
+        self.t[at] = t
+        self.x[at] = x
+        self.u[at] = u
+        self.e_norm[at] = e_norm
+        self.x_norm[at] = x_norm
+        self.jammed[at] = jam
 
     def columns(self) -> dict[str, np.ndarray]:
-        """The filled rows of every column, copied out of the spare capacity."""
+        """The first size rows of every column, copied out of the spare capacity."""
         return {name: getattr(self, name)[: self.size].copy() for name in self._COLUMNS}
 
 
@@ -452,6 +478,49 @@ def _ticks_before(k: int, rs: float, t_stop: float) -> int:
     while c < _STRETCH_ROWS and (k + c) * rs < t_stop:
         c += 1
     return c
+
+
+def _ticks_within(k: int, c: int, rs: float, t: float, reach: float) -> int:
+    """How many of the c record ticks k rs, (k + 1) rs, ... lie at an offset (k + i) rs - t of at most reach."""
+    j = min(c, max(0, math.floor((t + reach) / rs) - k + 1))
+    while j > 0 and (k + j - 1) * rs - t > reach:
+        j -= 1
+    while j < c and (k + j) * rs - t <= reach:
+        j += 1
+    return j
+
+
+def _fill_ticks(plant: LtiPlant, rows: _Rows, pending: list, rs: float, x_max: float) -> dict[str, int] | None:
+    """Fill the reserved tick rows of the pending stretches in bulk, and empty pending.
+
+    Each entry is (first slot, first tick, ticks, start t, coeffs, x_held, u,
+    jammed, stats after the stretch). One LtiPlant.stretch product over the
+    (stretches, slots, Taylor terms) stack takes every tick's state, one
+    _row_norms pass their norms, and one test the divergence guard. Slots
+    are padded to a multiple of _SLOT_ALIGN with offsets of one Taylor
+    reach (nothing reads those rows; a zero offset would take pow's slow
+    path). If a row trips the guard, the rows end at it, and the stats
+    after its stretch are returned; otherwise None.
+    """
+    first, k0, ticks, t0, coeffs, held, u, jam, after = zip(*pending)
+    pending.clear()
+    c = np.array(ticks)
+    slot = np.arange(-(-max(ticks) // _SLOT_ALIGN) * _SLOT_ALIGN)
+    real = slot < c[:, None]
+    ts = (np.array(k0)[:, None] + slot) * rs
+    X = plant.stretch(np.array(coeffs), np.where(real, ts - np.array(t0)[:, None], plant.taylor_reach))[real]
+    count = len(X)
+    norms = _row_norms(np.concatenate((X, np.repeat(np.array(held), c, axis=0) - X)))
+    x_norm = norms[:count]
+    ends = np.cumsum(c)
+    at = np.repeat(np.array(first) - ends + c, c) + np.arange(count)
+    rows.block(at, ts[real], X, np.repeat(np.array(u), c, axis=0), norms[count:], x_norm, np.repeat(jam, c))
+    # written so that a NaN row (inf - inf after overflow) also trips the guard
+    bad = np.flatnonzero(~(x_norm <= x_max))
+    if not bad.size:
+        return None
+    rows.size = int(at[bad[0]]) + 1
+    return after[int(ends.searchsorted(bad[0], "right"))]
 
 
 # A state that overflows turns into inf/NaN entries; the divergence guard
@@ -471,30 +540,50 @@ def run(config: SimConfig) -> Trace:
     the same t, flags and stats, and x, u and the norms exactly 2^-k times
     the originals, while every value stays a normal float.
 
-    From every stop, the record ticks strictly before the next event (the
-    next attempt, jam breakpoint or the horizon) and the event itself are
-    stepped as one Taylor stretch: the offsets' powers times
+    Stretches. From every stop, the record ticks strictly before the next
+    event (the next attempt, jam breakpoint or the horizon) and the event
+    itself are one Taylor stretch: the offsets' powers times
     LtiPlant.taylor_coeffs of [x; w], w the applied sample (x_held, or zero
     while jammed under InputMode.ZERO_DURING_DOS). A stretch ends early, at
     a tick, after _STRETCH_ROWS rows, after size rows while it waits for a
     crossing, or at the last offset within LtiPlant.taylor_reach, and the
     next one starts there; a first offset past the reach is one
-    LtiPlant.step, by mat_exp. The rows take their norms from one
-    _row_norms pass, and the divergence guard is the largest of them (NaN
-    included); the first row past it ends the run. After every attempt,
-    triggers.next_attempt gives the next one; while an event logic waits
-    for a crossing it is inf, and the attempt is the crossing that
-    find_event_crossing decides on each stretch's coefficients, called by
-    its module name, over the rows up to the first with ||e|| >= sigma
-    ||x|| (that row, if the search finds none before it). Those stretches
-    hold at most size rows: one more than the cells up to the last
-    crossing (at least _SCAN_BLOCK_MIN), for the off-tick cell before the
-    first tick, doubling per stretch.
+    LtiPlant.step, by mat_exp.
 
-    The loop carries t, x, x_held, t_held, the next attempt, and ||x|| and
-    ||x_held - x|| of the state in locals. All rows at one stop share that
-    state and its norms. The post-jump row of a success shares ||x|| with
-    its pre-jump row, and its transmission error is exactly zero.
+    Phase 1, the stops. The loop goes from stop to stop: attempts, jam
+    breakpoints, stretch ends and the horizon. It carries t, x, x_held,
+    t_held, the next attempt, and ||x|| and ||x_held - x|| of the state in
+    locals, and writes each stop's own rows. A stop's state is one
+    LtiPlant.step with its stretch's coefficients (not counted in
+    taylor_steps), with norms from _norm, or, while the loop waits for a
+    crossing, its stretch's last row (below). The loop reserves rows for
+    the ticks strictly between two stops and moves on.
+
+    Phase 2, the rows in bulk. Reserved ticks wait in a chunk of stretches
+    of at most _CHUNK_ROWS padded rows; a full chunk, the end of the run
+    and a stop past the guard fill them (_fill_ticks) in one product, one
+    _row_norms pass and one guard test.
+
+    Divergence. The first row past the guard (NaN included) ends the run:
+    a stop's state at once, after the chunk before it is filled, whose
+    ticks come first; a tick when its chunk is filled, with the stats the
+    run had after that tick's stretch, however far the loop ran ahead.
+
+    Waiting for a crossing. After every attempt, triggers.next_attempt gives
+    the next one; while an event logic waits for a crossing it is inf, and
+    the loop evaluates each stretch's rows itself, in one product, since
+    the search needs them: the attempt is the crossing that
+    find_event_crossing, called by its module name, decides on the
+    stretch's coefficients, over the rows up to the first with ||e|| >=
+    sigma ||x|| (that row, if the search finds none before it). Those rows
+    go into the trace as they are; their norms come from one _row_norms
+    pass, and the last kept row is the next stretch's start. Those
+    stretches hold at most size rows: one more than the cells up to the
+    last crossing (at least _SCAN_BLOCK_MIN), for the off-tick cell before
+    the first tick, doubling per stretch.
+
+    The post-jump row of a success shares ||x|| with its pre-jump row, and
+    its transmission error is exactly zero.
     """
     plant = config.plant
     trig = config.trigger
@@ -514,6 +603,9 @@ def run(config: SimConfig) -> Trace:
 
     rows = _Rows(n, m)
     stats = _new_stats()
+    # stretches whose tick rows are reserved but not yet filled (see
+    # _fill_ticks), and the padded slots of the widest of them
+    pending, width = [], 0
 
     # the applied sample and the input while jammed under ZERO_DURING_DOS
     w_zero, u_zero = np.zeros(n), np.zeros(m)
@@ -540,36 +632,34 @@ def run(config: SimConfig) -> Trace:
 
         if stop > t:
             w, u = (w_zero, u_zero) if zero_mode and jammed else (xh, u_held)
-            k_tick = math.floor(t / rs + 1e-9) + 1
-            if k_tick * rs <= t:
-                k_tick += 1
-            ticks = _ticks_before(k_tick, rs, stop)
+            k = math.floor(t / rs + 1e-9) + 1
+            if k * rs <= t:
+                k += 1
+            ticks = _ticks_before(k, rs, stop)
             to_stop = ticks < _STRETCH_ROWS  # whether the stretch may reach the stop
-            ts = np.arange(k_tick, k_tick + ticks + to_stop) * rs
-            if to_stop:
-                ts[-1] = stop
-            dts = ts - t
-            count = len(ts) if dts[-1] <= reach else int(dts.searchsorted(reach, "right"))
-            if armed:
-                count = min(count, size)
-            if count:
+            count = ticks + to_stop  # its offsets: the ticks, then the stop
+            if (stop if to_stop else (k + ticks - 1) * rs) - t > reach:
+                count, to_stop = _ticks_within(k, ticks, rs, t, reach), False
+            if armed and count > size:
+                count, to_stop = size, False
+            if not count:  # its first offset lies past the Taylor reach
+                count, to_stop, coeffs = 1, not ticks, None
+            else:
                 coeffs = plant.taylor_coeffs(x, w)
-                X = plant.stretch(coeffs, dts[:count])
                 stats["blocks_stepped"] += 1
-            else:  # its first row lies past the Taylor reach
-                count, coeffs = 1, None
-                X = plant.step(x, w, float(dts[0]), stats)[None]
-            if count < len(ts):
-                to_stop = False
-                ts, dts = ts[:count], dts[:count]
-            # one pass for both: each row's sum is the same in a stack as alone
-            norms = _row_norms(np.concatenate((X, xh - X)))
-            x_norm, e_norm = norms[:count], norms[count:]
-            # written so that a NaN row (inf - inf after overflow) also trips the guard
-            tripped = not x_norm.max() <= x_max
-            last = int(np.flatnonzero(~(x_norm <= x_max))[0]) if tripped else count - 1  # the row to move to
-            hit = None
+            t_end = stop if to_stop else (k + count - 1) * rs
+            more = not to_stop  # the stretch ends at a tick, where the next one starts
             if armed:
+                ts = np.arange(k, k + count) * rs
+                ts[-1] = t_end
+                dts = ts - t
+                X = plant.step(x, w, float(dts[0]), stats)[None] if coeffs is None else plant.stretch(coeffs, dts)
+                # one pass for both: each row's sum is the same in a stack as alone
+                norms = _row_norms(np.concatenate((X, xh - X)))
+                x_norm, e_norm = norms[:count], norms[count:]
+                # written so that a NaN row (inf - inf after overflow) also trips the guard
+                tripped = not x_norm.max() <= x_max
+                last = int(np.flatnonzero(~(x_norm <= x_max))[0]) if tripped else count - 1  # the row to move to
                 # the search ends at the first row with g >= 0, the stretch's last row otherwise
                 over = np.flatnonzero(e_norm[: last + 1] - sigma * x_norm[: last + 1] >= 0.0)
                 end = int(over[0]) if over.size else last
@@ -584,23 +674,45 @@ def run(config: SimConfig) -> Trace:
                 else:
                     last, t_next = int(ts.searchsorted(hit)), hit
                     armed, found = False, cells + last + 1
-            # the rows before it are ticks, and so is the last row of a stretch cut short at a tick
-            kept = last + (hit is None and not tripped and not to_stop)
-            rows.block(ts[:kept], X[:kept], u, e_norm[:kept], x_norm[:kept], jammed)
-            if hit is not None and t_next < ts[last]:
-                # a crossing between two rows: its state comes from the stretch's coefficients
-                x = plant.step(x, w, t_next - t, stats, coeffs)
-                t, x_n, e_n = t_next, _norm(x), _norm(xh - x)
+                # the rows before it are ticks, and so is the last row of a stretch cut short at a tick
+                more = hit is None and not tripped and more
+                kept = last + more
+                i = rows.reserve(kept)
+                rows.block(slice(i, i + kept), ts[:kept], X[:kept], u, e_norm[:kept], x_norm[:kept], jammed)
+                if hit is not None and t_next < ts[last]:
+                    # a crossing between two rows: its state comes from the stretch's coefficients
+                    x = plant.step(x, w, t_next - t, stats, coeffs)
+                    t, x_n, e_n = t_next, _norm(x), _norm(xh - x)
+                else:
+                    t, x, x_n, e_n = float(ts[last]), X[last], float(x_norm[last]), float(e_norm[last])
             else:
-                t, x, x_n, e_n = float(ts[last]), X[last], float(x_norm[last]), float(e_norm[last])
-            if kept > last:
-                continue  # the next stretch starts at that tick
+                if count > 1:  # ticks before its end: reserve their rows, filled in bulk
+                    slots = -(-(count - 1) // _SLOT_ALIGN) * _SLOT_ALIGN
+                    if pending and (len(pending) + 1) * max(width, slots) > _CHUNK_ROWS:
+                        after = _fill_ticks(plant, rows, pending, rs, x_max)
+                        width = 0
+                        if after is not None:
+                            stats, diverged = after, True
+                            break
+                    width = max(width, slots)
+                    pending.append((rows.reserve(count - 1), k, count - 1, t, coeffs, xh, u, jammed, stats.copy()))
+                # counted only past the reach, as an expm step
+                x = plant.step(x, w, t_end - t, stats if coeffs is None else None, coeffs)
+                t, x_n, e_n = t_end, _norm(x), _norm(xh - x)
+                if more and x_n <= x_max:
+                    rows.row(t, x, u, e_n, x_n, jammed, 0, 0)
             # written so that a NaN state (inf - inf after overflow) also trips the guard
             if not x_n <= x_max:
-                jam = is_jammed(dos, t)
-                rows.row(t, x, u_zero if zero_mode and jam else u_held, e_n, x_n, jam, 0, 0)
+                after = _fill_ticks(plant, rows, pending, rs, x_max) if pending else None
+                if after is None:
+                    jam = is_jammed(dos, t)
+                    rows.row(t, x, u_zero if zero_mode and jam else u_held, e_n, x_n, jam, 0, 0)
+                else:
+                    stats = after
                 diverged = True
                 break
+            if more:
+                continue  # the next stretch starts at that tick
             stop = t
         else:
             t = stop
@@ -616,7 +728,7 @@ def run(config: SimConfig) -> Trace:
         if stop == t_next and stop < horizon:
             rows.row(stop, x, u, e_n, x_n, jammed, 1, 0 if jammed else 1)
             if not jammed:
-                xh, t_held, e_n = x.copy(), stop, 0.0
+                xh, t_held, e_n = x, stop, 0.0
                 u_held = K @ xh
                 rows.row(stop, x, u_held, e_n, x_n, jammed, 0, 0)
             jam_end = bps[bp_i][0] if jammed else math.inf  # while jammed, the next breakpoint ends the interval
@@ -626,6 +738,10 @@ def run(config: SimConfig) -> Trace:
         elif not at_bp:
             rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)
 
+    if pending:
+        after = _fill_ticks(plant, rows, pending, rs, x_max)
+        if after is not None:
+            stats, diverged = after, True
     stats["rows_emitted"] = rows.size
     return Trace(**rows.columns(), diverged=diverged, crossing_tol=config.crossing_tol, stats=stats)
 

@@ -12,10 +12,10 @@ import pytest
 
 import dosloop._bernstein
 import dosloop.sim
-from dosloop import InputMode, LtiPlant, find_event_crossing
+from dosloop import InputMode, LogicKind, LtiPlant, SimConfig, find_event_crossing, run
 from dosloop._bernstein import DEGREE
 from dosloop.sim import _new_stats
-from conftest import feasible_sigma, hunt_plant
+from conftest import budgeted_jam, feasible_sigma, hunt_plant, random_stabilized_plant, standard_trigger
 from oracles import expm_hold_step
 
 
@@ -183,3 +183,68 @@ def test_a_near_tangency_takes_few_hull_tests_per_record_cell(gap):
     stats = _new_stats()
     assert find_event_crossing(_ROTATING, x_a, _E1, peak * (1.0 + gap), t_a, t_a + cell, 1e-9, stats=stats) is None
     assert stats["hull_tests"] <= 10, stats
+
+
+def _first_crossing(plant, x_s, sigma, h, end):
+    """The first s in (0, end] where ||x_s - x(s)|| reaches sigma ||x(s)|| from x(0) = x_s, or None.
+
+    x(s) is one scipy exponential of the held-input flow from x_s
+    (oracles.expm_hold_step) at every point of a grid of step h > 0, and the
+    first cell whose end has g >= 0 is bisected to the last bit.
+    """
+
+    def g(s):
+        xs = expm_hold_step(plant.A, plant.bk, x_s, x_s, s)
+        return np.linalg.norm(x_s - xs) - sigma * np.linalg.norm(xs)
+
+    lo, hi = 0.0, 0.0
+    while hi < end:
+        lo, hi = hi, min(hi + h, end)
+        if g(hi) >= 0.0:
+            while True:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    return hi
+                lo, hi = (lo, mid) if g(mid) >= 0.0 else (mid, hi)
+    return None
+
+
+@pytest.mark.parametrize("mode", list(InputMode))
+@pytest.mark.parametrize("logic", [LogicKind.EVENT_TIME, LogicKind.IDEAL_EVENT])
+def test_each_attempt_lies_within_crossing_tol_after_its_own_crossing(logic, mode):
+    # Attempt times are chained: each crossing is measured from the state
+    # held at the attempt before, so a search that lands elsewhere within
+    # crossing_tol moves every later attempt, and only a check of each
+    # attempt against its own crossing can pin the search's contract. Each
+    # attempt that waited for a crossing (the one after a success from a
+    # nonzero state) is replayed from that success's held state and time
+    # by an expm oracle, and must lie in [t*, t* + crossing_tol] of the
+    # oracle's first crossing t* (up to 1e-12 of rounding in t). Windows in
+    # which a jam switches a zeroed input off are skipped: the flow changes
+    # there.
+    rng = np.random.default_rng(2700 + len(logic.value) + len(mode.value))
+    checked = 0
+    for k in range(4):
+        base = random_stabilized_plant(rng)
+        plant = LtiPlant(A=base.A, B=base.B, K=base.K, input_mode=mode)
+        sigma = feasible_sigma(plant)
+        trig = standard_trigger(plant, sigma)
+        horizon = 30.0 * trig.delta2
+        seq, budget, _ = budgeted_jam(k + 11, trig, tau_avg=5.0, horizon=horizon)
+        cfg = SimConfig(plant=plant, logic=logic, trigger=trig, dos=seq, budget=budget,
+                        x0=rng.normal(size=plant.n), horizon=horizon, record_step=trig.delta1 / 4.0)
+        trace = run(cfg)
+        tol = trace.crossing_tol
+        edges = np.concatenate((seq.onsets, seq.ends))
+        attempts = np.flatnonzero(trace.attempt == 1)
+        for i, j in zip(attempts, attempts[1:]):
+            t_s, t_a, x_s = float(trace.t[i]), float(trace.t[j]), trace.x[i]
+            if not (trace.success[i] and x_s.any()):
+                continue
+            if mode is InputMode.ZERO_DURING_DOS and np.any((t_s < edges) & (edges < t_a)):
+                continue
+            want = _first_crossing(plant, x_s, sigma, cfg.record_step / 4.0, t_a - t_s + 2.0 * tol)
+            assert want is not None, (k, t_s, t_a)
+            assert -1e-12 <= (t_a - t_s) - want <= tol + 1e-12, (k, t_s, t_a - t_s - want)
+            checked += 1
+    assert checked >= 30

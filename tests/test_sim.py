@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import dosloop.plant
+import dosloop.sim
 from dosloop import (
     DosBudget,
     DosSequence,
@@ -43,7 +44,7 @@ from dosloop import (
     xi_measure,
 )
 from dosloop.cli import Scenario, _applicable_certificates, certificates, main, scenario_from_dict
-from dosloop.sim import _CSV_BLOCK_CELLS, _STRETCH_ROWS, Trace
+from dosloop.sim import _CHUNK_ROWS, _CSV_BLOCK_CELLS, _STRETCH_ROWS, Trace
 from conftest import budgeted_jam, feasible_sigma, random_stabilized_plant, standard_trigger
 from oracles import (
     csv_by_row,
@@ -348,6 +349,16 @@ def test_ideal_event_resumes_at_jam_end():
     assert resumed[0] == float(seq.ends[0])
 
 
+def _overflowing_config():
+    """A jammed unstable plant that overflows within one record step."""
+    plant = LtiPlant(A=np.array([[50.0]]), B=np.array([[1.0]]), K=np.array([[-60.0]]))
+    trig = TriggerConfig(sigma=0.1, delta1=100.0, delta2=100.0)
+    return SimConfig(
+        plant=plant, logic=LogicKind.IDEAL_EVENT, trigger=trig, dos=DosSequence(((1.0, 30.0),)),
+        budget=DosBudget(kappa=40.0, tau_avg=2.0), x0=np.array([1.0]), horizon=200.0, record_step=25.0,
+    )
+
+
 def test_zero_input_mode_and_divergence_flag():
     # open-loop unstable diagonal plant, jammed for the entire horizon,
     # zeroed input: the state is exp(At) x0 and must trip the guard
@@ -383,18 +394,72 @@ def test_zero_input_mode_and_divergence_flag():
 def test_divergence_guard_catches_nan_state():
     # the jammed unstable plant overflows within one record step; inf - inf in
     # the held-input term turns the state into NaN, which must still trip the guard
-    plant = LtiPlant(A=np.array([[50.0]]), B=np.array([[1.0]]), K=np.array([[-60.0]]))
-    trig = TriggerConfig(sigma=0.1, delta1=100.0, delta2=100.0)
-    cfg = SimConfig(
-        plant=plant, logic=LogicKind.IDEAL_EVENT, trigger=trig, dos=DosSequence(((1.0, 30.0),)),
-        budget=DosBudget(kappa=40.0, tau_avg=2.0), x0=np.array([1.0]), horizon=200.0, record_step=25.0,
-    )
-    trace = run(cfg)
+    trace = run(_overflowing_config())
     assert trace.diverged
     assert trace.t[-1] < 200.0
     assert not np.isfinite(trace.x_norm[-1])
     # a diverged trace can never pass a stability claim
     assert not verify_ges(trace, alpha=1e6, beta=0.0).holds
+
+
+_TRACE_COLUMNS = ("t", "x", "u", "e_norm", "x_norm", "jammed", "attempt", "success")
+
+
+def _at_both_chunk_bounds(cfg, monkeypatch):
+    """The run of cfg, checked to be the same bytes, divergence and stats at the smallest chunk bound.
+
+    The smallest bound on the padded rows of one bulk product is
+    _STRETCH_ROWS, one widest stretch, so the ticks between stops are
+    filled in far more, far smaller products than at the default.
+    """
+    ref = run(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(dosloop.sim, "_CHUNK_ROWS", _STRETCH_ROWS)
+        small = run(cfg)
+    for col in _TRACE_COLUMNS:
+        assert getattr(small, col).tobytes() == getattr(ref, col).tobytes(), col
+    assert (small.diverged, small.stats) == (ref.diverged, ref.stats)
+    return ref
+
+
+def _ringing_config():
+    """A jammed plant whose ||x|| swings by 4x each quarter turn and grows 8% a half turn, with its input zeroed.
+
+    IDEAL_EVENT's first attempt fails and it waits for the jam to end, past
+    the horizon, so the only stops are stretch ends, two record ticks
+    apart: each stretch holds one tick between two stops.
+    """
+    w = 10.0
+    g = math.log(1.08) * (w / 4.0) / math.pi
+    plant = LtiPlant(A=np.array([[g, w], [-w / 16.0, g]]), B=np.eye(2), K=-3.0 * np.eye(2),
+                     input_mode=InputMode.ZERO_DURING_DOS)
+    rs = plant.taylor_reach / 2.5
+    horizon = 1e5
+    return SimConfig(
+        plant=plant, logic=LogicKind.IDEAL_EVENT, trigger=TriggerConfig(sigma=0.5, delta1=4.0 * rs, delta2=4.0 * rs),
+        dos=DosSequence(((0.0, horizon + 1.0),)), budget=DosBudget(kappa=0.5 * horizon + 1.0, tau_avg=2.0),
+        x0=np.array([math.cos(0.5), math.sin(0.5)]), horizon=horizon, record_step=rs,
+    )
+
+
+def test_a_diverged_run_ends_at_its_first_row_past_the_guard(monkeypatch):
+    # The guard trips on a tick strictly between two stops, near a peak of
+    # ||x||, and the stop after it lies below the guard again: the loop
+    # steps on, 15 stretches here, before the bulk product that fills that
+    # tick finds it. The trace still ends at that tick, with the stats
+    # after its stretch: 11,945 rows and 5,972 stretches, as when every
+    # stretch's rows were evaluated at its own stop. At every chunk bound.
+    formed = []
+    coeffs = LtiPlant.taylor_coeffs
+    monkeypatch.setattr(LtiPlant, "taylor_coeffs", lambda *args: formed.append(None) or coeffs(*args))
+    trace = _at_both_chunk_bounds(_ringing_config(), monkeypatch)
+    assert trace.diverged and not trace.attempt[-1] and trace.x_norm[-1] > 1e12 * trace.x_norm[0]
+    assert (len(trace), float(trace.t[-1])) == (11945, 439.0368850138629)
+    assert trace.stats["blocks_stepped"] == 5972 and trace.stats["rows_emitted"] == len(trace)
+    assert len(formed) > 2 * trace.stats["blocks_stepped"]  # both runs stepped past the tick
+    # a NaN state, stepped past the Taylor reach, trips it at a stop
+    nan = _at_both_chunk_bounds(_overflowing_config(), monkeypatch)
+    assert nan.diverged and np.isnan(nan.x_norm[-1]) and nan.stats["expm_steps"] > 0
 
 
 def test_a_run_ends_at_its_horizon():
@@ -413,29 +478,36 @@ def test_a_run_ends_at_its_horizon():
 def test_stretches_are_bounded_independent_of_horizon(monkeypatch):
     # 64 record ticks per delta1, so more than _STRETCH_ROWS ticks lie
     # between some events; no stretch holds more rows than that, however
-    # long the run, through jammed stretches (w = 0) and free ones alike,
-    # and no run builds a matrix exponential
+    # long the run, through jammed stretches (w = 0) and free ones alike.
+    # Each LtiPlant.stretch call is one product: the rows of one stretch
+    # stepped while event_time waits for a crossing, or one bulk product of
+    # the ticks between stops of many pure_time stretches, whose padded
+    # rows stay within _CHUNK_ROWS. No run builds a matrix exponential.
     rng = np.random.default_rng(12)
     base = random_stabilized_plant(rng)
     sigma = feasible_sigma(base)
     trig = standard_trigger(base, sigma)
     period, duty = 40.0 * trig.delta1, 0.2
     x0 = rng.normal(size=base.n)
-    rows, steps = [], []
+    shapes, steps = [], []
     stretch, propagator = LtiPlant.stretch, LtiPlant.propagator
-    monkeypatch.setattr(LtiPlant, "stretch", lambda self, c, dts: rows.append(len(dts)) or stretch(self, c, dts))
+    monkeypatch.setattr(LtiPlant, "stretch", lambda self, c, dts: shapes.append(dts.shape) or stretch(self, c, dts))
     monkeypatch.setattr(LtiPlant, "propagator", lambda self, dt: steps.append(dt) or propagator(self, dt))
-    peaks = []
+    rows, padded = [], []
     for horizon in (2.0, 8.0):
-        rows.clear()
+        shapes.clear()
         plant = LtiPlant(A=base.A, B=base.B, K=base.K, input_mode=InputMode.ZERO_DURING_DOS)
         seq = gen_periodic(0.5 * period, period, duty, horizon)
-        trace = run(SimConfig(plant=plant, logic=LogicKind.EVENT_TIME, trigger=trig, dos=seq,
-                              budget=periodic_budget(period, duty), x0=x0, horizon=horizon,
-                              record_step=trig.delta1 / 64.0))
-        assert trace.jammed.any() and not trace.diverged
-        peaks.append(max(rows))
-    assert peaks == [_STRETCH_ROWS, _STRETCH_ROWS]
+        for logic in (LogicKind.EVENT_TIME, LogicKind.PURE_TIME):
+            trace = run(SimConfig(plant=plant, logic=logic, trigger=trig, dos=seq,
+                                  budget=periodic_budget(period, duty), x0=x0, horizon=horizon,
+                                  record_step=trig.delta1 / 64.0))
+            assert trace.jammed.any() and not trace.diverged
+        assert max(shape[0] for shape in shapes if len(shape) == 2) > 1  # bulk products of many stretches
+        rows.append(max(shape[-1] for shape in shapes))
+        padded.append(max(math.prod(shape) for shape in shapes))
+    assert rows == [_STRETCH_ROWS, _STRETCH_ROWS]
+    assert max(padded) <= _CHUNK_ROWS
     assert steps == []
 
 
@@ -579,6 +651,15 @@ def test_shipped_scenarios_keep_their_pinned_behaviour(name, logic, mode):
     assert trace.stats == dict(zip(_PINNED_STAT_KEYS, PINNED_STATS[name, logic, mode]))
 
 
+@pytest.mark.parametrize("name,logic,mode", list(PINNED_BEHAVIOUR), ids=["-".join(key) for key in PINNED_BEHAVIOUR])
+def test_the_chunk_bound_changes_no_byte(name, logic, mode, monkeypatch):
+    # the record ticks between stops are filled in bulk products of whole
+    # stretches, chunked by a bound on their padded rows; no row, flag or
+    # counter depends on where the chunks split
+    sc = scenario_from_dict(_shipped_doc(name, logic, mode), SCENARIOS)
+    _at_both_chunk_bounds(sc.sim_config(), monkeypatch)
+
+
 @pytest.mark.parametrize("x1", [2.0**-565, 1e-160], ids=["2^-565", "1e-160"])
 def test_recorded_norms_are_never_under_estimated(x1):
     # Entries below about 1e-154 have subnormal squares, and below about
@@ -668,8 +749,6 @@ def test_crossing_search_costs_little_beyond_the_rows(name, logic, mode):
 def test_run_searches_through_find_event_crossing(name, logic, mode, monkeypatch):
     # every search of the watch goes through the module's public name, so a
     # wrapper bound there (as the benchmark's tracer binds one) sees them all
-    import dosloop.sim
-
     calls = 0
     original = dosloop.sim.find_event_crossing
 
@@ -1171,8 +1250,6 @@ def test_onset_check_skips_touching_onsets_and_allows_a_late_crossing(logic, mod
     # is wrapped to return each one on the next multiple of crossing_tol / 8
     # at least 7 crossing_tol / 8 later (the same time in both runs of the
     # helper, whose windows differ).
-    import dosloop.sim
-
     search = dosloop.sim.find_event_crossing
 
     def late(plant, x, x_held, sigma, t_from, t_max, crossing_tol, **kwargs):

@@ -45,7 +45,7 @@ def test_csv_delta_reports_float_cells_and_fails_on_times_and_flags(tmp_path, ca
     # only float cells other than t moved: reported, exit 0
     assert csv_delta.main([str(a), str(b)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out == ["moved.csv: rows 2 / 2, 1 differ, max rel 2.22e-16, t equal, flags equal", "1 of 2 CSVs differ"]
+    assert out == ["moved.csv: rows 2 / 2, 1 differ, max rel 2.22e-16, max scaled 2.22e-16, t equal, flags equal", "1 of 2 CSVs differ"]
     # a flag, a time, a row count or a missing case fails
     for moved in ("0.5,0.25,-0.5,0.75,0.25,1,0,0", "0.75,0.25,-0.5,0.75,0.25,1,1,0", None):
         (b / "moved.csv").write_text(_HEADER + "\r\n".join([rows[0]] + ([moved] if moved else [])) + "\r\n")
@@ -69,7 +69,7 @@ def test_csv_delta_reports_how_far_the_times_moved(tmp_path, capsys):
     assert csv_delta.main([str(a), str(b)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == [
-        "case.csv: rows 3 / 3, 1 differ, max rel 5e-10, t DIFFERS (max |dt| 2.5e-10), flags equal",
+        "case.csv: rows 3 / 3, 1 differ, max rel 5e-10, max scaled 0, t DIFFERS (max |dt| 2.5e-10), flags equal",
         "1 of 1 CSVs differ",
     ]
 
@@ -85,7 +85,7 @@ def test_csv_delta_passes_times_moved_within_a_tolerance(tmp_path, capsys):
     (a / "case.csv").write_text(_HEADER + "\r\n".join(rows) + "\r\n")
     moved = ["0,1,-2,0,1,0,0,0", "0.50000000025,0.25,-0.5,0.75,0.25,0,1,1", "0.75,0.25,-0.25,0,0.25,0,0,0"]
     (b / "case.csv").write_text(_HEADER + "\r\n".join(moved) + "\r\n")
-    line = "case.csv: rows 3 / 3, 1 differ, max rel 5e-10, t DIFFERS (max |dt| 2.5e-10), flags equal"
+    line = "case.csv: rows 3 / 3, 1 differ, max rel 5e-10, max scaled 0, t DIFFERS (max |dt| 2.5e-10), flags equal"
     assert csv_delta.main(["--t-tol", "1e-9", str(a), str(b)]) == 0
     assert capsys.readouterr().out.splitlines() == [line, "1 of 1 CSVs differ"]
     assert csv_delta.main(["--t-tol", "1e-10", str(a), str(b)]) == 1
@@ -100,3 +100,36 @@ def test_csv_delta_passes_times_moved_within_a_tolerance(tmp_path, capsys):
     for tol in ("-1e-9", "nan", "soon"):
         assert csv_delta.main(["--t-tol", tol, str(a), str(b)]) == 1
         assert capsys.readouterr().err.startswith("usage: csv_delta.py [--t-tol SECONDS] DIR_A DIR_B")
+
+
+def test_csv_delta_scales_each_cell_by_its_row(tmp_path, capsys):
+    # a change of 2^-52 of ||x|| in a near-zero state cell reads 2.2e-4 in
+    # max rel, relative to the cell itself, and 2.2e-16 in max scaled,
+    # relative to the larger x_norm of its row; u cells scale by the row's
+    # largest |u|, and a NaN on one side only reads inf
+    csv_delta = _load("csv_delta")
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    header = "t,x1,x2,u1,u2,e_norm,x_norm,jammed,attempt,success\r\n"
+    rows = ["0,1,1e-12,-4,1e-12,0,1,0,0,0", "0.5,0.5,1e-12,-2,1e-12,0.25,0.5,0,0,0"]
+    (a / "case.csv").write_text(header + "\r\n".join(rows) + "\r\n")
+    x_cell = ["0,1,1.000222044604925e-12,-4,1e-12,0,1,0,0,0", rows[1]]
+    (b / "case.csv").write_text(header + "\r\n".join(x_cell) + "\r\n")
+    assert csv_delta.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "case.csv: rows 2 / 2, 1 differ, max rel 0.000222, max scaled 2.22e-16, t equal, flags equal"
+    )
+    # u2 moves by 2^-52 of the row's largest |u|, 2; e_norm by 2^-53 of x_norm
+    u_cell = [rows[0], "0.5,0.5,1e-12,-2,1.00044408920985e-12,0.25000000000000006,0.5,0,0,0"]
+    (b / "case.csv").write_text(header + "\r\n".join(u_cell) + "\r\n")
+    assert csv_delta.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "case.csv: rows 2 / 2, 1 differ, max rel 0.000444, max scaled 2.22e-16, t equal, flags equal"
+    )
+    nan_cell = [rows[0], "0.5,0.5,nan,-2,1e-12,0.25,0.5,0,0,0"]
+    (b / "case.csv").write_text(header + "\r\n".join(nan_cell) + "\r\n")
+    assert csv_delta.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "case.csv: rows 2 / 2, 1 differ, max rel inf, max scaled inf, t equal, flags equal"
+    )

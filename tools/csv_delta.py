@@ -5,15 +5,22 @@
 DIR_A and DIR_B hold the trace CSVs of two runs (``OUT_DIR/csv`` of
 ``tools/case_digests.py``, copied aside before the second run). For each case
 whose CSV differs it prints the row counts, how many rows differ, the largest
-relative difference |a - b| / max(|a|, |b|) of a float cell, and whether the t
-column and the three flag columns (jammed, attempt, success) are equal; when t
-differs, also the largest |dt| between the two t columns, so a change that
-moves attempt times shows by how much (say, within crossing_tol). Exits
-1 when a case is missing from one side or a row count, t column or flag column
-differs, and 0 otherwise: then the traces differ at most in their float cells.
+relative difference |a - b| / max(|a|, |b|) of a float cell, the largest
+difference scaled by its row (``max scaled``: an x, e_norm or x_norm cell over
+max(x_norm_a, x_norm_b) of its row, a u cell over the row's largest |u| on
+either side), and whether the t column and the three flag columns (jammed,
+attempt, success) are equal; when t differs, also the largest |dt| between
+the two t columns, so a change that moves attempt times shows by how much
+(say, within crossing_tol). Exits 1 when a case is missing from one side or a
+row count, t column or flag column differs, and 0 otherwise: then the traces
+differ at most in their float cells.
 With ``--t-tol SECONDS`` a case whose t column moved passes too when its row
 counts and flag columns are equal and no t moved by more than SECONDS; the
 report lines stay the same.
+
+``max rel`` reads near-zero cells at their own scale, so a one-ulp change of a
+state moves it by many orders more in a cell near zero than in one near
+||x||; ``max scaled`` reads every cell at the scale of its row.
 """
 
 from __future__ import annotations
@@ -27,12 +34,40 @@ import numpy as np
 FLAGS = 3  # jammed, attempt, success: the last columns of every row
 
 
+def _delta(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """|a - b| per cell: 0 for equal cells (both zero, both NaN, the same infinity), inf for any other NaN."""
+    with np.errstate(invalid="ignore"):
+        d = np.abs(fa - fb)
+    same = (fa == fb) | (np.isnan(fa) & np.isnan(fb))
+    return np.where(same, 0.0, np.where(np.isnan(d), np.inf, d))
+
+
+def _over(d: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """d / scale, 0 where d is 0 (whatever the scale), inf where only scale is 0 or the quotient is NaN."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = d / scale
+    return np.where(d == 0.0, 0.0, np.where(np.isnan(q), np.inf, q))
+
+
+def scaled_delta(header: list[str], fa: np.ndarray, fb: np.ndarray) -> float:
+    """Largest cell difference scaled by its row: x, e_norm and x_norm cells by the larger x_norm, u cells by the largest |u|."""
+    x_cols = [i for i, name in enumerate(header) if name[:1] == "x" and name[1:].isdigit()]
+    x_cols += [header.index("e_norm"), header.index("x_norm")]
+    u_cols = [i for i, name in enumerate(header) if name[:1] == "u" and name[1:].isdigit()]
+    x_scale = np.maximum(np.abs(fa[:, x_cols[-1]]), np.abs(fb[:, x_cols[-1]]))
+    u_scale = np.maximum(np.abs(fa[:, u_cols]), np.abs(fb[:, u_cols])).max(axis=1)
+    x_part = _over(_delta(fa[:, x_cols], fb[:, x_cols]), x_scale[:, None])
+    u_part = _over(_delta(fa[:, u_cols], fb[:, u_cols]), u_scale[:, None])
+    return float(max(x_part.max(), u_part.max()))
+
+
 def compare(a: Path, b: Path, t_tol: float | None = None) -> tuple[str, bool]:
     """One report line for two CSVs of a case, and whether they keep their rows, times and flags.
 
     With t_tol, times that moved by at most t_tol count as kept.
     """
-    rows_a, rows_b = a.read_text().splitlines()[1:], b.read_text().splitlines()[1:]
+    lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
+    header, rows_a, rows_b = lines_a[0].split(","), lines_a[1:], lines_b[1:]
     head = f"{a.name}: rows {len(rows_a)} / {len(rows_b)}"
     if len(rows_a) != len(rows_b):
         return head, False
@@ -45,12 +80,13 @@ def compare(a: Path, b: Path, t_tol: float | None = None) -> tuple[str, bool]:
     dt = np.abs(A[:, 0] - B[:, 0]).max()
     same_flags = np.array_equal(A[:, -FLAGS:], B[:, -FLAGS:])
     fa, fb = A[:, :-FLAGS], B[:, :-FLAGS]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.abs(fa - fb) / np.maximum(np.abs(fa), np.abs(fb))
-    # equal cells (both zero, both NaN, the same infinity) differ by nothing; any other NaN by inf
-    rel = np.where((fa == fb) | (np.isnan(fa) & np.isnan(fb)), 0.0, np.nan_to_num(rel, nan=np.inf))
+    rel = _over(_delta(fa, fb), np.maximum(np.abs(fa), np.abs(fb)))
+    scaled = scaled_delta(header, fa, fb)
     moved = "equal" if same_t else f"DIFFERS (max |dt| {dt:.3g})"
-    line = f"{head}, {differ} differ, max rel {rel.max():.3g}, t {moved}, flags {'equal' if same_flags else 'DIFFER'}"
+    line = (
+        f"{head}, {differ} differ, max rel {rel.max():.3g}, max scaled {scaled:.3g}, t {moved}, "
+        f"flags {'equal' if same_flags else 'DIFFER'}"
+    )
     return line, (same_t or (t_tol is not None and dt <= t_tol)) and same_flags
 
 
