@@ -7,9 +7,9 @@ there (the convex hull property; Lane and Riesenfeld, BIT 21, 1981;
 Farouki and Rajan, CAGD 4, 1987), so coefficients all below -err prove it
 negative, err bounding their rounding. first_root splits the intervals it
 cannot clear in two, left first, until one holds exactly one sign change,
-and brackets that root to a tolerance on the power form (_refine). Each
-split is one product with exact weights (_halves), so its rounding adds to
-err a known amount.
+and brackets that root to a tolerance on the power form by safeguarded
+Newton steps (_refine). Each split is one product with exact weights
+(_halves), so its rounding adds to err a known amount.
 """
 
 from __future__ import annotations
@@ -54,32 +54,40 @@ def _halves(b: FloatArray) -> tuple[FloatArray, FloatArray, float]:
     return h[: DEGREE + 1], h[DEGREE + 1 :], 40.0 * _UNIT_ROUNDOFF * float(np.abs(b).max())
 
 
-def _refine(a_rev: list[float], lo: float, hi: float, g_lo: float, g_hi: float, start: float, tol: float, stats):
+def _slope(a_rev: list[float], u: float) -> float:
+    """The derivative of the polynomial with power coefficients a_rev (highest first) at u, by Horner's rule."""
+    v = d = 0.0
+    for c in a_rev:
+        d = d * u + v
+        v = v * u + c
+    return d
+
+
+def _refine(a_rev: list[float], lo: float, hi: float, start: float, tol: float, stats) -> float:
     """hi once hi - lo <= tol, from g(lo) < 0 <= g(hi) with one root between them, first trying start.
 
-    Each next trial is the secant of the last two (the first pairs start
-    with hi; regula falsi when it leaves the bracket), kept tol / 2 inside
-    the bracket. A step shorter than tol / 2 moves tol / 2, to the root's
-    far side, so that both ends close in; one longer than half the step
-    before goes to the midpoint.
+    Each next trial is a Newton step (the slope only chooses it; the
+    bracket moves on the sign of g alone), kept tol / 2 inside the
+    bracket. A step shorter than tol / 2 moves tol / 2, to the root's far
+    side, so that both ends close in; one that leaves the bracket or is
+    longer than half the step before goes to the midpoint.
     """
-    p, g_p, q, step = hi, g_hi, start, math.inf
+    q, step = start, math.inf
     while hi - lo > tol:
         q = min(max(q, lo + 0.5 * tol), hi - 0.5 * tol)
         stats["root_trials"] += 1
         g = _poly(a_rev, q)
         if g < 0.0:
-            lo, g_lo = q, g
+            lo = q
         else:
-            hi, g_hi = q, g
-        nxt = q - g * (q - p) / (g - g_p) if g != g_p else lo
-        if not lo < nxt < hi:
-            nxt = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+            hi = q
+        d = _slope(a_rev, q)
+        nxt = q - g / d if d else 0.5 * (lo + hi)
         if abs(nxt - q) < 0.5 * tol:
             nxt = q + 0.5 * tol if g < 0.0 else q - 0.5 * tol
-        elif abs(nxt - q) > 0.5 * step:
+        elif not (lo < nxt < hi and abs(nxt - q) <= 0.5 * step):
             nxt = 0.5 * (lo + hi)
-        p, g_p, q, step = q, g, nxt, abs(nxt - q)
+        q, step = nxt, abs(nxt - q)
     return hi
 
 
@@ -117,7 +125,7 @@ def first_root(a: FloatArray, b: FloatArray, err: float, tol: float, stats: dict
         if bl[-1] > err and all(c > err for c in bl[k + 1 :]):
             j = k if bl[k] >= 0.0 else k + 1  # the control polygon's root lies in its jth leg
             start = lo + (hi - lo) * (j - bl[j] / (bl[j] - bl[j - 1])) / DEGREE
-            return _refine(a_rev, lo, hi, bl[0], bl[-1], start, tol, stats)
+            return _refine(a_rev, lo, hi, start, tol, stats)
         mid = 0.5 * (lo + hi)
         left, right, grow = _halves(b)
         todo.append((mid, hi, right, err + grow))

@@ -81,11 +81,6 @@ class DosBudget:
         return self.kappa + t / self.tau_avg
 
 
-def n_of_t(seq: DosSequence, t: float) -> int:
-    """Index of the most recent interval with onset strictly before t (-1 if none)."""
-    return int(np.searchsorted(seq.onsets, t, side="left")) - 1
-
-
 def is_jammed(seq: DosSequence, t: float) -> bool:
     """True when t lies in some [h_n, h_n + tau_n) (closed left, open right)."""
     idx = int(np.searchsorted(seq.onsets, t, side="right")) - 1

@@ -24,30 +24,26 @@ pass and one divergence-guard test. Vectors are validated once, by
 SimConfig, not per step.
 
 The update policy lives in triggers.next_attempt, which run() calls once
-after every attempt. The event logics integrate each segment once: while
-they wait for ||e|| to reach sigma ||x|| (next_attempt returns inf after a
-success from a nonzero state), run() evaluates each stretch's rows itself,
-in one product, and hands its coefficients to find_event_crossing, which
-decides the crossing on the stretch's own Taylor polynomial by Bernstein
-subdivision, up to the first row that has crossed. Rows a stretch stepped
-past the crossing are dropped, and the state at the crossing comes from the
-stretch's coefficients.
+after every attempt. While an event logic waits for ||e|| to reach
+sigma ||x|| (next_attempt returns inf after a success from a nonzero
+state), run() hands each stretch's coefficients to find_event_crossing
+before any row of it exists; the search decides the crossing on the
+stretch's own Taylor polynomial by Bernstein subdivision, and a crossing
+becomes the stretch's stop. The rows are filled as on any other stretch.
 
 Trace rows are written into growable numpy column arrays: a stop's rows
-one at a time, the rows of a stretch waiting for a crossing as one block,
-and the ticks of a chunk at reserved indices. They are the run's only
-record: the verdicts read attempts, onsets and divergence from the
-columns. The run loop keeps its state (t, x, x_held, t_held, the next
+one at a time, and the ticks of a chunk at reserved indices. They are the
+run's only record: the verdicts read attempts, onsets and divergence from
+the columns. The run loop keeps its state (t, x, x_held, t_held, the next
 attempt) in locals. It takes its jam state from its cursor over the sorted
-jam breakpoints, not from a search per stop, and computes the input
-K x_held only when the held sample changes. Row norms are neither
+jam breakpoints, not from a search per stop, and computes the input K
+x_held only when the held sample changes. Row norms are neither
 under-estimated nor lost to overflow (linalg._norm, _row_norms): the rows
-of a bulk product or of a waiting stretch take theirs from one _row_norms
-pass, and a state stepped by LtiPlant.step (a stretch's end, a crossing)
-from _norm; the two may differ in the last bit, so a row keeps the one its
-path gives. Trace.to_csv writes the exact
-'%.17g' text of every float with a bulk numpy kernel (dosloop._g17), in
-blocks of about 7k cells.
+of a bulk product take theirs from one _row_norms pass, and a state
+stepped by LtiPlant.step (a stretch's end, a crossing) from _norm; the two
+may differ in the last bit, so a row keeps the one its path gives.
+Trace.to_csv writes the exact '%.17g' text of every float with a bulk
+numpy kernel (dosloop._g17), in blocks of about 7k cells.
 
 Runs are bit-identical for one version on one host: no randomness, no
 wall-clock dependence, and no row depends on how its chunk was cut
@@ -101,10 +97,6 @@ _CHUNK_ROWS = 4096
 # n = 1-8, and for any count from 2 at n >= 4), so no row depends on the
 # stretches that share its chunk.
 _SLOT_ALIGN = 4
-# Fewest record ticks in the first stretch stepped while waiting for a
-# crossing, which also holds the off-tick cell before them; each later
-# stretch doubles, up to _STRETCH_ROWS.
-_SCAN_BLOCK_MIN = 16
 # g = ||e||^2 - sigma^2 ||x||^2 on one stretch, x = sum_k s^k c_k and
 # e = x_held - x, is sum_(r,q) w_rq u^(o_r + o_q) W_r . W_q over the rows
 # W = [x_held - x; c_0 .. c_18] times s_end^(r-1): e is row 0 minus rows
@@ -193,18 +185,19 @@ class Trace:
 
     stats holds plain integer counters of the run: blocks_stepped (Taylor
     stretches: the rows and the end state stepped from one set of
-    coefficients),
-    rows_emitted, crossing_searches (find_event_crossing calls: one per
-    stretch stepped while an event logic waits for a crossing),
-    cells_scanned (the rows those searches covered, up to the first that
-    had crossed), hull_tests (intervals whose Bernstein coefficients a
+    coefficients), rows_emitted, crossing_searches (find_event_crossing
+    calls: one per stretch while an event logic waits for a crossing,
+    before any row of it exists), cells_scanned (the rows those stretches
+    hold, up to and including their end: the crossing, where the search
+    found one), hull_tests (intervals whose Bernstein coefficients a
     search tested), root_trials (values of g taken while refining a
-    crossing), taylor_steps (single steps from the plant's Taylor table:
-    the state at a crossing between two rows, and a search's step to its
-    next stretch; a stretch's end state, one step from its coefficients,
-    counts in blocks_stepped instead) and expm_steps (single steps past the
-    reach, by mat_exp: a stop past the reach, or a crossing's state in such
-    a cell).
+    crossing), taylor_steps (single steps from the plant's Taylor table
+    that end no stretch of its own: a search's step to its next stretch
+    of the Taylor reach, and a stop within the reach in a stretch whose
+    first offset lies past it; every other stop's state, a crossing's too,
+    is one step from its stretch's coefficients and counts in
+    blocks_stepped) and expm_steps (single steps past the reach, by
+    mat_exp).
     """
 
     t: FloatArray
@@ -341,8 +334,10 @@ def find_event_crossing(
     all of them lie below -eta, g < 0. Other intervals are split in two,
     left first, and one whose coefficients are negative up to an index and
     positive after it holds one root (Descartes' rule of signs), bracketed
-    to crossing_tol on the power form (dosloop._bernstein.first_root); a
-    crossing_tol below 2^-50 h resolves no further.
+    to crossing_tol on the power form by safeguarded Newton steps, each
+    bracket end moved on the sign of g alone
+    (dosloop._bernstein.first_root); a crossing_tol below 2^-50 h
+    resolves no further.
 
     Rounding (u = 2^-53, gamma_k = k u / (1 - k u), n the state's size;
     all of g times 2^-2e). Let W be the rows [x_held - x; c_0 .. c_18]
@@ -372,7 +367,8 @@ def find_event_crossing(
     like log(1 / distance to the threshold). Counts go to stats when it is
     given: crossing_searches, hull_tests (intervals tested), root_trials
     (values of g while refining) and taylor_steps (steps to a next
-    stretch). run() calls it once per stretch while it waits for a crossing.
+    stretch). run() calls it once per stretch while it waits for a
+    crossing, before any row of the stretch exists.
     """
     if not crossing_tol > 0.0:
         raise ValueError(f"crossing_tol must be positive, got {crossing_tol}")
@@ -407,7 +403,7 @@ def find_event_crossing(
 
 
 class _Rows:
-    """Trace columns in growable numpy arrays: rows written one at a time, or reserved and written later as a block.
+    """Trace columns in growable numpy arrays: rows written one at a time, or reserved and written later in bulk.
 
     Only the first size rows are the trace; rows past a size cut back are
     never read.
@@ -443,7 +439,7 @@ class _Rows:
     def row(
         self, t: float, x: FloatArray, u: FloatArray, e_norm: float, x_norm: float, jam: bool, att: int, suc: int
     ) -> None:
-        """One row; a flag that is 0 keeps its zero fill (no row is written twice)."""
+        """One row; a flag that is 0 keeps its fill: zero, or the same flag of the tick row an attempt takes over."""
         i = self.reserve(1)
         self.t[i] = t
         self.x[i] = x
@@ -457,7 +453,7 @@ class _Rows:
             self.success[i] = suc
 
     def block(self, at, t: FloatArray, x: FloatArray, u, e_norm: FloatArray, x_norm: FloatArray, jam) -> None:
-        """Reserved rows at at (a slice or an index array), without attempt flags (those keep their zero fill)."""
+        """Reserved rows at the indices at, without attempt flags (those keep their zero fill)."""
         self.t[at] = t
         self.x[at] = x
         self.u[at] = u
@@ -545,19 +541,18 @@ def run(config: SimConfig) -> Trace:
     itself are one Taylor stretch: the offsets' powers times
     LtiPlant.taylor_coeffs of [x; w], w the applied sample (x_held, or zero
     while jammed under InputMode.ZERO_DURING_DOS). A stretch ends early, at
-    a tick, after _STRETCH_ROWS rows, after size rows while it waits for a
-    crossing, or at the last offset within LtiPlant.taylor_reach, and the
-    next one starts there; a first offset past the reach is one
-    LtiPlant.step, by mat_exp.
+    a tick, after _STRETCH_ROWS rows or at the last offset within
+    LtiPlant.taylor_reach, and the next one starts there; a first offset
+    past the reach is one LtiPlant.step, by mat_exp. While the loop waits
+    for a crossing, a crossing the search finds is the stretch's stop.
 
     Phase 1, the stops. The loop goes from stop to stop: attempts, jam
     breakpoints, stretch ends and the horizon. It carries t, x, x_held,
     t_held, the next attempt, and ||x|| and ||x_held - x|| of the state in
     locals, and writes each stop's own rows. A stop's state is one
     LtiPlant.step with its stretch's coefficients (not counted in
-    taylor_steps), with norms from _norm, or, while the loop waits for a
-    crossing, its stretch's last row (below). The loop reserves rows for
-    the ticks strictly between two stops and moves on.
+    taylor_steps), with norms from _norm. The loop reserves rows for the
+    ticks strictly between two stops and moves on.
 
     Phase 2, the rows in bulk. Reserved ticks wait in a chunk of stretches
     of at most _CHUNK_ROWS padded rows; a full chunk, the end of the run
@@ -571,16 +566,15 @@ def run(config: SimConfig) -> Trace:
 
     Waiting for a crossing. After every attempt, triggers.next_attempt gives
     the next one; while an event logic waits for a crossing it is inf, and
-    the loop evaluates each stretch's rows itself, in one product, since
-    the search needs them: the attempt is the crossing that
-    find_event_crossing, called by its module name, decides on the
-    stretch's coefficients, over the rows up to the first with ||e|| >=
-    sigma ||x|| (that row, if the search finds none before it). Those rows
-    go into the trace as they are; their norms come from one _row_norms
-    pass, and the last kept row is the next stretch's start. Those
-    stretches hold at most size rows: one more than the cells up to the
-    last crossing (at least _SCAN_BLOCK_MIN), for the off-tick cell before
-    the first tick, doubling per stretch.
+    before any row of a stretch exists the loop calls find_event_crossing,
+    by its module name, once over [t, the stretch's end] with the
+    stretch's coefficients. A crossing it finds is the next attempt and the
+    stretch's stop: the ticks strictly before it are reserved like any
+    others, and its state is one LtiPlant.step from the same coefficients.
+    A start that the search's own check finds at or past the threshold
+    (ValueError, or a crossing at t) is a crossing a search before missed:
+    the attempt is at t, this stop, and where t is the tick the stretch
+    before ended at, the attempt's rows take that tick's row's place.
 
     The post-jump row of a success shares ||x|| with its pre-jump row, and
     its transmission error is exactly zero.
@@ -613,17 +607,15 @@ def run(config: SimConfig) -> Trace:
     # is mutated in place, so rows may share them
     u_held = K @ np.zeros(n)
 
-    # waiting for a crossing: armed after a success from a nonzero state,
-    # in stretches of at most size rows; cells counts the rows searched since
-    # arming, and found those up to the last crossing
+    # waiting for a crossing: armed after a success from a nonzero state
     sigma, tol = trig.sigma, config.crossing_tol
-    armed, size, cells, found = False, 0, 0, 0
+    armed = False
 
     # the loop state, with ||x|| and ||x_held - x|| of it
     t, x, xh, t_held = 0.0, config.x0, np.zeros(n), 0.0
     x_n, e_n = _norm(x), _norm(xh - x)
     t_next = 0.0  # the next attempt
-    diverged = False
+    diverged = more = False  # more: whether the last stretch ended at a tick, t, whose row is the last
     x_max = min(1e12 * x_n, np.finfo(float).max)  # the divergence guard; capped, so inf trips it
 
     while t < horizon:
@@ -640,67 +632,39 @@ def run(config: SimConfig) -> Trace:
             count = ticks + to_stop  # its offsets: the ticks, then the stop
             if (stop if to_stop else (k + ticks - 1) * rs) - t > reach:
                 count, to_stop = _ticks_within(k, ticks, rs, t, reach), False
-            if armed and count > size:
-                count, to_stop = size, False
             if not count:  # its first offset lies past the Taylor reach
                 count, to_stop, coeffs = 1, not ticks, None
             else:
                 coeffs = plant.taylor_coeffs(x, w)
                 stats["blocks_stepped"] += 1
             t_end = stop if to_stop else (k + count - 1) * rs
-            more = not to_stop  # the stretch ends at a tick, where the next one starts
             if armed:
-                ts = np.arange(k, k + count) * rs
-                ts[-1] = t_end
-                dts = ts - t
-                X = plant.step(x, w, float(dts[0]), stats)[None] if coeffs is None else plant.stretch(coeffs, dts)
-                # one pass for both: each row's sum is the same in a stack as alone
-                norms = _row_norms(np.concatenate((X, xh - X)))
-                x_norm, e_norm = norms[:count], norms[count:]
-                # written so that a NaN row (inf - inf after overflow) also trips the guard
-                tripped = not x_norm.max() <= x_max
-                last = int(np.flatnonzero(~(x_norm <= x_max))[0]) if tripped else count - 1  # the row to move to
-                # the search ends at the first row with g >= 0, the stretch's last row otherwise
-                over = np.flatnonzero(e_norm[: last + 1] - sigma * x_norm[: last + 1] >= 0.0)
-                end = int(over[0]) if over.size else last
-                stats["cells_scanned"] += end + 1
-                hit = find_event_crossing(plant, x, xh, sigma, t, float(ts[end]), tol, applied=w, stats=stats,
-                                          coeffs=coeffs)
-                if hit is None and over.size:
-                    hit = float(ts[end])
-                if hit is None:
-                    cells += last + 1
-                    size = min(2 * size, _STRETCH_ROWS)
-                else:
-                    last, t_next = int(ts.searchsorted(hit)), hit
-                    armed, found = False, cells + last + 1
-                # the rows before it are ticks, and so is the last row of a stretch cut short at a tick
-                more = hit is None and not tripped and more
-                kept = last + more
-                i = rows.reserve(kept)
-                rows.block(slice(i, i + kept), ts[:kept], X[:kept], u, e_norm[:kept], x_norm[:kept], jammed)
-                if hit is not None and t_next < ts[last]:
-                    # a crossing between two rows: its state comes from the stretch's coefficients
-                    x = plant.step(x, w, t_next - t, stats, coeffs)
-                    t, x_n, e_n = t_next, _norm(x), _norm(xh - x)
-                else:
-                    t, x, x_n, e_n = float(ts[last]), X[last], float(x_norm[last]), float(e_norm[last])
-            else:
-                if count > 1:  # ticks before its end: reserve their rows, filled in bulk
-                    slots = -(-(count - 1) // _SLOT_ALIGN) * _SLOT_ALIGN
-                    if pending and (len(pending) + 1) * max(width, slots) > _CHUNK_ROWS:
-                        after = _fill_ticks(plant, rows, pending, rs, x_max)
-                        width = 0
-                        if after is not None:
-                            stats, diverged = after, True
-                            break
-                    width = max(width, slots)
-                    pending.append((rows.reserve(count - 1), k, count - 1, t, coeffs, xh, u, jammed, stats.copy()))
-                # counted only past the reach, as an expm step
-                x = plant.step(x, w, t_end - t, stats if coeffs is None else None, coeffs)
-                t, x_n, e_n = t_end, _norm(x), _norm(xh - x)
-                if more and x_n <= x_max:
-                    rows.row(t, x, u, e_n, x_n, jammed, 0, 0)
+                try:
+                    hit = find_event_crossing(plant, x, xh, sigma, t, t_end, tol, applied=w, stats=stats,
+                                              coeffs=coeffs)
+                except ValueError:  # its start check: x crossed before t, where a search missed it
+                    hit = t
+                if hit is not None:  # the crossing is the stretch's stop, and the next attempt
+                    if hit == t and more:
+                        rows.size -= 1  # the row of the tick the last stretch ended at becomes the attempt's
+                    count, to_stop, t_end, t_next, armed = _ticks_before(k, rs, hit) + 1, True, hit, hit, False
+                stats["cells_scanned"] += count
+            more = not to_stop  # the stretch ends at a tick, where the next one starts
+            if count > 1:  # ticks before its end: reserve their rows, filled in bulk
+                slots = -(-(count - 1) // _SLOT_ALIGN) * _SLOT_ALIGN
+                if pending and (len(pending) + 1) * max(width, slots) > _CHUNK_ROWS:
+                    after = _fill_ticks(plant, rows, pending, rs, x_max)
+                    width = 0
+                    if after is not None:
+                        stats, diverged = after, True
+                        break
+                width = max(width, slots)
+                pending.append((rows.reserve(count - 1), k, count - 1, t, coeffs, xh, u, jammed, stats.copy()))
+            # counted only past the reach, as an expm step
+            x = plant.step(x, w, t_end - t, stats if coeffs is None else None, coeffs)
+            t, x_n, e_n = t_end, _norm(x), _norm(xh - x)
+            if more and x_n <= x_max:
+                rows.row(t, x, u, e_n, x_n, jammed, 0, 0)
             # written so that a NaN state (inf - inf after overflow) also trips the guard
             if not x_n <= x_max:
                 after = _fill_ticks(plant, rows, pending, rs, x_max) if pending else None
@@ -733,8 +697,7 @@ def run(config: SimConfig) -> Trace:
                 rows.row(stop, x, u_held, e_n, x_n, jammed, 0, 0)
             jam_end = bps[bp_i][0] if jammed else math.inf  # while jammed, the next breakpoint ends the interval
             t_next = next_attempt(config.logic, trig, plant, stop, xh, t_held, jammed, jam_end)
-            if t_next == math.inf and xh.any():
-                armed, size, cells = True, max(_SCAN_BLOCK_MIN, found) + 1, 0
+            armed = t_next == math.inf and bool(xh.any())
         elif not at_bp:
             rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)
 

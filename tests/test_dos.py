@@ -18,7 +18,6 @@ from dosloop import (
     gen_periodic,
     gen_random_budgeted,
     is_jammed,
-    n_of_t,
     periodic_budget,
     xi_measure,
 )
@@ -50,15 +49,6 @@ def test_sequence_arrays_are_read_only():
     # equality and hashing still go by the intervals alone
     same = DosSequence(SEQ.intervals)
     assert same == SEQ and hash(same) == hash(SEQ) and same != DosSequence(SEQ.intervals[:2])
-
-
-def test_n_of_t_hand_values():
-    assert n_of_t(SEQ, 0.0) == -1
-    assert n_of_t(SEQ, 1.0) == -1  # onset strictly before t required
-    assert n_of_t(SEQ, 1.0000001) == 0
-    assert n_of_t(SEQ, 3.5) == 1
-    assert n_of_t(SEQ, 100.0) == 2
-    assert n_of_t(DosSequence(()), 5.0) == -1
 
 
 def test_is_jammed_boundaries():

@@ -606,22 +606,22 @@ _PINNED_STAT_KEYS = (
     "expm_steps",
 )
 PINNED_STATS = {
-    ('scalar', 'event_time', 'hold_last'): (69, 1294, 33, 1093, 33, 114, 29, 0),
-    ('scalar', 'event_time', 'zero_during_dos'): (40, 1263, 32, 1199, 32, 105, 27, 0),
+    ('scalar', 'event_time', 'hold_last'): (68, 1294, 32, 1093, 32, 140, 0, 0),
+    ('scalar', 'event_time', 'zero_during_dos'): (39, 1263, 31, 1199, 31, 130, 0, 0),
     ('scalar', 'pure_time', 'hold_last'): (68, 1294, 0, 0, 0, 0, 0, 0),
     ('scalar', 'pure_time', 'zero_during_dos'): (68, 1294, 0, 0, 0, 0, 0, 0),
     ('scalar', 'self_trigger', 'hold_last'): (37, 1261, 0, 0, 0, 0, 0, 0),
     ('scalar', 'self_trigger', 'zero_during_dos'): (37, 1261, 0, 0, 0, 0, 0, 0),
-    ('scalar', 'ideal_event', 'hold_last'): (36, 1262, 33, 1093, 33, 112, 29, 0),
-    ('scalar', 'ideal_event', 'zero_during_dos'): (33, 1257, 32, 1200, 32, 105, 27, 0),
-    ('double_integrator', 'event_time', 'hold_last'): (108, 7083, 104, 6982, 104, 327, 87, 0),
-    ('double_integrator', 'event_time', 'zero_during_dos'): (108, 7084, 106, 6988, 106, 330, 88, 0),
+    ('scalar', 'ideal_event', 'hold_last'): (35, 1262, 32, 1093, 32, 140, 0, 0),
+    ('scalar', 'ideal_event', 'zero_during_dos'): (32, 1257, 31, 1200, 31, 130, 0, 0),
+    ('double_integrator', 'event_time', 'hold_last'): (98, 7083, 94, 6982, 94, 424, 0, 0),
+    ('double_integrator', 'event_time', 'zero_during_dos'): (98, 7084, 96, 6988, 96, 430, 0, 0),
     ('double_integrator', 'pure_time', 'hold_last'): (332, 7538, 0, 0, 0, 0, 0, 0),
     ('double_integrator', 'pure_time', 'zero_during_dos'): (332, 7538, 0, 0, 0, 0, 0, 0),
     ('double_integrator', 'self_trigger', 'hold_last'): (319, 7523, 0, 0, 0, 0, 0, 0),
     ('double_integrator', 'self_trigger', 'zero_during_dos'): (319, 7523, 0, 0, 0, 0, 0, 0),
-    ('double_integrator', 'ideal_event', 'hold_last'): (106, 7083, 104, 6986, 104, 323, 87, 0),
-    ('double_integrator', 'ideal_event', 'zero_during_dos'): (107, 7084, 106, 6992, 106, 333, 88, 0),
+    ('double_integrator', 'ideal_event', 'hold_last'): (96, 7083, 94, 6986, 94, 425, 0, 0),
+    ('double_integrator', 'ideal_event', 'zero_during_dos'): (97, 7084, 96, 6992, 96, 429, 0, 0),
 }
 
 
@@ -762,6 +762,42 @@ def test_run_searches_through_find_event_crossing(name, logic, mode, monkeypatch
     assert 0 < calls == trace.stats["crossing_searches"]
 
 
+@pytest.mark.parametrize("mode", ["hold_last", "zero_during_dos"])
+def test_a_crossing_the_search_missed_is_an_attempt_at_the_next_stop(mode, monkeypatch):
+    # A search that returns None over a stretch that crosses leaves the
+    # next stretch to start past the threshold, which find_event_crossing
+    # rejects with ValueError. run() takes that start check as the attempt:
+    # the run finishes, and the stretch's end, the first stop where
+    # ||e|| >= sigma ||x||, is the attempt, whose rows replace its tick's.
+    missed, raised = [], []
+    original = dosloop.sim.find_event_crossing
+
+    def missing_one(plant, x, x_held, sigma, t_from, t_max, *args, **kwargs):
+        try:
+            hit = original(plant, x, x_held, sigma, t_from, t_max, *args, **kwargs)
+        except ValueError:
+            raised.append(t_from)
+            raise
+        if not missed and hit is not None and hit < t_max:
+            missed.append((t_from, hit, t_max))
+            return None
+        return hit
+
+    monkeypatch.setattr(dosloop.sim, "find_event_crossing", missing_one)
+    sc, trace = _shipped_run("double_integrator", "event_time", mode)
+    assert len(missed) == 1 and not trace.diverged
+    t_from, crossing, t_max = missed[0]
+    assert raised == [t_max]
+    attempts = trace.t[trace.attempt == 1]
+    assert attempts[np.searchsorted(attempts, t_from, "right")] == t_max
+    at = np.flatnonzero(trace.t == t_max)
+    assert trace.attempt[at].tolist() == [1, 0] and trace.success[at].tolist() == [1, 0]
+    assert trace.e_norm[at[0]] >= sc.trigger.sigma * trace.x_norm[at[0]]
+    # the ticks between the crossing the search missed and the attempt have crossed too
+    late = (crossing < trace.t) & (trace.t < t_max)
+    assert late.any() and np.all(trace.e_norm[late] >= sc.trigger.sigma * trace.x_norm[late])
+
+
 def _whole_window_crossing(plant, trace, seq, sigma, t_s, x_s):
     """find_event_crossing from a success at t_s over the rest of the run.
 
@@ -837,13 +873,14 @@ def test_trace_stats_count_blocks_and_are_reproducible():
     assert 0 < a.stats["blocks_stepped"] < len(a)
     # one search per stretch stepped while waiting for a crossing, over one
     # or more of its cells, one or more hull tests each, and trials of g
-    # while refining each crossing found between two rows
+    # while refining each crossing found (the attempt after a success)
     assert 0 < a.stats["crossing_searches"] <= min(a.stats["blocks_stepped"], a.stats["cells_scanned"])
     assert a.stats["hull_tests"] >= a.stats["crossing_searches"]
-    assert a.stats["root_trials"] >= 2 * a.stats["taylor_steps"] > 0
-    # single steps are the states at crossings between two rows, within
-    # the Taylor table's reach
-    assert a.stats["taylor_steps"] <= int(a.success.sum()) and a.stats["expm_steps"] == 0
+    crossings = int(a.success[a.attempt == 1][:-1].sum())
+    assert a.stats["root_trials"] >= 2 * crossings > 0
+    # a crossing's state is its stretch's end, and every stretch lies within
+    # the Taylor table's reach: no single step at all
+    assert a.stats["taylor_steps"] == a.stats["expm_steps"] == 0
     periodic = run(_config(plant, LogicKind.PURE_TIME, trig, dos=seq, budget=budget, horizon=4.0))
     assert periodic.stats["crossing_searches"] == periodic.stats["cells_scanned"] == periodic.stats["hull_tests"] == 0
     # without a search every row comes from a stretch: no single step at all

@@ -45,7 +45,8 @@ def test_csv_delta_reports_float_cells_and_fails_on_times_and_flags(tmp_path, ca
     # only float cells other than t moved: reported, exit 0
     assert csv_delta.main([str(a), str(b)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out == ["moved.csv: rows 2 / 2, 1 differ, max rel 2.22e-16, max scaled 2.22e-16, t equal, flags equal", "1 of 2 CSVs differ"]
+    # the x cell moved by one ulp, 2^-54, read over the row's larger norm, e_norm = 0.75
+    assert out == ["moved.csv: rows 2 / 2, 1 differ, max rel 2.22e-16, max scaled 7.4e-17, t equal, flags equal", "1 of 2 CSVs differ"]
     # a flag, a time, a row count or a missing case fails
     for moved in ("0.5,0.25,-0.5,0.75,0.25,1,0,0", "0.75,0.25,-0.5,0.75,0.25,1,1,0", None):
         (b / "moved.csv").write_text(_HEADER + "\r\n".join([rows[0]] + ([moved] if moved else [])) + "\r\n")
@@ -133,3 +134,20 @@ def test_csv_delta_scales_each_cell_by_its_row(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == (
         "case.csv: rows 2 / 2, 1 differ, max rel inf, max scaled inf, t equal, flags equal"
     )
+
+
+def test_csv_delta_scales_state_cells_by_the_larger_norm(tmp_path, capsys):
+    # where x passes near zero while the held sample is far larger, a
+    # change of 2^-52 of ||e|| in the x cell and one ulp of e_norm read at
+    # the scale of ||e||, not 5.6e-11 over the row's x_norm of 2e-6
+    csv_delta = _load("csv_delta")
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    rows = ["0,1,-2,0,1,0,0,0", "0.5,2e-06,-2,0.5,2e-06,0,0,0"]
+    (a / "case.csv").write_text(_HEADER + "\r\n".join(rows) + "\r\n")
+    for cell in (f"0.5,{2e-6 + 2.0**-53:.17g},-2,0.5,2e-06,0,0,0", "0.5,2e-06,-2,0.50000000000000011,2e-06,0,0,0"):
+        (b / "case.csv").write_text(_HEADER + "\r\n".join([rows[0], cell]) + "\r\n")
+        assert csv_delta.main([str(a), str(b)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.endswith(", max scaled 2.22e-16, t equal, flags equal"), (cell, line)

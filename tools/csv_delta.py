@@ -7,20 +7,23 @@ DIR_A and DIR_B hold the trace CSVs of two runs (``OUT_DIR/csv`` of
 whose CSV differs it prints the row counts, how many rows differ, the largest
 relative difference |a - b| / max(|a|, |b|) of a float cell, the largest
 difference scaled by its row (``max scaled``: an x, e_norm or x_norm cell over
-max(x_norm_a, x_norm_b) of its row, a u cell over the row's largest |u| on
-either side), and whether the t column and the three flag columns (jammed,
-attempt, success) are equal; when t differs, also the largest |dt| between
-the two t columns, so a change that moves attempt times shows by how much
-(say, within crossing_tol). Exits 1 when a case is missing from one side or a
-row count, t column or flag column differs, and 0 otherwise: then the traces
-differ at most in their float cells.
+the largest of its row's e_norm and x_norm on either side, a u cell over the
+row's largest |u| on either side), and whether the t column and the three
+flag columns (jammed, attempt, success) are equal; when t differs, also the
+largest |dt| between the two t columns, so a change that moves attempt times
+shows by how much (say, within crossing_tol). Exits 1 when a case is missing
+from one side or a row count, t column or flag column differs, and 0
+otherwise: then the traces differ at most in their float cells.
 With ``--t-tol SECONDS`` a case whose t column moved passes too when its row
 counts and flag columns are equal and no t moved by more than SECONDS; the
 report lines stay the same.
 
 ``max rel`` reads near-zero cells at their own scale, so a one-ulp change of a
 state moves it by many orders more in a cell near zero than in one near
-||x||; ``max scaled`` reads every cell at the scale of its row.
+||x||; ``max scaled`` reads every cell at the scale of its row. A state
+carries the rounding of a flow driven by the held sample too, so where x
+passes near zero while ||x_held|| is far larger, its cells and both norms
+are read at the scale of ||e|| = ||x_held - x||.
 """
 
 from __future__ import annotations
@@ -50,11 +53,15 @@ def _over(d: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def scaled_delta(header: list[str], fa: np.ndarray, fb: np.ndarray) -> float:
-    """Largest cell difference scaled by its row: x, e_norm and x_norm cells by the larger x_norm, u cells by the largest |u|."""
+    """Largest cell difference scaled by its row.
+
+    x, e_norm and x_norm cells scale by the largest of both sides' e_norm
+    and x_norm, u cells by the largest |u|.
+    """
     x_cols = [i for i, name in enumerate(header) if name[:1] == "x" and name[1:].isdigit()]
     x_cols += [header.index("e_norm"), header.index("x_norm")]
     u_cols = [i for i, name in enumerate(header) if name[:1] == "u" and name[1:].isdigit()]
-    x_scale = np.maximum(np.abs(fa[:, x_cols[-1]]), np.abs(fb[:, x_cols[-1]]))
+    x_scale = np.maximum(np.abs(fa[:, x_cols[-2:]]), np.abs(fb[:, x_cols[-2:]])).max(axis=1)
     u_scale = np.maximum(np.abs(fa[:, u_cols]), np.abs(fb[:, u_cols])).max(axis=1)
     x_part = _over(_delta(fa[:, x_cols], fb[:, x_cols]), x_scale[:, None])
     u_part = _over(_delta(fa[:, u_cols], fb[:, u_cols]), u_scale[:, None])
