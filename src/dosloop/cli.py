@@ -304,34 +304,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(_read_document(path), base_dir=path.parent)
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
-    """Canonical serialization; computed values (delta2, generated jam intervals) are materialized."""
-    return {
-        "plant": {
-            "A": sc.plant.A.tolist(),
-            "B": sc.plant.B.tolist(),
-            "K": sc.plant.K.tolist(),
-            "input_mode": sc.plant.input_mode.value,
-        },
-        "trigger": {
-            "kind": sc.logic.value,
-            "sigma": sc.trigger.sigma,
-            "delta1": sc.trigger.delta1,
-            "delta2": sc.trigger.delta2,
-            "varphi": {"kind": sc.trigger.varphi.kind, "scale": sc.trigger.varphi.scale},
-        },
-        "dos": {"intervals": [[h, d] for h, d in sc.dos.intervals]},
-        "budget": {"kappa": sc.budget.kappa, "tau": sc.budget.tau_avg},
-        "sim": {
-            "x0": sc.x0.tolist(),
-            "horizon": sc.horizon,
-            "record_step": sc.record_step,
-            "crossing_tol": sc.crossing_tol,
-        },
-        "analysis": {"Q": sc.Q.tolist()},
-    }
-
-
 def worst_case_robustness(sc: Scenario) -> SamplingRobustness:
     """A priori attempt-gap bound for the configured logic and jam sequence.
 

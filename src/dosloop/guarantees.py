@@ -12,8 +12,7 @@ budget (kappa, tau):
 
 Both produce global exponential bounds ||x(t)|| <= alpha exp(-beta t) ||x(0)||
 with an explicit feasibility verdict; a family whose alpha overflows a float
-reports alpha = inf and is infeasible. A product-form Gronwall bound with
-impulsive amplification factors supports the trajectory family.
+reports alpha = inf and is infeasible.
 
 The measured side reads a run's attempt times alone (measure_robustness:
 the worst gap per jam interval, found with whole-array operations), and one
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .dos import DosSequence, _window_time
 from .linalg import FloatArray, _lyapunov, as_matrix, as_weight, spectral_norm
 from .plant import LtiPlant
 
-_RHO_STAR_EPS = 1e-12
 _RHO_STAR_TOL = 1e-10
 
 
@@ -77,10 +75,12 @@ def rho_star(
 ) -> float:
     """Smallest rate zeta >= rho_floor with omega_star(zeta) <= 1.
 
-    omega_star(z) = omega2 [(1+sigma) + theta + theta (1+sigma) bk_norm / z] / (lam + z)
-    is strictly decreasing for z > 0, so bracket expansion plus bisection
-    (relative width 1e-10) finds the threshold; the upper bracket end is
-    returned, keeping omega_star(rho_star) <= 1 by construction.
+    omega_star(z) = omega2 [(1+sigma) + theta + theta1 / z] / (lam + z), theta1 =
+    theta (1+sigma) bk_norm > 0, is strictly decreasing for z > 0, so bracket
+    expansion from rho_floor (0 allowed) plus bisection until hi - lo <= 1e-10 hi
+    finds the threshold; the upper end is returned, so omega_star(rho_star) <= 1.
+    Each test point and the stop are relative, so rates scaled by 2^k (lam,
+    omega2, bk_norm, rho_floor) scale the result by exactly 2^k.
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be positive, got {lam}")
@@ -90,17 +90,19 @@ def rho_star(
     if omega2 == 0.0:
         return rho_floor
     theta1 = theta * (1.0 + sigma) * bk_norm
+    if not theta1 > 0.0:
+        raise ValueError(f"theta * bk_norm must be positive when omega2 is, got theta={theta}, bk_norm={bk_norm}")
 
     def omega_star_at(z: float) -> float:
         return omega2 * ((1.0 + sigma) + theta + theta1 / z) / (lam + z)
 
-    lo = max(rho_floor, _RHO_STAR_EPS)
-    if omega_star_at(lo) <= 1.0:
+    lo = rho_floor
+    if lo > 0.0 and omega_star_at(lo) <= 1.0:  # omega_star(0+) is +inf
         return rho_floor
     hi = max(lo, lam)
     while omega_star_at(hi) > 1.0:
         hi *= 2.0
-    while hi - lo > _RHO_STAR_TOL * max(1.0, hi):
+    while hi - lo > _RHO_STAR_TOL * hi:
         mid = 0.5 * (lo + hi)
         if omega_star_at(mid) > 1.0:
             lo = mid
@@ -368,44 +370,6 @@ def dos_free_segments(
     hi = np.minimum(np.concatenate((seq.onsets[first], [horizon])), horizon)
     keep = hi > lo
     return list(zip(lo[keep].tolist(), hi[keep].tolist()))
-
-
-def gronwall_bound(
-    omega1: float,
-    omega2: float,
-    ell0: float,
-    impulse_points: Sequence[tuple[float, Callable[[float], float]]],
-    t: float,
-) -> float:
-    """Product-form bound omega1 exp(omega2 (t - ell0)) prod (1 + delta_k(t)).
-
-    Bounds any xi satisfying
-    xi(t) <= omega1 + int_{ell0}^t omega2 xi(s) ds + sum_{ell0 < ell_k < t} delta_k(t) xi(ell_k)
-    with nonnegative, nondecreasing delta_k. Only impulse points strictly
-    inside (ell0, t) enter the product.
-    """
-    if not (omega1 >= 0.0 and math.isfinite(omega1)):
-        raise ValueError(f"omega1 must be >= 0, got {omega1}")
-    if not (omega2 >= 0.0 and math.isfinite(omega2)):
-        raise ValueError(f"omega2 must be >= 0, got {omega2}")
-    if t < ell0:
-        raise ValueError(f"need t >= ell0, got t={t}, ell0={ell0}")
-    prev = ell0
-    for i, (ell, _) in enumerate(impulse_points):
-        if i == 0:
-            if ell < ell0:
-                raise ValueError(f"impulse point {ell} precedes ell0={ell0}")
-        elif ell <= prev:
-            raise ValueError("impulse points must be strictly increasing")
-        prev = ell
-    out = omega1 * math.exp(omega2 * (t - ell0))
-    for ell, delta in impulse_points:
-        if ell0 < ell < t:
-            d = float(delta(t))
-            if d < 0.0:
-                raise ValueError(f"delta_k(t) must be >= 0, got {d} at ell={ell}")
-            out *= 1.0 + d
-    return out
 
 
 def format_report(values: Mapping[str, object]) -> str:

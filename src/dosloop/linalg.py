@@ -282,9 +282,6 @@ class DecayEnvelope:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be > 0, got {self.lam}")
 
-    def bound(self, t: ArrayLike) -> FloatArray:
-        return self.mu * np.exp(-self.lam * np.asarray(t, dtype=float))
-
 
 @dataclass(frozen=True)
 class GrowthEnvelope:
@@ -298,9 +295,6 @@ class GrowthEnvelope:
             raise ValueError(f"theta must be >= 1, got {self.theta}")
         if not (self.rho >= 0.0 and math.isfinite(self.rho)):
             raise ValueError(f"rho must be >= 0, got {self.rho}")
-
-    def bound(self, t: ArrayLike) -> FloatArray:
-        return self.theta * np.exp(self.rho * np.asarray(t, dtype=float))
 
 
 def _eig_error(n: int, scale: float) -> float:

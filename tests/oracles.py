@@ -183,44 +183,6 @@ def quadratic_rate_threshold(
     return root
 
 
-def picard_gronwall(
-    omega1: float,
-    omega2: float,
-    ell0: float,
-    impulses: list[tuple[float, float]],
-    t_end: float,
-    grid_step: float = 1e-3,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> float:
-    """Solve xi(t) = omega1 + int_{ell0}^t omega2 xi + sum_{ell0<ell_k<t} d_k xi(ell_k).
-
-    Picard iteration on a uniform grid with a left-Riemann integral, so the
-    returned value slightly *under*-estimates the true solution of the
-    equality (the integrand is nondecreasing). impulses carries constant
-    (ell_k, d_k) pairs. Returns xi(t_end).
-    """
-    n = max(2, int(math.ceil((t_end - ell0) / grid_step)) + 1)
-    ts = np.linspace(ell0, t_end, n)
-    h = ts[1] - ts[0]
-    imp_idx = []
-    for ell, d in impulses:
-        if ell0 < ell < t_end:
-            imp_idx.append((int(np.searchsorted(ts, ell, side="right") - 1), d))
-    xi = np.full(n, omega1)
-    for _ in range(max_iter):
-        integral = np.concatenate(([0.0], np.cumsum(xi[:-1]) * h))
-        new = omega1 + omega2 * integral
-        for k, d in imp_idx:
-            mask = ts > ts[k]
-            new[mask] += d * xi[k]
-        if np.max(np.abs(new - xi)) < tol:
-            xi = new
-            break
-        xi = new
-    return float(xi[-1])
-
-
 def grid_jam_measure(intervals: list[tuple[float, float]], t: float, cells: int = 200_000) -> float:
     """Lebesgue measure of jammed time on [0, t] by midpoint counting."""
     if t <= 0.0:

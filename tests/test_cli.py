@@ -24,7 +24,6 @@ from dosloop.cli import (
     load_scenario,
     main,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from dosloop.sim import Verdict
 
@@ -434,29 +433,6 @@ def test_help_exits_0(capsys):
         main(["analyze", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: dosloop analyze")
-
-
-def test_scenario_round_trip(scalar_config):
-    sc = load_scenario(scalar_config)
-    doc2 = scenario_to_dict(sc)
-    sc2 = scenario_from_dict(json.loads(json.dumps(doc2)))
-    assert np.array_equal(sc2.plant.A, sc.plant.A)
-    assert np.array_equal(sc2.plant.K, sc.plant.K)
-    assert sc2.trigger == sc.trigger or (
-        sc2.trigger.sigma == sc.trigger.sigma
-        and sc2.trigger.delta1 == sc.trigger.delta1
-        and sc2.trigger.delta2 == sc.trigger.delta2
-    )
-    assert sc2.dos.intervals == sc.dos.intervals
-    assert sc2.budget.kappa == sc.budget.kappa
-    assert sc2.budget.tau_avg == sc.budget.tau_avg
-    assert np.array_equal(sc2.x0, sc.x0)
-    assert sc2.horizon == sc.horizon
-    assert sc2.record_step == sc.record_step
-    assert sc2.crossing_tol == sc.crossing_tol
-    assert np.array_equal(sc2.Q, sc.Q)
-    # a second round trip is exactly stable
-    assert scenario_to_dict(sc2) == doc2
 
 
 def test_scenario_dos_generator_and_file(tmp_path):

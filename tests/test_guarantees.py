@@ -17,14 +17,13 @@ from dosloop import (
     ges_certificate_ideal,
     ges_certificate_lyapunov,
     ges_certificate_sampled,
-    gronwall_bound,
     measure_robustness,
     rho_star,
     xi_bar_measure,
     xi_measure,
 )
-from conftest import assert_close, random_stabilized_plant
-from oracles import picard_gronwall, quadratic_rate_threshold, robustness_by_loop, scalar_lyapunov_constants
+from conftest import random_stabilized_plant
+from oracles import quadratic_rate_threshold, robustness_by_loop, scalar_lyapunov_constants
 
 # scalar plant with unit envelopes: A = 0, B = 1, K = -1 gives Phi = -1,
 # mu = 1, lam = 1, ||BK|| = 1, theta = 1, rho = 0
@@ -66,6 +65,14 @@ def test_rho_star_respects_floor():
     assert abs(low - root) <= 1e-9 * root
     # omega2 = 0 means no error feedthrough at all: the floor is always enough
     assert rho_star(1.0, 0.0, 0.1, 1.0, 1.0, rho_floor=0.7) == 0.7
+
+
+def test_rho_star_needs_theta1_when_omega2_is_positive():
+    # omega_star(0+) is finite only when theta bk_norm = 0, which no plant gives (theta >= 1, omega2 = mu bk_norm)
+    with pytest.raises(ValueError, match="must be positive when omega2 is"):
+        rho_star(1.0, 1.0, 0.1, 0.0, 1.0)
+    with pytest.raises(ValueError, match="must be positive when omega2 is"):
+        rho_star(1.0, 1.0, 0.1, 1.0, 0.0)
 
 
 def test_ideal_certificate_hand_case():
@@ -278,43 +285,6 @@ def test_dos_free_segments():
     # without inflation the middle gap reappears
     segs0 = dos_free_segments(seq, IDEAL_ROBUSTNESS, horizon=8.0)
     assert segs0 == [(0.0, 1.0), (1.5, 2.0), (2.5, 6.0), (7.0, 8.0)]
-
-
-def test_gronwall_bound_reduces_to_classical():
-    # no impulses: the bound is exactly omega1 e^{omega2 (t - ell0)}
-    got = gronwall_bound(2.0, 0.7, 1.0, [], 4.0)
-    assert_close(got, 2.0 * math.exp(0.7 * 3.0), 1e-9, "classical reduction")
-    # impulses at or outside (ell0, t) do not contribute
-    got2 = gronwall_bound(2.0, 0.7, 1.0, [(1.0, lambda t: 1.0), (4.0, lambda t: 1.0)], 4.0)
-    assert got2 == got
-
-
-def test_gronwall_bound_dominates_picard_oracle():
-    rng = np.random.default_rng(77)
-    for _ in range(25):
-        omega1 = float(rng.uniform(0.2, 3.0))
-        omega2 = float(rng.uniform(0.0, 1.5))
-        ell0 = float(rng.uniform(0.0, 1.0))
-        t_end = ell0 + float(rng.uniform(0.5, 3.0))
-        points = np.sort(rng.uniform(ell0 + 0.01, t_end - 0.01, size=int(rng.integers(0, 4))))
-        consts = [float(rng.uniform(0.0, 1.2)) for _ in points]
-        impulses = [(float(p), c) for p, c in zip(points, consts)]
-        want = picard_gronwall(omega1, omega2, ell0, impulses, t_end)
-        got = gronwall_bound(
-            omega1, omega2, ell0, [(p, lambda t, c=c: c) for p, c in impulses], t_end
-        )
-        assert want <= got * (1.0 + 1e-6), (omega1, omega2, ell0, impulses)
-
-
-def test_gronwall_bound_validation():
-    with pytest.raises(ValueError):
-        gronwall_bound(1.0, 0.5, 2.0, [], 1.0)  # t < ell0
-    with pytest.raises(ValueError):
-        gronwall_bound(1.0, 0.5, 0.0, [(0.5, lambda t: 1.0), (0.4, lambda t: 1.0)], 2.0)
-    with pytest.raises(ValueError):
-        gronwall_bound(1.0, 0.5, 0.0, [(0.5, lambda t: -0.1)], 2.0)
-    with pytest.raises(ValueError):
-        gronwall_bound(-1.0, 0.5, 0.0, [], 2.0)
 
 
 def test_format_report():

@@ -371,14 +371,6 @@ def test_wide_diagonal_plant_meets_the_conditioning_inequality_not_the_residual(
         decay_envelope(np.diag([-(2.0**-27), -(2.0**27)]))
 
 
-def test_envelope_bound_method():
-    d = DecayEnvelope(mu=2.0, lam=0.5)
-    assert d.bound(0.0) == 2.0
-    assert d.bound(2.0) == pytest.approx(2.0 * np.exp(-1.0), rel=1e-14)
-    g = GrowthEnvelope(theta=1.0, rho=0.3)
-    assert g.bound(2.0) == pytest.approx(np.exp(0.6), rel=1e-14)
-
-
 def test_envelope_validation():
     with pytest.raises(ValueError):
         DecayEnvelope(mu=0.5, lam=1.0)

@@ -125,8 +125,7 @@ def test_a_run_on_a_faster_time_scale_is_that_run_rescaled(name):
     # 2^k and every time times 2^-k, the Taylor table, the offsets' powers,
     # the crossing search's polynomial in u and its tolerance in u are the
     # same floats, so t comes out as the original times 2^-k bit for bit,
-    # and x, u, both norms, the flags and Trace.stats are equal. (analyze's
-    # rho_star does not scale exactly on slow time scales yet.)
+    # and x, u, both norms, the flags and Trace.stats are equal.
     for logic, mode in product(LOGICS, MODES):
         doc = _shipped(name, logic, mode)
         ref = _run(doc)
@@ -136,3 +135,37 @@ def test_a_run_on_a_faster_time_scale_is_that_run_rescaled(name):
             assert np.array_equal(trace.t, np.ldexp(ref.t, -k)), (logic, mode, k)
             for col in _COLUMNS[1:]:
                 assert np.array_equal(getattr(trace, col), getattr(ref, col)), (logic, mode, k, col)
+
+
+# analyze lines that are rates (scale with 2^k) and times (scale with 2^-k);
+# every other line is dimensionless or a flag and must not move
+_RATES = {"lam", "rho", "bk_norm", "rho_star", "sigma_margin", "beta_ideal", "beta_sampled", "beta_lyapunov",
+          "omega1_lyap", "omega2_lyap"}
+_TIMES = {"delta1", "delta2", "delta2_bound", "kappa", "delta_star_wc", "tau_star_wc", "alpha1_lyap", "alpha2_lyap"}
+
+
+def _report_lines(report: str) -> dict[str, str]:
+    return dict(line.split(" = ", 1) for line in report.splitlines())
+
+
+@pytest.mark.parametrize("k", [-60, -44, -40, -20, -4, 1, 20, 60])
+@pytest.mark.parametrize("logic", LOGICS)
+@pytest.mark.parametrize("name", ["scalar", "double_integrator"])
+def test_analyze_on_a_faster_time_scale_is_that_report_rescaled(name, logic, k, tmp_path, capsys):
+    # The certificates do not depend on the unit of time either: each rate
+    # comes out exactly 2^k times the original, each time 2^-k times it, and
+    # every dimensionless value and flag is equal. At k = -44 an absolute
+    # floor on the rate once made rho_star 0.22 times its scaled value, and
+    # the report still said feasible_ideal = true.
+    path = tmp_path / "case.json"
+    doc = _shipped(name, logic, "hold_last")
+    ref = _report_lines(_analyze(doc, path, capsys))
+    got = _report_lines(_analyze(_rescaled(doc, k), path, capsys))
+    assert _RATES | _TIMES <= ref.keys()
+    assert got.keys() == ref.keys()
+    for key, text in ref.items():
+        if key in _RATES or key in _TIMES:
+            want = math.ldexp(float(text), k if key in _RATES else -k)
+            assert float(got[key]) == want, (key, got[key], want)
+        else:
+            assert got[key] == text, key
