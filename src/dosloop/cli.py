@@ -460,7 +460,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if not verdict.holds:
             lines[f"{key}_first_violation"] = verdict.first_violation
 
-    measure_ok = xi_bar <= xi * measured.inflation * (1.0 + 1e-9) + 1e-12
+    measure_ok = xi_bar <= xi * measured.inflation * (1.0 + 1e-9)
     lines["measure_inequality_holds"] = measure_ok
 
     sys.stdout.write(format_report(lines))

@@ -106,6 +106,11 @@ def xi_measure(seq: DosSequence, t: float) -> float:
     return float(_window_time(seq, t, seq.durations))
 
 
+def _within_budget(xi: float | FloatArray, bound: float | FloatArray) -> bool | np.ndarray:
+    """Whether jammed time xi keeps to the budget: xi - bound <= _BUDGET_EPS bound, free of the unit of time."""
+    return xi - bound <= _BUDGET_EPS * bound
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Result of a check: whether it holds, the time of its first failure, and its worst value.
@@ -127,16 +132,17 @@ def check_slow_average(seq: DosSequence, budget: DosBudget, horizon: float) -> V
     The jammed-time measure is piecewise linear, so scanning interval onsets,
     interval ends (clipped to the horizon) and the horizon itself covers the
     extrema; first_violation is the earliest failing breakpoint, and worst
-    the largest excess xi(t) - kappa - t / tau_avg over the breakpoints.
+    the largest excess xi(t) - kappa - t / tau_avg over the breakpoints; a
+    breakpoint fails past a slack relative to the bound (_within_budget).
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     t = np.unique(np.concatenate((seq.onsets[seq.onsets <= horizon], np.minimum(seq.ends, horizon), [horizon])))
     bound = budget.bound(t)
-    excess = _window_time(seq, t, seq.durations) - bound
-    bad = np.flatnonzero(excess > _BUDGET_EPS * np.maximum(1.0, bound))
+    xi = _window_time(seq, t, seq.durations)
+    bad = np.flatnonzero(~_within_budget(xi, bound))
     first_bad = float(t[bad[0]]) if bad.size else None
-    return Verdict(holds=first_bad is None, first_violation=first_bad, worst=float(excess.max()))
+    return Verdict(holds=first_bad is None, first_violation=first_bad, worst=float((xi - bound).max()))
 
 
 def check_horizon(horizon: float) -> None:
@@ -183,7 +189,8 @@ def gen_random_budgeted(
 
     Onset gaps are exponential, durations uniform in [min_duration,
     2*min_duration]. Any candidate that would break the budget at its own end
-    is pushed to the earliest feasible onset instead. Raises GenerationError
+    is pushed to the earliest feasible onset, its end on the budget line up
+    to rounding that the relative slack absorbs. Raises GenerationError
     when not even one minimum-length interval can start before the horizon.
     """
     if not min_duration > 0.0:
@@ -208,9 +215,7 @@ def gen_random_budgeted(
         d = min_duration * (1.0 + float(rng.uniform()))
         # earliest onset keeping xi(h + d) <= kappa + (h + d) / tau_avg
         h_feasible = budget.tau_avg * (jammed + d - budget.kappa) - d
-        if h_feasible > h:
-            h = h_feasible * (1.0 + 1e-12) + 1e-12
-            h = max(h, cursor + min_gap)
+        h = max(h, h_feasible)
         if h >= horizon:
             break
         out.append((h, d))
@@ -243,7 +248,7 @@ def gen_greedy_adversary(
         if t < covered_end:
             continue
         end = t + min_duration
-        if jammed + min_duration <= budget.bound(end) + _BUDGET_EPS * max(1.0, budget.bound(end)):
+        if _within_budget(jammed + min_duration, budget.bound(end)):
             out.append((t, min_duration))
             jammed += min_duration
             covered_end = end

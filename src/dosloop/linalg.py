@@ -91,12 +91,12 @@ def require_square(M: FloatArray, name: str = "matrix") -> FloatArray:
 def as_weight(Q: ArrayLike, n: int, name: str = "Q") -> tuple[FloatArray, float]:
     """Coerce to a symmetric positive-definite n x n float matrix, raising ValueError otherwise.
 
-    Returns the matrix and its smallest eigenvalue, which the positive-definiteness check takes.
+    Returns the matrix and its smallest eigenvalue. Symmetry is checked relative to ||Q||, at any scale of Q.
     """
     Qm = require_square(as_matrix(Q, name), name)
     if Qm.shape[0] != n:
         raise ValueError(f"{name} must be {n} x {n}, got shape {Qm.shape}")
-    if _norm2(Qm - Qm.T) > 1e-10 * max(_norm2(Qm), 1.0):
+    if _norm2(Qm - Qm.T) > 1e-10 * _norm2(Qm):
         raise ValueError(f"{name} must be symmetric")
     q_min = float(np.linalg.eigvalsh(Qm)[0])
     if q_min <= 0.0:

@@ -313,10 +313,10 @@ def find_event_crossing(
     stats: dict[str, int] | None = None,
     coeffs: FloatArray | None = None,
 ) -> float | None:
-    """First t in (t_from, t_max] where ||e(t)|| reaches sigma ||x(t)||, decided on the Taylor polynomials.
+    """First t in [t_from, t_max] where ||e(t)|| reaches sigma ||x(t)||, decided on the Taylor polynomials.
 
-    x and x_held hold the loop at t_from with ||e|| < sigma ||x|| or e = 0
-    (a start proved past the threshold raises ValueError). x follows
+    x and x_held hold the loop at t_from; a start at or past the threshold
+    (g >= 0 there, below) returns t_from. x follows
     x' = A x + B K w, w = applied: x_held by default, zeros while a zeroed
     input is jammed. With g = ||x_held - x||^2 - sigma^2 ||x||^2, returns a
     t (t_max as given, at the end) where g evaluates >= 0, before which g < 0
@@ -390,8 +390,6 @@ def find_event_crossing(
         if form is None:
             return None
         a, b, eta = form
-        if base == 0.0 and a[0] > eta:
-            raise ValueError("state already violates the update-rule threshold at t_from")
         # u resolves no finer than a few ulps of 1, so a finer tolerance could never close
         u = first_root(a, b, eta, max(crossing_tol / h, 2.0**-50), stats)
         if u is not None:
@@ -571,10 +569,10 @@ def run(config: SimConfig) -> Trace:
     stretch's coefficients. A crossing it finds is the next attempt and the
     stretch's stop: the ticks strictly before it are reserved like any
     others, and its state is one LtiPlant.step from the same coefficients.
-    A start that the search's own check finds at or past the threshold
-    (ValueError, or a crossing at t) is a crossing a search before missed:
-    the attempt is at t, this stop, and where t is the tick the stretch
-    before ended at, the attempt's rows take that tick's row's place.
+    A start at or past the threshold (the search returns t) is a crossing
+    a search before missed: the attempt is at t, this stop, and where t is
+    the tick the stretch before ended at, the attempt's rows take that
+    tick's row's place.
 
     The post-jump row of a success shares ||x|| with its pre-jump row, and
     its transmission error is exactly zero.
@@ -639,11 +637,7 @@ def run(config: SimConfig) -> Trace:
                 stats["blocks_stepped"] += 1
             t_end = stop if to_stop else (k + count - 1) * rs
             if armed:
-                try:
-                    hit = find_event_crossing(plant, x, xh, sigma, t, t_end, tol, applied=w, stats=stats,
-                                              coeffs=coeffs)
-                except ValueError:  # its start check: x crossed before t, where a search missed it
-                    hit = t
+                hit = find_event_crossing(plant, x, xh, sigma, t, t_end, tol, applied=w, stats=stats, coeffs=coeffs)
                 if hit is not None:  # the crossing is the stretch's stop, and the next attempt
                     if hit == t and more:
                         rows.size -= 1  # the row of the tick the last stretch ended at becomes the attempt's

@@ -457,7 +457,7 @@ def slow_average_by_loop(
     The breakpoints (onsets up to the horizon, ends clipped to it, the
     horizon) are visited in order, carrying the sum of the whole intervals
     so far; a breakpoint fails when Xi(t) - (kappa + t / tau) exceeds 1e-12
-    max(1, kappa + t / tau).
+    (kappa + t / tau).
     """
     points = {h for h, _ in intervals if h <= horizon} | {min(h + d, horizon) for h, d in intervals} | {horizon}
     worst, first_bad = -math.inf, None
@@ -470,6 +470,6 @@ def slow_average_by_loop(
         xi = 0.0 if n < 0 else total + min(intervals[n][1], t - intervals[n][0])
         bound = kappa + t / tau
         worst = max(worst, xi - bound)
-        if first_bad is None and xi - bound > 1e-12 * max(1.0, bound):
+        if first_bad is None and xi - bound > 1e-12 * bound:
             first_bad = t
     return first_bad is None, first_bad, worst

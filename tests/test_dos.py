@@ -194,6 +194,20 @@ def test_gen_random_budgeted_respects_min_gap():
         assert seq.onsets[k] - seq.ends[k - 1] >= 0.2 - 1e-12
 
 
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_gen_random_budgeted_puts_a_constrained_end_on_the_budget_line(k):
+    # an onset the budget constrains is the earliest feasible one, with no
+    # nudge past it: its interval ends on the line kappa + t / tau, up to
+    # rounding the check's relative slack absorbs, on every time scale
+    budget = DosBudget(kappa=0.0, tau_avg=12.0)
+    horizon = math.ldexp(60.0, -k)
+    seq = gen_random_budgeted(budget, math.ldexp(0.1, -k), seed=3, horizon=horizon)
+    bound = budget.bound(seq.ends)
+    on_line = np.abs(np.cumsum(seq.durations) - bound) <= 1e-12 * bound
+    assert on_line.sum() >= 3, on_line
+    assert check_slow_average(seq, budget, horizon).holds
+
+
 @pytest.mark.parametrize("horizon", [math.inf, math.nan])
 def test_generators_need_a_finite_horizon(horizon):
     # an infinite horizon would never end their loops

@@ -17,13 +17,13 @@ def _load(name: str):
     return module
 
 
-def test_case_digests_lists_56_distinct_cases(tmp_path, monkeypatch):
+def test_case_digests_lists_58_distinct_cases(tmp_path, monkeypatch):
     # cases() only writes the scenario files; no case runs here
     monkeypatch.setattr(sys, "path", list(sys.path))
     listed = _load("case_digests").cases(tmp_path)
     ids = [case_id for case_id, _, _ in listed]
-    assert len(ids) == len(set(ids)) == 56
-    assert Counter(command for _, command, _ in listed) == {"simulate": 44, "analyze": 12}
+    assert len(ids) == len(set(ids)) == 58
+    assert Counter(command for _, command, _ in listed) == {"simulate": 46, "analyze": 12}
     assert all(path.is_file() for _, _, path in listed)
     assert not list(tmp_path.rglob("*.csv"))
 

@@ -11,13 +11,17 @@ on two checkouts with the same OUT_DIR and diff the two outputs: equal lines
 mean the same reports, exit codes, trace bytes and work.
 
 The cases' inputs come from the checkout that holds this script, never from
-SRC_TREE, so both runs read the same files. The 56 cases are:
+SRC_TREE, so both runs read the same files. The 58 cases are:
 
 * every ``event_sim``, ``periodic_sim`` and ``certify`` job of
   ``bench/workloads.py`` at seeds 7 and 11 (38 jobs);
 * ``analyze`` of both shipped scenarios;
 * ``simulate`` of both shipped scenarios under each of the four update
-  logics and both input modes (16 cases).
+  logics and both input modes (16 cases);
+* ``simulate`` of both shipped scenarios under ``event_time``, jammed by
+  the random generator (seed 3, ``min_duration`` 5 delta1, ``min_gap``
+  2 delta1; kappa 0 on the scalar plant, whose onsets the budget then
+  places), so that an output depends on generated onsets (2 cases).
 
 scipy is needed, as by ``bench/``.
 """
@@ -60,6 +64,14 @@ def cases(out_dir: Path) -> list[tuple[str, str, Path]]:
             path = out_dir / "shipped" / f"{name}-{logic}-{mode}.json"
             path.write_text(json.dumps(doc, indent=1) + "\n")
             out.append((f"shipped/simulate-{name}-{logic}-{mode}", "simulate", path))
+        doc["trigger"]["kind"], doc["plant"]["input_mode"] = "event_time", "hold_last"
+        delta1 = doc["trigger"]["delta1"]
+        doc["dos"] = {"generator": {"kind": "random", "seed": 3, "min_duration": 5.0 * delta1, "min_gap": 2.0 * delta1}}
+        if name == "scalar":
+            doc["budget"]["kappa"] = 0.0
+        path = out_dir / "shipped" / f"{name}-random-jam.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        out.append((f"shipped/simulate-{name}-random-jam", "simulate", path))
     return out
 
 
