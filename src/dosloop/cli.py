@@ -56,7 +56,7 @@ from .guarantees import (
 )
 from .linalg import EnvelopeError, FloatArray, as_weight
 from .plant import InputMode, LtiPlant
-from .sim import SimConfig, check_update_rule, run, verify_ges
+from .sim import SimConfig, Trace, check_update_rule, run, verify_ges
 from .triggers import LogicKind, TriggerConfig, Varphi, riccati_delta2, validate_trigger_for_plant
 
 
@@ -471,8 +471,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 _SWEEP_SECTIONS = {"tau": "budget", "sigma": "trigger", "delta1": "trigger"}
 
 
-def _sweep_point(sc: Scenario, value: float) -> tuple[float, str, str, str, str]:
-    """The sweep row of the scenario at one grid value."""
+def _sweep_point(
+    sc: Scenario, value: float, traces: dict[DosSequence, Trace] | None
+) -> tuple[float, str, str, str, str]:
+    """The sweep row of the scenario at one grid value.
+
+    traces, when given, holds the last run of the points before, by its jam
+    intervals: a tau sweep's points differ only in the budget, which run()
+    never reads, and in the intervals a generator draws from it, so one run
+    serves each next point with the same intervals, and only one run is
+    kept. Each point still checks its own budget (sim_config) and its own
+    alpha and beta.
+    """
     bundle = certificates(sc)
     sampled = bundle.sampled
     row = (value, repr(sampled.tau_min), repr(sampled.alpha), repr(sampled.beta))
@@ -484,7 +494,14 @@ def _sweep_point(sc: Scenario, value: float) -> tuple[float, str, str, str, str]
     except ScenarioError:  # e.g. the jam sequence breaks this point's budget
         return (*row, "")
     _, alpha, beta = strongest
-    return (*row, "true" if verify_ges(run(config), alpha, beta).holds else "false")
+    if traces is None:
+        trace = run(config)
+    else:
+        if config.dos not in traces:
+            traces.clear()
+            traces[config.dos] = run(config)
+        trace = traces[config.dos]
+    return (*row, "true" if verify_ges(trace, alpha, beta).holds else "false")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -495,6 +512,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     path = Path(args.config)
     doc = _read_document(path)
     rows, errors = [], []
+    traces = {} if args.param == "tau" else None
     # one point after another: the work is GIL-bound Python, which threads do not speed up
     for value in np.linspace(args.lo, args.hi, args.steps).tolist():
         patched = json.loads(json.dumps(doc))
@@ -506,7 +524,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             errors.append(exc)
             rows.append((value, "nan", "nan", "nan", ""))
         else:
-            rows.append(_sweep_point(sc, value))
+            rows.append(_sweep_point(sc, value, traces))
     if len(errors) == len(rows):  # no swept value mends the document: it is bad input
         raise errors[0]
     rows.sort(key=lambda r: r[0])

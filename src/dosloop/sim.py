@@ -28,7 +28,8 @@ after every attempt. While an event logic waits for ||e|| to reach
 sigma ||x|| (next_attempt returns inf after a success from a nonzero
 state), run() hands each stretch's coefficients to find_event_crossing
 before any row of it exists; the search decides the crossing on the
-stretch's own Taylor polynomial by Bernstein subdivision, and a crossing
+stretch's own Taylor polynomial, cut to the degree its rounding bound
+allows, by Bernstein subdivision and Halley refinement, and a crossing
 becomes the stretch's stop. The rows are filled as on any other stretch.
 
 Trace rows are written into growable numpy column arrays: a stop's rows
@@ -54,6 +55,7 @@ OpenBLAS picks its kernels for the CPU: a different kernel
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -273,15 +275,25 @@ class Trace:
                 fh.write(words.tobytes().translate(None, b"\0"))
 
 
+@functools.lru_cache(maxsize=16)
+def _g_weights(sigma: float) -> FloatArray:
+    """Each Gram entry's weight in g, _G_HELD - sigma^2 _G_STATE: formed once per sigma, read-only."""
+    w = _G_HELD - sigma * sigma * _G_STATE
+    w.flags.writeable = False
+    return w
+
+
 def _g_form(coeffs: FloatArray, x_held: FloatArray, sigma: float, s_end: float):
-    """(a, b, eta): g of one stretch in u = s / s_end in [0, 1], or None if the coefficients are not finite.
+    """(a, b, eta): g of one stretch in u = s / s_end in [0, 1] at degree d; None if the coefficients are not finite.
 
     a holds the power and b the Bernstein coefficients (on [0, 1]) of
     g = ||x_held - x||^2 - sigma^2 ||x||^2, x = sum_k (u s_end)^k c_k,
     c = coeffs, times 2^-2e, e the binary exponent of the largest entry of
     c and of x_held - c_0: scaled, every entry lies below 1, so no square
-    overflows, and the scaling is exact. eta bounds their rounding (see
-    find_event_crossing).
+    overflows, and the scaling is exact. d <= DEGREE is the smallest degree
+    whose tail, the sum of |a_k| over k > d, lies within the rounding bound
+    of all of g; a and b stop at d, and eta bounds their rounding and the
+    tail (see find_event_crossing).
     """
     rows = np.concatenate(((x_held - coeffs[0])[None], coeffs))
     mag = np.abs(rows)
@@ -293,9 +305,16 @@ def _g_form(coeffs: FloatArray, x_held: FloatArray, sigma: float, s_end: float):
     f = np.multiply.accumulate(f)  # 2^-e s_end^(r-1) for row r >= 1, multiplied up one by one
     f[0] = f[1]
     W = rows * f[:, None]
-    a = np.bincount(_G_INDEX, (W @ W.T).ravel() * (_G_HELD - sigma * sigma * _G_STATE), DEGREE + 1)
+    a = np.bincount(_G_INDEX, (W @ W.T).ravel() * _g_weights(sigma), DEGREE + 1)
     v = f @ mag  # the column sums of |W|
-    eta = (2 * len(x_held) + 160) * _UNIT_ROUNDOFF * (1.0 + sigma * sigma) * float(v @ v) + 2.0**-1000
+    n = len(x_held)
+    us = _UNIT_ROUNDOFF * (1.0 + sigma * sigma) * float(v @ v)
+    eta = (2 * n + 160) * us + 2.0**-1000
+    tails = np.abs(a[:0:-1]).cumsum()  # tails[j] = sum of |a_k| over k >= DEGREE - j >= 1
+    cut = int(tails.searchsorted(eta, "right"))  # the tails within eta: drop a_k for k > DEGREE - cut
+    if cut:
+        eta += float(tails[cut - 1]) + (n + 82) * us
+        a = a[: DEGREE + 1 - cut]
     return a, to_bernstein(a), eta
 
 
@@ -328,37 +347,51 @@ def find_event_crossing(
     LtiPlant.taylor_reach, the first from x (coeffs, when given, must be
     its LtiPlant.taylor_coeffs), each next from one LtiPlant.step. On a
     stretch of length h, x = sum_k s^k c_k with s = u s_end, u in [0, 1],
-    s_end = h / taylor_reach <= 1, so g is a polynomial of degree 36 in u
-    (_g_form). Its Bernstein coefficients bound it (Lane and Riesenfeld,
-    BIT 21, 1981; Farouki and Rajan, CAGD 4, 1987): on an interval where
-    all of them lie below -eta, g < 0. Other intervals are split in two,
-    left first, and one whose coefficients are negative up to an index and
-    positive after it holds one root (Descartes' rule of signs), bracketed
-    to crossing_tol on the power form by safeguarded Newton steps, each
-    bracket end moved on the sign of g alone
+    s_end = h / taylor_reach <= 1, so g is a polynomial of degree 36 in u,
+    which _g_form cuts to the smallest degree d whose tail lies within the
+    rounding bound (below): d = 4 on the shipped double integrator, whose
+    x is quadratic in t, and 2 to 15 on the benchmark's seed-7 event_sim
+    jobs. Its Bernstein coefficients of degree d bound it (Lane and
+    Riesenfeld, BIT 21, 1981; Farouki and Rajan, CAGD 4, 1987): on an
+    interval where all of them lie below -eta, g < 0. Other intervals are
+    split in two, left first, and one whose coefficients are negative up
+    to an index and positive after it holds one root (Descartes' rule of
+    signs), bracketed to crossing_tol on the power form by safeguarded
+    Halley steps, each bracket end moved on the sign of g alone
     (dosloop._bernstein.first_root); a crossing_tol below 2^-50 h
     resolves no further.
 
     Rounding (u = 2^-53, gamma_k = k u / (1 - k u), n the state's size;
     all of g times 2^-2e). Let W be the rows [x_held - x; c_0 .. c_18]
     times 2^-e s_end^(r-1), v the column sums of |W|, S = (1 + sigma^2) v.v.
-    The coefficient of u^m sums w_rq W_r . W_q over an antidiagonal with
-    |w_rq| <= 1 + sigma^2, so S bounds the |terms| of all of them. The
-    difference and the powers (multiplied up one by one) put W within
-    gamma_18 of its exact value, the Gram products add gamma_n, and the
-    weight, its product and the antidiagonal sums (at most 40 terms)
-    gamma_42: a is off by at most gamma_(n+80) S in all. The Bernstein
-    weights lie in [0, 1], each rounded once, and their product adds
-    gamma_38 S, so each Bernstein coefficient is within gamma_(n+119) S;
-    Horner's rule at u in [0, 1] adds gamma_72 S, so each value used while
-    refining is within gamma_(n+153) S. The series left out of each state
+    The coefficient a_m of u^m sums w_rq W_r . W_q over an antidiagonal
+    with |w_rq| <= 1 + sigma^2, so S bounds the |terms| of all of them
+    together. The difference and the powers (multiplied up one by one) put
+    W within gamma_18 of its exact value, the Gram products add gamma_n,
+    and the weight, its product and the antidiagonal sums (at most 40
+    terms) gamma_42: each a_m is off by at most gamma_(n+80) times its
+    antidiagonal's |terms|, all of a together by gamma_(n+80) S. At
+    degree d <= 36 the Bernstein weights C(i, m) / C(d, m) lie in [0, 1],
+    each rounded once, and their product adds gamma_(d+2) S, so each
+    Bernstein coefficient is within gamma_(n+d+83) S of those of the exact
+    a_0 .. a_d; Horner's rule of degree d at u in [0, 1] adds gamma_2d S
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 5.1), so each value used while refining is within
+    gamma_(n+2d+81) S. The series left out of each state
     (2.2e-17 ||[x; w]||, linalg._taylor_terms) moves g by at most
     0.81 n u S. With S's own rounding all of it stays below
-    eta = (2 n + 160) u S for n up to 1,000, plus 2^-1000 for entries and
-    products below 2^-1022, whose errors are absolute. A split at 1/2 makes
-    each coefficient a convex combination of its parent's with exact
-    weights: it adds gamma_37 times the parent's largest |coefficient| to
-    the bound. The coefficients' own rounding (the Taylor
+    eta_36 = (2 n + 160) u S for n up to 1,000, plus 2^-1000 for entries
+    and products below 2^-1022, whose errors are absolute. The cut: d is the
+    smallest degree whose computed tail T = sum_(m>d) |a_m| is at most
+    eta_36. On [0, 1] the exact tail sum_(m>d) a_m u^m is at most T plus
+    the dropped coefficients' rounding, within gamma_(n+80) S, so
+    eta = eta_36 + T + (n + 82) u S bounds the distance from g of every
+    Bernstein coefficient and value the search uses ((n + 81) u covers
+    gamma_(n+80), and the last u S the rounding of T, at most gamma_36 T,
+    and of the sum); with nothing cut (d = 36), eta = eta_36. A split at
+    1/2 makes each coefficient a convex combination of its parent's with
+    exact weights: it adds gamma_(d+1) times the parent's largest
+    |coefficient| to the bound. The coefficients' own rounding (the Taylor
     table times [x; w]) is the stepping error that the rows share, within
     1e-12 of max(||x||, ||x_held||) (tests/test_plant.py).
 

@@ -298,6 +298,59 @@ def test_sweep_rows_and_transition(scalar_config, tmp_path):
     assert "true" in observed  # feasible tail of the sweep simulates clean
 
 
+def _tau_sweep_against_direct_runs(doc: dict, tmp_path, monkeypatch, lo: float, hi: float, steps: int):
+    """(runs, changes of the jam sequence from one simulated point to the next) of a tau sweep of doc.
+
+    Each row is checked against a direct run of its point.
+    """
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    run, calls = cli_mod.run, []
+
+    def counting_run(config):
+        calls.append(config)
+        return run(config)
+
+    monkeypatch.setattr(cli_mod, "run", counting_run)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(path), "--param", "tau", "--from", str(lo), "--to", str(hi), "--steps", str(steps)]
+    assert main(argv + ["--out", str(out)]) == 0
+    monkeypatch.setattr(cli_mod, "run", run)
+    with open(out) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == steps
+    sequences = []
+    for value, row in zip(np.linspace(lo, hi, steps).tolist(), rows, strict=True):
+        doc["budget"]["tau"] = value
+        sc = scenario_from_dict(doc, path.parent)
+        strongest = cli_mod._strongest_certificate(sc, cli_mod.certificates(sc))
+        try:
+            config = sc.sim_config()
+        except ScenarioError:
+            config = None
+        want = ""
+        if strongest is not None and config is not None:
+            want = "true" if cli_mod.verify_ges(run(config), *strongest[1:]).holds else "false"
+            sequences.append(sc.dos)
+        assert (float(row[0]), row[4]) == (value, want)
+    return len(calls), sum(i == 0 or seq != sequences[i - 1] for i, seq in enumerate(sequences))
+
+
+def test_a_tau_sweep_runs_again_only_when_the_jam_sequence_changes(tmp_path, monkeypatch):
+    # run() never reads the budget, so the points of a tau sweep share one
+    # run while their jam intervals agree; each row still takes its own
+    # budget check and its own alpha and beta
+    doc = json.loads((Path(dosloop.__file__).resolve().parents[2] / "scenarios" / "double_integrator.json").read_text())
+    assert _tau_sweep_against_direct_runs(doc, tmp_path, monkeypatch, 400.0, 2000.0, 20) == (1, 1)
+    # a random generator draws its onsets from the budget: one run each time they change
+    doc = scalar_doc()
+    doc["trigger"]["kind"] = "event_time"
+    doc["budget"]["kappa"] = 0.0
+    doc["dos"] = {"generator": {"kind": "random", "seed": 3, "min_duration": 0.1, "min_gap": 0.04}}
+    runs, changes = _tau_sweep_against_direct_runs(doc, tmp_path, monkeypatch, 8.0, 16.0, 5)
+    assert runs == changes > 1
+
+
 def test_sweep_sigma_beta_monotone(tmp_path):
     doc = scalar_doc()
     doc["dos"] = {"intervals": []}

@@ -19,12 +19,15 @@ from conftest import budgeted_jam, feasible_sigma, hunt_plant, random_stabilized
 from oracles import expm_hold_step
 
 
-def _exact_g(coeffs: np.ndarray, x_held: np.ndarray, sigma: float, s_end: float) -> list:
-    """The power coefficients in u of g of one stretch in 50-digit arithmetic, from the same coefficients.
+def _exact_g(coeffs: np.ndarray, x_held: np.ndarray, sigma: float, s_end: float) -> tuple[list, mpmath.mpf]:
+    """The power coefficients in u of the whole g of one stretch, of degree DEGREE, and its rounding bound eta_36.
 
-    Scaled by the same 2^-2e as the search's (sim._g_form), e the binary
-    exponent of the largest entry of coeffs and of x_held - coeffs[0]:
-    the squares of each coordinate's polynomials in e and x, summed.
+    In 50-digit arithmetic from the same coefficients, scaled by the same
+    2^-2e as the search's (sim._g_form), e the binary exponent of the
+    largest entry of coeffs and of x_held - coeffs[0]: the squares of each
+    coordinate's polynomials in e and x, summed. eta_36 = (2 n + 160) u S
+    is the bound of find_event_crossing's docstring on the rounding of g at
+    any degree, before a cut adds its tail.
     """
     mp = mpmath.mp
     peak = float(np.abs(np.concatenate(((x_held - coeffs[0])[None], coeffs))).max())
@@ -32,26 +35,28 @@ def _exact_g(coeffs: np.ndarray, x_held: np.ndarray, sigma: float, s_end: float)
     s, sig2 = mp.mpf(s_end), mp.mpf(sigma) ** 2
     powers = [scale * s**k for k in range(len(coeffs))]
     a = [mp.mpf(0)] * (DEGREE + 1)
-    for held, column in zip(x_held.tolist(), coeffs.T.tolist()):
-        x = [mp.mpf(c) * p for c, p in zip(column, powers)]
+    S = mp.mpf(0)
+    for held, column in zip(x_held.tolist(), coeffs.T.tolist(), strict=True):
+        x = [mp.mpf(c) * p for c, p in zip(column, powers, strict=True)]
         e = [(mp.mpf(held) - mp.mpf(column[0])) * scale] + [-c for c in x[1:]]
+        S += (abs(e[0]) + mpmath.fsum(abs(c) for c in x)) ** 2
         for j in range(len(x)):
             a[2 * j] += e[j] * e[j] - sig2 * x[j] * x[j]
             for k in range(j + 1, len(x)):
                 a[j + k] += 2 * (e[j] * e[k] - sig2 * x[j] * x[k])
-    return a
+    return a, (2 * len(x_held) + 160) * mp.ldexp(1, -53) * (1 + sig2) * S
 
 
-@functools.lru_cache(maxsize=1)
-def _bernstein_weights() -> list:
-    """C(i, m) / C(N, m) in 50-digit arithmetic, N = the degree of g."""
-    N = DEGREE
-    return [[mpmath.mpf(math.comb(i, m)) / math.comb(N, m) for m in range(i + 1)] for i in range(N + 1)]
+@functools.lru_cache(maxsize=None)
+def _bernstein_weights(d: int) -> list:
+    """C(i, m) / C(d, m) for m <= i <= d, in 50-digit arithmetic."""
+    return [[mpmath.mpf(math.comb(i, m)) / math.comb(d, m) for m in range(i + 1)] for i in range(d + 1)]
 
 
 def _exact_bernstein(a: list) -> list:
-    """Bernstein coefficients on [0, 1] of the power coefficients a, with exact weights."""
-    return [mpmath.fsum(w * c for w, c in zip(row, a)) for row in _bernstein_weights()]
+    """Bernstein coefficients on [0, 1] of the power coefficients a, of degree len(a) - 1, with exact weights."""
+    rows = _bernstein_weights(len(a) - 1)
+    return [mpmath.fsum(w * c for w, c in zip(row, a[: len(row)], strict=True)) for row in rows]
 
 
 def _exact_halves(b: list) -> tuple[list, list]:
@@ -68,45 +73,55 @@ def test_the_rounding_bound_covers_every_coefficient_and_value_the_search_uses(m
     # Every Bernstein coefficient the search tests, at any depth of
     # subdivision, lies within the bound it is tested against (eta plus
     # what the splits above it added), and every value of g it takes while
-    # refining a root lies within eta, of the 50-digit values from the same
-    # coefficients. Seeded non-normal and fast-rotating plants, n = 1-8,
-    # both input modes, windows of one stretch (a twentieth of the Taylor
-    # reach to all of it) and of three, sigma just above and just below the
-    # peak of ||e|| / ||x|| over the window (a near tangency, which needs
-    # splits, and a crossing).
+    # refining a root lies within eta, of the 50-digit values of the whole
+    # degree-36 g from the same coefficients. A coefficient of the degree-d
+    # form is read against the exact a_0 .. a_d's, plus the exact tail
+    # sum_(m>d) |a_m| that bounds the rest of g on [0, 1]; and eta must
+    # hold eta_36 (the rounding bound at any degree) plus that tail, which
+    # fails if the cut's tail is left out of eta. Seeded non-normal and
+    # fast-rotating plants, n = 1-8, both input modes, windows of one
+    # stretch (a twentieth of the Taylor reach to all of it) and of three,
+    # sigma just above and just below the peak of ||e|| / ||x|| over the
+    # window (a near tangency, which needs splits, and a crossing).
     with mpmath.workdps(50):
-        exact = {}  # exact coefficients and their bound, by the bytes of the computed ones
-        checked = {"forms": [], "halves": [], "values": []}  # worst error / bound of each
-        g_form, halves, poly = dosloop.sim._g_form, dosloop._bernstein._halves, dosloop._bernstein._poly
+        exact = {}  # exact coefficients, their bound and g's exact tail, by the bytes of the computed ones
+        checked = {"forms": [], "halves": [], "values": [], "tails": []}  # worst error / bound of each
+        degrees = []
+        g_form, halves, horner = dosloop.sim._g_form, dosloop._bernstein._halves, dosloop._bernstein._horner
 
-        def check(kind: str, computed: np.ndarray, want: list, bound: float) -> None:
-            checked[kind].append(max(float(abs(got - w)) for got, w in zip(computed.tolist(), want)) / bound)
+        def check(kind: str, computed: np.ndarray, want: list, bound: float, tail) -> None:
+            worst = max(abs(got - w) for got, w in zip(computed.tolist(), want, strict=True))
+            checked[kind].append(float((worst + tail) / bound))
 
         def recording_g_form(coeffs, x_held, sigma, s_end):
             a, b, eta = g_form(coeffs, x_held, sigma, s_end)
-            a_exact = _exact_g(coeffs, x_held, sigma, s_end)
-            exact[b.tobytes()] = _exact_bernstein(a_exact), eta
+            a_exact, eta_36 = _exact_g(coeffs, x_held, sigma, s_end)
+            d = len(a) - 1
+            degrees.append(d)
+            tail = mpmath.fsum(abs(c) for c in a_exact[d + 1 :])
+            checked["tails"].append(float((eta_36 + tail) / eta))
+            exact[b.tobytes()] = _exact_bernstein(a_exact[: d + 1]), eta, tail
             exact[a[::-1].tobytes()] = a_exact, eta
-            check("forms", b, exact[b.tobytes()][0], eta)
+            check("forms", b, exact[b.tobytes()][0], eta, tail)
             return a, b, eta
 
         def recording_halves(b):
             left, right, grow = halves(b)
-            want, err = exact[b.tobytes()]
-            for part, part_want in zip((left, right), _exact_halves(want)):
-                exact[part.tobytes()] = part_want, err + grow
-                check("halves", part, part_want, err + grow)
+            want, err, tail = exact[b.tobytes()]
+            for part, part_want in zip((left, right), _exact_halves(want), strict=True):
+                exact[part.tobytes()] = part_want, err + grow, tail
+                check("halves", part, part_want, err + grow, tail)
             return left, right, grow
 
-        def recording_poly(a_rev, u):
-            v = poly(a_rev, u)
+        def recording_horner(a_rev, u):
+            values = horner(a_rev, u)
             a_exact, eta = exact[np.array(a_rev).tobytes()]
-            checked["values"].append(float(abs(v - mpmath.polyval(a_exact[::-1], u))) / eta)
-            return v
+            checked["values"].append(float(abs(values[0] - mpmath.polyval(a_exact[::-1], u)) / eta))
+            return values
 
         monkeypatch.setattr(dosloop.sim, "_g_form", recording_g_form)
         monkeypatch.setattr(dosloop._bernstein, "_halves", recording_halves)
-        monkeypatch.setattr(dosloop._bernstein, "_poly", recording_poly)
+        monkeypatch.setattr(dosloop._bernstein, "_horner", recording_horner)
         rng = np.random.default_rng(2611)
         hits = 0
         for kind, n, mode in product(("non_normal", "rotating"), range(1, 9), InputMode):
@@ -127,8 +142,11 @@ def test_the_rounding_bound_covers_every_coefficient_and_value_the_search_uses(m
                         hits += hit is not None
         counts = {kind: len(ratios) for kind, ratios in checked.items()}
         assert hits >= 30 and min(counts.values()) >= 80, (hits, counts)
+        # the forms are cut, to degrees far apart
+        assert max(degrees) - min(degrees) >= 10 and max(degrees) < DEGREE, sorted(set(degrees))
         worst = {kind: max(ratios) for kind, ratios in checked.items()}
-        print("worst error / bound:", ", ".join(f"{kind} {w:.3g} over {counts[kind]}" for kind, w in worst.items()))
+        print("degrees", sorted(set(degrees)), "worst error / bound:",
+              ", ".join(f"{kind} {w:.3g} over {counts[kind]}" for kind, w in worst.items()))
         assert max(worst.values()) <= 1.0, worst
 
 
@@ -248,3 +266,87 @@ def test_each_attempt_lies_within_crossing_tol_after_its_own_crossing(logic, mod
             assert -1e-12 <= (t_a - t_s) - want <= tol + 1e-12, (k, t_s, t_a - t_s - want)
             checked += 1
     assert checked >= 30
+
+
+def _refine_case(rng: np.random.Generator, d: int, near: bool) -> np.ndarray:
+    """Power coefficients (lowest first) of a degree-d polynomial with one simple root r in (0, 1), rising there.
+
+    The other factors keep their sign on [0, 1]: real roots outside it,
+    and complex pairs (u - s)^2 + eps^2. With near, the first pair sits
+    close to the real line (eps from 1e-8 to 1e-1) and to r (s within 1e-9
+    to 1e-1 of it), a near-double root where Halley's denominator
+    g'^2 - g g'' / 2 passes through zero.
+    """
+    r = float(rng.uniform(0.05, 0.95))
+    a = np.array([-r, 1.0])
+    left = d - 1
+    while left >= 2 and (near or rng.random() < 0.5):
+        s = r + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-9, -1) if near else float(rng.uniform(0.0, 1.0))
+        eps = 10.0 ** rng.uniform(-8, -1) if near else float(rng.uniform(0.05, 1.0))
+        a = np.convolve(a, [s * s + eps * eps, -2.0 * s, 1.0])
+        left, near = left - 2, False
+    for _ in range(left):
+        t = float(rng.uniform(0.1, 3.0))
+        a = np.convolve(a, [t, 1.0] if rng.random() < 0.5 else [1.0 + t, -1.0])  # u + t or 1 + t - u
+    return a * 10.0 ** rng.uniform(-20, 0)
+
+
+def test_the_refinement_keeps_its_bracket_within_a_trial_cap(monkeypatch):
+    # For every degree 1-36, seeded polynomials with one simple root in the
+    # bracket, half of them beside a near-double root: _refine's hi and the
+    # last trial with g < 0 (or the bracket's start) lie within tol, with
+    # g(lo) < 0 <= g(hi) in 50-digit arithmetic up to Horner's bound
+    # gamma_2d sum |a_k| u^k, and the trials stay within two per halving
+    # of the bracket down to tol, plus 6. The cap is measured, not proved:
+    # a Halley step is at most half the step before it, each midpoint
+    # halves the bracket, and a tol / 2 move that leaves the bracket open
+    # is followed by a midpoint; over 43,000 seeded refinements like these
+    # the most was two per halving plus 3. The triple root at 1/2 is in
+    # the set because g evaluates to 0 over far more than tol around it,
+    # where tol / 2 moves alone would creep: tens of thousands of trials
+    # at tol = 2^-50.
+    trials: list[tuple[float, float, float]] = []  # (u, g, Halley's denominator) of each trial
+    horner = dosloop._bernstein._horner
+
+    def recording_horner(a_rev, u):
+        g, d1, d2 = horner(a_rev, u)
+        trials.append((u, g, d1 * d1 - g * d2))
+        return g, d1, d2
+
+    monkeypatch.setattr(dosloop._bernstein, "_horner", recording_horner)
+    rng = np.random.default_rng(3101)
+    checked = turned = 0
+    worst = -math.inf
+    cases = [
+        (d, near, _refine_case(rng, d, near)) for d in range(1, DEGREE + 1) for near in (False, True) for _ in range(3)
+    ]
+    cases += [(3, True, np.array([-0.125, 0.75, -1.5, 1.0]))]  # (u - 1/2)^3
+    with mpmath.workdps(50):
+        for d, near, a in cases:
+            assert len(a) == d + 1
+            exact = [mpmath.mpf(c) for c in a[::-1]]
+
+            def horner_bound(u: float):
+                gamma = 2 * d * mpmath.ldexp(1, -53) / (1 - 2 * d * mpmath.ldexp(1, -53))
+                return gamma * mpmath.polyval([abs(c) for c in exact], u)
+
+            lo, hi = float(rng.uniform(0.0, 0.05)), float(rng.uniform(0.95, 1.0))
+            if not mpmath.polyval(exact, lo) < 0 <= mpmath.polyval(exact, hi):
+                continue
+            for tol in (1e-6, 1e-9, 2.0**-50):
+                trials.clear()
+                stats = {"root_trials": 0}
+                got = dosloop._bernstein._refine(a[::-1].tolist(), lo, hi, float(rng.uniform(lo, hi)), tol, stats)
+                assert stats["root_trials"] == len(trials)
+                assert got == min([hi] + [u for u, g, _ in trials if g >= 0.0])
+                last = max([lo] + [u for u, g, _ in trials if g < 0.0])
+                assert 0.0 < got - last <= tol, (d, near, tol, last, got)
+                assert mpmath.polyval(exact, last) < horner_bound(last), (d, near, tol, last)
+                assert mpmath.polyval(exact, got) >= -horner_bound(got), (d, near, tol, got)
+                halvings = math.ceil(math.log2((hi - lo) / tol))
+                worst = max(worst, len(trials) - 2 * halvings)
+                assert len(trials) <= 2 * halvings + 6, (d, near, tol, len(trials), halvings)
+                turned += near and any(den <= 0.0 for _, _, den in trials)
+                checked += 1
+    print(f"{checked} refinements, most trials over two per halving: {worst}; {turned} met Halley's denominator <= 0")
+    assert checked >= 180 and turned >= 20, (checked, turned)

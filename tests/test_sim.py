@@ -606,22 +606,22 @@ _PINNED_STAT_KEYS = (
     "expm_steps",
 )
 PINNED_STATS = {
-    ('scalar', 'event_time', 'hold_last'): (68, 1294, 32, 1093, 32, 140, 0, 0),
-    ('scalar', 'event_time', 'zero_during_dos'): (39, 1263, 31, 1199, 31, 130, 0, 0),
+    ('scalar', 'event_time', 'hold_last'): (68, 1294, 32, 1093, 32, 116, 0, 0),
+    ('scalar', 'event_time', 'zero_during_dos'): (39, 1263, 31, 1199, 31, 107, 0, 0),
     ('scalar', 'pure_time', 'hold_last'): (68, 1294, 0, 0, 0, 0, 0, 0),
     ('scalar', 'pure_time', 'zero_during_dos'): (68, 1294, 0, 0, 0, 0, 0, 0),
     ('scalar', 'self_trigger', 'hold_last'): (37, 1261, 0, 0, 0, 0, 0, 0),
     ('scalar', 'self_trigger', 'zero_during_dos'): (37, 1261, 0, 0, 0, 0, 0, 0),
-    ('scalar', 'ideal_event', 'hold_last'): (35, 1262, 32, 1093, 32, 140, 0, 0),
-    ('scalar', 'ideal_event', 'zero_during_dos'): (32, 1257, 31, 1200, 31, 130, 0, 0),
-    ('double_integrator', 'event_time', 'hold_last'): (98, 7083, 94, 6982, 94, 424, 0, 0),
-    ('double_integrator', 'event_time', 'zero_during_dos'): (98, 7084, 96, 6988, 96, 430, 0, 0),
+    ('scalar', 'ideal_event', 'hold_last'): (35, 1262, 32, 1093, 32, 116, 0, 0),
+    ('scalar', 'ideal_event', 'zero_during_dos'): (32, 1257, 31, 1200, 31, 107, 0, 0),
+    ('double_integrator', 'event_time', 'hold_last'): (98, 7083, 94, 6982, 94, 382, 0, 0),
+    ('double_integrator', 'event_time', 'zero_during_dos'): (98, 7084, 96, 6988, 96, 389, 0, 0),
     ('double_integrator', 'pure_time', 'hold_last'): (332, 7538, 0, 0, 0, 0, 0, 0),
     ('double_integrator', 'pure_time', 'zero_during_dos'): (332, 7538, 0, 0, 0, 0, 0, 0),
     ('double_integrator', 'self_trigger', 'hold_last'): (319, 7523, 0, 0, 0, 0, 0, 0),
     ('double_integrator', 'self_trigger', 'zero_during_dos'): (319, 7523, 0, 0, 0, 0, 0, 0),
-    ('double_integrator', 'ideal_event', 'hold_last'): (96, 7083, 94, 6986, 94, 425, 0, 0),
-    ('double_integrator', 'ideal_event', 'zero_during_dos'): (97, 7084, 96, 6992, 96, 429, 0, 0),
+    ('double_integrator', 'ideal_event', 'hold_last'): (96, 7083, 94, 6986, 94, 382, 0, 0),
+    ('double_integrator', 'ideal_event', 'zero_during_dos'): (97, 7084, 96, 6992, 96, 390, 0, 0),
 }
 
 

@@ -5,13 +5,15 @@
 Runs each case through SRC_TREE's ``dosloop.cli.main``, in this interpreter,
 with stdout and stderr captured, and prints
 ``{"id", "exit", "stdout", "stderr", "csv", "stats"}``: the exit code, the
-sha256 of stdout, of stderr and of the trace CSV, and the ``Trace.stats``
-counters of the run (``csv`` and ``stats`` are null for ``analyze``). Run it
-on two checkouts with the same OUT_DIR and diff the two outputs: equal lines
-mean the same reports, exit codes, trace bytes and work.
+sha256 of stdout, of stderr and of the trace or sweep CSV, and the
+``Trace.stats`` counters of the (first) run (``csv`` and ``stats`` are null
+for ``analyze``); the trace CSVs go to ``OUT_DIR/csv`` and the sweep CSVs
+to ``OUT_DIR/sweep``. Run it on two checkouts with the same OUT_DIR and
+diff the two outputs: equal lines mean the same reports, exit codes, trace
+bytes and work.
 
 The cases' inputs come from the checkout that holds this script, never from
-SRC_TREE, so both runs read the same files. The 58 cases are:
+SRC_TREE, so both runs read the same files. The 61 cases are:
 
 * every ``event_sim``, ``periodic_sim`` and ``certify`` job of
   ``bench/workloads.py`` at seeds 7 and 11 (38 jobs);
@@ -21,7 +23,11 @@ SRC_TREE, so both runs read the same files. The 58 cases are:
 * ``simulate`` of both shipped scenarios under ``event_time``, jammed by
   the random generator (seed 3, ``min_duration`` 5 delta1, ``min_gap``
   2 delta1; kappa 0 on the scalar plant, whose onsets the budget then
-  places), so that an output depends on generated onsets (2 cases).
+  places), so that an output depends on generated onsets (2 cases);
+* ``sweep --param tau`` of both shipped scenarios and of the scalar
+  random-jam variant, whose onsets move with tau (3 cases), so that the
+  rows of a sweep, which shares one run between points with the same jam
+  intervals, are checked byte for byte.
 
 scipy is needed, as by ``bench/``.
 """
@@ -41,6 +47,12 @@ SEEDS = (7, 11)
 SHIPPED = ("scalar", "double_integrator")
 LOGICS = ("event_time", "pure_time", "self_trigger", "ideal_event")
 INPUT_MODES = ("hold_last", "zero_during_dos")
+# --from, --to and --steps of each tau sweep, by its scenario file's stem
+TAU_GRIDS = {
+    "scalar": ("6", "30", "7"),
+    "double_integrator": ("400", "2000", "20"),
+    "scalar-random-jam": ("8", "16", "5"),
+}
 
 
 def cases(out_dir: Path) -> list[tuple[str, str, Path]]:
@@ -72,6 +84,8 @@ def cases(out_dir: Path) -> list[tuple[str, str, Path]]:
         path = out_dir / "shipped" / f"{name}-random-jam.json"
         path.write_text(json.dumps(doc, indent=1) + "\n")
         out.append((f"shipped/simulate-{name}-random-jam", "simulate", path))
+        out.append((f"shipped/sweep-tau-{name}", "sweep", shipped))
+    out.append(("shipped/sweep-tau-scalar-random-jam", "sweep", out_dir / "shipped" / "scalar-random-jam.json"))
     return out
 
 
@@ -82,8 +96,12 @@ def _sha256(data: bytes) -> str:
 def digest(cli, case_id: str, command: str, scenario: Path, out_dir: Path) -> dict[str, object]:
     """Run one case through cli.main and digest its outputs."""
     argv = [command, "--config", str(scenario)]
-    csv = out_dir / "csv" / (case_id.replace("/", "-") + ".csv")
-    if command == "simulate":
+    # the trace CSVs, which tools/csv_delta.py compares, apart from the sweeps'
+    csv = out_dir / ("csv" if command == "simulate" else "sweep") / (case_id.replace("/", "-") + ".csv")
+    if command == "sweep":
+        lo, hi, steps = TAU_GRIDS[scenario.stem]
+        argv += ["--param", "tau", "--from", lo, "--to", hi, "--steps", steps]
+    if command != "analyze":
         csv.parent.mkdir(parents=True, exist_ok=True)
         csv.unlink(missing_ok=True)
         argv += ["--out", str(csv)]
@@ -107,7 +125,7 @@ def digest(cli, case_id: str, command: str, scenario: Path, out_dir: Path) -> di
         "exit": code,
         "stdout": _sha256(out.getvalue().encode()),
         "stderr": _sha256(err.getvalue().encode()),
-        "csv": _sha256(csv.read_bytes()) if command == "simulate" and csv.exists() else None,
+        "csv": _sha256(csv.read_bytes()) if command != "analyze" and csv.exists() else None,
         "stats": runs[0] if runs else None,
     }
 
