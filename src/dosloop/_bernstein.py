@@ -17,6 +17,7 @@ Horner pass (_horner). Each split is one product with exact weights
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,19 +25,25 @@ import numpy as np
 from .linalg import _UNIT_ROUNDOFF, TAYLOR_DEGREE, FloatArray
 
 DEGREE = 2 * TAYLOR_DEGREE
-# For each degree d <= DEGREE, from the one table of C(i, j): power to
-# Bernstein form on [0, 1], b_i = sum_m C(i, m) / C(d, m) a_m, and the halves
-# of a de Casteljau split at 1/2, left_i = sum_j C(i, j) 2^-i b_j and its
-# mirror: weights in [0, 1], the halves' exact and summing to 1.
+# For each degree d <= DEGREE, from the one table of C(i, j), built the first
+# time a polynomial of degree d needs them (_weights): power to Bernstein form
+# on [0, 1], b_i = sum_m C(i, m) / C(d, m) a_m, and the halves of a de
+# Casteljau split at 1/2, left_i = sum_j C(i, j) 2^-i b_j and its mirror:
+# weights in [0, 1], the halves' exact and summing to 1.
 _COMB = np.array([[math.comb(i, j) for j in range(DEGREE + 1)] for i in range(DEGREE + 1)], dtype=float)
 _LEFT_HALF = _COMB / 2.0 ** np.arange(DEGREE + 1)[:, None]
-_TO_BERNSTEIN = [_COMB[: d + 1, : d + 1] / _COMB[d, : d + 1] for d in range(DEGREE + 1)]
-_HALVES = [np.vstack((_LEFT_HALF[: d + 1, : d + 1], _LEFT_HALF[d::-1, d::-1])) for d in range(DEGREE + 1)]
+
+
+@functools.cache
+def _weights(d: int) -> tuple[FloatArray, FloatArray]:
+    """The weights of degree d above: power to Bernstein form, and the two halves stacked."""
+    d1 = d + 1
+    return _COMB[:d1, :d1] / _COMB[d, :d1], np.vstack((_LEFT_HALF[:d1, :d1], _LEFT_HALF[d::-1, d::-1]))
 
 
 def to_bernstein(a: FloatArray) -> FloatArray:
     """Bernstein coefficients on [0, 1] of the power coefficients a: each weight rounded once, in [0, 1]."""
-    return _TO_BERNSTEIN[len(a) - 1] @ a
+    return _weights(len(a) - 1)[0] @ a
 
 
 def _horner(a_rev: list[float], u: float) -> tuple[float, float, float]:
@@ -63,7 +70,7 @@ def _halves(b: FloatArray) -> tuple[FloatArray, FloatArray, float]:
     gamma_(d+1) max |b| < (d + 4) u max |b|.
     """
     d = len(b) - 1
-    h = _HALVES[d] @ b
+    h = _weights(d)[1] @ b
     h[d + 1] = h[d]  # both are the value at the midpoint: one value
     return h[: d + 1], h[d + 1 :], (d + 4) * _UNIT_ROUNDOFF * float(np.abs(b).max())
 

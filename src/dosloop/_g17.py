@@ -212,7 +212,7 @@ def _digits17(v: FloatArray, T: _Tables) -> tuple[np.ndarray, ...]:
 def csv_cells(v: FloatArray) -> np.ndarray:
     """'%.17g,' % x for every x in v, as four 64-bit words per value.
 
-    Column i of the (4, v.size) uint64 result, read as 32 little-endian
+    Row i of the (v.size, 4) uint64 result, read as 32 little-endian
     bytes, is the text of '%.17g' % v[i] and a comma, padded with NUL bytes
     that the caller drops. Bytes 0-7 hold the sign, the "0." lead-in of a
     fixed-notation value below 1 (with up to three zeros), the leading digit
@@ -241,16 +241,16 @@ def csv_cells(v: FloatArray) -> np.ndarray:
     # the point follows digit p (0: the leading digit; 16: there is none)
     p = np.where((kept <= k_fixed + 1) | (k_fixed < 0), 16, k_fixed)
     i = kept * 17 + p
-    out = np.empty((4, v.size), dtype=np.uint64)
+    out = np.empty((v.size, 4), dtype=np.uint64)
     lead_in = np.where(fixed & (k < 0), k + 5, 0)
-    out[0] = T.head.take((((p == 0) * 2 + np.signbit(v)) * 5 + lead_in) * 10 + lead)
+    out[:, 0] = T.head.take((((p == 0) * 2 + np.signbit(v)) * 5 + lead_in) * 10 + lead)
     # kept digits after the point move up a byte, the top one into the next word
     up = w1 & T.above[0].take(i)
-    out[1] = (w1 & T.below[0].take(i)) | (up << 8) | T.point[0].take(i)
-    out[2] = up >> 56
+    out[:, 1] = (w1 & T.below[0].take(i)) | (up << 8) | T.point[0].take(i)
+    out[:, 2] = up >> 56
     up = w2 & T.above[1].take(i)
-    out[2] |= (w2 & T.below[1].take(i)) | (up << 8) | T.point[1].take(i)
-    out[3] = (up >> 56) | T.tail.take(np.where(fixed, 0, k + (1 - K_LO)))
+    out[:, 2] |= (w2 & T.below[1].take(i)) | (up << 8) | T.point[1].take(i)
+    out[:, 3] = (up >> 56) | T.tail.take(np.where(fixed, 0, k + (1 - K_LO)))
     for j in np.flatnonzero(fallback):
-        out[:, j] = np.frombuffer(("%.17g," % v[j]).encode().ljust(32, b"\0"), dtype=np.uint64)
+        out[j] = np.frombuffer(("%.17g," % v[j]).encode().ljust(32, b"\0"), dtype=np.uint64)
     return out

@@ -177,9 +177,9 @@ def _norm(v: FloatArray) -> float:
     sqrt(v . v), bit-identical to np.linalg.norm without its overhead, unless
     v . v < _NORM_FLOOR or v . v > _NORM_CEIL: then the same sum of the
     vector scaled by a power of two. A first sum that overflows raises
-    numpy's overflow signal, which the caller's np.errstate handles (sim.run,
-    sim.find_event_crossing and triggers.next_update_self_trigger ignore
-    it); the norm returned is finite all the same.
+    numpy's overflow signal, which the caller's np.errstate handles
+    (triggers.next_update_self_trigger ignores it); the norm returned is
+    finite all the same.
     """
     sq = v.dot(v)
     if sq < _NORM_FLOOR:

@@ -12,15 +12,17 @@ M = [[A, B K], [0, 0]], w the applied sample: x_held, or zero while jammed
 under InputMode.ZERO_DURING_DOS. run() steps each segment as Taylor
 stretches, in two phases. Phase 1 is a loop over the stops that change the
 state or the applied sample (an attempt, a jam breakpoint, the end of a
-stretch, the horizon): at each it forms LtiPlant.taylor_coeffs once, and
-the next stop's state is one LtiPlant.step with them. A stretch holds at
-most _STRETCH_ROWS rows and no offset past LtiPlant.taylor_reach; only a
-stop past the reach is a single step by mat_exp. Phase 2 fills the record
-ticks strictly between two stops in bulk: the loop reserves their rows
-and moves on, and each chunk of stretches, at most _CHUNK_ROWS padded
-rows, takes their states in one batched product of the offsets' powers
-with the stretches' coefficients (LtiPlant.stretch), with one _row_norms
-pass and one divergence-guard test. Vectors are validated once, by
+stretch, the horizon): at each it decides and steps, and nothing else. It
+forms LtiPlant.taylor_coeffs once, and the next stop's state is one
+LtiPlant.step with them. A stretch holds at most _STRETCH_ROWS rows and no
+offset past LtiPlant.taylor_reach; only a stop past the reach is a single
+step by mat_exp. Every row joins a pending chunk as indices and flags: the
+record ticks strictly between two stops as their stretch, a stop's rows
+with its state. Phase 2 writes each chunk in bulk: one batched product of
+the offsets' powers with the stretches' coefficients (LtiPlant.stretch),
+at most _CHUNK_ROWS padded rows, one _row_norms pass for the norms of
+every row and one divergence-guard test; at once for a stop state that a
+cheap bound cannot clear of the guard. Vectors are validated once, by
 SimConfig, not per step.
 
 The update policy lives in triggers.next_attempt, which run() calls once
@@ -32,17 +34,16 @@ stretch's own Taylor polynomial, cut to the degree its rounding bound
 allows, by Bernstein subdivision and Halley refinement, and a crossing
 becomes the stretch's stop. The rows are filled as on any other stretch.
 
-Trace rows are written into growable numpy column arrays: a stop's rows
-one at a time, and the ticks of a chunk at reserved indices. They are the
-run's only record: the verdicts read attempts, onsets and divergence from
-the columns. The run loop keeps its state (t, x, x_held, t_held, the next
-attempt) in locals. It takes its jam state from its cursor over the sorted
-jam breakpoints, not from a search per stop, and computes the input K
-x_held only when the held sample changes. Row norms are neither
-under-estimated nor lost to overflow (linalg._norm, _row_norms): the rows
-of a bulk product take theirs from one _row_norms pass, and a state
-stepped by LtiPlant.step (a stretch's end, a crossing) from _norm; the two
-may differ in the last bit, so a row keeps the one its path gives.
+Trace rows are written into growable numpy column arrays, a chunk at a
+time. They are the run's only record: the verdicts read attempts, onsets
+and divergence from the columns. The run loop keeps its state (t, x,
+x_held, t_held, the next attempt) in locals. It takes its jam state from
+its cursor over the sorted jam breakpoints, not from a search per stop,
+and computes the input K x_held only when the held sample changes. Row
+norms are neither under-estimated nor lost to overflow (linalg._row_norms),
+and every row, a tick's or a stop's, takes its ||x|| and ||x_held - x||
+from its chunk's one _row_norms pass, but a post-jump row, which shares
+its pre-jump row's ||x|| and has a transmission error of exactly zero.
 Trace.to_csv writes the exact '%.17g' text of every float with a bulk
 numpy kernel (dosloop._g17), in blocks of about 7k cells.
 
@@ -63,9 +64,9 @@ from pathlib import Path
 import numpy as np
 
 from ._bernstein import DEGREE, first_root, to_bernstein
-from .dos import DosBudget, DosSequence, Verdict, check_horizon, check_slow_average, is_jammed
+from .dos import DosBudget, DosSequence, Verdict, check_horizon, check_slow_average
 from .guarantees import SamplingRobustness, _window_reach
-from .linalg import _UNIT_ROUNDOFF, TAYLOR_DEGREE, FloatArray, _norm, _row_norms, as_vector
+from .linalg import _UNIT_ROUNDOFF, TAYLOR_DEGREE, FloatArray, _row_norms, as_vector
 from .plant import InputMode, LtiPlant
 from .plant import exact_hold_step  # noqa: F401  (bench/test_bench.py rebinds dosloop.sim.exact_hold_step)
 from .triggers import LogicKind, TriggerConfig, next_attempt, validate_trigger_for_plant
@@ -264,8 +265,8 @@ class Trace:
                 new_run[1:] = np.any(bits[1:] != bits[:-1], axis=1)
                 own = np.column_stack((self.t[b], self.x[b], self.e_norm[b], self.x_norm[b]))
                 cells = csv_cells(np.concatenate((own.ravel(), u[new_run].ravel())))
-                own_cells = cells[:, : own.size].T.reshape(rows, n + 3, 4)
-                u_cells = cells[:, own.size :].T.reshape(-1, m, 4)
+                own_cells = cells[: own.size].reshape(rows, n + 3, 4)
+                u_cells = cells[own.size :].reshape(-1, m, 4)
                 words = np.empty((rows, 4 * width + 1), dtype=np.uint64)
                 line = words[:, :-1].reshape(rows, width, 4)
                 line[:, : n + 1] = own_cells[:, : n + 1]
@@ -434,7 +435,7 @@ def find_event_crossing(
 
 
 class _Rows:
-    """Trace columns in growable numpy arrays: rows written one at a time, or reserved and written later in bulk.
+    """Trace columns in growable numpy arrays, written in bulk: the rows of one chunk at a time (_flush).
 
     Only the first size rows are the trace; rows past a size cut back are
     never read.
@@ -442,55 +443,21 @@ class _Rows:
 
     _COLUMNS = ("t", "x", "u", "e_norm", "x_norm", "jammed", "attempt", "success")
 
-    def __init__(self, n: int, m: int) -> None:
-        cap = 1024
+    def __init__(self, n: int, m: int, cap: int) -> None:
         self.size = 0
-        self.t = np.zeros(cap)
-        self.x = np.zeros((cap, n))
-        self.u = np.zeros((cap, m))
-        self.e_norm = np.zeros(cap)
-        self.x_norm = np.zeros(cap)
-        self.jammed = np.zeros(cap, dtype=np.int8)
-        self.attempt = np.zeros(cap, dtype=np.int8)
-        self.success = np.zeros(cap, dtype=np.int8)
+        self.t, self.x, self.u = np.zeros(cap), np.zeros((cap, n)), np.zeros((cap, m))
+        self.e_norm, self.x_norm = np.zeros(cap), np.zeros(cap)
+        self.jammed, self.attempt, self.success = (np.zeros(cap, dtype=np.int8) for _ in range(3))
 
-    def reserve(self, k: int) -> int:
-        """Make room for k more rows (doubling the capacity) and count them in; returns the index of the first."""
-        i = self.size
-        if i + k > len(self.t):
-            cap = max(i + k, 2 * len(self.t))
+    def grow(self, size: int) -> None:
+        """Make room for size rows in all, doubling the capacity."""
+        if size > len(self.t):
+            cap = max(size, 2 * len(self.t))
             for name in self._COLUMNS:
                 old = getattr(self, name)
                 new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
-                new[:i] = old[:i]
+                new[: self.size] = old[: self.size]
                 setattr(self, name, new)
-        self.size = i + k
-        return i
-
-    def row(
-        self, t: float, x: FloatArray, u: FloatArray, e_norm: float, x_norm: float, jam: bool, att: int, suc: int
-    ) -> None:
-        """One row; a flag that is 0 keeps its fill: zero, or the same flag of the tick row an attempt takes over."""
-        i = self.reserve(1)
-        self.t[i] = t
-        self.x[i] = x
-        self.u[i] = u
-        self.e_norm[i] = e_norm
-        self.x_norm[i] = x_norm
-        if jam:
-            self.jammed[i] = 1
-        if att:
-            self.attempt[i] = 1
-            self.success[i] = suc
-
-    def block(self, at, t: FloatArray, x: FloatArray, u, e_norm: FloatArray, x_norm: FloatArray, jam) -> None:
-        """Reserved rows at the indices at, without attempt flags (those keep their zero fill)."""
-        self.t[at] = t
-        self.x[at] = x
-        self.u[at] = u
-        self.e_norm[at] = e_norm
-        self.x_norm[at] = x_norm
-        self.jammed[at] = jam
 
     def columns(self) -> dict[str, np.ndarray]:
         """The first size rows of every column, copied out of the spare capacity."""
@@ -517,37 +484,67 @@ def _ticks_within(k: int, c: int, rs: float, t: float, reach: float) -> int:
     return j
 
 
-def _fill_ticks(plant: LtiPlant, rows: _Rows, pending: list, rs: float, x_max: float) -> dict[str, int] | None:
-    """Fill the reserved tick rows of the pending stretches in bulk, and empty pending.
+def _flush(plant: LtiPlant, rows: _Rows, chunk: tuple, size: int, rs: float, x_max: float, zero_mode: bool, tally):
+    """Write the pending chunk, rows rows.size to size - 1, in bulk; return the tally after the first row past the guard.
 
-    Each entry is (first slot, first tick, ticks, start t, coeffs, x_held, u,
-    jammed, stats after the stretch). One LtiPlant.stretch product over the
-    (stretches, slots, Taylor terms) stack takes every tick's state, one
-    _row_norms pass their norms, and one test the divergence guard. Slots
-    are padded to a multiple of _SLOT_ALIGN with offsets of one Taylor
-    reach (nothing reads those rows; a zero offset would take pow's slow
-    path). If a row trips the guard, the rows end at it, and the stats
-    after its stretch are returned; otherwise None.
+    chunk is (ticks, stops, helds, inputs): stretches, each (first row,
+    first tick, ticks, start t, coeffs, epoch, jammed, tally after it);
+    rows at stops, each (row, t, x, epoch, 4 jammed + 2 attempt + success),
+    a success's post-jump row after it, of the next epoch and from the same
+    norms; the held samples and their inputs K x_held, indexed by epoch.
+    One LtiPlant.stretch product takes every tick's state, slots padded to a
+    multiple of _SLOT_ALIGN with offsets of one Taylor reach (a zero offset
+    would take pow's slow path), one _row_norms pass every row's norms, and
+    one test the divergence guard. A row past it ends the rows, its attempt
+    flags cleared; the tally returned is its stretch's for a tick, tally
+    for a stop's row (only its own stop's flush finds one), else None.
     """
-    first, k0, ticks, t0, coeffs, held, u, jam, after = zip(*pending)
-    pending.clear()
-    c = np.array(ticks)
-    slot = np.arange(-(-max(ticks) // _SLOT_ALIGN) * _SLOT_ALIGN)
-    real = slot < c[:, None]
-    ts = (np.array(k0)[:, None] + slot) * rs
-    X = plant.stretch(np.array(coeffs), np.where(real, ts - np.array(t0)[:, None], plant.taylor_reach))[real]
-    count = len(X)
-    norms = _row_norms(np.concatenate((X, np.repeat(np.array(held), c, axis=0) - X)))
-    x_norm = norms[:count]
-    ends = np.cumsum(c)
-    at = np.repeat(np.array(first) - ends + c, c) + np.arange(count)
-    rows.block(at, ts[real], X, np.repeat(np.array(u), c, axis=0), norms[count:], x_norm, np.repeat(jam, c))
+    ticks, stops, helds, inputs = chunk
+    X, epoch, jam, at, tick_rows = [], [], [], [], 0
+    rows.grow(size)
+    if ticks:
+        first, k0, count, t0, coeffs, ep, jammed, tallies = zip(*ticks)
+        c = np.array(count)
+        slot = np.arange(-(-max(count) // _SLOT_ALIGN) * _SLOT_ALIGN)
+        real = slot < c[:, None]
+        ts = (np.array(k0)[:, None] + slot) * rs
+        X.append(plant.stretch(np.array(coeffs), np.where(real, ts - np.array(t0)[:, None], plant.taylor_reach))[real])
+        epoch.append(np.repeat(ep, c))
+        jam.append(np.repeat(jammed, c))
+        ends = np.cumsum(c)
+        tick_rows = int(ends[-1])
+        at.append(np.repeat(np.array(first) - ends + c, c) + np.arange(tick_rows))
+        rows.t[at[0]] = ts[real]
+    if stops:
+        i, t, x, ep, flags = zip(*stops)
+        f, i, ep = np.array(flags, dtype=np.int8), np.array(i), np.array(ep)
+        X.append(np.array(x))
+        epoch.append(ep)
+        jam.append(f >> 2)
+        at.append(i)
+        rows.t[i], rows.attempt[i], rows.success[i] = t, f >> 1 & 1, f & 1
+        post, post_ep = i[f == 3] + 1, ep[f == 3] + 1
+    X, epoch, jam, at = np.concatenate(X), np.concatenate(epoch), np.concatenate(jam), np.concatenate(at)
+    U = np.array(inputs)[epoch]
+    if zero_mode:
+        U[jam == 1] = 0.0
+    norms = _row_norms(np.concatenate((X, np.array(helds)[epoch] - X)))
+    x_norm = norms[: len(X)]
+    rows.x[at], rows.u[at], rows.e_norm[at], rows.x_norm[at], rows.jammed[at] = X, U, norms[len(X) :], x_norm, jam
+    if stops:  # the post-jump rows: their pre-jump rows' t, x and norm, no flags, and an error of exactly zero
+        rows.t[post], rows.x[post], rows.x_norm[post] = rows.t[post - 1], rows.x[post - 1], rows.x_norm[post - 1]
+        rows.u[post], rows.e_norm[post], rows.jammed[post], rows.attempt[post], rows.success[post] = (
+            np.array(inputs)[post_ep], 0.0, 0, 0, 0)
+    del ticks[:], stops[:], helds[:-1], inputs[:-1]  # the current held sample is the next chunk's epoch 0
     # written so that a NaN row (inf - inf after overflow) also trips the guard
     bad = np.flatnonzero(~(x_norm <= x_max))
     if not bad.size:
+        rows.size = size
         return None
-    rows.size = int(at[bad[0]]) + 1
-    return after[int(ends.searchsorted(bad[0], "right"))]
+    j = int(bad[at[bad].argmin()])
+    rows.size = int(at[j]) + 1
+    rows.attempt[at[j]] = rows.success[at[j]] = 0
+    return tallies[int(ends.searchsorted(j, "right"))] if j < tick_rows else tally
 
 
 # A state that overflows turns into inf/NaN entries; the divergence guard
@@ -562,10 +559,11 @@ def run(config: SimConfig) -> Trace:
     at the same t with the new held sample (transmission error zero). The
     final row sits at the horizon unless the divergence guard (||x|| > 1e12
     ||x0||, or not finite) stopped the run early, at the time of the last row,
-    which holds the state that tripped it; a jam breakpoint at that time was
-    not handled. Nothing depends on the units of x: from 2^-k x0 the run has
-    the same t, flags and stats, and x, u and the norms exactly 2^-k times
-    the originals, while every value stays a normal float.
+    which holds the state that tripped it, without attempt flags; a jam
+    breakpoint at that time was not handled. Nothing depends on the units of
+    x: from 2^-k x0 the run has the same t, flags and stats, and x, u and the
+    norms exactly 2^-k times the originals, while every value stays a normal
+    float.
 
     Stretches. From every stop, the record ticks strictly before the next
     event (the next attempt, jam breakpoint or the horizon) and the event
@@ -573,34 +571,27 @@ def run(config: SimConfig) -> Trace:
     LtiPlant.taylor_coeffs of [x; w], w the applied sample (x_held, or zero
     while jammed under InputMode.ZERO_DURING_DOS). A stretch ends early, at
     a tick, after _STRETCH_ROWS rows or at the last offset within
-    LtiPlant.taylor_reach, and the next one starts there; a first offset
-    past the reach is one LtiPlant.step, by mat_exp. While the loop waits
-    for a crossing, a crossing the search finds is the stretch's stop.
+    LtiPlant.taylor_reach; a first offset past the reach is one
+    LtiPlant.step, by mat_exp.
 
-    Phase 1, the stops. The loop goes from stop to stop: attempts, jam
-    breakpoints, stretch ends and the horizon. It carries t, x, x_held,
-    t_held, the next attempt, and ||x|| and ||x_held - x|| of the state in
-    locals, and writes each stop's own rows. A stop's state is one
-    LtiPlant.step with its stretch's coefficients (not counted in
-    taylor_steps), with norms from _norm. The loop reserves rows for the
-    ticks strictly between two stops and moves on.
-
-    Phase 2, the rows in bulk. Reserved ticks wait in a chunk of stretches
-    of at most _CHUNK_ROWS padded rows; a full chunk, the end of the run
-    and a stop past the guard fill them (_fill_ticks) in one product, one
-    _row_norms pass and one guard test.
-
-    Divergence. The first row past the guard (NaN included) ends the run:
-    a stop's state at once, after the chunk before it is filled, whose
-    ticks come first; a tick when its chunk is filled, with the stats the
-    run had after that tick's stretch, however far the loop ran ahead.
+    Phase 1, the stops (attempts, jam breakpoints, stretch ends, the
+    horizon): the loop keeps in locals only what the next decision reads
+    and at each stop decides and steps, its state one LtiPlant.step with
+    its stretch's coefficients. Every row joins the pending chunk, a stop's
+    as indices and flags with its state, the ticks as their stretch.
+    Phase 2: a chunk is written (_flush) when full, at the end, and at a
+    stop whose x . x does not clear it of the guard, so that the first row
+    past the guard (NaN included) ends the run, with the stats after that
+    row's stretch, and no state past it reaches next_attempt or
+    find_event_crossing; a tick trips when written, however far the loop
+    ran ahead.
 
     Waiting for a crossing. After every attempt, triggers.next_attempt gives
     the next one; while an event logic waits for a crossing it is inf, and
     before any row of a stretch exists the loop calls find_event_crossing,
     by its module name, once over [t, the stretch's end] with the
     stretch's coefficients. A crossing it finds is the next attempt and the
-    stretch's stop: the ticks strictly before it are reserved like any
+    stretch's stop: the ticks strictly before it join the chunk like any
     others, and its state is one LtiPlant.step from the same coefficients.
     A start at or past the threshold (the search returns t) is a crossing
     a search before missed: the attempt is at t, this stop, and where t is
@@ -610,11 +601,7 @@ def run(config: SimConfig) -> Trace:
     The post-jump row of a success shares ||x|| with its pre-jump row, and
     its transmission error is exactly zero.
     """
-    plant = config.plant
-    trig = config.trigger
-    dos = config.dos
-    horizon = config.horizon
-    rs = config.record_step
+    plant, trig, dos, horizon, rs = config.plant, config.trigger, config.dos, config.horizon, config.record_step
     n, m = plant.n, plant.m
     K = plant.K
     zero_mode = plant.input_mode is InputMode.ZERO_DURING_DOS
@@ -626,85 +613,93 @@ def run(config: SimConfig) -> Trace:
     bp_i = 0
     jammed = False  # on [t, next breakpoint): whether the last breakpoint consumed was an onset
 
-    rows = _Rows(n, m)
-    stats = _new_stats()
-    # stretches whose tick rows are reserved but not yet filled (see
-    # _fill_ticks), and the padded slots of the widest of them
-    pending, width = [], 0
-
-    # the applied sample and the input while jammed under ZERO_DURING_DOS
-    w_zero, u_zero = np.zeros(n), np.zeros(m)
-    # K x_held, recomputed only when the held sample changes; no state vector
-    # is mutated in place, so rows may share them
-    u_held = K @ np.zeros(n)
+    # room for the record ticks and a few stops, as a power of two (as doubling gives) of at most 2^17 rows
+    rows = _Rows(n, m, 1 << min(17, int(min(horizon / rs, 2.0**17) + 1024).bit_length()))
+    # the pending chunk (see _flush), ep the current held sample's epoch,
+    # width the padded slots of its widest stretch, size the rows written
+    # and pending. No state vector is mutated in place, so rows share them.
+    ticks, stops, helds, inputs = chunk = [], [], [np.zeros(n)], [K @ np.zeros(n)]
+    width, size, ep = 0, 0, 0
+    # the counters: stretches stepped from their coefficients, the rest in
+    # stats, and a copy of stats as of its last change, the ticks' tally
+    blocks, stats = 0, _new_stats()
+    counted = stats.copy()
+    w_zero = np.zeros(n)  # the applied sample while jammed under ZERO_DURING_DOS
 
     # waiting for a crossing: armed after a success from a nonzero state
     sigma, tol = trig.sigma, config.crossing_tol
-    armed = False
+    armed = decide = False  # decide: an attempt at t waits for next_attempt
 
-    # the loop state, with ||x|| and ||x_held - x|| of it
-    t, x, xh, t_held = 0.0, config.x0, np.zeros(n), 0.0
-    x_n, e_n = _norm(x), _norm(xh - x)
+    t, x, xh, t_held = 0.0, config.x0, helds[0], 0.0
     t_next = 0.0  # the next attempt
-    diverged = more = False  # more: whether the last stretch ended at a tick, t, whose row is the last
-    x_max = min(1e12 * x_n, np.finfo(float).max)  # the divergence guard; capped, so inf trips it
+    more = False  # whether the last stretch ended at a tick, t, whose row is the last
+    after = None  # the tally after the stretch of the first row past the guard
+    # The guard x_max, capped so that inf trips it; x . x < safe proves a
+    # recorded ||x|| <= x_max (n < 2^20): safe = (x_max (1 - 2^-30))^2 in
+    # [2^-960, the largest float], or 0; dot's and _row_norms' sums are
+    # within gamma_n, underflow n 2^-1075, the root u. sq: x . x of the
+    # state last stepped to, -1 once written.
+    fmax = float(np.finfo(float).max)
+    x_max = min(1e12 * float(_row_norms(x[None])[0]), fmax)
+    y = x_max * (1.0 - 2.0**-30)
+    safe, sq = (min(y * y, fmax) if y >= 2.0**-480 else 0.0), -1.0
 
     while t < horizon:
+        if not sq < safe or len(stops) >= _CHUNK_ROWS:
+            after = _flush(plant, rows, chunk, size, rs, x_max, zero_mode, (blocks, stats))
+            width, ep, sq = 0, 0, -1.0
+            if after is not None:
+                break
+        if decide:
+            jam_end = bps[bp_i][0] if jammed else math.inf  # while jammed, the next breakpoint ends the interval
+            t_next = next_attempt(config.logic, trig, plant, t, xh, t_held, jammed, jam_end)
+            armed, decide = t_next == math.inf and bool(xh.any()), False
         t_bp = bps[bp_i][0] if bp_i < len(bps) else math.inf
         stop = min(horizon, t_next, t_bp)
 
         if stop > t:
-            w, u = (w_zero, u_zero) if zero_mode and jammed else (xh, u_held)
+            w = w_zero if zero_mode and jammed else xh
             k = math.floor(t / rs + 1e-9) + 1
             if k * rs <= t:
                 k += 1
-            ticks = _ticks_before(k, rs, stop)
-            to_stop = ticks < _STRETCH_ROWS  # whether the stretch may reach the stop
-            count = ticks + to_stop  # its offsets: the ticks, then the stop
-            if (stop if to_stop else (k + ticks - 1) * rs) - t > reach:
-                count, to_stop = _ticks_within(k, ticks, rs, t, reach), False
+            c = _ticks_before(k, rs, stop)
+            to_stop = c < _STRETCH_ROWS  # whether the stretch may reach the stop
+            count = c + to_stop  # its offsets: the ticks, then the stop
+            if (stop if to_stop else (k + c - 1) * rs) - t > reach:
+                count, to_stop = _ticks_within(k, c, rs, t, reach), False
             if not count:  # its first offset lies past the Taylor reach
-                count, to_stop, coeffs = 1, not ticks, None
+                count, to_stop, coeffs = 1, not c, None
             else:
                 coeffs = plant.taylor_coeffs(x, w)
-                stats["blocks_stepped"] += 1
+                blocks += 1
             t_end = stop if to_stop else (k + count - 1) * rs
             if armed:
                 hit = find_event_crossing(plant, x, xh, sigma, t, t_end, tol, applied=w, stats=stats, coeffs=coeffs)
                 if hit is not None:  # the crossing is the stretch's stop, and the next attempt
-                    if hit == t and more:
-                        rows.size -= 1  # the row of the tick the last stretch ended at becomes the attempt's
+                    if hit == t and more:  # the row of the tick the last stretch ended at becomes the attempt's
+                        size, rows.size = size - 1, rows.size - (not stops)  # written already, or pending
+                        del stops[-1:]
                     count, to_stop, t_end, t_next, armed = _ticks_before(k, rs, hit) + 1, True, hit, hit, False
                 stats["cells_scanned"] += count
+                counted = stats.copy()
             more = not to_stop  # the stretch ends at a tick, where the next one starts
-            if count > 1:  # ticks before its end: reserve their rows, filled in bulk
+            if count > 1:  # ticks before its end: they join the chunk as one stretch
                 slots = -(-(count - 1) // _SLOT_ALIGN) * _SLOT_ALIGN
-                if pending and (len(pending) + 1) * max(width, slots) > _CHUNK_ROWS:
-                    after = _fill_ticks(plant, rows, pending, rs, x_max)
-                    width = 0
+                if ticks and (len(ticks) + 1) * max(width, slots) > _CHUNK_ROWS:
+                    after = _flush(plant, rows, chunk, size, rs, x_max, zero_mode, (blocks, stats))
+                    width, ep = 0, 0
                     if after is not None:
-                        stats, diverged = after, True
                         break
                 width = max(width, slots)
-                pending.append((rows.reserve(count - 1), k, count - 1, t, coeffs, xh, u, jammed, stats.copy()))
-            # counted only past the reach, as an expm step
-            x = plant.step(x, w, t_end - t, stats if coeffs is None else None, coeffs)
-            t, x_n, e_n = t_end, _norm(x), _norm(xh - x)
-            if more and x_n <= x_max:
-                rows.row(t, x, u, e_n, x_n, jammed, 0, 0)
-            # written so that a NaN state (inf - inf after overflow) also trips the guard
-            if not x_n <= x_max:
-                after = _fill_ticks(plant, rows, pending, rs, x_max) if pending else None
-                if after is None:
-                    jam = is_jammed(dos, t)
-                    rows.row(t, x, u_zero if zero_mode and jam else u_held, e_n, x_n, jam, 0, 0)
-                else:
-                    stats = after
-                diverged = True
-                break
-            if more:
-                continue  # the next stretch starts at that tick
-            stop = t
+                ticks.append((size, k, count - 1, t, coeffs, ep, jammed, (blocks, counted)))
+                size += count - 1
+            if coeffs is None:  # by mat_exp, or by the Taylor table to a crossing within the reach
+                x = plant.step(x, w, t_end - t, stats)
+                counted = stats.copy()
+            else:
+                x = plant.step(x, w, t_end - t, None, coeffs)
+            t = stop = t_end
+            sq = x.dot(x)
         else:
             t = stop
 
@@ -713,27 +708,24 @@ def run(config: SimConfig) -> Trace:
             while bp_i < len(bps) and bps[bp_i][0] == stop:
                 jammed = bps[bp_i][1]
                 bp_i += 1
-        u = u_zero if zero_mode and jammed else u_held
-        if at_bp:
-            rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)
-        if stop == t_next and stop < horizon:
-            rows.row(stop, x, u, e_n, x_n, jammed, 1, 0 if jammed else 1)
+        decide = stop == t_next and stop < horizon
+        if at_bp or not decide:  # a breakpoint's row, a tick's where a stretch ended early, the horizon's
+            stops.append((size, stop, x, ep, 4 * jammed))
+            size += 1
+        if decide:  # the attempt's row, and on success the post-jump row with the new held sample
+            stops.append((size, stop, x, ep, 6 if jammed else 3))
+            size += 1 if jammed else 2
             if not jammed:
-                xh, t_held, e_n = x, stop, 0.0
-                u_held = K @ xh
-                rows.row(stop, x, u_held, e_n, x_n, jammed, 0, 0)
-            jam_end = bps[bp_i][0] if jammed else math.inf  # while jammed, the next breakpoint ends the interval
-            t_next = next_attempt(config.logic, trig, plant, stop, xh, t_held, jammed, jam_end)
-            armed = t_next == math.inf and bool(xh.any())
-        elif not at_bp:
-            rows.row(stop, x, u, e_n, x_n, jammed, 0, 0)
+                xh, t_held, ep = x, stop, ep + 1
+                helds.append(x)
+                inputs.append(K.dot(x))
 
-    if pending:
-        after = _fill_ticks(plant, rows, pending, rs, x_max)
-        if after is not None:
-            stats, diverged = after, True
-    stats["rows_emitted"] = rows.size
-    return Trace(**rows.columns(), diverged=diverged, crossing_tol=config.crossing_tol, stats=stats)
+    if after is None and (ticks or stops):
+        after = _flush(plant, rows, chunk, size, rs, x_max, zero_mode, (blocks, stats))
+    blocks, counted = after or (blocks, stats)
+    stats = dict(counted)
+    stats["blocks_stepped"], stats["rows_emitted"] = blocks, rows.size
+    return Trace(**rows.columns(), diverged=after is not None, crossing_tol=config.crossing_tol, stats=stats)
 
 
 def _ratio(num: FloatArray, den: FloatArray) -> FloatArray:

@@ -462,6 +462,87 @@ def test_a_diverged_run_ends_at_its_first_row_past_the_guard(monkeypatch):
     assert nan.diverged and np.isnan(nan.x_norm[-1]) and nan.stats["expm_steps"] > 0
 
 
+def _jam_overflow_config(logic):
+    """An unstable scalar plant from x0 = 1e290, its input zeroed by a jam in which the state overflows.
+
+    The state passes the guard 0.57 into the jam [0.05, 1.05) and
+    overflows 0.26 later; the attempt at the jam's end succeeds, and a
+    second jam makes the attempt after it fail. SELF_TRIGGER predicts the
+    state from the held sample at a failed attempt (triggers.predict_state),
+    which raises for a sample that is not finite.
+    """
+    plant = LtiPlant(A=np.array([[50.0]]), B=np.array([[1.0]]), K=np.array([[-60.0]]),
+                     input_mode=InputMode.ZERO_DURING_DOS)
+    delta2 = 0.9 * riccati_delta2(plant.phi_norm, plant.bk_norm, 0.5)
+    trig = TriggerConfig(sigma=0.5, delta1=delta2 / 5.0, delta2=delta2)
+    return SimConfig(
+        plant=plant, logic=logic, trigger=trig, dos=DosSequence(((0.05, 1.0), (1.2, 0.1))),
+        budget=DosBudget(kappa=1.1, tau_avg=2.0), x0=np.array([1e290]), horizon=2.0, record_step=trig.delta1 / 4.0,
+    )
+
+
+@pytest.mark.parametrize("logic,rows,blocks", [(LogicKind.PURE_TIME, 840, 168), (LogicKind.SELF_TRIGGER, 740, 72)])
+def test_a_run_that_overflows_in_a_jam_ends_at_the_guard_without_deciding_on_the_state(logic, rows, blocks,
+                                                                                        monkeypatch):
+    # The stop states past the guard are never decided on: the run ends at
+    # the first row past it, inside the first jam, before a success at the
+    # jam's end could hold a state that overflowed (from which SELF_TRIGGER's
+    # prediction at the next failed attempt raises), and after no stretch
+    # beyond that row's: every stretch whose coefficients were formed counts
+    # in the stats, which are those after that row's stretch (measured when
+    # each stop was tested as it was reached). At every chunk bound.
+    formed, held = [], []
+    coeffs, decide = LtiPlant.taylor_coeffs, dosloop.sim.next_attempt
+    monkeypatch.setattr(LtiPlant, "taylor_coeffs", lambda *args: formed.append(None) or coeffs(*args))
+    monkeypatch.setattr(dosloop.sim, "next_attempt", lambda *args: held.append(args[4]) or decide(*args))
+    cfg = _jam_overflow_config(logic)
+    trace = _at_both_chunk_bounds(cfg, monkeypatch)
+    guard = 1e12 * trace.x_norm[0]
+    assert trace.diverged and not trace.attempt[-1] and not trace.x_norm[-1] <= guard
+    assert np.all(trace.x_norm[:-1] <= guard)
+    assert cfg.dos.onsets[0] < trace.t[-1] < cfg.dos.ends[0]
+    assert (len(trace), trace.stats["blocks_stepped"], trace.stats["rows_emitted"]) == (rows, blocks, rows)
+    assert len(formed) == 2 * blocks
+    assert all(np.all(np.abs(x) <= guard) for x in held)
+
+
+def _held_before(trace):
+    """The held sample of every row: x of the last successful attempt row before it, zero before the first."""
+    succ = np.flatnonzero(trace.success == 1)
+    last = np.searchsorted(succ, np.arange(len(trace)), side="left") - 1
+    return np.where(last[:, None] >= 0, trace.x[succ[np.maximum(last, 0)]], 0.0)
+
+
+def _seeded_n8_runs():
+    rng = np.random.default_rng(808)
+    plant = random_stabilized_plant(rng, n=8)
+    trig = standard_trigger(plant, feasible_sigma(plant))
+    horizon = 30.0 * trig.delta2
+    seq, budget, _ = budgeted_jam(8, trig, tau_avg=5.0, horizon=horizon)
+    x0 = rng.normal(size=8)
+    for logic in LogicKind:
+        yield run(SimConfig(plant=plant, logic=logic, trigger=trig, dos=seq, budget=budget, x0=x0,
+                            horizon=horizon, record_step=trig.delta1 / 4.0))
+
+
+def test_every_row_takes_its_norms_from_one_row_norms_pass():
+    # Stop rows (attempts, breakpoints, stretch ends at a tick, the horizon)
+    # take ||x|| and ||x_held - x|| from the chunk's _row_norms pass, as
+    # the ticks between stops do, bit for bit; a post-jump row's
+    # transmission error is exactly zero and its ||x|| its pre-jump row's.
+    from dosloop.linalg import _row_norms
+
+    traces = [_shipped_run(*key)[1] for key in PINNED_BEHAVIOUR] + list(_seeded_n8_runs())
+    assert traces[-1].x.shape[1] == 8
+    for i, trace in enumerate(traces):
+        assert not trace.diverged and trace.success.sum() > 1, i
+        assert trace.x_norm.tobytes() == _row_norms(trace.x).tobytes(), i
+        assert trace.e_norm.tobytes() == _row_norms(_held_before(trace) - trace.x).tobytes(), i
+        post = np.flatnonzero(trace.success == 1) + 1
+        assert np.all(trace.e_norm[post] == 0.0) and not np.signbit(trace.e_norm[post]).any(), i
+        assert trace.x_norm[post].tobytes() == trace.x_norm[post - 1].tobytes(), i
+
+
 def test_a_run_ends_at_its_horizon():
     # pure_time attempts at 3 delta2, one ulp before this horizon: the run
     # still steps on, so its last row sits at the horizon itself

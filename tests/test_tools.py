@@ -48,7 +48,7 @@ def test_csv_delta_reports_float_cells_and_fails_on_times_and_flags(tmp_path, ca
     assert csv_delta.main([str(a), str(b)]) == 0
     out = capsys.readouterr().out.splitlines()
     # the x cell moved by one ulp, 2^-54, read over the row's larger norm, e_norm = 0.75
-    assert out == ["moved.csv: rows 2 / 2, 1 differ, max rel 2.22e-16, max scaled 7.4e-17, t equal, flags equal", "1 of 2 CSVs differ"]
+    assert out == ["moved.csv: rows 2 / 2, 1 differ, cols x1, max rel 2.22e-16, max scaled 7.4e-17, t equal, flags equal", "1 of 2 CSVs differ"]
     # a flag, a time, a row count or a missing case fails
     for moved in ("0.5,0.25,-0.5,0.75,0.25,1,0,0", "0.75,0.25,-0.5,0.75,0.25,1,1,0", None):
         (b / "moved.csv").write_text(_HEADER + "\r\n".join([rows[0]] + ([moved] if moved else [])) + "\r\n")
@@ -72,7 +72,7 @@ def test_csv_delta_reports_how_far_the_times_moved(tmp_path, capsys):
     assert csv_delta.main([str(a), str(b)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == [
-        "case.csv: rows 3 / 3, 1 differ, max rel 5e-10, max scaled 0, t DIFFERS (max |dt| 2.5e-10), flags equal",
+        "case.csv: rows 3 / 3, 1 differ, cols t, max rel 5e-10, max scaled 0, t DIFFERS (max |dt| 2.5e-10), flags equal",
         "1 of 1 CSVs differ",
     ]
 
@@ -88,7 +88,7 @@ def test_csv_delta_passes_times_moved_within_a_tolerance(tmp_path, capsys):
     (a / "case.csv").write_text(_HEADER + "\r\n".join(rows) + "\r\n")
     moved = ["0,1,-2,0,1,0,0,0", "0.50000000025,0.25,-0.5,0.75,0.25,0,1,1", "0.75,0.25,-0.25,0,0.25,0,0,0"]
     (b / "case.csv").write_text(_HEADER + "\r\n".join(moved) + "\r\n")
-    line = "case.csv: rows 3 / 3, 1 differ, max rel 5e-10, max scaled 0, t DIFFERS (max |dt| 2.5e-10), flags equal"
+    line = "case.csv: rows 3 / 3, 1 differ, cols t, max rel 5e-10, max scaled 0, t DIFFERS (max |dt| 2.5e-10), flags equal"
     assert csv_delta.main(["--t-tol", "1e-9", str(a), str(b)]) == 0
     assert capsys.readouterr().out.splitlines() == [line, "1 of 1 CSVs differ"]
     assert csv_delta.main(["--t-tol", "1e-10", str(a), str(b)]) == 1
@@ -121,20 +121,20 @@ def test_csv_delta_scales_each_cell_by_its_row(tmp_path, capsys):
     (b / "case.csv").write_text(header + "\r\n".join(x_cell) + "\r\n")
     assert csv_delta.main([str(a), str(b)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
-        "case.csv: rows 2 / 2, 1 differ, max rel 0.000222, max scaled 2.22e-16, t equal, flags equal"
+        "case.csv: rows 2 / 2, 1 differ, cols x2, max rel 0.000222, max scaled 2.22e-16, t equal, flags equal"
     )
     # u2 moves by 2^-52 of the row's largest |u|, 2; e_norm by 2^-53 of x_norm
     u_cell = [rows[0], "0.5,0.5,1e-12,-2,1.00044408920985e-12,0.25000000000000006,0.5,0,0,0"]
     (b / "case.csv").write_text(header + "\r\n".join(u_cell) + "\r\n")
     assert csv_delta.main([str(a), str(b)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
-        "case.csv: rows 2 / 2, 1 differ, max rel 0.000444, max scaled 2.22e-16, t equal, flags equal"
+        "case.csv: rows 2 / 2, 1 differ, cols u2,e_norm, max rel 0.000444, max scaled 2.22e-16, t equal, flags equal"
     )
     nan_cell = [rows[0], "0.5,0.5,nan,-2,1e-12,0.25,0.5,0,0,0"]
     (b / "case.csv").write_text(header + "\r\n".join(nan_cell) + "\r\n")
     assert csv_delta.main([str(a), str(b)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
-        "case.csv: rows 2 / 2, 1 differ, max rel inf, max scaled inf, t equal, flags equal"
+        "case.csv: rows 2 / 2, 1 differ, cols x2, max rel inf, max scaled inf, t equal, flags equal"
     )
 
 
@@ -153,3 +153,27 @@ def test_csv_delta_scales_state_cells_by_the_larger_norm(tmp_path, capsys):
         assert csv_delta.main([str(a), str(b)]) == 0
         line = capsys.readouterr().out.splitlines()[0]
         assert line.endswith(", max scaled 2.22e-16, t equal, flags equal"), (cell, line)
+
+
+def test_csv_delta_names_the_columns_that_differ(tmp_path, capsys):
+    # a change that moves only norm cells reads so straight off the report:
+    # here only x_norm of the second row moved, by one ulp (2^-54), read
+    # over the row's larger norm, e_norm = 0.75
+    csv_delta = _load("csv_delta")
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    rows = ["0,1,-2,0,1,0,0,0", "0.5,0.25,-0.5,0.75,0.25,0,1,1"]
+    (a / "case.csv").write_text(_HEADER + "\r\n".join(rows) + "\r\n")
+    norm = [rows[0], "0.5,0.25,-0.5,0.75,0.25000000000000006,0,1,1"]
+    (b / "case.csv").write_text(_HEADER + "\r\n".join(norm) + "\r\n")
+    assert csv_delta.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "case.csv: rows 2 / 2, 1 differ, cols x_norm, max rel 2.22e-16, max scaled 7.4e-17, t equal, flags equal",
+        "1 of 1 CSVs differ",
+    ]
+    # a flag column is named too, beside the failure it causes
+    flag = [rows[0], "0.5,0.25,-0.5,0.75,0.25000000000000006,1,1,1"]
+    (b / "case.csv").write_text(_HEADER + "\r\n".join(flag) + "\r\n")
+    assert csv_delta.main([str(a), str(b)]) == 1
+    assert ", cols x_norm,jammed, " in capsys.readouterr().out

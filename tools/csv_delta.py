@@ -4,8 +4,9 @@
 
 DIR_A and DIR_B hold the trace CSVs of two runs (``OUT_DIR/csv`` of
 ``tools/case_digests.py``, copied aside before the second run). For each case
-whose CSV differs it prints the row counts, how many rows differ, the largest
-relative difference |a - b| / max(|a|, |b|) of a float cell, the largest
+whose CSV differs it prints the row counts, how many rows differ, the header
+names of the columns with any differing cell (``cols e_norm,x_norm``), the
+largest relative difference |a - b| / max(|a|, |b|) of a float cell, the largest
 difference scaled by its row (``max scaled``: an x, e_norm or x_norm cell over
 the largest of its row's e_norm and x_norm on either side, a u cell over the
 row's largest |u| on either side), and whether the t column and the three
@@ -81,8 +82,10 @@ def compare(a: Path, b: Path, t_tol: float | None = None) -> tuple[str, bool]:
     differ = sum(ra != rb for ra, rb in zip(rows_a, rows_b))
     if not rows_a:
         return f"{head}, 0 differ", True
-    A = np.array([r.split(",") for r in rows_a], dtype=float)
-    B = np.array([r.split(",") for r in rows_b], dtype=float)
+    cells_a = np.array([r.split(",") for r in rows_a])
+    cells_b = np.array([r.split(",") for r in rows_b])
+    cols = ",".join(name for name, moved in zip(header, (cells_a != cells_b).any(axis=0)) if moved)
+    A, B = cells_a.astype(float), cells_b.astype(float)
     same_t = np.array_equal(A[:, 0], B[:, 0])
     dt = np.abs(A[:, 0] - B[:, 0]).max()
     same_flags = np.array_equal(A[:, -FLAGS:], B[:, -FLAGS:])
@@ -91,7 +94,7 @@ def compare(a: Path, b: Path, t_tol: float | None = None) -> tuple[str, bool]:
     scaled = scaled_delta(header, fa, fb)
     moved = "equal" if same_t else f"DIFFERS (max |dt| {dt:.3g})"
     line = (
-        f"{head}, {differ} differ, max rel {rel.max():.3g}, max scaled {scaled:.3g}, t {moved}, "
+        f"{head}, {differ} differ, cols {cols}, max rel {rel.max():.3g}, max scaled {scaled:.3g}, t {moved}, "
         f"flags {'equal' if same_flags else 'DIFFER'}"
     )
     return line, (same_t or (t_tol is not None and dt <= t_tol)) and same_flags
