@@ -25,7 +25,7 @@ import math
 import numbers
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +48,14 @@ from .guarantees import (
     LyapunovConstants,
     SamplingRobustness,
     TrajectoryConstants,
+    _lyapunov_certificate,
+    _weight,
     format_report,
     ges_certificate_ideal,
-    ges_certificate_lyapunov,
     measure_robustness,
     xi_bar_measure,
 )
-from .linalg import EnvelopeError, FloatArray, as_weight
+from .linalg import EnvelopeError, FloatArray, _identity
 from .plant import InputMode, LtiPlant
 from .sim import SimConfig, Trace, check_update_rule, run, verify_ges
 from .triggers import LogicKind, TriggerConfig, Varphi, riccati_delta2, validate_trigger_for_plant
@@ -71,7 +72,13 @@ class ScenarioError(ValueError):
 
 @dataclass(eq=False)
 class Scenario:
-    """A fully built scenario: plant, logic, trigger, jamming, run settings."""
+    """A fully built scenario: plant, logic, trigger, jamming, run settings.
+
+    Q, the Lyapunov route's weight (analysis.Q), is checked once, here:
+    weight is what the check gives, (Q, its smallest eigenvalue, its
+    2-norm), and the route solves with it (guarantees._lyapunov_certificate)
+    without checking Q again. The identity takes no eigenvalue solve.
+    """
 
     plant: LtiPlant
     logic: LogicKind
@@ -84,6 +91,13 @@ class Scenario:
     crossing_tol: float
     Q: FloatArray
     delta2_was_computed: bool
+    weight: tuple[FloatArray, float, float] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        try:
+            self.weight = _weight(self.Q, self.plant.n, "analysis.Q")
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(str(exc)) from exc
 
     def sim_config(self) -> SimConfig:
         """The run settings, checked by SimConfig (jam budget, record_step, delta2, x0)."""
@@ -130,7 +144,10 @@ def _is_number(value) -> bool:
 def _as_float(value, where: str) -> float:
     if not _is_number(value):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # a JSON integer past the largest float, such as 10**400
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _as_array(value, where: str) -> FloatArray:
@@ -146,7 +163,7 @@ def _as_array(value, where: str) -> FloatArray:
             raise ScenarioError(f"{where}: expected a number, got {v!r}")
     try:
         return np.asarray(value, dtype=float)
-    except ValueError as exc:  # ragged nesting
+    except (ValueError, OverflowError) as exc:  # ragged nesting, or an integer past the largest float
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
@@ -264,12 +281,9 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     if not isinstance(a, dict):
         raise ScenarioError("section 'analysis' must be an object")
     q_raw = a.get("Q")
-    try:
-        Q = np.eye(plant.n) if q_raw is None else as_weight(_as_array(q_raw, "analysis.Q"), plant.n, "analysis.Q")[0]
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    Q = _identity(plant.n) if q_raw is None else _as_array(q_raw, "analysis.Q")
 
-    return Scenario(
+    return Scenario(  # checks Q
         plant=plant,
         logic=logic,
         trigger=trigger,
@@ -285,11 +299,13 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
 
 
 def _read_document(path: Path) -> dict:
-    """The JSON object in a scenario file; a missing file or malformed JSON is bad input."""
+    """The JSON object in a scenario file; a missing file, text that is not UTF-8 or malformed JSON is bad input."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -328,14 +344,19 @@ class CertificateBundle:
 
 
 def certificates(sc: Scenario) -> CertificateBundle:
-    """The three certificates at the configured budget; the sampled one is the ideal one inflated (one rho_star)."""
+    """The three certificates at the configured budget.
+
+    The sampled one is the ideal one inflated (one rho_star), and the
+    Lyapunov one comes from the scenario's checked weight, with the budget
+    arguments that the ideal one has checked.
+    """
     rob = worst_case_robustness(sc)
     kappa, tau = sc.budget.kappa, sc.budget.tau_avg
     ideal = ges_certificate_ideal(sc.plant, sc.trigger.sigma, kappa, tau)
     return CertificateBundle(
         ideal=ideal,
         sampled=ideal.inflated(rob.inflation),
-        lyapunov=ges_certificate_lyapunov(sc.plant, sc.Q, sc.trigger.sigma, kappa, tau),
+        lyapunov=_lyapunov_certificate(sc.plant, sc.weight, sc.trigger.sigma, kappa, tau),
         robustness=rob,
     )
 

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dos import DosSequence, _window_time
-from .linalg import FloatArray, _lyapunov, as_matrix, as_weight, spectral_norm
+from .linalg import FloatArray, _is_identity, _lyapunov, _norm2, as_weight
 from .plant import LtiPlant
 
 _RHO_STAR_TOL = 1e-10
@@ -260,25 +260,55 @@ def ges_certificate_lyapunov(
     ||K^T B^T P + P B K||; feasibility of sigma requires gamma1 - sigma gamma2 > 0.
     V decays at rate omega1 outside jam windows and grows at most at omega2
     inside them, giving alpha = sqrt(exp(kappa (omega1 + omega2)) alpha2/alpha1)
-    and beta = (omega1 - (omega1 + omega2)/tau) / 2. When Q is the identity,
-    bit for bit, P and its eigenvalues are the ones plant.decay solved for
-    and checked (as solve_lyapunov checks them: the identity's computed
-    2-norm is exactly 1.0), so no second Lyapunov system is solved. Any
-    other Q is checked once (linalg.as_weight), which also gives gamma1, its
-    smallest eigenvalue, and solved as solve_lyapunov solves it, keeping the
-    eigenvalues of P that the solve checked.
+    and beta = (omega1 - (omega1 + omega2)/tau) / 2.
+
+    Q is checked here, whatever its source (_weight), and the certificate
+    is _lyapunov_certificate's with the checked weight; a caller that has
+    checked Q already (cli.Scenario) calls that core itself.
     """
     _check_budget_args(sigma, kappa, tau)
-    Qm = as_matrix(Q, "Q")
+    return _lyapunov_certificate(plant, _weight(Q, plant.n), sigma, kappa, tau)
+
+
+def _weight(Q: FloatArray, n: int, name: str = "Q") -> tuple[FloatArray, float, float]:
+    """The weight Q checked: (Q as a float matrix, its smallest eigenvalue, its 2-norm).
+
+    The n x n identity, bit for bit, is checked by that comparison alone:
+    its eigenvalues and 2-norm are exactly 1.0 (as eigvalsh and gesdd give
+    them too, for n = 1-32), so it takes no eigenvalue solve and no svd.
+    Any other Q goes to linalg.as_weight, which raises ValueError unless it
+    is a finite symmetric positive-definite n x n matrix.
+    """
+    Qm = np.asarray(Q, dtype=float)
+    if Qm.shape == (n, n) and _is_identity(Qm):
+        return Qm, 1.0, 1.0
+    return as_weight(Qm, n, name)
+
+
+def _lyapunov_certificate(
+    plant: LtiPlant,
+    weight: tuple[FloatArray, float, float],
+    sigma: float,
+    kappa: float,
+    tau: float,
+) -> LyapunovConstants:
+    """ges_certificate_lyapunov for a checked weight (Q, gamma1, ||Q||_2), as _weight gives it.
+
+    The budget arguments are taken as checked. When Q is the identity, bit
+    for bit, P and its eigenvalues are the ones plant.decay solved for and
+    checked (as solve_lyapunov checks them), so no second Lyapunov system is
+    solved. Any other Q is solved as solve_lyapunov solves it, keeping the
+    eigenvalues of P that the solve checked. gamma2's matrix, built here,
+    goes to _norm2 without a second check.
+    """
+    Qm, gamma1, q_norm = weight
     env = plant.decay
-    if env.P is not None and Qm.shape == env.P.shape and Qm.tobytes() == np.eye(plant.n).tobytes():
+    if env.P is not None and _is_identity(Qm):
         P, p_eigs = env.P, env.p_eigs
-        gamma1 = float(np.linalg.eigvalsh(Qm)[0])
     else:
-        Qm, gamma1 = as_weight(Qm, plant.n)
-        P, _, p_eigs = _lyapunov(plant.phi, Qm, spectral_norm(Qm))
+        P, _, p_eigs = _lyapunov(plant.phi, Qm, q_norm)
     alpha1, alpha2 = float(p_eigs[0]), float(p_eigs[-1])
-    gamma2 = spectral_norm(plant.bk.T @ P + P @ plant.bk)
+    gamma2 = _norm2(plant.bk.T @ P + P @ plant.bk)
     sigma_feasible = gamma1 - sigma * gamma2 > 0.0
     omega1 = (gamma1 - gamma2 * sigma) / alpha2
     omega2 = gamma2 * (2.0 + sigma) / alpha1

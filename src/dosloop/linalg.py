@@ -15,6 +15,7 @@ is solved as one n^2 x n^2 linear system with numpy's LAPACK solve.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -88,20 +89,38 @@ def require_square(M: FloatArray, name: str = "matrix") -> FloatArray:
     return M
 
 
-def as_weight(Q: ArrayLike, n: int, name: str = "Q") -> tuple[FloatArray, float]:
+def as_weight(Q: ArrayLike, n: int, name: str = "Q") -> tuple[FloatArray, float, float]:
     """Coerce to a symmetric positive-definite n x n float matrix, raising ValueError otherwise.
 
-    Returns the matrix and its smallest eigenvalue. Symmetry is checked relative to ||Q||, at any scale of Q.
+    Returns the weight as checked: the matrix, its smallest eigenvalue
+    (one eigvalsh call) and its 2-norm (one gesdd call, _norm2), which is
+    what a Lyapunov solve with it needs (_lyapunov), so a checked weight is
+    never checked again. Symmetry is checked relative to ||Q||, at any
+    scale of Q.
     """
     Qm = require_square(as_matrix(Q, name), name)
     if Qm.shape[0] != n:
         raise ValueError(f"{name} must be {n} x {n}, got shape {Qm.shape}")
-    if _norm2(Qm - Qm.T) > 1e-10 * _norm2(Qm):
+    q_norm = _norm2(Qm)
+    if _norm2(Qm - Qm.T) > 1e-10 * q_norm:
         raise ValueError(f"{name} must be symmetric")
     q_min = float(np.linalg.eigvalsh(Qm)[0])
     if q_min <= 0.0:
         raise ValueError(f"{name} must be positive definite")
-    return Qm, q_min
+    return Qm, q_min, q_norm
+
+
+@functools.lru_cache(maxsize=32)
+def _identity(n: int) -> FloatArray:
+    """The n x n identity, read-only, built once for each of the last 32 sizes asked for."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _is_identity(M: FloatArray) -> bool:
+    """Whether a square float64 matrix is the identity, bit for bit (a -0.0 entry is not)."""
+    return M.tobytes() == _identity(len(M)).tobytes()
 
 
 def _taylor_terms(M: FloatArray, rows: int | None = None) -> tuple[FloatArray, float]:
@@ -166,8 +185,22 @@ def _norm2(M: FloatArray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).max(initial=0.0))
 
 
+def _norms2(Ms: FloatArray) -> list[float]:
+    """||M||_2 of each matrix of a float64 stack (k, r, c), from one batched svd call.
+
+    numpy's svd runs gesdd on each matrix of the stack in turn, on a copy
+    laid out as a single matrix's, so each norm is bit for bit _norm2 of
+    that matrix.
+    """
+    return np.linalg.svd(Ms, compute_uv=False).max(axis=-1, initial=0.0).tolist()
+
+
 def spectral_norm(M: ArrayLike) -> float:
-    """Largest singular value of M, from one LAPACK gesdd call; bit for bit np.linalg.norm(M, 2)."""
+    """Largest singular value of M, from one LAPACK gesdd call; bit for bit np.linalg.norm(M, 2).
+
+    M is coerced and checked (as_matrix); a matrix the library built
+    itself goes to _norm2 directly.
+    """
     return _norm2(as_matrix(M))
 
 
@@ -227,8 +260,8 @@ def solve_lyapunov(Phi: ArrayLike, Q: ArrayLike) -> FloatArray:
     when P is not positive definite (not Hurwitz).
     """
     F = require_square(as_matrix(Phi, "Phi"), "Phi")
-    Qm = as_weight(Q, F.shape[0])[0]
-    return _lyapunov(F, Qm, _norm2(Qm))[0]
+    Qm, _, q_norm = as_weight(Q, F.shape[0])
+    return _lyapunov(F, Qm, q_norm)[0]
 
 
 def _kron(a: FloatArray, b: FloatArray) -> FloatArray:
@@ -238,9 +271,9 @@ def _kron(a: FloatArray, b: FloatArray) -> FloatArray:
 
 
 def _lyapunov(F: FloatArray, Q: FloatArray, q_norm: float) -> tuple[FloatArray, float, FloatArray]:
-    """P of solve_lyapunov for a checked Q, with ||R||_2 of R = F^T P + P F + Q and eigvalsh(P)."""
+    """P of solve_lyapunov for a checked Q of 2-norm q_norm, with ||R||_2 of R = F^T P + P F + Q and eigvalsh(P)."""
     n = F.shape[0]
-    eye = np.eye(n)
+    eye = _identity(n)
     # Row-major vec: vec(F^T P) = kron(F^T, I) vec P, vec(P F) = kron(I, F^T) vec P.
     L = _kron(F.T, eye) + _kron(eye, F.T)
     # Extreme scales overflow with only a warning; the two checks below reject the result.
@@ -328,7 +361,7 @@ def decay_envelope(Phi: ArrayLike) -> DecayEnvelope:
         if not phi < 0.0:
             raise EnvelopeError(f"no decay envelope: phi = {phi:.12g} >= 0, not Hurwitz")
         return DecayEnvelope(mu=1.0, lam=-phi)
-    eye = np.eye(n)
+    eye = _identity(n)
     try:
         P, residual, eigs = _lyapunov(F, eye, 1.0)
     except LyapunovError as exc:

@@ -27,13 +27,13 @@ from .linalg import (
     FloatArray,
     GrowthEnvelope,
     _TAYLOR_EXPONENTS,
+    _norms2,
     _taylor_terms,
     as_matrix,
     as_vector,
     decay_envelope,
     growth_envelope,
     mat_exp,
-    spectral_norm,
 )
 
 
@@ -71,11 +71,11 @@ class LtiPlant:
     The plant keeps, computed once, each invariant that the certificates,
     the trigger check and the simulator share: phi = A + B K and bk = B K;
     decay, whose P and p_eigs (n >= 2) are the solution of
-    phi^T P + P phi + I = 0 and its eigenvalues; growth; and, each on first
-    use, the spectral norms phi_norm and bk_norm of phi and bk. A, B and K
-    are the plant's own copies of its arguments, and they, phi and bk are
-    read-only arrays, so no edit can make them disagree with the envelopes
-    and step tables built from them.
+    phi^T P + P phi + I = 0 and its eigenvalues; growth; and, from one svd
+    on first use of either, the spectral norms phi_norm and bk_norm of phi
+    and bk. A, B and K are the plant's own copies of its arguments, and
+    they, phi and bk are read-only arrays, so no edit can make them
+    disagree with the envelopes and step tables built from them.
 
     step advances the held-input dynamics z = [x; w] by a single step of
     any length, w the applied sample (x_held, or zero while a zeroed input
@@ -124,14 +124,20 @@ class LtiPlant:
         return self.B.shape[1]
 
     @cached_property
+    def _norms(self) -> tuple[float, float]:
+        """(||phi||_2, ||bk||_2) from one svd of the stacked pair (linalg._norms2)."""
+        phi_norm, bk_norm = _norms2(np.stack((self.phi, self.bk)))
+        return phi_norm, bk_norm
+
+    @cached_property
     def phi_norm(self) -> float:
-        """||A + B K||_2."""
-        return spectral_norm(self.phi)
+        """||A + B K||_2, bit for bit spectral_norm(phi); one svd gives it and bk_norm."""
+        return self._norms[0]
 
     @cached_property
     def bk_norm(self) -> float:
-        """||B K||_2."""
-        return spectral_norm(self.bk)
+        """||B K||_2, bit for bit spectral_norm(bk); one svd gives it and phi_norm."""
+        return self._norms[1]
 
     def propagator(self, dt: float) -> tuple[FloatArray, FloatArray]:
         """Blocks (T, H) with x(t+dt) = T x(t) + H w for the applied sample w."""

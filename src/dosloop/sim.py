@@ -580,11 +580,12 @@ def run(config: SimConfig) -> Trace:
     its stretch's coefficients. Every row joins the pending chunk, a stop's
     as indices and flags with its state, the ticks as their stretch.
     Phase 2: a chunk is written (_flush) when full, at the end, and at a
-    stop whose x . x does not clear it of the guard, so that the first row
-    past the guard (NaN included) ends the run, with the stats after that
-    row's stretch, and no state past it reaches next_attempt or
-    find_event_crossing; a tick trips when written, however far the loop
-    ran ahead.
+    stop whose x . x does not clear it of the guard (nor, where that sum
+    underflows or overflows, that of x scaled by a power of two taken from
+    ||x0||), so that the first row past the guard (NaN included) ends the
+    run, with the stats after that row's stretch, and no state past it
+    reaches next_attempt or find_event_crossing; a tick trips when
+    written, however far the loop ran ahead.
 
     Waiting for a crossing. After every attempt, triggers.next_attempt gives
     the next one; while an event logic waits for a crossing it is inf, and
@@ -639,13 +640,30 @@ def run(config: SimConfig) -> Trace:
     # [2^-960, the largest float], or 0; dot's and _row_norms' sums are
     # within gamma_n, underflow n 2^-1075, the root u. sq: x . x of the
     # state last stepped to, -1 once written.
+    # Where x . x underflows or overflows (||x0|| below about 2^-520 makes
+    # safe 0; ||x|| above about 2^511 makes sq inf), that test clears
+    # nothing, so a stop it fails at tests xs . xs < safe_s first, xs = x
+    # 2^-e, 2^(e-1) <= ||x0|| < 2^e (e >= -1023, so 2^-e is a float), and
+    # safe_s = (x_max 2^-e (1 - 2^-30))^2, before it flushes. Scaling by a
+    # power of two is exact while the result is a normal float, so the
+    # scaled test is the same proof: for a nonzero finite ||x0||, x_max
+    # 2^-e lies in [2^-12, 2^41) and safe_s is at least 2^-25, while an
+    # entry that scaling takes below 2^-511 has a square below 2^-1022 and
+    # moves xs . xs by less than n 2^-1022 in all, far inside the margin;
+    # an entry that overflows makes the test fail. xs does not depend on
+    # the units of x (2^-k x0 gives the same xs at every stop), so neither
+    # does the number of flushes.
     fmax = float(np.finfo(float).max)
-    x_max = min(1e12 * float(_row_norms(x[None])[0]), fmax)
+    x0_norm = float(_row_norms(x[None])[0])
+    x_max = min(1e12 * x0_norm, fmax)
     y = x_max * (1.0 - 2.0**-30)
     safe, sq = (min(y * y, fmax) if y >= 2.0**-480 else 0.0), -1.0
+    e = max(math.frexp(x0_norm)[1], -1023)
+    scale, y_s = math.ldexp(1.0, -e), math.ldexp(x_max, -e) * (1.0 - 2.0**-30)
+    safe_s = min(y_s * y_s, fmax)
 
     while t < horizon:
-        if not sq < safe or len(stops) >= _CHUNK_ROWS:
+        if not (sq < safe or (xs := x * scale).dot(xs) < safe_s) or len(stops) >= _CHUNK_ROWS:
             after = _flush(plant, rows, chunk, size, rs, x_max, zero_mode, (blocks, stats))
             width, ep, sq = 0, 0, -1.0
             if after is not None:

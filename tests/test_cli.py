@@ -129,6 +129,15 @@ def test_json_booleans_and_fractional_seeds_exit_1(tmp_path, capsys):
         (scalar_doc(trigger={**scalar_doc()["trigger"], "sigma": "0.25"}), "trigger.sigma: expected a number, got '0.25'"),
         (scalar_doc(analysis={"Q": [[True]]}), "analysis.Q: expected a number, got True"),
         (scalar_doc(analysis={"Q": [["2.0"]]}), "analysis.Q: expected a number, got '2.0'"),
+        # an integer past the largest float: float() and np.asarray raise OverflowError
+        # (a JSON float such as 1e400 parses to inf, which the range checks reject)
+        (scalar_doc(trigger={**scalar_doc()["trigger"], "sigma": 10**400}), "trigger.sigma: int too large"),
+        (scalar_doc(plant={**scalar_doc()["plant"], "A": [[10**400]]}), "plant.A: int too large"),
+        (scalar_doc(sim={**scalar_doc()["sim"], "horizon": 10**400}), "sim.horizon: int too large"),
+        (scalar_doc(trigger={**scalar_doc()["trigger"], "varphi": {"kind": "zero", "scale": 10**400}}),
+         "trigger.varphi.scale: int too large"),
+        (scalar_doc(dos={"generator": {"kind": "periodic", "period": 1.0, "duty": 10**400}}),
+         "dos.generator.duty: int too large"),
     ]
     for k, (doc, message) in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
@@ -402,6 +411,16 @@ def test_sweep_input_errors(scalar_config, tmp_path, capsys):
         assert main(["sweep", "--config", str(path), "--param", "tau",
                      "--from", "1", "--to", "2", "--steps", "2", "--out", out]) == 1
         assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_a_scenario_file_that_is_not_utf8_exits_1(command, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"plant": "\xff\xfe"}')
+    argv = [command, "--config", str(path)] + (["--out", str(tmp_path / "t.csv")] if command == "simulate" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text") and "Traceback" not in err
 
 
 def test_gen_dos_random_deterministic(tmp_path):
@@ -780,10 +799,21 @@ def test_analyze_lapack_call_budget(scenario, tmp_path, monkeypatch, capsys):
     counts = _count_linalg_calls(monkeypatch)
     assert main(["analyze", "--config", str(path)]) == 0
     assert "feasible_all = true" in capsys.readouterr().out
-    # svd: the decay residual, ||A + BK||, ||BK|| and ||K^T B^T P + P B K||; eigvalsh: P of the
-    # decay envelope, the symmetric part of A and the identity Q; norm: the Frobenius norm of the
-    # decay envelope's rounding bound; solve: the one Lyapunov system
-    assert counts == {"svd": 4, "eigvalsh": 3, "solve": 1, "norm(ord=None)": 1}
+    # svd: the decay residual, ||A + BK|| with ||BK|| (one stacked call) and ||K^T B^T P + P B K||;
+    # eigvalsh: P of the decay envelope and the symmetric part of A (the identity Q needs none);
+    # norm: the Frobenius norm of the decay envelope's rounding bound; solve: the one Lyapunov system
+    assert counts == {"svd": 3, "eigvalsh": 2, "solve": 1, "norm(ord=None)": 1}
+
+
+def test_analyze_checks_q_once(monkeypatch, capsys):
+    # the shipped scalar scenario's Q = [[2]] is checked where the scenario is
+    # read, and the Lyapunov route solves with that checked weight
+    from dosloop.linalg import as_weight
+
+    counts = _count_calls(monkeypatch, (as_weight,))
+    assert main(["analyze", "--config", str(SHIPPED_DOUBLE_INTEGRATOR.with_name("scalar.json"))]) == 0
+    assert "feasible_all = true" in capsys.readouterr().out
+    assert counts["as_weight"] == 1
 
 
 def test_is_number_accepts_exactly_the_real_non_bool_values():

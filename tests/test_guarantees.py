@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from dosloop import (
     xi_bar_measure,
     xi_measure,
 )
-from conftest import random_stabilized_plant
+from dosloop import guarantees
+from dosloop.cli import load_scenario
+from conftest import feasible_sigma, random_stabilized_plant
 from oracles import quadratic_rate_threshold, robustness_by_loop, scalar_lyapunov_constants
 
 # scalar plant with unit envelopes: A = 0, B = 1, K = -1 gives Phi = -1,
@@ -167,6 +171,39 @@ def test_lyapunov_certificate_takes_the_eigenvalues_of_q_once(monkeypatch):
     assert sum(np.array_equal(M, Q) for M in seen) == 1
     assert len(seen) == 2 and np.array_equal(seen[1], cert.P)
     assert cert.gamma1 == float(original(Q)[0])
+
+
+def _field_bits(cert) -> dict:
+    """Every field of a certificate, floats as their hex and arrays as their bytes."""
+    return {k: v.hex() if isinstance(v, float) else v.tobytes() if isinstance(v, np.ndarray) else v
+            for k, v in dataclasses.asdict(cert).items()}
+
+
+_DOUBLE_INTEGRATOR = Path(__file__).resolve().parent.parent / "scenarios" / "double_integrator.json"
+
+
+@pytest.mark.parametrize("n", [*range(2, 9), "double_integrator"])
+def test_the_identity_certificate_is_the_general_path_bit_for_bit(n, monkeypatch):
+    # Q = I takes gamma1 = ||Q|| = 1.0 and plant.decay's P without a check or
+    # a solve; the general path, which checks the same identity (as_weight)
+    # and solves with it (_lyapunov), gives the same bits in every field
+    if n == "double_integrator":
+        sc = load_scenario(_DOUBLE_INTEGRATOR)
+        plant, sigma, kappa, tau = sc.plant, sc.trigger.sigma, sc.budget.kappa, sc.budget.tau_avg
+    else:
+        plant = random_stabilized_plant(np.random.default_rng(3300 + n), n=n)
+        sigma, kappa, tau = feasible_sigma(plant, 0.5), 0.5, 40.0
+    eye = np.eye(plant.n)
+    cert = ges_certificate_lyapunov(plant, eye, sigma, kappa, tau)
+    assert cert.P is plant.decay.P
+    calls = []
+    for name in ("as_weight", "_lyapunov"):
+        function = getattr(guarantees, name)
+        monkeypatch.setattr(guarantees, name, lambda *args, _f=function, _n=name: calls.append(_n) or _f(*args))
+    monkeypatch.setattr(guarantees, "_is_identity", lambda M: False)  # no identity recognised
+    general = ges_certificate_lyapunov(plant, eye, sigma, kappa, tau)
+    assert calls == ["as_weight", "_lyapunov"]
+    assert _field_bits(general) == _field_bits(cert)
 
 
 def test_lyapunov_certificate_infeasible_sigma():

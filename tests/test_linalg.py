@@ -21,7 +21,7 @@ from dosloop import (
     solve_lyapunov,
     spectral_norm,
 )
-from dosloop.linalg import _kron, _norm, _row_norms
+from dosloop.linalg import _kron, _norm, _row_norms, as_weight
 from conftest import assert_close, random_stabilized_plant
 from oracles import envelope_grid, first_envelope_violation, gram_spectral_norm, mp_expm
 
@@ -189,6 +189,13 @@ def test_mat_exp_scales_by_the_largest_entry_and_rejects_overflow():
         with pytest.raises(ValueError):
             mat_exp(M, t)
     assert mat_exp(np.zeros((3, 3)), 1e300).tolist() == np.eye(3).tolist()
+
+
+def test_the_identity_weight_checks_to_exactly_one():
+    # the Lyapunov route takes gamma1 = ||Q||_2 = 1.0 for Q = I without a check:
+    # eigvalsh and gesdd give exactly that
+    for n in range(1, 33):
+        assert as_weight(np.eye(n), n)[1:] == (1.0, 1.0), n
 
 
 def test_solve_lyapunov_residual_and_oracle():

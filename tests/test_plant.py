@@ -15,6 +15,7 @@ from dosloop import (
     exact_hold_step,
     mat_exp,
     riccati_delta2,
+    spectral_norm,
 )
 from dosloop.linalg import TAYLOR_THETA
 from dosloop.sim import _STRETCH_ROWS
@@ -278,3 +279,14 @@ def test_stretch_rows_are_the_steps_of_their_offsets(zero_input):
     scale = max(np.linalg.norm(x), np.linalg.norm(xh))
     for dt, row in zip(offsets, rows):
         np.testing.assert_allclose(row, plant.step(x, xh, float(dt)), rtol=0, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_both_plant_norms_from_one_svd_are_spectral_norms_bit_for_bit(n):
+    # one svd of the stacked pair runs gesdd on each matrix in turn, so each
+    # norm is the one spectral_norm takes of that matrix alone
+    rng = np.random.default_rng(4100 + n)
+    for _ in range(25):
+        plant = random_stabilized_plant(rng, n=n)
+        assert plant.phi_norm.hex() == spectral_norm(plant.phi).hex()
+        assert plant.bk_norm.hex() == spectral_norm(plant.bk).hex()

@@ -810,6 +810,25 @@ def test_a_run_from_a_scaled_x0_is_that_run_scaled(name, logic, mode, tmp_path, 
             assert got[key] == value, (k, key)
 
 
+@pytest.mark.parametrize("name,logic,mode", list(PINNED_BEHAVIOUR), ids=["-".join(key) for key in PINNED_BEHAVIOUR])
+def test_the_flushes_of_a_run_do_not_depend_on_the_units_of_x(name, logic, mode, monkeypatch):
+    # run writes the pending rows early only at a stop whose state its
+    # pre-test cannot clear of the divergence guard; where x . x underflows
+    # or overflows, the pre-test reads x scaled by a power of two taken from
+    # ||x0||, so 2^-k x0 flushes exactly where x0 does
+    calls = []
+    flush = dosloop.sim._flush
+    monkeypatch.setattr(dosloop.sim, "_flush", lambda *args: calls.append(1) or flush(*args))
+    counts = {}
+    for k in (0, *_SCALES):
+        doc = _shipped_doc(name, logic, mode)
+        doc["sim"]["x0"] = [math.ldexp(v, -k) for v in doc["sim"]["x0"]]
+        calls.clear()
+        run(scenario_from_dict(doc, SCENARIOS).sim_config())
+        counts[k] = len(calls)
+    assert counts == dict.fromkeys(counts, counts[0])
+
+
 _EVENT_CASES = [key for key in PINNED_BEHAVIOUR if key[1] in ("event_time", "ideal_event")]
 
 
