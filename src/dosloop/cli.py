@@ -49,13 +49,12 @@ from .guarantees import (
     SamplingRobustness,
     TrajectoryConstants,
     _lyapunov_certificate,
-    _weight,
     format_report,
     ges_certificate_ideal,
     measure_robustness,
     xi_bar_measure,
 )
-from .linalg import EnvelopeError, FloatArray, _identity
+from .linalg import EnvelopeError, FloatArray, _identity, as_weight
 from .plant import InputMode, LtiPlant
 from .sim import SimConfig, Trace, check_update_rule, run, verify_ges
 from .triggers import LogicKind, TriggerConfig, Varphi, riccati_delta2, validate_trigger_for_plant
@@ -95,7 +94,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         try:
-            self.weight = _weight(self.Q, self.plant.n, "analysis.Q")
+            self.weight = as_weight(self.Q, self.plant.n, "analysis.Q")
         except (TypeError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
 

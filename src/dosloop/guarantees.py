@@ -262,27 +262,12 @@ def ges_certificate_lyapunov(
     inside them, giving alpha = sqrt(exp(kappa (omega1 + omega2)) alpha2/alpha1)
     and beta = (omega1 - (omega1 + omega2)/tau) / 2.
 
-    Q is checked here, whatever its source (_weight), and the certificate
-    is _lyapunov_certificate's with the checked weight; a caller that has
-    checked Q already (cli.Scenario) calls that core itself.
+    Q is checked here (linalg.as_weight), whatever its source, and the
+    certificate is _lyapunov_certificate's with the checked weight; a
+    caller that has checked Q already (cli.Scenario) calls that core itself.
     """
     _check_budget_args(sigma, kappa, tau)
-    return _lyapunov_certificate(plant, _weight(Q, plant.n), sigma, kappa, tau)
-
-
-def _weight(Q: FloatArray, n: int, name: str = "Q") -> tuple[FloatArray, float, float]:
-    """The weight Q checked: (Q as a float matrix, its smallest eigenvalue, its 2-norm).
-
-    The n x n identity, bit for bit, is checked by that comparison alone:
-    its eigenvalues and 2-norm are exactly 1.0 (as eigvalsh and gesdd give
-    them too, for n = 1-32), so it takes no eigenvalue solve and no svd.
-    Any other Q goes to linalg.as_weight, which raises ValueError unless it
-    is a finite symmetric positive-definite n x n matrix.
-    """
-    Qm = np.asarray(Q, dtype=float)
-    if Qm.shape == (n, n) and _is_identity(Qm):
-        return Qm, 1.0, 1.0
-    return as_weight(Qm, n, name)
+    return _lyapunov_certificate(plant, as_weight(Q, plant.n), sigma, kappa, tau)
 
 
 def _lyapunov_certificate(
@@ -292,7 +277,7 @@ def _lyapunov_certificate(
     kappa: float,
     tau: float,
 ) -> LyapunovConstants:
-    """ges_certificate_lyapunov for a checked weight (Q, gamma1, ||Q||_2), as _weight gives it.
+    """ges_certificate_lyapunov for a checked weight (Q, gamma1, ||Q||_2), as linalg.as_weight gives it.
 
     The budget arguments are taken as checked. When Q is the identity, bit
     for bit, P and its eigenvalues are the ones plant.decay solved for and

@@ -96,11 +96,16 @@ def as_weight(Q: ArrayLike, n: int, name: str = "Q") -> tuple[FloatArray, float,
     (one eigvalsh call) and its 2-norm (one gesdd call, _norm2), which is
     what a Lyapunov solve with it needs (_lyapunov), so a checked weight is
     never checked again. Symmetry is checked relative to ||Q||, at any
-    scale of Q.
+    scale of Q. The n x n identity, bit for bit (_is_identity), needs no
+    more: its eigenvalues and 2-norm are exactly 1.0 (as eigvalsh and gesdd
+    give them too, for n = 1-32), so it takes no eigenvalue solve and no
+    svd.
     """
     Qm = require_square(as_matrix(Q, name), name)
     if Qm.shape[0] != n:
         raise ValueError(f"{name} must be {n} x {n}, got shape {Qm.shape}")
+    if _is_identity(Qm):
+        return Qm, 1.0, 1.0
     q_norm = _norm2(Qm)
     if _norm2(Qm - Qm.T) > 1e-10 * q_norm:
         raise ValueError(f"{name} must be symmetric")

@@ -20,10 +20,9 @@ step by mat_exp. Every row joins a pending chunk as indices and flags: the
 record ticks strictly between two stops as their stretch, a stop's rows
 with its state. Phase 2 writes each chunk in bulk: one batched product of
 the offsets' powers with the stretches' coefficients (LtiPlant.stretch),
-at most _CHUNK_ROWS padded rows, one _row_norms pass for the norms of
-every row and one divergence-guard test; at once for a stop state that a
-cheap bound cannot clear of the guard. Vectors are validated once, by
-SimConfig, not per step.
+at most _CHUNK_ROWS padded rows, and one _row_norms pass for the norms of
+every row. The divergence guard tests each stop state once, right after
+it is stepped. Vectors are validated once, by SimConfig, not per step.
 
 The update policy lives in triggers.next_attempt, which run() calls once
 after every attempt. While an event logic waits for ||e|| to reach
@@ -66,7 +65,7 @@ import numpy as np
 from ._bernstein import DEGREE, first_root, to_bernstein
 from .dos import DosBudget, DosSequence, Verdict, check_horizon, check_slow_average
 from .guarantees import SamplingRobustness, _window_reach
-from .linalg import _UNIT_ROUNDOFF, TAYLOR_DEGREE, FloatArray, _row_norms, as_vector
+from .linalg import _UNIT_ROUNDOFF, TAYLOR_DEGREE, FloatArray, _norm, _row_norms, as_vector
 from .plant import InputMode, LtiPlant
 from .plant import exact_hold_step  # noqa: F401  (bench/test_bench.py rebinds dosloop.sim.exact_hold_step)
 from .triggers import LogicKind, TriggerConfig, next_attempt, validate_trigger_for_plant
@@ -184,7 +183,7 @@ class Trace:
     The columns are the run's only record. Attempt times are
     t[attempt == 1] and their outcomes success[attempt == 1]; each jam
     onset the run reached has a row at its time; a diverged run's last row is
-    the state that tripped the guard, at t[-1].
+    the stop state that tripped the guard, at t[-1].
 
     stats holds plain integer counters of the run: blocks_stepped (Taylor
     stretches: the rows and the end state stepped from one set of
@@ -484,26 +483,23 @@ def _ticks_within(k: int, c: int, rs: float, t: float, reach: float) -> int:
     return j
 
 
-def _flush(plant: LtiPlant, rows: _Rows, chunk: tuple, size: int, rs: float, x_max: float, zero_mode: bool, tally):
-    """Write the pending chunk, rows rows.size to size - 1, in bulk; return the tally after the first row past the guard.
+def _flush(plant: LtiPlant, rows: _Rows, chunk: tuple, size: int, rs: float, zero_mode: bool) -> None:
+    """Write the pending chunk, rows rows.size to size - 1, in bulk.
 
     chunk is (ticks, stops, helds, inputs): stretches, each (first row,
-    first tick, ticks, start t, coeffs, epoch, jammed, tally after it);
-    rows at stops, each (row, t, x, epoch, 4 jammed + 2 attempt + success),
-    a success's post-jump row after it, of the next epoch and from the same
-    norms; the held samples and their inputs K x_held, indexed by epoch.
-    One LtiPlant.stretch product takes every tick's state, slots padded to a
+    first tick, ticks, start t, coeffs, epoch, jammed); rows at stops, each
+    (row, t, x, epoch, 4 jammed + 2 attempt + success), a success's
+    post-jump row after it, of the next epoch and from the same norms; the
+    held samples and their inputs K x_held, indexed by epoch. One
+    LtiPlant.stretch product takes every tick's state, slots padded to a
     multiple of _SLOT_ALIGN with offsets of one Taylor reach (a zero offset
-    would take pow's slow path), one _row_norms pass every row's norms, and
-    one test the divergence guard. A row past it ends the rows, its attempt
-    flags cleared; the tally returned is its stretch's for a tick, tally
-    for a stop's row (only its own stop's flush finds one), else None.
+    would take pow's slow path), and one _row_norms pass every row's norms.
     """
     ticks, stops, helds, inputs = chunk
-    X, epoch, jam, at, tick_rows = [], [], [], [], 0
+    X, epoch, jam, at = [], [], [], []
     rows.grow(size)
     if ticks:
-        first, k0, count, t0, coeffs, ep, jammed, tallies = zip(*ticks)
+        first, k0, count, t0, coeffs, ep, jammed = zip(*ticks)
         c = np.array(count)
         slot = np.arange(-(-max(count) // _SLOT_ALIGN) * _SLOT_ALIGN)
         real = slot < c[:, None]
@@ -512,8 +508,7 @@ def _flush(plant: LtiPlant, rows: _Rows, chunk: tuple, size: int, rs: float, x_m
         epoch.append(np.repeat(ep, c))
         jam.append(np.repeat(jammed, c))
         ends = np.cumsum(c)
-        tick_rows = int(ends[-1])
-        at.append(np.repeat(np.array(first) - ends + c, c) + np.arange(tick_rows))
+        at.append(np.repeat(np.array(first) - ends + c, c) + np.arange(ends[-1]))
         rows.t[at[0]] = ts[real]
     if stops:
         i, t, x, ep, flags = zip(*stops)
@@ -529,22 +524,14 @@ def _flush(plant: LtiPlant, rows: _Rows, chunk: tuple, size: int, rs: float, x_m
     if zero_mode:
         U[jam == 1] = 0.0
     norms = _row_norms(np.concatenate((X, np.array(helds)[epoch] - X)))
-    x_norm = norms[: len(X)]
-    rows.x[at], rows.u[at], rows.e_norm[at], rows.x_norm[at], rows.jammed[at] = X, U, norms[len(X) :], x_norm, jam
+    rows.x[at], rows.u[at], rows.jammed[at] = X, U, jam
+    rows.x_norm[at], rows.e_norm[at] = norms[: len(X)], norms[len(X) :]
     if stops:  # the post-jump rows: their pre-jump rows' t, x and norm, no flags, and an error of exactly zero
         rows.t[post], rows.x[post], rows.x_norm[post] = rows.t[post - 1], rows.x[post - 1], rows.x_norm[post - 1]
         rows.u[post], rows.e_norm[post], rows.jammed[post], rows.attempt[post], rows.success[post] = (
             np.array(inputs)[post_ep], 0.0, 0, 0, 0)
     del ticks[:], stops[:], helds[:-1], inputs[:-1]  # the current held sample is the next chunk's epoch 0
-    # written so that a NaN row (inf - inf after overflow) also trips the guard
-    bad = np.flatnonzero(~(x_norm <= x_max))
-    if not bad.size:
-        rows.size = size
-        return None
-    j = int(bad[at[bad].argmin()])
-    rows.size = int(at[j]) + 1
-    rows.attempt[at[j]] = rows.success[at[j]] = 0
-    return tallies[int(ends.searchsorted(j, "right"))] if j < tick_rows else tally
+    rows.size = size
 
 
 # A state that overflows turns into inf/NaN entries; the divergence guard
@@ -557,13 +544,18 @@ def run(config: SimConfig) -> Trace:
     breakpoint; at every attempt a row flagged attempt=1 with success=0/1
     (values just before the update), followed on success by an unflagged row
     at the same t with the new held sample (transmission error zero). The
-    final row sits at the horizon unless the divergence guard (||x|| > 1e12
-    ||x0||, or not finite) stopped the run early, at the time of the last row,
-    which holds the state that tripped it, without attempt flags; a jam
-    breakpoint at that time was not handled. Nothing depends on the units of
-    x: from 2^-k x0 the run has the same t, flags and stats, and x, u and the
-    norms exactly 2^-k times the originals, while every value stays a normal
-    float.
+    final row sits at the horizon unless the divergence guard stopped the
+    run early. The guard tests each stop state once, right after it is
+    stepped, against x_max = 1e12 ||x0|| (capped at the largest float, so
+    that inf trips it); the first with ||x|| > x_max, or not finite, is the
+    last row, without attempt flags, and a jam breakpoint at its time was
+    not handled. The ticks between stops are not tested: each lies within
+    one stretch, an offset of at most LtiPlant.taylor_reach (so
+    ||e^(M s)|| <= e), of a stop state and a held sample that both passed
+    the guard, so every row has ||x|| <= 2e x_max, up to rounding. Nothing
+    depends on the units of x: from 2^-k x0 the run has the same t, flags
+    and stats, and x, u and the norms exactly 2^-k times the originals,
+    while every value stays a normal float.
 
     Stretches. From every stop, the record ticks strictly before the next
     event (the next attempt, jam breakpoint or the horizon) and the event
@@ -577,15 +569,12 @@ def run(config: SimConfig) -> Trace:
     Phase 1, the stops (attempts, jam breakpoints, stretch ends, the
     horizon): the loop keeps in locals only what the next decision reads
     and at each stop decides and steps, its state one LtiPlant.step with
-    its stretch's coefficients. Every row joins the pending chunk, a stop's
-    as indices and flags with its state, the ticks as their stretch.
-    Phase 2: a chunk is written (_flush) when full, at the end, and at a
-    stop whose x . x does not clear it of the guard (nor, where that sum
-    underflows or overflows, that of x scaled by a power of two taken from
-    ||x0||), so that the first row past the guard (NaN included) ends the
-    run, with the stats after that row's stretch, and no state past it
-    reaches next_attempt or find_event_crossing; a tick trips when
-    written, however far the loop ran ahead.
+    its stretch's coefficients, tested against the guard, so that no
+    state past it reaches next_attempt or find_event_crossing. Every row
+    joins the pending chunk, a stop's as indices and flags with its state,
+    the ticks as their stretch. Phase 2: a chunk is written (_flush) when
+    full and at the end; the stats are the loop's counters at its last
+    stop.
 
     Waiting for a crossing. After every attempt, triggers.next_attempt gives
     the next one; while an event logic waits for a crossing it is inf, and
@@ -621,10 +610,7 @@ def run(config: SimConfig) -> Trace:
     # and pending. No state vector is mutated in place, so rows share them.
     ticks, stops, helds, inputs = chunk = [], [], [np.zeros(n)], [K @ np.zeros(n)]
     width, size, ep = 0, 0, 0
-    # the counters: stretches stepped from their coefficients, the rest in
-    # stats, and a copy of stats as of its last change, the ticks' tally
-    blocks, stats = 0, _new_stats()
-    counted = stats.copy()
+    stats = _new_stats()
     w_zero = np.zeros(n)  # the applied sample while jammed under ZERO_DURING_DOS
 
     # waiting for a crossing: armed after a success from a nonzero state
@@ -634,40 +620,13 @@ def run(config: SimConfig) -> Trace:
     t, x, xh, t_held = 0.0, config.x0, helds[0], 0.0
     t_next = 0.0  # the next attempt
     more = False  # whether the last stretch ended at a tick, t, whose row is the last
-    after = None  # the tally after the stretch of the first row past the guard
-    # The guard x_max, capped so that inf trips it; x . x < safe proves a
-    # recorded ||x|| <= x_max (n < 2^20): safe = (x_max (1 - 2^-30))^2 in
-    # [2^-960, the largest float], or 0; dot's and _row_norms' sums are
-    # within gamma_n, underflow n 2^-1075, the root u. sq: x . x of the
-    # state last stepped to, -1 once written.
-    # Where x . x underflows or overflows (||x0|| below about 2^-520 makes
-    # safe 0; ||x|| above about 2^511 makes sq inf), that test clears
-    # nothing, so a stop it fails at tests xs . xs < safe_s first, xs = x
-    # 2^-e, 2^(e-1) <= ||x0|| < 2^e (e >= -1023, so 2^-e is a float), and
-    # safe_s = (x_max 2^-e (1 - 2^-30))^2, before it flushes. Scaling by a
-    # power of two is exact while the result is a normal float, so the
-    # scaled test is the same proof: for a nonzero finite ||x0||, x_max
-    # 2^-e lies in [2^-12, 2^41) and safe_s is at least 2^-25, while an
-    # entry that scaling takes below 2^-511 has a square below 2^-1022 and
-    # moves xs . xs by less than n 2^-1022 in all, far inside the margin;
-    # an entry that overflows makes the test fail. xs does not depend on
-    # the units of x (2^-k x0 gives the same xs at every stop), so neither
-    # does the number of flushes.
-    fmax = float(np.finfo(float).max)
-    x0_norm = float(_row_norms(x[None])[0])
-    x_max = min(1e12 * x0_norm, fmax)
-    y = x_max * (1.0 - 2.0**-30)
-    safe, sq = (min(y * y, fmax) if y >= 2.0**-480 else 0.0), -1.0
-    e = max(math.frexp(x0_norm)[1], -1023)
-    scale, y_s = math.ldexp(1.0, -e), math.ldexp(x_max, -e) * (1.0 - 2.0**-30)
-    safe_s = min(y_s * y_s, fmax)
+    x_max = min(1e12 * _norm(x), float(np.finfo(float).max))  # the divergence guard
+    diverged = False
 
     while t < horizon:
-        if not (sq < safe or (xs := x * scale).dot(xs) < safe_s) or len(stops) >= _CHUNK_ROWS:
-            after = _flush(plant, rows, chunk, size, rs, x_max, zero_mode, (blocks, stats))
-            width, ep, sq = 0, 0, -1.0
-            if after is not None:
-                break
+        if len(stops) >= _CHUNK_ROWS:
+            _flush(plant, rows, chunk, size, rs, zero_mode)
+            width, ep = 0, 0
         if decide:
             jam_end = bps[bp_i][0] if jammed else math.inf  # while jammed, the next breakpoint ends the interval
             t_next = next_attempt(config.logic, trig, plant, t, xh, t_held, jammed, jam_end)
@@ -689,7 +648,7 @@ def run(config: SimConfig) -> Trace:
                 count, to_stop, coeffs = 1, not c, None
             else:
                 coeffs = plant.taylor_coeffs(x, w)
-                blocks += 1
+                stats["blocks_stepped"] += 1
             t_end = stop if to_stop else (k + count - 1) * rs
             if armed:
                 hit = find_event_crossing(plant, x, xh, sigma, t, t_end, tol, applied=w, stats=stats, coeffs=coeffs)
@@ -699,25 +658,21 @@ def run(config: SimConfig) -> Trace:
                         del stops[-1:]
                     count, to_stop, t_end, t_next, armed = _ticks_before(k, rs, hit) + 1, True, hit, hit, False
                 stats["cells_scanned"] += count
-                counted = stats.copy()
             more = not to_stop  # the stretch ends at a tick, where the next one starts
             if count > 1:  # ticks before its end: they join the chunk as one stretch
                 slots = -(-(count - 1) // _SLOT_ALIGN) * _SLOT_ALIGN
                 if ticks and (len(ticks) + 1) * max(width, slots) > _CHUNK_ROWS:
-                    after = _flush(plant, rows, chunk, size, rs, x_max, zero_mode, (blocks, stats))
+                    _flush(plant, rows, chunk, size, rs, zero_mode)
                     width, ep = 0, 0
-                    if after is not None:
-                        break
                 width = max(width, slots)
-                ticks.append((size, k, count - 1, t, coeffs, ep, jammed, (blocks, counted)))
+                ticks.append((size, k, count - 1, t, coeffs, ep, jammed))
                 size += count - 1
             if coeffs is None:  # by mat_exp, or by the Taylor table to a crossing within the reach
                 x = plant.step(x, w, t_end - t, stats)
-                counted = stats.copy()
             else:
                 x = plant.step(x, w, t_end - t, None, coeffs)
             t = stop = t_end
-            sq = x.dot(x)
+            diverged = not _norm(x) <= x_max  # written so that a NaN state (inf - inf) trips it too
         else:
             t = stop
 
@@ -726,10 +681,12 @@ def run(config: SimConfig) -> Trace:
             while bp_i < len(bps) and bps[bp_i][0] == stop:
                 jammed = bps[bp_i][1]
                 bp_i += 1
-        decide = stop == t_next and stop < horizon
-        if at_bp or not decide:  # a breakpoint's row, a tick's where a stretch ended early, the horizon's
+        decide = stop == t_next and stop < horizon and not diverged
+        if at_bp or not decide:  # a breakpoint's row, a tick's where a stretch ended early, the horizon's, the guard's
             stops.append((size, stop, x, ep, 4 * jammed))
             size += 1
+        if diverged:
+            break
         if decide:  # the attempt's row, and on success the post-jump row with the new held sample
             stops.append((size, stop, x, ep, 6 if jammed else 3))
             size += 1 if jammed else 2
@@ -738,12 +695,10 @@ def run(config: SimConfig) -> Trace:
                 helds.append(x)
                 inputs.append(K.dot(x))
 
-    if after is None and (ticks or stops):
-        after = _flush(plant, rows, chunk, size, rs, x_max, zero_mode, (blocks, stats))
-    blocks, counted = after or (blocks, stats)
-    stats = dict(counted)
-    stats["blocks_stepped"], stats["rows_emitted"] = blocks, rows.size
-    return Trace(**rows.columns(), diverged=after is not None, crossing_tol=config.crossing_tol, stats=stats)
+    if ticks or stops:
+        _flush(plant, rows, chunk, size, rs, zero_mode)
+    stats["rows_emitted"] = rows.size
+    return Trace(**rows.columns(), diverged=diverged, crossing_tol=config.crossing_tol, stats=stats)
 
 
 def _ratio(num: FloatArray, den: FloatArray) -> FloatArray:

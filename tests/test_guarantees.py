@@ -24,7 +24,7 @@ from dosloop import (
     xi_bar_measure,
     xi_measure,
 )
-from dosloop import guarantees
+from dosloop import guarantees, linalg
 from dosloop.cli import load_scenario
 from conftest import feasible_sigma, random_stabilized_plant
 from oracles import quadratic_rate_threshold, robustness_by_loop, scalar_lyapunov_constants
@@ -185,8 +185,9 @@ _DOUBLE_INTEGRATOR = Path(__file__).resolve().parent.parent / "scenarios" / "dou
 @pytest.mark.parametrize("n", [*range(2, 9), "double_integrator"])
 def test_the_identity_certificate_is_the_general_path_bit_for_bit(n, monkeypatch):
     # Q = I takes gamma1 = ||Q|| = 1.0 and plant.decay's P without a check or
-    # a solve; the general path, which checks the same identity (as_weight)
-    # and solves with it (_lyapunov), gives the same bits in every field
+    # a solve; the general path, which checks the same identity (as_weight,
+    # with eigvalsh and svd) and solves with it (_lyapunov), gives the same
+    # bits in every field
     if n == "double_integrator":
         sc = load_scenario(_DOUBLE_INTEGRATOR)
         plant, sigma, kappa, tau = sc.plant, sc.trigger.sigma, sc.budget.kappa, sc.budget.tau_avg
@@ -200,7 +201,8 @@ def test_the_identity_certificate_is_the_general_path_bit_for_bit(n, monkeypatch
     for name in ("as_weight", "_lyapunov"):
         function = getattr(guarantees, name)
         monkeypatch.setattr(guarantees, name, lambda *args, _f=function, _n=name: calls.append(_n) or _f(*args))
-    monkeypatch.setattr(guarantees, "_is_identity", lambda M: False)  # no identity recognised
+    for module in (guarantees, linalg):  # no identity recognised, in the check or the solve
+        monkeypatch.setattr(module, "_is_identity", lambda M: False)
     general = ges_certificate_lyapunov(plant, eye, sigma, kappa, tau)
     assert calls == ["as_weight", "_lyapunov"]
     assert _field_bits(general) == _field_bits(cert)

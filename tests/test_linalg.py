@@ -191,9 +191,14 @@ def test_mat_exp_scales_by_the_largest_entry_and_rejects_overflow():
     assert mat_exp(np.zeros((3, 3)), 1e300).tolist() == np.eye(3).tolist()
 
 
-def test_the_identity_weight_checks_to_exactly_one():
-    # the Lyapunov route takes gamma1 = ||Q||_2 = 1.0 for Q = I without a check:
-    # eigvalsh and gesdd give exactly that
+def test_the_identity_weight_checks_to_exactly_one(monkeypatch):
+    # as_weight takes gamma1 = ||Q||_2 = 1.0 for Q = I without an eigenvalue
+    # solve or an svd: eigvalsh and gesdd give exactly that
+    for n in range(1, 33):
+        eye = np.eye(n)
+        assert np.linalg.eigvalsh(eye)[0] == np.linalg.svd(eye, compute_uv=False).max() == 1.0, n
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    monkeypatch.setattr(np.linalg, "svd", None)
     for n in range(1, 33):
         assert as_weight(np.eye(n), n)[1:] == (1.0, 1.0), n
 

@@ -442,21 +442,41 @@ def _ringing_config():
     )
 
 
-def test_a_diverged_run_ends_at_its_first_row_past_the_guard(monkeypatch):
-    # The guard trips on a tick strictly between two stops, near a peak of
-    # ||x||, and the stop after it lies below the guard again: the loop
-    # steps on, 15 stretches here, before the bulk product that fills that
-    # tick finds it. The trace still ends at that tick, with the stats
-    # after its stretch: 11,945 rows and 5,972 stretches, as when every
-    # stretch's rows were evaluated at its own stop. At every chunk bound.
+def _guard_tests(cfg, monkeypatch):
+    """The states the divergence guard of one run of cfg tested, x0 (the guard's scale) first."""
+    tested, norm = [], dosloop.sim._norm
+    with monkeypatch.context() as patch:
+        patch.setattr(dosloop.sim, "_norm", lambda x: tested.append(x) or norm(x))
+        run(cfg)
+    return tested
+
+
+def _assert_ends_at_the_first_stop_past_the_guard(trace, tested):
+    """The last row is the first stop state past the guard, and every row before it within 2e times the guard."""
+    guard = 1e12 * trace.x_norm[0]
+    assert tested[0].tobytes() == trace.x[0].tobytes() and tested[-1].tobytes() == trace.x[-1].tobytes()
+    assert all(math.hypot(*x) <= guard for x in tested[1:-1])
+    assert trace.diverged and not trace.attempt[-1] and not trace.x_norm[-1] <= guard
+    assert np.all(trace.x_norm[:-1] <= 2.0 * math.e * guard)
+
+
+def test_a_diverged_run_ends_at_its_first_stop_past_the_guard(monkeypatch):
+    # Only the stop states are tested: here a tick strictly between two
+    # stops, near a peak of ||x||, lies past the guard while the stop after
+    # it lies below it again, so the run goes on to the first stop past it.
+    # Every row keeps within 2e times the guard, and the stats are the
+    # loop's counters at that stop: every stretch whose coefficients were
+    # formed counts. At every chunk bound.
     formed = []
     coeffs = LtiPlant.taylor_coeffs
     monkeypatch.setattr(LtiPlant, "taylor_coeffs", lambda *args: formed.append(None) or coeffs(*args))
-    trace = _at_both_chunk_bounds(_ringing_config(), monkeypatch)
-    assert trace.diverged and not trace.attempt[-1] and trace.x_norm[-1] > 1e12 * trace.x_norm[0]
-    assert (len(trace), float(trace.t[-1])) == (11945, 439.0368850138629)
-    assert trace.stats["blocks_stepped"] == 5972 and trace.stats["rows_emitted"] == len(trace)
-    assert len(formed) > 2 * trace.stats["blocks_stepped"]  # both runs stepped past the tick
+    cfg = _ringing_config()
+    trace = _at_both_chunk_bounds(cfg, monkeypatch)
+    _assert_ends_at_the_first_stop_past_the_guard(trace, _guard_tests(cfg, monkeypatch))
+    assert trace.x_norm[:-1].max() > 1e12 * trace.x_norm[0]  # a tick past the guard is not tested
+    assert (len(trace), float(trace.t[-1])) == (11976, 440.1764766939625)
+    assert trace.stats["blocks_stepped"] == 5987 and trace.stats["rows_emitted"] == len(trace)
+    assert len(formed) == 3 * trace.stats["blocks_stepped"]  # the runs at both bounds and _guard_tests' run
     # a NaN state, stepped past the Taylor reach, trips it at a stop
     nan = _at_both_chunk_bounds(_overflowing_config(), monkeypatch)
     assert nan.diverged and np.isnan(nan.x_norm[-1]) and nan.stats["expm_steps"] > 0
@@ -481,29 +501,26 @@ def _jam_overflow_config(logic):
     )
 
 
-@pytest.mark.parametrize("logic,rows,blocks", [(LogicKind.PURE_TIME, 840, 168), (LogicKind.SELF_TRIGGER, 740, 72)])
+@pytest.mark.parametrize("logic,rows,blocks", [(LogicKind.PURE_TIME, 840, 168), (LogicKind.SELF_TRIGGER, 750, 72)])
 def test_a_run_that_overflows_in_a_jam_ends_at_the_guard_without_deciding_on_the_state(logic, rows, blocks,
                                                                                         monkeypatch):
     # The stop states past the guard are never decided on: the run ends at
-    # the first row past it, inside the first jam, before a success at the
+    # the first stop past it, inside the first jam, before a success at the
     # jam's end could hold a state that overflowed (from which SELF_TRIGGER's
     # prediction at the next failed attempt raises), and after no stretch
-    # beyond that row's: every stretch whose coefficients were formed counts
-    # in the stats, which are those after that row's stretch (measured when
-    # each stop was tested as it was reached). At every chunk bound.
+    # beyond that stop's: every stretch whose coefficients were formed counts
+    # in the stats. At every chunk bound.
     formed, held = [], []
     coeffs, decide = LtiPlant.taylor_coeffs, dosloop.sim.next_attempt
     monkeypatch.setattr(LtiPlant, "taylor_coeffs", lambda *args: formed.append(None) or coeffs(*args))
     monkeypatch.setattr(dosloop.sim, "next_attempt", lambda *args: held.append(args[4]) or decide(*args))
     cfg = _jam_overflow_config(logic)
     trace = _at_both_chunk_bounds(cfg, monkeypatch)
-    guard = 1e12 * trace.x_norm[0]
-    assert trace.diverged and not trace.attempt[-1] and not trace.x_norm[-1] <= guard
-    assert np.all(trace.x_norm[:-1] <= guard)
+    _assert_ends_at_the_first_stop_past_the_guard(trace, _guard_tests(cfg, monkeypatch))
     assert cfg.dos.onsets[0] < trace.t[-1] < cfg.dos.ends[0]
     assert (len(trace), trace.stats["blocks_stepped"], trace.stats["rows_emitted"]) == (rows, blocks, rows)
-    assert len(formed) == 2 * blocks
-    assert all(np.all(np.abs(x) <= guard) for x in held)
+    assert len(formed) == 3 * blocks
+    assert all(np.all(np.abs(x) <= 1e12 * trace.x_norm[0]) for x in held)
 
 
 def _held_before(trace):
@@ -812,10 +829,8 @@ def test_a_run_from_a_scaled_x0_is_that_run_scaled(name, logic, mode, tmp_path, 
 
 @pytest.mark.parametrize("name,logic,mode", list(PINNED_BEHAVIOUR), ids=["-".join(key) for key in PINNED_BEHAVIOUR])
 def test_the_flushes_of_a_run_do_not_depend_on_the_units_of_x(name, logic, mode, monkeypatch):
-    # run writes the pending rows early only at a stop whose state its
-    # pre-test cannot clear of the divergence guard; where x . x underflows
-    # or overflows, the pre-test reads x scaled by a power of two taken from
-    # ||x0||, so 2^-k x0 flushes exactly where x0 does
+    # run writes the pending rows when its chunk is full and at the end,
+    # whatever the state, so 2^-k x0 flushes exactly where x0 does
     calls = []
     flush = dosloop.sim._flush
     monkeypatch.setattr(dosloop.sim, "_flush", lambda *args: calls.append(1) or flush(*args))
@@ -827,6 +842,30 @@ def test_the_flushes_of_a_run_do_not_depend_on_the_units_of_x(name, logic, mode,
         run(scenario_from_dict(doc, SCENARIOS).sim_config())
         counts[k] = len(calls)
     assert counts == dict.fromkeys(counts, counts[0])
+
+
+_PURE_TIME_CASES = [key for key in PINNED_BEHAVIOUR if key[1] == "pure_time"]
+
+
+@pytest.mark.parametrize("name,logic,mode", _PURE_TIME_CASES, ids=["-".join(key) for key in _PURE_TIME_CASES])
+def test_a_run_from_zero_flushes_as_often_as_from_a_nonzero_x0(name, logic, mode, monkeypatch):
+    # x0 = 0 makes the divergence guard 0, which the state, exactly 0 all
+    # along, never exceeds: with the same stops (pure_time's attempts do not
+    # depend on the state), its run writes its rows in as few chunks as a
+    # run from the shipped x0 (2 on the double integrator)
+    calls = []
+    flush = dosloop.sim._flush
+    monkeypatch.setattr(dosloop.sim, "_flush", lambda *args: calls.append(1) or flush(*args))
+    counts = []
+    for zero in (False, True):
+        doc = _shipped_doc(name, logic, mode)
+        if zero:
+            doc["sim"]["x0"] = [0.0] * len(doc["sim"]["x0"])
+        calls.clear()
+        trace = run(scenario_from_dict(doc, SCENARIOS).sim_config())
+        counts.append(len(calls))
+    assert not trace.diverged and not trace.x.any()
+    assert counts[1] == counts[0]
 
 
 _EVENT_CASES = [key for key in PINNED_BEHAVIOUR if key[1] in ("event_time", "ideal_event")]

@@ -17,14 +17,14 @@ def _load(name: str):
     return module
 
 
-def test_case_digests_lists_61_distinct_cases(tmp_path, monkeypatch):
+def test_case_digests_lists_63_distinct_cases(tmp_path, monkeypatch):
     # cases() only writes the scenario files; no case runs here
     monkeypatch.setattr(sys, "path", list(sys.path))
     digests = _load("case_digests")
     listed = digests.cases(tmp_path)
     ids = [case_id for case_id, _, _ in listed]
-    assert len(ids) == len(set(ids)) == 61
-    assert Counter(command for _, command, _ in listed) == {"simulate": 46, "analyze": 12, "sweep": 3}
+    assert len(ids) == len(set(ids)) == 63
+    assert Counter(command for _, command, _ in listed) == {"simulate": 48, "analyze": 12, "sweep": 3}
     assert {path.stem for _, command, path in listed if command == "sweep"} == set(digests.TAU_GRIDS)
     assert all(path.is_file() for _, _, path in listed)
     assert not list(tmp_path.rglob("*.csv"))

@@ -13,7 +13,7 @@ diff the two outputs: equal lines mean the same reports, exit codes, trace
 bytes and work.
 
 The cases' inputs come from the checkout that holds this script, never from
-SRC_TREE, so both runs read the same files. The 61 cases are:
+SRC_TREE, so both runs read the same files. The 63 cases are:
 
 * every ``event_sim``, ``periodic_sim`` and ``certify`` job of
   ``bench/workloads.py`` at seeds 7 and 11 (38 jobs);
@@ -27,7 +27,11 @@ SRC_TREE, so both runs read the same files. The 61 cases are:
 * ``sweep --param tau`` of both shipped scenarios and of the scalar
   random-jam variant, whose onsets move with tau (3 cases), so that the
   rows of a sweep, which shares one run between points with the same jam
-  intervals, are checked byte for byte.
+  intervals, are checked byte for byte;
+* ``simulate`` of the shipped scalar scenario from ``x0 = [0.0]``, and of
+  a diverged variant: ``zero_during_dos`` under one jam interval
+  [0.5, 30.5) (``kappa`` 30, horizon 32), whose open loop reaches the
+  divergence guard (2 cases).
 
 scipy is needed, as by ``bench/``.
 """
@@ -86,6 +90,16 @@ def cases(out_dir: Path) -> list[tuple[str, str, Path]]:
         out.append((f"shipped/simulate-{name}-random-jam", "simulate", path))
         out.append((f"shipped/sweep-tau-{name}", "sweep", shipped))
     out.append(("shipped/sweep-tau-scalar-random-jam", "sweep", out_dir / "shipped" / "scalar-random-jam.json"))
+    for variant in ("x0-zero", "diverged"):
+        doc = json.loads((ROOT / "scenarios" / "scalar.json").read_text())
+        if variant == "x0-zero":
+            doc["sim"]["x0"] = [0.0]
+        else:
+            doc["plant"]["input_mode"], doc["dos"]["intervals"] = "zero_during_dos", [[0.5, 30.0]]
+            doc["budget"]["kappa"], doc["sim"]["horizon"] = 30.0, 32.0
+        path = out_dir / "shipped" / f"scalar-{variant}.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        out.append((f"shipped/simulate-scalar-{variant}", "simulate", path))
     return out
 
 
