@@ -6,7 +6,7 @@ sim / analysis (see scenario_from_dict). Exit codes form the tool's contract:
     0  command succeeded; every claimed property held
     1  input problem (a command-line error, with argparse's usage on stderr;
        parse error, missing file, infeasible generator, a jam sequence over
-       its budget, an inadmissible delta2)
+       its budget, an inadmissible delta2, a Q whose Lyapunov solve fails)
     2  analyze only: some certificate is infeasible at the configured budget
     3  simulate only: a certified property failed in simulation
     4  internal error: an unexpected exception, a bug in dosloop rather than
@@ -54,9 +54,9 @@ from .guarantees import (
     measure_robustness,
     xi_bar_measure,
 )
-from .linalg import EnvelopeError, FloatArray, _identity, as_weight
+from .linalg import EnvelopeError, FloatArray, LyapunovError, _identity, as_weight
 from .plant import InputMode, LtiPlant
-from .sim import SimConfig, Trace, check_update_rule, run, verify_ges
+from .sim import _CROSSING_TOL, SimConfig, Trace, check_update_rule, run, verify_ges
 from .triggers import LogicKind, TriggerConfig, Varphi, riccati_delta2, validate_trigger_for_plant
 
 
@@ -266,7 +266,7 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"sim.horizon: {exc}") from exc
     record_step = _as_float(_get(s, "sim", "record_step"), "sim.record_step")
-    crossing_tol = _as_float(_get(s, "sim", "crossing_tol", 1e-9), "sim.crossing_tol")
+    crossing_tol = _as_float(_get(s, "sim", "crossing_tol", _CROSSING_TOL), "sim.crossing_tol")
     x0 = _as_array(_get(s, "sim", "x0"), "sim.x0")
 
     try:
@@ -347,15 +347,20 @@ def certificates(sc: Scenario) -> CertificateBundle:
 
     The sampled one is the ideal one inflated (one rho_star), and the
     Lyapunov one comes from the scenario's checked weight, with the budget
-    arguments that the ideal one has checked.
+    arguments that the ideal one has checked. A weight whose solve fails
+    (Q's unit is free, so one large enough overflows it) is bad input.
     """
     rob = worst_case_robustness(sc)
     kappa, tau = sc.budget.kappa, sc.budget.tau_avg
     ideal = ges_certificate_ideal(sc.plant, sc.trigger.sigma, kappa, tau)
+    try:
+        lyapunov = _lyapunov_certificate(sc.plant, sc.weight, sc.trigger.sigma, kappa, tau)
+    except LyapunovError as exc:
+        raise ScenarioError(f"analysis.Q: {exc}") from exc
     return CertificateBundle(
         ideal=ideal,
         sampled=ideal.inflated(rob.inflation),
-        lyapunov=_lyapunov_certificate(sc.plant, sc.weight, sc.trigger.sigma, kappa, tau),
+        lyapunov=lyapunov,
         robustness=rob,
     )
 
@@ -364,8 +369,8 @@ def analysis_report(sc: Scenario) -> dict[str, object]:
     """Key/value report over all three certificate families at the configured budget."""
     bundle = certificates(sc)
     ideal, sampled, lyap = bundle.ideal, bundle.sampled, bundle.lyapunov
-    try:
-        delta2_bound = validate_trigger_for_plant(sc.trigger, sc.plant)
+    try:  # a computed delta2 is the bound itself
+        delta2_bound = sc.trigger.delta2 if sc.delta2_was_computed else validate_trigger_for_plant(sc.trigger, sc.plant)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     report: dict[str, object] = {

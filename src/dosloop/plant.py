@@ -12,7 +12,8 @@ the Taylor reach, ||M||_F dt <= TAYLOR_THETA, where the truncated series is
 exact to rounding: LtiPlant.stretch evaluates many offsets at once, of
 one state or of a stack of them, and LtiPlant.step, the one single-step
 path, one; past the reach a step takes mat_exp, the same series scaled
-and squared.
+and squared. sim.run takes every step within the reach: where no record
+tick and no stop lies within it, its stretch ends at the reach.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ class LtiPlant:
     any length, w the applied sample (x_held, or zero while a zeroed input
     is jammed): from the Taylor table of M = [[A, B K], [0, 0]], built on
     first use, for steps up to taylor_reach, and from propagator, the
-    matrix exponential, past that. stretch takes the states at many offsets
-    within taylor_reach from one state's taylor_coeffs, or from a stack of
-    states' coefficients, in one product.
+    matrix exponential, past that (sim.run never steps that far). stretch
+    takes the states at many offsets within taylor_reach from one state's
+    taylor_coeffs, or from a stack of states' coefficients, in one product.
     """
 
     A: FloatArray
@@ -185,7 +186,6 @@ class LtiPlant:
         x: FloatArray,
         w: FloatArray,
         dt: float,
-        stats: dict[str, int] | None = None,
         coeffs: FloatArray | None = None,
     ) -> FloatArray:
         """State after dt of held-input flow from x with the applied sample w frozen.
@@ -196,18 +196,12 @@ class LtiPlant:
         by at most 2.2e-17 ||[x; w]|| (linalg._taylor_terms). Past it the
         step takes propagator(dt).
 
-        Arguments are not validated (see exact_hold_step). Each call adds
-        one to stats["taylor_steps"] or, past the reach, stats["expm_steps"]
-        when stats is given.
+        Arguments are not validated (see exact_hold_step).
         """
         if abs(dt) <= self.taylor_reach:
-            if stats is not None:
-                stats["taylor_steps"] += 1
             if coeffs is None:
                 coeffs = self.taylor_coeffs(x, w)
             return (dt * self._taylor[1]) ** _TAYLOR_EXPONENTS @ coeffs
-        if stats is not None:
-            stats["expm_steps"] += 1
         T, H = self.propagator(dt)
         return T @ x + H @ w
 

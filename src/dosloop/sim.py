@@ -15,8 +15,9 @@ state or the applied sample (an attempt, a jam breakpoint, the end of a
 stretch, the horizon): at each it decides and steps, and nothing else. It
 forms LtiPlant.taylor_coeffs once, and the next stop's state is one
 LtiPlant.step with them. A stretch holds at most _STRETCH_ROWS rows and no
-offset past LtiPlant.taylor_reach; only a stop past the reach is a single
-step by mat_exp. Every row joins a pending chunk as indices and flags: the
+offset past LtiPlant.taylor_reach; where no tick and no stop lies within
+the reach, it ends at the reach with no row, so every state is one step
+within the reach. Every row joins a pending chunk as indices and flags: the
 record ticks strictly between two stops as their stretch, a stop's rows
 with its state. Phase 2 writes each chunk in bulk: one batched product of
 the offsets' powers with the stretches' coefficients (LtiPlant.stretch),
@@ -74,6 +75,8 @@ _GES_SLACK = 1e-6
 _RULE_SLACK = 1e-6
 _ONSET_SLACK = 1e-9
 _LYAPUNOV_SLACK = 1e-6
+# The default crossing_tol of SimConfig, find_event_crossing and a scenario's sim section.
+_CROSSING_TOL = 1e-9
 # Float cells formatted per write in Trace.to_csv (whole rows, at least
 # one), which bounds the formatting kernel's temporaries whatever the
 # plant's size. Its fixed cost per call stops mattering at about 7k cells:
@@ -117,8 +120,6 @@ _STAT_KEYS = (
     "cells_scanned",
     "hull_tests",
     "root_trials",
-    "taylor_steps",
-    "expm_steps",
 )
 
 
@@ -147,7 +148,7 @@ class SimConfig:
     x0: FloatArray
     horizon: float
     record_step: float
-    crossing_tol: float = 1e-9
+    crossing_tol: float = _CROSSING_TOL
 
     def __post_init__(self) -> None:
         if not isinstance(self.logic, LogicKind):
@@ -187,19 +188,14 @@ class Trace:
 
     stats holds plain integer counters of the run: blocks_stepped (Taylor
     stretches: the rows and the end state stepped from one set of
-    coefficients), rows_emitted, crossing_searches (find_event_crossing
-    calls: one per stretch while an event logic waits for a crossing,
-    before any row of it exists), cells_scanned (the rows those stretches
-    hold, up to and including their end: the crossing, where the search
-    found one), hull_tests (intervals whose Bernstein coefficients a
-    search tested), root_trials (values of g taken while refining a
-    crossing), taylor_steps (single steps from the plant's Taylor table
-    that end no stretch of its own: a search's step to its next stretch
-    of the Taylor reach, and a stop within the reach in a stretch whose
-    first offset lies past it; every other stop's state, a crossing's too,
-    is one step from its stretch's coefficients and counts in
-    blocks_stepped) and expm_steps (single steps past the reach, by
-    mat_exp).
+    coefficients; every state, a crossing's too, is one step from its
+    stretch's coefficients), rows_emitted, crossing_searches
+    (find_event_crossing calls: one per stretch while an event logic waits
+    for a crossing, before any row of it exists), cells_scanned (the rows
+    those stretches hold, up to and including their end: the crossing,
+    where the search found one), hull_tests (intervals whose Bernstein
+    coefficients a search tested) and root_trials (values of g taken while
+    refining a crossing).
     """
 
     t: FloatArray
@@ -296,14 +292,14 @@ def _g_form(coeffs: FloatArray, x_held: FloatArray, sigma: float, s_end: float):
     tail (see find_event_crossing).
     """
     rows = np.concatenate(((x_held - coeffs[0])[None], coeffs))
-    mag = np.abs(rows)
-    peak = float(mag.max())
+    peak = float(np.abs(rows).max())
     if not 0.0 < peak < math.inf:
         return None
+    rows = np.ldexp(rows, -math.frexp(peak)[1])  # exact for any e; the float 2^-e overflows from e = -1024
+    mag = np.abs(rows)
     f = np.full(TAYLOR_DEGREE + 2, s_end)
-    f[0], f[1] = 1.0, math.ldexp(1.0, -math.frexp(peak)[1])
-    f = np.multiply.accumulate(f)  # 2^-e s_end^(r-1) for row r >= 1, multiplied up one by one
-    f[0] = f[1]
+    f[:2] = 1.0
+    f = np.multiply.accumulate(f)  # s_end^(r-1) for row r >= 1, multiplied up one by one, and 1 for row 0
     W = rows * f[:, None]
     a = np.bincount(_G_INDEX, (W @ W.T).ravel() * _g_weights(sigma), DEGREE + 1)
     v = f @ mag  # the column sums of |W|
@@ -326,7 +322,7 @@ def find_event_crossing(
     sigma: float,
     t_from: float,
     t_max: float,
-    crossing_tol: float = 1e-9,
+    crossing_tol: float = _CROSSING_TOL,
     *,
     applied: FloatArray | None = None,
     stats: dict[str, int] | None = None,
@@ -398,10 +394,10 @@ def find_event_crossing(
     Near a tangency the intervals not cleared shrink to where g lies within
     eta plus the hull's gap, O(width^2), of zero, so the hull tests grow
     like log(1 / distance to the threshold). Counts go to stats when it is
-    given: crossing_searches, hull_tests (intervals tested), root_trials
-    (values of g while refining) and taylor_steps (steps to a next
-    stretch). run() calls it once per stretch while it waits for a
-    crossing, before any row of the stretch exists.
+    given: crossing_searches, hull_tests (intervals tested) and root_trials
+    (values of g while refining). run() calls it once per stretch while it
+    waits for a crossing, before any row of the stretch exists, with that
+    stretch's coefficients over a window within the reach: one stretch.
     """
     if not crossing_tol > 0.0:
         raise ValueError(f"crossing_tol must be positive, got {crossing_tol}")
@@ -430,7 +426,7 @@ def find_event_crossing(
         base += h
         if last or base >= window:
             return None
-        x, coeffs = plant.step(x, w, h, stats, coeffs), None
+        x, coeffs = plant.step(x, w, h, coeffs), None
 
 
 class _Rows:
@@ -563,8 +559,12 @@ def run(config: SimConfig) -> Trace:
     LtiPlant.taylor_coeffs of [x; w], w the applied sample (x_held, or zero
     while jammed under InputMode.ZERO_DURING_DOS). A stretch ends early, at
     a tick, after _STRETCH_ROWS rows or at the last offset within
-    LtiPlant.taylor_reach; a first offset past the reach is one
-    LtiPlant.step, by mat_exp.
+    LtiPlant.taylor_reach. Where the first offset lies past the reach, the
+    stretch is quiet: it ends at t + reach, rounded down so that its step
+    stays within the reach, and holds no row; its end is a stop whose state
+    the guard tests, and it writes a row there only if the state trips the
+    guard. So every state is one LtiPlant.step of at most the reach, and no
+    run takes a matrix exponential.
 
     Phase 1, the stops (attempts, jam breakpoints, stretch ends, the
     horizon): the loop keeps in locals only what the next decision reads
@@ -644,12 +644,12 @@ def run(config: SimConfig) -> Trace:
             count = c + to_stop  # its offsets: the ticks, then the stop
             if (stop if to_stop else (k + c - 1) * rs) - t > reach:
                 count, to_stop = _ticks_within(k, c, rs, t, reach), False
-            if not count:  # its first offset lies past the Taylor reach
-                count, to_stop, coeffs = 1, not c, None
-            else:
-                coeffs = plant.taylor_coeffs(x, w)
-                stats["blocks_stepped"] += 1
-            t_end = stop if to_stop else (k + count - 1) * rs
+            # with no tick and no stop within the reach, a quiet stretch, with no row, to t + reach rounded down
+            t_end = (stop if to_stop else (k + count - 1) * rs) if count else t + reach
+            if t_end - t > reach:
+                t_end = math.nextafter(t_end, t)
+            coeffs = plant.taylor_coeffs(x, w)
+            stats["blocks_stepped"] += 1
             if armed:
                 hit = find_event_crossing(plant, x, xh, sigma, t, t_end, tol, applied=w, stats=stats, coeffs=coeffs)
                 if hit is not None:  # the crossing is the stretch's stop, and the next attempt
@@ -658,7 +658,7 @@ def run(config: SimConfig) -> Trace:
                         del stops[-1:]
                     count, to_stop, t_end, t_next, armed = _ticks_before(k, rs, hit) + 1, True, hit, hit, False
                 stats["cells_scanned"] += count
-            more = not to_stop  # the stretch ends at a tick, where the next one starts
+            more = count > 0 and not to_stop  # the stretch ends at a tick, where the next one starts
             if count > 1:  # ticks before its end: they join the chunk as one stretch
                 slots = -(-(count - 1) // _SLOT_ALIGN) * _SLOT_ALIGN
                 if ticks and (len(ticks) + 1) * max(width, slots) > _CHUNK_ROWS:
@@ -667,12 +667,11 @@ def run(config: SimConfig) -> Trace:
                 width = max(width, slots)
                 ticks.append((size, k, count - 1, t, coeffs, ep, jammed))
                 size += count - 1
-            if coeffs is None:  # by mat_exp, or by the Taylor table to a crossing within the reach
-                x = plant.step(x, w, t_end - t, stats)
-            else:
-                x = plant.step(x, w, t_end - t, None, coeffs)
+            x = plant.step(x, w, t_end - t, coeffs)
             t = stop = t_end
             diverged = not _norm(x) <= x_max  # written so that a NaN state (inf - inf) trips it too
+            if not (count or diverged):
+                continue
         else:
             t = stop
 

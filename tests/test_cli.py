@@ -79,6 +79,27 @@ def test_analyze_echoes_computed_delta2(scalar_config, capsys):
     assert float(rep["delta2_bound"]) == want
 
 
+@pytest.mark.parametrize("name", ["scalar", "double_integrator"])
+def test_analyze_evaluates_a_computed_delta2_once(name, monkeypatch, capsys):
+    # delta2 is null in both shipped scenarios: the bound that fills it is
+    # the report's delta2_bound, taken once
+    import dosloop.triggers
+
+    calls, bound = [], dosloop.triggers.riccati_delta2
+
+    def counted(*args):
+        calls.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(cli_mod, "riccati_delta2", counted)
+    monkeypatch.setattr(dosloop.triggers, "riccati_delta2", counted)
+    path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+    assert main(["analyze", "--config", str(path)]) in (0, 2)
+    rep = _read_report(capsys.readouterr().out)
+    assert len(calls) == 1 and rep["delta2_source"] == "computed"
+    assert rep["delta2_bound"] == rep["delta2"] == repr(bound(*calls[0]))
+
+
 def test_analyze_infeasible_sigma_exits_2(tmp_path, capsys):
     doc = scalar_doc()
     doc["trigger"]["sigma"] = 0.49  # margin = 1 - 2 * 0.49 > 0, but lyapunov 2 - 4*0.49 > 0 too
@@ -649,6 +670,19 @@ def test_library_value_error_exits_4_but_input_checks_exit_1(scalar_config, tmp_
     assert main(["gen-dos", "--kind", "periodic", "--period", "1.0", "--duty", "1.5",
                  "--horizon", "5", "--out", str(tmp_path / "x.txt")]) == 1
     assert capsys.readouterr().err.startswith("error: duty must lie in (0, 1)")
+
+
+def test_a_weight_whose_lyapunov_solve_overflows_exits_1(tmp_path, capsys):
+    # Q's unit is free, but 1e308 I on the shipped double integrator
+    # overflows the Lyapunov solve: bad input, in every command that reads Q
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "double_integrator.json").read_text())
+    doc["analysis"]["Q"] = [[1e308, 0.0], [0.0, 1e308]]
+    path, out = tmp_path / "big_q.json", str(tmp_path / "out.csv")
+    path.write_text(json.dumps(doc))
+    sweep = ["--param", "tau", "--from", "400", "--to", "2000", "--steps", "2"]
+    for command, args in (("analyze", []), ("simulate", ["--out", out]), ("sweep", [*sweep, "--out", out])):
+        assert main([command, "--config", str(path), *args]) == 1, command
+        assert capsys.readouterr().err.startswith("error: analysis.Q: Lyapunov residual inf"), command
 
 
 def test_simulate_rejects_a_crossing_tol_not_below_the_record_step(tmp_path, capsys):

@@ -189,16 +189,16 @@ def test_find_event_crossing_steps_within_the_taylor_reach(monkeypatch):
     plant = LtiPlant(A=np.array([[-50.0]]), B=np.array([[1.0]]), K=np.array([[-1.0]]))
     want = -np.log((1.0 / 11.0 + 0.02) / 1.02) / 50.0
     assert want > 2.0 * plant.taylor_reach
-    stats = dict.fromkeys(("crossing_searches", "hull_tests", "root_trials", "taylor_steps", "expm_steps"), 0)
-    formed = []
-    original = LtiPlant.taylor_coeffs
+    stats = dict.fromkeys(("crossing_searches", "hull_tests", "root_trials"), 0)
+    formed, steps = [], []
+    original, propagator = LtiPlant.taylor_coeffs, LtiPlant.propagator
     monkeypatch.setattr(LtiPlant, "taylor_coeffs", lambda *args: formed.append(args[1:]) or original(*args))
+    monkeypatch.setattr(LtiPlant, "propagator", lambda self, dt: steps.append(dt) or propagator(self, dt))
     t = find_event_crossing(plant, np.ones(1), np.ones(1), 10.0, 0.0, 1.0, stats=stats)
     assert want <= t <= want + 1e-9 + 1e-15
     # the Taylor coefficients are formed once per stretch, each next stretch
     # starting from one Taylor step of the one before, never from mat_exp
-    assert len(formed) == math.ceil(want / plant.taylor_reach) == 3
-    assert stats["taylor_steps"] == 2 and stats["expm_steps"] == 0
+    assert len(formed) == math.ceil(want / plant.taylor_reach) == 3 and steps == []
     assert stats["crossing_searches"] == 1 and stats["hull_tests"] >= 3 and stats["root_trials"] > 0
 
 
@@ -239,6 +239,19 @@ def test_find_event_crossing_from_a_huge_state_is_exact_and_warning_free():
         warnings.simplefilter("error")
         hit = find_event_crossing(LINE, big, big, 0.25, 0.0, 1.0)
     assert hit is not None and hit == find_event_crossing(LINE, one, one, 0.25, 0.0, 1.0)
+
+
+def test_find_event_crossing_from_a_tiny_state_is_exact():
+    # g's rows are scaled by 2^-e, e the binary exponent of the largest, with
+    # np.ldexp, which is exact for any e: a scale of 2^-e held in one float
+    # overflows for e < -1023, so every state down to the smallest subnormal
+    # is searched, and from a normal one the search takes the steps it takes from 1
+    one = np.ones(1)
+    want = find_event_crossing(LINE, one, one, 0.25, 0.0, 1.0)
+    for k in range(-1074, 1):
+        x = np.array([2.0**k])
+        hit = find_event_crossing(LINE, x, x, 0.25, 0.0, 1.0)
+        assert hit is not None and (k < -1021 or hit == want), k
 
 
 def test_config_keeps_its_own_read_only_x0():
@@ -391,15 +404,36 @@ def test_zero_input_mode_and_divergence_flag():
     assert huge.diverged and huge.t[-1] < horizon and huge.x_norm[-1] == math.inf
 
 
-def test_divergence_guard_catches_nan_state():
-    # the jammed unstable plant overflows within one record step; inf - inf in
-    # the held-input term turns the state into NaN, which must still trip the guard
-    trace = run(_overflowing_config())
-    assert trace.diverged
-    assert trace.t[-1] < 200.0
-    assert not np.isfinite(trace.x_norm[-1])
+def _nan_past(bound, monkeypatch):
+    """Make every LtiPlant.step whose state lies past bound return NaN, as a state that overflowed can."""
+    step = LtiPlant.step
+
+    def nan_step(self, x, w, dt, coeffs=None):
+        x = step(self, x, w, dt, coeffs)
+        return x if np.abs(x).max() <= bound else np.full_like(x, np.nan)
+
+    monkeypatch.setattr(LtiPlant, "step", nan_step)
+
+
+def test_divergence_guard_catches_nan_state(monkeypatch):
+    # the jammed unstable plant grows 1.9x a Taylor reach; its stop states are
+    # tested, and the first past the guard, a finite one, is the last row
+    cfg = _overflowing_config()
+    trace = run(cfg)
+    assert trace.diverged and trace.t[-1] < 200.0
+    assert 1e12 < trace.x_norm[-1] < math.inf
     # a diverged trace can never pass a stability claim
     assert not verify_ges(trace, alpha=1e6, beta=0.0).holds
+    # from an x0 whose 1e12 multiple is past the largest float, only a state
+    # that is not finite trips it
+    huge = run(dataclasses.replace(cfg, x0=np.array([1e300])))
+    assert huge.diverged and huge.t[-1] < 200.0 and np.isinf(huge.x_norm[-1])
+    assert np.all(np.isfinite(huge.x_norm[:-1]))
+    # and a state that turned into NaN trips it too
+    _nan_past(1e6, monkeypatch)
+    nan = run(cfg)
+    assert nan.diverged and nan.t[-1] < trace.t[-1] and np.isnan(nan.x_norm[-1])
+    assert np.all(nan.x_norm[:-1] <= 1e6)
 
 
 _TRACE_COLUMNS = ("t", "x", "u", "e_norm", "x_norm", "jammed", "attempt", "success")
@@ -477,9 +511,12 @@ def test_a_diverged_run_ends_at_its_first_stop_past_the_guard(monkeypatch):
     assert (len(trace), float(trace.t[-1])) == (11976, 440.1764766939625)
     assert trace.stats["blocks_stepped"] == 5987 and trace.stats["rows_emitted"] == len(trace)
     assert len(formed) == 3 * trace.stats["blocks_stepped"]  # the runs at both bounds and _guard_tests' run
-    # a NaN state, stepped past the Taylor reach, trips it at a stop
-    nan = _at_both_chunk_bounds(_overflowing_config(), monkeypatch)
-    assert nan.diverged and np.isnan(nan.x_norm[-1]) and nan.stats["expm_steps"] > 0
+    # a run whose record step spans many Taylor reaches ends at its first
+    # stop past the guard too, a stretch end with no row before it
+    cfg = _overflowing_config()
+    over = _at_both_chunk_bounds(cfg, monkeypatch)
+    _assert_ends_at_the_first_stop_past_the_guard(over, _guard_tests(cfg, monkeypatch))
+    assert cfg.record_step > 1e3 * cfg.plant.taylor_reach
 
 
 def _jam_overflow_config(logic):
@@ -620,18 +657,11 @@ def test_a_zeroed_input_steps_from_the_one_taylor_table(logic, monkeypatch):
     monkeypatch.setattr(dosloop.plant, "_taylor_terms", lambda *args: tables.append(args) or terms(*args))
     monkeypatch.setattr(LtiPlant, "propagator", lambda self, dt: steps.append(dt) or propagator(self, dt))
     _, trace = _shipped_run("double_integrator", logic, "zero_during_dos")
-    assert trace.jammed.any() and trace.stats["expm_steps"] == 0
-    assert len(tables) == 1 and steps == []
+    assert trace.jammed.any() and len(tables) == 1 and steps == []
 
 
-@pytest.mark.parametrize("mode", list(InputMode))
-@pytest.mark.parametrize("logic", [LogicKind.PURE_TIME, LogicKind.EVENT_TIME])
-def test_record_steps_past_the_taylor_reach_step_by_mat_exp(logic, mode):
-    # A weak gain and a loose sigma admit a delta2 of 11 Taylor reaches, so
-    # the record step delta1/4 lies 2.85 reaches out: every row there is
-    # one LtiPlant.step by mat_exp, the one path left to it (a Taylor sum
-    # that long would be off by about 1e-7), and a cell that long is never
-    # cleared by the watch's bound, only searched
+def _past_reach_config(logic, mode):
+    """A weak gain and a loose sigma admit a delta2 of 11 Taylor reaches: a record step delta1/4 of 2.85 reaches."""
     rng = np.random.default_rng(3)
     A = rng.normal(size=(3, 3))
     A -= (np.linalg.eigvals(A).real.max() + 1.0) * np.eye(3)
@@ -640,14 +670,33 @@ def test_record_steps_past_the_taylor_reach_step_by_mat_exp(logic, mode):
     trig = TriggerConfig(sigma=1e4, delta1=delta2, delta2=delta2)
     seq = DosSequence(((5.0 * delta2, 3.0 * delta2), (20.0 * delta2, 4.0 * delta2)))
     budget = DosBudget(kappa=7.0 * delta2, tau_avg=10.0)
-    cfg = _config(plant, logic, trig, dos=seq, budget=budget, x0=rng.normal(size=3), horizon=40.0 * delta2)
+    return _config(plant, logic, trig, dos=seq, budget=budget, x0=rng.normal(size=3), horizon=40.0 * delta2)
+
+
+@pytest.mark.parametrize("mode", list(InputMode))
+@pytest.mark.parametrize("logic", list(LogicKind))
+def test_record_steps_past_the_taylor_reach_step_by_quiet_stretches(logic, mode, monkeypatch):
+    # Where no tick and no stop lies within the Taylor reach, a stretch ends,
+    # with no row, at t + reach: every state, a row's or not, is one
+    # LtiPlant.step of at most the reach from its stretch's coefficients
+    # (a Taylor sum over a whole record step would be off by about 1e-7),
+    # and no run builds a matrix exponential
+    def no_propagator(self, dt):
+        raise AssertionError(f"propagator({dt}) called")
+
+    steps, step = [], LtiPlant.step
+    monkeypatch.setattr(LtiPlant, "propagator", no_propagator)
+    monkeypatch.setattr(LtiPlant, "step", lambda self, x, w, dt, *rest: steps.append(dt) or step(self, x, w, dt, *rest))
+    cfg = _past_reach_config(logic, mode)
+    plant, trig = cfg.plant, cfg.trigger
     assert cfg.record_step > 2.5 * plant.taylor_reach
     trace = run(cfg)
     assert not trace.diverged and trace.jammed.any() and trace.success.sum() >= 2
-    assert trace.stats["expm_steps"] > 0
-    assert (trace.stats["crossing_searches"] > 0) == (logic is LogicKind.EVENT_TIME)
+    assert len(steps) == trace.stats["blocks_stepped"] > len(trace) and max(map(abs, steps)) <= plant.taylor_reach
+    armed = logic in (LogicKind.EVENT_TIME, LogicKind.IDEAL_EVENT)
+    assert (trace.stats["crossing_searches"] > 0) == armed
     assert restep_rows(trace, plant.A, plant.B, plant.K, mode is InputMode.ZERO_DURING_DOS) <= 1e-12
-    rule = check_update_rule(trace, trig.sigma, seq, measure_robustness(trace.t[trace.attempt == 1], seq))
+    rule = check_update_rule(trace, trig.sigma, cfg.dos, measure_robustness(trace.t[trace.attempt == 1], cfg.dos))
     assert rule.holds, rule
 
 
@@ -700,26 +749,25 @@ PINNED_BEHAVIOUR = {
 # Trace.stats of the same runs, in the order of _PINNED_STAT_KEYS: a change
 # to the loop that keeps these does the same work.
 _PINNED_STAT_KEYS = (
-    "blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "hull_tests", "root_trials", "taylor_steps",
-    "expm_steps",
+    "blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "hull_tests", "root_trials",
 )
 PINNED_STATS = {
-    ('scalar', 'event_time', 'hold_last'): (68, 1294, 32, 1093, 32, 116, 0, 0),
-    ('scalar', 'event_time', 'zero_during_dos'): (39, 1263, 31, 1199, 31, 107, 0, 0),
-    ('scalar', 'pure_time', 'hold_last'): (68, 1294, 0, 0, 0, 0, 0, 0),
-    ('scalar', 'pure_time', 'zero_during_dos'): (68, 1294, 0, 0, 0, 0, 0, 0),
-    ('scalar', 'self_trigger', 'hold_last'): (37, 1261, 0, 0, 0, 0, 0, 0),
-    ('scalar', 'self_trigger', 'zero_during_dos'): (37, 1261, 0, 0, 0, 0, 0, 0),
-    ('scalar', 'ideal_event', 'hold_last'): (35, 1262, 32, 1093, 32, 116, 0, 0),
-    ('scalar', 'ideal_event', 'zero_during_dos'): (32, 1257, 31, 1200, 31, 107, 0, 0),
-    ('double_integrator', 'event_time', 'hold_last'): (98, 7083, 94, 6982, 94, 382, 0, 0),
-    ('double_integrator', 'event_time', 'zero_during_dos'): (98, 7084, 96, 6988, 96, 389, 0, 0),
-    ('double_integrator', 'pure_time', 'hold_last'): (332, 7538, 0, 0, 0, 0, 0, 0),
-    ('double_integrator', 'pure_time', 'zero_during_dos'): (332, 7538, 0, 0, 0, 0, 0, 0),
-    ('double_integrator', 'self_trigger', 'hold_last'): (319, 7523, 0, 0, 0, 0, 0, 0),
-    ('double_integrator', 'self_trigger', 'zero_during_dos'): (319, 7523, 0, 0, 0, 0, 0, 0),
-    ('double_integrator', 'ideal_event', 'hold_last'): (96, 7083, 94, 6986, 94, 382, 0, 0),
-    ('double_integrator', 'ideal_event', 'zero_during_dos'): (97, 7084, 96, 6992, 96, 390, 0, 0),
+    ('scalar', 'event_time', 'hold_last'): (68, 1294, 32, 1093, 32, 116),
+    ('scalar', 'event_time', 'zero_during_dos'): (39, 1263, 31, 1199, 31, 107),
+    ('scalar', 'pure_time', 'hold_last'): (68, 1294, 0, 0, 0, 0),
+    ('scalar', 'pure_time', 'zero_during_dos'): (68, 1294, 0, 0, 0, 0),
+    ('scalar', 'self_trigger', 'hold_last'): (37, 1261, 0, 0, 0, 0),
+    ('scalar', 'self_trigger', 'zero_during_dos'): (37, 1261, 0, 0, 0, 0),
+    ('scalar', 'ideal_event', 'hold_last'): (35, 1262, 32, 1093, 32, 116),
+    ('scalar', 'ideal_event', 'zero_during_dos'): (32, 1257, 31, 1200, 31, 107),
+    ('double_integrator', 'event_time', 'hold_last'): (98, 7083, 94, 6982, 94, 382),
+    ('double_integrator', 'event_time', 'zero_during_dos'): (98, 7084, 96, 6988, 96, 389),
+    ('double_integrator', 'pure_time', 'hold_last'): (332, 7538, 0, 0, 0, 0),
+    ('double_integrator', 'pure_time', 'zero_during_dos'): (332, 7538, 0, 0, 0, 0),
+    ('double_integrator', 'self_trigger', 'hold_last'): (319, 7523, 0, 0, 0, 0),
+    ('double_integrator', 'self_trigger', 'zero_during_dos'): (319, 7523, 0, 0, 0, 0),
+    ('double_integrator', 'ideal_event', 'hold_last'): (96, 7083, 94, 6986, 94, 382),
+    ('double_integrator', 'ideal_event', 'zero_during_dos'): (97, 7084, 96, 6992, 96, 390),
 }
 
 
@@ -1014,16 +1062,17 @@ def test_watch_finds_the_crossing_a_whole_window_search_finds(logic, mode):
     assert checked >= 30
 
 
-def test_trace_stats_count_blocks_and_are_reproducible():
+def test_trace_stats_count_blocks_and_are_reproducible(monkeypatch):
     plant = random_stabilized_plant(np.random.default_rng(8))
     trig = standard_trigger(plant, feasible_sigma(plant))
     seq, budget, _ = budgeted_jam(5, trig, tau_avg=6.0, horizon=4.0)
     cfg = _config(plant, LogicKind.EVENT_TIME, trig, dos=seq, budget=budget, horizon=4.0)
+    steps, step = [], LtiPlant.step
+    monkeypatch.setattr(LtiPlant, "step", lambda self, *args: steps.append(None) or step(self, *args))
     a, b = run(cfg), run(cfg)
     assert a.stats == b.stats
     assert set(a.stats) == {
         "blocks_stepped", "rows_emitted", "crossing_searches", "cells_scanned", "hull_tests", "root_trials",
-        "taylor_steps", "expm_steps",
     }
     assert all(type(v) is int for v in a.stats.values())
     assert a.stats["rows_emitted"] == len(a)
@@ -1036,12 +1085,12 @@ def test_trace_stats_count_blocks_and_are_reproducible():
     crossings = int(a.success[a.attempt == 1][:-1].sum())
     assert a.stats["root_trials"] >= 2 * crossings > 0
     # a crossing's state is its stretch's end, and every stretch lies within
-    # the Taylor table's reach: no single step at all
-    assert a.stats["taylor_steps"] == a.stats["expm_steps"] == 0
+    # the Taylor table's reach: one step per stretch, none in a search
+    assert len(steps) == 2 * a.stats["blocks_stepped"]
+    steps.clear()
     periodic = run(_config(plant, LogicKind.PURE_TIME, trig, dos=seq, budget=budget, horizon=4.0))
     assert periodic.stats["crossing_searches"] == periodic.stats["cells_scanned"] == periodic.stats["hull_tests"] == 0
-    # without a search every row comes from a stretch: no single step at all
-    assert periodic.stats["blocks_stepped"] > 0 and periodic.stats["taylor_steps"] == periodic.stats["expm_steps"] == 0
+    assert len(steps) == periodic.stats["blocks_stepped"] > 0
 
 
 def _rule_trace(t, ratio, x_norm, attempt, success):
@@ -1300,13 +1349,8 @@ def _reference_csv(trace) -> bytes:
 
 
 def _diverged_run():
-    """A run that diverges while jammed; its last row is NaN."""
-    return run(SimConfig(
-        plant=LtiPlant(A=np.array([[50.0]]), B=np.array([[1.0]]), K=np.array([[-60.0]])),
-        logic=LogicKind.IDEAL_EVENT, trigger=TriggerConfig(sigma=0.1, delta1=100.0, delta2=100.0),
-        dos=DosSequence(((1.0, 30.0),)), budget=DosBudget(kappa=40.0, tau_avg=2.0),
-        x0=np.array([1.0]), horizon=200.0, record_step=25.0,
-    ))
+    """A run that diverges while jammed, from an x0 whose 1e12 multiple overflows; its last x is -inf."""
+    return run(dataclasses.replace(_overflowing_config(), x0=np.array([1e300])))
 
 
 def _csv_block_rows(trace):
@@ -1328,14 +1372,14 @@ def test_to_csv_bytes_match_a_csv_writer_reference(tmp_path):
                            budget=DosBudget(kappa=0.35, tau_avg=4.0), x0=[1.0, -0.0], horizon=30.0))
     assert len(touching) > 2 * _csv_block_rows(touching)
     diverged = _diverged_run()
-    assert diverged.diverged and np.isnan(diverged.x_norm[-1])
+    assert diverged.diverged and diverged.x[-1, 0] == -math.inf
     for name, trace in (("paired", paired), ("touching", touching), ("diverged", diverged)):
         path = tmp_path / f"{name}.csv"
         trace.to_csv(path)
         assert path.read_bytes() == _reference_csv(trace), name
     # the traces do exercise the spellings the byte check pins
     assert b",-0," in (tmp_path / "touching.csv").read_bytes()
-    assert b",nan," in (tmp_path / "diverged.csv").read_bytes()
+    assert b",-inf," in (tmp_path / "diverged.csv").read_bytes()
     assert (tmp_path / "paired.csv").read_bytes().endswith(b"\r\n")
 
 
@@ -1478,18 +1522,27 @@ def test_onset_check_fails_a_stale_held_sample_at_a_fresh_onset():
 
 
 @pytest.mark.parametrize("mode", list(InputMode))
-def test_onset_amplification_skips_the_onset_a_diverged_run_stopped_at(mode):
+def test_onset_amplification_skips_the_onset_a_diverged_run_stopped_at(mode, monkeypatch):
     # A success at t = 0, then jammed from 2^-8 on, before the first
-    # crossing: the state grows like e^{50 t} and overflows (to NaN with the
-    # input held, which an onset check would read as an infinite ratio) on
-    # the one step to t = 20, where one interval ends as the next begins.
-    # The run stopped there without handling that onset.
+    # crossing: the state grows like e^{50 t}, and the first stretch end
+    # past 1e6, t_d, is made NaN (which an onset check would read as an
+    # infinite ratio), so it trips the guard. With one interval ending at
+    # t_d as the next begins, the run stopped there without handling that
+    # onset.
+    _nan_past(1e6, monkeypatch)
     plant = LtiPlant(A=np.array([[50.0]]), B=np.array([[1.0]]), K=np.array([[-60.0]]), input_mode=mode)
     trig = TriggerConfig(sigma=0.1, delta1=100.0, delta2=100.0)
-    seq = DosSequence(((2.0**-8, 20.0 - 2.0**-8), (20.0, 0.1)))
-    trace = run(SimConfig(plant=plant, logic=LogicKind.IDEAL_EVENT, trigger=trig, dos=seq,
-                          budget=DosBudget(kappa=11.0, tau_avg=2.0), x0=np.ones(1), horizon=200.0, record_step=25.0))
-    assert trace.diverged and trace.t[-1] == 20.0 and not trace.x_norm[-1] <= 1e12
+
+    def jammed_run(seq):
+        return run(SimConfig(plant=plant, logic=LogicKind.IDEAL_EVENT, trigger=trig, dos=seq,
+                             budget=DosBudget(kappa=11.0, tau_avg=2.0), x0=np.ones(1), horizon=200.0,
+                             record_step=25.0))
+
+    t_d = float(jammed_run(DosSequence(((2.0**-8, 1.0),))).t[-1])
+    seq = DosSequence(((2.0**-8, t_d - 2.0**-8), (t_d, 0.1)))
+    assert seq.ends[0] == seq.onsets[1]
+    trace = jammed_run(seq)
+    assert trace.diverged and trace.t[-1] == t_d and np.isnan(trace.x_norm[-1])
     ok, worst, seen = onset_amplification_by_walk(trace, trig.sigma, seq)
     assert [(h, held) for h, held, _ in seen] == [(2.0**-8, 1.0)]
     got = check_onset_amplification(trace, trig.sigma, seq)

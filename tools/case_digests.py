@@ -13,7 +13,7 @@ diff the two outputs: equal lines mean the same reports, exit codes, trace
 bytes and work.
 
 The cases' inputs come from the checkout that holds this script, never from
-SRC_TREE, so both runs read the same files. The 63 cases are:
+SRC_TREE, so both runs read the same files. The 68 cases are:
 
 * every ``event_sim``, ``periodic_sim`` and ``certify`` job of
   ``bench/workloads.py`` at seeds 7 and 11 (38 jobs);
@@ -31,7 +31,14 @@ SRC_TREE, so both runs read the same files. The 63 cases are:
 * ``simulate`` of the shipped scalar scenario from ``x0 = [0.0]``, and of
   a diverged variant: ``zero_during_dos`` under one jam interval
   [0.5, 30.5) (``kappa`` 30, horizon 32), whose open loop reaches the
-  divergence guard (2 cases).
+  divergence guard (2 cases);
+* ``simulate`` of the shipped scalar scenario under ``event_time`` with
+  horizon 760, where the decaying state's Taylor coefficients fall below
+  2^-1024 (1 case);
+* ``simulate`` under ``pure_time`` and ``event_time``, in both input
+  modes, of the seeded plant of ``tests/test_sim.py``'s past-reach runs,
+  whose record step lies 2.85 Taylor reaches out, so that most stretches
+  end with no row (4 cases).
 
 scipy is needed, as by ``bench/``.
 """
@@ -46,6 +53,8 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (7, 11)
 SHIPPED = ("scalar", "double_integrator")
@@ -57,6 +66,22 @@ TAU_GRIDS = {
     "double_integrator": ("400", "2000", "20"),
     "scalar-random-jam": ("8", "16", "5"),
 }
+
+
+def _past_reach_doc(riccati_delta2, logic: str, mode: str) -> dict:
+    """tests/test_sim.py's past-reach scenario: a weak gain and sigma = 1e4 admit a delta2 of 11 Taylor reaches."""
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(3, 3))
+    A -= (np.linalg.eigvals(A).real.max() + 1.0) * np.eye(3)
+    B, K = rng.normal(size=(3, 1)), 1e-4 * rng.normal(size=(1, 3))
+    delta2 = riccati_delta2(np.linalg.norm(A + B @ K, 2), np.linalg.norm(B @ K, 2), 1e4)
+    return {
+        "plant": {"A": A.tolist(), "B": B.tolist(), "K": K.tolist(), "input_mode": mode},
+        "trigger": {"kind": logic, "sigma": 1e4, "delta1": delta2, "delta2": delta2},
+        "dos": {"intervals": [[5.0 * delta2, 3.0 * delta2], [20.0 * delta2, 4.0 * delta2]]},
+        "budget": {"kappa": 7.0 * delta2, "tau": 10.0},
+        "sim": {"x0": rng.normal(size=3).tolist(), "horizon": 40.0 * delta2, "record_step": delta2 / 4.0},
+    }
 
 
 def cases(out_dir: Path) -> list[tuple[str, str, Path]]:
@@ -90,16 +115,22 @@ def cases(out_dir: Path) -> list[tuple[str, str, Path]]:
         out.append((f"shipped/simulate-{name}-random-jam", "simulate", path))
         out.append((f"shipped/sweep-tau-{name}", "sweep", shipped))
     out.append(("shipped/sweep-tau-scalar-random-jam", "sweep", out_dir / "shipped" / "scalar-random-jam.json"))
-    for variant in ("x0-zero", "diverged"):
+    for variant in ("x0-zero", "diverged", "horizon-760"):
         doc = json.loads((ROOT / "scenarios" / "scalar.json").read_text())
         if variant == "x0-zero":
             doc["sim"]["x0"] = [0.0]
-        else:
+        elif variant == "diverged":
             doc["plant"]["input_mode"], doc["dos"]["intervals"] = "zero_during_dos", [[0.5, 30.0]]
             doc["budget"]["kappa"], doc["sim"]["horizon"] = 30.0, 32.0
+        else:
+            doc["trigger"]["kind"], doc["sim"]["horizon"] = "event_time", 760.0
         path = out_dir / "shipped" / f"scalar-{variant}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n")
         out.append((f"shipped/simulate-scalar-{variant}", "simulate", path))
+    for logic, mode in product(("pure_time", "event_time"), INPUT_MODES):
+        path = out_dir / "shipped" / f"past-reach-{logic}-{mode}.json"
+        path.write_text(json.dumps(_past_reach_doc(workloads.riccati_delta2, logic, mode), indent=1) + "\n")
+        out.append((f"shipped/simulate-past-reach-{logic}-{mode}", "simulate", path))
     return out
 
 
